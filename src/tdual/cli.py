@@ -234,29 +234,29 @@ def _gerbe_from_json(obj) -> TwoGerbe:
             out[tuple(int(i) for i in key.split(","))] = [int(v) for v in vec]
         return out
 
-    return TwoGerbe(cover, parse(obj.get("p")), parse(obj.get("theta")),
-                    parse(obj.get("mu")))
+    return TwoGerbe(cover, **{layer.attr: parse(obj.get(layer.label))
+                              for layer in TwoGerbe.layers})
 
 
 def _gerbe_to_json(g) -> dict:
-    def emit(block):
-        return {",".join(map(str, t)): list(vec) for t, vec in block.items()}
-
-    base = {"space": g.cover.space.name,
-            "cover": [sorted(map(str, s)) for s in g.cover.sets]}
-    if isinstance(g, TwoGerbe):
-        base.update({"p": emit(g.p), "theta": emit(g.theta), "mu": emit(g.mu)})
-    else:
-        base.update({"A": emit(g.a), "gamma": emit(g.gamma),
-                     "eta": emit(g.eta), "nu": emit(g.nu)})
-    return base
+    out = {"space": g.cover.space.name,
+           "cover": [sorted(map(str, s)) for s in g.cover.sets]}
+    for layer in g.layers:
+        out[layer.label] = {",".join(map(str, t)): list(vec)
+                            for t, vec in getattr(g, layer.attr).items()}
+    return out
 
 
 def cmd_dualize_gerbe(args) -> int:
     if args.preset:
-        if not args.preset.startswith("monopole:"):
+        kind, _, charge = args.preset.partition(":")
+        try:
+            charge = int(charge)
+        except ValueError:
+            kind = None
+        if kind != "monopole":
             raise InputError("preset must be monopole:<n>")
-        g = monopole_two_gerbe(int(args.preset.split(":", 1)[1]))
+        g = monopole_two_gerbe(charge)
     elif args.input:
         try:
             with open(args.input) as fh:

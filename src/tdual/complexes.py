@@ -111,15 +111,15 @@ class CellComplex:
 
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
         """Canonical subcomplex on the given cells; instances are cached per
-        cell set so class spaces computed through different call sites agree."""
-        ids = self.check_subcomplex(ids)
+        cell set so class spaces computed through different call sites agree.
+        A cell set is validated once, when it first enters the cache."""
+        ids = frozenset(ids)
         cache = getattr(self, "_subcomplex_cache", None)
         if cache is None:
             cache = {}
             self._subcomplex_cache = cache
-        if ids in cache:
-            return cache[ids]
-        cache[ids] = self._build_subcomplex(ids, name)
+        if ids not in cache:
+            cache[ids] = self._build_subcomplex(self.check_subcomplex(ids), name)
         return cache[ids]
 
     def _build_subcomplex(self, ids: frozenset, name: str | None) -> "CellComplex":
@@ -494,11 +494,9 @@ def disc2() -> CellComplex:
 def interval_power(k: int) -> CellComplex:
     """I^k as an iterated product; its boundary sphere is the set of product
     cells with at least one endpoint factor."""
-    out = interval()
-    for _ in range(k - 1):
-        out = product_complex(out, interval())
-    out.name = f"I^{k}"
-    return out
+    if k <= 1:
+        return interval()
+    return product_complex(interval_power(k - 1), interval(), name=f"I^{k}")
 
 
 def interval_power_boundary_ids(cube: CellComplex, k: int) -> frozenset:

@@ -197,7 +197,6 @@ class Diffeo:
 
     chart: Chart
     targets: tuple
-    inverse_targets: tuple | None = None
 
     def bindings(self) -> dict:
         return {n: t for n, t in zip(self.chart.names, self.targets)}
@@ -208,8 +207,7 @@ class Diffeo:
 
 
 def identity_diffeo(chart: Chart) -> Diffeo:
-    ts = tuple(sym(n) for n in chart.names)
-    return Diffeo(chart, ts, ts)
+    return Diffeo(chart, tuple(sym(n) for n in chart.names))
 
 
 def compose(outer: Diffeo, inner: Diffeo) -> Diffeo:
@@ -428,17 +426,13 @@ def _multi_center_table(centers: Sequence[Sequence[float]], preset: str) -> Func
     return FunctionTable([OpaqueFunction("Hp", 3, closure_factory=factory)])
 
 
-def _radial_table(radii: Sequence[float], preset: str) -> FunctionTable:
-    """Radial collinear profile: Hrad(r) and the per-center summands Hcen<i>(r).
+def _radial_table(radii: Sequence[float]) -> FunctionTable:
+    """Radial collinear profile in the unit normalization: Hrad(r) = 1 + sum
+    1/(r - ri) and the per-center summands Hcen<i>(r) = 1/(r - ri).
 
     Valid for r strictly above every center radius; all derivative orders
     are closed-form: d^k/dr^k (r - ri)^-1 = (-1)^k k! (r - ri)^-(k+1).
     """
-    weight = 0.5 if preset == "coupling" else 1.0
-    base = 1.0 / 1.0 if preset == "unit" else None  # coupling carries g as arg
-
-    fns = []
-
     def summand(ri):
         def factory(deriv):
             (k,) = deriv
@@ -453,50 +447,20 @@ def _radial_table(radii: Sequence[float], preset: str) -> FunctionTable:
             return fn
         return factory
 
-    for i, ri in enumerate(radii):
-        fns.append(OpaqueFunction(f"Hcen{i}", 1, closure_factory=summand(ri)))
+    def profile(deriv):
+        terms = [summand(ri)(deriv) for ri in radii]
 
-    if preset == "unit":
-        def factory(deriv):
-            (k,) = deriv
+        def fn(r):
+            tot = 1.0 if deriv == (0,) else 0.0
+            for term in terms:       # in order, as a plain float sum
+                tot += term(r)
+            return tot
 
-            def fn(r):
-                tot = base if k == 0 else 0.0
-                for ri in radii:
-                    if r <= ri:
-                        raise ZeroDivisionError
-                    if k == 0:
-                        tot += weight / (r - ri)
-                    else:
-                        tot += weight * ((-1.0) ** k) * math.factorial(k) / (r - ri) ** (k + 1)
-                return tot
+        return fn
 
-            return fn
-
-        fns.append(OpaqueFunction("Hrad", 1, closure_factory=factory))
-    else:
-        def factory(deriv):
-            k, b = deriv
-
-            def fn(r, g):
-                if b == 0:
-                    tot = (g ** -2) if k == 0 else 0.0
-                    for ri in radii:
-                        if r <= ri:
-                            raise ZeroDivisionError
-                        if k == 0:
-                            tot += weight / (r - ri)
-                        else:
-                            tot += weight * ((-1.0) ** k) * math.factorial(k) / (r - ri) ** (k + 1)
-                    return tot
-                if k == 0:
-                    return ((-1.0) ** b) * math.factorial(b + 1) * g ** (-(b + 2))
-                return 0.0
-
-            return fn
-
-        fns.append(OpaqueFunction("Hrad", 2, closure_factory=factory))
-
+    fns = [OpaqueFunction(f"Hcen{i}", 1, closure_factory=summand(ri))
+           for i, ri in enumerate(radii)]
+    fns.append(OpaqueFunction("Hrad", 1, closure_factory=profile))
     return FunctionTable(fns)
 
 
@@ -520,7 +484,7 @@ def _multi_sample_spec(centers, preset) -> SampleSpec:
     far = max(math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers)
     boxes[R] = (far + 1.2, far + 4.0)  # outside every center by margin
     table = _multi_center_table(centers, preset).merged(
-        _radial_table([math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers], "unit"))
+        _radial_table([math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers]))
     return SampleSpec(boxes, table)
 
 
@@ -647,21 +611,7 @@ class MultiCenterFamily:
         coeff = add(rat(1), -ratio) if tilde else ratio
         shift = mul(rat(-1), beta, coeff)
         targets = (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI))
-        inverse = (add(sym(KAPPA), -shift), sym(R), sym(THETA), sym(PHI))
-        return Diffeo(MONOPOLE_CHART, targets, inverse)
-
-
-def make_multi_taub_nut(centers: Sequence[Sequence[float]],
-                        preset: str = "coupling") -> MetricData:
-    """Multi-center monopole metric; same tensor shape as Taub-NUT with
-    the p-center profile. ``preset`` picks the H normalization:
-    'coupling' = g^-2 + sum 1/(2|x-ci|), 'unit' = 1 + sum 1/|x-ci|."""
-    return MultiCenterFamily(centers, preset).metric()
-
-
-def multi_center_b_field(family: MultiCenterFamily, i: int, beta: Expr,
-                         tilde: bool = False) -> DiffForm:
-    return family.b_field(i, beta, tilde)
+        return Diffeo(MONOPOLE_CHART, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +651,7 @@ def dyonic_shift(beta: Expr, coupling: Expr | None = None,
     elif variant != "gamma":
         raise ValueError("variant must be 'gamma' or 'lambda'")
     targets = (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI))
-    inverse = (add(sym(KAPPA), -shift), sym(R), sym(THETA), sym(PHI))
-    return Diffeo(MONOPOLE_CHART, targets, inverse)
+    return Diffeo(MONOPOLE_CHART, targets)
 
 
 def with_b_field(m: MetricData, b: DiffForm) -> MetricData:

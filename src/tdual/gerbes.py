@@ -1,35 +1,45 @@
-"""Cech cocycle algebra for 2-gerbes and 3-gerbes on finite covers.
+"""Cech cocycle algebra for gerbes on finite covers, one table per degree.
 
 A cover assigns to each index a subcomplex of a fixed cell model; tuple
 intersections and their models are derived from the index sets, so the
 nerve is downward closed by construction (hand-built nerve flags can also
-be validated, and violations are reported with a witness tuple).
+be validated, and violations are reported with a witness tuple). Tuples of
+each nerve degree are enumerated on first use.
 
-Line bundles and continuous-trace data are stored as integer cocycles on
-the intersection models, one Bockstein degree up from their circle-valued
-sheaf degree: a 2-gerbe carries degree-2 pair cocycles p, degree-1 triple
-sections theta, and degree-0 four-fold matching data mu; a 3-gerbe carries
-degree-3 pair data A, degree-2 triple trivializations Gamma, degree-1
-four-fold sections eta, and degree-0 five-fold data nu. The validity
-conditions are the vanishing slots of the total differential
+A gerbe type declares its data once, as a table of layers
+``(label, attribute, nerve degree q, cell degree d)``. Each layer stores,
+per sorted (q+1)-tuple, an integer cochain of degree d on the intersection
+model, one Bockstein degree up from its circle-valued sheaf degree, and
+q + d is the same for every layer:
+
+* ``TwoGerbe``: pair cocycles p (1, 2), triple sections theta (2, 1) and
+  four-fold matching data mu (3, 0);
+* ``ThreeGerbe``: pair data A (1, 3), triple trivializations gamma (2, 2),
+  four-fold sections eta (3, 1) and five-fold data nu (4, 0).
+
+Everything else is written once over that table. The validity conditions
+are the vanishing slots of the total differential
 D = delta_nerve + (-1)^q delta_cell of the Cech/cell double complex, which
 is exactly the tensor-triviality and coboundary bookkeeping of the
-defining data.
-
-The characteristic class (degree 3 for 2-gerbes, degree 4 for 3-gerbes on
-the circle product) is computed by the explicit staircase through the
-double complex, using the row contraction given by a least-index choice
-function; the rows are exact because every cell's index simplex is a full
-simplex. Dualization crosses every datum with the circle generator; since
-the cross product commutes with both differentials and with the staircase
-contraction on the product cover, the dual's class is exactly the cross
-product of the input's class.
+defining data: the cell-cocycle condition on the lowest layer, one matching
+slot between consecutive layers, and the nerve-cocycle condition on the top
+layer. The characteristic class lives in degree = number of layers (H^3
+for 2-gerbes, H^4 for 3-gerbes on the circle product) and is computed by
+the explicit staircase through the double complex, using the row
+contraction given by a least-index choice function; the rows are exact
+because every cell's index simplex is a full simplex. Dualization crosses
+every layer with the circle generator (q, d) -> (q, d + 1), and the new top
+layer is zero; since the cross product commutes with both differentials and
+with the staircase contraction on the product cover, the dual's class is
+exactly the cross product of the input's class.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import ClassVar, NamedTuple
 
 from .complexes import (CellComplex, cone_on_s2, product_with_circle,
                         s3_two_disc, sphere, trivial_disc_bundle)
@@ -52,7 +62,8 @@ class ModelMismatch(ValueError):
     pass
 
 
-MAX_TUPLE_LEN = 5
+# bound on the entries of the random gauge cochains of gauge_perturb
+_GAUGE_BOUND = 3
 
 
 def _parity(t: tuple) -> int:
@@ -64,8 +75,9 @@ def _parity(t: tuple) -> int:
 class CoverNerve:
     """Nerve of a subcomplex cover, with intersection models.
 
-    ``sets[i]`` is the cell-id set of U_i. Tuples are stored sorted, up to
-    length MAX_TUPLE_LEN; nonemptiness and models derive from intersections.
+    ``sets[i]`` is the cell-id set of U_i. Tuples are stored sorted and
+    enumerated per nerve degree on first use; nonemptiness and models derive
+    from intersections.
     """
 
     space: CellComplex
@@ -81,9 +93,6 @@ class CoverNerve:
             raise MalformedNerve("cover does not exhaust the space",
                                  witness=sorted(map(str, self.space.all_ids() - covered)))
         self._tuples = {}
-        for q in range(min(len(self.sets), MAX_TUPLE_LEN)):
-            self._tuples[q] = [t for t in _sorted_tuples(len(self.sets), q + 1)
-                               if self.intersection_ids(t)]
 
     @property
     def size(self) -> int:
@@ -97,7 +106,10 @@ class CoverNerve:
 
     def tuples(self, q: int) -> list:
         """Nonempty sorted tuples of nerve degree q (length q+1)."""
-        return self._tuples.get(q, [])
+        if q not in self._tuples:
+            self._tuples[q] = [t for t in combinations(range(self.size), q + 1)
+                               if self.intersection_ids(t)]
+        return self._tuples[q]
 
     def model(self, t: tuple) -> CellComplex:
         ids = self.intersection_ids(t)
@@ -118,15 +130,9 @@ class CoverNerve:
         return CoverNerve(xs1, sets)
 
 
-def _sorted_tuples(n: int, length: int):
-    from itertools import combinations
-    return list(combinations(range(n), length))
-
-
 def validate_nerve_flags(flags: dict) -> tuple | None:
     """Downward closure check for hand-built nerve data; returns a witness
     tuple on violation (a nonempty tuple with an empty subtuple), else None."""
-    from itertools import combinations
     nonempty = {tuple(sorted(t)) for t, flag in flags.items() if flag}
     for t in nonempty:
         for k in range(1, len(t)):
@@ -297,42 +303,80 @@ class GerbeReport:
         return out
 
 
-@dataclass
-class TwoGerbe:
-    """Locally trivialized 2-gerbe: pair cocycles p (degree 2), triple
-    sections theta (degree 1), 4-fold matching data mu (degree 0).
+class _Layer(NamedTuple):
+    label: str      # name in reports and JSON
+    attr: str       # field holding the tuple-indexed data
+    q: int          # nerve degree: data lives on (q+1)-fold intersections
+    d: int          # cell degree of each cochain
 
-    Data is stored once per sorted tuple; odd reorderings flip the sign.
-    """
+
+@dataclass
+class _Gerbe:
+    """Locally trivialized gerbe data, one dict per row of ``layers``
+    (ordered by nerve degree 1, 2, ...). Data is stored once per sorted
+    tuple; odd reorderings flip the sign."""
 
     cover: CoverNerve
+    layers: ClassVar[tuple] = ()
+
+    def _canonicalize_layers(self):
+        for layer in self.layers:
+            setattr(self, layer.attr, _canonicalize(self.cover, getattr(self, layer.attr),
+                                                    layer.q, layer.d))
+
+    def _data(self) -> list:
+        return [(layer, getattr(self, layer.attr)) for layer in self.layers]
+
+    def pair_class(self, i: int, j: int) -> CohClass:
+        """The class of the pair datum on U_ij, sign-adjusted."""
+        layer, data = self._data()[0]
+        acc = _access(data, (i, j))
+        if acc is None:
+            raise ValueError("indices must be distinct")
+        key, sign = acc
+        model = self.cover.model(key)
+        vec = data.get(key, [0] * model.n_cells(layer.d))
+        return CohClass(cochain_space(model, layer.d), tuple(sign * v for v in vec))
+
+    def tensor(self, other):
+        if self.cover is not other.cover and \
+                (self.cover.space is not other.cover.space
+                 or self.cover.sets != other.cover.sets):
+            raise ModelMismatch("tensor requires a common cover")
+        return type(self)(self.cover, *(_data_add(data, getattr(other, layer.attr))
+                                        for layer, data in self._data()))
+
+
+@dataclass
+class TwoGerbe(_Gerbe):
+    """Locally trivialized 2-gerbe: pair cocycles p (degree 2), triple
+    sections theta (degree 1), 4-fold matching data mu (degree 0)."""
+
+    layers: ClassVar[tuple] = (_Layer("p", "p", 1, 2), _Layer("theta", "theta", 2, 1),
+                               _Layer("mu", "mu", 3, 0))
     p: dict = field(default_factory=dict)
     theta: dict = field(default_factory=dict)
     mu: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.p = _canonicalize(self.cover, self.p, 1, 2)
-        self.theta = _canonicalize(self.cover, self.theta, 2, 1)
-        self.mu = _canonicalize(self.cover, self.mu, 3, 0)
+        self._canonicalize_layers()
 
-    def pair_class(self, i: int, j: int) -> CohClass:
-        """The line-bundle class [p_ij] on the pair model, sign-adjusted."""
-        acc = _access(self.p, (i, j))
-        if acc is None:
-            raise ValueError("indices must be distinct")
-        key, sign = acc
-        model = self.cover.model(key)
-        vec = self.p.get(key, [0] * model.n_cells(2))
-        return CohClass(cochain_space(model, 2), tuple(sign * v for v in vec))
 
-    def tensor(self, other: "TwoGerbe") -> "TwoGerbe":
-        if self.cover is not other.cover and \
-                (self.cover.space is not other.cover.space
-                 or self.cover.sets != other.cover.sets):
-            raise ModelMismatch("tensor requires a common cover")
-        return TwoGerbe(self.cover, _data_add(self.p, other.p),
-                        _data_add(self.theta, other.theta),
-                        _data_add(self.mu, other.mu))
+@dataclass
+class ThreeGerbe(_Gerbe):
+    """Locally trivialized 3-gerbe on a circle product: pair data A (degree
+    3), triple trivializations gamma (degree 2), 4-fold sections eta (degree
+    1), 5-fold data nu (degree 0)."""
+
+    layers: ClassVar[tuple] = (_Layer("A", "a", 1, 3), _Layer("gamma", "gamma", 2, 2),
+                               _Layer("eta", "eta", 3, 1), _Layer("nu", "nu", 4, 0))
+    a: dict = field(default_factory=dict)
+    gamma: dict = field(default_factory=dict)
+    eta: dict = field(default_factory=dict)
+    nu: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._canonicalize_layers()
 
 
 def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
@@ -360,67 +404,39 @@ def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
     return out
 
 
-@dataclass
-class ThreeGerbe:
-    """Locally trivialized 3-gerbe on a circle product: pair data A (degree
-    3), triple trivializations gamma (degree 2), 4-fold sections eta (degree
-    1), 5-fold data nu (degree 0)."""
-
-    cover: CoverNerve
-    a: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)
-    eta: dict = field(default_factory=dict)
-    nu: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.a = _canonicalize(self.cover, self.a, 1, 3)
-        self.gamma = _canonicalize(self.cover, self.gamma, 2, 2)
-        self.eta = _canonicalize(self.cover, self.eta, 3, 1)
-        self.nu = _canonicalize(self.cover, self.nu, 4, 0)
-
-    def pair_class(self, i: int, j: int) -> CohClass:
-        acc = _access(self.a, (i, j))
-        if acc is None:
-            raise ValueError("indices must be distinct")
-        key, sign = acc
-        model = self.cover.model(key)
-        vec = self.a.get(key, [0] * model.n_cells(3))
-        return CohClass(cochain_space(model, 3), tuple(sign * v for v in vec))
-
-
 # ---------------------------------------------------------------------------
 # validity checks
 
-def _check_layers(cover: CoverNerve, layers, report: list):
+def _check_layers(g: _Gerbe) -> list:
     """Verify the vanishing slots of the total differential.
 
-    ``layers`` = [(name, data, q, d), ...] ordered by nerve degree; the slot
-    between consecutive layers is delta_n(lower) + (-1)^q delta_c(upper).
+    The slot between consecutive layers is delta_n(lower) + (-1)^q
+    delta_c(upper), with q the upper layer's nerve degree.
     """
+    cover, layers = g.cover, g._data()
+
+    def condition(name, t, d, bad):
+        # a failing slot's witness is the id of its first nonzero cell
+        return GerbeCondition(name, t, bad is None,
+                              None if bad is None else cover.model(t).cell_ids(d)[bad])
+
     # cell-cocycle condition on the lowest layer
-    name0, data0, q0, d0 = layers[0]
-    for t, vec in cell_coboundary(cover, data0, d0).items():
-        bad = _first_nonzero(vec)
-        report.append(GerbeCondition(f"{name0}_cocycle", t, bad is None,
-                                     None if bad is None else cover.model(t).cell_ids(d0 + 1)[bad]))
-    for (lname, ldata, lq, ld), (uname, udata, uq, ud) in zip(layers, layers[1:]):
-        dn = nerve_coboundary(cover, ldata, lq, ld)
-        dc = cell_coboundary(cover, udata, ud)
-        sign = (-1) ** uq
-        for t in cover.tuples(uq):
-            lhs = dn.get(t, [])
-            rhs = dc.get(t, [])
-            mism = _first_mismatch(lhs, [sign * -v for v in rhs])
+    low, data0 = layers[0]
+    report = [condition(f"{low.label}_cocycle", t, low.d + 1, _first_nonzero(vec))
+              for t, vec in cell_coboundary(cover, data0, low.d).items()]
+    for (lower, ldata), (upper, udata) in zip(layers, layers[1:]):
+        dn = nerve_coboundary(cover, ldata, lower.q, lower.d)
+        dc = cell_coboundary(cover, udata, upper.d)
+        sign = (-1) ** upper.q
+        for t in cover.tuples(upper.q):
             # condition: delta_n(lower) + sign*delta_c(upper) == 0
-            report.append(GerbeCondition(f"{lname}_{uname}_matching", t, mism is None,
-                                         None if mism is None else cover.model(t).cell_ids(ud)[mism]))
+            mism = _first_mismatch(dn.get(t, []), [sign * -v for v in dc.get(t, [])])
+            report.append(condition(f"{lower.label}_{upper.label}_matching", t, upper.d, mism))
     # top coherence: delta_n of the last layer vanishes
-    tname, tdata, tq, td = layers[-1]
-    top = nerve_coboundary(cover, tdata, tq, td)
-    for t, vec in top.items():
-        bad = _first_nonzero(vec)
-        report.append(GerbeCondition(f"{tname}_nerve_cocycle", t, bad is None,
-                                     None if bad is None else cover.model(t).cell_ids(td)[bad]))
+    top, tdata = layers[-1]
+    report += [condition(f"{top.label}_nerve_cocycle", t, top.d, _first_nonzero(vec))
+               for t, vec in nerve_coboundary(cover, tdata, top.q, top.d).items()]
+    return report
 
 
 def _first_nonzero(vec):
@@ -437,79 +453,36 @@ def _first_mismatch(a, b):
     return None
 
 
+def _check(g: _Gerbe) -> GerbeReport:
+    report = GerbeReport(_check_layers(g))
+    if report.passed:
+        report.characteristic_class = total_class(
+            g.cover, {layer.q: data for layer, data in g._data()}, len(g.layers))
+    return report
+
+
+def _class_or_raise(report: GerbeReport) -> CohClass:
+    if not report.passed:
+        f = report.failures()[0]
+        raise InvalidGerbe(f"gerbe fails validity: {f.name} at {f.where}")
+    return report.characteristic_class
+
+
 def check_two_gerbe(g: TwoGerbe) -> GerbeReport:
     """Pair antisymmetry is structural (canonical sorted storage); the
     report verifies the cocycle, triple-trivialization (delta_n p = -delta_c
     theta up to the total-complex sign), section-coboundary, and top nerve
     coherence conditions, then computes the characteristic class in H^3."""
-    conditions: list = []
-    _check_layers(g.cover, [("p", g.p, 1, 2), ("theta", g.theta, 2, 1),
-                            ("mu", g.mu, 3, 0)], conditions)
-    report = GerbeReport(conditions)
-    if report.passed:
-        report.characteristic_class = characteristic_class_two_gerbe(g, checked=True)
-    return report
-
-
-def characteristic_class_two_gerbe(g: TwoGerbe, checked: bool = False) -> CohClass:
-    if not checked:
-        rep = check_two_gerbe(g)
-        if not rep.passed:
-            raise InvalidGerbe(f"gerbe fails validity: {rep.failures()[0].name} "
-                               f"at {rep.failures()[0].where}")
-        return rep.characteristic_class
-    return total_class(g.cover, {1: g.p, 2: g.theta, 3: g.mu}, 3)
+    return _check(g)
 
 
 def check_three_gerbe(g: ThreeGerbe) -> GerbeReport:
-    conditions: list = []
-    _check_layers(g.cover, [("A", g.a, 1, 3), ("gamma", g.gamma, 2, 2),
-                            ("eta", g.eta, 3, 1), ("nu", g.nu, 4, 0)], conditions)
-    # six-fold coherence of nu, computed from the cover membership directly
-    for t in _six_fold_tuples(g.cover):
-        vec = _six_fold_nerve_delta(g.cover, g.nu, t)
-        bad = _first_nonzero(vec)
-        conditions.append(GerbeCondition("nu_sixfold", t, bad is None, bad))
-    report = GerbeReport(conditions)
-    if report.passed:
-        report.characteristic_class = total_class(
-            g.cover, {1: g.a, 2: g.gamma, 3: g.eta, 4: g.nu}, 4)
-    return report
+    """The same slots for A, gamma, eta and nu; the class lies in H^4."""
+    return _check(g)
 
 
-def characteristic_class_three_gerbe(g: ThreeGerbe) -> CohClass:
-    rep = check_three_gerbe(g)
-    if not rep.passed:
-        raise InvalidGerbe(f"3-gerbe fails validity: {rep.failures()[0].name} "
-                           f"at {rep.failures()[0].where}")
-    return rep.characteristic_class
-
-
-def _six_fold_tuples(cover: CoverNerve):
-    from itertools import combinations
-    if cover.size < 6:
-        return []
-    out = []
-    for t in combinations(range(cover.size), 6):
-        if cover.intersection_ids(t):
-            out.append(t)
-    return out
-
-
-def _six_fold_nerve_delta(cover: CoverNerve, data: dict, t: tuple) -> list:
-    ids = cover.intersection_ids(t)
-    cells = [c for c in cover.space.cell_ids(0) if c in ids]
-    out = []
-    for cell in cells:
-        val = 0
-        for a in range(len(t)):
-            sub = t[:a] + t[a + 1:]
-            comp = data.get(sub)
-            if comp is None:
-                continue
-            val += ((-1) ** a) * comp[cover.model(sub).index(0, cell)]
-        out.append(val)
-    return out
+def characteristic_class_two_gerbe(g: TwoGerbe) -> CohClass:
+    return _class_or_raise(check_two_gerbe(g))
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +502,22 @@ def _cross_data(cover: CoverNerve, dual_cover: CoverNerve, data: dict, d: int) -
 
 
 def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerbe:
-    """Cross every datum with the circle generator: pairs p x z become the
+    """Cross every layer with the circle generator: pairs p x z become the
     degree-3 pair data, triple sections theta x z the trivializing line
     bundles, 4-fold data mu x z the sections eta; nu = 0. The output passes
     the 3-gerbe checks and its class is (class of g) x z."""
-    rep = check_two_gerbe(g)
-    if not rep.passed:
-        f = rep.failures()[0]
-        raise InvalidGerbe(f"cannot dualize: {f.name} fails at {f.where}")
+    _class_or_raise(check_two_gerbe(g))
     xs1 = xs1 or product_with_circle(g.cover.space)
     dual_cover = g.cover.crossed(xs1)
-    return ThreeGerbe(dual_cover,
-                      a=_cross_data(g.cover, dual_cover, g.p, 2),
-                      gamma=_cross_data(g.cover, dual_cover, g.theta, 1),
-                      eta=_cross_data(g.cover, dual_cover, g.mu, 0),
-                      nu={})
+    return ThreeGerbe(dual_cover, *(_cross_data(g.cover, dual_cover, data, layer.d)
+                                    for layer, data in g._data()))
 
 
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def two_gerbe_from_class(cover: CoverNerve, cocycle, scramble_seed: int | None = None,
-                         magnitude: int = 3) -> TwoGerbe:
+def two_gerbe_from_class(cover: CoverNerve, cocycle,
+                         scramble_seed: int | None = None) -> TwoGerbe:
     """Realize a degree-3 cocycle on the covered space as a 2-gerbe.
 
     Requires each patch to kill the restricted class (solvable t_i with
@@ -578,12 +545,12 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle, scramble_seed: int | None =
         p[(i, j)] = [a - b for a, b in zip(ti, tj)]
     g = TwoGerbe(cover, p=p)
     if scramble_seed is not None:
-        g = gauge_perturb(g, scramble_seed, magnitude)
+        g = gauge_perturb(g, scramble_seed)
     return g
 
 
-def gauge_perturb(g: TwoGerbe, seed: int, magnitude: int = 3,
-                  pair: tuple | None = None, triple: tuple | None = None) -> TwoGerbe:
+def gauge_perturb(g: TwoGerbe, seed: int, pair: tuple | None = None,
+                  triple: tuple | None = None) -> TwoGerbe:
     """Gauge transformation by a random total-complex coboundary.
 
     ``pair``/``triple`` restrict the support to a single datum's gauge
@@ -600,23 +567,19 @@ def gauge_perturb(g: TwoGerbe, seed: int, magnitude: int = 3,
             if pair is not None and tuple(sorted(pair)) != t:
                 continue
             model = cover.model(t)
-            a[t] = [rng.randint(-magnitude, magnitude) for _ in range(model.n_cells(1))]
+            a[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(model.n_cells(1))]
     b = {}
     if not localized or triple is not None:
         for t in cover.tuples(2):
             if triple is not None and tuple(sorted(triple)) != t:
                 continue
             model = cover.model(t)
-            b[t] = [rng.randint(-magnitude, magnitude) for _ in range(model.n_cells(0))]
+            b[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(model.n_cells(0))]
     new_p = _data_sub(g.p, cell_coboundary(cover, a, 1))
     new_theta = _data_add(g.theta, _data_add(nerve_coboundary(cover, a, 1, 1),
                                              cell_coboundary(cover, b, 0)))
     new_mu = _data_add(g.mu, nerve_coboundary(cover, b, 2, 0))
     return TwoGerbe(cover, new_p, new_theta, new_mu)
-
-
-def trivial_two_gerbe(cover: CoverNerve) -> TwoGerbe:
-    return TwoGerbe(cover)
 
 
 def monopole_two_gerbe(n: int):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cohomology import (AbelianGroup, CohClass, cochain_space, cross_with_z,
                          fiber_integrate, homology)
-from .complexes import (CellComplex, cone_on_s2, lens, product_with_circle,
+from .complexes import (CellComplex, cone_on_s2, product_with_circle,
                         sphere, wedge_of_spheres)
 from .intlin import IMat, solve
 
@@ -110,11 +110,6 @@ def trivial_record() -> SemifreeSpace:
     comp = base.subcomplex(frozenset(base.all_ids()))
     return classify(base, frozenset(), frozenset(base.all_ids()),
                     cochain_space(comp, 2).zero(), name="trivial")
-
-
-def boundary_lens_model(p: int) -> CellComplex:
-    """The boundary lens space of the charge-p record (total space side)."""
-    return lens(p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tdual.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -81,6 +84,21 @@ def test_dualize_gerbe_from_json(tmp_path):
     assert obj["two_gerbe_report"]["passed"]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--preset", "monopole:3"], "dualize_monopole3.json"),
+    (["--input", str(GOLDEN / "gerbe4_input.json")], "dualize_gerbe4.json"),
+    (["--input", str(GOLDEN / "gerbe7_input.json")], "dualize_gerbe7.json"),
+])
+def test_dualize_gerbe_json_matches_golden(argv, expected):
+    # the golden files are earlier output, byte for byte; the 3-gerbe's
+    # top slot on six-fold tuples has since been renamed to match the
+    # 2-gerbe's mu_nerve_cocycle
+    golden = (GOLDEN / expected).read_text().replace('"nu_sixfold"', '"nu_nerve_cocycle"')
+    code, out, _ = run_cli("dualize-gerbe", *argv, "--format", "json")
+    assert code == 0
+    assert out == golden
+
+
 def test_classify_and_tdualize_presets():
     code, out, _ = run_cli("classify", "--preset", "charge:3")
     assert code == 0 and "bundle class: [3]" in out
@@ -143,7 +161,7 @@ def test_unknown_space_exits_two():
     assert code == 2
 
 
-def test_invalid_gerbe_exits_one(tmp_path):
+def test_invalid_gerbe_exits_two(tmp_path):
     gerbe = {
         "space": "S3plus",
         "cover": [["v", "u", "a", "f2", "c3"], ["u", "f2", "c3out"]],
@@ -156,6 +174,24 @@ def test_invalid_gerbe_exits_one(tmp_path):
     path.write_text(json.dumps(gerbe))
     code, _, err = run_cli("dualize-gerbe", "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("preset", ["monopole:x", "monopole:", "dirac:2"])
+def test_malformed_gerbe_preset_exits_two(preset):
+    code, out, err = run_cli("dualize-gerbe", "--preset", preset)
+    assert code == 2
+    assert out == "" and err == "error: preset must be monopole:<n>\n"
+
+
+def test_gerbe_failing_a_slot_exits_one(tmp_path):
+    gerbe = json.loads((GOLDEN / "gerbe7_input.json").read_text())
+    gerbe["mu"]["0,1,2,5"][0] += 1
+    path = tmp_path / "bad_mu.json"
+    path.write_text(json.dumps(gerbe))
+    code, out, _ = run_cli("dualize-gerbe", "--input", str(path))
+    assert code == 1
+    assert out == ("[FAIL] 2-gerbe validity\n"
+                   "        mu_nerve_cocycle fails at (0, 1, 2, 3, 5)\n")
 
 
 def test_usage_error_exits_two():

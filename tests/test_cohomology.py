@@ -13,7 +13,7 @@ from tdual.complexes import (
     BUILTIN_NAMES, BoundaryNotLabeled, LabelMismatch, NotASubcomplex,
     builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
     product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
-    trivial_disc_bundle, wedge_of_spheres,
+    interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
 )
 
 
@@ -102,6 +102,16 @@ def test_cone_product_pair():
 def test_not_a_subcomplex_rejected():
     with pytest.raises(NotASubcomplex):
         relative_cohomology(cone_on_s2(), {"c3"}, 3)
+    # validation happens on a cache miss; cached valid sets must not let an
+    # invalid one through, and a rejected set is never cached
+    cone = cone_on_s2()
+    sphere_part = cone.subcomplex({"u", "f2"})
+    assert cone.subcomplex(frozenset({"f2", "u"})) is sphere_part
+    for _ in range(2):
+        with pytest.raises(NotASubcomplex):
+            cone.subcomplex({"u", "a"})
+        with pytest.raises(NotASubcomplex):
+            cone.subcomplex({"u", "nope"})
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +263,13 @@ def test_interval_bundle_over_sphere_shifts_by_one():
     total, sphere_ids, _ = trivial_disc_bundle(sphere(2), 1)
     td, _ = thom_space(total, sphere_ids)
     assert cohomology(td, 3) == Z
+
+
+def test_interval_power_leaves_shared_instances_alone():
+    cubes = [interval_power(k) for k in (1, 2, 3)]
+    assert cubes[0] is interval() and interval().name == "I"
+    assert [c.name for c in cubes[1:]] == ["I^2", "I^3"]
+    assert product_complex(interval(), interval()).name == "IxI"
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

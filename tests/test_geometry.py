@@ -15,9 +15,8 @@ from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
     dyonic_b_field, dyonic_potential, dyonic_shift, exterior_derivative,
-    flat_product_metric, h_monopole_metric, identity_diffeo, make_multi_taub_nut,
-    make_taub_nut, metric, metrics_equal, multi_center_b_field, pullback,
-    taub_nut_sample_spec, with_b_field,
+    flat_product_metric, h_monopole_metric, identity_diffeo, make_taub_nut,
+    metric, metrics_equal, pullback, taub_nut_sample_spec, with_b_field,
 )
 
 R, THETA = sym("r"), sym("theta")
@@ -187,16 +186,16 @@ def test_duplicate_centers_rejected():
     with pytest.raises(DuplicateCenters):
         MultiCenterFamily([(0.1, 0.2, 0.3), (0.1, 0.2, 0.3)])
     with pytest.raises(DuplicateCenters):
-        make_multi_taub_nut([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+        MultiCenterFamily([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]).metric()
 
 
 def test_make_multi_taub_nut_presets():
-    m_coupling = make_multi_taub_nut([(0.2, 0.0, 0.0)], "coupling")
+    m_coupling = MultiCenterFamily([(0.2, 0.0, 0.0)], "coupling").metric()
     assert m_coupling.g(0, 0) == pow_(app("Hp", (R, THETA, sym("phi"), sym("g"))), -1)
-    m_unit = make_multi_taub_nut([(0.2, 0.0, 0.0)], "unit")
+    m_unit = MultiCenterFamily([(0.2, 0.0, 0.0)], "unit").metric()
     assert m_unit.g(0, 0) == pow_(app("Hp", (R, THETA, sym("phi"))), -1)
     with pytest.raises(ValueError):
-        make_multi_taub_nut([(0.2, 0.0, 0.0)], "weird")
+        MultiCenterFamily([(0.2, 0.0, 0.0)], "weird").metric()
 
 
 def test_partition_identity_of_radial_summands():
@@ -253,7 +252,7 @@ def test_multi_center_field_closed_and_exact():
     fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)], "unit")
     for i in range(fam.p):
         for tilde in (False, True):
-            field = multi_center_b_field(fam, i, sym("beta"), tilde)
+            field = fam.b_field(i, sym("beta"), tilde)
             db = exterior_derivative(field)
             for idx, c in db.comps.items():
                 assert equal_numeric(c, rat(0), fam.sample), (i, tilde, idx)

@@ -12,7 +12,7 @@ from tdual.gerbes import (
     characteristic_class_two_gerbe, check_three_gerbe, check_two_gerbe,
     gauge_perturb, kk_gerbe_models, monopole_two_gerbe,
     semifree_class_to_two_gerbe, tdualize_two_gerbe,
-    trivial_bundle_gerbe_models, trivial_two_gerbe, two_gerbe_from_class,
+    trivial_bundle_gerbe_models, two_gerbe_from_class,
     validate_nerve_flags,
 )
 
@@ -80,7 +80,7 @@ def test_antisymmetric_access(two_patch_cover):
 # validity and classes
 
 def test_trivial_gerbe_passes_with_zero_class(two_patch_cover):
-    rep = check_two_gerbe(trivial_two_gerbe(two_patch_cover))
+    rep = check_two_gerbe(TwoGerbe(two_patch_cover))
     assert rep.passed
     assert rep.characteristic_class.is_zero()
 
@@ -181,7 +181,7 @@ def test_dualized_monopole_class_is_cross_product(bplus):
 
 
 def test_dual_of_trivial_gerbe_is_trivial(two_patch_cover):
-    tg = tdualize_two_gerbe(trivial_two_gerbe(two_patch_cover))
+    tg = tdualize_two_gerbe(TwoGerbe(two_patch_cover))
     rep = check_three_gerbe(tg)
     assert rep.passed
     assert rep.characteristic_class.is_zero()
@@ -222,6 +222,24 @@ def test_corrupted_eta_fails_three_gerbe_check():
     rep = check_three_gerbe(bad)
     assert not rep.passed
     assert rep.failures()[0].witness is not None
+
+
+def test_corrupted_nu_fails_only_the_top_slot_with_a_cell_witness(six_patch_cover,
+                                                                   generator_cocycle):
+    g = two_gerbe_from_class(six_patch_cover, generator_cocycle, scramble_seed=4)
+    tg = tdualize_two_gerbe(g)
+    quint = tg.cover.tuples(4)[0]
+    bad_nu = dict(tg.nu)
+    # a constant on the connected five-fold model is a cell cocycle, so the
+    # eta/nu matching holds and only the six-fold nerve slot sees it
+    bad_nu[quint] = [v + 1 for v in bad_nu[quint]]
+    rep = check_three_gerbe(ThreeGerbe(tg.cover, tg.a, tg.gamma, tg.eta, bad_nu))
+    failures = rep.failures()
+    assert [f.name for f in failures] == ["nu_nerve_cocycle"]
+    (six,) = tg.cover.tuples(5)
+    assert failures[0].where == six
+    assert failures[0].witness in tg.cover.model(six).cell_ids(0)
+    assert rep.characteristic_class is None
 
 
 def _gen_vec(bplus):

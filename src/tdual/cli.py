@@ -46,10 +46,20 @@ def _default_seed() -> int:
         return 42
 
 
+def _trials(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {n}")
+    return n
+
+
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks (default $TDUAL_SEED or 42)")
-    parser.add_argument("--trials", type=int, default=ex.DEFAULT_TRIALS)
+    parser.add_argument("--trials", type=_trials, default=ex.DEFAULT_TRIALS)
     parser.add_argument("--tol", type=float, default=ex.DEFAULT_TOL)
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--output", default=None, help="write the result here instead of stdout")
@@ -296,9 +306,15 @@ def _record_from_args(args):
             return kk_record()
         if args.preset == "trivial":
             return trivial_record()
-        if args.preset.startswith("charge:"):
-            return kk_record(int(args.preset.split(":", 1)[1]))
-        raise InputError("preset must be kk, trivial, or charge:<p>")
+        kind, _, charge = args.preset.partition(":")
+        if kind == "charge":
+            try:
+                charge = int(charge)
+            except ValueError:
+                kind = None
+        if kind != "charge":
+            raise InputError("preset must be kk, trivial, or charge:<p>")
+        return kk_record(charge)
     if args.input:
         try:
             with open(args.input) as fh:

@@ -249,15 +249,7 @@ class RelativeCochainSpace(SubquotientSpace):
     def _delta(self, x: CellComplex, k: int) -> IMat:
         # restricted coboundary C^k_rel -> C^{k+1}_rel; boundaries of A-cells
         # stay in A, so dropping A-coordinates is compatible with delta
-        src = self.kept.get(k, [])
-        dst = self.kept.get(k + 1, [])
-        full = x.bmat(k + 1).transpose()   # rows: (k+1)-cells, cols: k-cells
-        out = IMat(len(dst), len(src))
-        for j, cell in enumerate(src):
-            col = x.index(k, cell)
-            for i, up in enumerate(dst):
-                out[i, j] = full[x.index(k + 1, up), col]
-        return out
+        return _restricted_coboundary(x, k, self.kept.get(k, []), self.kept.get(k + 1, []))
 
 
 def relative_cochain_space(x: CellComplex, a_ids, k: int) -> RelativeCochainSpace:
@@ -394,13 +386,20 @@ def _restriction_matrix(x: CellComplex, a: CellComplex, k: int) -> IMat:
 def _connecting_matrix(x: CellComplex, a: CellComplex,
                        rel_next: RelativeCochainSpace, k: int) -> IMat:
     """delta: H^k(A) -> H^{k+1}(X, A): extend by zero, apply delta_X, restrict."""
-    delta_x = x.bmat(k + 1).transpose()
-    kept = rel_next.kept.get(k + 1, [])
-    m = IMat(len(kept), a.n_cells(k))
-    for j, cell in enumerate(a.cell_ids(k)):
-        col = x.index(k, cell)
-        for i, up in enumerate(kept):
-            m[i, j] = delta_x[x.index(k + 1, up), col]
+    return _restricted_coboundary(x, k, a.cell_ids(k), rel_next.kept.get(k + 1, []))
+
+
+def _restricted_coboundary(x: CellComplex, k: int, src: list, dst: list) -> IMat:
+    """delta_X: C^k -> C^{k+1} with columns the k-cells ``src`` and rows the
+    (k+1)-cells ``dst``; coefficients on other (k+1)-cells are dropped."""
+    pos = {up: i for i, up in enumerate(dst)}
+    upper = x.cell_ids(k + 1)
+    cofaces = x.bmat(k + 1).transpose().col_items()   # per k-cell: (k+1)-cells
+    m = IMat(len(pos), len(src))
+    for j, cell in enumerate(src):
+        for r, coeff in cofaces[x.index(k, cell)]:
+            if upper[r] in pos:
+                m[pos[upper[r]], j] = coeff
     return m
 
 

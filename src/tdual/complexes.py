@@ -98,15 +98,13 @@ class CellComplex:
         if unknown:
             raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {self.name}")
         for k in range(1, self.top + 1):
-            mat = self.bmat(k)
             lower = self.cell_ids(k - 1)
-            for cell in self.cell_ids(k):
+            for cell, faces in zip(self.cell_ids(k), self.bmat(k).col_items()):
                 if cell in ids:
-                    j = self.index(k, cell)
-                    for i, low in enumerate(lower):
-                        if mat[i, j] != 0 and low not in ids:
+                    for i, _ in faces:
+                        if lower[i] not in ids:
                             raise NotASubcomplex(
-                                f"boundary of {cell} leaves the cell set at {low}")
+                                f"boundary of {cell} leaves the cell set at {lower[i]}")
         return ids
 
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
@@ -131,25 +129,23 @@ class CellComplex:
             sub_low = cells.get(k - 1, [])
             if not sub_k:
                 continue
-            mat = self.bmat(k)
+            faces = self.bmat(k).col_items()
+            lower = self.cell_ids(k - 1)
+            pos = {low: i for i, low in enumerate(sub_low)}
             out = IMat(len(sub_low), len(sub_k))
             for j, cell in enumerate(sub_k):
-                col = self.index(k, cell)
-                for i, low in enumerate(sub_low):
-                    out[i, j] = mat[self.index(k - 1, low), col]
+                for i, coeff in faces[self.index(k, cell)]:
+                    out[pos[lower[i]], j] = coeff
             bounds[k] = out
         return CellComplex(name or f"{self.name}|sub", cells, bounds)
 
     def to_json(self) -> dict:
         inc = {}
         for k in range(1, self.top + 1):
-            mat = self.bmat(k)
-            entries = []
-            for j, cell in enumerate(self.cell_ids(k)):
-                for i, low in enumerate(self.cell_ids(k - 1)):
-                    if mat[i, j]:
-                        entries.append([_id_str(cell), _id_str(low), mat[i, j]])
-            inc[str(k)] = entries
+            lower = self.cell_ids(k - 1)
+            inc[str(k)] = [[_id_str(cell), _id_str(lower[i]), coeff]
+                           for cell, faces in zip(self.cell_ids(k), self.bmat(k).col_items())
+                           for i, coeff in faces]
         return {"name": self.name,
                 "cells": {str(k): [_id_str(c) for c in v] for k, v in self.cells.items()},
                 "boundaries": inc}
@@ -257,6 +253,8 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
         if row:
             cells[k] = row
     index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
+    x_faces = {d: x.bmat(d).col_items() for d in range(1, x.top + 1)}
+    y_faces = {d: y.bmat(d).col_items() for d in range(1, y.top + 1)}
     bounds = {}
     for k in range(1, top + 1):
         mat = IMat(len(cells.get(k - 1, [])), len(cells.get(k, [])))
@@ -264,20 +262,14 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
             da = x.degree_of(a)
             db = y.degree_of(b)
             if da >= 1:
-                bx = x.bmat(da)
-                col = x.index(da, a)
-                for i, a2 in enumerate(x.cell_ids(da - 1)):
-                    coeff = bx[i, col]
-                    if coeff:
-                        mat[index[k - 1][(a2, b)], j] += coeff
+                lower = x.cell_ids(da - 1)
+                for i, coeff in x_faces[da][x.index(da, a)]:
+                    mat[index[k - 1][(lower[i], b)], j] += coeff
             if db >= 1:
-                by = y.bmat(db)
-                col = y.index(db, b)
+                lower = y.cell_ids(db - 1)
                 sign = (-1) ** da
-                for i, b2 in enumerate(y.cell_ids(db - 1)):
-                    coeff = by[i, col]
-                    if coeff:
-                        mat[index[k - 1][(a, b2)], j] += sign * coeff
+                for i, coeff in y_faces[db][y.index(db, b)]:
+                    mat[index[k - 1][(a, lower[i])], j] += sign * coeff
         bounds[k] = mat
     out = CellComplex(name or f"{x.name}x{y.name}", cells, bounds)
     out.product_of = (x, y)
@@ -317,13 +309,11 @@ def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
         if k not in cells:
             continue
         mat = IMat(len(cells.get(k - 1, [])), len(cells[k]))
-        bx = x.bmat(k)
+        faces = x.bmat(k).col_items()
+        lower = x.cell_ids(k - 1)
         for j, cell in enumerate(cells[k]):
-            col = x.index(k, cell)
-            for i, low in enumerate(x.cell_ids(k - 1)):
-                coeff = bx[i, col]
-                if not coeff:
-                    continue
+            for i, coeff in faces[x.index(k, cell)]:
+                low = lower[i]
                 if low in sub_ids:
                     if k == 1:          # collapsed vertex becomes the basepoint
                         mat[index[0][PT], j] += coeff
@@ -537,9 +527,9 @@ def builtin_space(name: str) -> CellComplex:
     """Resolve a registry name: S2, S3, S2xS1, S3xS1, CP2, L1p:<p>, coneS2,
     D3, S1, pt, S3plus, wedge:<k>."""
     if name.startswith("L1p:"):
-        return lens(int(name.split(":", 1)[1]))
+        return lens(_size_suffix(name, "p", 1))
     if name.startswith("wedge:"):
-        return wedge_of_spheres(int(name.split(":", 1)[1]))
+        return wedge_of_spheres(_size_suffix(name, "k", 0))
     table = {
         "pt": point,
         "S1": circle,
@@ -556,6 +546,19 @@ def builtin_space(name: str) -> CellComplex:
     if name not in table:
         raise KeyError(f"unknown builtin space {name!r}")
     return table[name]()
+
+
+def _size_suffix(name: str, var: str, least: int) -> int:
+    """The integer after the colon of ``name``; KeyError unless it is >= least."""
+    prefix, _, suffix = name.partition(":")
+    try:
+        value = int(suffix)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise KeyError(f"builtin space {prefix}:<{var}> needs an integer {var} >= {least}, "
+                       f"got {name!r}")
+    return value
 
 
 BUILTIN_NAMES = ("pt", "S1", "S2", "S3", "S2xS1", "S3xS1", "CP2", "coneS2",

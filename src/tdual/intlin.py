@@ -12,24 +12,36 @@ from dataclasses import dataclass
 
 
 class IMat:
-    """Dense integer matrix with explicit shape.
+    """Sparse integer matrix with explicit shape.
+
+    Row ``i`` is stored as a ``{column: nonzero entry}`` dict in ``nz[i]``;
+    zero entries are never stored, so equality of matrices is equality of
+    their row dicts. Indexing ``m[i, j]`` reads and writes single entries.
 
     ``snf()`` caches its result on the instance; do not mutate a matrix
     after factoring it (internal callers build matrices, then consume them).
     """
 
-    __slots__ = ("rows", "cols", "data", "_snf")
+    __slots__ = ("rows", "cols", "nz", "_snf")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
         self.cols = cols
         self._snf = None
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
+            self.nz = [{} for _ in range(rows)]
         else:
-            self.data = [list(r) for r in data]
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
+            data = [list(r) for r in data]
+            if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data does not match shape")
+            self.nz = [{j: x for j, x in enumerate(r) if x} for r in data]
+
+    @staticmethod
+    def _of(rows: int, cols: int, nz: list) -> "IMat":
+        """Wrap row dicts (no zero values) without copying them."""
+        m = IMat.__new__(IMat)
+        m.rows, m.cols, m.nz, m._snf = rows, cols, nz, None
+        return m
 
     def snf(self) -> "SNF":
         if self._snf is None:
@@ -44,10 +56,7 @@ class IMat:
 
     @staticmethod
     def identity(n: int) -> "IMat":
-        m = IMat(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return IMat._of(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IMat":
@@ -63,77 +72,111 @@ class IMat:
         for j, col in enumerate(cols_list):
             if len(col) != rows:
                 raise ValueError("column length mismatch")
-            for i in range(rows):
-                m.data[i][j] = col[i]
+            for i, x in enumerate(col):
+                if x:
+                    m.nz[i][j] = x
         return m
 
     def copy(self) -> "IMat":
-        return IMat(self.rows, self.cols, self.data)
+        return IMat._of(self.rows, self.cols, [dict(r) for r in self.nz])
+
+    def _check(self, i: int, j: int):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
 
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        i, j = ij
+        self._check(i, j)
+        return self.nz[i].get(j, 0)
 
     def __setitem__(self, ij, v):
-        self.data[ij[0]][ij[1]] = v
+        i, j = ij
+        self._check(i, j)
+        if v:
+            self.nz[i][j] = v
+        else:
+            self.nz[i].pop(j, None)
 
     def __eq__(self, other):
         return (isinstance(other, IMat) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.nz == other.nz)
 
     def __repr__(self):
-        return f"IMat({self.rows}x{self.cols}, {self.data})"
+        return f"IMat({self.rows}x{self.cols}, {self.nz})"
+
+    def col_items(self) -> list[list]:
+        """Per column, its nonzero ``(row, entry)`` pairs in ascending row order
+        (``transpose`` fills every row dict in ascending index order)."""
+        return [list(r.items()) for r in self.transpose().nz]
 
     def col(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [r.get(j, 0) for r in self.nz]
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "IMat":
-        t = IMat(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t.data[j][i] = self.data[i][j]
-        return t
+        nz = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, x in row.items():
+                nz[j][i] = x
+        return IMat._of(self.cols, self.rows, nz)
 
     def __matmul__(self, other: "IMat") -> "IMat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = IMat(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                v = arow[k]
-                if v:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        orow[j] += v * brow[j]
-        return out
+        out = []
+        for arow in self.nz:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in other.nz[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return IMat._of(self.rows, other.cols, out)
 
     def mul_vec(self, v) -> list[int]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum(self.data[i][j] * v[j] for j in range(self.cols) if v[j])
-                for i in range(self.rows)]
+        out = []
+        for row in self.nz:
+            acc = 0
+            for j, x in row.items():
+                acc += x * v[j]
+            out.append(acc)
+        return out
 
     def hstack(self, other: "IMat") -> "IMat":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return IMat(self.rows, self.cols + other.cols,
-                    [self.data[i] + other.data[i] for i in range(self.rows)])
+        shift = self.cols
+        return IMat._of(self.rows, self.cols + other.cols,
+                        [{**a, **{j + shift: x for j, x in b.items()}}
+                         for a, b in zip(self.nz, other.nz)])
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(self.nz)
 
     def neg(self) -> "IMat":
-        return IMat(self.rows, self.cols, [[-x for x in row] for row in self.data])
+        return IMat._of(self.rows, self.cols,
+                        [{j: -x for j, x in row.items()} for row in self.nz])
 
     def add(self, other: "IMat") -> "IMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IMat(self.rows, self.cols,
-                    [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        out = [dict(r) for r in self.nz]
+        for row, orow in zip(out, other.nz):
+            _axpy(row, orow, 1)
+        return IMat._of(self.rows, self.cols, out)
+
+
+def _axpy(dst: dict, src: dict, k: int):
+    """dst += k * src on row dicts, dropping entries that cancel."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + k * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
 
 
 @dataclass
@@ -156,61 +199,75 @@ class SNF:
 
 
 def smith_normal_form(m: IMat) -> SNF:
+    """Diagonalize by elementary operations on sparse rows.
+
+    The pivot is the row-major first entry of least absolute value in the
+    remaining block; rows below the pivot are reduced against it, then the
+    columns right of it, until both are clear. ``uinv`` and ``v`` take only
+    column operations, so they are kept transposed (``uinv_t``, ``v_t``)
+    and every operation on them is a row operation.
+    """
     rows, cols = m.rows, m.cols
-    d = m.copy()
-    u, uinv = IMat.identity(rows), IMat.identity(rows)
-    v, vinv = IMat.identity(cols), IMat.identity(cols)
+    d = m.copy().nz
+    u, uinv_t = IMat.identity(rows).nz, IMat.identity(rows).nz
+    v_t, vinv = IMat.identity(cols).nz, IMat.identity(cols).nz
 
     def swap_rows(i, j):
-        d.data[i], d.data[j] = d.data[j], d.data[i]
-        u.data[i], u.data[j] = u.data[j], u.data[i]
-        for row in uinv.data:
-            row[i], row[j] = row[j], row[i]
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
-        for row in d.data:
-            row[i], row[j] = row[j], row[i]
-        for row in v.data:
-            row[i], row[j] = row[j], row[i]
-        vinv.data[i], vinv.data[j] = vinv.data[j], vinv.data[i]
+        for row in d:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if a:
+                row[j] = a
+            if b:
+                row[i] = b
+        v_t[i], v_t[j] = v_t[j], v_t[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, k):
         # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
-        drow_s, drow_d = d.data[src], d.data[dst]
-        for j in range(cols):
-            drow_d[j] += k * drow_s[j]
-        urow_s, urow_d = u.data[src], u.data[dst]
-        for j in range(rows):
-            urow_d[j] += k * urow_s[j]
-        for r in range(rows):
-            uinv.data[r][src] -= k * uinv.data[r][dst]
+        if not k:
+            return
+        _axpy(d[dst], d[src], k)
+        _axpy(u[dst], u[src], k)
+        _axpy(uinv_t[src], uinv_t[dst], -k)
 
     def add_col(src, dst, k):
-        for i in range(rows):
-            d.data[i][dst] += k * d.data[i][src]
-        for i in range(cols):
-            v.data[i][dst] += k * v.data[i][src]
-        vrow_s, vrow_d = vinv.data[src], vinv.data[dst]
-        for j in range(cols):
-            vrow_s[j] -= k * vrow_d[j]
+        if not k:
+            return
+        for row in d:
+            x = row.get(src)
+            if x:
+                y = row.get(dst, 0) + k * x
+                if y:
+                    row[dst] = y
+                else:
+                    del row[dst]
+        _axpy(v_t[dst], v_t[src], k)
+        _axpy(vinv[src], vinv[dst], -k)
 
     def negate_row(i):
-        d.data[i] = [-x for x in d.data[i]]
-        u.data[i] = [-x for x in u.data[i]]
-        for r in range(rows):
-            uinv.data[r][i] = -uinv.data[r][i]
+        for r in (d, u, uinv_t):
+            r[i] = {j: -x for j, x in r[i].items()}
 
     limit = min(rows, cols)
 
     def diagonalize():
+        # Rows and columns before t are finished (only their diagonal entry
+        # is nonzero), so every entry of rows >= t lies in columns >= t.
         for t in range(limit):
-            # smallest nonzero entry of the remaining block becomes the pivot
             best = None
             for i in range(t, rows):
-                for j in range(t, cols):
-                    val = abs(d.data[i][j])
-                    if val and (best is None or val < best[0]):
+                for j, x in d[i].items():
+                    val = abs(x)
+                    if best is None or val < best[0] or (
+                            val == best[0] and i == best[1] and j < best[2]):
                         best = (val, i, j)
+                if best is not None and best[0] == 1:
+                    break         # nothing later in row-major order beats a unit
             if best is None:
                 return
             _, bi, bj = best
@@ -219,30 +276,32 @@ def smith_normal_form(m: IMat) -> SNF:
             if bj != t:
                 swap_cols(t, bj)
             while True:
-                for i in range(t + 1, rows):
-                    if d.data[i][t]:
-                        add_row(t, i, -(d.data[i][t] // d.data[t][t]))
-                        if d.data[i][t]:      # remainder smaller than pivot
-                            swap_rows(t, i)
-                for j in range(t + 1, cols):
-                    if d.data[t][j]:
-                        add_col(t, j, -(d.data[t][j] // d.data[t][t]))
-                        if d.data[t][j]:
-                            swap_cols(t, j)
-                if all(d.data[i][t] == 0 for i in range(t + 1, rows)) and \
-                   all(d.data[t][j] == 0 for j in range(t + 1, cols)):
+                # a row (column) is only changed when the pass reaches it, so
+                # snapshots of the nonzero positions match a full scan
+                for i in [i for i in range(t + 1, rows) if t in d[i]]:
+                    add_row(t, i, -(d[i][t] // d[t][t]))
+                    if t in d[i]:         # remainder smaller than pivot
+                        swap_rows(t, i)
+                for j in sorted(j for j in d[t] if j > t):
+                    add_col(t, j, -(d[t][j] // d[t][t]))
+                    if j in d[t]:
+                        swap_cols(t, j)
+                if len(d[t]) == 1 and not any(t in d[i] for i in range(t + 1, rows)):
                     break
-            if d.data[t][t] < 0:
+            if d[t][t] < 0:
                 negate_row(t)
+
+    def diag(i):
+        return d[i].get(i, 0)
 
     diagonalize()
     # enforce the divisibility chain: on a violation, mix the columns and
     # rediagonalize; each fix strictly shrinks the earlier diagonal entry.
     while True:
-        rank = sum(1 for i in range(limit) if d.data[i][i] != 0)
+        rank = sum(1 for i in range(limit) if diag(i) != 0)
         violation = None
         for i in range(rank - 1):
-            if d.data[i + 1][i + 1] % d.data[i][i] != 0:
+            if diag(i + 1) % diag(i) != 0:
                 violation = i
                 break
         if violation is None:
@@ -250,7 +309,10 @@ def smith_normal_form(m: IMat) -> SNF:
         add_col(violation + 1, violation, 1)
         diagonalize()
 
-    return SNF(u, d, v, uinv, vinv, rank)
+    return SNF(IMat._of(rows, rows, u), IMat._of(rows, cols, d),
+               IMat._of(cols, cols, v_t).transpose(),
+               IMat._of(rows, rows, uinv_t).transpose(),
+               IMat._of(cols, cols, vinv), rank)
 
 
 def solve(m: IMat, b: list[int]) -> list[int] | None:
@@ -278,8 +340,9 @@ def solve(m: IMat, b: list[int]) -> list[int] | None:
 def kernel_basis(m: IMat) -> IMat:
     """Basis of ker(M) as columns; a pure sublattice of Z^cols."""
     s = m.snf()
-    cols = [s.v.col(j) for j in range(s.rank, m.cols)]
-    return IMat.from_columns(cols, m.cols)
+    r = s.rank
+    return IMat._of(m.cols, m.cols - r,
+                    [{j - r: x for j, x in row.items() if j >= r} for row in s.v.nz])
 
 
 def lattice_contains(gens: IMat, vec: list[int]) -> bool:

@@ -161,6 +161,31 @@ def test_unknown_space_exits_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("space,degree", [("L1p:abc", "1"), ("L1p:0", "1"), ("L1p:-2", "1"),
+                                          ("wedge:x", "1"), ("wedge:-3", "2"), ("wedge:", "2")])
+def test_malformed_space_size_exits_two(space, degree):
+    code, out, err = run_cli("cohomology", "--space", space, "--degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "tdualize"])
+def test_malformed_charge_preset_exits_two(command):
+    code, out, err = run_cli(command, "--preset", "charge:x")
+    assert code == 2
+    assert out == "" and err == "error: preset must be kk, trivial, or charge:<p>\n"
+
+
+def test_zero_trials_is_a_usage_error():
+    code, out, err = run_cli("buscher", "--preset", "taub-nut", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "argument --trials: trials must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_gerbe_exits_two(tmp_path):
     gerbe = {
         "space": "S3plus",

@@ -1,6 +1,8 @@
 """Integer cohomology: builtin spaces, pairs, long exact sequences,
 excision, circle products, Thom spaces, collapse maps."""
 
+import tracemalloc
+
 import pytest
 
 from tdual.cohomology import (
@@ -44,6 +46,19 @@ def test_wedge_homology(p):
     w = wedge_of_spheres(p - 1)
     assert homology(w, 2) == AbelianGroup(p - 1)
     assert homology(w, 1) == TRIVIAL
+
+
+def test_large_wedge_cohomology_stays_small():
+    # sparse matrices: the zero coboundaries of a wedge of n spheres cost
+    # O(n) memory; dense n x n identities would take hundreds of MB here
+    tracemalloc.start()
+    try:
+        group = cohomology(wedge_of_spheres(3000), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group == AbelianGroup(3000)
+    assert peak < 20 * 2 ** 20
 
 
 def test_betti_numbers_of_circle_product():

@@ -1,7 +1,10 @@
 """Integer matrix algebra: Smith normal form and lattice arithmetic."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_snf
+from tdual.complexes import BUILTIN_NAMES, builtin_space, product_with_circle, s3_two_disc
 from tdual.intlin import (IMat, kernel_basis, lattice_contains, lattice_equal,
                           rank_q, smith_normal_form, solve)
 
@@ -81,3 +84,56 @@ def test_lattice_equality():
     assert not lattice_equal(a, IMat.identity(2))
     assert lattice_contains(IMat.identity(2), [5, -3])
     assert not lattice_contains(a, [1, 0])
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense oracle
+
+def _rows(m: IMat) -> list:
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def assert_matches_dense_oracle(m: IMat):
+    rows = _rows(m)
+    want = dense_snf.smith_normal_form(dense_snf.IMat(m.rows, m.cols, rows))
+    got = smith_normal_form(m)
+    for name in ("u", "d", "v", "uinv", "vinv"):
+        assert _rows(getattr(got, name)) == getattr(want, name).data, name
+    assert got.rank == want.rank
+    assert _rows(m) == rows          # the input is left alone
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_snf_matches_dense_oracle(m):
+    assert_matches_dense_oracle(m)
+
+
+sparse_unit_matrices = st.integers(0, 30).flatmap(
+    lambda r: st.integers(0, 30).flatmap(
+        lambda c: st.dictionaries(st.tuples(st.integers(0, max(r - 1, 0)),
+                                            st.integers(0, max(c - 1, 0))),
+                                  st.sampled_from((-1, 1)),
+                                  max_size=2 * (r + c) if r and c else 0).map(
+            lambda entries: IMat(r, c, [[entries.get((i, j), 0) for j in range(c)]
+                                        for i in range(r)]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_unit_matrices)
+def test_snf_of_sparse_unit_matrices_matches_dense_oracle(m):
+    assert_matches_dense_oracle(m)
+
+
+def _boundary_cases():
+    spaces = {name: builtin_space(name) for name in BUILTIN_NAMES}
+    spaces["S3+xS1"] = product_with_circle(s3_two_disc())
+    for name, x in spaces.items():
+        for k in range(1, x.top + 2):
+            yield pytest.param(x.bmat(k), id=f"{name}-d{k}")
+            yield pytest.param(x.bmat(k).transpose(), id=f"{name}-delta{k - 1}")
+
+
+@pytest.mark.parametrize("m", list(_boundary_cases()))
+def test_snf_of_builtin_boundaries_matches_dense_oracle(m):
+    assert_matches_dense_oracle(m)

@@ -134,12 +134,24 @@ def _write(args, text: str):
 # buscher
 
 def _load_metric(path: str) -> geo.MetricData:
+    spec = geo.taub_nut_sample_spec()
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        return geo.MetricData.from_json(obj, sample=geo.taub_nut_sample_spec())
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+        m = geo.MetricData.from_json(obj, sample=spec)
+    except (OSError, KeyError, ValueError, TypeError, ex.DomainError) as exc:
         raise InputError(f"cannot read metric from {path}: {exc}") from None
+    # sampling needs a box for every symbol and a closure for every function
+    for e in [*m.g_upper.values(), *m.b_upper.values()]:
+        unsampled = sorted(ex.free_symbols(e) - spec.boxes.keys())
+        if unsampled:
+            raise InputError(f"{path}: symbol {unsampled[0]!r} has no sampling box")
+        for name, arity in sorted(ex.opaque_functions(e)):
+            try:
+                spec.functions.lookup(name, arity)
+            except ex.UnboundSymbol:
+                raise InputError(f"{path}: no function {name}/{arity} is registered") from None
+    return m
 
 
 def _multi_preset(p: int, seed: int) -> geo.MultiCenterFamily:

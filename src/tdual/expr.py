@@ -5,12 +5,18 @@ Nodes are immutable and hashable. Rational constants are stored exactly as
 tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
-in a :class:`FunctionTable`.
+in a :class:`FunctionTable`. One table, ``_NODES``, describes each node type
+once, and every walk over a tree dispatches on the node's type through it.
 
-Equality of expressions is decided by seeded randomized sampling
-(:func:`equal_numeric`), not by canonical-form rewriting. ``simplify_basic``
-only performs constant folding, 0/1 rules, flattening of nested sums and
-products, and collection of identical rational powers.
+Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
+flattening of nested sums and products, and collection of identical rational
+powers; simplifying its result again changes nothing. ``add``, ``mul``,
+``pow_``, ``sin_`` and ``cos_`` take normal children and normalise only the
+node they build; ``differentiate`` and ``substitute`` build through them, so
+given normal trees they all return normal trees without a second walk.
+``simplify_basic`` is the one entry for raw trees: nodes built directly, or
+read by ``expr_from_json``. Equality of expressions is decided by seeded
+randomized sampling (:func:`equal_numeric`), not by canonical-form rewriting.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class UnboundSymbol(KeyError):
@@ -98,6 +104,10 @@ class App(Expr):
     args: tuple
     deriv: tuple
 
+    def __post_init__(self):
+        if len(self.deriv) != len(self.args) or min(self.deriv, default=0) < 0:
+            raise ValueError("derivative multi-index must be one order >= 0 per argument")
+
     def __str__(self):
         primes = "" if not any(self.deriv) else "^(" + ",".join(map(str, self.deriv)) + ")"
         return f"{self.name}{primes}({', '.join(map(str, self.args))})"
@@ -158,131 +168,98 @@ def sym(name: str) -> Sym:
 
 def app(name: str, args: Iterable[Expr], deriv: Iterable[int] | None = None) -> App:
     args = tuple(_as_expr(a) for a in args)
-    dv = tuple(deriv) if deriv is not None else (0,) * len(args)
-    if len(dv) != len(args):
-        raise ValueError("derivative multi-index length must match argument count")
-    return App(name, args, dv)
+    return App(name, args, (0,) * len(args) if deriv is None else tuple(deriv))
 
 
 def add(*terms) -> Expr:
-    return simplify_basic(Sum(tuple(_as_expr(t) for t in terms)))
+    return _sum([_as_expr(t) for t in terms])
 
 
 def mul(*factors) -> Expr:
-    return simplify_basic(Prod(tuple(_as_expr(f) for f in factors)))
+    return _prod([_as_expr(f) for f in factors])
 
 
 def pow_(base, exponent) -> Expr:
-    return simplify_basic(Pow(_as_expr(base), Fraction(exponent)))
+    return _pow(_as_expr(base), Fraction(exponent))
 
 
 def sin_(x) -> Expr:
-    return simplify_basic(SinE(_as_expr(x)))
+    return _sin(_as_expr(x))
 
 
 def cos_(x) -> Expr:
-    return simplify_basic(CosE(_as_expr(x)))
+    return _cos(_as_expr(x))
 
 
 # ---------------------------------------------------------------------------
-# simplification
+# normal form: each normaliser takes normal children and normalises only the
+# node it builds
 
-def simplify_basic(e: Expr) -> Expr:
-    """Constant folding, 0/1 rules, flattening, collection of identical
-    rational powers. Idempotent; never expands or rewrites beyond this list."""
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, App):
-        return App(e.name, tuple(simplify_basic(a) for a in e.args), e.deriv)
-    if isinstance(e, SinE):
-        a = simplify_basic(e.arg)
-        if isinstance(a, Rat) and a.value == 0:
-            return ZERO
-        return SinE(a)
-    if isinstance(e, CosE):
-        a = simplify_basic(e.arg)
-        if isinstance(a, Rat) and a.value == 0:
-            return ONE
-        return CosE(a)
-    if isinstance(e, Pow):
-        return _simplify_pow(simplify_basic(e.base), e.exponent)
-    if isinstance(e, Sum):
-        return _simplify_sum(e)
-    if isinstance(e, Prod):
-        return _simplify_prod(e)
-    raise TypeError(f"unknown node {type(e).__name__}")
+def _sin(a: Expr) -> Expr:
+    return ZERO if a == ZERO else SinE(a)
 
 
-def _simplify_pow(base: Expr, exponent: Fraction) -> Expr:
+def _cos(a: Expr) -> Expr:
+    return ONE if a == ZERO else CosE(a)
+
+
+def _pow(base: Expr, exponent: Fraction) -> Expr:
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Rat) and exponent.denominator == 1:
+    if type(base) is Rat and exponent.denominator == 1:
         if base.value == 0 and exponent < 0:
             raise DomainError("0 raised to a negative power")
         return Rat(base.value ** exponent.numerator)
-    if isinstance(base, Pow):
-        return _simplify_pow(base.base, base.exponent * exponent)
+    if type(base) is Pow:
+        return _pow(base.base, base.exponent * exponent)
     return Pow(base, exponent)
 
 
-def _simplify_sum(e: Sum) -> Expr:
-    terms = []
+def _sum(terms) -> Expr:
+    out = []
     const = Fraction(0)
-    for t in e.terms:
-        t = simplify_basic(t)
-        if isinstance(t, Sum):
-            sub = t.terms
-        else:
-            sub = (t,)
-        for s in sub:
-            if isinstance(s, Rat):
+    for t in terms:
+        for s in (t.terms if type(t) is Sum else (t,)):
+            if type(s) is Rat:
                 const += s.value
             else:
-                terms.append(s)
+                out.append(s)
     if const != 0:
-        terms.append(Rat(const))
-    if not terms:
+        out.append(Rat(const))
+    if not out:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
+    if len(out) == 1:
+        return out[0]
+    return Sum(tuple(out))
 
 
-def _simplify_prod(e: Prod) -> Expr:
-    factors = []
+def _prod(factors) -> Expr:
     const = Fraction(1)
-    for f in e.factors:
-        f = simplify_basic(f)
-        if isinstance(f, Prod):
-            sub = f.factors
-        else:
-            sub = (f,)
-        for s in sub:
-            if isinstance(s, Rat):
-                const *= s.value
-            else:
-                factors.append(s)
-    if const == 0:
-        return ZERO
-    # collect identical bases: x^a * x^b -> x^(a+b)
     bases: list[Expr] = []
     exps: list[Fraction] = []
     for f in factors:
-        base, exp = (f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1))
-        for i, b in enumerate(bases):
-            if b == base:
-                exps[i] += exp
-                break
-        else:
-            bases.append(base)
-            exps.append(exp)
-    out = []
-    for b, x in zip(bases, exps):
-        if x == 0:
-            continue
-        out.append(b if x == 1 else Pow(b, x))
+        for s in (f.factors if type(f) is Prod else (f,)):
+            if type(s) is Rat:
+                if s.value == 0:
+                    return ZERO
+                const *= s.value
+                continue
+            # collect identical bases: x^a * x^b -> x^(a+b)
+            base, exp = (s.base, s.exponent) if type(s) is Pow else (s, Fraction(1))
+            for i, b in enumerate(bases):
+                if b == base:
+                    exps[i] += exp
+                    break
+            else:
+                bases.append(base)
+                exps.append(exp)
+    out = [_pow(b, x) for b, x in zip(bases, exps) if x != 0]
+    # a collected power can come out rational (2^(1/2)*2^(1/2)) or a product
+    # ((x*y)^2*(x*y)^-1): fold and flatten it too, or the result is not normal
+    if any(type(f) is Rat or type(f) is Prod for f in out):
+        return _prod([Rat(const), *out])
     if const != 1:
         out.insert(0, Rat(const))
     if not out:
@@ -293,103 +270,183 @@ def _simplify_prod(e: Prod) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# the node table
+
+class _ByType(dict):
+    """A table keyed by node type; a type missing from it is not a node."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"unknown node {cls.__name__}")
+
+
+def _typed(kind: type, v):
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {v!r:.40}")
+    return v
+
+
+def _load_fraction(v) -> Fraction:
+    if type(v) is not list or len(v) != 2 or v[1] == 0:
+        raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
+    return Fraction(_typed(int, v[0]), _typed(int, v[1]))
+
+
+# JSON codecs of node fields, (dump, load); a load checks the types it reads
+_FRACTION = (lambda q: [q.numerator, q.denominator], _load_fraction)
+_NAME = (str, lambda v: _typed(str, v))
+_ORDERS = (list, lambda v: tuple(_typed(int, x) for x in _typed(list, v)))
+_EXPR = (lambda e: expr_to_json(e), lambda v: expr_from_json(v))
+_EXPRS = (lambda es: [expr_to_json(e) for e in es],
+          lambda v: tuple(expr_from_json(x) for x in _typed(list, v)))
+
+
+def _evaluate_sym(e: Sym, p) -> float:
+    try:
+        return float(p.values[e.name])
+    except KeyError:
+        raise UnboundSymbol(f"symbol {e.name!r} not assigned") from None
+
+
+def _evaluate_app(e: App, p) -> float:
+    fn = p.functions.lookup(e.name, len(e.args)).closure(e.deriv)
+    args = [_EVALUATE[type(a)](a, p) for a in e.args]
+    try:
+        out = fn(*args)
+    except ZeroDivisionError:
+        raise DomainError(f"pole in {e.name} at {args}") from None
+    if math.isnan(out) or math.isinf(out):
+        raise DomainError(f"non-finite value from {e.name} at {args}")
+    return out
+
+
+def _evaluate_prod(e: Prod, p) -> float:
+    out = 1.0
+    for f in e.factors:
+        out *= _EVALUATE[type(f)](f, p)
+    return out
+
+
+def _evaluate_pow(e: Pow, p) -> float:
+    base = _EVALUATE[type(e.base)](e.base, p)
+    q = e.exponent
+    if abs(base) < _ABS_POLE and q < 0:
+        raise DomainError(f"pole: {e.base}^{q} at base {base}")
+    if base < 0 and q.denominator != 1:
+        raise DomainError(f"negative base {base} under fractional power {q}")
+    try:
+        return math.pow(base, float(q))
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(str(exc)) from None
+
+
+def _derivative_app(e: App, x: str) -> Expr:
+    # chain rule: bump the multi-index in each slot whose argument moves
+    terms = []
+    for i, a in enumerate(e.args):
+        da = differentiate(a, x)
+        if da != ZERO:
+            bumped = e.deriv[:i] + (e.deriv[i] + 1,) + e.deriv[i + 1:]
+            terms.append(_prod((App(e.name, e.args, bumped), da)))
+    return _sum(terms)
+
+
+class _Node(NamedTuple):
+    tag: str                # JSON kind
+    fields: tuple           # (JSON key, attribute, codec) per dataclass field
+    children: Callable      # node -> tuple of its Expr children
+    rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
+    evaluate: Callable      # (node, PointAssignment) -> float
+    derivative: Callable    # (node, coordinate name) -> normal tree
+
+
+_NODES = _ByType({
+    Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
+               lambda e, p: float(e.value),
+               lambda e, x: ZERO),
+    Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
+               _evaluate_sym,
+               lambda e, x: ONE if e.name == x else ZERO),
+    App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
+                      ("args", "args", _EXPRS)),
+               lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
+               _evaluate_app,
+               _derivative_app),
+    Sum: _Node("sum", (("terms", "terms", _EXPRS),),
+               lambda e: e.terms, lambda e, terms: _sum(terms),
+               lambda e, p: sum([_EVALUATE[type(t)](t, p) for t in e.terms]),
+               lambda e, x: _sum([differentiate(t, x) for t in e.terms])),
+    Prod: _Node("prod", (("factors", "factors", _EXPRS),),
+                lambda e: e.factors, lambda e, factors: _prod(factors),
+                _evaluate_prod,
+                lambda e, x: _sum([_prod(e.factors[:i] + (differentiate(f, x),)
+                                         + e.factors[i + 1:]) for i, f in enumerate(e.factors)])),
+    Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
+               lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
+               _evaluate_pow,
+               lambda e, x: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1),
+                                   differentiate(e.base, x)))),
+    SinE: _Node("sin", (("arg", "arg", _EXPR),),
+                lambda e: (e.arg,), lambda e, c: _sin(*c),
+                lambda e, p: math.sin(_EVALUATE[type(e.arg)](e.arg, p)),
+                lambda e, x: _prod((_cos(e.arg), differentiate(e.arg, x)))),
+    CosE: _Node("cos", (("arg", "arg", _EXPR),),
+                lambda e: (e.arg,), lambda e, c: _cos(*c),
+                lambda e, p: math.cos(_EVALUATE[type(e.arg)](e.arg, p)),
+                lambda e, x: _prod((Rat(Fraction(-1)), _sin(e.arg), differentiate(e.arg, x)))),
+})
+_EVALUATE = _ByType({cls: node.evaluate for cls, node in _NODES.items()})
+_KINDS = {node.tag: cls for cls, node in _NODES.items()}
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+def _map(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """``e`` with ``f`` applied to each child, normalising only the new top."""
+    node = _NODES[type(e)]
+    return node.rebuild(e, tuple([f(c) for c in node.children(e)]))
+
+
+def _nodes(e: Expr):
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(_NODES[type(n)].children(n))
+
+
+def simplify_basic(e: Expr) -> Expr:
+    """Constant folding, 0/1 rules, flattening, collection of identical
+    rational powers. Idempotent; never expands or rewrites beyond this list."""
+    return _map(e, simplify_basic)
+
 
 def differentiate(e: Expr, x: str) -> Expr:
-    """Symbolic partial derivative with respect to coordinate ``x``.
+    """Symbolic partial derivative of a normal tree in coordinate ``x``.
 
     Opaque applications differentiate by the chain rule, bumping the
     derivative multi-index in each argument slot.
     """
-    return simplify_basic(_diff(e, x))
+    return _NODES[type(e)].derivative(e, x)
 
-
-def _diff(e: Expr, x: str) -> Expr:
-    if isinstance(e, Rat):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.name == x else ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, x) for t in e.terms))
-    if isinstance(e, Prod):
-        terms = []
-        fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Prod(fs[:i] + (_diff(fs[i], x),) + fs[i + 1:]))
-        return Sum(tuple(terms))
-    if isinstance(e, Pow):
-        return Prod((Rat(e.exponent), Pow(e.base, e.exponent - 1), _diff(e.base, x)))
-    if isinstance(e, SinE):
-        return Prod((CosE(e.arg), _diff(e.arg, x)))
-    if isinstance(e, CosE):
-        return Prod((Rat(Fraction(-1)), SinE(e.arg), _diff(e.arg, x)))
-    if isinstance(e, App):
-        terms = []
-        for i, a in enumerate(e.args):
-            da = _diff(a, x)
-            if isinstance(da, Rat) and da.value == 0:
-                continue
-            bumped = tuple(d + (1 if j == i else 0) for j, d in enumerate(e.deriv))
-            terms.append(Prod((App(e.name, e.args, bumped), da)))
-        if not terms:
-            return ZERO
-        return Sum(tuple(terms))
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# substitution
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of coordinate symbols, then basic simplification."""
-    return simplify_basic(_subst(e, {k: _as_expr(v) for k, v in bindings.items()}))
+    """Simultaneous substitution of coordinate symbols by normal trees."""
+    b = {k: _as_expr(v) for k, v in bindings.items()}
 
+    def walk(n):
+        return b.get(n.name, n) if type(n) is Sym else _map(n, walk)
 
-def _subst(e: Expr, b: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Rat):
-        return e
-    if isinstance(e, Sym):
-        return b.get(e.name, e)
-    if isinstance(e, Sum):
-        return Sum(tuple(_subst(t, b) for t in e.terms))
-    if isinstance(e, Prod):
-        return Prod(tuple(_subst(f, b) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, b), e.exponent)
-    if isinstance(e, SinE):
-        return SinE(_subst(e.arg, b))
-    if isinstance(e, CosE):
-        return CosE(_subst(e.arg, b))
-    if isinstance(e, App):
-        return App(e.name, tuple(_subst(a, b) for a in e.args), e.deriv)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return walk(e)
 
 
 def free_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Rat):
-        return set()
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, App):
-        out = set()
-        for a in e.args:
-            out |= free_symbols(a)
-        return out
-    if isinstance(e, Sum):
-        out = set()
-        for t in e.terms:
-            out |= free_symbols(t)
-        return out
-    if isinstance(e, Prod):
-        out = set()
-        for f in e.factors:
-            out |= free_symbols(f)
-        return out
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, (SinE, CosE)):
-        return free_symbols(e.arg)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return {n.name for n in _nodes(e) if type(n) is Sym}
+
+
+def opaque_functions(e: Expr) -> set[tuple[str, int]]:
+    """The (name, arity) of every opaque application in ``e``."""
+    return {(n.name, len(n.args)) for n in _nodes(e) if type(n) is App}
 
 
 # ---------------------------------------------------------------------------
@@ -460,46 +517,7 @@ _ABS_POLE = 1e-13
 
 def evaluate(e: Expr, p: PointAssignment) -> float:
     """IEEE evaluation of ``e`` at ``p``. Raises UnboundSymbol / DomainError."""
-    if isinstance(e, Rat):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(p.values[e.name])
-        except KeyError:
-            raise UnboundSymbol(f"symbol {e.name!r} not assigned") from None
-    if isinstance(e, Sum):
-        return sum(evaluate(t, p) for t in e.terms)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, p)
-        return out
-    if isinstance(e, Pow):
-        base = evaluate(e.base, p)
-        q = e.exponent
-        if abs(base) < _ABS_POLE and q < 0:
-            raise DomainError(f"pole: {e.base}^{q} at base {base}")
-        if base < 0 and q.denominator != 1:
-            raise DomainError(f"negative base {base} under fractional power {q}")
-        try:
-            return math.pow(base, float(q))
-        except (OverflowError, ValueError) as exc:
-            raise DomainError(str(exc)) from None
-    if isinstance(e, SinE):
-        return math.sin(evaluate(e.arg, p))
-    if isinstance(e, CosE):
-        return math.cos(evaluate(e.arg, p))
-    if isinstance(e, App):
-        fn = p.functions.lookup(e.name, len(e.args)).closure(e.deriv)
-        args = [evaluate(a, p) for a in e.args]
-        try:
-            out = fn(*args)
-        except ZeroDivisionError:
-            raise DomainError(f"pole in {e.name} at {args}") from None
-        if math.isnan(out) or math.isinf(out):
-            raise DomainError(f"non-finite value from {e.name} at {args}")
-        return out
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return _EVALUATE[type(e)](e, p)
 
 
 # ---------------------------------------------------------------------------
@@ -625,47 +643,21 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
 # ---------------------------------------------------------------------------
 # canonical JSON serialization
 
-def expr_to_json(e: Expr):
-    if isinstance(e, Rat):
-        return {"k": "rat", "v": [e.value.numerator, e.value.denominator]}
-    if isinstance(e, Sym):
-        return {"k": "sym", "name": e.name}
-    if isinstance(e, App):
-        return {"k": "app", "name": e.name, "deriv": list(e.deriv),
-                "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, Sum):
-        return {"k": "sum", "terms": [expr_to_json(t) for t in e.terms]}
-    if isinstance(e, Prod):
-        return {"k": "prod", "factors": [expr_to_json(f) for f in e.factors]}
-    if isinstance(e, Pow):
-        return {"k": "pow", "base": expr_to_json(e.base),
-                "exp": [e.exponent.numerator, e.exponent.denominator]}
-    if isinstance(e, SinE):
-        return {"k": "sin", "arg": expr_to_json(e.arg)}
-    if isinstance(e, CosE):
-        return {"k": "cos", "arg": expr_to_json(e.arg)}
-    raise TypeError(f"unknown node {type(e).__name__}")
+def expr_to_json(e: Expr) -> dict:
+    node = _NODES[type(e)]
+    obj = {"k": node.tag}
+    for key, attr, (dump, _) in node.fields:
+        obj[key] = dump(getattr(e, attr))
+    return obj
 
 
 def expr_from_json(obj) -> Expr:
-    k = obj["k"]
-    if k == "rat":
-        n, d = obj["v"]
-        return Rat(Fraction(n, d))
-    if k == "sym":
-        return Sym(obj["name"])
-    if k == "app":
-        return App(obj["name"], tuple(expr_from_json(a) for a in obj["args"]),
-                   tuple(obj["deriv"]))
-    if k == "sum":
-        return Sum(tuple(expr_from_json(t) for t in obj["terms"]))
-    if k == "prod":
-        return Prod(tuple(expr_from_json(f) for f in obj["factors"]))
-    if k == "pow":
-        n, d = obj["exp"]
-        return Pow(expr_from_json(obj["base"]), Fraction(n, d))
-    if k == "sin":
-        return SinE(expr_from_json(obj["arg"]))
-    if k == "cos":
-        return CosE(expr_from_json(obj["arg"]))
-    raise ValueError(f"unknown expression kind {k!r}")
+    """The raw tree that ``obj`` encodes; ``simplify_basic`` makes it normal.
+
+    Raises ValueError on an unknown kind or a missing or malformed field.
+    """
+    try:
+        cls = _KINDS[obj["k"]]
+        return cls(**{attr: load(obj[key]) for key, attr, (_, load) in _NODES[cls].fields})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed expression node {obj!r:.80}: {exc}") from None

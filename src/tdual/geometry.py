@@ -29,7 +29,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .expr import (
-    Chart, DomainError, Expr, FunctionTable, OpaqueFunction, Rat, SampleSpec,
+    ONE, ZERO, Chart, DomainError, Expr, FunctionTable, OpaqueFunction, SampleSpec,
     add, app, cos_, differentiate, equal_numeric, evaluate, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
     DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS,
@@ -78,14 +78,14 @@ class MetricData:
     def g(self, i: int, j: int) -> Expr:
         if i > j:
             i, j = j, i
-        return self.g_upper.get((i, j), Rat(Fraction(0)))
+        return self.g_upper.get((i, j), ZERO)
 
     def b(self, i: int, j: int) -> Expr:
         if i == j:
-            return Rat(Fraction(0))
+            return ZERO
         if i < j:
-            return self.b_upper.get((i, j), Rat(Fraction(0)))
-        return simplify_basic(-self.b_upper.get((j, i), Rat(Fraction(0))))
+            return self.b_upper.get((i, j), ZERO)
+        return -self.b_upper.get((j, i), ZERO)
 
     def components(self):
         n = self.chart.dim
@@ -106,28 +106,26 @@ class MetricData:
         chart = Chart(tuple(obj["chart"]["names"]), tuple(bool(x) for x in obj["chart"]["periodic"]))
         g = {(i, j): expr_from_json(e) for i, j, e in obj["g"]}
         b = {(i, j): expr_from_json(e) for i, j, e in obj["b"]}
-        return MetricData(chart, g, b, sample)
+        return metric(chart, g, b, sample)
 
 
 def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
            sample: SampleSpec | None = None) -> MetricData:
-    g = {}
-    for (i, j), e in g_entries.items():
-        if i > j:
-            i, j = j, i
-        e = simplify_basic(e)
-        if not (isinstance(e, Rat) and e.value == 0):
-            g[(i, j)] = e
-    b = {}
-    for (i, j), e in (b_entries or {}).items():
-        if i == j:
-            raise ValueError("b is antisymmetric; no diagonal entries")
-        if i > j:
-            i, j = j, i
-            e = -e
-        e = simplify_basic(e)
-        if not (isinstance(e, Rat) and e.value == 0):
-            b[(i, j)] = e
+    """Metric data from (i, j) entries of any trees, which are simplified and
+    stored by upper triangle without zeros; b entries below the diagonal are
+    negated. Raises ValueError on an index outside the chart."""
+    g, b = {}, {}
+    for entries, out, sign in ((g_entries, g, 1), (b_entries or {}, b, -1)):
+        for (i, j), e in entries.items():
+            if not all(type(k) is int and 0 <= k < chart.dim for k in (i, j)):
+                raise ValueError(f"component ({i}, {j}) is outside the {chart.dim}-dim chart")
+            if sign < 0 and i == j:
+                raise ValueError("b is antisymmetric; no diagonal entries")
+            e = simplify_basic(e)
+            if i > j:
+                i, j, e = j, i, (e if sign > 0 else -e)
+            if e != ZERO:
+                out[(i, j)] = e
     return MetricData(chart, g, b, sample)
 
 
@@ -148,12 +146,12 @@ class DiffForm:
             if list(idx) != sorted(set(idx)) or len(idx) != self.degree:
                 raise ValueError(f"component index {idx} not strictly increasing of length {self.degree}")
             e = simplify_basic(e)
-            if not (isinstance(e, Rat) and e.value == 0):
+            if e != ZERO:
                 clean[idx] = e
         self.comps = clean
 
     def component(self, idx) -> Expr:
-        return self.comps.get(tuple(idx), Rat(Fraction(0)))
+        return self.comps.get(tuple(idx), ZERO)
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -167,7 +165,7 @@ class DiffForm:
             raise ValueError("form mismatch")
         out = dict(self.comps)
         for idx, e in other.comps.items():
-            out[idx] = add(out.get(idx, Rat(Fraction(0))), e)
+            out[idx] = add(out.get(idx, ZERO), e)
         return DiffForm(self.chart, self.degree, out)
 
 
@@ -184,9 +182,9 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
             merged = tuple(sorted(idx + (m,)))
             sign = (-1) ** merged.index(m)
             term = differentiate(coef, names[m])
-            if isinstance(term, Rat) and term.value == 0:
+            if term == ZERO:
                 continue
-            prev = out.get(merged, Rat(Fraction(0)))
+            prev = out.get(merged, ZERO)
             out[merged] = add(prev, mul(rat(sign), term))
     return DiffForm(omega.chart, omega.degree + 1, out)
 
@@ -243,14 +241,14 @@ def pullback(m: MetricData, f: Diffeo, check: bool = True) -> MetricData:
             for k in range(n):
                 for l in range(n):
                     gkl = m.g(k, l)
-                    if not (isinstance(gkl, Rat) and gkl.value == 0):
+                    if gkl != ZERO:
                         g_terms.append(mul(jac[k][i], jac[l][j], substitute(gkl, binds)))
                     bkl = m.b(k, l)
-                    if not (isinstance(bkl, Rat) and bkl.value == 0):
+                    if bkl != ZERO:
                         b_terms.append(mul(jac[k][i], jac[l][j], substitute(bkl, binds)))
-            g_new[(i, j)] = add(*g_terms) if g_terms else Rat(Fraction(0))
+            g_new[(i, j)] = add(*g_terms)
             if i != j:
-                b_new[(i, j)] = add(*b_terms) if b_terms else Rat(Fraction(0))
+                b_new[(i, j)] = add(*b_terms)
     return metric(m.chart, g_new, b_new, m.sample)
 
 
@@ -285,7 +283,7 @@ def buscher_transform(m: MetricData, check_g00: bool = True) -> MetricData:
     The pair of rules is an exact involution.
     """
     g00 = m.g(0, 0)
-    if isinstance(g00, Rat) and g00.value == 0:
+    if g00 == ZERO:
         raise SingularG00("g00 is identically zero")
     if check_g00 and m.sample is not None and not _nonzero_somewhere(g00, m.sample):
         raise SingularG00("g00 vanishes on the sample domain")
@@ -495,7 +493,7 @@ def _monopole_metric(chart: Chart, H: Expr, sample: SampleSpec) -> MetricData:
     """Expand H dvec(r).dvec(r) + H^-1 (dk + (1/2)(1-cos t) dphi)^2 literally."""
     r, theta = sym(R), sym(THETA)
     Hinv = pow_(H, Fraction(-1))
-    omega = add(rat(1), -cos_(theta))
+    omega = add(ONE, -cos_(theta))
     half_omega = mul(rat(1, 2), omega)
     g = {
         (0, 0): Hinv,
@@ -514,7 +512,7 @@ def make_taub_nut(coupling: Expr | None = None) -> MetricData:
     ``coupling`` defaults to the symbol g and may be any nonzero expression.
     """
     coupling = sym("g") if coupling is None else coupling
-    if isinstance(coupling, Rat) and coupling.value == 0:
+    if coupling == ZERO:
         raise ValueError("coupling must be nonzero")
     H = app("H", (sym(R), coupling))
     return _monopole_metric(MONOPOLE_CHART, H, taub_nut_sample_spec())
@@ -536,8 +534,8 @@ def flat_product_metric(sample: SampleSpec | None = None) -> MetricData:
     """Product metric on R^3 x S^1 in polar coordinates."""
     r, theta = sym(R), sym(THETA)
     g = {
-        (0, 0): rat(1),
-        (1, 1): rat(1),
+        (0, 0): ONE,
+        (1, 1): ONE,
         (2, 2): pow_(r, Fraction(2)),
         (3, 3): mul(pow_(r, Fraction(2)), pow_(sin_(theta), Fraction(2))),
     }
@@ -587,7 +585,7 @@ class MultiCenterFamily:
     def b_potential(self, i: int, tilde: bool = False) -> DiffForm:
         """Radial potential whose exterior derivative gives B_i (or B~_i)."""
         ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        coeff = add(rat(1), -ratio) if tilde else ratio
+        coeff = add(ONE, -ratio) if tilde else ratio
         return DiffForm(MONOPOLE_CHART, 1, {(0,): coeff})
 
     def b_field(self, i: int, beta: Expr, tilde: bool = False) -> DiffForm:
@@ -608,7 +606,7 @@ class MultiCenterFamily:
         pulling the radial dual back along it reproduces the dual of the
         radial metric with b-field B_i."""
         ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        coeff = add(rat(1), -ratio) if tilde else ratio
+        coeff = add(ONE, -ratio) if tilde else ratio
         shift = mul(rat(-1), beta, coeff)
         targets = (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI))
         return Diffeo(MONOPOLE_CHART, targets)
@@ -627,7 +625,7 @@ def dyonic_potential(coupling: Expr | None = None) -> DiffForm:
     coupling = sym("g") if coupling is None else coupling
     H = app("H", (sym(R), coupling))
     f = mul(pow_(coupling, Fraction(-2)), pow_(H, Fraction(-1)))
-    omega_half = mul(rat(1, 2), add(rat(1), -cos_(sym(THETA))))
+    omega_half = mul(rat(1, 2), add(ONE, -cos_(sym(THETA))))
     return DiffForm(MONOPOLE_CHART, 1, {(0,): -f, (3,): mul(f, omega_half)})
 
 
@@ -677,12 +675,12 @@ def conformal_factor(m: MetricData, reference: MetricData,
         raise ValueError("no sample spec available")
     pivot = None
     for (i, j), gref, _ in reference.components():
-        if not (isinstance(gref, Rat) and gref.value == 0) and _nonzero_somewhere(gref, spec):
+        if gref != ZERO and _nonzero_somewhere(gref, spec):
             pivot = (i, j)
             break
     if pivot is None:
         raise NotConformal(None, "reference metric is numerically zero")
-    f = simplify_basic(mul(m.g(*pivot), pow_(reference.g(*pivot), Fraction(-1))))
+    f = mul(m.g(*pivot), pow_(reference.g(*pivot), Fraction(-1)))
     for (i, j), gm, _ in m.components():
         rep = equal_numeric(gm, mul(f, reference.g(i, j)), spec, trials, tol, seed)
         if not rep:

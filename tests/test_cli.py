@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,31 @@ def test_dualize_gerbe_json_matches_golden(argv, expected):
     assert out == golden
 
 
+def _coupling_metric_json():
+    # Taub-NUT with a fixed 25-term coupling sum (n/d) g^e, n, d in 1..9, e in 1..3
+    from tdual.expr import add, mul, pow_, rat, sym
+    from tdual.geometry import make_taub_nut
+    rng = random.Random(25)
+    coupling = add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)),
+                         pow_(sym("g"), rng.randint(1, 3))) for _ in range(25)])
+    return make_taub_nut(coupling).to_json()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--preset", "taub-nut", "--verify", "involution"], "buscher_taub_nut_involution.json"),
+    (["--b-field", "dyonic", "--verify", "dyonic", "--seed", "7"], "buscher_dyonic_seed7.json"),
+    (["--input", "coupling25.json"], "buscher_coupling25.json"),
+])
+def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
+    # the golden files are earlier output, byte for byte; the input path is
+    # echoed, so the input is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coupling25.json").write_text(json.dumps(_coupling_metric_json()))
+    code, out, _ = run_cli("buscher", *argv, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / expected).read_text()
+
+
 def test_classify_and_tdualize_presets():
     code, out, _ = run_cli("classify", "--preset", "charge:3")
     assert code == 0 and "bundle class: [3]" in out
@@ -149,6 +175,35 @@ def test_malformed_input_exits_two(tmp_path):
     code, _, err = run_cli("buscher", "--input", str(path))
     assert code == 2
     assert "error" in err
+
+
+R_JSON = {"k": "sym", "name": "r"}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([1, 1, {"k": "rat", "v": [1, 0]}], "nonzero denominator"),
+    ([1, 1, {"k": "pow", "base": R_JSON, "exp": [1, 0]}], "nonzero denominator"),
+    ([1, 1, {"k": "sym", "name": "zeta"}], "symbol 'zeta' has no sampling box"),
+    ([1, 1, {"k": "app", "name": "F", "deriv": [0], "args": [R_JSON]}],
+     "no function F/1 is registered"),
+    ([7, 7, R_JSON], "outside the 4-dim chart"),
+    ([1, 1, {"k": "pow", "base": {"k": "rat", "v": [0, 1]}, "exp": [-1, 1]}],
+     "0 raised to a negative power"),
+    ([1, 1, {"k": "root", "arg": R_JSON}], "malformed expression node {'k': 'root'"),
+    ([1, 1, {"k": "app", "name": "H", "deriv": [-1, 0], "args": [R_JSON, R_JSON]}],
+     "one order >= 0 per argument"),
+])
+def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
+    from tdual.geometry import make_taub_nut
+    obj = make_taub_nut().to_json()
+    obj["g"].append(entry)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("buscher", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_unknown_suite_exits_two():

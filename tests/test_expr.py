@@ -1,17 +1,20 @@
 """Symbolic core: evaluation, differentiation, substitution, simplification,
 and the seeded randomized equality engine."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expr_oracle as oracle
 from tdual.expr import (
-    App, Chart, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-    Pow, Prod, SampleSpec, Sum, UnboundSymbol, add, app, cos_,
+    App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
+    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, add, app, cos_,
     differentiate, equal_numeric, evaluate, expr_from_json, expr_to_json,
-    free_symbols, mul, pow_, rat, simplify_basic, sin_, substitute, sym,
+    free_symbols, mul, opaque_functions, pow_, rat, simplify_basic, sin_,
+    substitute, sym,
 )
 from tdual.geometry import taub_nut_sample_spec
 
@@ -160,17 +163,22 @@ def test_no_expansion_beyond_listed_rules():
     assert isinstance(e, Pow) and isinstance(e.base, Sum)
 
 
+EXPONENTS = ["1", "2", "3", "-1", "1/2", "3/2", "-1/2"]
+# products often hold two roots of 2, whose collected power can be an integer
+ROOTS_OF_TWO = st.sampled_from(["1/2", "3/2", "-1/2"]).map(lambda q: Pow(rat(2), Fraction(q)))
+
 expr_strategy = st.deferred(lambda: st.one_of(
     st.sampled_from([sym("r"), sym("theta")]),
     st.integers(-4, 4).map(rat),
     st.tuples(expr_strategy, expr_strategy).map(lambda t: Sum(t)),
-    st.tuples(expr_strategy, expr_strategy).map(lambda t: Prod(t)),
-    st.tuples(expr_strategy, st.sampled_from([1, 2, 3, -1])).map(
+    st.lists(st.one_of(expr_strategy, ROOTS_OF_TWO), min_size=2, max_size=3).map(
+        lambda t: Prod(tuple(t))),
+    st.tuples(expr_strategy, st.sampled_from(EXPONENTS)).map(
         lambda t: Pow(t[0], Fraction(t[1]))),
 ))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(expr_strategy)
 def test_simplify_idempotent(e):
     try:
@@ -178,6 +186,118 @@ def test_simplify_idempotent(e):
     except DomainError:
         return   # 0^-1 style constants are rejected, not simplified
     assert simplify_basic(once) == once
+
+
+def test_collected_powers_fold_and_flatten():
+    x, y = sym("x"), sym("y")
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    assert mul(x, pow_(2, half), pow_(2, half)) == mul(2, x)
+    assert mul(pow_(2, half), pow_(2, three_halves), x) == mul(4, x)
+    xy = mul(x, y)
+    assert mul(pow_(xy, 2), pow_(xy, -1), x) == mul(pow_(x, 2), y)
+    for e in (Prod((x, Pow(Rat(Fraction(2)), half), Pow(Rat(Fraction(2)), half))),
+              Prod((Pow(xy, Fraction(2)), Pow(xy, Fraction(-1)), x))):
+        once = simplify_basic(e)
+        assert simplify_basic(once) == once
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the earlier core in expr_oracle is the reference
+
+recipes = st.recursive(
+    st.one_of(st.sampled_from([("sym", "r"), ("sym", "theta")]),
+              st.integers(-3, 3).map(lambda n: ("rat", n))),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: ("add", *xs)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: ("mul", *xs)),
+        st.tuples(st.just("pow"), kids, st.sampled_from(EXPONENTS).map(Fraction)),
+        st.tuples(st.sampled_from(["sin", "cos", "app"]), kids),
+        st.tuples(st.just("diff"), kids, st.sampled_from(["r", "theta"])),
+        st.tuples(st.just("subst"), kids, kids),
+    ),
+    max_leaves=10,
+)
+
+
+def build(recipe):
+    """The tree through the constructors, differentiate and substitute."""
+    op, *a = recipe
+    if op in ("sym", "rat"):
+        return sym(a[0]) if op == "sym" else rat(a[0])
+    kids = [build(k) if isinstance(k, tuple) else k for k in a]
+    if op == "app":
+        return app("F", (sym("r"), kids[0]))
+    if op == "diff":
+        return differentiate(*kids)
+    if op == "subst":
+        return substitute(kids[0], {"r": kids[1]})
+    return {"add": add, "mul": mul, "pow": pow_, "sin": sin_, "cos": cos_}[op](*kids)
+
+
+def build_raw(recipe):
+    """The same tree from raw nodes; the oracle differentiates and substitutes
+    into its own normal form of the operand, as the earlier core did."""
+    op, *a = recipe
+    if op in ("sym", "rat"):
+        return Sym(a[0]) if op == "sym" else Rat(Fraction(a[0]))
+    kids = [build_raw(k) if isinstance(k, tuple) else k for k in a]
+    if op == "app":
+        return App("F", (Sym("r"), kids[0]), (0, 0))
+    if op == "diff":
+        return oracle._diff(oracle.simplify_basic(kids[0]), kids[1])
+    if op == "subst":
+        return oracle._subst(oracle.simplify_basic(kids[0]),
+                             {"r": oracle.simplify_basic(kids[1])})
+    nodes = {"add": lambda *xs: Sum(xs), "mul": lambda *xs: Prod(xs), "pow": Pow,
+             "sin": SinE, "cos": CosE}
+    return nodes[op](*kids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(recipes)
+def test_built_trees_equal_the_oracle_simplification(recipe):
+    try:
+        want = oracle.simplify_basic(build_raw(recipe))
+    except DomainError:
+        with pytest.raises(DomainError):
+            build(recipe)
+        return
+    got = build(recipe)
+    assert got == want and str(got) == str(want)
+    # the earlier core re-simplified every subtree it was given: that is a no-op
+    assert oracle.simplify_basic(got) == got
+    assert simplify_basic(build_raw(recipe)) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes, st.floats(0.3, 3.0), st.floats(0.05, 3.0))
+def test_evaluation_equals_the_oracle_bit_for_bit(recipe, r, theta):
+    try:
+        e = build(recipe)
+    except DomainError:
+        return
+    table = FunctionTable([OpaqueFunction("F", 2, closure_factory=lambda d: (
+        lambda a, b: (1 + sum(d)) * a * b + a))])
+    p = PointAssignment({"r": r, "theta": theta}, table)
+    outcomes = []
+    for ev in (evaluate, oracle.evaluate):
+        try:
+            outcomes.append(ev(e, p))
+        except DomainError as exc:
+            outcomes.append(type(exc))
+    assert repr(outcomes[0]) == repr(outcomes[1])     # repr tells every float apart
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes, st.booleans())
+def test_json_codec_equals_the_oracle_and_round_trips(recipe, raw):
+    try:
+        e = build_raw(recipe) if raw else build(recipe)
+    except DomainError:
+        return
+    obj = expr_to_json(e)
+    assert obj == oracle.expr_to_json(e)
+    assert expr_from_json(json.loads(json.dumps(obj))) == e == oracle.expr_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +360,41 @@ def test_json_round_trip():
 def test_free_symbols():
     e = mul(sym("beta"), pow_(sym("g"), -2), H())
     assert free_symbols(e) == {"beta", "g", "r"}
+    assert opaque_functions(e) == {("H", 2)}
+
+
+R_JSON = {"k": "sym", "name": "r"}
+
+
+@pytest.mark.parametrize("obj", [
+    {"k": "rat", "v": [1, 0]},
+    {"k": "pow", "base": R_JSON, "exp": [1, 0]},
+    {"k": "rat", "v": [1.5, 2]},
+    {"k": "rat", "v": "1/2"},
+    {"k": "root", "arg": R_JSON},
+    {"name": "r"},
+    ["sym", "r"],
+    {"k": "sym"},
+    {"k": "sym", "name": 5},
+    {"k": "sum", "terms": R_JSON},
+    {"k": "prod", "factors": [R_JSON, {"k": "sym"}]},
+    {"k": "app", "name": "H", "deriv": [0], "args": [R_JSON, R_JSON]},
+    {"k": "app", "name": "H", "deriv": [-1, 0], "args": [R_JSON, R_JSON]},
+    {"k": "app", "name": "H", "deriv": ["1", 0], "args": [R_JSON, R_JSON]},
+])
+def test_malformed_json_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        expr_from_json(obj)
+
+
+def test_unknown_node_is_one_error():
+    class Other(Sym):
+        pass
+    for walk in (simplify_basic, free_symbols, expr_to_json,
+                 lambda e: evaluate(e, PointAssignment({"x": 1.0, "y": 1.0})),
+                 lambda e: differentiate(e, "x"), lambda e: substitute(e, {"x": 1})):
+        with pytest.raises(TypeError, match="unknown node Other"):
+            walk(add(sym("y"), Other("x")))
 
 
 # ---------------------------------------------------------------------------

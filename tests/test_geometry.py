@@ -12,7 +12,7 @@ import pytest
 from tdual.expr import (PointAssignment, app, add, cos_, equal_numeric,
                         evaluate, mul, pow_, rat, sin_, sym)
 from tdual.geometry import (
-    MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MultiCenterFamily,
+    MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
     dyonic_b_field, dyonic_potential, dyonic_shift, exterior_derivative,
     flat_product_metric, h_monopole_metric, identity_diffeo, make_taub_nut,
@@ -140,6 +140,13 @@ def test_identically_zero_g00_raises():
     m = metric(MONOPOLE_CHART, g, {}, taub_nut_sample_spec())
     with pytest.raises(SingularG00):
         buscher_transform(m)
+
+
+@pytest.mark.parametrize("g, b", [({(7, 7): R}, {}), ({(0, 4): R}, {}),
+                                  ({(1, 1): R}, {(0, -1): R})])
+def test_components_outside_the_chart_rejected(g, b):
+    with pytest.raises(ValueError, match="outside the 4-dim chart"):
+        metric(MONOPOLE_CHART, g, b)
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +430,17 @@ def test_metric_json_round_trip(spec):
     back = type(tn).from_json(tn.to_json(), sample=spec)
     ok, witness = metrics_equal(tn, back, spec, trials=10)
     assert ok, witness
+
+
+def test_metric_from_json_is_simplified_by_upper_triangle(spec):
+    obj = make_taub_nut().to_json()
+    # 2 * r * (1/2) below the diagonal, and a zero entry
+    obj["g"].append([2, 1, {"k": "prod", "factors": [
+        {"k": "rat", "v": [2, 1]}, {"k": "sym", "name": "r"}, {"k": "rat", "v": [1, 2]}]}])
+    obj["g"].append([3, 1, {"k": "sum", "terms": [{"k": "rat", "v": [0, 1]}]}])
+    m = MetricData.from_json(obj, sample=spec)
+    assert m.g(1, 2) == R and m.g(2, 1) == R
+    assert (1, 3) not in m.g_upper and (3, 1) not in m.g_upper
+    obj["b"].append([7, 0, {"k": "sym", "name": "r"}])
+    with pytest.raises(ValueError, match="outside the 4-dim chart"):
+        MetricData.from_json(obj, sample=spec)

@@ -141,8 +141,13 @@ def _load_metric(path: str) -> geo.MetricData:
         m = geo.MetricData.from_json(obj, sample=spec)
     except (OSError, KeyError, ValueError, TypeError, ex.DomainError) as exc:
         raise InputError(f"cannot read metric from {path}: {exc}") from None
-    # sampling needs a box for every symbol and a closure for every function
+    # sampling needs a box for every symbol, a closure for every function and
+    # constants that are floats
     for e in [*m.g_upper.values(), *m.b_upper.values()]:
+        try:
+            ex.compile_expr(e, spec.functions)
+        except ex.DomainError as exc:
+            raise InputError(f"{path}: {exc}") from None
         unsampled = sorted(ex.free_symbols(e) - spec.boxes.keys())
         if unsampled:
             raise InputError(f"{path}: symbol {unsampled[0]!r} has no sampling box")
@@ -164,9 +169,13 @@ def _multi_preset(p: int, seed: int) -> geo.MultiCenterFamily:
     return geo.MultiCenterFamily(centers)
 
 
+def _witness_json(witness) -> dict:
+    component, point = witness
+    return {"component": list(component), "point": point.to_json() if point else None}
+
+
 def cmd_buscher(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    checks = []
     if args.input:
         m = _load_metric(args.input)
         label = args.input
@@ -179,36 +188,14 @@ def cmd_buscher(args) -> int:
         label = args.preset
     if args.b_field == "dyonic":
         m = geo.with_b_field(m, geo.dyonic_b_field(ex.sym("beta")))
-    dual = geo.buscher_transform(m)
-
-    ok_all = True
-    if args.verify == "g-h":
-        if (1, 1) not in m.g_upper:
-            raise InputError("g-h verification needs a monopole-shaped metric "
-                             "with a radial component")
-        h = m.g_upper[(1, 1)]          # the profile multiplies the flat block
-        ref = geo.h_monopole_metric(h, m.sample)
-        ok, wit = geo.metrics_equal(dual, ref, trials=args.trials, tol=args.tol,
-                                    seed=seed, compare_b=False)
-        checks.append(("dual matches g_H = H((dk)^2 + dr.dr)", ok, wit))
-        ok_all &= ok
-    elif args.verify == "involution":
-        dd = geo.buscher_transform(dual)
-        ok, wit = geo.metrics_equal(dd, m, trials=args.trials, tol=args.tol, seed=seed)
-        checks.append(("double dual returns the input", ok, wit))
-        ok_all &= ok
-    elif args.verify == "dyonic":
-        ref = geo.h_monopole_metric(m.g_upper[(1, 1)], m.sample)
-        target = geo.pullback(ref, geo.dyonic_shift(ex.sym("beta")))
-        ok, wit = geo.metrics_equal(dual, target, trials=args.trials, tol=args.tol,
-                                    seed=seed, compare_b=False)
-        checks.append(("dual matches the shifted product metric", ok, wit))
-        ok_all &= ok
+    try:
+        dual, checks = _buscher_checks(args, m, seed)
+    except (geo.SingularG00, ex.DomainError) as exc:
+        raise InputError(f"{label}: {exc}") from None
 
     payload = {"input": label, "dual": dual.to_json(),
                "checks": [{"name": n, "passed": bool(o),
-                           "witness": None if o or w is None else
-                           {"component": list(w[0]), "point": w[1].to_json() if w[1] else None}}
+                           "witness": None if o or w is None else _witness_json(w)}
                           for n, o, w in checks]}
     lines = [f"buscher dual of {label}"]
     for n, o, w in checks:
@@ -216,7 +203,33 @@ def cmd_buscher(args) -> int:
         if not o and w is not None:
             lines.append(f"        witness: {w}")
     _write(args, _emit(args, payload, lines))
-    return 0 if ok_all else 1
+    return 0 if all(o for _, o, _ in checks) else 1
+
+
+def _buscher_checks(args, m: geo.MetricData, seed: int):
+    """The dual of ``m`` and the (name, passed, witness) of the chosen check."""
+    if args.verify in ("g-h", "dyonic") and (1, 1) not in m.g_upper:
+        raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
+                         "with a radial component")
+    dual = geo.buscher_transform(m)
+    checks = []
+    if args.verify == "g-h":
+        h = m.g_upper[(1, 1)]          # the profile multiplies the flat block
+        ref = geo.h_monopole_metric(h, m.sample)
+        ok, wit = geo.metrics_equal(dual, ref, trials=args.trials, tol=args.tol,
+                                    seed=seed, compare_b=False)
+        checks.append(("dual matches g_H = H((dk)^2 + dr.dr)", ok, wit))
+    elif args.verify == "involution":
+        dd = geo.buscher_transform(dual)
+        ok, wit = geo.metrics_equal(dd, m, trials=args.trials, tol=args.tol, seed=seed)
+        checks.append(("double dual returns the input", ok, wit))
+    elif args.verify == "dyonic":
+        ref = geo.h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+        target = geo.pullback(ref, geo.dyonic_shift(ex.sym("beta")))
+        ok, wit = geo.metrics_equal(dual, target, trials=args.trials, tol=args.tol,
+                                    seed=seed, compare_b=False)
+        checks.append(("dual matches the shifted product metric", ok, wit))
+    return dual, checks
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +432,50 @@ def _suite_dyonic(seed, trials, tol):
 
 
 def _metric_identity_checks(seed, trials, tol, dyonic: bool):
+    """Yield (name, passed, witness); a witness is (component, Witness)."""
     tn = geo.make_taub_nut()
     h = geo.app("H", (geo.sym("r"), geo.sym("g")))
     ref = geo.h_monopole_metric(h, tn.sample)
     if not dyonic:
-        ok, _ = geo.metrics_equal(geo.buscher_transform(tn), ref, trials=trials,
-                                  tol=tol, seed=seed, compare_b=False)
-        yield "taub-nut dual equals H((dk)^2 + dr.dr)", ok
+        ok, wit = geo.metrics_equal(geo.buscher_transform(tn), ref, trials=trials,
+                                    tol=tol, seed=seed, compare_b=False)
+        yield "taub-nut dual equals H((dk)^2 + dr.dr)", ok, wit
         fam = geo.MultiCenterFamily([(0.4, 0.0, 0.1), (-0.3, 0.2, -0.5)])
-        ok, _ = geo.metrics_equal(geo.buscher_transform(fam.metric()),
-                                  fam.dual_reference(), trials=trials, tol=tol,
-                                  seed=seed, compare_b=False)
-        yield "2-center dual equals H((dk)^2 + dr.dr)", ok
-        f = geo.conformal_factor(geo.buscher_transform(tn), geo.flat_product_metric(),
-                                 trials=trials, tol=tol, seed=seed)
-        ok = bool(geo.equal_numeric(f, h, tn.sample, trials, tol, seed))
-        yield "dual conformal factor is the monopole profile", ok
+        ok, wit = geo.metrics_equal(geo.buscher_transform(fam.metric()),
+                                    fam.dual_reference(), trials=trials, tol=tol,
+                                    seed=seed, compare_b=False)
+        yield "2-center dual equals H((dk)^2 + dr.dr)", ok, wit
+        name = "dual conformal factor is the monopole profile"
+        try:
+            f = geo.conformal_factor(geo.buscher_transform(tn), geo.flat_product_metric(),
+                                     trials=trials, tol=tol, seed=seed)
+        except geo.NotConformal as exc:
+            yield name, False, (("g", *exc.component), exc.witness)
+        else:
+            rep = geo.equal_numeric(f, h, tn.sample, trials, tol, seed)
+            yield name, rep.equal, (("factor",), rep.witness)
     else:
         beta = geo.sym("beta")
         field = geo.dyonic_b_field(beta)
-        ok = geo.exterior_derivative(field).is_zero() or all(
-            bool(geo.equal_numeric(c, geo.rat(0), tn.sample, trials, tol, seed))
-            for c in geo.exterior_derivative(field).comps.values())
-        yield "dyonic field is closed", ok
+        wit = None
+        for idx, c in geo.exterior_derivative(field).comps.items():
+            rep = geo.equal_numeric(c, geo.rat(0), tn.sample, trials, tol, seed)
+            if not rep:
+                wit = (("dB", *idx), rep.witness)
+                break
+        yield "dyonic field is closed", wit is None, wit
         dual = geo.buscher_transform(geo.with_b_field(tn, field))
         target = geo.pullback(ref, geo.dyonic_shift(beta))
-        ok, _ = geo.metrics_equal(dual, target, trials=trials, tol=tol, seed=seed,
-                                  compare_b=False)
-        yield "dual of (g, beta*Omega) is the shifted product metric", ok
+        ok, wit = geo.metrics_equal(dual, target, trials=trials, tol=tol, seed=seed,
+                                    compare_b=False)
+        yield "dual of (g, beta*Omega) is the shifted product metric", ok, wit
         fam = geo.MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
         base = fam.radial_metric()
         dual_i = geo.buscher_transform(geo.with_b_field(base, fam.b_field(0, beta)))
         target_i = geo.pullback(fam.radial_dual_reference(), fam.dyonic_shift(0, beta))
-        ok, _ = geo.metrics_equal(dual_i, target_i, fam.sample, trials=trials,
-                                  tol=tol, seed=seed, compare_b=False)
-        yield "per-center dual matches the H_i/H-shifted product metric", ok
+        ok, wit = geo.metrics_equal(dual_i, target_i, fam.sample, trials=trials,
+                                    tol=tol, seed=seed, compare_b=False)
+        yield "per-center dual matches the H_i/H-shifted product metric", ok, wit
 
 
 def _suite_cohomology(seed, trials, tol):
@@ -508,6 +530,8 @@ def _suite_semifree(seed, trials, tol):
 
 
 def golden_verify(suite: str, seed: int, trials: int, tol: float):
+    """The checks of one suite: (name, passed), or (name, passed, witness)
+    for the metric identity suites."""
     table = {"metrics": _suite_metrics, "dyonic": _suite_dyonic,
              "cohomology": _suite_cohomology, "gerbes": _suite_gerbes,
              "semifree": _suite_semifree}
@@ -522,11 +546,15 @@ def cmd_verify(args) -> int:
         results = golden_verify(args.suite, seed, args.trials, args.tol)
     except UnknownSuite:
         raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    payload = {"suite": args.suite,
-               "checks": [{"name": n, "passed": bool(ok)} for n, ok in results],
-               "passed": all(ok for _, ok in results)}
-    lines = [f"suite {args.suite}:"]
-    lines += [f"[{'PASS' if ok else 'FAIL'}] {n}" for n, ok in results]
+    checks, lines = [], [f"suite {args.suite}:"]
+    for name, ok, *witness in results:
+        checks.append({"name": name, "passed": bool(ok)})
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
+        if not ok and witness:
+            checks[-1]["witness"] = _witness_json(witness[0])
+            lines.append(f"        witness: {witness[0]}")
+    payload = {"suite": args.suite, "checks": checks,
+               "passed": all(c["passed"] for c in checks)}
     _write(args, _emit(args, payload, lines))
     return 0 if payload["passed"] else 1
 

@@ -5,8 +5,10 @@ Nodes are immutable and hashable. Rational constants are stored exactly as
 tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
-in a :class:`FunctionTable`. One table, ``_NODES``, describes each node type
-once, and every walk over a tree dispatches on the node's type through it.
+in a :class:`FunctionTable`; ``compile_expr`` turns a tree into one closure
+per node, so that sampling many points walks the tree once. One table,
+``_NODES``, describes each node type once, and every walk over a tree
+dispatches on the node's type through it.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -300,43 +302,108 @@ _EXPRS = (lambda es: [expr_to_json(e) for e in es],
           lambda v: tuple(expr_from_json(x) for x in _typed(list, v)))
 
 
-def _evaluate_sym(e: Sym, p) -> float:
+# compile rules: (node, FunctionTable) -> closure of a {name: value} mapping.
+# Each rule converts constants, looks up functions and compiles its children
+# once. A closure evaluates its children left to right and then its node, as
+# a recursive walk would, so values and errors come out in the same order. It
+# refers to its children's closures but never to itself, so reference
+# counting alone frees a compiled tree.
+
+def _compile_rat(e: Rat, functions) -> Callable:
     try:
-        return float(p.values[e.name])
-    except KeyError:
-        raise UnboundSymbol(f"symbol {e.name!r} not assigned") from None
+        c = float(e.value)
+    except OverflowError:
+        raise DomainError("rational constant outside the float range") from None
+    return lambda values: c
 
 
-def _evaluate_app(e: App, p) -> float:
-    fn = p.functions.lookup(e.name, len(e.args)).closure(e.deriv)
-    args = [_EVALUATE[type(a)](a, p) for a in e.args]
+def _compile_sym(e: Sym, functions) -> Callable:
+    name = e.name
+
+    def value(values):
+        try:
+            return float(values[name])
+        except KeyError:
+            raise UnboundSymbol(f"symbol {name!r} not assigned") from None
+    return value
+
+
+def _compile_app(e: App, functions) -> Callable:
+    name = e.name
     try:
-        out = fn(*args)
-    except ZeroDivisionError:
-        raise DomainError(f"pole in {e.name} at {args}") from None
-    if math.isnan(out) or math.isinf(out):
-        raise DomainError(f"non-finite value from {e.name} at {args}")
-    return out
+        fn = functions.lookup(name, len(e.args)).closure(e.deriv)
+    except UnboundSymbol as exc:
+        message = exc.args      # raised on evaluation, before the arguments are evaluated
+
+        def unbound(values):
+            raise UnboundSymbol(*message)
+        return unbound
+    arg_fns = [compile_expr(a, functions) for a in e.args]
+
+    def value(values):
+        args = [f(values) for f in arg_fns]
+        try:
+            out = fn(*args)
+        except ZeroDivisionError:
+            raise DomainError(f"pole in {name} at {args}") from None
+        except OverflowError:       # a result too large for a float is not finite either
+            raise DomainError(f"non-finite value from {name} at {args}") from None
+        if math.isnan(out) or math.isinf(out):
+            raise DomainError(f"non-finite value from {name} at {args}")
+        return out
+    return value
 
 
-def _evaluate_prod(e: Prod, p) -> float:
-    out = 1.0
-    for f in e.factors:
-        out *= _EVALUATE[type(f)](f, p)
-    return out
+def _compile_sum(e: Sum, functions) -> Callable:
+    fns = [compile_expr(t, functions) for t in e.terms]
+    return lambda values: sum([f(values) for f in fns])
 
 
-def _evaluate_pow(e: Pow, p) -> float:
-    base = _EVALUATE[type(e.base)](e.base, p)
+def _compile_prod(e: Prod, functions) -> Callable:
+    fns = [compile_expr(f, functions) for f in e.factors]
+
+    def value(values):
+        out = 1.0
+        for f in fns:
+            out *= f(values)
+        return out
+    return value
+
+
+def _compile_pow(e: Pow, functions) -> Callable:
+    base_fn = compile_expr(e.base, functions)
     q = e.exponent
-    if abs(base) < _ABS_POLE and q < 0:
-        raise DomainError(f"pole: {e.base}^{q} at base {base}")
-    if base < 0 and q.denominator != 1:
-        raise DomainError(f"negative base {base} under fractional power {q}")
+    pole, fractional = q < 0, q.denominator != 1
     try:
-        return math.pow(base, float(q))
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(str(exc)) from None
+        x = float(q)
+    except OverflowError:
+        x = q       # math.pow converts it, and raises, on evaluation
+
+    def value(values):
+        base = base_fn(values)
+        if pole and abs(base) < _ABS_POLE:
+            raise DomainError(f"pole: {e.base}^{q} at base {base}")
+        if fractional and base < 0:
+            raise DomainError(f"negative base {base} under fractional power {q}")
+        try:
+            return math.pow(base, x)
+        except (OverflowError, ValueError) as exc:
+            raise DomainError(str(exc)) from None
+    return value
+
+
+def _compile_trig(math_fn) -> Callable:
+    def rule(e, functions):
+        arg_fn = compile_expr(e.arg, functions)
+
+        def value(values):
+            x = arg_fn(values)
+            try:
+                return math_fn(x)
+            except ValueError:      # an infinite argument
+                raise DomainError(f"{math_fn.__name__} of non-finite {x}") from None
+        return value
+    return rule
 
 
 def _derivative_app(e: App, x: str) -> Expr:
@@ -355,46 +422,45 @@ class _Node(NamedTuple):
     fields: tuple           # (JSON key, attribute, codec) per dataclass field
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
-    evaluate: Callable      # (node, PointAssignment) -> float
+    compile: Callable       # (node, FunctionTable) -> closure of values -> float
     derivative: Callable    # (node, coordinate name) -> normal tree
 
 
 _NODES = _ByType({
     Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
-               lambda e, p: float(e.value),
+               _compile_rat,
                lambda e, x: ZERO),
     Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
-               _evaluate_sym,
+               _compile_sym,
                lambda e, x: ONE if e.name == x else ZERO),
     App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
                       ("args", "args", _EXPRS)),
                lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
-               _evaluate_app,
+               _compile_app,
                _derivative_app),
     Sum: _Node("sum", (("terms", "terms", _EXPRS),),
                lambda e: e.terms, lambda e, terms: _sum(terms),
-               lambda e, p: sum([_EVALUATE[type(t)](t, p) for t in e.terms]),
+               _compile_sum,
                lambda e, x: _sum([differentiate(t, x) for t in e.terms])),
     Prod: _Node("prod", (("factors", "factors", _EXPRS),),
                 lambda e: e.factors, lambda e, factors: _prod(factors),
-                _evaluate_prod,
+                _compile_prod,
                 lambda e, x: _sum([_prod(e.factors[:i] + (differentiate(f, x),)
                                          + e.factors[i + 1:]) for i, f in enumerate(e.factors)])),
     Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
                lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
-               _evaluate_pow,
+               _compile_pow,
                lambda e, x: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1),
                                    differentiate(e.base, x)))),
     SinE: _Node("sin", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _sin(*c),
-                lambda e, p: math.sin(_EVALUATE[type(e.arg)](e.arg, p)),
+                _compile_trig(math.sin),
                 lambda e, x: _prod((_cos(e.arg), differentiate(e.arg, x)))),
     CosE: _Node("cos", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _cos(*c),
-                lambda e, p: math.cos(_EVALUATE[type(e.arg)](e.arg, p)),
+                _compile_trig(math.cos),
                 lambda e, x: _prod((Rat(Fraction(-1)), _sin(e.arg), differentiate(e.arg, x)))),
 })
-_EVALUATE = _ByType({cls: node.evaluate for cls, node in _NODES.items()})
 _KINDS = {node.tag: cls for cls, node in _NODES.items()}
 
 
@@ -515,9 +581,21 @@ class PointAssignment:
 _ABS_POLE = 1e-13
 
 
+def compile_expr(e: Expr, functions: FunctionTable) -> Callable[[Mapping[str, float]], float]:
+    """``e`` as a closure that evaluates it at a ``{name: value}`` mapping.
+
+    One closure per node, built bottom-up: constants are converted and
+    opaque functions looked up once, here. Raises DomainError for a
+    constant outside the float range. The closure raises UnboundSymbol for
+    an unassigned symbol or an unregistered function, and DomainError at a
+    pole, a negative base under a fractional power or a non-finite value.
+    """
+    return _NODES[type(e)].compile(e, functions)
+
+
 def evaluate(e: Expr, p: PointAssignment) -> float:
     """IEEE evaluation of ``e`` at ``p``. Raises UnboundSymbol / DomainError."""
-    return _EVALUATE[type(e)](e, p)
+    return compile_expr(e, p.functions)(p.values)
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +694,21 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     """Seeded randomized equality: true iff at every sampled point
     ``|a-b| <= tol * max(1, |a|, |b|)``.
 
-    Domain errors are counted and the point resampled, up to a retry bound
-    per trial; exhausting retries raises DomainError.
+    Each side is compiled once. Domain errors are counted and the point
+    resampled, up to a retry bound per trial; exhausting retries raises
+    DomainError, as does a constant outside the float range.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    fa, fb = compile_expr(a, spec.functions), compile_expr(b, spec.functions)
     rng = random.Random(seed)
     domain_errors = 0
     for _ in range(trials):
         for attempt in range(_RETRY_BOUND + 1):
             p = spec.draw(rng)
             try:
-                va = evaluate(a, p)
-                vb = evaluate(b, p)
+                va = fa(p.values)
+                vb = fb(p.values)
             except DomainError:
                 domain_errors += 1
                 if attempt == _RETRY_BOUND:

@@ -104,16 +104,16 @@ class MetricData:
     @staticmethod
     def from_json(obj: dict, sample: SampleSpec | None = None) -> "MetricData":
         chart = Chart(tuple(obj["chart"]["names"]), tuple(bool(x) for x in obj["chart"]["periodic"]))
-        g = {(i, j): expr_from_json(e) for i, j, e in obj["g"]}
-        b = {(i, j): expr_from_json(e) for i, j, e in obj["b"]}
+        g = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["g"]}
+        b = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["b"]}
         return metric(chart, g, b, sample)
 
 
 def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
            sample: SampleSpec | None = None) -> MetricData:
-    """Metric data from (i, j) entries of any trees, which are simplified and
-    stored by upper triangle without zeros; b entries below the diagonal are
-    negated. Raises ValueError on an index outside the chart."""
+    """Metric data from (i, j) entries of normal trees, stored by upper
+    triangle without zeros; b entries below the diagonal are negated. Raises
+    ValueError on an index outside the chart."""
     g, b = {}, {}
     for entries, out, sign in ((g_entries, g, 1), (b_entries or {}, b, -1)):
         for (i, j), e in entries.items():
@@ -121,7 +121,6 @@ def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
                 raise ValueError(f"component ({i}, {j}) is outside the {chart.dim}-dim chart")
             if sign < 0 and i == j:
                 raise ValueError("b is antisymmetric; no diagonal entries")
-            e = simplify_basic(e)
             if i > j:
                 i, j, e = j, i, (e if sign > 0 else -e)
             if e != ZERO:
@@ -131,7 +130,8 @@ def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
 
 @dataclass
 class DiffForm:
-    """Degree-k form stored sparsely by strictly increasing index tuples."""
+    """Degree-k form stored sparsely by strictly increasing index tuples;
+    components are normal trees."""
 
     chart: Chart
     degree: int
@@ -145,7 +145,6 @@ class DiffForm:
             idx = tuple(idx)
             if list(idx) != sorted(set(idx)) or len(idx) != self.degree:
                 raise ValueError(f"component index {idx} not strictly increasing of length {self.degree}")
-            e = simplify_basic(e)
             if e != ZERO:
                 clean[idx] = e
         self.comps = clean

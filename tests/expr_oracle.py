@@ -1,19 +1,22 @@
 """The earlier expression core, kept as the oracle for tests.
 
-``simplify_basic`` and its helpers, ``_diff``, ``_subst``, ``evaluate`` and
-the two JSON codecs are copied (without type annotations) from the version
-that walked every node type with its own ``isinstance`` ladder and
-re-simplified whole subtrees in every constructor. One change is applied: a
+``simplify_basic`` and its helpers, ``_diff``, ``_subst``, ``evaluate``, the
+``equal_numeric`` sampling loop over it and the two JSON codecs are copied
+(without type annotations) from the version that walked every node type with
+its own ``isinstance`` ladder, evaluated by walking the tree at every sample
+point and re-simplified whole subtrees in every constructor. One change is applied: a
 collected power that comes out rational or a product is folded into the
 constant or flattened, so that ``simplify_basic`` is idempotent (see
 ``_simplify_prod``). The node classes are the package's own.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from tdual.expr import (
-    ONE, ZERO, App, CosE, DomainError, Pow, Prod, Rat, SinE, Sum, Sym, UnboundSymbol,
+    ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
+    UnboundSymbol, Witness,
 )
 
 
@@ -228,6 +231,31 @@ def evaluate(e, p):
             raise DomainError(f"non-finite value from {e.name} at {args}")
         return out
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+_RETRY_BOUND = 5
+
+
+def equal_numeric(a, b, spec, trials=100, tol=1e-9, seed=42):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    domain_errors = 0
+    for _ in range(trials):
+        for attempt in range(_RETRY_BOUND + 1):
+            p = spec.draw(rng)
+            try:
+                va = evaluate(a, p)
+                vb = evaluate(b, p)
+            except DomainError:
+                domain_errors += 1
+                if attempt == _RETRY_BOUND:
+                    raise
+                continue
+            break
+        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+            return EqualityReport(False, trials, Witness(p.values, va, vb), domain_errors)
+    return EqualityReport(True, trials, None, domain_errors)
 
 
 def expr_to_json(e):

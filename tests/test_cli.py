@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdual.cli import main
 
@@ -206,6 +207,68 @@ def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     assert message in err
 
 
+def _replace_entry(obj, i, j, node):
+    obj["g"] = [e for e in obj["g"] if e[:2] != [i, j]] + ([[i, j, node]] if node else [])
+    return obj
+
+
+R_MINUS_10 = {"k": "sum", "terms": [R_JSON, {"k": "rat", "v": [-10, 1]}]}
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (lambda o: _replace_entry(o, 0, 0, None), (), "g00 is identically zero"),
+    (lambda o: _replace_entry(o, 0, 0, {"k": "pow", "base": R_MINUS_10, "exp": [1, 2]}), (),
+     "g00 vanishes on the sample domain"),
+    (lambda o: _replace_entry(o, 2, 2, {"k": "pow", "base": R_MINUS_10, "exp": [-1, 2]}), (),
+     "under fractional power -1/2"),
+    (lambda o: _replace_entry(o, 0, 0, {"k": "rat", "v": [10 ** 400, 1]}), (),
+     "rational constant outside the float range"),
+    (lambda o: _replace_entry(o, 2, 2, {"k": "app", "name": "H", "deriv": [0, 0], "args": [
+        R_JSON, {"k": "rat", "v": [1, 10 ** 300]}]}), (), "non-finite value from H"),
+    (lambda o: _replace_entry(o, 2, 2, {"k": "sin", "arg": {"k": "prod", "factors": [
+        {"k": "rat", "v": [10 ** 308, 1]}, {"k": "sum", "terms": [R_JSON, {"k": "rat", "v": [2, 1]}]}]}}),
+     (), "sin of non-finite inf"),
+    (lambda o: _replace_entry(o, 1, 1, None), ("--verify", "dyonic"),
+     "dyonic verification needs a monopole-shaped metric"),
+])
+def test_unsamplable_metric_exits_two(edit, argv, message, tmp_path):
+    from tdual.geometry import make_taub_nut
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(make_taub_nut().to_json())))
+    code, out, err = run_cli("buscher", "--input", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("suite, failing", [
+    ("metrics", ["taub-nut dual equals H((dk)^2 + dr.dr)",
+                 "2-center dual equals H((dk)^2 + dr.dr)",
+                 "dual conformal factor is the monopole profile"]),
+    ("dyonic", ["dual of (g, beta*Omega) is the shifted product metric",
+                "per-center dual matches the H_i/H-shifted product metric"]),
+])
+def test_failing_identity_check_reports_its_witness(suite, failing):
+    # no float comparison meets a tolerance of 1e-300 everywhere
+    code, out, err = run_cli("verify", suite, "--tol", "1e-300", "--format", "json")
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failing
+    for c in checks:
+        assert ("witness" in c) == (not c["passed"])
+        if not c["passed"]:
+            assert c["witness"]["component"][0] == "g"
+            assert c["witness"]["point"]["abs_diff"] > 0
+            assert set(c["witness"]["point"]["point"]) >= {"r", "theta", "g"}
+    code, out, _ = run_cli("verify", suite, "--tol", "1e-300")
+    lines = out.splitlines()
+    assert code == 1
+    for name in failing:
+        at = lines.index(f"[FAIL] {name}")
+        assert lines[at + 1].startswith("        witness: (('g', ")
+
+
 def test_unknown_suite_exits_two():
     code, _, err = run_cli("verify", "nope")
     assert code == 2
@@ -333,3 +396,57 @@ def test_failed_verification_serializes_witness(tmp_path):
     obj = json.loads(out)
     failing = [c for c in obj["checks"] if not c["passed"]]
     assert failing and failing[0]["witness"]["point"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the metric JSON input path
+
+_LEAVES = st.one_of(
+    st.sampled_from(["kappa", "r", "theta", "phi", "g", "beta"]).map(
+        lambda n: {"k": "sym", "name": n}),
+    st.sampled_from([[0, 1], [1, 1], [-2, 1], [1, 2], [10 ** 308, 1], [1, 10 ** 300],
+                     [10 ** 400, 1], [1, 10 ** 400]]).map(lambda v: {"k": "rat", "v": v}))
+_EXPONENTS = st.sampled_from([[-2, 1], [-1, 1], [-1, 2], [1, 2], [3, 2], [2, 1], [3, 1]])
+_NODES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, min_size=1, max_size=3).map(lambda ts: {"k": "sum", "terms": ts}),
+    st.lists(kids, min_size=1, max_size=3).map(lambda fs: {"k": "prod", "factors": fs}),
+    st.tuples(kids, _EXPONENTS).map(lambda t: {"k": "pow", "base": t[0], "exp": t[1]}),
+    st.tuples(st.sampled_from(["sin", "cos"]), kids).map(lambda t: {"k": t[0], "arg": t[1]}),
+    st.tuples(kids, kids, st.lists(st.integers(0, 2), min_size=2, max_size=2)).map(
+        lambda t: {"k": "app", "name": "H", "deriv": t[2], "args": [t[0], t[1]]}),
+), max_leaves=6)
+_INDEX = st.sampled_from([0, 0, 1, 2, 3, 3, 4, -1])       # 4 and -1 lie outside the chart
+# (half, i, j, node): replace the (i, j) entry, or remove it when node is None
+_EDITS = st.lists(st.tuples(st.sampled_from(["g", "g", "b"]), _INDEX, _INDEX,
+                            st.none() | _NODES), max_size=4)
+
+# fields given the wrong JSON type
+_WRONG_TYPES = [
+    lambda o: o["chart"].update(names="kappa"),
+    lambda o: o["chart"].update(periodic=[]),
+    lambda o: o["chart"].update(names=[]),
+    lambda o: o.update(g={"0": 1}),
+    lambda o: o.update(b=None),
+    lambda o: o["g"].append([0, "1", {"k": "sym", "name": "r"}]),
+    lambda o: o["g"].append([1, 1]),
+    lambda o: o["g"].append([1, 1, "r"]),
+    lambda o: o["g"].append([1, 1, {"k": "sym", "name": 3}]),
+    lambda o: o["g"].append([1, 1, {"k": "app", "name": "H", "deriv": 0, "args": []}]),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_EDITS, st.none() | st.sampled_from(_WRONG_TYPES), st.sampled_from(["g-h", "involution"]))
+def test_fuzzed_metric_input_never_escapes(tmp_path_factory, edits, wrong_type, verify):
+    from tdual.geometry import make_taub_nut
+    obj = make_taub_nut().to_json()
+    for half, i, j, node in edits:
+        obj[half] = [e for e in obj[half] if e[:2] != [i, j]]
+        if node is not None:
+            obj[half].append([i, j, node])
+    if wrong_type is not None:
+        wrong_type(obj)
+    path = tmp_path_factory.getbasetemp() / "fuzzed_metric.json"
+    path.write_text(json.dumps(obj))
+    code, _, _ = run_cli("buscher", "--input", str(path), "--trials", "3", "--verify", verify)
+    assert code in (0, 1, 2)

@@ -1,9 +1,12 @@
 """Symbolic core: evaluation, differentiation, substitution, simplification,
 and the seeded randomized equality engine."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import expr_oracle as oracle
 from tdual.expr import (
     App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, add, app, cos_,
-    differentiate, equal_numeric, evaluate, expr_from_json, expr_to_json,
+    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _nodes, add, app, compile_expr,
+    cos_, differentiate, equal_numeric, evaluate, expr_from_json, expr_to_json,
     free_symbols, mul, opaque_functions, pow_, rat, simplify_basic, sin_,
     substitute, sym,
 )
@@ -204,10 +207,12 @@ def test_collected_powers_fold_and_flatten():
 # ---------------------------------------------------------------------------
 # differential tests: the earlier core in expr_oracle is the reference
 
+# phi is left unassigned when recipes are evaluated
 recipes = st.recursive(
-    st.one_of(st.sampled_from([("sym", "r"), ("sym", "theta")]),
+    st.one_of(st.sampled_from([("sym", "r"), ("sym", "theta"), ("sym", "phi")]),
               st.integers(-3, 3).map(lambda n: ("rat", n))),
     lambda kids: st.one_of(
+        st.tuples(st.just("share"), kids),
         st.lists(kids, min_size=1, max_size=3).map(lambda xs: ("add", *xs)),
         st.lists(kids, min_size=1, max_size=3).map(lambda xs: ("mul", *xs)),
         st.tuples(st.just("pow"), kids, st.sampled_from(EXPONENTS).map(Fraction)),
@@ -231,6 +236,8 @@ def build(recipe):
         return differentiate(*kids)
     if op == "subst":
         return substitute(kids[0], {"r": kids[1]})
+    if op == "share":       # one subtree used three times
+        return add(kids[0], mul(kids[0], sin_(kids[0])))
     return {"add": add, "mul": mul, "pow": pow_, "sin": sin_, "cos": cos_}[op](*kids)
 
 
@@ -248,6 +255,8 @@ def build_raw(recipe):
     if op == "subst":
         return oracle._subst(oracle.simplify_basic(kids[0]),
                              {"r": oracle.simplify_basic(kids[1])})
+    if op == "share":
+        return Sum((kids[0], Prod((kids[0], SinE(kids[0])))))
     nodes = {"add": lambda *xs: Sum(xs), "mul": lambda *xs: Prod(xs), "pow": Pow,
              "sin": SinE, "cos": CosE}
     return nodes[op](*kids)
@@ -269,23 +278,105 @@ def test_built_trees_equal_the_oracle_simplification(recipe):
     assert simplify_basic(build_raw(recipe)) == got
 
 
-@settings(max_examples=200, deadline=None)
+def f_table():
+    """F/2 with derivative orders up to 1 registered."""
+    return FunctionTable([OpaqueFunction("F", 2, closure_factory=lambda d: (
+        None if sum(d) > 1 else lambda a, b: (1 + sum(d)) * a * b + a))])
+
+
+def outcome(run):
+    """The float ``run()`` returns, or the type and message of its error."""
+    try:
+        return run()
+    except (DomainError, UnboundSymbol) as exc:
+        return type(exc), exc.args
+
+
+@settings(max_examples=300, deadline=None)
 @given(recipes, st.floats(0.3, 3.0), st.floats(0.05, 3.0))
 def test_evaluation_equals_the_oracle_bit_for_bit(recipe, r, theta):
     try:
         e = build(recipe)
     except DomainError:
         return
-    table = FunctionTable([OpaqueFunction("F", 2, closure_factory=lambda d: (
-        lambda a, b: (1 + sum(d)) * a * b + a))])
-    p = PointAssignment({"r": r, "theta": theta}, table)
-    outcomes = []
-    for ev in (evaluate, oracle.evaluate):
-        try:
-            outcomes.append(ev(e, p))
-        except DomainError as exc:
-            outcomes.append(type(exc))
-    assert repr(outcomes[0]) == repr(outcomes[1])     # repr tells every float apart
+    p = PointAssignment({"r": r, "theta": theta}, f_table())
+    got, want = (outcome(lambda: ev(e, p)) for ev in (evaluate, oracle.evaluate))
+    assert repr(got) == repr(want)     # repr tells every float apart
+
+
+def equality_outcome(eq, a, b, spec, seed):
+    def run():
+        rep = eq(a, b, spec, trials=10, seed=seed)
+        w = rep.witness
+        return rep.equal, rep.domain_errors, w and (w.point, w.lhs, w.rhs)
+    return repr(outcome(run))
+
+
+SAMPLE = SampleSpec({"r": (0.3, 3.0), "theta": (-1.0, 3.0)}, f_table())
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipes, recipes, st.booleans(), st.integers(0, 10 ** 6))
+def test_equal_numeric_equals_the_oracle_loop(ra, rb, same, seed):
+    try:
+        a = build(ra)
+        b = a if same else build(rb)
+    except DomainError:
+        return
+    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed)
+            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed))
+
+
+@pytest.mark.parametrize("a, b, box, expect", [
+    (mul(H(), pow_(sym("r"), 2)), mul(pow_(sym("r"), 2), H()), (0.3, 3.0), "(True, 0, None)"),
+    (sym("r"), add(sym("r"), rat(1, 1000)), (0.3, 3.0), "(False, 0, ({'r':"),
+    (pow_(add(sym("r"), rat(-1)), Fraction(-1, 2)), sym("r"), (0.5, 1.5), "(False, 2, ({'r':"),
+    (pow_(add(sym("r"), rat(-1)), Fraction(1, 2)), pow_(add(sym("r"), rat(-1)), Fraction(1, 2)),
+     (0.5, 1.5), "(True, 5, None)"),
+    (pow_(add(sym("r"), rat(-1)), -1), rat(0), (1.0, 1.0),
+     "(<class 'tdual.expr.DomainError'>, ('pole: (r + -1)^-1 at base 0.0',))"),
+    # the pole is met before the unregistered function is looked up
+    (add(pow_(add(sym("r"), rat(-1)), -1), app("F", (sym("r"),))), rat(0), (1.0, 1.0),
+     "(<class 'tdual.expr.DomainError'>, ('pole: (r + -1)^-1 at base 0.0',))"),
+    (add(sym("r"), app("F", (sym("r"),))), rat(0), (0.3, 3.0),
+     "(<class 'tdual.expr.UnboundSymbol'>, ('no registered function F/1',))"),
+    (sym("r"), sym("phi"), (0.3, 3.0),
+     "(<class 'tdual.expr.UnboundSymbol'>, (\"symbol 'phi' not assigned\",))"),
+])
+def test_equal_numeric_passes_fails_and_retries_as_the_oracle(a, b, box, expect):
+    spec = SampleSpec({"r": box, "g": (0.6, 1.1)}, taub_nut_sample_spec().functions)
+    got = equality_outcome(equal_numeric, a, b, spec, seed=3)
+    assert got == equality_outcome(oracle.equal_numeric, a, b, spec, seed=3)
+    assert got.startswith(expect)
+
+
+def test_compiled_closures_are_freed_by_reference_counting(spec):
+    e = add(*[mul(rat(k), pow_(add(sym("r"), rat(k)), Fraction(-1, 2)), sin_(H()))
+              for k in range(1, 31)])
+    nodes = sum(1 for _ in _nodes(e))
+    assert nodes >= 300
+    gc.disable()
+    try:
+        fn = compile_expr(e, spec.functions)
+        assert fn({"r": 1.0, "g": 1.0}) == evaluate(e, PointAssignment({"r": 1.0, "g": 1.0},
+                                                                          spec.functions))
+        # every closure reachable from the top one, not the opaque closures it calls
+        found, stack = {}, [fn]
+        while stack:
+            f = stack.pop()
+            if id(f) in found:
+                continue
+            found[id(f)] = f
+            for cell in f.__closure__ or ():
+                v = cell.cell_contents
+                stack.extend(x for x in (v if type(v) is list else [v])
+                             if type(x) is FunctionType and x.__module__ == "tdual.expr")
+        assert len(found) == nodes             # one closure per node
+        refs = [weakref.ref(f) for f in found.values()]
+        del found, stack, f, fn
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=200, deadline=None)

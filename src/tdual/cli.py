@@ -15,16 +15,18 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import expr as ex
 from . import geometry as geo
-from .cohomology import cochain_space, cohomology, cross_with_z, fiber_integrate
-from .complexes import BUILTIN_NAMES, build_complex, builtin_space, product_with_circle
+from .cohomology import (AbelianGroup, CohClass, Z, cochain_space, cohomology, cross_with_z,
+                         fiber_integrate, long_exact_sequence)
+from .complexes import BUILTIN_NAMES, build_complex, builtin_space, cone_on_s2, product_with_circle
 from .gerbes import (CoverNerve, MalformedNerve, TwoGerbe, check_three_gerbe,
                      check_two_gerbe, gauge_perturb, kk_gerbe_models,
                      monopole_two_gerbe, semifree_class_to_two_gerbe,
                      tdualize_two_gerbe)
-from .semifree import (basic_example_spectrum, hausdorff_regularization,
+from .semifree import (basic_example_spectrum, classify, hausdorff_regularization,
                        kk_record, multi_center_homotopy, tdualize,
                        trivial_record)
 
@@ -44,6 +46,29 @@ def _default_seed() -> int:
         return int(os.environ.get("TDUAL_SEED", "42"))
     except ValueError:
         return 42
+
+
+def _preset_int(preset: str, kind: str, usage: str) -> int:
+    """The n of a ``kind:<n>`` preset; InputError(usage) for any other preset."""
+    prefix, _, n = preset.partition(":")
+    if prefix == kind:
+        try:
+            return int(n)
+        except ValueError:
+            pass
+    raise InputError(usage)
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
+def _checked(value, kind: type, what: str, item: type | None = None):
+    """``value`` if its JSON type is ``kind`` and, for an array, every item's
+    is ``item``; else InputError naming ``what``."""
+    if type(value) is not kind or item and any(type(v) is not item for v in value):
+        raise InputError(f"{what} must be a JSON {_JSON_TYPES[kind]}"
+                         f"{f' of {_JSON_TYPES[item]}s' if item else ''}, got {value!r:.40}")
+    return value
 
 
 def _trials(text: str) -> int:
@@ -156,6 +181,11 @@ def _load_metric(path: str) -> geo.MetricData:
                 spec.functions.lookup(name, arity)
             except ex.UnboundSymbol:
                 raise InputError(f"{path}: no function {name}/{arity} is registered") from None
+    for part in ("g", "b"):     # from_json keeps the last entry of a component
+        keys = [(min(i, j), max(i, j)) for i, j, _ in obj[part]]
+        twice = [key for key in keys if keys.count(key) > 1]
+        if twice:
+            raise InputError(f"{path}: {part} component {twice[0]} is given twice")
     return m
 
 
@@ -251,26 +281,33 @@ def cmd_cohomology(args) -> int:
 # gerbes
 
 def _complex_from_json(obj) -> "object":
-    cells = {int(k): list(v) for k, v in obj["cells"].items()}
+    cells = {int(k): _checked(v, list, f"cells {k}", str)
+             for k, v in _checked(obj["cells"], dict, "cells").items()}
+    ids = [c for v in cells.values() for c in v]
+    if min(cells, default=0) < 0 or len(set(ids)) < len(ids):
+        raise InputError("cells need degrees >= 0 and distinct ids")
     inc = {}
-    for k, entries in obj.get("boundaries", {}).items():
-        inc[int(k)] = {(low, up): int(c) for up, low, c in entries}
-    return build_complex(obj.get("name", "X"), cells, inc)
+    for k, entries in _checked(obj.get("boundaries", {}), dict, "boundaries").items():
+        inc[int(k)] = {(low, up): _checked(c, int, f"coefficient of {low} in {up}")
+                       for up, low, c in _checked(entries, list, f"boundaries {k}")}
+    return build_complex(_checked(obj.get("name", "X"), str, "name"), cells, inc)
 
 
 def _gerbe_from_json(obj) -> TwoGerbe:
-    space = obj["space"]
-    x = builtin_space(space) if isinstance(space, str) else _complex_from_json(space)
-    cover = CoverNerve(x, [frozenset(s) for s in obj["cover"]])
+    space = _checked(obj, dict, "gerbe")["space"]
+    x = builtin_space(space) if type(space) is str else \
+        _complex_from_json(_checked(space, dict, "space"))
+    if x.top < len(TwoGerbe.layers):
+        raise InputError(f"a 2-gerbe's class has degree {len(TwoGerbe.layers)}, "
+                         f"above the top cell degree {x.top} of {x.name}")
+    cover = CoverNerve(x, [frozenset(_checked(s, list, "cover set", str))
+                           for s in _checked(obj["cover"], list, "cover")])
 
-    def parse(block):
-        out = {}
-        for key, vec in (block or {}).items():
-            out[tuple(int(i) for i in key.split(","))] = [int(v) for v in vec]
-        return out
+    def parse(label):
+        return {tuple(int(i) for i in key.split(",")): _checked(vec, list, f"{label} {key}", int)
+                for key, vec in _checked(obj.get(label, {}), dict, label).items()}
 
-    return TwoGerbe(cover, **{layer.attr: parse(obj.get(layer.label))
-                              for layer in TwoGerbe.layers})
+    return TwoGerbe(cover, **{layer.attr: parse(layer.label) for layer in TwoGerbe.layers})
 
 
 def _gerbe_to_json(g) -> dict:
@@ -284,14 +321,7 @@ def _gerbe_to_json(g) -> dict:
 
 def cmd_dualize_gerbe(args) -> int:
     if args.preset:
-        kind, _, charge = args.preset.partition(":")
-        try:
-            charge = int(charge)
-        except ValueError:
-            kind = None
-        if kind != "monopole":
-            raise InputError("preset must be monopole:<n>")
-        g = monopole_two_gerbe(charge)
+        g = monopole_two_gerbe(_preset_int(args.preset, "monopole", "preset must be monopole:<n>"))
     elif args.input:
         try:
             with open(args.input) as fh:
@@ -331,27 +361,22 @@ def _record_from_args(args):
             return kk_record()
         if args.preset == "trivial":
             return trivial_record()
-        kind, _, charge = args.preset.partition(":")
-        if kind == "charge":
-            try:
-                charge = int(charge)
-            except ValueError:
-                kind = None
-        if kind != "charge":
-            raise InputError("preset must be kk, trivial, or charge:<p>")
-        return kk_record(charge)
+        return kk_record(_preset_int(args.preset, "charge",
+                                     "preset must be kk, trivial, or charge:<p>"))
     if args.input:
         try:
             with open(args.input) as fh:
-                obj = json.load(fh)
-            from .semifree import classify
-            from .cohomology import CohClass
-            base = builtin_space(obj["base"])
-            comp = base.subcomplex(frozenset(obj["complement"]))
-            space = cochain_space(comp, 2)
-            lam = CohClass(space, tuple(int(v) for v in obj["class"]))
-            return classify(base, frozenset(obj["fixed"]), frozenset(obj["complement"]),
-                            lam, name=obj.get("name", ""))
+                obj = _checked(json.load(fh), dict, "record")
+            base = builtin_space(_checked(obj["base"], str, "base"))
+            fixed, comp = (frozenset(_checked(obj[key], list, key, str))
+                           for key in ("fixed", "complement"))
+            model = base.subcomplex(comp)
+            if model.top < 2:
+                raise InputError(f"the bundle class has degree 2, above the top cell degree "
+                                 f"{model.top} of the complement")
+            lam = CohClass(cochain_space(model, 2),
+                           tuple(_checked(obj["class"], list, "class", int)))
+            return classify(base, fixed, comp, lam, name=_checked(obj.get("name", ""), str, "name"))
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise InputError(f"cannot read record: {exc}") from None
     raise InputError("need --preset or --input")
@@ -423,14 +448,6 @@ def cmd_homotopy(args) -> int:
 # ---------------------------------------------------------------------------
 # golden suites
 
-def _suite_metrics(seed, trials, tol):
-    yield from _metric_identity_checks(seed, trials, tol, dyonic=False)
-
-
-def _suite_dyonic(seed, trials, tol):
-    yield from _metric_identity_checks(seed, trials, tol, dyonic=True)
-
-
 def _metric_identity_checks(seed, trials, tol, dyonic: bool):
     """Yield (name, passed, witness); a witness is (component, Witness)."""
     tn = geo.make_taub_nut()
@@ -479,12 +496,9 @@ def _metric_identity_checks(seed, trials, tol, dyonic: bool):
 
 
 def _suite_cohomology(seed, trials, tol):
-    from .cohomology import AbelianGroup, Z
     yield "H^3(S2xS1) = Z", cohomology(builtin_space("S2xS1"), 3) == Z
     yield "H^2(CP2) = Z", cohomology(builtin_space("CP2"), 2) == Z
     yield "H^2(L(1,3)) = Z/3", cohomology(builtin_space("L1p:3"), 2) == AbelianGroup(0, (3,))
-    from .cohomology import long_exact_sequence
-    from .complexes import cone_on_s2
     yield "pair (D3, S2) long exact sequence exact", \
         long_exact_sequence(cone_on_s2(), {"u", "f2"}).all_exact
     s2 = builtin_space("S2")
@@ -532,7 +546,8 @@ def _suite_semifree(seed, trials, tol):
 def golden_verify(suite: str, seed: int, trials: int, tol: float):
     """The checks of one suite: (name, passed), or (name, passed, witness)
     for the metric identity suites."""
-    table = {"metrics": _suite_metrics, "dyonic": _suite_dyonic,
+    table = {"metrics": partial(_metric_identity_checks, dyonic=False),
+             "dyonic": partial(_metric_identity_checks, dyonic=True),
              "cohomology": _suite_cohomology, "gerbes": _suite_gerbes,
              "semifree": _suite_semifree}
     if suite not in table:

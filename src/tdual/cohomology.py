@@ -44,10 +44,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError("torsion list must be in divisibility order")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -60,10 +56,6 @@ class AbelianGroup:
 
 Z = AbelianGroup(1)
 TRIVIAL = AbelianGroup(0)
-
-
-def group_from_diagonal(diag, free_rank: int) -> AbelianGroup:
-    return AbelianGroup(free_rank, tuple(d for d in diag if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +184,23 @@ class CohClass:
 
 
 # ---------------------------------------------------------------------------
-# absolute / relative cochain spaces
-
-def _cochain_cache(x: CellComplex) -> dict:
-    cache = getattr(x, "_cochain_cache", None)
-    if cache is None:
-        cache = {}
-        x._cochain_cache = cache
-    return cache
-
+# absolute / relative cochain spaces, cached in the complex's ``derived``
 
 def cochain_space(x: CellComplex, k: int) -> SubquotientSpace:
-    cache = _cochain_cache(x)
-    if ("abs", k) not in cache:
-        delta_out = x.bmat(k + 1).transpose()
-        delta_in = x.bmat(k).transpose()
-        cache[("abs", k)] = SubquotientSpace(x.n_cells(k), delta_out, delta_in,
-                                             label=f"H^{k}({x.name})")
-    return cache[("abs", k)]
+    space = x.derived.get(("abs", k))
+    if space is None:
+        space = x.derived[("abs", k)] = SubquotientSpace(
+            x.n_cells(k), x.bmat(k + 1).transpose(), x.bmat(k).transpose(),
+            label=f"H^{k}({x.name})")
+    return space
 
 
 def chain_space(x: CellComplex, k: int) -> SubquotientSpace:
-    cache = _cochain_cache(x)
-    if ("hom", k) not in cache:
-        cache[("hom", k)] = SubquotientSpace(x.n_cells(k), x.bmat(k), x.bmat(k + 1),
-                                             label=f"H_{k}({x.name})")
-    return cache[("hom", k)]
+    space = x.derived.get(("hom", k))
+    if space is None:
+        space = x.derived[("hom", k)] = SubquotientSpace(
+            x.n_cells(k), x.bmat(k), x.bmat(k + 1), label=f"H_{k}({x.name})")
+    return space
 
 
 def cohomology(x: CellComplex, k: int) -> AbelianGroup:
@@ -253,11 +236,11 @@ class RelativeCochainSpace(SubquotientSpace):
 
 
 def relative_cochain_space(x: CellComplex, a_ids, k: int) -> RelativeCochainSpace:
-    cache = _cochain_cache(x)
     key = ("rel", frozenset(a_ids), k)
-    if key not in cache:
-        cache[key] = RelativeCochainSpace(x, a_ids, k)
-    return cache[key]
+    space = x.derived.get(key)
+    if space is None:
+        space = x.derived[key] = RelativeCochainSpace(x, a_ids, k)
+    return space
 
 
 def relative_cohomology(x: CellComplex, a_ids, k: int) -> AbelianGroup:
@@ -368,27 +351,6 @@ def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
 # ---------------------------------------------------------------------------
 # the long exact sequence of a pair
 
-def _inclusion_matrix_rel_to_abs(rel: RelativeCochainSpace, k: int) -> IMat:
-    x = rel.complex
-    m = IMat(x.n_cells(k), len(rel.kept.get(k, [])))
-    for j, cell in enumerate(rel.kept.get(k, [])):
-        m[x.index(k, cell), j] = 1
-    return m
-
-
-def _restriction_matrix(x: CellComplex, a: CellComplex, k: int) -> IMat:
-    m = IMat(a.n_cells(k), x.n_cells(k))
-    for j, cell in enumerate(a.cell_ids(k)):
-        m[j, x.index(k, cell)] = 1
-    return m
-
-
-def _connecting_matrix(x: CellComplex, a: CellComplex,
-                       rel_next: RelativeCochainSpace, k: int) -> IMat:
-    """delta: H^k(A) -> H^{k+1}(X, A): extend by zero, apply delta_X, restrict."""
-    return _restricted_coboundary(x, k, a.cell_ids(k), rel_next.kept.get(k + 1, []))
-
-
 def _restricted_coboundary(x: CellComplex, k: int, src: list, dst: list) -> IMat:
     """delta_X: C^k -> C^{k+1} with columns the k-cells ``src`` and rows the
     (k+1)-cells ``dst``; coefficients on other (k+1)-cells are dropped."""
@@ -406,23 +368,18 @@ def _restricted_coboundary(x: CellComplex, k: int, src: list, dst: list) -> IMat
 def relative_inclusion_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
     """j*: H^k(X, A) -> H^k(X), inclusion of relative cochains."""
     rel = relative_cochain_space(x, a_ids, k)
-    return GroupHom(rel, cochain_space(x, k),
-                    _inclusion_matrix_rel_to_abs(rel, k), f"j*{k}")
-
-
-def restriction_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
-    """i*: H^k(X) -> H^k(A), restriction to the subcomplex."""
-    a = x.subcomplex(a_ids)
-    return GroupHom(cochain_space(x, k), cochain_space(a, k),
-                    _restriction_matrix(x, a, k), f"i*{k}")
+    m = IMat(x.n_cells(k), rel.n)
+    for j, cell in enumerate(rel.kept.get(k, [])):
+        m[x.index(k, cell), j] = 1
+    return GroupHom(rel, cochain_space(x, k), m, f"j*{k}")
 
 
 def connecting_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
-    """delta: H^k(A) -> H^{k+1}(X, A), extend by zero then coboundary."""
+    """delta: H^k(A) -> H^{k+1}(X, A): extend by zero, apply delta_X, restrict."""
     a = x.subcomplex(a_ids)
     rel_next = relative_cochain_space(x, a_ids, k + 1)
-    return GroupHom(cochain_space(a, k), rel_next,
-                    _connecting_matrix(x, a, rel_next, k), f"d{k}")
+    return GroupHom(cochain_space(a, k), rel_next, _restricted_coboundary(
+        x, k, a.cell_ids(k), rel_next.kept.get(k + 1, [])), f"d{k}")
 
 
 @dataclass
@@ -449,23 +406,20 @@ def long_exact_sequence(x: CellComplex, a_ids) -> LESReport:
     a = x.subcomplex(a_ids, name=f"{x.name}|A")
     top = x.top + 1
     maps = {}
-    rel = {k: relative_cochain_space(x, a_ids, k) for k in range(top + 2)}
-    absx = {k: cochain_space(x, k) for k in range(top + 1)}
-    suba = {k: cochain_space(a, k) for k in range(top + 1)}
     for k in range(top + 1):
-        maps[("j", k)] = GroupHom(rel[k], absx[k],
-                                  _inclusion_matrix_rel_to_abs(rel[k], k), f"j*{k}")
-        maps[("i", k)] = GroupHom(absx[k], suba[k],
-                                  _restriction_matrix(x, a, k), f"i*{k}")
-        maps[("d", k)] = GroupHom(suba[k], rel[k + 1],
-                                  _connecting_matrix(x, a, rel[k + 1], k), f"d{k}")
+        maps[("j", k)] = relative_inclusion_hom(x, a_ids, k)
+        restrict = IMat(a.n_cells(k), x.n_cells(k))
+        for j, cell in enumerate(a.cell_ids(k)):
+            restrict[j, x.index(k, cell)] = 1
+        maps[("i", k)] = GroupHom(cochain_space(x, k), cochain_space(a, k), restrict, f"i*{k}")
+        maps[("d", k)] = connecting_hom(x, a_ids, k)
     nodes = []
     for k in range(top + 1):
-        nodes.append(LESNode(f"H^{k}(X,A)", rel[k].group(),
+        nodes.append(LESNode(f"H^{k}(X,A)", maps[("j", k)].domain.group(),
                              exact_at(maps[("d", k - 1)], maps[("j", k)]) if k else None))
-        nodes.append(LESNode(f"H^{k}(X)", absx[k].group(),
+        nodes.append(LESNode(f"H^{k}(X)", maps[("j", k)].codomain.group(),
                              exact_at(maps[("j", k)], maps[("i", k)])))
-        nodes.append(LESNode(f"H^{k}(A)", suba[k].group(),
+        nodes.append(LESNode(f"H^{k}(A)", maps[("i", k)].codomain.group(),
                              exact_at(maps[("i", k)], maps[("d", k)])))
     return LESReport(nodes, maps)
 

@@ -5,6 +5,10 @@ A complex stores ordered cell ids per degree and boundary matrices
 ids (pairs of factor ids), quotients collapse a labeled subcomplex to a
 basepoint, and chain maps are validated to commute with the boundaries.
 
+Subcomplexes, products with a second factor and the class spaces of
+``tdual.cohomology`` are cached in their complex's ``derived`` dict:
+canonical while the complex lives, and freed with it.
+
 The builtin registry holds the spaces the toolkit's identities live on:
 spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 3-sphere used by the monopole gluing, CP^2, lens spaces, and wedges of
@@ -14,6 +18,7 @@ spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .intlin import IMat
 
@@ -39,6 +44,8 @@ class CellComplex:
     cells: dict                                  # degree -> ordered list of ids
     boundaries: dict = field(default_factory=dict)  # degree k>=1 -> IMat
     product_of: tuple | None = None              # (X, Y) provenance
+    # subcomplexes by cell set, products by (id(Y), name), class spaces by kind
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.cells = {k: list(v) for k, v in self.cells.items() if v}
@@ -110,15 +117,12 @@ class CellComplex:
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
         """Canonical subcomplex on the given cells; instances are cached per
         cell set so class spaces computed through different call sites agree.
-        A cell set is validated once, when it first enters the cache."""
+        A cell set is validated, and the name taken, when it is first built."""
         ids = frozenset(ids)
-        cache = getattr(self, "_subcomplex_cache", None)
-        if cache is None:
-            cache = {}
-            self._subcomplex_cache = cache
-        if ids not in cache:
-            cache[ids] = self._build_subcomplex(self.check_subcomplex(ids), name)
-        return cache[ids]
+        sub = self.derived.get(ids)
+        if sub is None:
+            sub = self.derived[ids] = self._build_subcomplex(self.check_subcomplex(ids), name)
+        return sub
 
     def _build_subcomplex(self, ids: frozenset, name: str | None) -> "CellComplex":
         cells = {k: [c for c in v if c in ids] for k, v in self.cells.items()}
@@ -205,42 +209,19 @@ class ChainMap:
             return self.mats[k]
         return IMat(self.target.n_cells(k), self.source.n_cells(k))
 
-    def then(self, other: "ChainMap") -> "ChainMap":
-        if other.source is not self.target:
-            raise ValueError("composition mismatch")
-        top = max(self.source.top, other.target.top)
-        mats = {k: other.mat(k) @ self.mat(k) for k in range(top + 1)}
-        return ChainMap(self.source, other.target, mats,
-                        name=f"{other.name}.{self.name}")
-
-
-def identity_chain_map(x: CellComplex) -> ChainMap:
-    return ChainMap(x, x, {k: IMat.identity(x.n_cells(k)) for k in x.degrees()}, "id")
-
-
-def inclusion_chain_map(sub: CellComplex, ambient: CellComplex) -> ChainMap:
-    mats = {}
-    for k in sub.degrees():
-        m = IMat(ambient.n_cells(k), sub.n_cells(k))
-        for j, cell in enumerate(sub.cell_ids(k)):
-            m[ambient.index(k, cell), j] = 1
-        mats[k] = m
-    return ChainMap(sub, ambient, mats, name=f"incl:{sub.name}->{ambient.name}")
-
 
 # ---------------------------------------------------------------------------
 # products
 
-_product_cache: dict = {}
-
-
 def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> CellComplex:
     """Cellular product; cell ids are (x_id, y_id), boundaries carry the
     Koszul sign: d(a x b) = da x b + (-1)^|a| a x db. Canonical per factor
-    pair: repeated calls return the same instance."""
-    key = (id(x), id(y), name)
-    if key in _product_cache:
-        return _product_cache[key]
+    pair: repeated calls return the same instance, cached on ``x`` (the
+    product holds ``y`` through ``product_of``, so ``id(y)`` stays unique)."""
+    key = (id(y), name)
+    out = x.derived.get(key)
+    if out is not None:
+        return out
     cells: dict = {}
     top = x.top + y.top
     for k in range(top + 1):
@@ -273,18 +254,13 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
         bounds[k] = mat
     out = CellComplex(name or f"{x.name}x{y.name}", cells, bounds)
     out.product_of = (x, y)
-    _product_cache[key] = out
+    x.derived[key] = out
     return out
 
 
 def product_with_circle(x: CellComplex) -> CellComplex:
     """X x S^1 with the one-vertex circle model; ids traceable to factors."""
     return product_complex(x, circle(), name=f"{x.name}xS1")
-
-
-def product_subcomplex_ids(sub_ids, y: CellComplex) -> frozenset:
-    """Cells of (subcomplex) x Y inside a product complex."""
-    return frozenset((a, b) for a in sub_ids for b in y.all_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -388,47 +364,34 @@ def collapse_map(btilde: CellComplex, disc_ids, sphere_ids,
 # ---------------------------------------------------------------------------
 # builtin spaces
 #
-# Builders are memoized: complexes are immutable after construction, and a
+# Builders are cached: complexes are immutable after construction, and a
 # canonical instance per space lets cohomology classes computed through
 # different call sites live in the same coordinate space.
 
-def _memo(fn):
-    cache = {}
-
-    def wrapped(*args):
-        if args not in cache:
-            cache[args] = fn(*args)
-        return cache[args]
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
-
-
-@_memo
+@cache
 def point() -> CellComplex:
     return build_complex("pt", {0: ["v"]})
 
 
-@_memo
+@cache
 def circle() -> CellComplex:
     return build_complex("S1", {0: ["a"], 1: ["e"]})
 
 
-@_memo
+@cache
 def interval() -> CellComplex:
     return build_complex("I", {0: ["p", "q"], 1: ["i"]},
                          {1: {("q", "i"): 1, ("p", "i"): -1}})
 
 
-@_memo
+@cache
 def sphere(n: int) -> CellComplex:
     if n < 2:
         raise ValueError("use circle() for S^1")
     return build_complex(f"S{n}", {0: ["v"], n: [f"c{n}"]})
 
 
-@_memo
+@cache
 def cone_on_s2() -> CellComplex:
     """Compact model of the cone C^0 S^2 (= R^3, = D^3): the 2-sphere
     {u, f2} joined to the cone vertex v, filled by one 3-cell."""
@@ -439,7 +402,7 @@ def cone_on_s2() -> CellComplex:
          3: {("f2", "c3"): 1}})
 
 
-@_memo
+@cache
 def s3_two_disc() -> CellComplex:
     """S^3 as two 3-discs glued along the equatorial S^2 {u, f2}.
 
@@ -453,12 +416,12 @@ def s3_two_disc() -> CellComplex:
          3: {("f2", "c3"): 1, ("f2", "c3out"): -1}})
 
 
-@_memo
+@cache
 def cp2() -> CellComplex:
     return build_complex("CP2", {0: ["v"], 2: ["c2"], 4: ["c4"]})
 
 
-@_memo
+@cache
 def lens(p: int) -> CellComplex:
     """L(1,p): one cell per degree 0..3 with degree-p attaching in the middle."""
     if p < 1:
@@ -467,20 +430,20 @@ def lens(p: int) -> CellComplex:
                          {2: {("e1", "e2"): p}})
 
 
-@_memo
+@cache
 def wedge_of_spheres(count: int, dim: int = 2) -> CellComplex:
     return build_complex(f"wedge{count}S{dim}",
                          {0: ["v"], dim: [f"s{i}" for i in range(count)]} if count
                          else {0: ["v"]})
 
 
-@_memo
+@cache
 def disc2() -> CellComplex:
     """D^2 with its boundary circle {a, e} as a subcomplex."""
     return build_complex("D2", {0: ["a"], 1: ["e"], 2: ["f"]}, {2: {("e", "f"): 1}})
 
 
-@_memo
+@cache
 def interval_power(k: int) -> CellComplex:
     """I^k as an iterated product; its boundary sphere is the set of product
     cells with at least one endpoint factor."""

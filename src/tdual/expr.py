@@ -293,10 +293,19 @@ def _load_fraction(v) -> Fraction:
     return Fraction(_typed(int, v[0]), _typed(int, v[1]))
 
 
+MAX_DERIV_ORDER = 32    # largest derivative order that expr_from_json accepts
+
+
+def _load_order(v) -> int:
+    if _typed(int, v) > MAX_DERIV_ORDER:
+        raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
+    return v
+
+
 # JSON codecs of node fields, (dump, load); a load checks the types it reads
 _FRACTION = (lambda q: [q.numerator, q.denominator], _load_fraction)
 _NAME = (str, lambda v: _typed(str, v))
-_ORDERS = (list, lambda v: tuple(_typed(int, x) for x in _typed(list, v)))
+_ORDERS = (list, lambda v: tuple(_load_order(x) for x in _typed(list, v)))
 _EXPR = (lambda e: expr_to_json(e), lambda v: expr_from_json(v))
 _EXPRS = (lambda es: [expr_to_json(e) for e in es],
           lambda v: tuple(expr_from_json(x) for x in _typed(list, v)))
@@ -572,11 +581,6 @@ class PointAssignment:
     values: dict = field(default_factory=dict)
     functions: FunctionTable = field(default_factory=FunctionTable)
 
-    def with_values(self, **extra) -> "PointAssignment":
-        v = dict(self.values)
-        v.update(extra)
-        return PointAssignment(v, self.functions)
-
 
 _ABS_POLE = 1e-13
 
@@ -694,9 +698,10 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     """Seeded randomized equality: true iff at every sampled point
     ``|a-b| <= tol * max(1, |a|, |b|)``.
 
-    Each side is compiled once. Domain errors are counted and the point
-    resampled, up to a retry bound per trial; exhausting retries raises
-    DomainError, as does a constant outside the float range.
+    Each side is compiled once. Domain errors, and points where a side is
+    infinite or NaN, are counted and the point resampled, up to a retry
+    bound per trial; exhausting retries raises DomainError, as does a
+    constant outside the float range.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -709,6 +714,8 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
             try:
                 va = fa(p.values)
                 vb = fb(p.values)
+                if not (math.isfinite(va) and math.isfinite(vb)):
+                    raise DomainError(f"non-finite sample value {va} vs {vb}")
             except DomainError:
                 domain_errors += 1
                 if attempt == _RETRY_BOUND:

@@ -43,7 +43,7 @@ from typing import ClassVar, NamedTuple
 
 from .complexes import (CellComplex, cone_on_s2, product_with_circle,
                         s3_two_disc, sphere, trivial_disc_bundle)
-from .cohomology import (CohClass, cochain_space, connecting_hom,
+from .cohomology import (CohClass, cochain_space, connecting_hom, cross_with_z_vector,
                          excision_hom, relative_inclusion_hom)
 from .intlin import solve
 
@@ -488,19 +488,6 @@ def characteristic_class_two_gerbe(g: TwoGerbe) -> CohClass:
 # ---------------------------------------------------------------------------
 # dualization (the constructive map of the main theorem)
 
-def _cross_data(cover: CoverNerve, dual_cover: CoverNerve, data: dict, d: int) -> dict:
-    out = {}
-    for t, vec in data.items():
-        base = cover.model(t)
-        prod = dual_cover.model(t)
-        n = prod.n_cells(d + 1)
-        new = [0] * n
-        for j, cell in enumerate(base.cell_ids(d)):
-            new[prod.index(d + 1, (cell, "e"))] = vec[j]
-        out[t] = new
-    return out
-
-
 def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerbe:
     """Cross every layer with the circle generator: pairs p x z become the
     degree-3 pair data, triple sections theta x z the trivializing line
@@ -509,8 +496,12 @@ def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerb
     _class_or_raise(check_two_gerbe(g))
     xs1 = xs1 or product_with_circle(g.cover.space)
     dual_cover = g.cover.crossed(xs1)
-    return ThreeGerbe(dual_cover, *(_cross_data(g.cover, dual_cover, data, layer.d)
-                                    for layer, data in g._data()))
+
+    def crossed(data, d):
+        return {t: cross_with_z_vector(g.cover.model(t), dual_cover.model(t), vec, d)
+                for t, vec in data.items()}
+
+    return ThreeGerbe(dual_cover, *(crossed(data, layer.d) for layer, data in g._data()))
 
 
 # ---------------------------------------------------------------------------

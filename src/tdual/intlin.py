@@ -59,14 +59,6 @@ class IMat:
         return IMat._of(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "IMat":
-        return IMat(rows, cols)
-
-    @staticmethod
-    def column(vec) -> "IMat":
-        return IMat(len(vec), 1, [[x] for x in vec])
-
-    @staticmethod
     def from_columns(cols_list, rows: int) -> "IMat":
         m = IMat(rows, len(cols_list))
         for j, col in enumerate(cols_list):
@@ -112,9 +104,6 @@ class IMat:
     def col(self, j: int) -> list[int]:
         return [r.get(j, 0) for r in self.nz]
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def transpose(self) -> "IMat":
         nz = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.nz):
@@ -159,14 +148,6 @@ class IMat:
     def neg(self) -> "IMat":
         return IMat._of(self.rows, self.cols,
                         [{j: -x for j, x in row.items()} for row in self.nz])
-
-    def add(self, other: "IMat") -> "IMat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = [dict(r) for r in self.nz]
-        for row, orow in zip(out, other.nz):
-            _axpy(row, orow, 1)
-        return IMat._of(self.rows, self.cols, out)
 
 
 def _axpy(dst: dict, src: dict, k: int):

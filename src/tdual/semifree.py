@@ -317,8 +317,7 @@ def dyonic_automorphism_check(x: CellComplex, lam: CohClass,
     if h2 == AbelianGroup(1):
         gen = lam.space.generators()[0]
         target = list(lam.reduced())
-        mat = IMat.column(list(gen.reduced()))
-        sol = solve(mat, target)
+        sol = solve(IMat(1, 1, [gen.reduced()]), target)
         if sol is not None:
             rotation = sol[0]
     label = f"2*pi*{rotation}" if rotation is not None else "non-integral"

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdual.cli import main
 
@@ -193,6 +193,11 @@ R_JSON = {"k": "sym", "name": "r"}
     ([1, 1, {"k": "root", "arg": R_JSON}], "malformed expression node {'k': 'root'"),
     ([1, 1, {"k": "app", "name": "H", "deriv": [-1, 0], "args": [R_JSON, R_JSON]}],
      "one order >= 0 per argument"),
+    ([1, 1, {"k": "app", "name": "H", "deriv": [10 ** 6, 0], "args": [R_JSON, R_JSON]}],
+     "derivative order 1000000 exceeds"),
+    # a component given twice is ambiguous
+    ([0, 0, R_JSON], "g component (0, 0) is given twice"),
+    ([3, 0, R_JSON], "g component (0, 3) is given twice"),
 ])
 def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     from tdual.geometry import make_taub_nut
@@ -230,6 +235,10 @@ R_MINUS_10 = {"k": "sum", "terms": [R_JSON, {"k": "rat", "v": [-10, 1]}]}
      (), "sin of non-finite inf"),
     (lambda o: _replace_entry(o, 1, 1, None), ("--verify", "dyonic"),
      "dyonic verification needs a monopole-shaped metric"),
+    # 10^308 r^2 is inf on the whole box, so no sample can be compared
+    (lambda o: _replace_entry(o, 2, 2, {"k": "prod", "factors": [
+        {"k": "rat", "v": [10 ** 308, 1]}, R_JSON, R_JSON]}), ("--verify", "involution"),
+     "non-finite sample value inf"),
 ])
 def test_unsamplable_metric_exits_two(edit, argv, message, tmp_path):
     from tdual.geometry import make_taub_nut
@@ -317,6 +326,63 @@ def test_invalid_gerbe_exits_two(tmp_path):
     path.write_text(json.dumps(gerbe))
     code, _, err = run_cli("dualize-gerbe", "--input", str(path))
     assert code == 2
+
+
+TWO_PATCH_GERBE = {"space": "S3plus", "p": {"0,1": [1]},
+                   "cover": [["v", "u", "a", "f2", "c3"], ["u", "f2", "c3out"]]}
+CHARGE_2_RECORD = {"base": "coneS2", "fixed": ["v"], "complement": ["u", "f2"], "class": [2],
+                   "name": "charge-2"}
+
+
+@pytest.mark.parametrize("gerbe, message", [
+    (dict(TWO_PATCH_GERBE, space={"cells": [1]}), "cells must be a JSON object, got [1]"),
+    (dict(TWO_PATCH_GERBE, space=["S3plus"]), "space must be a JSON object"),
+    (dict(TWO_PATCH_GERBE, p=[1]), "p must be a JSON object, got [1]"),
+    (dict(TWO_PATCH_GERBE, p={"0,1": [1.5]}), "p 0,1 must be a JSON array of integers"),
+    (dict(TWO_PATCH_GERBE, p={"0,1": [True]}), "p 0,1 must be a JSON array of integers"),
+    (dict(TWO_PATCH_GERBE, cover=["vuaf2c3", "uf2c3out"]), "cover set must be a JSON array"),
+    ([TWO_PATCH_GERBE], "gerbe must be a JSON object"),
+    # the trivial gerbe on S2: its class would lie in H^3 of a 2-complex
+    ({"space": "S2", "cover": [["v", "c2"], ["v", "c2"]]},
+     "a 2-gerbe's class has degree 3, above the top cell degree 2 of S2"),
+    ({"space": {"cells": {"0": ["v"], "1": ["e"]}, "boundaries": {"1": [["e", "v", 1.5]]}},
+      "cover": [["v", "e"]]}, "coefficient of v in e must be a JSON integer"),
+    ({"space": {"name": ["X"], "cells": {"0": ["v"]}}, "cover": [["v"]]},
+     "name must be a JSON string"),
+    # a degree -1 cell has no circle product cell, which the dual cover needs
+    ({"space": {"cells": {"-1": ["w"], "0": ["v"], "3": ["c"]}}, "cover": [["v", "c", "w"]]},
+     "cells need degrees >= 0 and distinct ids"),
+    ({"space": {"cells": {"0": ["v"], "1": ["v"], "3": ["c"]}}, "cover": [["v", "c"]]},
+     "cells need degrees >= 0 and distinct ids"),
+])
+def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps(gerbe))
+    code, out, err = run_cli("dualize-gerbe", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read gerbe: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["classify", "tdualize"])
+@pytest.mark.parametrize("record, message", [
+    (dict(CHARGE_2_RECORD, base=["x"]), "base must be a JSON string"),
+    (dict(CHARGE_2_RECORD, **{"class": [1.5]}), "class must be a JSON array of integers"),
+    (dict(CHARGE_2_RECORD, name=["charge-2"]), "name must be a JSON string"),
+    (dict(CHARGE_2_RECORD, complement="u"), "complement must be a JSON array of strings"),
+    (dict(CHARGE_2_RECORD, fixed=[0]), "fixed must be a JSON array of strings"),
+    # a class on a complement with no 2-cells has no degree-3 cross product
+    (dict(CHARGE_2_RECORD, complement=[], **{"class": []}),
+     "the bundle class has degree 2, above the top cell degree 0 of the complement"),
+    ([CHARGE_2_RECORD], "record must be a JSON object"),
+])
+def test_malformed_record_json_exits_two(command, record, message, tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read record: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("preset", ["monopole:x", "monopole:", "dirac:2"])
@@ -450,3 +516,65 @@ def test_fuzzed_metric_input_never_escapes(tmp_path_factory, edits, wrong_type, 
     path.write_text(json.dumps(obj))
     code, _, _ = run_cli("buscher", "--input", str(path), "--trials", "3", "--verify", verify)
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the gerbe and record JSON input paths
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.sampled_from(["", "v", "u", "0,1", "S3plus", "S2"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["cells", "boundaries", "name", "0", "1", "0,1"]), kids, max_size=3),
+    max_leaves=6)
+_CELL_IDS = st.lists(st.sampled_from(["v", "u", "a", "e", "f2", "c2", "c3", "c3out", "x"]),
+                     max_size=6)
+_BLOCK = st.dictionaries(st.sampled_from(["0,1", "1,0", "0,2", "0,0", "0,1,2", "0,1,2,3", "x"]),
+                         st.lists(st.integers(-3, 3), max_size=3), max_size=3)
+_COMPLEX = st.fixed_dictionaries(
+    {"cells": st.dictionaries(st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+                              _CELL_IDS | _JSON, max_size=4)},
+    optional={"boundaries": st.dictionaries(
+        st.sampled_from(["1", "2", "3", "x"]),
+        st.lists(st.tuples(st.sampled_from(["e", "f2", "c3"]), st.sampled_from(["v", "e", "f2"]),
+                           st.integers(-2, 2) | _JSON).map(list), max_size=3) | _JSON,
+        max_size=2),
+        "name": st.sampled_from(["X", "Y"]) | _JSON})
+_GERBE_EDITS = st.fixed_dictionaries({}, optional={
+    "space": st.sampled_from(["S3plus", "S3", "S2", "CP2", "S2xS1", "wedge:2", "nope"])
+    | _COMPLEX | _JSON,
+    "cover": st.lists(_CELL_IDS, max_size=4) | _JSON,
+    **{label: _BLOCK | _JSON for label in ("p", "theta", "mu")}})
+_RECORD_EDITS = st.fixed_dictionaries({}, optional={
+    "base": st.sampled_from(["coneS2", "S3plus", "S2", "D2", "nope"]) | _JSON,
+    "fixed": _CELL_IDS | _JSON,
+    "complement": _CELL_IDS | _JSON,
+    "class": st.lists(st.integers(-3, 3), max_size=3) | _JSON,
+    "name": st.sampled_from(["", "r"]) | _JSON})
+
+
+def _run_json_input(tmp_path_factory, command, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_input.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(command, "--input", str(path))
+    assert code in (0, 1, 2)
+    assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GERBE_EDITS, st.sets(st.sampled_from(sorted(TWO_PATCH_GERBE))))
+@example({"space": {"cells": [1]}}, set())
+@example({"p": [1]}, set())
+def test_fuzzed_gerbe_input_never_escapes(tmp_path_factory, edits, dropped):
+    obj = {k: v for k, v in dict(TWO_PATCH_GERBE, **edits).items() if k not in dropped}
+    _run_json_input(tmp_path_factory, "dualize-gerbe", obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RECORD_EDITS, st.sets(st.sampled_from(sorted(CHARGE_2_RECORD))),
+       st.sampled_from(["classify", "tdualize"]))
+@example({"base": ["x"]}, set(), "classify")
+@example({"base": ["x"]}, set(), "tdualize")
+def test_fuzzed_record_input_never_escapes(tmp_path_factory, edits, dropped, command):
+    obj = {k: v for k, v in dict(CHARGE_2_RECORD, **edits).items() if k not in dropped}
+    _run_json_input(tmp_path_factory, command, obj)

@@ -1,19 +1,21 @@
 """Integer cohomology: builtin spaces, pairs, long exact sequences,
 excision, circle products, Thom spaces, collapse maps."""
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
 from tdual.cohomology import (
     AbelianGroup, CohClass, NotAProduct, TRIVIAL, Z, betti_numbers,
-    cochain_space, cohomology, cross_with_z, excision_hom, fiber_integrate,
-    homology, long_exact_sequence, pullback_hom, relative_cohomology,
-    universal_coefficients_consistent,
+    chain_space, cochain_space, cohomology, cross_with_z, excision_hom,
+    fiber_integrate, homology, long_exact_sequence, pullback_hom,
+    relative_cochain_space, relative_cohomology, universal_coefficients_consistent,
 )
 from tdual.complexes import (
     BUILTIN_NAMES, BoundaryNotLabeled, LabelMismatch, NotASubcomplex,
-    builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
+    build_complex, builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
     product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
     interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
 )
@@ -59,6 +61,48 @@ def test_large_wedge_cohomology_stays_small():
         tracemalloc.stop()
     assert group == AbelianGroup(3000)
     assert peak < 20 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# derived models are cached on, and freed with, the complex they come from
+
+def _fresh_lens(tag):
+    return build_complex(f"L{tag}", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]},
+                         {2: {("e1", "e2"): 3}})
+
+
+def test_transient_products_are_not_retained():
+    def one(tag):
+        assert cohomology(product_with_circle(_fresh_lens(tag)), 3) == AbelianGroup(1, (3,))
+
+    one(-1)                      # builtins such as the circle exist before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for tag in range(200):
+            one(tag)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5 * 2 ** 20
+
+
+def test_derived_models_are_canonical_and_die_with_their_complex():
+    x = _fresh_lens("weak")
+    xs1 = product_with_circle(x)
+    assert product_with_circle(x) is xs1 and xs1.product_of[0] is x
+    ids = {"e0", "e1", "e2"}
+    assert x.subcomplex(ids) is x.subcomplex(frozenset(ids))
+    assert cochain_space(xs1, 3) is cochain_space(xs1, 3)
+    assert chain_space(x, 1) is chain_space(x, 1)
+    assert relative_cochain_space(x, ids, 3) is relative_cochain_space(x, frozenset(ids), 3)
+    assert builtin_space("S2xS1") is product_with_circle(sphere(2))
+    refs = [weakref.ref(c) for c in (x, xs1, x.subcomplex(ids))]
+    del x, xs1
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_betti_numbers_of_circle_product():

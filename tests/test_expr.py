@@ -440,6 +440,18 @@ def test_retry_bound_exhaustion_reports_domain_error():
         equal_numeric(e, e, box, trials=1, seed=5)
 
 
+def test_non_finite_samples_are_domain_errors():
+    # 10^308 r^2 overflows to inf on the whole box, where |inf - r| > tol * inf
+    # is false, so every trial would compare as equal
+    with pytest.raises(DomainError, match="non-finite"):
+        equal_numeric(mul(rat(10 ** 308), sym("r"), sym("r")), sym("r"),
+                      SampleSpec({"r": (2.0, 3.0)}))
+    # overflow above r = 1.076 only: those points are counted and resampled
+    e = mul(rat(10 ** 308), pow_(sym("r"), 8))
+    rep = equal_numeric(e, e, SampleSpec({"r": (0.5, 1.2)}), trials=20, seed=5)
+    assert rep.equal and rep.domain_errors > 0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -476,6 +488,16 @@ R_JSON = {"k": "sym", "name": "r"}
 def test_malformed_json_raises_value_error(obj):
     with pytest.raises(ValueError):
         expr_from_json(obj)
+
+
+def test_derivative_orders_are_bounded_on_read():
+    # H at order 10^6 would compute factorial(10^6) on every evaluation
+    from tdual.expr import MAX_DERIV_ORDER
+    ok = {"k": "app", "name": "H", "deriv": [MAX_DERIV_ORDER, 0], "args": [R_JSON, R_JSON]}
+    assert expr_from_json(ok).deriv == (MAX_DERIV_ORDER, 0)
+    for order in (MAX_DERIV_ORDER + 1, 10 ** 6):
+        with pytest.raises(ValueError, match=f"derivative order {order} exceeds"):
+            expr_from_json(dict(ok, deriv=[0, order]))
 
 
 def test_unknown_node_is_one_error():

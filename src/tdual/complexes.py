@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from weakref import WeakValueDictionary
 
 from .intlin import IMat
 
@@ -421,20 +422,27 @@ def cp2() -> CellComplex:
     return build_complex("CP2", {0: ["v"], 2: ["c2"], 4: ["c4"]})
 
 
-@cache
+# parametrised families are canonical only while referenced, so a process
+# that resolves many sizes keeps none of them for good
+_live_families: WeakValueDictionary = WeakValueDictionary()
+
+
+def _family(key: tuple, build) -> CellComplex:
+    return _live_families.get(key) or _live_families.setdefault(key, build())
+
+
 def lens(p: int) -> CellComplex:
     """L(1,p): one cell per degree 0..3 with degree-p attaching in the middle."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return build_complex(f"L(1,{p})", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]},
-                         {2: {("e1", "e2"): p}})
+    return _family(("lens", p), lambda: build_complex(
+        f"L(1,{p})", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]}, {2: {("e1", "e2"): p}}))
 
 
-@cache
 def wedge_of_spheres(count: int, dim: int = 2) -> CellComplex:
-    return build_complex(f"wedge{count}S{dim}",
-                         {0: ["v"], dim: [f"s{i}" for i in range(count)]} if count
-                         else {0: ["v"]})
+    return _family(("wedge", count, dim), lambda: build_complex(
+        f"wedge{count}S{dim}", {0: ["v"], dim: [f"s{i}" for i in range(count)]} if count
+        else {0: ["v"]}))
 
 
 @cache

@@ -5,10 +5,10 @@ Nodes are immutable and hashable. Rational constants are stored exactly as
 tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
-in a :class:`FunctionTable`; ``compile_expr`` turns a tree into one closure
-per node, so that sampling many points walks the tree once. One table,
-``_NODES``, describes each node type once, and every walk over a tree
-dispatches on the node's type through it.
+in a :class:`FunctionTable`; ``compile_expr`` turns trees into one
+straight-line Python program with one local per distinct subtree, so that
+sampling many points runs no walk at all. One table, ``_NODES``, describes
+each node type once, and every walk over a tree dispatches through it.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -311,108 +312,80 @@ _EXPRS = (lambda es: [expr_to_json(e) for e in es],
           lambda v: tuple(expr_from_json(x) for x in _typed(list, v)))
 
 
-# compile rules: (node, FunctionTable) -> closure of a {name: value} mapping.
-# Each rule converts constants, looks up functions and compiles its children
-# once. A closure evaluates its children left to right and then its node, as
-# a recursive walk would, so values and errors come out in the same order. It
-# refers to its children's closures but never to itself, so reference
-# counting alone frees a compiled tree.
+# emit rules: (node, _Program) -> (key, emit). Taking the children's slots
+# emits them first, so the program runs in the post-order of a left-to-right
+# walk, and values and errors come out as in a recursive evaluation. The key
+# is (type, scalar fields, child slots); only a new key's ``emit(slot)`` runs:
+# it converts constants and appends the lines that assign the slot, each with
+# the errors it reports instead of the exceptions it raises.
 
-def _compile_rat(e: Rat, functions) -> Callable:
-    try:
-        c = float(e.value)
-    except OverflowError:
-        raise DomainError("rational constant outside the float range") from None
-    return lambda values: c
-
-
-def _compile_sym(e: Sym, functions) -> Callable:
-    name = e.name
-
-    def value(values):
+def _emit_rat(e: Rat, prog):
+    def emit(v):
         try:
-            return float(values[name])
-        except KeyError:
-            raise UnboundSymbol(f"symbol {name!r} not assigned") from None
-    return value
+            prog.line(f"{v} = {prog.const(float(e.value))}")
+        except OverflowError:
+            raise DomainError("rational constant outside the float range") from None
+    return (Rat, e.value.numerator, e.value.denominator), emit
 
 
-def _compile_app(e: App, functions) -> Callable:
-    name = e.name
+def _emit_sym(e: Sym, prog):
+    return (Sym, e.name), lambda v: prog.line(f"{v} = float(values[{prog.const(e.name)}])", (
+        KeyError, lambda exc, loc: UnboundSymbol(f"symbol {e.name!r} not assigned")))
+
+
+def _emit_app(e: App, prog):
     try:
-        fn = functions.lookup(name, len(e.args)).closure(e.deriv)
-    except UnboundSymbol as exc:
-        message = exc.args      # raised on evaluation, before the arguments are evaluated
+        fn = prog.functions.lookup(e.name, len(e.args)).closure(e.deriv)
+    except UnboundSymbol as exc:    # raised on evaluation, before the arguments are evaluated
+        message = exc.args
+        return (App, e.name, e.deriv), lambda v: prog.line(
+            f"raise UnboundSymbol(*{prog.const(message)})")
+    args = list(map(prog.slot, e.args))
 
-        def unbound(values):
-            raise UnboundSymbol(*message)
-        return unbound
-    arg_fns = [compile_expr(a, functions) for a in e.args]
+    def error(message):
+        return lambda exc, loc: DomainError(message.format(e.name, [loc[a] for a in args]))
 
-    def value(values):
-        args = [f(values) for f in arg_fns]
+    def emit(v):
+        non_finite = error("non-finite value from {} at {}")    # also for an overflow
+        prog.line(f"{v} = {prog.const(fn)}({', '.join(args)})",
+                  (ZeroDivisionError, error("pole in {} at {}")), (OverflowError, non_finite))
+        prog.line(f"if not isfinite({v}): raise DomainError", (DomainError, non_finite))
+    return (App, e.name, e.deriv, *args), emit
+
+
+def _emit_sum(e: Sum, prog):
+    terms = list(map(prog.slot, e.terms))
+    return (Sum, *terms), lambda v: prog.line(f"{v} = sum([{', '.join(terms)}])")
+
+
+def _emit_prod(e: Prod, prog):
+    factors = list(map(prog.slot, e.factors))
+    return (Prod, *factors), lambda v: prog.line(f"{v} = {' * '.join(['1.0', *factors])}")
+
+
+def _emit_pow(e: Pow, prog):
+    base, q = prog.slot(e.base), e.exponent
+
+    def emit(v):
+        if q < 0:
+            prog.line(f"if abs({base}) < {prog.const(_ABS_POLE)}: raise DomainError", (DomainError,
+                      lambda exc, loc: DomainError(f"pole: {e.base}^{q} at base {loc[base]}")))
+        if q.denominator != 1:
+            prog.line(f"if {base} < 0: raise DomainError", (DomainError, lambda exc, loc:
+                      DomainError(f"negative base {loc[base]} under fractional power {q}")))
         try:
-            out = fn(*args)
-        except ZeroDivisionError:
-            raise DomainError(f"pole in {name} at {args}") from None
-        except OverflowError:       # a result too large for a float is not finite either
-            raise DomainError(f"non-finite value from {name} at {args}") from None
-        if math.isnan(out) or math.isinf(out):
-            raise DomainError(f"non-finite value from {name} at {args}")
-        return out
-    return value
+            x = float(q)
+        except OverflowError:
+            x = q       # math.pow converts it, and raises, on evaluation
+        prog.line(f"{v} = pow({base}, {prog.const(x)})",
+                  ((OverflowError, ValueError), lambda exc, loc: DomainError(str(exc))))
+    return (Pow, base, q.numerator, q.denominator), emit
 
 
-def _compile_sum(e: Sum, functions) -> Callable:
-    fns = [compile_expr(t, functions) for t in e.terms]
-    return lambda values: sum([f(values) for f in fns])
-
-
-def _compile_prod(e: Prod, functions) -> Callable:
-    fns = [compile_expr(f, functions) for f in e.factors]
-
-    def value(values):
-        out = 1.0
-        for f in fns:
-            out *= f(values)
-        return out
-    return value
-
-
-def _compile_pow(e: Pow, functions) -> Callable:
-    base_fn = compile_expr(e.base, functions)
-    q = e.exponent
-    pole, fractional = q < 0, q.denominator != 1
-    try:
-        x = float(q)
-    except OverflowError:
-        x = q       # math.pow converts it, and raises, on evaluation
-
-    def value(values):
-        base = base_fn(values)
-        if pole and abs(base) < _ABS_POLE:
-            raise DomainError(f"pole: {e.base}^{q} at base {base}")
-        if fractional and base < 0:
-            raise DomainError(f"negative base {base} under fractional power {q}")
-        try:
-            return math.pow(base, x)
-        except (OverflowError, ValueError) as exc:
-            raise DomainError(str(exc)) from None
-    return value
-
-
-def _compile_trig(math_fn) -> Callable:
-    def rule(e, functions):
-        arg_fn = compile_expr(e.arg, functions)
-
-        def value(values):
-            x = arg_fn(values)
-            try:
-                return math_fn(x)
-            except ValueError:      # an infinite argument
-                raise DomainError(f"{math_fn.__name__} of non-finite {x}") from None
-        return value
-    return rule
+def _emit_trig(e: SinE | CosE, prog):
+    arg, fn = prog.slot(e.arg), math.sin if type(e) is SinE else math.cos
+    return (type(e), arg), lambda v: prog.line(f"{v} = {prog.const(fn)}({arg})", (
+        ValueError, lambda exc, loc: DomainError(f"{fn.__name__} of non-finite {loc[arg]}")))
 
 
 def _derivative_app(e: App, x: str) -> Expr:
@@ -431,43 +404,43 @@ class _Node(NamedTuple):
     fields: tuple           # (JSON key, attribute, codec) per dataclass field
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
-    compile: Callable       # (node, FunctionTable) -> closure of values -> float
+    emit: Callable          # (node, _Program) -> (dedupe key, emit(slot) of its lines)
     derivative: Callable    # (node, coordinate name) -> normal tree
 
 
 _NODES = _ByType({
     Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
-               _compile_rat,
+               _emit_rat,
                lambda e, x: ZERO),
     Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
-               _compile_sym,
+               _emit_sym,
                lambda e, x: ONE if e.name == x else ZERO),
     App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
                       ("args", "args", _EXPRS)),
                lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
-               _compile_app,
+               _emit_app,
                _derivative_app),
     Sum: _Node("sum", (("terms", "terms", _EXPRS),),
                lambda e: e.terms, lambda e, terms: _sum(terms),
-               _compile_sum,
+               _emit_sum,
                lambda e, x: _sum([differentiate(t, x) for t in e.terms])),
     Prod: _Node("prod", (("factors", "factors", _EXPRS),),
                 lambda e: e.factors, lambda e, factors: _prod(factors),
-                _compile_prod,
+                _emit_prod,
                 lambda e, x: _sum([_prod(e.factors[:i] + (differentiate(f, x),)
                                          + e.factors[i + 1:]) for i, f in enumerate(e.factors)])),
     Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
                lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
-               _compile_pow,
+               _emit_pow,
                lambda e, x: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1),
                                    differentiate(e.base, x)))),
     SinE: _Node("sin", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _sin(*c),
-                _compile_trig(math.sin),
+                _emit_trig,
                 lambda e, x: _prod((_cos(e.arg), differentiate(e.arg, x)))),
     CosE: _Node("cos", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _cos(*c),
-                _compile_trig(math.cos),
+                _emit_trig,
                 lambda e, x: _prod((Rat(Fraction(-1)), _sin(e.arg), differentiate(e.arg, x)))),
 })
 _KINDS = {node.tag: cls for cls, node in _NODES.items()}
@@ -585,16 +558,68 @@ class PointAssignment:
 _ABS_POLE = 1e-13
 
 
-def compile_expr(e: Expr, functions: FunctionTable) -> Callable[[Mapping[str, float]], float]:
-    """``e`` as a closure that evaluates it at a ``{name: value}`` mapping.
+class _Program:
+    """The straight-line program of some roots: one local ``v<i>`` per
+    distinct subtree, deduplicated by identity, then by the rules' keys, so
+    no whole tree is hashed or compared. The source names slots and constants
+    ``k<i>`` by index only; its one handler raises the error that the failing
+    line registered. The returned function alone holds all of it; an
+    unregistered function's slot is never assigned, as nothing runs after it."""
 
-    One closure per node, built bottom-up: constants are converted and
-    opaque functions looked up once, here. Raises DomainError for a
-    constant outside the float range. The closure raises UnboundSymbol for
-    an unassigned symbol or an unregistered function, and DomainError at a
-    pole, a negative base under a fractional power or a non-finite value.
+    def __init__(self, functions: FunctionTable):
+        self.functions, self.consts, self.lines = functions, [], []
+        self.errors: dict[int, tuple] = {}      # line number -> ((types, error(exc, locals)), ...)
+        self.slot_of_id: dict[int, str] = {}    # the roots keep every node alive meanwhile
+        self.slot_of_key: dict[tuple, str] = {}
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def slot(self, e: Expr) -> str:
+        s = self.slot_of_id.get(id(e))
+        if s is None:
+            key, emit = _NODES[type(e)].emit(e, self)
+            s = self.slot_of_key.get(key)
+            if s is None:
+                s = self.slot_of_key[key] = f"v{len(self.slot_of_key)}"
+                emit(s)
+            self.slot_of_id[id(e)] = s
+        return s
+
+    def line(self, code: str, *errors):
+        self.lines.append(code)
+        if errors:
+            self.errors[len(self.lines) + 2] = errors     # the body starts on line 3
+
+    def function(self, roots) -> Callable:
+        outs = ", ".join([self.slot(e) for e in roots])
+        body = "".join(f"        {line}\n" for line in self.lines)
+        source = (f"def program(values):\n    try:\n{body}        return {outs}\n"
+                  f"    except Exception:\n        fail(locals())\n        raise\n")
+
+        def fail(loc, errors=self.errors):
+            exc = sys.exc_info()[1]
+            for types, error in errors.get(exc.__traceback__.tb_lineno, ()):
+                if isinstance(exc, types):
+                    raise error(exc, loc) from None
+
+        scope = {f"k{i}": c for i, c in enumerate(self.consts)}
+        scope.update(DomainError=DomainError, isfinite=math.isfinite, pow=math.pow,
+                     UnboundSymbol=UnboundSymbol, fail=fail)
+        exec(compile(source, "<tdual program>", "exec"), scope)
+        return scope.pop("program")
+
+
+def compile_expr(e: Expr, functions: FunctionTable) -> Callable[[Mapping[str, float]], float]:
+    """``e`` as a straight-line program of a ``{name: value}`` mapping.
+
+    Raises DomainError for a constant outside the float range. The program
+    raises UnboundSymbol for an unassigned symbol or an unregistered
+    function, and DomainError at a pole, a negative base under a fractional
+    power or a non-finite value.
     """
-    return _NODES[type(e)].compile(e, functions)
+    return _Program(functions).function((e,))
 
 
 def evaluate(e: Expr, p: PointAssignment) -> float:
@@ -656,7 +681,8 @@ class SampleSpec:
         return SampleSpec(boxes, self.functions.merged(other.functions))
 
     def draw(self, rng: random.Random) -> PointAssignment:
-        vals = {name: rng.uniform(lo, hi) for name, (lo, hi) in self.boxes.items()}
+        rnd = rng.random        # random.uniform's own formula, without its call per box
+        vals = {name: lo + (hi - lo) * rnd() for name, (lo, hi) in self.boxes.items()}
         return PointAssignment(vals, self.functions)
 
 
@@ -698,22 +724,21 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     """Seeded randomized equality: true iff at every sampled point
     ``|a-b| <= tol * max(1, |a|, |b|)``.
 
-    Each side is compiled once. Domain errors, and points where a side is
-    infinite or NaN, are counted and the point resampled, up to a retry
-    bound per trial; exhausting retries raises DomainError, as does a
-    constant outside the float range.
+    Both sides are compiled into one program. Domain errors, and points
+    where a side is infinite or NaN, are counted and the point resampled, up
+    to a retry bound per trial; exhausting retries raises DomainError, as
+    does a constant outside the float range.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    fa, fb = compile_expr(a, spec.functions), compile_expr(b, spec.functions)
+    program = _Program(spec.functions).function((a, b))
     rng = random.Random(seed)
     domain_errors = 0
     for _ in range(trials):
         for attempt in range(_RETRY_BOUND + 1):
             p = spec.draw(rng)
             try:
-                va = fa(p.values)
-                vb = fb(p.values)
+                va, vb = program(p.values)
                 if not (math.isfinite(va) and math.isfinite(vb)):
                     raise DomainError(f"non-finite sample value {va} vs {vb}")
             except DomainError:

@@ -386,41 +386,23 @@ def _multi_center_table(centers: Sequence[Sequence[float]], preset: str) -> Func
             out.append((dist, ddr, ddt, ddp))
         return out
 
-    if preset == "coupling":
-        def factory(deriv):
-            total = sum(deriv)
-            if total > 1:
-                return None
-
-            def fn(r, theta, phi, g):
-                data = dists_and_grads(r, theta, phi)
-                if deriv == (0, 0, 0, 0):
-                    return g ** -2 + sum(weight / dist for dist, *_ in data)
-                if deriv == (0, 0, 0, 1):
-                    return -2.0 * g ** -3
-                slot = deriv.index(1)
-                return sum(-weight * grads[slot] / dist ** 2
-                           for dist, *grads in data)
-
-            return fn
-
-        return FunctionTable([OpaqueFunction("Hp", 4, closure_factory=factory)])
-
     def factory(deriv):
-        total = sum(deriv)
-        if total > 1:
+        if sum(deriv) > 1:
             return None
 
-        def fn(r, theta, phi):
+        def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
             data = dists_and_grads(r, theta, phi)
-            if deriv == (0, 0, 0):
-                return 1.0 + sum(weight / dist for dist, *_ in data)
+            if not any(deriv):
+                return (g[0] ** -2 if g else 1.0) + sum(weight / dist for dist, *_ in data)
+            if deriv[3:] == (1,):
+                return -2.0 * g[0] ** -3
             slot = deriv.index(1)
             return sum(-weight * grads[slot] / dist ** 2 for dist, *grads in data)
 
         return fn
 
-    return FunctionTable([OpaqueFunction("Hp", 3, closure_factory=factory)])
+    return FunctionTable([OpaqueFunction("Hp", 4 if preset == "coupling" else 3,
+                                         closure_factory=factory)])
 
 
 def _radial_table(radii: Sequence[float]) -> FunctionTable:

@@ -8,11 +8,16 @@ point and re-simplified whole subtrees in every constructor. One change is appli
 collected power that comes out rational or a product is folded into the
 constant or flattened, so that ``simplify_basic`` is idempotent (see
 ``_simplify_prod``). The node classes are the package's own.
+
+``compile_expr`` and its ``_compile_*`` rules are the later closure compiler,
+moved here unchanged when a generated straight-line program replaced it: one
+closure per tree node, evaluating its children left to right.
 """
 
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 from tdual.expr import (
     ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
@@ -231,6 +236,124 @@ def evaluate(e, p):
             raise DomainError(f"non-finite value from {e.name} at {args}")
         return out
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+# compile rules: (node, FunctionTable) -> closure of a {name: value} mapping.
+# Each rule converts constants, looks up functions and compiles its children
+# once. A closure evaluates its children left to right and then its node, as
+# a recursive walk would, so values and errors come out in the same order. It
+# refers to its children's closures but never to itself, so reference
+# counting alone frees a compiled tree.
+
+def _compile_rat(e: Rat, functions) -> Callable:
+    try:
+        c = float(e.value)
+    except OverflowError:
+        raise DomainError("rational constant outside the float range") from None
+    return lambda values: c
+
+
+def _compile_sym(e: Sym, functions) -> Callable:
+    name = e.name
+
+    def value(values):
+        try:
+            return float(values[name])
+        except KeyError:
+            raise UnboundSymbol(f"symbol {name!r} not assigned") from None
+    return value
+
+
+def _compile_app(e: App, functions) -> Callable:
+    name = e.name
+    try:
+        fn = functions.lookup(name, len(e.args)).closure(e.deriv)
+    except UnboundSymbol as exc:
+        message = exc.args      # raised on evaluation, before the arguments are evaluated
+
+        def unbound(values):
+            raise UnboundSymbol(*message)
+        return unbound
+    arg_fns = [compile_expr(a, functions) for a in e.args]
+
+    def value(values):
+        args = [f(values) for f in arg_fns]
+        try:
+            out = fn(*args)
+        except ZeroDivisionError:
+            raise DomainError(f"pole in {name} at {args}") from None
+        except OverflowError:       # a result too large for a float is not finite either
+            raise DomainError(f"non-finite value from {name} at {args}") from None
+        if math.isnan(out) or math.isinf(out):
+            raise DomainError(f"non-finite value from {name} at {args}")
+        return out
+    return value
+
+
+def _compile_sum(e: Sum, functions) -> Callable:
+    fns = [compile_expr(t, functions) for t in e.terms]
+    return lambda values: sum([f(values) for f in fns])
+
+
+def _compile_prod(e: Prod, functions) -> Callable:
+    fns = [compile_expr(f, functions) for f in e.factors]
+
+    def value(values):
+        out = 1.0
+        for f in fns:
+            out *= f(values)
+        return out
+    return value
+
+
+def _compile_pow(e: Pow, functions) -> Callable:
+    base_fn = compile_expr(e.base, functions)
+    q = e.exponent
+    pole, fractional = q < 0, q.denominator != 1
+    try:
+        x = float(q)
+    except OverflowError:
+        x = q       # math.pow converts it, and raises, on evaluation
+
+    def value(values):
+        base = base_fn(values)
+        if pole and abs(base) < _ABS_POLE:
+            raise DomainError(f"pole: {e.base}^{q} at base {base}")
+        if fractional and base < 0:
+            raise DomainError(f"negative base {base} under fractional power {q}")
+        try:
+            return math.pow(base, x)
+        except (OverflowError, ValueError) as exc:
+            raise DomainError(str(exc)) from None
+    return value
+
+
+def _compile_trig(math_fn) -> Callable:
+    def rule(e, functions):
+        arg_fn = compile_expr(e.arg, functions)
+
+        def value(values):
+            x = arg_fn(values)
+            try:
+                return math_fn(x)
+            except ValueError:      # an infinite argument
+                raise DomainError(f"{math_fn.__name__} of non-finite {x}") from None
+        return value
+    return rule
+
+
+_COMPILE = {Rat: _compile_rat, Sym: _compile_sym, App: _compile_app, Sum: _compile_sum,
+            Prod: _compile_prod, Pow: _compile_pow, SinE: _compile_trig(math.sin),
+            CosE: _compile_trig(math.cos)}
+
+
+def compile_expr(e, functions):
+    """``e`` as one closure per node, each calling its children's closures."""
+    try:
+        rule = _COMPILE[type(e)]
+    except KeyError:
+        raise TypeError(f"unknown node {type(e).__name__}") from None
+    return rule(e, functions)
 
 
 _RETRY_BOUND = 5

@@ -105,6 +105,31 @@ def test_derived_models_are_canonical_and_die_with_their_complex():
     assert [r() for r in refs] == [None, None, None]
 
 
+def test_parametrised_builtins_are_held_only_while_referenced():
+    def one(p):
+        assert cohomology(builtin_space(f"L1p:{p}"), 2) == AbelianGroup(0, (p,))
+
+    one(2)                       # builtins such as the circle exist before the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for p in range(3, 2003):
+            one(p)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20    # 20 MB when every lens space was kept
+    x, w = builtin_space("L1p:3"), wedge_of_spheres(3)
+    assert builtin_space("L1p:3") is x is lens(3)
+    assert builtin_space("wedge:3") is w is wedge_of_spheres(3, 2)
+    refs = [weakref.ref(x), weakref.ref(w)]
+    del x, w
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
 def test_betti_numbers_of_circle_product():
     assert betti_numbers(builtin_space("S2xS1")) == [1, 1, 1, 1]
 

@@ -3,7 +3,9 @@ and the seeded randomized equality engine."""
 
 import gc
 import json
+import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from types import FunctionType
@@ -327,6 +329,9 @@ def test_equal_numeric_equals_the_oracle_loop(ra, rb, same, seed):
             == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed))
 
 
+POLE = pow_(add(sym("r"), rat(-1)), -1)         # a pole at r = 1
+
+
 @pytest.mark.parametrize("a, b, box, expect", [
     (mul(H(), pow_(sym("r"), 2)), mul(pow_(sym("r"), 2), H()), (0.3, 3.0), "(True, 0, None)"),
     (sym("r"), add(sym("r"), rat(1, 1000)), (0.3, 3.0), "(False, 0, ({'r':"),
@@ -342,6 +347,20 @@ def test_equal_numeric_equals_the_oracle_loop(ra, rb, same, seed):
      "(<class 'tdual.expr.UnboundSymbol'>, ('no registered function F/1',))"),
     (sym("r"), sym("phi"), (0.3, 3.0),
      "(<class 'tdual.expr.UnboundSymbol'>, (\"symbol 'phi' not assigned\",))"),
+    # side a fails at every point before side b is evaluated
+    (POLE, app("G", (sym("r"),)), (1.0, 1.0),
+     "(<class 'tdual.expr.DomainError'>, ('pole: (r + -1)^-1 at base 0.0',))"),
+    (app("G", (sym("r"),)), POLE, (1.0, 1.0),
+     "(<class 'tdual.expr.UnboundSymbol'>, ('no registered function G/1',))"),
+    (POLE, app("G", (sym("r"),)), (0.3, 0.6),
+     "(<class 'tdual.expr.UnboundSymbol'>, ('no registered function G/1',))"),
+    # an unregistered function fails before its argument's pole is met
+    (app("G", (POLE,)), rat(0), (1.0, 1.0),
+     "(<class 'tdual.expr.UnboundSymbol'>, ('no registered function G/1',))"),
+    (mul(POLE, app("G", (POLE,))), rat(0), (1.0, 1.0),
+     "(<class 'tdual.expr.DomainError'>, ('pole: (r + -1)^-1 at base 0.0',))"),
+    # one subtree shared by both sides
+    (add(POLE, sym("r")), mul(POLE, POLE), (0.999, 1.001), "(False, 0, ({'r':"),
 ])
 def test_equal_numeric_passes_fails_and_retries_as_the_oracle(a, b, box, expect):
     spec = SampleSpec({"r": box, "g": (0.6, 1.1)}, taub_nut_sample_spec().functions)
@@ -350,14 +369,108 @@ def test_equal_numeric_passes_fails_and_retries_as_the_oracle(a, b, box, expect)
     assert got.startswith(expect)
 
 
-def test_compiled_closures_are_freed_by_reference_counting(spec):
+def _sides(s, other, x):
+    """Trees that share ``s``, by identity and by structure."""
+    share = add(s, mul(s, sin_(s)))             # the "share" recipe on s itself
+    return {"share": share, "diff": differentiate(share, x), "other": add(other, s),
+            "app": app("F", (sym("r"), s)), "unbound": app("G", (s,)),
+            "pole": lambda: pow_(s, -1), "unbound-pole": lambda: app("G", (pow_(s, -1),))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes, recipes, st.sampled_from(["r", "theta"]),
+       st.sampled_from(["share", "diff", "other", "app", "unbound", "pole", "unbound-pole"]),
+       st.sampled_from(["share", "diff", "other", "app", "unbound", "pole"]),
+       st.integers(0, 10 ** 6))
+def test_sides_sharing_subtrees_equal_the_oracle_loop(rs, ro, x, ka, kb, seed):
+    try:
+        sides = _sides(build(rs), build(ro), x)
+        a, b = (v() if callable(v) else v for v in (sides[ka], sides[kb]))
+    except DomainError:
+        return          # 0^-1 is rejected when built
+    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed)
+            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed))
+
+
+def _raises(exc):
+    def fn(x):
+        raise exc
+    return fn
+
+
+EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}) for name, fn in [
+    ("Zero", lambda x: 1.0 / (x - x)), ("Exp", lambda x: math.exp(1000.0 * x)),
+    ("Inf", lambda x: x * 1e308 * 10.0), ("Nan", lambda x: math.nan),
+    ("Key", _raises(KeyError("r"))), ("Big", lambda x: 10 ** 400),
+    ("Twice", lambda x: 2.0 * x), ("Dom", _raises(DomainError("inner")))]])
+R = sym("r")
+
+
+@pytest.mark.parametrize("e, r", [
+    (app("Zero", (R,)), 1.0), (app("Exp", (R,)), 1.0), (app("Inf", (R,)), 1.0),
+    (app("Nan", (R,)), 1.0), (app("Key", (R,)), 1.0), (app("Big", (R,)), 1.0),
+    (app("Dom", (R,)), 1.0), (mul(app("Twice", (R,)), app("Zero", (app("Twice", (R,)),))), 2.0),
+    (R, 10 ** 400), (pow_(R, 3), 1e200), (pow_(R, Fraction(10 ** 400)), 2.0),
+    (pow_(R, Fraction(-1, 2)), 0.0), (pow_(R, Fraction(1, 2)), -4.0), (pow_(R, -2), -1e-14),
+    (sin_(R), math.inf), (cos_(app("Twice", (R,))), math.nan), (sym("s"), 1.0),
+    (add(pow_(R, -1), app("Missing", (pow_(R, -1),))), 0.0),
+    (add(app("Missing", (pow_(R, -1),)), pow_(R, -1)), 0.0),
+])
+def test_errors_equal_the_closure_compiler(e, r):
+    def run(compile_):
+        try:
+            return repr(compile_(e, EXOTIC)({"r": r}))
+        except Exception as exc:        # any error must match
+            return type(exc), exc.args
+    assert run(compile_expr) == run(oracle.compile_expr)
+
+
+NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
+
+
+def test_names_with_python_syntax_evaluate_and_stay_out_of_the_source():
+    fname = "F(0)); __import__('os').system('false') #"
+    fns = FunctionTable([OpaqueFunction(fname, 2, {(0, 0): lambda u, w: 2 * u - w})])
+    names = NASTY + ["v0", "k0", "values", "float"]     # the program's own identifiers
+    xs = [sym(n) for n in names]
+    e = add(*[mul(rat(k + 1), pow_(x, k % 3 + 1)) for k, x in enumerate(xs)],
+            app(fname, (xs[0], xs[-1])))
+    p = PointAssignment({n: 0.5 + i for i, n in enumerate(names)}, fns)
+    fn = compile_expr(e, fns)
+    assert repr(fn(p.values)) == repr(oracle.evaluate(e, p))
+    code = fn.__code__
+    for name in NASTY + [fname]:
+        assert name not in code.co_names + code.co_varnames + code.co_consts
+    for name in NASTY:          # an unassigned name is reported as the oracle does
+        q = PointAssignment({k: v for k, v in p.values.items() if k != name}, fns)
+        assert outcome(lambda: fn(q.values)) == outcome(lambda: oracle.evaluate(e, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32))
+def test_draw_equals_uniform_bit_for_bit(boxes, seed):
+    spec = SampleSpec({f"x{i}": box for i, box in enumerate(boxes)})
+    mine, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        want = {name: theirs.uniform(lo, hi) for name, (lo, hi) in spec.boxes.items()}
+        assert repr(spec.draw(mine).values) == repr(want)
+
+
+def _big_tree():
     e = add(*[mul(rat(k), pow_(add(sym("r"), rat(k)), Fraction(-1, 2)), sin_(H()))
               for k in range(1, 31)])
+    assert sum(1 for _ in _nodes(e)) >= 300
+    return e
+
+
+def test_compiled_closures_are_freed_by_reference_counting(spec):
+    # the closure compiler, kept as the oracle
+    e = _big_tree()
     nodes = sum(1 for _ in _nodes(e))
-    assert nodes >= 300
     gc.disable()
     try:
-        fn = compile_expr(e, spec.functions)
+        fn = oracle.compile_expr(e, spec.functions)
         assert fn({"r": 1.0, "g": 1.0}) == evaluate(e, PointAssignment({"r": 1.0, "g": 1.0},
                                                                           spec.functions))
         # every closure reachable from the top one, not the opaque closures it calls
@@ -370,11 +483,30 @@ def test_compiled_closures_are_freed_by_reference_counting(spec):
             for cell in f.__closure__ or ():
                 v = cell.cell_contents
                 stack.extend(x for x in (v if type(v) is list else [v])
-                             if type(x) is FunctionType and x.__module__ == "tdual.expr")
+                             if type(x) is FunctionType and x.__module__ == oracle.__name__)
         assert len(found) == nodes             # one closure per node
         refs = [weakref.ref(f) for f in found.values()]
         del found, stack, f, fn
         assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_program_has_one_local_per_distinct_subtree_and_is_freed(spec):
+    e = _big_tree()
+    nodes = sum(1 for _ in _nodes(e))
+    distinct = len(set(_nodes(e)))       # structurally distinct subtrees
+    assert distinct < nodes
+    gc.disable()
+    try:
+        fn = compile_expr(e, spec.functions)
+        p = PointAssignment({"r": 1.0, "g": 1.0}, spec.functions)
+        assert repr(fn(p.values)) == repr(oracle.evaluate(e, p))
+        slots = [n for n in fn.__code__.co_varnames if re.fullmatch(r"v\d+", n)]
+        assert len(slots) == distinct
+        ref = weakref.ref(fn)
+        del fn
+        assert ref() is None
     finally:
         gc.enable()
 

@@ -279,9 +279,7 @@ class GroupHom:
         """Some class mapping to ``cls``, or None if outside the image."""
         if cls.space is not self.codomain:
             raise ValueError("class not in the codomain of this map")
-        target = list(cls.reduced())
-        block = self.matrix.hstack(self.codomain.relations_lattice())
-        sol = solve(block, target)
+        sol = solve(self.image_lattice(), list(cls.reduced()))
         if sol is None:
             return None
         return self.domain.class_from_coords(sol[:self.matrix.cols])
@@ -305,9 +303,7 @@ class GroupHom:
             return False
         onto = lattice_equal(self.image_lattice(),
                              IMat.identity(self.codomain.coord_dim))
-        inj = lattice_equal(self.kernel_lattice(),
-                            self.domain.relations_lattice()
-                            if self.domain.coord_dim else IMat(0, 0))
+        inj = lattice_equal(self.kernel_lattice(), self.domain.relations_lattice())
         return onto and inj
 
 

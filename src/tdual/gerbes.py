@@ -1,36 +1,38 @@
 """Cech cocycle algebra for gerbes on finite covers, one table per degree.
 
-A cover assigns to each index a subcomplex of a fixed cell model; tuple
-intersections and their models are derived from the index sets, so the
+A cover assigns to each index a subcomplex of a fixed cell model, so the
 nerve is downward closed by construction (hand-built nerve flags can also
-be validated, and violations are reported with a witness tuple). Tuples of
-each nerve degree are enumerated on first use.
+be validated, and violations are reported with a witness tuple). The nerve
+is one table: each degree is enumerated once, on first use, and every
+nonempty sorted tuple is stored with its intersection model.
 
 A gerbe type declares its data once, as a table of layers
 ``(label, attribute, nerve degree q, cell degree d)``. Each layer stores,
-per sorted (q+1)-tuple, an integer cochain of degree d on the intersection
-model, one Bockstein degree up from its circle-valued sheaf degree, and
-q + d is the same for every layer:
+for every nonempty sorted (q+1)-tuple (full support: a tuple is never
+missing), an integer cochain of degree d on the intersection model, one
+Bockstein degree up from its circle-valued sheaf degree, and q + d is the
+same for every layer:
 
 * ``TwoGerbe``: pair cocycles p (1, 2), triple sections theta (2, 1) and
   four-fold matching data mu (3, 0);
 * ``ThreeGerbe``: pair data A (1, 3), triple trivializations gamma (2, 2),
   four-fold sections eta (3, 1) and five-fold data nu (4, 0).
 
-Everything else is written once over that table. The validity conditions
-are the vanishing slots of the total differential
-D = delta_nerve + (-1)^q delta_cell of the Cech/cell double complex, which
-is exactly the tensor-triviality and coboundary bookkeeping of the
-defining data: the cell-cocycle condition on the lowest layer, one matching
-slot between consecutive layers, and the nerve-cocycle condition on the top
-layer. The characteristic class lives in degree = number of layers (H^3
-for 2-gerbes, H^4 for 3-gerbes on the circle product) and is computed by
-the explicit staircase through the double complex, using the row
-contraction given by a least-index choice function; the rows are exact
-because every cell's index simplex is a full simplex. Dualization crosses
-every layer with the circle generator (q, d) -> (q, d + 1), and the new top
-layer is zero; since the cross product commutes with both differentials and
-with the staircase contraction on the product cover, the dual's class is
+Everything else is written once over that table, through the total
+differential D = delta_nerve + (-1)^q delta_cell of the Cech/cell double
+complex. The validity conditions are the components of D(data), which is
+exactly the tensor-triviality and coboundary bookkeeping of the defining
+data: the cell-cocycle condition on the lowest layer, one matching slot
+between consecutive layers, and the nerve-cocycle condition on the top
+layer. A gauge transformation adds D(x) for x one degree lower. The
+characteristic class lives in degree = number of layers (H^3 for
+2-gerbes, H^4 for 3-gerbes on the circle product) and is computed by the
+explicit staircase through the double complex, using the row contraction
+given by a least-index choice function; the rows are exact because every
+cell's index simplex is a full simplex. Dualization crosses every layer
+with the circle generator (q, d) -> (q, d + 1), and the new top layer is
+zero; since the cross product commutes with both differentials and with
+the staircase contraction on the product cover, the dual's class is
 exactly the cross product of the input's class.
 """
 
@@ -75,9 +77,10 @@ def _parity(t: tuple) -> int:
 class CoverNerve:
     """Nerve of a subcomplex cover, with intersection models.
 
-    ``sets[i]`` is the cell-id set of U_i. Tuples are stored sorted and
-    enumerated per nerve degree on first use; nonemptiness and models derive
-    from intersections.
+    ``sets[i]`` is the cell-id set of U_i. Each nerve degree is enumerated
+    once, on first use: the nonempty sorted tuples of that degree go into
+    one table together with their intersection models.
+    ``least_index[cell]`` is the first index whose set holds the cell.
     """
 
     space: CellComplex
@@ -85,14 +88,17 @@ class CoverNerve:
 
     def __post_init__(self):
         self.sets = [frozenset(s) for s in self.sets]
-        covered = set()
-        for s in self.sets:
+        self.least_index = {}
+        for i, s in enumerate(self.sets):
             self.space.check_subcomplex(s)
-            covered |= s
-        if covered != self.space.all_ids():
+            for cell in s:
+                self.least_index.setdefault(cell, i)
+        missing = self.space.all_ids() - self.least_index.keys()
+        if missing:
             raise MalformedNerve("cover does not exhaust the space",
-                                 witness=sorted(map(str, self.space.all_ids() - covered)))
-        self._tuples = {}
+                                 witness=sorted(map(str, missing)))
+        self._tuples = {}     # nerve degree -> its nonempty sorted tuples
+        self._models = {}     # nonempty sorted tuple -> intersection model
 
     @property
     def size(self) -> int:
@@ -107,21 +113,23 @@ class CoverNerve:
     def tuples(self, q: int) -> list:
         """Nonempty sorted tuples of nerve degree q (length q+1)."""
         if q not in self._tuples:
-            self._tuples[q] = [t for t in combinations(range(self.size), q + 1)
-                               if self.intersection_ids(t)]
+            found = []
+            for t in combinations(range(self.size), q + 1):
+                ids = self.intersection_ids(t)
+                if ids:
+                    self._models[t] = self.space.subcomplex(ids, name=f"U{t}")
+                    found.append(t)
+            self._tuples[q] = found
         return self._tuples[q]
 
     def model(self, t: tuple) -> CellComplex:
-        ids = self.intersection_ids(t)
-        if not ids:
-            raise MalformedNerve(f"empty intersection {t}")
-        return self.space.subcomplex(ids, name=f"U{t}")
-
-    def least_index(self, cell) -> int:
-        for i, s in enumerate(self.sets):
-            if cell in s:
-                return i
-        raise MalformedNerve(f"cell {cell} not covered")
+        """The intersection model of a nonempty nerve tuple in any order."""
+        key = tuple(sorted(t))
+        if key and len(key) - 1 not in self._tuples:
+            self.tuples(len(key) - 1)
+        if key not in self._models:
+            raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
+        return self._models[key]
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1."""
@@ -143,20 +151,11 @@ def validate_nerve_flags(flags: dict) -> tuple | None:
 
 
 # ---------------------------------------------------------------------------
-# bigraded cochain bookkeeping
+# bigraded cochain bookkeeping: data of nerve degree q holds one vector for
+# every tuple of cover.tuples(q), and every operator keeps that full support
 
 def _restrict(vec, frm: CellComplex, to: CellComplex, d: int) -> list:
     return [vec[frm.index(d, c)] for c in to.cell_ids(d)]
-
-
-def _access(data: dict, t: tuple):
-    """Value of antisymmetric tuple-indexed data on an arbitrary-order tuple.
-
-    Returns (sorted_tuple, sign) or None when the tuple has a repeat.
-    """
-    if len(set(t)) != len(t):
-        return None
-    return tuple(sorted(t)), _parity(t)
 
 
 def nerve_coboundary(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
@@ -164,14 +163,10 @@ def nerve_coboundary(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
     out = {}
     for t in cover.tuples(q + 1):
         model_t = cover.model(t)
-        n = model_t.n_cells(d)
-        vec = [0] * n
+        vec = [0] * model_t.n_cells(d)
         for a in range(len(t)):
             sub = t[:a] + t[a + 1:]
-            comp = data.get(sub)
-            if comp is None:
-                continue
-            restricted = _restrict(comp, cover.model(sub), model_t, d)
+            restricted = _restrict(data[sub], cover.model(sub), model_t, d)
             sign = (-1) ** a
             vec = [v + sign * r for v, r in zip(vec, restricted)]
         out[t] = vec
@@ -187,23 +182,24 @@ def _zero_data(cover: CoverNerve, q: int, d: int) -> dict:
     return {t: [0] * cover.model(t).n_cells(d) for t in cover.tuples(q)}
 
 
-def _data_sub(a: dict, b: dict) -> dict:
-    out = {}
-    for t, vec in a.items():
-        other = b.get(t)
-        out[t] = list(vec) if other is None else [x - y for x, y in zip(vec, other)]
-    for t, vec in b.items():
-        if t not in a:
-            out[t] = [-y for y in vec]
+def _add(a: dict, b: dict, k: int = 1) -> dict:
+    """a + k*b for two full-support data of the same (q, d)."""
+    return {t: [x + k * y for x, y in zip(vec, b[t])] for t, vec in a.items()}
+
+
+def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
+    """The total differential D = delta_nerve + (-1)^q delta_cell of data
+    ``comps[q]`` of cell degree (degree - q), for consecutive nerve degrees
+    q. Returns every component of D: ``out[q]`` has cell degree
+    (degree + 1 - q), for q from the lowest input degree to the highest
+    plus one."""
+    qs = sorted(comps)
+    out = {q: _zero_data(cover, q, degree + 1 - q) for q in range(qs[0], qs[-1] + 2)}
+    for q in qs:
+        d = degree - q
+        out[q] = _add(out[q], cell_coboundary(cover, comps[q], d), (-1) ** q)
+        out[q + 1] = _add(out[q + 1], nerve_coboundary(cover, comps[q], q, d))
     return out
-
-
-def _data_add(a: dict, b: dict) -> dict:
-    return _data_sub(a, {t: [-y for y in vec] for t, vec in b.items()})
-
-
-def _data_scale(a: dict, k: int) -> dict:
-    return {t: [k * x for x in vec] for t, vec in a.items()}
 
 
 def _contract(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
@@ -211,20 +207,15 @@ def _contract(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
     (h x)_S(cell) = x_{(c(cell),) + S}(cell). Requires delta_nerve(data) = 0."""
     out = {}
     for s in cover.tuples(q - 1):
-        model_s = cover.model(s)
         vec = []
-        for cell in model_s.cell_ids(d):
-            c = cover.least_index(cell)
-            acc = _access(data, (c,) + s)
-            if acc is None:
+        for cell in cover.model(s).cell_ids(d):
+            c = cover.least_index[cell]
+            if c in s:
                 vec.append(0)
                 continue
-            key, sign = acc
-            comp = data.get(key)
-            if comp is None:
-                vec.append(0)
-                continue
-            vec.append(sign * comp[cover.model(key).index(d, cell)])
+            # U_c and U_s share the cell, so (c,) + s is a nerve tuple
+            key = tuple(sorted((c,) + s))
+            vec.append(_parity((c,) + s) * data[key][cover.model(key).index(d, cell)])
         out[s] = vec
     return out
 
@@ -232,38 +223,35 @@ def _contract(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
 def _glue(cover: CoverNerve, data: dict, d: int) -> list:
     """Invert the augmentation: a delta_nerve-closed family over single
     indices glues to a global cochain."""
-    x = cover.space
     out = []
-    for cell in x.cell_ids(d):
-        i = cover.least_index(cell)
-        vec = data.get((i,))
-        out.append(vec[cover.model((i,)).index(d, cell)] if vec is not None else 0)
+    for cell in cover.space.cell_ids(d):
+        i = cover.least_index[cell]
+        out.append(data[(i,)][cover.model((i,)).index(d, cell)])
     return out
 
 
 def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohClass:
     """Characteristic class of a total cocycle with components
-    ``components[q]`` = tuple-indexed degree (total_degree - q) data, q >= 1.
+    ``components[q]`` = tuple-indexed degree (total_degree - q) data, for
+    q = 1 .. total_degree.
 
     Runs the staircase down the double complex and returns the glued class
     in H^total_degree of the covered space.
     """
-    comps = {q: dict(data) for q, data in components.items()}
+    comps = dict(components)
+    comps[0] = _zero_data(cover, 0, total_degree)
     for q in range(total_degree, 0, -1):
-        data = comps.get(q)
-        if data is None or all(all(v == 0 for v in vec) for vec in data.values()):
+        if not any(any(vec) for vec in comps[q].values()):
             continue
-        d = total_degree - q
-        w = _contract(cover, data, q, d)
-        # subtract D(w): kills level q, shifts the residue to (q-1, d+1)
-        comps[q] = _data_sub(data, nerve_coboundary(cover, w, q - 1, d))
-        if any(any(v for v in vec) for vec in comps[q].values()):
+        w = _contract(cover, comps[q], q, total_degree - q)
+        # subtract D(w): kills level q, moves the residue one nerve degree down
+        dw = total_coboundary(cover, {q - 1: w}, total_degree - 1)
+        comps[q] = _add(comps[q], dw[q], -1)
+        if any(any(vec) for vec in comps[q].values()):
             raise InvalidGerbe(f"contraction failed at nerve degree {q}; "
                                "data was not a total cocycle")
-        sign = (-1) ** (q - 1)
-        shift = _data_scale(cell_coboundary(cover, w, d), sign)
-        comps[q - 1] = _data_sub(comps.get(q - 1, _zero_data(cover, q - 1, d + 1)), shift)
-    glued = _glue(cover, comps.get(0, _zero_data(cover, 0, total_degree)), total_degree)
+        comps[q - 1] = _add(comps[q - 1], dw[q - 1], -1)
+    glued = _glue(cover, comps[0], total_degree)
     space = cochain_space(cover.space, total_degree)
     # sign convention: the two-patch wrap of a class pushed through the
     # connecting map of the pair reproduces that class on the nose
@@ -330,20 +318,17 @@ class _Gerbe:
     def pair_class(self, i: int, j: int) -> CohClass:
         """The class of the pair datum on U_ij, sign-adjusted."""
         layer, data = self._data()[0]
-        acc = _access(data, (i, j))
-        if acc is None:
-            raise ValueError("indices must be distinct")
-        key, sign = acc
-        model = self.cover.model(key)
-        vec = data.get(key, [0] * model.n_cells(layer.d))
-        return CohClass(cochain_space(model, layer.d), tuple(sign * v for v in vec))
+        model = self.cover.model((i, j))     # rejects a repeated index
+        vec = data[tuple(sorted((i, j)))]
+        return CohClass(cochain_space(model, layer.d),
+                        tuple(_parity((i, j)) * v for v in vec))
 
     def tensor(self, other):
         if self.cover is not other.cover and \
                 (self.cover.space is not other.cover.space
                  or self.cover.sets != other.cover.sets):
             raise ModelMismatch("tensor requires a common cover")
-        return type(self)(self.cover, *(_data_add(data, getattr(other, layer.attr))
+        return type(self)(self.cover, *(_add(data, getattr(other, layer.attr))
                                         for layer, data in self._data()))
 
 
@@ -389,7 +374,7 @@ def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
         if len(set(key)) != len(key):
             raise MalformedNerve(f"tuple {key} has repeated indices")
         skey = tuple(sorted(key))
-        sign = _parity(tuple(key))
+        sign = _parity(key)
         if skey not in out:
             raise MalformedNerve(f"tuple {key} is not a nonempty nerve tuple",
                                  witness=key)
@@ -407,57 +392,26 @@ def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 # validity checks
 
-def _check_layers(g: _Gerbe) -> list:
-    """Verify the vanishing slots of the total differential.
-
-    The slot between consecutive layers is delta_n(lower) + (-1)^q
-    delta_c(upper), with q the upper layer's nerve degree.
-    """
-    cover, layers = g.cover, g._data()
-
-    def condition(name, t, d, bad):
-        # a failing slot's witness is the id of its first nonzero cell
-        return GerbeCondition(name, t, bad is None,
-                              None if bad is None else cover.model(t).cell_ids(d)[bad])
-
-    # cell-cocycle condition on the lowest layer
-    low, data0 = layers[0]
-    report = [condition(f"{low.label}_cocycle", t, low.d + 1, _first_nonzero(vec))
-              for t, vec in cell_coboundary(cover, data0, low.d).items()]
-    for (lower, ldata), (upper, udata) in zip(layers, layers[1:]):
-        dn = nerve_coboundary(cover, ldata, lower.q, lower.d)
-        dc = cell_coboundary(cover, udata, upper.d)
-        sign = (-1) ** upper.q
-        for t in cover.tuples(upper.q):
-            # condition: delta_n(lower) + sign*delta_c(upper) == 0
-            mism = _first_mismatch(dn.get(t, []), [sign * -v for v in dc.get(t, [])])
-            report.append(condition(f"{lower.label}_{upper.label}_matching", t, upper.d, mism))
-    # top coherence: delta_n of the last layer vanishes
-    top, tdata = layers[-1]
-    report += [condition(f"{top.label}_nerve_cocycle", t, top.d, _first_nonzero(vec))
-               for t, vec in nerve_coboundary(cover, tdata, top.q, top.d).items()]
-    return report
-
-
-def _first_nonzero(vec):
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return None
-
-
-def _first_mismatch(a, b):
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return None
-
-
 def _check(g: _Gerbe) -> GerbeReport:
-    report = GerbeReport(_check_layers(g))
+    """Verify the vanishing slots of the total differential D(data): the
+    cell-cocycle slot of the lowest layer, the matching slot
+    delta_n(lower) + (-1)^q delta_c(upper) at each upper layer's nerve degree
+    q, and the nerve-cocycle slot of the top layer. A failing slot's witness
+    is the id of its first nonzero cell. The class is computed if all pass."""
+    comps = {layer.q: data for layer, data in g._data()}
+    labels = [layer.label for layer in g.layers]
+    names = ([f"{labels[0]}_cocycle"]
+             + [f"{lower}_{upper}_matching" for lower, upper in zip(labels, labels[1:])]
+             + [f"{labels[-1]}_nerve_cocycle"])
+    n = len(g.layers)
+    report = GerbeReport([])
+    for name, (q, slot) in zip(names, total_coboundary(g.cover, comps, n).items()):
+        for t, vec in slot.items():
+            bad = next((i for i, v in enumerate(vec) if v), None)
+            witness = None if bad is None else g.cover.model(t).cell_ids(n + 1 - q)[bad]
+            report.conditions.append(GerbeCondition(name, t, bad is None, witness))
     if report.passed:
-        report.characteristic_class = total_class(
-            g.cover, {layer.q: data for layer, data in g._data()}, len(g.layers))
+        report.characteristic_class = total_class(g.cover, comps, n)
     return report
 
 
@@ -540,46 +494,40 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     return g
 
 
-def gauge_perturb(g: TwoGerbe, seed: int, pair: tuple | None = None,
-                  triple: tuple | None = None) -> TwoGerbe:
-    """Gauge transformation by a random total-complex coboundary.
+def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
+                  triple: tuple | None = None) -> _Gerbe:
+    """Gauge transformation by a random total-complex coboundary D(x).
 
-    ``pair``/``triple`` restrict the support to a single datum's gauge
-    freedom: perturbing a pair cocycle by a cell coboundary drags the
-    induced rephasing through the sections, exactly as changing a line
-    bundle representative does.
+    x has one layer at (q, d - 1) per layer (q, d) of ``g`` except the top
+    one, so layer q gains delta_n x_{q-1} + (-1)^q delta_c x_q. Entries are
+    drawn per cell, tuple by tuple, from nerve degree 1 up. ``pair`` and
+    ``triple`` restrict the support to a single datum's gauge freedom (all
+    other tuples get zero): perturbing a pair cocycle by a cell coboundary
+    drags the induced rephasing through the sections, exactly as changing a
+    line bundle representative does.
     """
     rng = random.Random(seed)
     cover = g.cover
+    support = {1: pair, 2: triple}
     localized = pair is not None or triple is not None
-    a = {}
-    if not localized or pair is not None:
-        for t in cover.tuples(1):
-            if pair is not None and tuple(sorted(pair)) != t:
-                continue
-            model = cover.model(t)
-            a[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(model.n_cells(1))]
-    b = {}
-    if not localized or triple is not None:
-        for t in cover.tuples(2):
-            if triple is not None and tuple(sorted(triple)) != t:
-                continue
-            model = cover.model(t)
-            b[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(model.n_cells(0))]
-    new_p = _data_sub(g.p, cell_coboundary(cover, a, 1))
-    new_theta = _data_add(g.theta, _data_add(nerve_coboundary(cover, a, 1, 1),
-                                             cell_coboundary(cover, b, 0)))
-    new_mu = _data_add(g.mu, nerve_coboundary(cover, b, 2, 0))
-    return TwoGerbe(cover, new_p, new_theta, new_mu)
+
+    def draw(t, q, d):
+        n = cover.model(t).n_cells(d)
+        chosen = support.get(q)
+        if localized and (chosen is None or tuple(sorted(chosen)) != t):
+            return [0] * n
+        return [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(n)]
+
+    x = {layer.q: {t: draw(t, layer.q, layer.d - 1) for t in cover.tuples(layer.q)}
+         for layer in g.layers[:-1]}
+    dx = total_coboundary(cover, x, len(g.layers) - 1)
+    return type(g)(cover, *(_add(data, dx[layer.q]) for layer, data in g._data()))
 
 
 def monopole_two_gerbe(n: int):
     """The standard two-patch gerbe on the two-disc 3-sphere with clutching
     class n on the equatorial 2-sphere; its class is n times the generator."""
-    bplus = s3_two_disc()
-    inner = frozenset({"v", "u", "a", "f2", "c3"})
-    outer = frozenset({"u", "f2", "c3out"})
-    cover = CoverNerve(bplus, [inner, outer])
+    cover = kk_gerbe_models().cover()
     u12 = cover.model((0, 1))
     vec = [0] * u12.n_cells(2)
     vec[u12.index(2, "f2")] = n

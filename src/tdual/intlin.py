@@ -164,15 +164,14 @@ def _axpy(dst: dict, src: dict, k: int):
 class SNF:
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
-    ``uinv`` and ``vinv`` are maintained alongside so bases can be read in
-    both directions without re-inversion.
+    ``uinv`` is maintained alongside so cohomology bases can be read
+    without re-inversion.
     """
 
     u: IMat
     d: IMat
     v: IMat
     uinv: IMat
-    vinv: IMat
     rank: int
 
     def diagonal(self) -> list[int]:
@@ -191,7 +190,7 @@ def smith_normal_form(m: IMat) -> SNF:
     rows, cols = m.rows, m.cols
     d = m.copy().nz
     u, uinv_t = IMat.identity(rows).nz, IMat.identity(rows).nz
-    v_t, vinv = IMat.identity(cols).nz, IMat.identity(cols).nz
+    v_t = IMat.identity(cols).nz
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -206,7 +205,6 @@ def smith_normal_form(m: IMat) -> SNF:
             if b:
                 row[i] = b
         v_t[i], v_t[j] = v_t[j], v_t[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, k):
         # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
@@ -228,7 +226,6 @@ def smith_normal_form(m: IMat) -> SNF:
                 else:
                     del row[dst]
         _axpy(v_t[dst], v_t[src], k)
-        _axpy(vinv[src], vinv[dst], -k)
 
     def negate_row(i):
         for r in (d, u, uinv_t):
@@ -292,8 +289,7 @@ def smith_normal_form(m: IMat) -> SNF:
 
     return SNF(IMat._of(rows, rows, u), IMat._of(rows, cols, d),
                IMat._of(cols, cols, v_t).transpose(),
-               IMat._of(rows, rows, uinv_t).transpose(),
-               IMat._of(cols, cols, vinv), rank)
+               IMat._of(rows, rows, uinv_t).transpose(), rank)
 
 
 def solve(m: IMat, b: list[int]) -> list[int] | None:

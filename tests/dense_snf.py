@@ -39,7 +39,6 @@ class SNF:
     d: IMat
     v: IMat
     uinv: IMat
-    vinv: IMat
     rank: int
 
 
@@ -47,7 +46,7 @@ def smith_normal_form(m: IMat) -> SNF:
     rows, cols = m.rows, m.cols
     d = m.copy()
     u, uinv = IMat.identity(rows), IMat.identity(rows)
-    v, vinv = IMat.identity(cols), IMat.identity(cols)
+    v = IMat.identity(cols)
 
     def swap_rows(i, j):
         d.data[i], d.data[j] = d.data[j], d.data[i]
@@ -60,7 +59,6 @@ def smith_normal_form(m: IMat) -> SNF:
             row[i], row[j] = row[j], row[i]
         for row in v.data:
             row[i], row[j] = row[j], row[i]
-        vinv.data[i], vinv.data[j] = vinv.data[j], vinv.data[i]
 
     def add_row(src, dst, k):
         # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
@@ -78,9 +76,6 @@ def smith_normal_form(m: IMat) -> SNF:
             d.data[i][dst] += k * d.data[i][src]
         for i in range(cols):
             v.data[i][dst] += k * v.data[i][src]
-        vrow_s, vrow_d = vinv.data[src], vinv.data[dst]
-        for j in range(cols):
-            vrow_s[j] -= k * vrow_d[j]
 
     def negate_row(i):
         d.data[i] = [-x for x in d.data[i]]
@@ -138,4 +133,4 @@ def smith_normal_form(m: IMat) -> SNF:
         add_col(violation + 1, violation, 1)
         diagonalize()
 
-    return SNF(u, d, v, uinv, vinv, rank)
+    return SNF(u, d, v, uinv, rank)

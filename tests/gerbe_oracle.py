@@ -1,0 +1,72 @@
+"""The hand-written 2-gerbe gauge transformation, kept as the test oracle.
+
+``gauge_perturb`` in ``tdual.gerbes`` adds the total coboundary D(x) of a
+random cochain x read off the layer table. This module keeps the explicit
+p/theta/mu formulas it replaced, with their own sparse cochain arithmetic
+(a tuple missing from a dict is a zero cochain), so the two are compared
+draw for draw.
+"""
+
+import random
+
+from tdual.gerbes import _GAUGE_BOUND, TwoGerbe
+
+
+def _restrict(vec, frm, to, d):
+    return [vec[frm.index(d, c)] for c in to.cell_ids(d)]
+
+
+def nerve_coboundary(cover, data, q, d):
+    out = {}
+    for t in cover.tuples(q + 1):
+        model_t = cover.model(t)
+        vec = [0] * model_t.n_cells(d)
+        for a in range(len(t)):
+            sub = t[:a] + t[a + 1:]
+            comp = data.get(sub)
+            if comp is None:
+                continue
+            restricted = _restrict(comp, cover.model(sub), model_t, d)
+            vec = [v + (-1) ** a * r for v, r in zip(vec, restricted)]
+        out[t] = vec
+    return out
+
+
+def cell_coboundary(cover, data, d):
+    return {t: cover.model(t).bmat(d + 1).transpose().mul_vec(vec)
+            for t, vec in data.items()}
+
+
+def _plus(a, b, k=1):
+    out = {t: list(vec) for t, vec in a.items()}
+    for t, vec in b.items():
+        base = out.get(t, [0] * len(vec))
+        out[t] = [x + k * y for x, y in zip(base, vec)]
+    return out
+
+
+def gauge_perturb(g: TwoGerbe, seed: int, pair=None, triple=None) -> TwoGerbe:
+    """p - delta_c a, theta + delta_n a + delta_c b, mu + delta_n b for
+    random a on pairs (degree 1) and b on triples (degree 0)."""
+    rng = random.Random(seed)
+    cover = g.cover
+    localized = pair is not None or triple is not None
+    a = {}
+    if not localized or pair is not None:
+        for t in cover.tuples(1):
+            if pair is not None and tuple(sorted(pair)) != t:
+                continue
+            a[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND)
+                    for _ in range(cover.model(t).n_cells(1))]
+    b = {}
+    if not localized or triple is not None:
+        for t in cover.tuples(2):
+            if triple is not None and tuple(sorted(triple)) != t:
+                continue
+            b[t] = [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND)
+                    for _ in range(cover.model(t).n_cells(0))]
+    new_p = _plus(g.p, cell_coboundary(cover, a, 1), -1)
+    new_theta = _plus(_plus(g.theta, nerve_coboundary(cover, a, 1, 1)),
+                      cell_coboundary(cover, b, 0))
+    new_mu = _plus(g.mu, nerve_coboundary(cover, b, 2, 0))
+    return TwoGerbe(cover, new_p, new_theta, new_mu)

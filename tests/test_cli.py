@@ -328,6 +328,24 @@ def test_invalid_gerbe_exits_two(tmp_path):
     assert code == 2
 
 
+def test_failing_matching_slot_exits_one_with_its_cell(tmp_path):
+    # delta_n p is nonzero on the 2-cell f2 of U_012, which has no 1-cells
+    gerbe = {"space": "S3plus", "p": {"0,1": [1]},
+             "cover": [["v", "u", "a", "f2", "c3"], ["u", "f2", "c3out"],
+                       ["v", "u", "a", "f2", "c3"]]}
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps(gerbe))
+    code, out, _ = run_cli("dualize-gerbe", "--input", str(path))
+    assert code == 1
+    assert out == ("[FAIL] 2-gerbe validity\n"
+                   "        p_theta_matching fails at (0, 1, 2)\n")
+    code, out, _ = run_cli("dualize-gerbe", "--input", str(path), "--format", "json")
+    failures = [c for c in json.loads(out)["two_gerbe_report"]["conditions"] if not c["ok"]]
+    assert code == 1
+    assert failures == [{"name": "p_theta_matching", "tuple": [0, 1, 2], "ok": False,
+                         "witness": "f2"}]
+
+
 TWO_PATCH_GERBE = {"space": "S3plus", "p": {"0,1": [1]},
                    "cover": [["v", "u", "a", "f2", "c3"], ["u", "f2", "c3out"]]}
 CHARGE_2_RECORD = {"base": "coneS2", "fixed": ["v"], "complement": ["u", "f2"], "class": [2],

@@ -2,9 +2,11 @@
 gauge invariance, and the constructive dualization map."""
 
 import random
+from math import comb
 
 import pytest
 
+import gerbe_oracle
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
 from tdual.complexes import product_with_circle, s3_two_disc, sphere
 from tdual.gerbes import (
@@ -54,6 +56,46 @@ def test_nerve_tuples_and_models(six_patch_cover):
     assert len(six_patch_cover.tuples(4)) == 6
     model = six_patch_cover.model((0, 1))
     assert set(model.all_ids()) == {"u", "f2"}
+
+
+def test_model_is_one_table_entry_in_any_order(six_patch_cover):
+    for q in (1, 2, 3):
+        for t in six_patch_cover.tuples(q):
+            assert six_patch_cover.model(t) is six_patch_cover.model(t[::-1])
+
+
+@pytest.mark.parametrize("t", [(0, 0), (1, 1, 2), (0, 6), (6,), (-1, 0), ()])
+def test_model_rejects_tuples_outside_the_nerve(six_patch_cover, t):
+    with pytest.raises(MalformedNerve, match="is not a nonempty nerve tuple") as err:
+        six_patch_cover.model(t)
+    assert err.value.witness == t
+
+
+def test_model_rejects_an_empty_intersection(bplus):
+    # the vertex v and the outer patch do not meet
+    cover = CoverNerve(bplus, [frozenset({"v"}), frozenset({"u", "f2", "c3out"}),
+                               frozenset({"v", "u", "a", "f2", "c3"})])
+    assert (0, 1) not in cover.tuples(1)
+    with pytest.raises(MalformedNerve):
+        cover.model((1, 0))
+
+
+def test_a_full_check_intersects_each_enumerated_tuple_once(bplus, generator_cocycle,
+                                                            monkeypatch):
+    calls = []
+    original = CoverNerve.intersection_ids
+    monkeypatch.setattr(CoverNerve, "intersection_ids",
+                        lambda self, t: calls.append(t) or original(self, t))
+    inner = frozenset({"v", "u", "a", "f2", "c3"})
+    outer = frozenset({"u", "f2", "c3out"})
+    cover = CoverNerve(bplus, [inner, outer, inner, outer, inner])
+    g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=8)
+    assert check_two_gerbe(g).passed
+    # every tuple of nerve degree 0 .. 4 is intersected once, and only once
+    assert sorted(calls) == sorted(t for q in range(5) for t in cover.tuples(q))
+    assert len(calls) == sum(comb(5, q + 1) for q in range(5))
+    assert check_two_gerbe(gauge_perturb(g, 1)).passed
+    assert len(calls) == sum(comb(5, q + 1) for q in range(5))
 
 
 def test_downward_closure_violation_detected():
@@ -154,6 +196,83 @@ def test_localized_datum_perturbations(six_patch_cover, generator_cocycle):
         gt = gauge_perturb(g, seed=2000 + k, triple=triples[rng.randrange(len(triples))])
         rep = check_two_gerbe(gt)
         assert rep.passed and rep.characteristic_class == base
+
+
+def _gauge_cases():
+    """(cover sets, support mode, seed): covers of 3-8 sets, each size in
+    every mode; the vertex patch misses the outer one, so the two index no
+    nerve pair."""
+    inner = frozenset({"v", "u", "a", "f2", "c3"})
+    outer = frozenset({"u", "f2", "c3out"})
+    vertex = frozenset({"v"})
+    rng = random.Random(808)
+    modes = ("all", "pair", "reversed pair", "triple", "both", "non-nerve pair")
+    for k in range(36):
+        size, mode = 3 + k // 6, modes[k % 6]
+        sets = ([inner, outer, vertex if mode == "non-nerve pair" else inner]
+                + [rng.choice((inner, outer, vertex)) for _ in range(size - 3)])
+        rng.shuffle(sets)
+        yield pytest.param(sets, mode, rng.randrange(10 ** 6),
+                           id=f"{size}sets-{mode.replace(' ', '-')}")
+
+
+def _report_rows(rep):
+    return [(c.name, c.where, c.ok, c.witness) for c in rep.conditions]
+
+
+@pytest.mark.parametrize("sets, mode, seed", list(_gauge_cases()))
+def test_gauge_perturb_matches_the_hand_written_formulas(bplus, generator_cocycle,
+                                                         sets, mode, seed):
+    cover = CoverNerve(bplus, sets)
+    g = two_gerbe_from_class(cover, [2 * v for v in generator_cocycle], scramble_seed=seed)
+    rng = random.Random(seed)
+    pairs, triples = cover.tuples(1), cover.tuples(2)
+    pair = pairs[rng.randrange(len(pairs))]
+    triple = triples[rng.randrange(len(triples))] if triples else None
+    if mode == "non-nerve pair":
+        pair = (sets.index(frozenset({"v"})), sets.index(frozenset({"u", "f2", "c3out"})))
+    support = {"all": {}, "pair": {"pair": pair}, "reversed pair": {"pair": pair[::-1]},
+               "triple": {"triple": triple}, "both": {"pair": pair, "triple": triple},
+               "non-nerve pair": {"pair": pair}}[mode]
+    got = gauge_perturb(g, seed + 1, **support)
+    want = gerbe_oracle.gauge_perturb(g, seed + 1, **support)
+    assert (got.p, got.theta, got.mu) == (want.p, want.theta, want.mu)
+    rep, rep_want = check_two_gerbe(got), check_two_gerbe(want)
+    assert _report_rows(rep) == _report_rows(rep_want)
+    assert rep.passed and rep.characteristic_class == rep_want.characteristic_class
+    if mode == "non-nerve pair":
+        assert (got.p, got.theta, got.mu) == (g.p, g.theta, g.mu)
+
+
+def test_gauge_perturbed_dual_keeps_its_class(six_patch_cover, generator_cocycle):
+    g = two_gerbe_from_class(six_patch_cover, generator_cocycle, scramble_seed=12)
+    xs1 = product_with_circle(six_patch_cover.space)
+    tg = tdualize_two_gerbe(g, xs1)
+    base = check_three_gerbe(tg)
+    assert base.passed
+    for seed, support in ((1, {}), (2, {"pair": (4, 1)}), (3, {"triple": (0, 2, 5)})):
+        gp = gauge_perturb(tg, seed, **support)
+        assert isinstance(gp, ThreeGerbe)
+        assert (gp.a, gp.gamma, gp.eta) != (tg.a, tg.gamma, tg.eta)
+        rep = check_three_gerbe(gp)
+        assert rep.passed
+        assert rep.characteristic_class == base.characteristic_class
+        assert rep.characteristic_class == cross_with_z(check_two_gerbe(g).characteristic_class,
+                                                        xs1)
+
+
+def test_matching_failure_names_the_cell_of_the_slot(bplus):
+    inner = frozenset({"v", "u", "a", "f2", "c3"})
+    outer = frozenset({"u", "f2", "c3out"})
+    cover = CoverNerve(bplus, [inner, outer, inner])
+    u01 = cover.model((0, 1))
+    vec = [0] * u01.n_cells(2)
+    vec[u01.index(2, "f2")] = 1
+    # delta_n p is nonzero on the 2-cell f2 of U_012, which has no 1-cells
+    rep = check_two_gerbe(TwoGerbe(cover, p={(0, 1): vec}))
+    failure = rep.failures()[0]
+    assert (failure.name, failure.where, failure.witness) == ("p_theta_matching", (0, 1, 2),
+                                                              "f2")
 
 
 def test_tensor_adds_classes(bplus):

@@ -13,3 +13,10 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
+
+# The defaults of tdual.expr.equal_numeric and the registry names of
+# tdual.complexes.builtin_space, here so the CLI parser loads no layer module.
+DEFAULT_TRIALS = 100
+DEFAULT_TOL = 1e-9
+BUILTIN_NAMES = ("pt", "S1", "S2", "S3", "S2xS1", "S3xS1", "CP2", "coneS2",
+                 "S3plus", "D2", "L1p:2", "L1p:3", "L1p:7", "wedge:1", "wedge:4")

@@ -5,30 +5,22 @@ spectrum, homotopy, verify. Global options --seed/--trials/--tol control
 the randomized identity checks (seed defaults to $TDUAL_SEED or 42).
 Exit codes: 0 success, 1 verification failure (witness serialized),
 2 usage or input error.
+
+Each handler and each verify suite imports the layers it runs, so a command
+loads no other layer; at module level only the standard library is imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
-from fractions import Fraction
 from functools import partial
 
-from . import expr as ex
-from . import geometry as geo
-from .cohomology import (AbelianGroup, CohClass, Z, cochain_space, cohomology, cross_with_z,
-                         fiber_integrate, long_exact_sequence)
-from .complexes import BUILTIN_NAMES, build_complex, builtin_space, cone_on_s2, product_with_circle
-from .gerbes import (CoverNerve, MalformedNerve, TwoGerbe, check_three_gerbe,
-                     check_two_gerbe, gauge_perturb, kk_gerbe_models,
-                     monopole_two_gerbe, semifree_class_to_two_gerbe,
-                     tdualize_two_gerbe)
-from .semifree import (basic_example_spectrum, classify, hausdorff_regularization,
-                       kk_record, multi_center_homotopy, tdualize,
-                       trivial_record)
+from . import BUILTIN_NAMES, DEFAULT_TOL, DEFAULT_TRIALS
 
 SUITES = ("metrics", "dyonic", "cohomology", "gerbes", "semifree")
 
@@ -71,21 +63,26 @@ def _checked(value, kind: type, what: str, item: type | None = None):
     return value
 
 
-def _trials(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {n}")
-    return n
+def _number(kind: type, valid, rule: str):
+    """An argparse type: ``kind(text)``, or a usage error unless ``valid`` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    return parse
 
 
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks (default $TDUAL_SEED or 42)")
-    parser.add_argument("--trials", type=_trials, default=ex.DEFAULT_TRIALS)
-    parser.add_argument("--tol", type=float, default=ex.DEFAULT_TOL)
+    parser.add_argument("--trials", default=DEFAULT_TRIALS,
+                        type=_number(int, lambda n: n >= 1, "trials must be >= 1"))
+    parser.add_argument("--tol", default=DEFAULT_TOL, type=_number(
+        float, lambda t: 0 <= t < math.inf, "tol must be a finite number >= 0"))
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--output", default=None, help="write the result here instead of stdout")
 
@@ -149,8 +146,11 @@ def _emit(args, payload: dict, table_lines: list) -> str:
 
 def _write(args, text: str):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -158,7 +158,8 @@ def _write(args, text: str):
 # ---------------------------------------------------------------------------
 # buscher
 
-def _load_metric(path: str) -> geo.MetricData:
+def _load_metric(path: str):
+    from . import expr as ex, geometry as geo
     spec = geo.taub_nut_sample_spec()
     try:
         with open(path) as fh:
@@ -189,14 +190,15 @@ def _load_metric(path: str) -> geo.MetricData:
     return m
 
 
-def _multi_preset(p: int, seed: int) -> geo.MultiCenterFamily:
+def _multi_preset(p: int, seed: int):
+    from .geometry import MultiCenterFamily
     rng = random.Random(seed)
     centers = []
     while len(centers) < p:
         c = tuple(round(rng.uniform(-0.9, 0.9), 3) for _ in range(3))
         if c not in centers:
             centers.append(c)
-    return geo.MultiCenterFamily(centers)
+    return MultiCenterFamily(centers)
 
 
 def _witness_json(witness) -> dict:
@@ -205,6 +207,7 @@ def _witness_json(witness) -> dict:
 
 
 def cmd_buscher(args) -> int:
+    from . import expr as ex, geometry as geo
     seed = args.seed if args.seed is not None else _default_seed()
     if args.input:
         m = _load_metric(args.input)
@@ -236,8 +239,9 @@ def cmd_buscher(args) -> int:
     return 0 if all(o for _, o, _ in checks) else 1
 
 
-def _buscher_checks(args, m: geo.MetricData, seed: int):
+def _buscher_checks(args, m, seed: int):
     """The dual of ``m`` and the (name, passed, witness) of the chosen check."""
+    from . import expr as ex, geometry as geo
     if args.verify in ("g-h", "dyonic") and (1, 1) not in m.g_upper:
         raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
                          "with a radial component")
@@ -262,6 +266,8 @@ def _buscher_checks(args, m: geo.MetricData, seed: int):
 # cohomology
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology
+    from .complexes import builtin_space
     try:
         x = builtin_space(args.space)
     except KeyError as exc:
@@ -276,7 +282,8 @@ def cmd_cohomology(args) -> int:
 # ---------------------------------------------------------------------------
 # gerbes
 
-def _complex_from_json(obj) -> "object":
+def _complex_from_json(obj):
+    from .complexes import build_complex
     cells = {int(k): _checked(v, list, f"cells {k}", str)
              for k, v in _checked(obj["cells"], dict, "cells").items()}
     ids = [c for v in cells.values() for c in v]
@@ -289,7 +296,9 @@ def _complex_from_json(obj) -> "object":
     return build_complex(_checked(obj.get("name", "X"), str, "name"), cells, inc)
 
 
-def _gerbe_from_json(obj) -> TwoGerbe:
+def _gerbe_from_json(obj):
+    from .complexes import builtin_space
+    from .gerbes import CoverNerve, TwoGerbe
     space = _checked(obj, dict, "gerbe")["space"]
     x = builtin_space(space) if type(space) is str else \
         _complex_from_json(_checked(space, dict, "space"))
@@ -316,6 +325,10 @@ def _gerbe_to_json(g) -> dict:
 
 
 def cmd_dualize_gerbe(args) -> int:
+    from .cohomology import cross_with_z
+    from .complexes import product_with_circle
+    from .gerbes import (MalformedNerve, check_three_gerbe, check_two_gerbe, monopole_two_gerbe,
+                         tdualize_two_gerbe)
     if args.preset:
         g = monopole_two_gerbe(_preset_int(args.preset, "monopole", "preset must be monopole:<n>"))
     elif args.input:
@@ -352,6 +365,9 @@ def cmd_dualize_gerbe(args) -> int:
 # semi-free records
 
 def _record_from_args(args):
+    from .cohomology import CohClass, cochain_space
+    from .complexes import builtin_space
+    from .semifree import classify, kk_record, trivial_record
     if args.preset:
         if args.preset == "kk":
             return kk_record()
@@ -390,6 +406,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tdualize(args) -> int:
+    from .cohomology import fiber_integrate
+    from .semifree import tdualize
     rec = _record_from_args(args)
     dual = tdualize(rec)
     back_ok = fiber_integrate(dual.flux, dual.complement_product) == rec.bundle_class
@@ -406,6 +424,8 @@ def cmd_tdualize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from fractions import Fraction
+    from .semifree import basic_example_spectrum, hausdorff_regularization
     sp = basic_example_spectrum()
     reg = hausdorff_regularization(sp)
     samples = [(Fraction(2), Fraction(0)), (Fraction(1, 2), Fraction(0)),
@@ -429,6 +449,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
+    from .semifree import multi_center_homotopy
     if args.centers < 1:
         raise InputError("--centers must be >= 1")
     groups = multi_center_homotopy(args.centers)
@@ -446,6 +467,7 @@ def cmd_homotopy(args) -> int:
 
 def _metric_identity_checks(seed, trials, tol, dyonic: bool):
     """Yield (name, passed, witness); a witness is (component, Witness)."""
+    from . import geometry as geo
     tn = geo.make_taub_nut()
     h = geo.app("H", (geo.sym("r"), geo.sym("g")))
     ref = geo.h_monopole_metric(h, tn.sample)
@@ -492,6 +514,9 @@ def _metric_identity_checks(seed, trials, tol, dyonic: bool):
 
 
 def _suite_cohomology(seed, trials, tol):
+    from .cohomology import (AbelianGroup, Z, cochain_space, cohomology, cross_with_z,
+                             fiber_integrate, long_exact_sequence)
+    from .complexes import builtin_space, cone_on_s2
     yield "H^3(S2xS1) = Z", cohomology(builtin_space("S2xS1"), 3) == Z
     yield "H^2(CP2) = Z", cohomology(builtin_space("CP2"), 2) == Z
     yield "H^2(L(1,3)) = Z/3", cohomology(builtin_space("L1p:3"), 2) == AbelianGroup(0, (3,))
@@ -505,6 +530,10 @@ def _suite_cohomology(seed, trials, tol):
 
 
 def _suite_gerbes(seed, trials, tol):
+    from .cohomology import cross_with_z
+    from .complexes import product_with_circle
+    from .gerbes import (check_three_gerbe, check_two_gerbe, gauge_perturb, monopole_two_gerbe,
+                         tdualize_two_gerbe)
     g = monopole_two_gerbe(2)
     rep = check_two_gerbe(g)
     yield "monopole 2-gerbe valid", rep.passed
@@ -521,6 +550,10 @@ def _suite_gerbes(seed, trials, tol):
 
 
 def _suite_semifree(seed, trials, tol):
+    from fractions import Fraction
+    from .cohomology import cochain_space, fiber_integrate
+    from .gerbes import kk_gerbe_models, semifree_class_to_two_gerbe
+    from .semifree import basic_example_spectrum, hausdorff_regularization, kk_record, tdualize
     kk = kk_record()
     dual = tdualize(kk)
     yield "taub-nut record emits one unit of flux", dual.flux.reduced() == (1,)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from weakref import WeakValueDictionary
 
+from . import BUILTIN_NAMES  # noqa: F401  (re-exported: the registry's names)
 from .intlin import IMat
 
 
@@ -531,6 +532,3 @@ def _size_suffix(name: str, var: str, least: int) -> int:
                        f"got {name!r}")
     return value
 
-
-BUILTIN_NAMES = ("pt", "S1", "S2", "S3", "S2xS1", "S3xS1", "CP2", "coneS2",
-                 "S3plus", "D2", "L1p:2", "L1p:3", "L1p:7", "wedge:1", "wedge:4")

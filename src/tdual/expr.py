@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from . import DEFAULT_TOL, DEFAULT_TRIALS
+
 
 class UnboundSymbol(KeyError):
     """A free coordinate or function symbol has no assigned value/closure."""
@@ -712,8 +714,6 @@ class EqualityReport:
         return self.equal
 
 
-DEFAULT_TRIALS = 100
-DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
 _RETRY_BOUND = 5
 
@@ -727,10 +727,13 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     Both sides are compiled into one program. Domain errors, and points
     where a side is infinite or NaN, are counted and the point resampled, up
     to a retry bound per trial; exhausting retries raises DomainError, as
-    does a constant outside the float range.
+    does a constant outside the float range. ``trials`` below 1, or a
+    ``tol`` that is not a finite number >= 0, raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     program = _Program(spec.functions).function((a, b))
     rng = random.Random(seed)
     domain_errors = 0

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -313,6 +314,22 @@ def test_zero_trials_is_a_usage_error():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["buscher", "--preset", "taub-nut"], ["verify", "metrics"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_outside_finite_nonnegative_is_a_usage_error(argv, tol):
+    # NaN and inf would certify any metric, and -1 fail equal sides
+    code, out, err = run_cli(*argv, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert f"argument --tol: tol must be a finite number >= 0, got {float(tol)}\n" in err
+
+
+def test_unwritable_output_exits_two(tmp_path):
+    path = tmp_path / "missing" / "h2.txt"
+    code, out, err = run_cli("cohomology", "--space", "CP2", "--degree", "2", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_invalid_gerbe_exits_two(tmp_path):
     gerbe = {
         "space": "S3plus",
@@ -428,6 +445,60 @@ def test_usage_error_exits_two():
 
 # ---------------------------------------------------------------------------
 # determinism
+
+@pytest.mark.parametrize("command", [None, "buscher", "cohomology", "dualize-gerbe", "classify",
+                                     "tdualize", "spectrum", "homotopy", "verify"])
+def test_help_matches_golden(command, monkeypatch):
+    # earlier output, byte for byte, at argparse's 80-column width
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(*([command] if command else []), "--help")
+    assert code == 0
+    assert out == (GOLDEN / f"help_{command or 'top'}.txt").read_text()
+
+
+IMPORTS_AFTER = """
+import contextlib, io, json, sys
+import tdual.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tdual.cli.main(sys.argv[1:]) == 0
+print(json.dumps([name for name in sys.modules if name.startswith("tdual")]))
+"""
+
+
+def _tdual_modules_after(*argv) -> set:
+    """The tdual modules of a fresh interpreter that imported tdual.cli and,
+    given an argv, ran ``main`` on it."""
+    import tdual
+    src = str(Path(tdual.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert _tdual_modules_after() == {"tdual", "tdual.cli"}
+
+
+INTEGER_LAYERS = {"tdual.intlin", "tdual.complexes", "tdual.cohomology"}
+METRIC_LAYERS = {"tdual.expr", "tdual.geometry"}
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["cohomology", "--space", "CP2", "--degree", "2"], INTEGER_LAYERS,
+     METRIC_LAYERS | {"tdual.gerbes", "tdual.semifree"}),
+    (["verify", "cohomology"], INTEGER_LAYERS, METRIC_LAYERS | {"tdual.gerbes", "tdual.semifree"}),
+    (["buscher", "--preset", "taub-nut"], METRIC_LAYERS,
+     INTEGER_LAYERS | {"tdual.gerbes", "tdual.semifree"}),
+    (["verify", "metrics"], METRIC_LAYERS, INTEGER_LAYERS | {"tdual.gerbes", "tdual.semifree"}),
+    (["classify", "--preset", "kk"], {"tdual.semifree"}, METRIC_LAYERS),
+    (["dualize-gerbe", "--preset", "monopole:2"], {"tdual.gerbes"}, METRIC_LAYERS),
+])
+def test_each_command_loads_only_its_layers(argv, loaded, absent):
+    modules = _tdual_modules_after(*argv)
+    assert loaded <= modules and not modules & absent
+
 
 def test_byte_identical_output_for_fixed_seed():
     runs = [run_cli("verify", "metrics", "--seed", "7", "--format", "json")

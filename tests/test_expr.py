@@ -556,6 +556,13 @@ def test_trials_must_be_positive(spec):
         equal_numeric(rat(0), rat(0), spec, trials=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tol_must_be_finite_and_nonnegative(spec, tol):
+    # a NaN or infinite tolerance would pass any pair, a negative one fail equal sides
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        equal_numeric(sym("r"), add(sym("r"), rat(1)), spec, tol=tol)
+
+
 def test_domain_errors_counted_and_resampled():
     # a pole at r = 1 inside the box: resampling hits it with probability 0
     e = pow_(add(sym("r"), rat(-1)), -1)

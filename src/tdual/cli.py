@@ -223,7 +223,7 @@ def cmd_buscher(args) -> int:
         m = geo.with_b_field(m, geo.dyonic_b_field(ex.sym("beta")))
     try:
         dual, checks = _buscher_checks(args, m, seed)
-    except (geo.SingularG00, ex.DomainError) as exc:
+    except (geo.SingularG00, ex.DomainError, ex.UnboundSymbol) as exc:
         raise InputError(f"{label}: {exc}") from None
 
     payload = {"input": label, "dual": dual.to_json(),

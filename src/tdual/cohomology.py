@@ -190,7 +190,7 @@ def cochain_space(x: CellComplex, k: int) -> SubquotientSpace:
     space = x.derived.get(("abs", k))
     if space is None:
         space = x.derived[("abs", k)] = SubquotientSpace(
-            x.n_cells(k), x.bmat(k + 1).transpose(), x.bmat(k).transpose(),
+            x.n_cells(k), x.coboundary(k + 1), x.coboundary(k),
             label=f"H^{k}({x.name})")
     return space
 
@@ -349,16 +349,10 @@ def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
 
 def _restricted_coboundary(x: CellComplex, k: int, src: list, dst: list) -> IMat:
     """delta_X: C^k -> C^{k+1} with columns the k-cells ``src`` and rows the
-    (k+1)-cells ``dst``; coefficients on other (k+1)-cells are dropped."""
-    pos = {up: i for i, up in enumerate(dst)}
-    upper = x.cell_ids(k + 1)
-    cofaces = x.bmat(k + 1).transpose().col_items()   # per k-cell: (k+1)-cells
-    m = IMat(len(pos), len(src))
-    for j, cell in enumerate(src):
-        for r, coeff in cofaces[x.index(k, cell)]:
-            if upper[r] in pos:
-                m[pos[upper[r]], j] = coeff
-    return m
+    (k+1)-cells ``dst``; coefficients outside these cells are dropped."""
+    pos = {cell: j for j, cell in enumerate(src)}
+    return IMat.of(len(dst), len(src), [{pos[f]: c for f, c in x.faces[up].items() if f in pos}
+                                        for up in dst])
 
 
 def relative_inclusion_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
@@ -437,14 +431,16 @@ def _require_circle_product(xs1: CellComplex) -> CellComplex:
 def cross_with_z_vector(x: CellComplex, xs1: CellComplex, vec, k: int) -> list:
     """(c x z) on (k+1)-cells of X x S^1: value c(sigma) on sigma x e, else 0."""
     out = [0] * xs1.n_cells(k + 1)
+    e = circle().cell_ids(1)[0]
     for j, cell in enumerate(x.cell_ids(k)):
-        out[xs1.index(k + 1, (cell, "e"))] = vec[j]
+        out[xs1.index(k + 1, (cell, e))] = vec[j]
     return out
 
 
 def fiber_integrate_vector(x: CellComplex, xs1: CellComplex, vec, k: int) -> list:
     """Slant against the circle 1-cell: sigma -> c(sigma x e)."""
-    return [vec[xs1.index(k, (cell, "e"))] for cell in x.cell_ids(k - 1)]
+    e = circle().cell_ids(1)[0]
+    return [vec[xs1.index(k, (cell, e))] for cell in x.cell_ids(k - 1)]
 
 
 def cross_with_z(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> CohClass:

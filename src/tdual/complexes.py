@@ -1,9 +1,12 @@
-"""Finite cell complexes with integer boundary matrices.
+"""Finite cell complexes with integer incidences.
 
-A complex stores ordered cell ids per degree and boundary matrices
-``bmat(k): C_k -> C_{k-1}``. Products carry Koszul signs and traceable
-ids (pairs of factor ids), quotients collapse a labeled subcomplex to a
-basepoint, and chain maps are validated to commute with the boundaries.
+A complex stores ordered cell ids per degree and each cell's faces
+(``faces[cell]`` maps a face id to its coefficient, in face order), and
+derives from them its coboundary matrices ``coboundary(k): C^{k-1} ->
+C^k``, one row per k-cell; ``bmat(k)`` is their transpose. Builders emit
+faces by id: products carry Koszul signs and traceable ids (pairs of
+factor ids), quotients collapse a labeled subcomplex to a basepoint, and
+chain maps are validated to commute with the boundaries.
 
 Subcomplexes, products with a second factor and the class spaces of
 ``tdual.cohomology`` are cached in their complex's ``derived`` dict:
@@ -43,19 +46,28 @@ PT = ("*",)   # basepoint id used by quotient complexes
 @dataclass
 class CellComplex:
     name: str
-    cells: dict                                  # degree -> ordered list of ids
-    boundaries: dict = field(default_factory=dict)  # degree k>=1 -> IMat
-    product_of: tuple | None = None              # (X, Y) provenance
+    cells: dict                             # degree -> ordered list of ids
+    faces: dict = field(default_factory=dict)   # cell id -> {face id: coefficient}
+    product_of: tuple | None = None         # (X, Y) provenance
     # subcomplexes by cell set, products by (id(Y), name), class spaces by kind
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """Keep every cell's nonzero faces in face-index order and derive, per
+        degree k, the coboundary whose row j holds the faces of the j-th k-cell."""
         self.cells = {k: list(v) for k, v in self.cells.items() if v}
         self._index = {k: {c: i for i, c in enumerate(v)} for k, v in self.cells.items()}
-        for k, mat in self.boundaries.items():
-            if mat.rows != self.n_cells(k - 1) or mat.cols != self.n_cells(k):
-                raise ValueError(f"boundary {k} has shape {mat.rows}x{mat.cols}, "
-                                 f"expected {self.n_cells(k-1)}x{self.n_cells(k)}")
+        given, self.faces, self._coboundary = self.faces, {}, {}
+        for k in sorted(self.cells):
+            lower, lower_ids, rows = self._index.get(k - 1, {}), self.cell_ids(k - 1), []
+            for cell in self.cells[k]:
+                own = given.get(cell)
+                row = dict(sorted((lower[f], x) for f, x in own.items() if x)) if own else {}
+                self.faces[cell] = {lower_ids[i]: x for i, x in row.items()} if row else {}
+                rows.append(row)
+            self._coboundary[k] = IMat.of(len(rows), len(lower_ids), rows)
+        if len(self.faces) < sum(map(len, self.cells.values())):
+            raise ValueError(f"cell ids of {self.name} are not distinct")
         self.validate_square_zero()
 
     @property
@@ -72,28 +84,28 @@ class CellComplex:
         return self.cells.get(k, [])
 
     def all_ids(self) -> set:
-        out = set()
-        for v in self.cells.values():
-            out |= set(v)
-        return out
+        return set(self.faces)
 
     def index(self, k: int, cell) -> int:
         return self._index[k][cell]
 
-    def degree_of(self, cell) -> int:
-        for k, idx in self._index.items():
-            if cell in idx:
-                return k
-        raise KeyError(cell)
+    def coboundary(self, k: int) -> IMat:
+        """delta: C^{k-1} -> C^k as an n_k x n_{k-1} matrix; row j holds the
+        faces of the j-th k-cell."""
+        if k in self._coboundary:
+            return self._coboundary[k]
+        return IMat(self.n_cells(k), self.n_cells(k - 1))
 
     def bmat(self, k: int) -> IMat:
-        if k in self.boundaries:
-            return self.boundaries[k]
-        return IMat(self.n_cells(k - 1), self.n_cells(k))
+        """The boundary C_k -> C_{k-1}, the transpose of ``coboundary(k)``."""
+        return self.coboundary(k).transpose()
 
     def validate_square_zero(self):
         for k in range(2, self.top + 1):
-            if not (self.bmat(k - 1) @ self.bmat(k)).is_zero():
+            # the rows of cells with faces: a wedge of spheres has thousands without
+            faced = [row for row in self.coboundary(k).nz if row]
+            square = IMat.of(len(faced), self.n_cells(k - 1), faced) @ self.coboundary(k - 1)
+            if not square.is_zero():
                 raise ValueError(f"boundary squared nonzero at degree {k} in {self.name}")
 
     def euler_characteristic(self) -> int:
@@ -103,17 +115,14 @@ class CellComplex:
 
     def check_subcomplex(self, ids) -> frozenset:
         ids = frozenset(ids)
-        unknown = ids - self.all_ids()
+        unknown = ids.difference(self.faces)
         if unknown:
             raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {self.name}")
-        for k in range(1, self.top + 1):
-            lower = self.cell_ids(k - 1)
-            for cell, faces in zip(self.cell_ids(k), self.bmat(k).col_items()):
-                if cell in ids:
-                    for i, _ in faces:
-                        if lower[i] not in ids:
-                            raise NotASubcomplex(
-                                f"boundary of {cell} leaves the cell set at {lower[i]}")
+        for cell, faces in self.faces.items():
+            if cell in ids:
+                for face in faces:
+                    if face not in ids:
+                        raise NotASubcomplex(f"boundary of {cell} leaves the cell set at {face}")
         return ids
 
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
@@ -123,64 +132,31 @@ class CellComplex:
         ids = frozenset(ids)
         sub = self.derived.get(ids)
         if sub is None:
-            sub = self.derived[ids] = self._build_subcomplex(self.check_subcomplex(ids), name)
+            ids = self.check_subcomplex(ids)
+            sub = self.derived[ids] = CellComplex(
+                name or f"{self.name}|sub",
+                {k: [c for c in v if c in ids] for k, v in self.cells.items()},
+                {c: self.faces[c] for c in ids})
         return sub
-
-    def _build_subcomplex(self, ids: frozenset, name: str | None) -> "CellComplex":
-        cells = {k: [c for c in v if c in ids] for k, v in self.cells.items()}
-        cells = {k: v for k, v in cells.items() if v}
-        bounds = {}
-        for k in range(1, self.top + 1):
-            sub_k = cells.get(k, [])
-            sub_low = cells.get(k - 1, [])
-            if not sub_k:
-                continue
-            faces = self.bmat(k).col_items()
-            lower = self.cell_ids(k - 1)
-            pos = {low: i for i, low in enumerate(sub_low)}
-            out = IMat(len(sub_low), len(sub_k))
-            for j, cell in enumerate(sub_k):
-                for i, coeff in faces[self.index(k, cell)]:
-                    out[pos[lower[i]], j] = coeff
-            bounds[k] = out
-        return CellComplex(name or f"{self.name}|sub", cells, bounds)
-
-    def to_json(self) -> dict:
-        inc = {}
-        for k in range(1, self.top + 1):
-            lower = self.cell_ids(k - 1)
-            inc[str(k)] = [[_id_str(cell), _id_str(lower[i]), coeff]
-                           for cell, faces in zip(self.cell_ids(k), self.bmat(k).col_items())
-                           for i, coeff in faces]
-        return {"name": self.name,
-                "cells": {str(k): [_id_str(c) for c in v] for k, v in self.cells.items()},
-                "boundaries": inc}
-
-
-def _id_str(cell) -> str:
-    if isinstance(cell, tuple):
-        return "(" + ",".join(_id_str(c) for c in cell) + ")"
-    return str(cell)
 
 
 def build_complex(name: str, cells: dict, incidences: dict | None = None) -> CellComplex:
     """Construct from per-degree id lists and sparse incidence data.
 
     ``incidences[k]`` maps (lower_id, upper_id) to the integer coefficient of
-    lower_id in the boundary of upper_id.
+    lower_id in the boundary of upper_id. The face must be a (k-1)-cell and
+    the upper cell a k-cell; otherwise KeyError names the face, or else the
+    cell, that is missing.
     """
-    cells = {k: list(v) for k, v in cells.items()}
-    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
-    bounds = {}
-    top = max(cells) if cells else 0
-    for k in range(1, top + 1):
-        rows = len(cells.get(k - 1, []))
-        cols = len(cells.get(k, []))
-        mat = IMat(rows, cols)
-        for (low, up), coeff in (incidences or {}).get(k, {}).items():
-            mat[index[k - 1][low], index[k][up]] = coeff
-        bounds[k] = mat
-    return CellComplex(name, cells, bounds)
+    ids = {k: set(v) for k, v in cells.items()}
+    faces: dict = {}
+    for k, entries in (incidences or {}).items():
+        for (low, up), coeff in entries.items():
+            for cell, degree in ((low, k - 1), (up, k)):
+                if cell not in ids.get(degree, ()):
+                    raise KeyError(cell)
+            faces.setdefault(up, {})[low] = coeff
+    return CellComplex(name, cells, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +201,30 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
     if out is not None:
         return out
     cells: dict = {}
-    top = x.top + y.top
-    for k in range(top + 1):
-        row = []
+    faces: dict = {}
+    for k in range(x.top + y.top + 1):
+        cells[k] = []
         for da in range(k + 1):
-            db = k - da
+            sign = (-1) ** da
             for a in x.cell_ids(da):
-                for b in y.cell_ids(db):
-                    row.append((a, b))
-        if row:
-            cells[k] = row
-    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
-    x_faces = {d: x.bmat(d).col_items() for d in range(1, x.top + 1)}
-    y_faces = {d: y.bmat(d).col_items() for d in range(1, y.top + 1)}
-    bounds = {}
-    for k in range(1, top + 1):
-        mat = IMat(len(cells.get(k - 1, [])), len(cells.get(k, [])))
-        for j, (a, b) in enumerate(cells.get(k, [])):
-            da = x.degree_of(a)
-            db = y.degree_of(b)
-            if da >= 1:
-                lower = x.cell_ids(da - 1)
-                for i, coeff in x_faces[da][x.index(da, a)]:
-                    mat[index[k - 1][(lower[i], b)], j] += coeff
-            if db >= 1:
-                lower = y.cell_ids(db - 1)
-                sign = (-1) ** da
-                for i, coeff in y_faces[db][y.index(db, b)]:
-                    mat[index[k - 1][(a, lower[i])], j] += sign * coeff
-        bounds[k] = mat
-    out = CellComplex(name or f"{x.name}x{y.name}", cells, bounds)
-    out.product_of = (x, y)
-    x.derived[key] = out
+                for b in y.cell_ids(k - da):
+                    cells[k].append((a, b))
+                    own = faces[(a, b)] = {(f, b): c for f, c in x.faces[a].items()}
+                    own.update(((a, f), sign * c) for f, c in y.faces[b].items())
+    out = x.derived[key] = CellComplex(name or f"{x.name}x{y.name}", cells, faces,
+                                          product_of=(x, y))
     return out
 
 
 def product_with_circle(x: CellComplex) -> CellComplex:
     """X x S^1 with the one-vertex circle model; ids traceable to factors."""
     return product_complex(x, circle(), name=f"{x.name}xS1")
+
+
+def circle_product_ids(ids) -> frozenset:
+    """The cells A x S^1 of ``product_with_circle(X)`` for cells A of X."""
+    s1 = circle().all_ids()
+    return frozenset((c, y) for c in ids for y in s1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +238,18 @@ def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
     A-terms of their boundaries redirected accordingly.
     """
     sub_ids = x.check_subcomplex(sub_ids)
-    cells = {0: [PT] + [c for c in x.cell_ids(0) if c not in sub_ids]}
-    for k in range(1, x.top + 1):
-        kept = [c for c in x.cell_ids(k) if c not in sub_ids]
-        if kept:
-            cells[k] = kept
-    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
-    bounds = {}
-    for k in range(1, x.top + 1):
-        if k not in cells:
-            continue
-        mat = IMat(len(cells.get(k - 1, [])), len(cells[k]))
-        faces = x.bmat(k).col_items()
-        lower = x.cell_ids(k - 1)
-        for j, cell in enumerate(cells[k]):
-            for i, coeff in faces[x.index(k, cell)]:
-                low = lower[i]
-                if low in sub_ids:
-                    if k == 1:          # collapsed vertex becomes the basepoint
-                        mat[index[0][PT], j] += coeff
-                    continue
-                mat[index[k - 1][low], j] += coeff
-        bounds[k] = mat
-    q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, bounds)
+    cells = {k: [c for c in x.cell_ids(k) if c not in sub_ids] for k in x.degrees()}
+    cells[0].insert(0, PT)
+    vertices = set(x.cell_ids(0))
+    faces = {}
+    for cell in x.faces.keys() - sub_ids:
+        own = faces[cell] = {}
+        for face, coeff in x.faces[cell].items():
+            if face not in sub_ids:
+                own[face] = coeff
+            elif face in vertices:      # a collapsed vertex becomes the basepoint
+                own[PT] = own.get(PT, 0) + coeff
+    q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, faces)
     mats = {}
     for k in x.degrees():
         m = IMat(q.n_cells(k), x.n_cells(k))

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, NamedTuple
 
-from .complexes import (CellComplex, cone_on_s2, product_with_circle,
+from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
                         s3_two_disc, sphere, trivial_disc_bundle)
 from .cohomology import (CohClass, cochain_space, connecting_hom, cross_with_z_vector,
                          excision_hom, relative_inclusion_hom)
@@ -133,9 +133,7 @@ class CoverNerve:
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1."""
-        circle_ids = ("a", "e")
-        sets = [frozenset((c, y) for c in s for y in circle_ids) for s in self.sets]
-        return CoverNerve(xs1, sets)
+        return CoverNerve(xs1, [circle_product_ids(s) for s in self.sets])
 
 
 def validate_nerve_flags(flags: dict) -> tuple | None:
@@ -174,7 +172,7 @@ def nerve_coboundary(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
 
 
 def cell_coboundary(cover: CoverNerve, data: dict, d: int) -> dict:
-    return {t: cover.model(t).bmat(d + 1).transpose().mul_vec(vec)
+    return {t: cover.model(t).coboundary(d + 1).mul_vec(vec)
             for t, vec in data.items()}
 
 
@@ -475,9 +473,7 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     ts = []
     for i in range(cover.size):
         ui = cover.model((i,))
-        delta = ui.bmat(3).transpose()
-        rhs = _restrict(cocycle, x, ui, 3)
-        t = solve(delta, rhs)
+        t = solve(ui.coboundary(3), _restrict(cocycle, x, ui, 3))
         if t is None:
             raise ModelMismatch(f"patch {i} does not trivialize the class "
                                 "(H^3 of the patch obstructs)")

@@ -37,7 +37,7 @@ class IMat:
             self.nz = [{j: x for j, x in enumerate(r) if x} for r in data]
 
     @staticmethod
-    def _of(rows: int, cols: int, nz: list) -> "IMat":
+    def of(rows: int, cols: int, nz: list) -> "IMat":
         """Wrap row dicts (no zero values) without copying them."""
         m = IMat.__new__(IMat)
         m.rows, m.cols, m.nz, m._snf = rows, cols, nz, None
@@ -56,7 +56,7 @@ class IMat:
 
     @staticmethod
     def identity(n: int) -> "IMat":
-        return IMat._of(n, n, [{i: 1} for i in range(n)])
+        return IMat.of(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def from_columns(cols_list, rows: int) -> "IMat":
@@ -70,7 +70,7 @@ class IMat:
         return m
 
     def copy(self) -> "IMat":
-        return IMat._of(self.rows, self.cols, [dict(r) for r in self.nz])
+        return IMat.of(self.rows, self.cols, [dict(r) for r in self.nz])
 
     def _check(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -96,11 +96,6 @@ class IMat:
     def __repr__(self):
         return f"IMat({self.rows}x{self.cols}, {self.nz})"
 
-    def col_items(self) -> list[list]:
-        """Per column, its nonzero ``(row, entry)`` pairs in ascending row order
-        (``transpose`` fills every row dict in ascending index order)."""
-        return [list(r.items()) for r in self.transpose().nz]
-
     def col(self, j: int) -> list[int]:
         return [r.get(j, 0) for r in self.nz]
 
@@ -109,7 +104,7 @@ class IMat:
         for i, row in enumerate(self.nz):
             for j, x in row.items():
                 nz[j][i] = x
-        return IMat._of(self.cols, self.rows, nz)
+        return IMat.of(self.cols, self.rows, nz)
 
     def __matmul__(self, other: "IMat") -> "IMat":
         if self.cols != other.rows:
@@ -121,7 +116,7 @@ class IMat:
                 for j, b in other.nz[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: x for j, x in acc.items() if x})
-        return IMat._of(self.rows, other.cols, out)
+        return IMat.of(self.rows, other.cols, out)
 
     def mul_vec(self, v) -> list[int]:
         if len(v) != self.cols:
@@ -138,16 +133,16 @@ class IMat:
         if self.rows != other.rows:
             raise ValueError("row mismatch")
         shift = self.cols
-        return IMat._of(self.rows, self.cols + other.cols,
-                        [{**a, **{j + shift: x for j, x in b.items()}}
-                         for a, b in zip(self.nz, other.nz)])
+        return IMat.of(self.rows, self.cols + other.cols,
+                       [{**a, **{j + shift: x for j, x in b.items()}}
+                        for a, b in zip(self.nz, other.nz)])
 
     def is_zero(self) -> bool:
         return not any(self.nz)
 
     def neg(self) -> "IMat":
-        return IMat._of(self.rows, self.cols,
-                        [{j: -x for j, x in row.items()} for row in self.nz])
+        return IMat.of(self.rows, self.cols,
+                       [{j: -x for j, x in row.items()} for row in self.nz])
 
 
 def _axpy(dst: dict, src: dict, k: int):
@@ -287,9 +282,9 @@ def smith_normal_form(m: IMat) -> SNF:
         add_col(violation + 1, violation, 1)
         diagonalize()
 
-    return SNF(IMat._of(rows, rows, u), IMat._of(rows, cols, d),
-               IMat._of(cols, cols, v_t).transpose(),
-               IMat._of(rows, rows, uinv_t).transpose(), rank)
+    return SNF(IMat.of(rows, rows, u), IMat.of(rows, cols, d),
+               IMat.of(cols, cols, v_t).transpose(),
+               IMat.of(rows, rows, uinv_t).transpose(), rank)
 
 
 def solve(m: IMat, b: list[int]) -> list[int] | None:
@@ -318,8 +313,8 @@ def kernel_basis(m: IMat) -> IMat:
     """Basis of ker(M) as columns; a pure sublattice of Z^cols."""
     s = m.snf()
     r = s.rank
-    return IMat._of(m.cols, m.cols - r,
-                    [{j - r: x for j, x in row.items() if j >= r} for row in s.v.nz])
+    return IMat.of(m.cols, m.cols - r,
+                   [{j - r: x for j, x in row.items() if j >= r} for row in s.v.nz])
 
 
 def lattice_contains(gens: IMat, vec: list[int]) -> bool:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cohomology import (AbelianGroup, CohClass, cochain_space, cross_with_z,
                          fiber_integrate, homology)
-from .complexes import (CellComplex, cone_on_s2, product_with_circle,
+from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
                         sphere, wedge_of_spheres)
 from .intlin import IMat, solve
 
@@ -159,8 +159,7 @@ def tdualize(s: SemifreeSpace) -> TDualRecord:
     back = fiber_integrate(flux, comp_s1)
     if back != s.bundle_class:
         raise InvalidClass("fiber integration failed to return the bundle class")
-    circle_ids = {"a", "e"}
-    source_ids = frozenset((c, y) for c in s.fixed_ids for y in circle_ids)
+    source_ids = circle_product_ids(s.fixed_ids)
     ext = ExtensionDescriptor(
         ideal="CT((B-F) x S1, flux)", ideal_class=flux.reduced(),
         quotient="C0(R) (x) C0(F) (x) K  over F x S1")

@@ -1,0 +1,276 @@
+"""The entry-by-entry complex builders, kept as the oracle for the face table.
+
+``tdual.complexes`` stores each cell's faces by id and derives its
+coboundary matrices from them. Before that it stored the boundary matrices
+``bmat(k)`` themselves, and every builder filled them entry by entry through
+per-degree id -> index tables, reading the faces of a cell as a column of
+``bmat(k)`` (``col_items``). ``CellComplex``, ``build_complex``,
+``ChainMap``, ``product_complex`` and ``quotient_by_subcomplex`` below are
+that code, copied without change except that ``to_json`` and
+``euler_characteristic`` are left out; ``IMat`` adds back the
+``col_items`` reader. ``test_complexes.py`` requires the face-table
+builders to give the same cell order and the same ``bmat(k)``, entry for
+entry.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from tdual import intlin
+from tdual.complexes import PT, NotASubcomplex
+
+
+class IMat(intlin.IMat):
+    """The sparse matrix with the per-column reader the builders used."""
+
+    __slots__ = ()
+
+    def col_items(self) -> list[list]:
+        """Per column, its nonzero ``(row, entry)`` pairs in ascending row order
+        (``transpose`` fills every row dict in ascending index order)."""
+        return [list(r.items()) for r in self.transpose().nz]
+
+
+@dataclass
+class CellComplex:
+    name: str
+    cells: dict                                  # degree -> ordered list of ids
+    boundaries: dict = field(default_factory=dict)  # degree k>=1 -> IMat
+    product_of: tuple | None = None              # (X, Y) provenance
+    # subcomplexes by cell set, products by (id(Y), name), class spaces by kind
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.cells = {k: list(v) for k, v in self.cells.items() if v}
+        self._index = {k: {c: i for i, c in enumerate(v)} for k, v in self.cells.items()}
+        for k, mat in self.boundaries.items():
+            if mat.rows != self.n_cells(k - 1) or mat.cols != self.n_cells(k):
+                raise ValueError(f"boundary {k} has shape {mat.rows}x{mat.cols}, "
+                                 f"expected {self.n_cells(k-1)}x{self.n_cells(k)}")
+        self.validate_square_zero()
+
+    @property
+    def top(self) -> int:
+        return max(self.cells) if self.cells else 0
+
+    def degrees(self):
+        return range(self.top + 1)
+
+    def n_cells(self, k: int) -> int:
+        return len(self.cells.get(k, ()))
+
+    def cell_ids(self, k: int) -> list:
+        return self.cells.get(k, [])
+
+    def all_ids(self) -> set:
+        out = set()
+        for v in self.cells.values():
+            out |= set(v)
+        return out
+
+    def index(self, k: int, cell) -> int:
+        return self._index[k][cell]
+
+    def degree_of(self, cell) -> int:
+        for k, idx in self._index.items():
+            if cell in idx:
+                return k
+        raise KeyError(cell)
+
+    def bmat(self, k: int) -> IMat:
+        if k in self.boundaries:
+            return self.boundaries[k]
+        return IMat(self.n_cells(k - 1), self.n_cells(k))
+
+    def validate_square_zero(self):
+        for k in range(2, self.top + 1):
+            if not (self.bmat(k - 1) @ self.bmat(k)).is_zero():
+                raise ValueError(f"boundary squared nonzero at degree {k} in {self.name}")
+
+    # -- subcomplexes --------------------------------------------------
+
+    def check_subcomplex(self, ids) -> frozenset:
+        ids = frozenset(ids)
+        unknown = ids - self.all_ids()
+        if unknown:
+            raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {self.name}")
+        for k in range(1, self.top + 1):
+            lower = self.cell_ids(k - 1)
+            for cell, faces in zip(self.cell_ids(k), self.bmat(k).col_items()):
+                if cell in ids:
+                    for i, _ in faces:
+                        if lower[i] not in ids:
+                            raise NotASubcomplex(
+                                f"boundary of {cell} leaves the cell set at {lower[i]}")
+        return ids
+
+    def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
+        """Canonical subcomplex on the given cells; instances are cached per
+        cell set so class spaces computed through different call sites agree.
+        A cell set is validated, and the name taken, when it is first built."""
+        ids = frozenset(ids)
+        sub = self.derived.get(ids)
+        if sub is None:
+            sub = self.derived[ids] = self._build_subcomplex(self.check_subcomplex(ids), name)
+        return sub
+
+    def _build_subcomplex(self, ids: frozenset, name: str | None) -> "CellComplex":
+        cells = {k: [c for c in v if c in ids] for k, v in self.cells.items()}
+        cells = {k: v for k, v in cells.items() if v}
+        bounds = {}
+        for k in range(1, self.top + 1):
+            sub_k = cells.get(k, [])
+            sub_low = cells.get(k - 1, [])
+            if not sub_k:
+                continue
+            faces = self.bmat(k).col_items()
+            lower = self.cell_ids(k - 1)
+            pos = {low: i for i, low in enumerate(sub_low)}
+            out = IMat(len(sub_low), len(sub_k))
+            for j, cell in enumerate(sub_k):
+                for i, coeff in faces[self.index(k, cell)]:
+                    out[pos[lower[i]], j] = coeff
+            bounds[k] = out
+        return CellComplex(name or f"{self.name}|sub", cells, bounds)
+
+
+def build_complex(name: str, cells: dict, incidences: dict | None = None) -> CellComplex:
+    """Construct from per-degree id lists and sparse incidence data.
+
+    ``incidences[k]`` maps (lower_id, upper_id) to the integer coefficient of
+    lower_id in the boundary of upper_id.
+    """
+    cells = {k: list(v) for k, v in cells.items()}
+    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
+    bounds = {}
+    top = max(cells) if cells else 0
+    for k in range(1, top + 1):
+        rows = len(cells.get(k - 1, []))
+        cols = len(cells.get(k, []))
+        mat = IMat(rows, cols)
+        for (low, up), coeff in (incidences or {}).get(k, {}).items():
+            mat[index[k - 1][low], index[k][up]] = coeff
+        bounds[k] = mat
+    return CellComplex(name, cells, bounds)
+
+
+# ---------------------------------------------------------------------------
+# chain maps
+
+@dataclass
+class ChainMap:
+    """Degree-wise integer matrices commuting with the boundaries."""
+
+    source: CellComplex
+    target: CellComplex
+    mats: dict                                  # degree -> IMat (n_target x n_source)
+    name: str = ""
+
+    def __post_init__(self):
+        for k in range(max(self.source.top, self.target.top) + 1):
+            m = self.mat(k)
+            if m.rows != self.target.n_cells(k) or m.cols != self.source.n_cells(k):
+                raise ValueError(f"chain map degree {k} shape mismatch")
+        for k in range(1, self.source.top + 1):
+            lhs = self.target.bmat(k) @ self.mat(k)
+            rhs = self.mat(k - 1) @ self.source.bmat(k)
+            if lhs != rhs:
+                raise ValueError(f"chain map does not commute with boundary at degree {k}")
+
+    def mat(self, k: int) -> IMat:
+        if k in self.mats:
+            return self.mats[k]
+        return IMat(self.target.n_cells(k), self.source.n_cells(k))
+
+
+# ---------------------------------------------------------------------------
+
+
+def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> CellComplex:
+    """Cellular product; cell ids are (x_id, y_id), boundaries carry the
+    Koszul sign: d(a x b) = da x b + (-1)^|a| a x db. Canonical per factor
+    pair: repeated calls return the same instance, cached on ``x`` (the
+    product holds ``y`` through ``product_of``, so ``id(y)`` stays unique)."""
+    key = (id(y), name)
+    out = x.derived.get(key)
+    if out is not None:
+        return out
+    cells: dict = {}
+    top = x.top + y.top
+    for k in range(top + 1):
+        row = []
+        for da in range(k + 1):
+            db = k - da
+            for a in x.cell_ids(da):
+                for b in y.cell_ids(db):
+                    row.append((a, b))
+        if row:
+            cells[k] = row
+    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
+    x_faces = {d: x.bmat(d).col_items() for d in range(1, x.top + 1)}
+    y_faces = {d: y.bmat(d).col_items() for d in range(1, y.top + 1)}
+    bounds = {}
+    for k in range(1, top + 1):
+        mat = IMat(len(cells.get(k - 1, [])), len(cells.get(k, [])))
+        for j, (a, b) in enumerate(cells.get(k, [])):
+            da = x.degree_of(a)
+            db = y.degree_of(b)
+            if da >= 1:
+                lower = x.cell_ids(da - 1)
+                for i, coeff in x_faces[da][x.index(da, a)]:
+                    mat[index[k - 1][(lower[i], b)], j] += coeff
+            if db >= 1:
+                lower = y.cell_ids(db - 1)
+                sign = (-1) ** da
+                for i, coeff in y_faces[db][y.index(db, b)]:
+                    mat[index[k - 1][(a, lower[i])], j] += sign * coeff
+        bounds[k] = mat
+    out = CellComplex(name or f"{x.name}x{y.name}", cells, bounds)
+    out.product_of = (x, y)
+    x.derived[key] = out
+    return out
+
+
+def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
+    """X / A: collapse the labeled subcomplex to a basepoint.
+
+    Returns (quotient complex, collapse chain map). Vertices of A map to the
+    basepoint; higher A-cells map to zero; other cells map to themselves with
+    A-terms of their boundaries redirected accordingly.
+    """
+    sub_ids = x.check_subcomplex(sub_ids)
+    cells = {0: [PT] + [c for c in x.cell_ids(0) if c not in sub_ids]}
+    for k in range(1, x.top + 1):
+        kept = [c for c in x.cell_ids(k) if c not in sub_ids]
+        if kept:
+            cells[k] = kept
+    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
+    bounds = {}
+    for k in range(1, x.top + 1):
+        if k not in cells:
+            continue
+        mat = IMat(len(cells.get(k - 1, [])), len(cells[k]))
+        faces = x.bmat(k).col_items()
+        lower = x.cell_ids(k - 1)
+        for j, cell in enumerate(cells[k]):
+            for i, coeff in faces[x.index(k, cell)]:
+                low = lower[i]
+                if low in sub_ids:
+                    if k == 1:          # collapsed vertex becomes the basepoint
+                        mat[index[0][PT], j] += coeff
+                    continue
+                mat[index[k - 1][low], j] += coeff
+        bounds[k] = mat
+    q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, bounds)
+    mats = {}
+    for k in x.degrees():
+        m = IMat(q.n_cells(k), x.n_cells(k))
+        for j, cell in enumerate(x.cell_ids(k)):
+            if cell in sub_ids:
+                if k == 0:
+                    m[q.index(0, PT), j] = 1
+                continue
+            m[q.index(k, cell), j] = 1
+        mats[k] = m
+    return q, ChainMap(x, q, mats, name=f"collapse:{x.name}")

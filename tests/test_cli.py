@@ -389,6 +389,10 @@ CHARGE_2_RECORD = {"base": "coneS2", "fixed": ["v"], "complement": ["u", "f2"], 
      "cells need degrees >= 0 and distinct ids"),
     ({"space": {"cells": {"0": ["v"], "1": ["v"], "3": ["c"]}}, "cover": [["v", "c"]]},
      "cells need degrees >= 0 and distinct ids"),
+    # incidences at degrees the space does not have name their missing face
+    ({"space": {"name": "X", "cells": {"0": ["v"], "3": ["c"]},
+                "boundaries": {"5": [["zz", "qq", 7]], "7": [["c", "v", 3]]}},
+      "cover": [["v", "c"]]}, "cannot read gerbe: 'qq'"),
 ])
 def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
     path = tmp_path / "gerbe.json"
@@ -418,6 +422,28 @@ def test_malformed_record_json_exits_two(command, record, message, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read record: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_record_outside_its_subcomplex_names_the_first_face_in_face_order(tmp_path):
+    # a's faces are u (+1) and v (-1); v comes first in the 0-cell order
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(dict(CHARGE_2_RECORD, complement=["a"])))
+    code, out, err = run_cli("classify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read record: boundary of a leaves the cell set at v\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "multi2", "--b-field", "dyonic"],
+    ["--preset", "multi2", "--b-field", "dyonic", "--verify", "involution"],
+    ["--preset", "multi3", "--verify", "dyonic"],
+])
+def test_multi_center_dyonic_is_an_input_error(argv):
+    # the dyonic field and shift are written on the single-center H(r, g)
+    code, out, err = run_cli("buscher", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: multi") and err.count("\n") == 1
+    assert "no registered function H/2" in err
 
 
 @pytest.mark.parametrize("preset", ["monopole:x", "monopole:", "dirac:2"])

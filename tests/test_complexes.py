@@ -1,0 +1,124 @@
+"""The face-table builders of ``tdual.complexes`` against the entry-by-entry
+builders they replaced (``complex_oracle``): the same cells in the same
+order, the same boundary matrices entry for entry, and every cell's faces in
+the row order of its boundary column."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+import complex_oracle as oracle
+from tdual import BUILTIN_NAMES, complexes as cx
+
+_CACHED_BUILTINS = ("point", "circle", "interval", "sphere", "cone_on_s2", "s3_two_disc",
+                    "cp2", "disc2", "interval_power")
+
+
+def _old(monkeypatch, build):
+    """``build()`` with every builder of ``tdual.complexes`` swapped for the
+    oracle's and every builtin built afresh, so no new complex takes part."""
+    with monkeypatch.context() as m:
+        for name in ("build_complex", "product_complex", "quotient_by_subcomplex"):
+            m.setattr(cx, name, getattr(oracle, name))
+        for name in _CACHED_BUILTINS:
+            m.setattr(cx, name, getattr(cx, name).__wrapped__)
+        m.setattr(cx, "_family", lambda key, make: make())
+        return build()
+
+
+def assert_same_complex(new, old):
+    assert type(old) is oracle.CellComplex
+    assert new.cells == old.cells
+    for k in range(1, new.top + 2):
+        assert new.bmat(k) == old.bmat(k)
+        lower = new.cell_ids(k - 1)
+        assert [list(new.faces[c].items()) for c in new.cell_ids(k)] == \
+            [[(lower[i], x) for i, x in col] for col in old.bmat(k).col_items()]
+
+
+def _cover_models():
+    """Every intersection model of a shuffled 6-set cover of the two-disc S^3."""
+    sets = [{"v", "u", "a", "f2", "c3"}, {"u", "f2", "c3out"}, {"v", "u", "a"}, {"u", "f2"},
+            {"v", "u", "a", "f2", "c3", "c3out"}, {"u"}]
+    random.Random(6).shuffle(sets)
+    x = cx.s3_two_disc()
+    return [x.subcomplex(frozenset.intersection(*map(frozenset, t)), name=f"U{t}")
+            for q in range(len(sets)) for t in combinations(sets, q + 1)
+            if frozenset.intersection(*map(frozenset, t))]
+
+
+def _triangle():
+    # incidences listed out of index order, within and across cells
+    return cx.build_complex(
+        "triangle", {0: ["p", "q", "r"], 1: ["i", "j", "l"], 2: ["f"]},
+        {2: {("l", "f"): -1, ("j", "f"): 1, ("i", "f"): 1},
+         1: {("r", "l"): 1, ("q", "i"): 1, ("p", "l"): -1, ("p", "i"): -1,
+             ("r", "j"): 1, ("q", "j"): -1}})
+
+
+def _disc_bundle():
+    return cx.trivial_disc_bundle(cx.sphere(2), 4)
+
+
+CASES = {
+    **{name: (lambda n=name: [cx.builtin_space(n)]) for name in BUILTIN_NAMES},
+    **{f"{name}xS1": (lambda n=name: [cx.product_with_circle(cx.builtin_space(n))])
+       for name in BUILTIN_NAMES},
+    **{f"I^{k}": (lambda k=k: [cx.interval_power(k)]) for k in range(1, 5)},
+    "S2xD4": lambda: [_disc_bundle()[0]],
+    "S3+-cover-models": _cover_models,
+    "TD(S2xD4)": lambda: [cx.thom_space(*_disc_bundle()[:2])[0]],
+    # an edge keeps one endpoint; the two ends of an edge cancel at the basepoint
+    "I/p": lambda: [cx.quotient_by_subcomplex(cx.interval(), {"p"})[0]],
+    "I/pq": lambda: [cx.quotient_by_subcomplex(cx.interval(), {"p", "q"})[0]],
+    "triangle": lambda: [_triangle()],
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_face_table_builders_match_the_entry_by_entry_oracle(case, monkeypatch):
+    new, old = CASES[case](), _old(monkeypatch, CASES[case])
+    assert len(new) == len(old) > 0
+    for n, o in zip(new, old):
+        assert_same_complex(n, o)
+
+
+def test_collapse_map_of_the_thom_space_matches_the_oracle(monkeypatch):
+    def build():
+        return cx.thom_space(*_disc_bundle()[:2])[1]
+
+    new, old = build(), _old(monkeypatch, build)
+    assert new.mats == old.mats
+
+
+def test_faces_are_kept_in_face_index_order():
+    x = _triangle()
+    assert x.faces["f"] == {"i": 1, "j": 1, "l": -1}
+    assert list(x.faces["l"].items()) == [("p", -1), ("r", 1)]
+    assert list(x.faces) == ["p", "q", "r", "i", "j", "l", "f"]
+    assert x.coboundary(2).nz == [{0: 1, 1: 1, 2: -1}]
+
+
+@pytest.mark.parametrize("incidences, missing", [
+    ({5: {("qq", "zz"): 7}}, "qq"),          # neither cell exists: the face is named
+    ({3: {("v", "c"): 3}}, "v"),             # v is a 0-cell, not a 2-cell
+    ({1: {("v", "c"): 3}}, "c"),             # c is a 3-cell, not a 1-cell
+    ({0: {("v", "v"): 1}}, "v"),
+])
+def test_incidences_outside_the_complex_are_rejected(incidences, missing):
+    with pytest.raises(KeyError) as exc:
+        cx.build_complex("X", {0: ["v"], 3: ["c"]}, incidences)
+    assert exc.value.args == (missing,)
+
+
+def test_cell_ids_must_be_distinct_across_degrees():
+    with pytest.raises(ValueError, match="not distinct"):
+        cx.build_complex("X", {0: ["v"], 1: ["v"]})
+
+
+def test_circle_product_ids_are_the_cells_of_the_circle_product():
+    x = cx.cone_on_s2()
+    assert cx.circle_product_ids({"u", "f2"}) == frozenset(
+        {("u", "a"), ("u", "e"), ("f2", "a"), ("f2", "e")})
+    assert cx.circle_product_ids(x.all_ids()) == cx.product_with_circle(x).all_ids()

@@ -223,8 +223,10 @@ def cmd_buscher(args) -> int:
         m = geo.with_b_field(m, geo.dyonic_b_field(ex.sym("beta")))
     try:
         dual, checks = _buscher_checks(args, m, seed)
-    except (geo.SingularG00, ex.DomainError, ex.UnboundSymbol) as exc:
+    except (geo.SingularG00, ex.DomainError) as exc:
         raise InputError(f"{label}: {exc}") from None
+    except ex.UnboundSymbol as exc:     # a KeyError: str() would quote its text
+        raise InputError(f"{label}: {exc.args[0]}") from None
 
     payload = {"input": label, "dual": dual.to_json(),
                "checks": [{"name": n, "passed": bool(o),
@@ -271,7 +273,7 @@ def cmd_cohomology(args) -> int:
     try:
         x = builtin_space(args.space)
     except KeyError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(exc.args[0]) from None
     g = cohomology(x, args.degree)
     payload = {"space": args.space, "degree": args.degree, "group": str(g),
                "free_rank": g.free_rank, "torsion": list(g.torsion)}

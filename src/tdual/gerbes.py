@@ -4,7 +4,9 @@ A cover assigns to each index a subcomplex of a fixed cell model, so the
 nerve is downward closed by construction (hand-built nerve flags can also
 be validated, and violations are reported with a witness tuple). The nerve
 is one table: each degree is enumerated once, on first use, and every
-nonempty sorted tuple is stored with its intersection model.
+nonempty sorted tuple is stored with its intersection model. The tuples
+share a few models (the space caches a subcomplex per cell set), so the cover
+keeps restriction positions per (source model, target model, cell degree).
 
 A gerbe type declares its data once, as a table of layers
 ``(label, attribute, nerve degree q, cell degree d)``. Each layer stores,
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import ClassVar, NamedTuple
 
 from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
@@ -99,6 +101,7 @@ class CoverNerve:
                                  witness=sorted(map(str, missing)))
         self._tuples = {}     # nerve degree -> its nonempty sorted tuples
         self._models = {}     # nonempty sorted tuple -> intersection model
+        self._positions = {}  # (id(frm), id(to), d) -> restriction positions
 
     @property
     def size(self) -> int:
@@ -124,12 +127,24 @@ class CoverNerve:
 
     def model(self, t: tuple) -> CellComplex:
         """The intersection model of a nonempty nerve tuple in any order."""
+        found = self._models.get(t)
+        if found is not None:
+            return found
         key = tuple(sorted(t))
         if key and len(key) - 1 not in self._tuples:
             self.tuples(len(key) - 1)
         if key not in self._models:
             raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
         return self._models[key]
+
+    def positions(self, frm: CellComplex, to: CellComplex, d: int) -> list:
+        """Where each degree-d cell of ``to`` sits among those of ``frm`` (two
+        models of this cover or its space), computed once per model pair."""
+        key = (id(frm), id(to), d)
+        found = self._positions.get(key)
+        if found is None:
+            found = self._positions[key] = [frm.index(d, c) for c in to.cell_ids(d)]
+        return found
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1."""
@@ -152,34 +167,6 @@ def validate_nerve_flags(flags: dict) -> tuple | None:
 # bigraded cochain bookkeeping: data of nerve degree q holds one vector for
 # every tuple of cover.tuples(q), and every operator keeps that full support
 
-def _restrict(vec, frm: CellComplex, to: CellComplex, d: int) -> list:
-    return [vec[frm.index(d, c)] for c in to.cell_ids(d)]
-
-
-def nerve_coboundary(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
-    """delta_nerve: data on (q+1)-tuples, degree-d cochains -> (q+2)-tuples."""
-    out = {}
-    for t in cover.tuples(q + 1):
-        model_t = cover.model(t)
-        vec = [0] * model_t.n_cells(d)
-        for a in range(len(t)):
-            sub = t[:a] + t[a + 1:]
-            restricted = _restrict(data[sub], cover.model(sub), model_t, d)
-            sign = (-1) ** a
-            vec = [v + sign * r for v, r in zip(vec, restricted)]
-        out[t] = vec
-    return out
-
-
-def cell_coboundary(cover: CoverNerve, data: dict, d: int) -> dict:
-    return {t: cover.model(t).coboundary(d + 1).mul_vec(vec)
-            for t, vec in data.items()}
-
-
-def _zero_data(cover: CoverNerve, q: int, d: int) -> dict:
-    return {t: [0] * cover.model(t).n_cells(d) for t in cover.tuples(q)}
-
-
 def _add(a: dict, b: dict, k: int = 1) -> dict:
     """a + k*b for two full-support data of the same (q, d)."""
     return {t: [x + k * y for x, y in zip(vec, b[t])] for t, vec in a.items()}
@@ -190,13 +177,25 @@ def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
     ``comps[q]`` of cell degree (degree - q), for consecutive nerve degrees
     q. Returns every component of D: ``out[q]`` has cell degree
     (degree + 1 - q), for q from the lowest input degree to the highest
-    plus one."""
-    qs = sorted(comps)
-    out = {q: _zero_data(cover, q, degree + 1 - q) for q in range(qs[0], qs[-1] + 2)}
-    for q in qs:
-        d = degree - q
-        out[q] = _add(out[q], cell_coboundary(cover, comps[q], d), (-1) ** q)
-        out[q + 1] = _add(out[q + 1], nerve_coboundary(cover, comps[q], q, d))
+    plus one. Each slot is written once, in ``cover.tuples(q)`` order: the
+    faces of a sorted tuple are sorted tuples, each restricted through the
+    positions of its model pair, and the summands add up by sign."""
+    qs, models, out = sorted(comps), cover._models, {}
+    for q in range(qs[0], qs[-1] + 2):
+        d, cell, nerve = degree + 1 - q, comps.get(q), comps.get(q - 1)
+        slot = out[q] = {}
+        for t in cover.tuples(q):
+            to = models[t]
+            vec = [0] * to.n_cells(d) if cell is None else to.coboundary(d).mul_vec(cell[t])
+            plus, minus = ([], [vec]) if q % 2 else ([vec], [])
+            for a in range(len(t) if nerve is not None else 0):
+                sub = t[:a] + t[a + 1:]
+                frm, face = models[sub], nerve[sub]
+                if frm is not to:
+                    face = [face[i] for i in cover.positions(frm, to, d)]
+                (minus if a % 2 else plus).append(face)
+            slot[t] = [sum(x) - sum(y) for x, y in
+                       zip_longest(zip(*plus), zip(*minus), fillvalue=())]
     return out
 
 
@@ -237,15 +236,14 @@ def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohCl
     in H^total_degree of the covered space.
     """
     comps = dict(components)
-    comps[0] = _zero_data(cover, 0, total_degree)
+    comps[0] = {t: [0] * cover.model(t).n_cells(total_degree) for t in cover.tuples(0)}
     for q in range(total_degree, 0, -1):
         if not any(any(vec) for vec in comps[q].values()):
             continue
         w = _contract(cover, comps[q], q, total_degree - q)
         # subtract D(w): kills level q, moves the residue one nerve degree down
         dw = total_coboundary(cover, {q - 1: w}, total_degree - 1)
-        comps[q] = _add(comps[q], dw[q], -1)
-        if any(any(vec) for vec in comps[q].values()):
+        if dw[q] != comps[q]:
             raise InvalidGerbe(f"contraction failed at nerve degree {q}; "
                                "data was not a total cocycle")
         comps[q - 1] = _add(comps[q - 1], dw[q - 1], -1)
@@ -468,12 +466,11 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     seeded gauge scramble then produces generic-looking theta and mu data
     without changing the class.
     """
-    x = cover.space
     cocycle = list(cocycle)
     ts = []
     for i in range(cover.size):
         ui = cover.model((i,))
-        t = solve(ui.coboundary(3), _restrict(cocycle, x, ui, 3))
+        t = solve(ui.coboundary(3), [cocycle[k] for k in cover.positions(cover.space, ui, 3)])
         if t is None:
             raise ModelMismatch(f"patch {i} does not trivialize the class "
                                 "(H^3 of the patch obstructs)")
@@ -481,9 +478,9 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     p = {}
     for (i, j) in cover.tuples(1):
         uij = cover.model((i, j))
-        ti = _restrict(ts[i], cover.model((i,)), uij, 2)
-        tj = _restrict(ts[j], cover.model((j,)), uij, 2)
-        p[(i, j)] = [a - b for a, b in zip(ti, tj)]
+        ti, tj = ts[i], ts[j]
+        p[(i, j)] = [ti[a] - tj[b] for a, b in zip(cover.positions(cover.model((i,)), uij, 2),
+                                                   cover.positions(cover.model((j,)), uij, 2))]
     g = TwoGerbe(cover, p=p)
     if scramble_seed is not None:
         g = gauge_perturb(g, scramble_seed)

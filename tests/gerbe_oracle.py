@@ -1,10 +1,14 @@
-"""The hand-written 2-gerbe gauge transformation, kept as the test oracle.
+"""The hand-written 2-gerbe gauge transformation and the face-by-face
+double-complex differentials, kept as the test oracle.
 
 ``gauge_perturb`` in ``tdual.gerbes`` adds the total coboundary D(x) of a
 random cochain x read off the layer table. This module keeps the explicit
 p/theta/mu formulas it replaced, with their own sparse cochain arithmetic
 (a tuple missing from a dict is a zero cochain), so the two are compared
-draw for draw.
+draw for draw. ``total_coboundary`` sums the per-face restrictions of
+``nerve_coboundary`` and the transposed boundaries of ``cell_coboundary``
+slot by slot, which is what ``tdual.gerbes.total_coboundary`` computes
+through its per-model-pair restriction positions.
 """
 
 import random
@@ -42,6 +46,22 @@ def _plus(a, b, k=1):
     for t, vec in b.items():
         base = out.get(t, [0] * len(vec))
         out[t] = [x + k * y for x, y in zip(base, vec)]
+    return out
+
+
+def total_coboundary(cover, comps, degree):
+    """delta_nerve(comps[q - 1]) + (-1)^q delta_cell(comps[q]) in every nerve
+    degree q from the lowest input degree to the highest plus one."""
+    qs = sorted(comps)
+    out = {}
+    for q in range(qs[0], qs[-1] + 2):
+        d = degree + 1 - q
+        slot = {t: [0] * cover.model(t).n_cells(d) for t in cover.tuples(q)}
+        if q in comps:
+            slot = _plus(slot, cell_coboundary(cover, comps[q], d - 1), (-1) ** q)
+        if q - 1 in comps:
+            slot = _plus(slot, nerve_coboundary(cover, comps[q - 1], q - 1, d))
+        out[q] = slot
     return out
 
 

@@ -446,6 +446,17 @@ def test_multi_center_dyonic_is_an_input_error(argv):
     assert "no registered function H/2" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["cohomology", "--space", "foo", "--degree", "1"], "unknown builtin space 'foo'"),
+    (["buscher", "--preset", "multi2", "--b-field", "dyonic"],
+     "multi2: no registered function H/2"),
+    (["buscher", "--preset", "multi3", "--verify", "dyonic"],
+     "multi3: no registered function H/2"),
+], ids=["cohomology", "multi2", "multi3"])
+def test_missing_name_errors_print_the_message_unquoted(argv, line):
+    assert run_cli(*argv) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("preset", ["monopole:x", "monopole:", "dirac:2"])
 def test_malformed_gerbe_preset_exits_two(preset):
     code, out, err = run_cli("dualize-gerbe", "--preset", preset)

@@ -1,19 +1,21 @@
 """Cech gerbe cocycle algebra: validity checks, characteristic classes,
 gauge invariance, and the constructive dualization map."""
 
+import gc
 import random
+import weakref
 from math import comb
 
 import pytest
 
 import gerbe_oracle
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
-from tdual.complexes import product_with_circle, s3_two_disc, sphere
+from tdual.complexes import CellComplex, product_with_circle, s3_two_disc, sphere
 from tdual.gerbes import (
     CoverNerve, InvalidGerbe, MalformedNerve, ThreeGerbe, TwoGerbe,
     characteristic_class_two_gerbe, check_three_gerbe, check_two_gerbe,
     gauge_perturb, kk_gerbe_models, monopole_two_gerbe,
-    semifree_class_to_two_gerbe, tdualize_two_gerbe,
+    semifree_class_to_two_gerbe, tdualize_two_gerbe, total_coboundary,
     trivial_bundle_gerbe_models, two_gerbe_from_class,
     validate_nerve_flags,
 )
@@ -196,6 +198,85 @@ def test_localized_datum_perturbations(six_patch_cover, generator_cocycle):
         gt = gauge_perturb(g, seed=2000 + k, triple=triples[rng.randrange(len(triples))])
         rep = check_two_gerbe(gt)
         assert rep.passed and rep.characteristic_class == base
+
+
+# ---------------------------------------------------------------------------
+# the total differential against the face-by-face oracle
+
+INNER = frozenset({"v", "u", "a", "f2", "c3"})
+OUTER = frozenset({"u", "f2", "c3out"})
+
+# (input nerve degrees, total degree) of every total differential taken: the
+# 2- and 3-gerbe checks, their gauge transformations (one layer fewer, one
+# degree down) and each staircase step D(w) of the 2- and 3-gerbe classes
+TOTAL_SHAPES = ([((1, 2, 3), 3), ((1, 2, 3, 4), 4), ((1, 2), 2)]
+                + [((q,), 2) for q in range(3)] + [((q,), 3) for q in range(4)])
+
+
+def _random_comps(cover, qs, degree, rng):
+    return {q: {t: [rng.randint(-3, 3) for _ in range(cover.model(t).n_cells(degree - q))]
+                for t in cover.tuples(q)}
+            for q in qs}
+
+
+def _assert_total_coboundary_matches_oracle(cover, rng):
+    for qs, degree in TOTAL_SHAPES:
+        comps = _random_comps(cover, qs, degree, rng)
+        got = total_coboundary(cover, comps, degree)
+        want = gerbe_oracle.total_coboundary(cover, comps, degree)
+        assert list(got) == list(want) == list(range(qs[0], qs[-1] + 2))
+        for q, slot in want.items():
+            assert list(got[q]) == list(slot) == cover.tuples(q)
+            assert got[q] == slot, (qs, degree, q)
+
+
+@pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
+@pytest.mark.parametrize("size", range(2, 9))
+def test_total_coboundary_matches_the_face_by_face_oracle(bplus, size, crossed):
+    rng = random.Random(100 * size + crossed)
+    sets = [INNER, OUTER] + [rng.choice((INNER, OUTER)) for _ in range(size - 2)]
+    rng.shuffle(sets)
+    cover = CoverNerve(bplus, sets)
+    if crossed:
+        cover = cover.crossed(product_with_circle(bplus))
+    _assert_total_coboundary_matches_oracle(cover, rng)
+
+
+def test_total_coboundary_matches_the_oracle_on_six_patches(six_patch_cover):
+    _assert_total_coboundary_matches_oracle(six_patch_cover, random.Random(6))
+
+
+def test_total_coboundary_looks_up_each_model_pair_once(bplus, monkeypatch):
+    calls = []
+    original = CellComplex.index
+    monkeypatch.setattr(CellComplex, "index",
+                        lambda self, k, cell: calls.append(k) or original(self, k, cell))
+    counts = {}
+    for size in (6, 8, 12):
+        cover = CoverNerve(bplus, [INNER, OUTER] * (size // 2))
+        comps = _random_comps(cover, (1, 2, 3), 3, random.Random(size))
+        calls.clear()
+        total_coboundary(cover, comps, 3)
+        counts[size] = len(calls)
+    # 63, 255 and 4095 tuples share three models: the inner and outer
+    # patches restrict to their overlap {u, f2} (one 2-cell, one 0-cell) once
+    # per degree. Degree 0 restricts 4-fold data to 5-fold overlaps, and only
+    # from four equal patches, which six alternating sets do not hold.
+    assert counts == {6: 2, 8: 4, 12: 4}
+
+
+def test_restriction_positions_die_with_their_cover(bplus):
+    class Positions(dict):      # a dict that can be weakly referenced
+        pass
+
+    cover = CoverNerve(bplus, [INNER, OUTER] * 3)
+    cover._positions = Positions()
+    total_coboundary(cover, _random_comps(cover, (1, 2, 3), 3, random.Random(0)), 3)
+    probe = weakref.ref(cover._positions)
+    assert len(probe()) > 0
+    del cover
+    gc.collect()
+    assert probe() is None
 
 
 def _gauge_cases():

@@ -3,8 +3,9 @@
 Subcommands: buscher, dualize-gerbe, cohomology, classify, tdualize,
 spectrum, homotopy, verify. Global options --seed/--trials/--tol control
 the randomized identity checks (seed defaults to $TDUAL_SEED or 42).
-Exit codes: 0 success, 1 verification failure (witness serialized),
-2 usage or input error.
+Each handler returns (payload, table lines, verdicts), and ``_render`` writes
+them: exit 0 if every verdict passed, 1 if one failed (its witness is
+serialized), 2 on a usage or input error.
 
 Each handler and each verify suite imports the layers it runs, so a command
 loads no other layer; at module level only the standard library is imported.
@@ -18,15 +19,9 @@ import math
 import os
 import random
 import sys
-from functools import partial
+from typing import NamedTuple
 
 from . import BUILTIN_NAMES, DEFAULT_TOL, DEFAULT_TRIALS
-
-SUITES = ("metrics", "dyonic", "cohomology", "gerbes", "semifree")
-
-
-class UnknownSuite(KeyError):
-    pass
 
 
 class InputError(ValueError):
@@ -136,15 +131,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# verdicts and rendering
 
-def _emit(args, payload: dict, table_lines: list) -> str:
+class Verdict(NamedTuple):
+    """One certified claim. ``witness`` is the (component, Witness) of a
+    failed sampled check; ``note`` is the line printed under a failure."""
+
+    name: str
+    passed: bool
+    witness: tuple | None = None
+    note: str | None = None
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "passed": bool(self.passed)}
+        if self.witness:
+            component, point = self.witness
+            out["witness"] = {"component": list(component),
+                              "point": point.to_json() if point else None}
+        return out
+
+
+def _sampled(name: str, ok: bool, witness) -> Verdict:
+    """The verdict of a sampled check; a failure keeps its witness."""
+    if ok:
+        return Verdict(name, True)
+    return Verdict(name, False, witness, witness and f"witness: {witness}")
+
+
+def _render(args, payload: dict, lines: list, verdicts: list) -> int:
+    """Write the JSON payload, or the table lines followed by one PASS/FAIL
+    line per verdict; exit 1 if a verdict failed, else 0."""
     if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return "\n".join(table_lines) + "\n"
-
-
-def _write(args, text: str):
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        for v in verdicts:
+            lines.append(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}")
+            if v.note:
+                lines.append(f"        {v.note}")
+        text = "\n".join(lines) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -153,6 +177,17 @@ def _write(args, text: str):
             raise InputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+    return 0 if all(v.passed for v in verdicts) else 1
+
+
+def _read_json(path: str, what: str, parse, errors: tuple = ()):
+    """``parse`` of the JSON in ``path``; a failure to open, decode or parse
+    it is an InputError 'cannot read <what>: ...'."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, KeyError, ValueError, TypeError, *errors) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +196,8 @@ def _write(args, text: str):
 def _load_metric(path: str):
     from . import expr as ex, geometry as geo
     spec = geo.taub_nut_sample_spec()
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        m = geo.MetricData.from_json(obj, sample=spec)
-    except (OSError, KeyError, ValueError, TypeError, ex.DomainError) as exc:
-        raise InputError(f"cannot read metric from {path}: {exc}") from None
+    m = _read_json(path, f"metric from {path}", lambda obj: geo.MetricData.from_json(obj, spec),
+                   (ex.DomainError,))
     # sampling needs a box for every symbol, a closure for every function and
     # constants that are floats
     for e in [*m.g_upper.values(), *m.b_upper.values()]:
@@ -182,11 +213,6 @@ def _load_metric(path: str):
                 spec.functions.lookup(name, arity)
             except ex.UnboundSymbol:
                 raise InputError(f"{path}: no function {name}/{arity} is registered") from None
-    for part in ("g", "b"):     # from_json keeps the last entry of a component
-        keys = [(min(i, j), max(i, j)) for i, j, _ in obj[part]]
-        twice = [key for key in keys if keys.count(key) > 1]
-        if twice:
-            raise InputError(f"{path}: {part} component {twice[0]} is given twice")
     return m
 
 
@@ -201,73 +227,58 @@ def _multi_preset(p: int, seed: int):
     return MultiCenterFamily(centers)
 
 
-def _witness_json(witness) -> dict:
-    component, point = witness
-    return {"component": list(component), "point": point.to_json() if point else None}
-
-
-def cmd_buscher(args) -> int:
+def _gh_reference(m, dyonic: bool = False):
+    """H((dk)^2 + dr.dr) for the profile H of ``m``, dyonically shifted if asked."""
     from . import expr as ex, geometry as geo
-    seed = args.seed if args.seed is not None else _default_seed()
+    ref = geo.h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+    return geo.pullback(ref, geo.dyonic_shift(ex.sym("beta"))) if dyonic else ref
+
+
+def _equal(args, name: str, a, b, spec=None, compare_b: bool = False) -> Verdict:
+    from .geometry import metrics_equal
+    return _sampled(name, *metrics_equal(a, b, spec, trials=args.trials, tol=args.tol,
+                                         seed=args.seed, compare_b=compare_b))
+
+
+def cmd_buscher(args):
+    from . import expr as ex, geometry as geo
+    label = args.input or args.preset or "taub-nut"
     if args.input:
         m = _load_metric(args.input)
-        label = args.input
-    elif args.preset == "taub-nut" or args.preset is None:
+    elif label == "taub-nut":
         m = geo.make_taub_nut()
-        label = "taub-nut"
     else:
-        fam = _multi_preset(int(args.preset.removeprefix("multi")), seed)
-        m = fam.metric()
-        label = args.preset
+        m = _multi_preset(int(label.removeprefix("multi")), args.seed).metric()
     if args.b_field == "dyonic":
         m = geo.with_b_field(m, geo.dyonic_b_field(ex.sym("beta")))
+    if args.verify in ("g-h", "dyonic") and (1, 1) not in m.g_upper:
+        raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
+                         "with a radial component")
     try:
-        dual, checks = _buscher_checks(args, m, seed)
+        dual = geo.buscher_transform(m)
+        if args.verify == "involution":
+            verdicts = [_equal(args, "double dual returns the input", geo.buscher_transform(dual),
+                               m, compare_b=True)]
+        elif args.verify == "none":
+            verdicts = []
+        else:
+            name = "the shifted product metric" if args.verify == "dyonic" else \
+                "g_H = H((dk)^2 + dr.dr)"
+            verdicts = [_equal(args, f"dual matches {name}", dual,
+                               _gh_reference(m, args.verify == "dyonic"))]
     except (geo.SingularG00, ex.DomainError) as exc:
         raise InputError(f"{label}: {exc}") from None
     except ex.UnboundSymbol as exc:     # a KeyError: str() would quote its text
         raise InputError(f"{label}: {exc.args[0]}") from None
-
     payload = {"input": label, "dual": dual.to_json(),
-               "checks": [{"name": n, "passed": bool(o),
-                           "witness": None if o or w is None else _witness_json(w)}
-                          for n, o, w in checks]}
-    lines = [f"buscher dual of {label}"]
-    for n, o, w in checks:
-        lines.append(f"[{'PASS' if o else 'FAIL'}] {n}")
-        if not o and w is not None:
-            lines.append(f"        witness: {w}")
-    _write(args, _emit(args, payload, lines))
-    return 0 if all(o for _, o, _ in checks) else 1
-
-
-def _buscher_checks(args, m, seed: int):
-    """The dual of ``m`` and the (name, passed, witness) of the chosen check."""
-    from . import expr as ex, geometry as geo
-    if args.verify in ("g-h", "dyonic") and (1, 1) not in m.g_upper:
-        raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
-                         "with a radial component")
-    dual, checks = geo.buscher_transform(m), []
-    if args.verify == "involution":
-        ok, wit = geo.metrics_equal(geo.buscher_transform(dual), m, trials=args.trials,
-                                    tol=args.tol, seed=seed)
-        checks.append(("double dual returns the input", ok, wit))
-    elif args.verify != "none":
-        ref = geo.h_monopole_metric(m.g_upper[(1, 1)], m.sample)   # H times the flat block
-        name = "g_H = H((dk)^2 + dr.dr)"
-        if args.verify == "dyonic":
-            ref = geo.pullback(ref, geo.dyonic_shift(ex.sym("beta")))
-            name = "the shifted product metric"
-        ok, wit = geo.metrics_equal(dual, ref, trials=args.trials, tol=args.tol, seed=seed,
-                                    compare_b=False)
-        checks.append((f"dual matches {name}", ok, wit))
-    return dual, checks
+               "checks": [{"witness": None, **v.to_json()} for v in verdicts]}
+    return payload, [f"buscher dual of {label}"], verdicts
 
 
 # ---------------------------------------------------------------------------
 # cohomology
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     from .cohomology import cohomology
     from .complexes import builtin_space
     try:
@@ -277,8 +288,7 @@ def cmd_cohomology(args) -> int:
     g = cohomology(x, args.degree)
     payload = {"space": args.space, "degree": args.degree, "group": str(g),
                "free_rank": g.free_rank, "torsion": list(g.torsion)}
-    _write(args, _emit(args, payload, [f"H^{args.degree}({args.space}) = {g}"]))
-    return 0
+    return payload, [f"H^{args.degree}({args.space}) = {g}"], []
 
 
 # ---------------------------------------------------------------------------
@@ -326,50 +336,62 @@ def _gerbe_to_json(g) -> dict:
     return out
 
 
-def cmd_dualize_gerbe(args) -> int:
+def _dualize_checks(g, names):
+    """Check ``g``, dualize it, check the dual and compare its class with class x z.
+    Returns both reports, the dual (None after a failed check of g) and the verdicts."""
     from .cohomology import cross_with_z
     from .complexes import product_with_circle
-    from .gerbes import (MalformedNerve, check_three_gerbe, check_two_gerbe, monopole_two_gerbe,
-                         tdualize_two_gerbe)
-    if args.preset:
-        g = monopole_two_gerbe(_preset_int(args.preset, "monopole", "preset must be monopole:<n>"))
-    elif args.input:
-        try:
-            with open(args.input) as fh:
-                g = _gerbe_from_json(json.load(fh))
-        except (OSError, KeyError, ValueError, TypeError, MalformedNerve) as exc:
-            raise InputError(f"cannot read gerbe: {exc}") from None
-    else:
-        raise InputError("need --preset or --input")
+    from .gerbes import check_three_gerbe, check_two_gerbe, tdualize_two_gerbe
     rep2 = check_two_gerbe(g)
-    payload = {"two_gerbe_report": rep2.to_json()}
-    lines = [f"[{'PASS' if rep2.passed else 'FAIL'}] 2-gerbe validity"]
     if not rep2.passed:
         f = rep2.failures()[0]
-        lines.append(f"        {f.name} fails at {f.where}")
-        _write(args, _emit(args, payload, lines))
-        return 1
+        return rep2, None, None, [Verdict(names[0], False, note=f"{f.name} fails at {f.where}")]
     xs1 = product_with_circle(g.cover.space)
     tg = tdualize_two_gerbe(g, xs1)
     rep3 = check_three_gerbe(tg)
-    crossed = cross_with_z(rep2.characteristic_class, xs1)
-    class_ok = rep3.characteristic_class == crossed
-    payload.update({"three_gerbe": _gerbe_to_json(tg),
-                    "three_gerbe_report": rep3.to_json(),
-                    "class_equals_cross_product": class_ok})
-    lines.append(f"[{'PASS' if rep3.passed else 'FAIL'}] 3-gerbe validity")
-    lines.append(f"[{'PASS' if class_ok else 'FAIL'}] dual class equals (class x z)")
-    _write(args, _emit(args, payload, lines))
-    return 0 if rep3.passed and class_ok else 1
+    class_ok = rep3.characteristic_class == cross_with_z(rep2.characteristic_class, xs1)
+    return rep2, tg, rep3, [Verdict(names[0], True), Verdict(names[1], rep3.passed),
+                            Verdict(names[2], class_ok)]
+
+
+def cmd_dualize_gerbe(args):
+    from .gerbes import monopole_two_gerbe
+    if args.preset:
+        g = monopole_two_gerbe(_preset_int(args.preset, "monopole", "preset must be monopole:<n>"))
+    elif args.input:
+        g = _read_json(args.input, "gerbe", _gerbe_from_json)
+    else:
+        raise InputError("need --preset or --input")
+    rep2, tg, rep3, verdicts = _dualize_checks(
+        g, ("2-gerbe validity", "3-gerbe validity", "dual class equals (class x z)"))
+    payload = {"two_gerbe_report": rep2.to_json()}
+    if tg is not None:
+        payload.update({"three_gerbe": _gerbe_to_json(tg), "three_gerbe_report": rep3.to_json(),
+                        "class_equals_cross_product": verdicts[2].passed})
+    return payload, [], verdicts
 
 
 # ---------------------------------------------------------------------------
 # semi-free records
 
-def _record_from_args(args):
+def _record_from_json(obj):
     from .cohomology import CohClass, cochain_space
     from .complexes import builtin_space
-    from .semifree import classify, kk_record, trivial_record
+    from .semifree import classify
+    obj = _checked(obj, dict, "record")
+    base = builtin_space(_checked(obj["base"], str, "base"))
+    fixed, comp = (frozenset(_checked(obj[key], list, key, str))
+                   for key in ("fixed", "complement"))
+    model = base.subcomplex(comp)
+    if model.top < 2:
+        raise InputError(f"the bundle class has degree 2, above the top cell degree "
+                         f"{model.top} of the complement")
+    lam = CohClass(cochain_space(model, 2), tuple(_checked(obj["class"], list, "class", int)))
+    return classify(base, fixed, comp, lam, name=_checked(obj.get("name", ""), str, "name"))
+
+
+def _record_from_args(args):
+    from .semifree import kk_record, trivial_record
     if args.preset:
         if args.preset == "kk":
             return kk_record()
@@ -378,54 +400,41 @@ def _record_from_args(args):
         return kk_record(_preset_int(args.preset, "charge",
                                      "preset must be kk, trivial, or charge:<p>"))
     if args.input:
-        try:
-            with open(args.input) as fh:
-                obj = _checked(json.load(fh), dict, "record")
-            base = builtin_space(_checked(obj["base"], str, "base"))
-            fixed, comp = (frozenset(_checked(obj[key], list, key, str))
-                           for key in ("fixed", "complement"))
-            model = base.subcomplex(comp)
-            if model.top < 2:
-                raise InputError(f"the bundle class has degree 2, above the top cell degree "
-                                 f"{model.top} of the complement")
-            lam = CohClass(cochain_space(model, 2),
-                           tuple(_checked(obj["class"], list, "class", int)))
-            return classify(base, fixed, comp, lam, name=_checked(obj.get("name", ""), str, "name"))
-        except (OSError, KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"cannot read record: {exc}") from None
+        return _read_json(args.input, "record", _record_from_json)
     raise InputError("need --preset or --input")
 
 
-def cmd_classify(args) -> int:
-    rec = _record_from_args(args)
-    payload = rec.describe()
+def cmd_classify(args):
+    payload = _record_from_args(args).describe()
     lines = [f"record: {payload['name'] or 'unnamed'}",
              f"  base model: {payload['base']}",
              f"  fixed locus cells: {', '.join(payload['fixed_cells']) or '(empty)'}",
              f"  bundle class: {payload['bundle_class']}"]
-    _write(args, _emit(args, payload, lines))
-    return 0
+    return payload, lines, []
 
 
-def cmd_tdualize(args) -> int:
+def _round_trip(rec, dual) -> Verdict:
     from .cohomology import fiber_integrate
+    return Verdict("fiber integration returns the bundle class",
+                   fiber_integrate(dual.flux, dual.complement_product) == rec.bundle_class)
+
+
+def cmd_tdualize(args):
     from .semifree import tdualize
     rec = _record_from_args(args)
     dual = tdualize(rec)
-    back_ok = fiber_integrate(dual.flux, dual.complement_product) == rec.bundle_class
+    verdict = _round_trip(rec, dual)
     payload = dual.describe()
-    payload["round_trip"] = back_ok
+    payload["round_trip"] = verdict.passed
     lines = [f"T-dual of {rec.name or 'record'}: {payload['space']}",
              f"  flux class: {payload['flux_class']}",
              f"  source cells: {', '.join(payload['source_cells']) or '(none)'}",
              f"  extension ideal: {payload['extension']['ideal']}",
-             f"  extension quotient: {payload['extension']['quotient']}",
-             f"[{'PASS' if back_ok else 'FAIL'}] fiber integration returns the bundle class"]
-    _write(args, _emit(args, payload, lines))
-    return 0 if back_ok else 1
+             f"  extension quotient: {payload['extension']['quotient']}"]
+    return payload, lines, [verdict]
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     from fractions import Fraction
     from .semifree import basic_example_spectrum, hausdorff_regularization
     sp = basic_example_spectrum()
@@ -446,11 +455,10 @@ def cmd_spectrum(args) -> int:
     for row in table:
         lines.append(f"  k1={row['k1']} k2={row['k2']} (units of 2*pi): "
                      f"{'non-separable' if row['non_separable'] else 'separable'}")
-    _write(args, _emit(args, payload, lines))
-    return 0
+    return payload, lines, []
 
 
-def cmd_homotopy(args) -> int:
+def cmd_homotopy(args):
     from .semifree import multi_center_homotopy
     if args.centers < 1:
         raise InputError("--centers must be >= 1")
@@ -460,149 +468,110 @@ def cmd_homotopy(args) -> int:
     lines = [f"{args.centers}-center space is homotopy equivalent to a wedge "
              f"of {args.centers - 1} two-spheres:"]
     lines.extend(f"  H_{k} = {g}" for k, g in groups.items())
-    _write(args, _emit(args, payload, lines))
-    return 0
+    return payload, lines, []
 
 
 # ---------------------------------------------------------------------------
-# golden suites
+# golden suites: each yields one Verdict per check
 
-def _metric_identity_checks(seed, trials, tol, dyonic: bool):
-    """Yield (name, passed, witness); a witness is (component, Witness)."""
+def _suite_metrics(args):
     from . import geometry as geo
     tn = geo.make_taub_nut()
-    h = geo.app("H", (geo.sym("r"), geo.sym("g")))
-    ref = geo.h_monopole_metric(h, tn.sample)
-    if not dyonic:
-        ok, wit = geo.metrics_equal(geo.buscher_transform(tn), ref, trials=trials,
-                                    tol=tol, seed=seed, compare_b=False)
-        yield "taub-nut dual equals H((dk)^2 + dr.dr)", ok, wit
-        fam = geo.MultiCenterFamily([(0.4, 0.0, 0.1), (-0.3, 0.2, -0.5)])
-        ok, wit = geo.metrics_equal(geo.buscher_transform(fam.metric()),
-                                    fam.dual_reference(), trials=trials, tol=tol,
-                                    seed=seed, compare_b=False)
-        yield "2-center dual equals H((dk)^2 + dr.dr)", ok, wit
-        name = "dual conformal factor is the monopole profile"
-        try:
-            f = geo.conformal_factor(geo.buscher_transform(tn), geo.flat_product_metric(),
-                                     trials=trials, tol=tol, seed=seed)
-        except geo.NotConformal as exc:
-            yield name, False, (("g", *exc.component), exc.witness)
-        else:
-            rep = geo.equal_numeric(f, h, tn.sample, trials, tol, seed)
-            yield name, rep.equal, (("factor",), rep.witness)
+    dual = geo.buscher_transform(tn)
+    yield _equal(args, "taub-nut dual equals H((dk)^2 + dr.dr)", dual, _gh_reference(tn))
+    fam = geo.MultiCenterFamily([(0.4, 0.0, 0.1), (-0.3, 0.2, -0.5)])
+    yield _equal(args, "2-center dual equals H((dk)^2 + dr.dr)",
+                 geo.buscher_transform(fam.metric()), fam.dual_reference())
+    name = "dual conformal factor is the monopole profile"
+    try:
+        f = geo.conformal_factor(dual, geo.flat_product_metric(),
+                                 trials=args.trials, tol=args.tol, seed=args.seed)
+    except geo.NotConformal as exc:
+        yield _sampled(name, False, (("g", *exc.component), exc.witness))
     else:
-        beta = geo.sym("beta")
-        field = geo.dyonic_b_field(beta)
-        wit = None
-        for idx, c in geo.exterior_derivative(field).comps.items():
-            rep = geo.equal_numeric(c, geo.rat(0), tn.sample, trials, tol, seed)
-            if not rep:
-                wit = (("dB", *idx), rep.witness)
-                break
-        yield "dyonic field is closed", wit is None, wit
-        dual = geo.buscher_transform(geo.with_b_field(tn, field))
-        target = geo.pullback(ref, geo.dyonic_shift(beta))
-        ok, wit = geo.metrics_equal(dual, target, trials=trials, tol=tol, seed=seed,
-                                    compare_b=False)
-        yield "dual of (g, beta*Omega) is the shifted product metric", ok, wit
-        fam = geo.MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
-        base = fam.radial_metric()
-        dual_i = geo.buscher_transform(geo.with_b_field(base, fam.b_field(0, beta)))
-        target_i = geo.pullback(fam.radial_dual_reference(), fam.dyonic_shift(0, beta))
-        ok, wit = geo.metrics_equal(dual_i, target_i, fam.sample, trials=trials,
-                                    tol=tol, seed=seed, compare_b=False)
-        yield "per-center dual matches the H_i/H-shifted product metric", ok, wit
+        rep = geo.equal_numeric(f, tn.g_upper[(1, 1)], tn.sample, args.trials, args.tol,
+                                args.seed)
+        yield _sampled(name, rep.equal, (("factor",), rep.witness))
 
 
-def _suite_cohomology(seed, trials, tol):
+def _suite_dyonic(args):
+    from . import geometry as geo
+    tn = geo.make_taub_nut()
+    beta = geo.sym("beta")
+    field = geo.dyonic_b_field(beta)
+    reps = ((idx, geo.equal_numeric(c, geo.rat(0), tn.sample, args.trials, args.tol, args.seed))
+            for idx, c in geo.exterior_derivative(field).comps.items())
+    wit = next(((("dB", *idx), rep.witness) for idx, rep in reps if not rep), None)
+    yield _sampled("dyonic field is closed", wit is None, wit)
+    yield _equal(args, "dual of (g, beta*Omega) is the shifted product metric",
+                 geo.buscher_transform(geo.with_b_field(tn, field)), _gh_reference(tn, True))
+    fam = geo.MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
+    dual_i = geo.buscher_transform(geo.with_b_field(fam.radial_metric(), fam.b_field(0, beta)))
+    target_i = geo.pullback(fam.radial_dual_reference(), fam.dyonic_shift(0, beta))
+    yield _equal(args, "per-center dual matches the H_i/H-shifted product metric",
+                 dual_i, target_i, fam.sample)
+
+
+def _suite_cohomology(args):
     from .cohomology import (AbelianGroup, Z, cochain_space, cohomology, cross_with_z,
                              fiber_integrate, long_exact_sequence)
     from .complexes import builtin_space, cone_on_s2
-    yield "H^3(S2xS1) = Z", cohomology(builtin_space("S2xS1"), 3) == Z
-    yield "H^2(CP2) = Z", cohomology(builtin_space("CP2"), 2) == Z
-    yield "H^2(L(1,3)) = Z/3", cohomology(builtin_space("L1p:3"), 2) == AbelianGroup(0, (3,))
-    yield "pair (D3, S2) long exact sequence exact", \
-        long_exact_sequence(cone_on_s2(), {"u", "f2"}).all_exact
-    s2 = builtin_space("S2")
+    yield Verdict("H^3(S2xS1) = Z", cohomology(builtin_space("S2xS1"), 3) == Z)
+    yield Verdict("H^2(CP2) = Z", cohomology(builtin_space("CP2"), 2) == Z)
+    yield Verdict("H^2(L(1,3)) = Z/3",
+                  cohomology(builtin_space("L1p:3"), 2) == AbelianGroup(0, (3,)))
+    yield Verdict("pair (D3, S2) long exact sequence exact",
+                  long_exact_sequence(cone_on_s2(), {"u", "f2"}).all_exact)
     xs1 = builtin_space("S2xS1")
-    gen = cochain_space(s2, 2).generators()[0]
-    yield "fiber integration inverts cross product", \
-        fiber_integrate(cross_with_z(gen, xs1), xs1) == gen
+    gen = cochain_space(builtin_space("S2"), 2).generators()[0]
+    yield Verdict("fiber integration inverts cross product",
+                  fiber_integrate(cross_with_z(gen, xs1), xs1) == gen)
 
 
-def _suite_gerbes(seed, trials, tol):
-    from .cohomology import cross_with_z
-    from .complexes import product_with_circle
-    from .gerbes import (check_three_gerbe, check_two_gerbe, gauge_perturb, monopole_two_gerbe,
-                         tdualize_two_gerbe)
+def _suite_gerbes(args):
+    from .gerbes import check_two_gerbe, gauge_perturb, monopole_two_gerbe
     g = monopole_two_gerbe(2)
-    rep = check_two_gerbe(g)
-    yield "monopole 2-gerbe valid", rep.passed
-    xs1 = product_with_circle(g.cover.space)
-    tg = tdualize_two_gerbe(g, xs1)
-    rep3 = check_three_gerbe(tg)
-    yield "dual 3-gerbe valid", rep3.passed
-    yield "dual class equals class x z", \
-        rep3.characteristic_class == cross_with_z(rep.characteristic_class, xs1)
-    gp = gauge_perturb(g, seed)
-    repp = check_two_gerbe(gp)
-    yield "gauge perturbation preserves validity and class", \
-        repp.passed and repp.characteristic_class == rep.characteristic_class
+    rep, _, _, verdicts = _dualize_checks(
+        g, ("monopole 2-gerbe valid", "dual 3-gerbe valid", "dual class equals class x z"))
+    yield from verdicts
+    repp = check_two_gerbe(gauge_perturb(g, args.seed))
+    yield Verdict("gauge perturbation preserves validity and class",
+                  repp.passed and repp.characteristic_class == rep.characteristic_class)
 
 
-def _suite_semifree(seed, trials, tol):
+def _suite_semifree(args):
     from fractions import Fraction
-    from .cohomology import cochain_space, fiber_integrate
+    from .cohomology import cochain_space
     from .gerbes import kk_gerbe_models, semifree_class_to_two_gerbe
     from .semifree import basic_example_spectrum, hausdorff_regularization, kk_record, tdualize
     kk = kk_record()
     dual = tdualize(kk)
-    yield "taub-nut record emits one unit of flux", dual.flux.reduced() == (1,)
-    yield "fiber integration returns the bundle class", \
-        fiber_integrate(dual.flux, dual.complement_product) == kk.bundle_class
+    yield Verdict("taub-nut record emits one unit of flux", dual.flux.reduced() == (1,))
+    yield _round_trip(kk, dual)
     sp = basic_example_spectrum()
-    yield "non-separable iff difference in 2*pi*Z", (
-        sp.non_separable(Fraction(3), Fraction(1))
-        and not sp.non_separable(Fraction(1, 2), Fraction(0)))
-    reg = hausdorff_regularization(sp)
-    yield "regularization is the coneS2 x S1 dual", reg.name == "coneS2 x S1"
+    yield Verdict("non-separable iff difference in 2*pi*Z",
+                  sp.non_separable(Fraction(3), Fraction(1))
+                  and not sp.non_separable(Fraction(1, 2), Fraction(0)))
+    yield Verdict("regularization is the coneS2 x S1 dual",
+                  hausdorff_regularization(sp).name == "coneS2 x S1")
     models = kk_gerbe_models()
     lam = cochain_space(models.complement_model(), 2).generators()[0]
-    gerbe, pushed = semifree_class_to_two_gerbe(lam, models)
-    yield "monopole class pushes to the H^3 generator", \
-        pushed == cochain_space(models.bplus, 3).generators()[0]
+    _, pushed = semifree_class_to_two_gerbe(lam, models)
+    yield Verdict("monopole class pushes to the H^3 generator",
+                  pushed == cochain_space(models.bplus, 3).generators()[0])
 
 
-def golden_verify(suite: str, seed: int, trials: int, tol: float):
-    """The checks of one suite: (name, passed), or (name, passed, witness)
-    for the metric identity suites."""
-    table = {"metrics": partial(_metric_identity_checks, dyonic=False),
-             "dyonic": partial(_metric_identity_checks, dyonic=True),
-             "cohomology": _suite_cohomology, "gerbes": _suite_gerbes,
-             "semifree": _suite_semifree}
-    if suite not in table:
-        raise UnknownSuite(suite)
-    return list(table[suite](seed, trials, tol))
+SUITES = {"metrics": _suite_metrics, "dyonic": _suite_dyonic, "cohomology": _suite_cohomology,
+          "gerbes": _suite_gerbes, "semifree": _suite_semifree}
 
 
-def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        results = golden_verify(args.suite, seed, args.trials, args.tol)
-    except UnknownSuite:
+def cmd_verify(args):
+    if args.suite not in SUITES:
         raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    checks, lines = [], [f"suite {args.suite}:"]
-    for name, ok, *witness in results:
-        checks.append({"name": name, "passed": bool(ok)})
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        if not ok and witness:
-            checks[-1]["witness"] = _witness_json(witness[0])
-            lines.append(f"        witness: {witness[0]}")
-    payload = {"suite": args.suite, "checks": checks,
-               "passed": all(c["passed"] for c in checks)}
-    _write(args, _emit(args, payload, lines))
-    return 0 if payload["passed"] else 1
+    verdicts = list(SUITES[args.suite](args))
+    payload = {"suite": args.suite, "checks": [v.to_json() for v in verdicts],
+               "passed": all(v.passed for v in verdicts)}
+    return payload, [f"suite {args.suite}:"], verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +582,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "buscher": cmd_buscher,
-        "cohomology": cmd_cohomology,
-        "dualize-gerbe": cmd_dualize_gerbe,
-        "classify": cmd_classify,
-        "tdualize": cmd_tdualize,
-        "spectrum": cmd_spectrum,
-        "homotopy": cmd_homotopy,
-        "verify": cmd_verify,
-    }
+    if args.seed is None:
+        args.seed = _default_seed()
+    handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return handlers[args.command](args)
+        return _render(args, *handler(args))
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -317,13 +317,10 @@ def exact_at(f: GroupHom, g: GroupHom) -> bool:
     return lattice_equal(f.image_lattice(), g.kernel_lattice())
 
 
-def pullback_hom(f: ChainMap, k: int,
-                 dom: SubquotientSpace | None = None,
-                 cod: SubquotientSpace | None = None) -> GroupHom:
+def pullback_hom(f: ChainMap, k: int) -> GroupHom:
     """Induced map H^k(target of f) -> H^k(source of f)."""
-    dom = dom or cochain_space(f.target, k)
-    cod = cod or cochain_space(f.source, k)
-    return GroupHom(dom, cod, f.mat(k).transpose(), name=f"{f.name}^*")
+    return GroupHom(cochain_space(f.target, k), cochain_space(f.source, k),
+                    f.mat(k).transpose(), name=f"{f.name}^*")
 
 
 def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,

@@ -40,6 +40,17 @@ class LabelMismatch(ValueError):
     pass
 
 
+class MissingCell(KeyError):
+    """An incidence names a missing cell: ``args`` is ``(cell,)``, ``str()`` a sentence."""
+
+    def __init__(self, cell, message: str):
+        super().__init__(cell)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
 PT = ("*",)   # basepoint id used by quotient complexes
 
 
@@ -145,16 +156,17 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
 
     ``incidences[k]`` maps (lower_id, upper_id) to the integer coefficient of
     lower_id in the boundary of upper_id. The face must be a (k-1)-cell and
-    the upper cell a k-cell; otherwise KeyError names the face, or else the
-    cell, that is missing.
+    the upper cell a k-cell; otherwise MissingCell names the face, or else
+    the cell, that is missing.
     """
     ids = {k: set(v) for k, v in cells.items()}
     faces: dict = {}
     for k, entries in (incidences or {}).items():
         for (low, up), coeff in entries.items():
-            for cell, degree in ((low, k - 1), (up, k)):
+            for cell, degree, what in ((low, k - 1, "face"), (up, k, "cell")):
                 if cell not in ids.get(degree, ()):
-                    raise KeyError(cell)
+                    raise MissingCell(cell, f"degree {k} incidence of {low!r} in {up!r}: "
+                                            f"there is no {what} {cell!r} of degree {degree}")
             faces.setdefault(up, {})[low] = coeff
     return CellComplex(name, cells, faces)
 
@@ -263,7 +275,7 @@ def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
     return q, ChainMap(x, q, mats, name=f"collapse:{x.name}")
 
 
-def thom_space(disc_bundle: CellComplex, sphere_ids, name: str | None = None):
+def thom_space(disc_bundle: CellComplex, sphere_ids):
     """Collapse the labeled boundary sphere bundle of a disc bundle model.
 
     ``sphere_ids`` must be a subcomplex of the disc bundle; otherwise
@@ -273,11 +285,10 @@ def thom_space(disc_bundle: CellComplex, sphere_ids, name: str | None = None):
         ids = disc_bundle.check_subcomplex(sphere_ids)
     except NotASubcomplex as exc:
         raise BoundaryNotLabeled(str(exc)) from None
-    return quotient_by_subcomplex(disc_bundle, ids, name or f"TD({disc_bundle.name})")
+    return quotient_by_subcomplex(disc_bundle, ids, f"TD({disc_bundle.name})")
 
 
-def collapse_map(btilde: CellComplex, disc_ids, sphere_ids,
-                 target: CellComplex | None = None) -> ChainMap:
+def collapse_map(btilde: CellComplex, disc_ids, sphere_ids) -> ChainMap:
     """Collapse everything outside the open disc neighborhood of F.
 
     ``disc_ids`` labels the closed neighborhood N(F)-model inside ``btilde``
@@ -291,13 +302,7 @@ def collapse_map(btilde: CellComplex, disc_ids, sphere_ids,
     if not sphere_ids <= disc_ids:
         raise LabelMismatch("sphere bundle cells must lie inside the disc bundle")
     disc = btilde.subcomplex(disc_ids, name="D(F)")
-    td, quot = thom_space(disc, sphere_ids, target.name if target else None)
-    if target is not None:
-        if {k: target.cell_ids(k) for k in target.degrees()} != \
-           {k: td.cell_ids(k) for k in td.degrees()}:
-            raise LabelMismatch("provided target does not match the Thom space of the labels")
-        td = target
-        quot = ChainMap(disc, td, quot.mats, quot.name)
+    td, _ = thom_space(disc, sphere_ids)
     interior = disc_ids - sphere_ids
     mats = {}
     for k in btilde.degrees():

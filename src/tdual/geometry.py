@@ -23,6 +23,8 @@ Conventions fixed here (see module tests for the identities they certify):
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -106,7 +108,13 @@ class MetricData:
         chart = Chart(tuple(obj["chart"]["names"]), tuple(bool(x) for x in obj["chart"]["periodic"]))
         g = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["g"]}
         b = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["b"]}
-        return metric(chart, g, b, sample)
+        m = metric(chart, g, b, sample)
+        for part in ("g", "b"):         # (i, j) and (j, i) are one component
+            counts = Counter((min(i, j), max(i, j)) for i, j, _ in obj[part])
+            twice = [key for key, n in counts.items() if n > 1]
+            if twice:
+                raise ValueError(f"{part} component {twice[0]} is given twice")
+        return m
 
 
 def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
@@ -222,16 +230,14 @@ def _det(mat) -> Expr:
     return add(*terms)
 
 
-def pullback(m: MetricData, f: Diffeo, check: bool = True) -> MetricData:
+def pullback(m: MetricData, f: Diffeo) -> MetricData:
     """Componentwise pullback of (g, b) along ``f`` via its Jacobian."""
     if f.chart != m.chart:
         raise ValueError("diffeo and metric charts differ")
-    if check and m.sample is not None:
-        det = _det(f.jacobian())
-        if not _nonzero_somewhere(det, m.sample):
-            raise SingularJacobian("Jacobian determinant vanishes on sample domain")
-    binds = f.bindings()
     jac = f.jacobian()
+    if m.sample is not None and not _nonzero_somewhere(_det(jac), m.sample):
+        raise SingularJacobian("Jacobian determinant vanishes on sample domain")
+    binds = f.bindings()
     n = m.chart.dim
     g_new, b_new = {}, {}
     for i in range(n):
@@ -251,20 +257,22 @@ def pullback(m: MetricData, f: Diffeo, check: bool = True) -> MetricData:
     return metric(m.chart, g_new, b_new, m.sample)
 
 
-def _nonzero_somewhere(e: Expr, spec: SampleSpec, probes: int = 16,
-                       eps: float = 1e-8, seed: int = DEFAULT_SEED) -> bool:
-    import random as _random
-    rng = _random.Random(seed)
+_PROBES, _EPS = 16, 1e-8
+
+
+def _nonzero_somewhere(e: Expr, spec: SampleSpec) -> bool:
+    """Whether |e| > _EPS at one of _PROBES sample points without a domain error."""
+    rng = random.Random(DEFAULT_SEED)
     seen = 0
-    for _ in range(probes * 4):
-        if seen >= probes:
+    for _ in range(_PROBES * 4):
+        if seen >= _PROBES:
             break
         try:
             v = evaluate(e, spec.draw(rng))
         except DomainError:
             continue
         seen += 1
-        if abs(v) > eps:
+        if abs(v) > _EPS:
             return True
     return False
 
@@ -470,7 +478,7 @@ def _multi_sample_spec(centers, preset) -> SampleSpec:
 # ---------------------------------------------------------------------------
 # monopole geometries
 
-def _monopole_metric(chart: Chart, H: Expr, sample: SampleSpec) -> MetricData:
+def _monopole_metric(H: Expr, sample: SampleSpec) -> MetricData:
     """Expand H dvec(r).dvec(r) + H^-1 (dk + (1/2)(1-cos t) dphi)^2 literally."""
     r, theta = sym(R), sym(THETA)
     Hinv = pow_(H, Fraction(-1))
@@ -484,7 +492,7 @@ def _monopole_metric(chart: Chart, H: Expr, sample: SampleSpec) -> MetricData:
         (3, 3): add(mul(H, pow_(r, Fraction(2)), pow_(sin_(theta), Fraction(2))),
                     mul(Hinv, half_omega, half_omega)),
     }
-    return metric(chart, g, {}, sample)
+    return metric(MONOPOLE_CHART, g, {}, sample)
 
 
 def make_taub_nut(coupling: Expr | None = None) -> MetricData:
@@ -496,7 +504,7 @@ def make_taub_nut(coupling: Expr | None = None) -> MetricData:
     if coupling == ZERO:
         raise ValueError("coupling must be nonzero")
     H = app("H", (sym(R), coupling))
-    return _monopole_metric(MONOPOLE_CHART, H, taub_nut_sample_spec())
+    return _monopole_metric(H, taub_nut_sample_spec())
 
 
 def h_monopole_metric(H: Expr, sample: SampleSpec) -> MetricData:
@@ -513,14 +521,7 @@ def h_monopole_metric(H: Expr, sample: SampleSpec) -> MetricData:
 
 def flat_product_metric(sample: SampleSpec | None = None) -> MetricData:
     """Product metric on R^3 x S^1 in polar coordinates."""
-    r, theta = sym(R), sym(THETA)
-    g = {
-        (0, 0): ONE,
-        (1, 1): ONE,
-        (2, 2): pow_(r, Fraction(2)),
-        (3, 3): mul(pow_(r, Fraction(2)), pow_(sin_(theta), Fraction(2))),
-    }
-    return metric(MONOPOLE_CHART, g, {}, sample or taub_nut_sample_spec())
+    return h_monopole_metric(ONE, sample or taub_nut_sample_spec())
 
 
 class MultiCenterFamily:
@@ -553,7 +554,7 @@ class MultiCenterFamily:
         return len(self.centers)
 
     def metric(self) -> MetricData:
-        return _monopole_metric(MONOPOLE_CHART, self.H, self.sample)
+        return _monopole_metric(self.H, self.sample)
 
     def dual_reference(self) -> MetricData:
         return h_monopole_metric(self.H, self.sample)
@@ -577,7 +578,7 @@ class MultiCenterFamily:
         """Monopole-form metric with the radial collinear profile, the
         schematic model in which the per-center dyonic identity closes (the
         fiber B-component and the profile must share one H)."""
-        return _monopole_metric(MONOPOLE_CHART, self.H_radial, self.sample)
+        return _monopole_metric(self.H_radial, self.sample)
 
     def radial_dual_reference(self) -> MetricData:
         return h_monopole_metric(self.H_radial, self.sample)
@@ -596,35 +597,32 @@ class MultiCenterFamily:
 # ---------------------------------------------------------------------------
 # dyonic coordinate
 
-def dyonic_potential(coupling: Expr | None = None) -> DiffForm:
+def dyonic_potential() -> DiffForm:
     """Gauge potential of the dyonic field: (1/(g^2 H)) (-dk + ((1-cos t)/2) dphi).
 
     Its exterior derivative has fiber components b_01 = -H'/(g^2 H^2) and
     b_13 = -H'(1-cos t)/(2 g^2 H^2), which are what the dualization rules
     consume; the theta-phi entry + sin t/(2 g^2 H) is forced by closedness.
     """
-    coupling = sym("g") if coupling is None else coupling
-    H = app("H", (sym(R), coupling))
-    f = mul(pow_(coupling, Fraction(-2)), pow_(H, Fraction(-1)))
+    g = sym("g")
+    f = mul(pow_(g, Fraction(-2)), pow_(app("H", (sym(R), g)), Fraction(-1)))
     omega_half = mul(rat(1, 2), add(ONE, -cos_(sym(THETA))))
     return DiffForm(MONOPOLE_CHART, 1, {(0,): -f, (3,): mul(f, omega_half)})
 
 
-def dyonic_b_field(beta: Expr, coupling: Expr | None = None) -> DiffForm:
+def dyonic_b_field(beta: Expr) -> DiffForm:
     """The closed 2-form B = beta d(potential) carrying the dyonic modulus."""
-    return exterior_derivative(dyonic_potential(coupling)).scaled(beta)
+    return exterior_derivative(dyonic_potential()).scaled(beta)
 
 
-def dyonic_shift(beta: Expr, coupling: Expr | None = None,
-                 variant: str = "gamma") -> Diffeo:
+def dyonic_shift(beta: Expr, variant: str = "gamma") -> Diffeo:
     """Fiber shift diffeomorphism.
 
     gamma: kappa -> kappa + beta/(g^2 H); its shift tends to beta at infinity.
     lambda: the same minus beta, approaching the identity at infinity.
     """
-    coupling = sym("g") if coupling is None else coupling
-    H = app("H", (sym(R), coupling))
-    shift = mul(beta, pow_(coupling, Fraction(-2)), pow_(H, Fraction(-1)))
+    g = sym("g")
+    shift = mul(beta, pow_(g, Fraction(-2)), pow_(app("H", (sym(R), g)), Fraction(-1)))
     if variant == "lambda":
         shift = add(shift, -beta)
     elif variant != "gamma":

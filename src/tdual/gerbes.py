@@ -370,7 +370,7 @@ def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
         if len(set(key)) != len(key):
             raise MalformedNerve(f"tuple {key} has repeated indices")
         skey = tuple(sorted(key))
-        sign = _parity(key)
+        sign = 1 if key == skey else _parity(key)
         if skey not in out:
             raise MalformedNerve(f"tuple {key} is not a nonempty nerve tuple",
                                  witness=key)

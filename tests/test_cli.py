@@ -127,6 +127,21 @@ def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
     assert out == (GOLDEN / expected).read_text()
 
 
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    *[(["verify", suite, "--seed", "7"], f"verify_{suite}_seed7", 0)
+      for suite in ("metrics", "dyonic", "cohomology", "gerbes", "semifree")],
+    # no float comparison meets a tolerance of 1e-300: fails with witnesses
+    *[(["verify", suite, "--seed", "7", "--tol", "1e-300"], f"verify_{suite}_tol1e-300", 1)
+      for suite in ("metrics", "dyonic")],
+])
+def test_verify_matches_golden(argv, golden, exit_code, fmt):
+    # the golden files are earlier output, byte for byte
+    code, out, err = run_cli(*argv, *(["--format", "json"] if fmt == "json" else []))
+    assert (code, err) == (exit_code, "")
+    assert out == (GOLDEN / f"{golden}.{fmt}").read_text()
+
+
 def test_classify_and_tdualize_presets():
     code, out, _ = run_cli("classify", "--preset", "charge:3")
     assert code == 0 and "bundle class: [3]" in out
@@ -203,7 +218,10 @@ R_JSON = {"k": "sym", "name": "r"}
 def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     from tdual.geometry import make_taub_nut
     obj = make_taub_nut().to_json()
-    obj["g"].append(entry)
+    if entry[:2] == [1, 1]:         # the reader refuses a second (1, 1) entry
+        _replace_entry(obj, 1, 1, entry[2])
+    else:
+        obj["g"].append(entry)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli("buscher", "--input", str(path))
@@ -392,7 +410,8 @@ CHARGE_2_RECORD = {"base": "coneS2", "fixed": ["v"], "complement": ["u", "f2"], 
     # incidences at degrees the space does not have name their missing face
     ({"space": {"name": "X", "cells": {"0": ["v"], "3": ["c"]},
                 "boundaries": {"5": [["zz", "qq", 7]], "7": [["c", "v", 3]]}},
-      "cover": [["v", "c"]]}, "cannot read gerbe: 'qq'"),
+      "cover": [["v", "c"]]},
+     "cannot read gerbe: degree 5 incidence of 'qq' in 'zz': there is no face 'qq' of degree 4"),
 ])
 def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
     path = tmp_path / "gerbe.json"

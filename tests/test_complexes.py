@@ -122,3 +122,10 @@ def test_circle_product_ids_are_the_cells_of_the_circle_product():
     assert cx.circle_product_ids({"u", "f2"}) == frozenset(
         {("u", "a"), ("u", "e"), ("f2", "a"), ("f2", "e")})
     assert cx.circle_product_ids(x.all_ids()) == cx.product_with_circle(x).all_ids()
+
+
+def test_a_missing_cell_is_named_in_a_sentence():
+    # the KeyError's args stay (cell,); its text says what is missing and where
+    with pytest.raises(cx.MissingCell) as exc:
+        cx.build_complex("X", {0: ["v"], 3: ["c"]}, {1: {("v", "c"): 3}})
+    assert str(exc.value) == "degree 1 incidence of 'v' in 'c': there is no cell 'c' of degree 1"

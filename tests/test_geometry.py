@@ -6,6 +6,7 @@ that expands a list of weighted covector squares into components.
 """
 
 import random
+import re
 
 import pytest
 
@@ -443,4 +444,18 @@ def test_metric_from_json_is_simplified_by_upper_triangle(spec):
     assert (1, 3) not in m.g_upper and (3, 1) not in m.g_upper
     obj["b"].append([7, 0, {"k": "sym", "name": "r"}])
     with pytest.raises(ValueError, match="outside the 4-dim chart"):
+        MetricData.from_json(obj, sample=spec)
+
+
+@pytest.mark.parametrize("part, entry, component", [
+    ("g", [1, 1, {"k": "sym", "name": "r"}], "(1, 1)"),
+    ("g", [3, 0, {"k": "sym", "name": "r"}], "(0, 3)"),     # (j, i) beside (i, j)
+    ("b", [1, 0, {"k": "sym", "name": "r"}], "(0, 1)"),
+])
+def test_metric_from_json_refuses_a_component_given_twice(part, entry, component, spec):
+    # keeping the last entry would read back g11 = r from the first case
+    obj = make_taub_nut().to_json()
+    obj["b"].append([0, 1, {"k": "sym", "name": "g"}])
+    obj[part].append(entry)
+    with pytest.raises(ValueError, match=re.escape(f"{part} component {component} is given")):
         MetricData.from_json(obj, sample=spec)

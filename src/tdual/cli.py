@@ -202,7 +202,9 @@ def _load_metric(path: str):
     # constants that are floats
     for e in [*m.g_upper.values(), *m.b_upper.values()]:
         try:
-            ex.compile_expr(e, spec.functions)
+            for n in ex._nodes(e):
+                if type(n) is ex.Rat:
+                    ex._float(n.value)
         except ex.DomainError as exc:
             raise InputError(f"{path}: {exc}") from None
         unsampled = sorted(ex.free_symbols(e) - spec.boxes.keys())

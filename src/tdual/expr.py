@@ -6,9 +6,12 @@ tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
 in a :class:`FunctionTable`; ``compile_expr`` turns trees into one
-straight-line Python program with one local per distinct subtree, so that
-sampling many points runs no walk at all. One table, ``_NODES``, describes
-each node type once, and every walk over a tree dispatches through it.
+straight-line Python program with one local per distinct subtree, which
+``evaluate`` runs at one point. ``equal_numeric`` compiles nothing: it
+evaluates each distinct subtree once per block of sampled points, as one
+column of values, and falls back to a compiled program run point by point
+only where a block meets an error. One table, ``_NODES``, describes each
+node type once, and every walk over a tree dispatches through it.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -28,6 +31,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul as _times
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import DEFAULT_TOL, DEFAULT_TRIALS
@@ -321,13 +326,16 @@ _EXPRS = (lambda es: [expr_to_json(e) for e in es],
 # it converts constants and appends the lines that assign the slot, each with
 # the errors it reports instead of the exceptions it raises.
 
+def _float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        raise DomainError("rational constant outside the float range") from None
+
+
 def _emit_rat(e: Rat, prog):
-    def emit(v):
-        try:
-            prog.line(f"{v} = {prog.const(float(e.value))}")
-        except OverflowError:
-            raise DomainError("rational constant outside the float range") from None
-    return (Rat, e.value.numerator, e.value.denominator), emit
+    return (Rat, e.value.numerator, e.value.denominator), lambda v: prog.line(
+        f"{v} = {prog.const(_float(e.value))}")
 
 
 def _emit_sym(e: Sym, prog):
@@ -390,6 +398,67 @@ def _emit_trig(e: SinE | CosE, prog):
         ValueError, lambda exc, loc: DomainError(f"{fn.__name__} of non-finite {loc[arg]}")))
 
 
+# column rules: (node, _Block) -> (key, column). Each gives the node's value
+# at every point of a block from its children's columns, by the float
+# operations of its emit rule, point by point in the same order. The key is
+# (type, scalar fields, child columns); only a new key's ``column()`` runs.
+# A rule raises wherever an emitted line reports an error, and the block is
+# then dropped, so the rules need not say which error it was.
+
+def _column_rat(e: Rat, block):
+    return (Rat, e.value.numerator, e.value.denominator), lambda: [_float(e.value)] * block.size
+
+
+def _column_sym(e: Sym, block):
+    return (Sym, e.name), lambda: block.drawn[e.name]
+
+
+def _column_app(e: App, block):
+    fn = block.functions.lookup(e.name, len(e.args)).closure(e.deriv)
+    args = list(map(block.column, e.args))
+
+    def column():
+        out = list(map(fn, *args))      # no arguments: map raises
+        if not all(map(math.isfinite, out)):
+            raise DomainError
+        return out
+    return (App, e.name, e.deriv, *map(id, args)), column
+
+
+def _column_sum(e: Sum, block):
+    terms = list(map(block.column, e.terms))
+    return (Sum, *map(id, terms)), lambda: (
+        list(map(sum, zip(*terms))) if terms else [0] * block.size)    # sum([]) is 0
+
+
+def _column_prod(e: Prod, block):
+    factors = list(map(block.column, e.factors))
+
+    def column():
+        out = [1.0] * block.size
+        for f in factors:
+            out = list(map(_times, out, f))
+        return out
+    return (Prod, *map(id, factors)), column
+
+
+def _column_pow(e: Pow, block):
+    base, q = block.column(e.base), e.exponent
+
+    def column():
+        if q < 0 and any(map(_ABS_POLE.__gt__, map(abs, base))):     # |base| < _ABS_POLE
+            raise DomainError
+        if q.denominator != 1 and any(map((0.0).__gt__, base)):       # base < 0
+            raise DomainError
+        return list(map(math.pow, base, repeat(float(q))))
+    return (Pow, id(base), q.numerator, q.denominator), column
+
+
+def _column_trig(e: SinE | CosE, block):
+    arg, fn = block.column(e.arg), math.sin if type(e) is SinE else math.cos
+    return (type(e), id(arg)), lambda: list(map(fn, arg))
+
+
 def _derivative_app(e: App, x: str) -> Expr:
     # chain rule: bump the multi-index in each slot whose argument moves
     terms = []
@@ -407,42 +476,43 @@ class _Node(NamedTuple):
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
     emit: Callable          # (node, _Program) -> (dedupe key, emit(slot) of its lines)
+    column: Callable        # (node, _Block) -> (dedupe key, column() of its values)
     derivative: Callable    # (node, coordinate name) -> normal tree
 
 
 _NODES = _ByType({
     Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
-               _emit_rat,
+               _emit_rat, _column_rat,
                lambda e, x: ZERO),
     Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
-               _emit_sym,
+               _emit_sym, _column_sym,
                lambda e, x: ONE if e.name == x else ZERO),
     App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
                       ("args", "args", _EXPRS)),
                lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
-               _emit_app,
+               _emit_app, _column_app,
                _derivative_app),
     Sum: _Node("sum", (("terms", "terms", _EXPRS),),
                lambda e: e.terms, lambda e, terms: _sum(terms),
-               _emit_sum,
+               _emit_sum, _column_sum,
                lambda e, x: _sum([differentiate(t, x) for t in e.terms])),
     Prod: _Node("prod", (("factors", "factors", _EXPRS),),
                 lambda e: e.factors, lambda e, factors: _prod(factors),
-                _emit_prod,
+                _emit_prod, _column_prod,
                 lambda e, x: _sum([_prod(e.factors[:i] + (differentiate(f, x),)
                                          + e.factors[i + 1:]) for i, f in enumerate(e.factors)])),
     Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
                lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
-               _emit_pow,
+               _emit_pow, _column_pow,
                lambda e, x: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1),
                                    differentiate(e.base, x)))),
     SinE: _Node("sin", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _sin(*c),
-                _emit_trig,
+                _emit_trig, _column_trig,
                 lambda e, x: _prod((_cos(e.arg), differentiate(e.arg, x)))),
     CosE: _Node("cos", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _cos(*c),
-                _emit_trig,
+                _emit_trig, _column_trig,
                 lambda e, x: _prod((Rat(Fraction(-1)), _sin(e.arg), differentiate(e.arg, x)))),
 })
 _KINDS = {node.tag: cls for cls, node in _NODES.items()}
@@ -613,6 +683,28 @@ class _Program:
         return scope.pop("program")
 
 
+class _Block:
+    """The values of some roots at every point of a block: one column, a
+    list with one value per point, per distinct subtree, deduplicated as in
+    ``_Program.slot`` with child columns in place of child slots. Nothing is
+    compiled; a column rule raises where a program line would fail."""
+
+    def __init__(self, functions: FunctionTable, drawn: dict, size: int):
+        self.functions, self.drawn, self.size = functions, drawn, size
+        self.column_of_id: dict[int, list] = {}     # the roots keep every node alive meanwhile
+        self.column_of_key: dict[tuple, list] = {}  # and this every column, whose ids key it
+
+    def column(self, e: Expr) -> list:
+        c = self.column_of_id.get(id(e))
+        if c is None:
+            key, column = _NODES[type(e)].column(e, self)
+            c = self.column_of_key.get(key)
+            if c is None:
+                c = self.column_of_key[key] = column()
+            self.column_of_id[id(e)] = c
+        return c
+
+
 def compile_expr(e: Expr, functions: FunctionTable) -> Callable[[Mapping[str, float]], float]:
     """``e`` as a straight-line program of a ``{name: value}`` mapping.
 
@@ -683,9 +775,18 @@ class SampleSpec:
         return SampleSpec(boxes, self.functions.merged(other.functions))
 
     def draw(self, rng: random.Random) -> PointAssignment:
-        rnd = rng.random        # random.uniform's own formula, without its call per box
-        vals = {name: lo + (hi - lo) * rnd() for name, (lo, hi) in self.boxes.items()}
-        return PointAssignment(vals, self.functions)
+        point = {name: column[0] for name, column in _draw_columns(self.boxes, rng, 1).items()}
+        return PointAssignment(point, self.functions)
+
+
+def _draw_columns(boxes: dict, rng: random.Random, size: int) -> dict:
+    """``size`` points as one column per box. With k boxes, box i at point
+    t takes draw t*k + i of ``rng`` through ``random.uniform``'s own formula,
+    so the points are those of ``size`` calls of ``SampleSpec.draw``."""
+    k, rnd = len(boxes), rng.random
+    us = [rnd() for _ in range(size * k)]
+    return {name: [lo + (hi - lo) * u for u in us[i::k]]
+            for i, (name, (lo, hi)) in enumerate(boxes.items())}
 
 
 @dataclass
@@ -716,6 +817,7 @@ class EqualityReport:
 
 DEFAULT_SEED = 42
 _RETRY_BOUND = 5
+_BLOCK = 128        # points drawn and evaluated together by equal_numeric
 
 
 def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
@@ -724,16 +826,26 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     """Seeded randomized equality: true iff at every sampled point
     ``|a-b| <= tol * max(1, |a|, |b|)``.
 
-    Both sides are compiled into one program. Domain errors, and points
-    where a side is infinite or NaN, are counted and the point resampled, up
-    to a retry bound per trial; exhausting retries raises DomainError, as
-    does a constant outside the float range. ``trials`` below 1, or a
-    ``tol`` that is not a finite number >= 0, raises ValueError.
+    Domain errors, and points where a side is infinite or NaN, are counted
+    and the point resampled, up to a retry bound per trial; exhausting
+    retries raises DomainError, as does a constant outside the float range.
+    ``trials`` below 1, or a ``tol`` that is not a finite number >= 0,
+    raises ValueError.
+
+    Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn
+    at once. A check whose blocks meet any error or non-finite value runs
+    again from its seed through one compiled program, point by point; that
+    loop alone retries, counts domain errors and raises. Both ways draw the
+    same points and apply the same float operations to each, so they return
+    the same report.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    report = _equal_in_blocks(a, b, spec, trials, tol, seed)
+    if report is not None:
+        return report
     program = _Program(spec.functions).function((a, b))
     rng = random.Random(seed)
     domain_errors = 0
@@ -753,6 +865,33 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
             return EqualityReport(False, trials, Witness(p.values, va, vb), domain_errors)
     return EqualityReport(True, trials, None, domain_errors)
+
+
+def _equal_in_blocks(a: Expr, b: Expr, spec: SampleSpec, trials: int, tol: float,
+                     seed: int) -> EqualityReport | None:
+    """The report of ``equal_numeric`` from columns over blocks of points,
+    or None if any point of a block that it evaluates meets an error or a
+    non-finite value."""
+    rng = random.Random(seed)
+    done = 0
+    while done < trials:
+        size = min(_BLOCK, trials - done)
+        drawn = _draw_columns(spec.boxes, rng, size)
+        block = _Block(spec.functions, drawn, size)
+        try:
+            ca, cb = block.column(a), block.column(b)
+            finite = all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))
+        except Exception:       # whatever it was, the per-point loop reports it
+            finite = False
+        if not finite:
+            return None
+        if ca is not cb:    # one column for both sides passes at every finite point
+            for t, (va, vb) in enumerate(zip(ca, cb)):
+                if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+                    point = {name: column[t] for name, column in drawn.items()}
+                    return EqualityReport(False, trials, Witness(point, va, vb), 0)
+        done += size
+    return EqualityReport(True, trials, None, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
     # no float comparison meets a tolerance of 1e-300: fails with witnesses
     *[(["verify", suite, "--seed", "7", "--tol", "1e-300"], f"verify_{suite}_tol1e-300", 1)
       for suite in ("metrics", "dyonic")],
+    # 300 points per check: three blocks of sampled points
+    (["verify", "metrics", "--seed", "7", "--trials", "300"], "verify_metrics_seed7_trials300", 0),
 ])
 def test_verify_matches_golden(argv, golden, exit_code, fmt):
     # the golden files are earlier output, byte for byte

@@ -9,19 +9,23 @@ import re
 import weakref
 from fractions import Fraction
 from types import FunctionType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import expr_oracle as oracle
+from tdual import expr
 from tdual.expr import (
     App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _nodes, add, app, compile_expr,
-    cos_, differentiate, equal_numeric, evaluate, expr_from_json, expr_to_json,
-    free_symbols, mul, opaque_functions, pow_, rat, simplify_basic, sin_,
-    substitute, sym,
+    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _draw_columns, _nodes,
+    _Program, add, app, compile_expr, cos_, differentiate, equal_numeric, evaluate,
+    expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
+    simplify_basic, sin_, substitute, sym,
 )
-from tdual.geometry import taub_nut_sample_spec
+from tdual.geometry import (
+    buscher_transform, h_monopole_metric, make_taub_nut, taub_nut_sample_spec,
+)
 
 
 def H(r=None, g=None):
@@ -306,30 +310,36 @@ def test_evaluation_equals_the_oracle_bit_for_bit(recipe, r, theta):
     assert repr(got) == repr(want)     # repr tells every float apart
 
 
-def equality_outcome(eq, a, b, spec, seed):
+def equality_outcome(eq, a, b, spec, seed, trials=10):
+    """The report of ``eq`` as a string, or its error. equal_numeric runs on
+    blocks of 3 points, so that a check spans blocks and a witness can fall
+    in a later one."""
     def run():
-        rep = eq(a, b, spec, trials=10, seed=seed)
+        rep = eq(a, b, spec, trials=trials, seed=seed)
         w = rep.witness
         return rep.equal, rep.domain_errors, w and (w.point, w.lhs, w.rhs)
-    return repr(outcome(run))
+    with mock.patch.object(expr, "_BLOCK", 3):
+        return repr(outcome(run))
 
 
 SAMPLE = SampleSpec({"r": (0.3, 3.0), "theta": (-1.0, 3.0)}, f_table())
+TRIALS = [1, 10, 7]     # one point; blocks of 3, 3, 3, 1; blocks of 3, 3, 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(recipes, recipes, st.booleans(), st.integers(0, 10 ** 6))
-def test_equal_numeric_equals_the_oracle_loop(ra, rb, same, seed):
+@given(recipes, recipes, st.booleans(), st.integers(0, 10 ** 6), st.sampled_from(TRIALS))
+def test_equal_numeric_equals_the_oracle_loop(ra, rb, same, seed, trials):
     try:
         a = build(ra)
         b = a if same else build(rb)
     except DomainError:
         return
-    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed)
-            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed))
+    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed, trials)
+            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed, trials))
 
 
-POLE = pow_(add(sym("r"), rat(-1)), -1)         # a pole at r = 1
+R = sym("r")
+POLE = pow_(add(R, rat(-1)), -1)                # a pole at r = 1
 
 
 @pytest.mark.parametrize("a, b, box, expect", [
@@ -364,9 +374,11 @@ POLE = pow_(add(sym("r"), rat(-1)), -1)         # a pole at r = 1
 ])
 def test_equal_numeric_passes_fails_and_retries_as_the_oracle(a, b, box, expect):
     spec = SampleSpec({"r": box, "g": (0.6, 1.1)}, taub_nut_sample_spec().functions)
-    got = equality_outcome(equal_numeric, a, b, spec, seed=3)
-    assert got == equality_outcome(oracle.equal_numeric, a, b, spec, seed=3)
-    assert got.startswith(expect)
+    for trials in TRIALS:
+        got = equality_outcome(equal_numeric, a, b, spec, 3, trials)
+        assert got == equality_outcome(oracle.equal_numeric, a, b, spec, 3, trials)
+        if trials == 10:    # the counts and witnesses expected are those of 10 trials
+            assert got.startswith(expect)
 
 
 def _sides(s, other, x):
@@ -381,15 +393,15 @@ def _sides(s, other, x):
 @given(recipes, recipes, st.sampled_from(["r", "theta"]),
        st.sampled_from(["share", "diff", "other", "app", "unbound", "pole", "unbound-pole"]),
        st.sampled_from(["share", "diff", "other", "app", "unbound", "pole"]),
-       st.integers(0, 10 ** 6))
-def test_sides_sharing_subtrees_equal_the_oracle_loop(rs, ro, x, ka, kb, seed):
+       st.integers(0, 10 ** 6), st.sampled_from(TRIALS))
+def test_sides_sharing_subtrees_equal_the_oracle_loop(rs, ro, x, ka, kb, seed, trials):
     try:
         sides = _sides(build(rs), build(ro), x)
         a, b = (v() if callable(v) else v for v in (sides[ka], sides[kb]))
     except DomainError:
         return          # 0^-1 is rejected when built
-    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed)
-            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed))
+    assert (equality_outcome(equal_numeric, a, b, SAMPLE, seed, trials)
+            == equality_outcome(oracle.equal_numeric, a, b, SAMPLE, seed, trials))
 
 
 def _raises(exc):
@@ -403,7 +415,6 @@ EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}) for name, fn in [
     ("Inf", lambda x: x * 1e308 * 10.0), ("Nan", lambda x: math.nan),
     ("Key", _raises(KeyError("r"))), ("Big", lambda x: 10 ** 400),
     ("Twice", lambda x: 2.0 * x), ("Dom", _raises(DomainError("inner")))]])
-R = sym("r")
 
 
 @pytest.mark.parametrize("e, r", [
@@ -423,6 +434,63 @@ def test_errors_equal_the_closure_compiler(e, r):
         except Exception as exc:        # any error must match
             return type(exc), exc.args
     assert run(compile_expr) == run(oracle.compile_expr)
+
+
+def _taub_nut_pair(fails: bool):
+    """The dual's g22 and the H-monopole's, scaled by 1 + 10^-6 if ``fails``."""
+    m = make_taub_nut()
+    dual, ref = buscher_transform(m), h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+    return dual.g(2, 2), mul(rat(1000001, 1000000) if fails else rat(1), ref.g(2, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _taub_nut_pair(fails=False), lambda: _taub_nut_pair(fails=True),
+    lambda: (Sum(()), Prod(())),        # raw trees: an empty sum is 0, an empty product 1
+    lambda: (Sum(()), Prod((Sum(()), sym("r")))),
+])
+def test_checks_without_errors_compile_nothing(make, monkeypatch):
+    a, b = make()       # before the patch: buscher_transform probes g00 through evaluate
+
+    def refuse(self, roots):
+        raise AssertionError("a program was compiled")
+    monkeypatch.setattr(_Program, "function", refuse)
+    spec = taub_nut_sample_spec()
+    for seed, trials in [(3, 100), (11, 300)]:
+        got = equality_outcome(equal_numeric, a, b, spec, seed, trials)
+        assert got == equality_outcome(oracle.equal_numeric, a, b, spec, seed, trials)
+        assert not got.startswith("(<")
+
+
+NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf vs"
+
+
+@pytest.mark.parametrize("a, b, box, want", [
+    # want None: the oracle's report or error
+    (POLE, rat(0), (1.0, 1.0), None),                                   # a pole
+    (POLE, rat(0), (1.0, 1.0 + 1e-14), None),       # near one: finite, but still a pole
+    (pow_(add(R, rat(-1)), Fraction(1, 2)), pow_(add(R, rat(-1)), Fraction(1, 2)),
+     (0.5, 1.5), None),                     # negative bases, counted and resampled
+    (add(R, app("G", (R,))), R, (0.3, 3.0), None),                      # unregistered
+    (R, sym("phi"), (0.3, 3.0), None),                                  # unbound
+    (pow_(app("Inf", (R,)), -1), rat(0), (0.3, 3.0), None),    # inf^-1 would be finite
+    (mul(rat(10 ** 308), R, R), R, (2.0, 3.0), NON_FINITE),
+    (add(R, rat(10 ** 400)), R, (0.3, 3.0),
+     "(<class 'tdual.expr.DomainError'>, ('rational constant outside the float range',))"),
+])
+def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want, monkeypatch):
+    compiled, function = [], _Program.function
+
+    def counted(self, roots):
+        compiled.append(roots)
+        return function(self, roots)
+    monkeypatch.setattr(_Program, "function", counted)
+    spec = SampleSpec({"r": box}, f_table().merged(EXOTIC))
+    got = equality_outcome(equal_numeric, a, b, spec, 3, 10)
+    assert compiled == [(a, b)]         # the per-point loop ran, once
+    if want is None:
+        assert got == equality_outcome(oracle.equal_numeric, a, b, spec, 3, 10)
+    else:               # the oracle reports neither error
+        assert got.startswith(want)
 
 
 NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
@@ -452,9 +520,11 @@ def test_names_with_python_syntax_evaluate_and_stay_out_of_the_source():
 def test_draw_equals_uniform_bit_for_bit(boxes, seed):
     spec = SampleSpec({f"x{i}": box for i, box in enumerate(boxes)})
     mine, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(3):
+    block = _draw_columns(spec.boxes, random.Random(seed), 3)
+    for t in range(3):
         want = {name: theirs.uniform(lo, hi) for name, (lo, hi) in spec.boxes.items()}
         assert repr(spec.draw(mine).values) == repr(want)
+        assert repr({name: column[t] for name, column in block.items()}) == repr(want)
 
 
 def _big_tree():

@@ -186,6 +186,8 @@ def _read_json(path: str, what: str, parse, errors: tuple = ()):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
+    except RecursionError:      # from the decoder or a recursive reader
+        raise InputError(f"cannot read {what}: input nested too deeply") from None
     except (OSError, KeyError, ValueError, TypeError, *errors) as exc:
         raise InputError(f"cannot read {what}: {exc}") from None
 

@@ -105,7 +105,12 @@ class MetricData:
 
     @staticmethod
     def from_json(obj: dict, sample: SampleSpec | None = None) -> "MetricData":
-        chart = Chart(tuple(obj["chart"]["names"]), tuple(bool(x) for x in obj["chart"]["periodic"]))
+        fields = obj["chart"]
+        for key, kind in (("names", str), ("periodic", bool)):
+            v = fields[key]
+            if type(v) is not list or not all(type(x) is kind for x in v):
+                raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
+        chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
         g = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["g"]}
         b = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["b"]}
         m = metric(chart, g, b, sample)

@@ -9,9 +9,11 @@ collected power that comes out rational or a product is folded into the
 constant or flattened, so that ``simplify_basic`` is idempotent (see
 ``_simplify_prod``). The node classes are the package's own.
 
-``compile_expr`` and its ``_compile_*`` rules are the later closure compiler,
-moved here unchanged when a generated straight-line program replaced it: one
-closure per tree node, evaluating its children left to right.
+``compile_expr`` and its ``_compile_*`` rules are the later closure compiler:
+one closure per tree node, evaluating its children left to right. The package
+compiles nothing now; it has one evaluator, which computes each distinct
+subtree once over a block of points, and these two evaluators are what its
+values and errors are compared against.
 """
 
 import math

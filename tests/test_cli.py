@@ -216,11 +216,16 @@ R_JSON = {"k": "sym", "name": "r"}
     # a component given twice is ambiguous
     ([0, 0, R_JSON], "g component (0, 0) is given twice"),
     ([3, 0, R_JSON], "g component (0, 3) is given twice"),
+    # a chart field of the wrong type, given as {field: value}
+    ({"names": [0, "r", "theta", "phi"]}, "chart 'names' must be a list of str"),
+    ({"periodic": ["no", False, False, False]}, "chart 'periodic' must be a list of bool"),
 ])
 def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     from tdual.geometry import make_taub_nut
     obj = make_taub_nut().to_json()
-    if entry[:2] == [1, 1]:         # the reader refuses a second (1, 1) entry
+    if type(entry) is dict:
+        obj["chart"].update(entry)
+    elif entry[:2] == [1, 1]:       # the reader refuses a second (1, 1) entry
         _replace_entry(obj, 1, 1, entry[2])
     else:
         obj["g"].append(entry)
@@ -236,6 +241,29 @@ def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
 def _replace_entry(obj, i, j, node):
     obj["g"] = [e for e in obj["g"] if e[:2] != [i, j]] + ([[i, j, node]] if node else [])
     return obj
+
+
+def _sin_chain_g00(depth):
+    """The Taub-NUT metric JSON with g00 = sin(sin(...(r))), ``depth`` deep."""
+    from tdual.geometry import make_taub_nut
+    text = json.dumps(_replace_entry(make_taub_nut().to_json(), 0, 0, "@"))
+    return text.replace('"@"', '{"k": "sin", "arg": ' * depth + json.dumps(R_JSON) + "}" * depth)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("buscher", lambda: _sin_chain_g00(400)),           # too deep for the expression reader
+    ("buscher", lambda: _sin_chain_g00(3000)),          # too deep for the JSON decoder
+    ("dualize-gerbe", lambda: "[" * 5000 + "]" * 5000),
+    ("classify", lambda: "[" * 5000 + "]" * 5000),
+])
+def test_deeply_nested_input_exits_two(command, text, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(text())
+    code, out, err = run_cli(command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert err.endswith(": input nested too deeply\n")
 
 
 R_MINUS_10 = {"k": "sum", "terms": [R_JSON, {"k": "rat", "v": [-10, 1]}]}

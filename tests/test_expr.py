@@ -5,7 +5,6 @@ import gc
 import json
 import math
 import random
-import re
 import weakref
 from fractions import Fraction
 from types import FunctionType
@@ -15,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expr_oracle as oracle
-from tdual import expr
+from tdual import DEFAULT_TOL, expr
 from tdual.expr import (
     App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _draw_columns, _nodes,
-    _Program, add, app, compile_expr, cos_, differentiate, equal_numeric, evaluate,
+    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _draw_columns, _nodes,
+    add, app, cos_, differentiate, equal_numeric, evaluate,
     expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
     simplify_basic, sin_, substitute, sym,
 )
@@ -426,14 +425,19 @@ EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}) for name, fn in [
     (sin_(R), math.inf), (cos_(app("Twice", (R,))), math.nan), (sym("s"), 1.0),
     (add(pow_(R, -1), app("Missing", (pow_(R, -1),))), 0.0),
     (add(app("Missing", (pow_(R, -1),)), pow_(R, -1)), 0.0),
+    # a constant outside the float range fails first, unless only an
+    # unregistered function's arguments hold it
+    (add(pow_(R, -1), rat(10 ** 400)), 0.0),
+    (add(pow_(R, -1), app("Missing", (rat(10 ** 400),))), 0.0),
 ])
 def test_errors_equal_the_closure_compiler(e, r):
-    def run(compile_):
+    def run(value):
         try:
-            return repr(compile_(e, EXOTIC)({"r": r}))
+            return repr(value())
         except Exception as exc:        # any error must match
             return type(exc), exc.args
-    assert run(compile_expr) == run(oracle.compile_expr)
+    assert (run(lambda: evaluate(e, PointAssignment({"r": r}, EXOTIC)))
+            == run(lambda: oracle.compile_expr(e, EXOTIC)({"r": r})))
 
 
 def _taub_nut_pair(fails: bool):
@@ -448,17 +452,14 @@ def _taub_nut_pair(fails: bool):
     lambda: (Sum(()), Prod(())),        # raw trees: an empty sum is 0, an empty product 1
     lambda: (Sum(()), Prod((Sum(()), sym("r")))),
 ])
-def test_checks_without_errors_compile_nothing(make, monkeypatch):
-    a, b = make()       # before the patch: buscher_transform probes g00 through evaluate
-
-    def refuse(self, roots):
-        raise AssertionError("a program was compiled")
-    monkeypatch.setattr(_Program, "function", refuse)
+def test_checks_without_errors_compile_nothing(make):
+    a, b = make()
     spec = taub_nut_sample_spec()
     for seed, trials in [(3, 100), (11, 300)]:
         got = equality_outcome(equal_numeric, a, b, spec, seed, trials)
         assert got == equality_outcome(oracle.equal_numeric, a, b, spec, seed, trials)
         assert not got.startswith("(<")
+        assert expr._equal_in_blocks(a, b, spec, trials, DEFAULT_TOL, seed) is not None
 
 
 NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf vs"
@@ -477,16 +478,10 @@ NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf v
     (add(R, rat(10 ** 400)), R, (0.3, 3.0),
      "(<class 'tdual.expr.DomainError'>, ('rational constant outside the float range',))"),
 ])
-def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want, monkeypatch):
-    compiled, function = [], _Program.function
-
-    def counted(self, roots):
-        compiled.append(roots)
-        return function(self, roots)
-    monkeypatch.setattr(_Program, "function", counted)
+def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want):
     spec = SampleSpec({"r": box}, f_table().merged(EXOTIC))
     got = equality_outcome(equal_numeric, a, b, spec, 3, 10)
-    assert compiled == [(a, b)]         # the per-point loop ran, once
+    assert expr._equal_in_blocks(a, b, spec, 10, DEFAULT_TOL, 3) is None
     if want is None:
         assert got == equality_outcome(oracle.equal_numeric, a, b, spec, 3, 10)
     else:               # the oracle reports neither error
@@ -496,22 +491,18 @@ def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want, mon
 NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
 
 
-def test_names_with_python_syntax_evaluate_and_stay_out_of_the_source():
+def test_names_with_python_syntax_evaluate_as_the_oracle():
     fname = "F(0)); __import__('os').system('false') #"
     fns = FunctionTable([OpaqueFunction(fname, 2, {(0, 0): lambda u, w: 2 * u - w})])
-    names = NASTY + ["v0", "k0", "values", "float"]     # the program's own identifiers
+    names = NASTY + ["v0", "k0", "values", "float"]     # Python identifiers too
     xs = [sym(n) for n in names]
     e = add(*[mul(rat(k + 1), pow_(x, k % 3 + 1)) for k, x in enumerate(xs)],
             app(fname, (xs[0], xs[-1])))
     p = PointAssignment({n: 0.5 + i for i, n in enumerate(names)}, fns)
-    fn = compile_expr(e, fns)
-    assert repr(fn(p.values)) == repr(oracle.evaluate(e, p))
-    code = fn.__code__
-    for name in NASTY + [fname]:
-        assert name not in code.co_names + code.co_varnames + code.co_consts
+    assert repr(evaluate(e, p)) == repr(oracle.evaluate(e, p))
     for name in NASTY:          # an unassigned name is reported as the oracle does
         q = PointAssignment({k: v for k, v in p.values.items() if k != name}, fns)
-        assert outcome(lambda: fn(q.values)) == outcome(lambda: oracle.evaluate(e, q))
+        assert outcome(lambda: evaluate(e, q)) == outcome(lambda: oracle.evaluate(e, q))
 
 
 @settings(max_examples=100, deadline=None)
@@ -562,23 +553,48 @@ def test_compiled_closures_are_freed_by_reference_counting(spec):
         gc.enable()
 
 
-def test_program_has_one_local_per_distinct_subtree_and_is_freed(spec):
+def test_block_has_one_column_per_distinct_subtree_and_is_freed(spec):
     e = _big_tree()
     nodes = sum(1 for _ in _nodes(e))
     distinct = len(set(_nodes(e)))       # structurally distinct subtrees
     assert distinct < nodes
+    points = [{"r": 0.5 + t / 4, "g": 1.0 - t / 8} for t in range(3)]
     gc.disable()
     try:
-        fn = compile_expr(e, spec.functions)
-        p = PointAssignment({"r": 1.0, "g": 1.0}, spec.functions)
-        assert repr(fn(p.values)) == repr(oracle.evaluate(e, p))
-        slots = [n for n in fn.__code__.co_varnames if re.fullmatch(r"v\d+", n)]
-        assert len(slots) == distinct
-        ref = weakref.ref(fn)
-        del fn
+        block = _Block(spec.functions, {"r": [q["r"] for q in points],
+                                        "g": [q["g"] for q in points]}, 3)
+        assert repr(block.column(e)) == repr(
+            [oracle.evaluate(e, PointAssignment(q, spec.functions)) for q in points])
+        assert len(block.column_of_key) == distinct
+        ref = weakref.ref(block)
+        del block
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_shared_subtrees_call_a_closure_once_per_point():
+    calls = []
+    fns = FunctionTable([OpaqueFunction("C", 1, {(0,): lambda x: calls.append(x) or 2 * x})])
+
+    def shared():       # a new tree on each call, structurally equal to the last
+        return app("C", (add(R, rat(1)),))
+    e = add(shared(), mul(shared(), sin_(shared())), pow_(shared(), 2))
+    evaluate(e, PointAssignment({"r": 0.5}, fns))
+    assert calls == [1.5]
+    calls.clear()
+    _Block(fns, {"r": [0.5, 1.0, 2.0]}, 3).column(e)
+    assert calls == [1.5, 2.0, 3.0]
+    # a negative base fails at some points after the closure ran there: the
+    # block of 10 points fails, and the check reruns from its seed point by
+    # point, where each failing point is counted and another one drawn
+    calls.clear()
+    root = pow_(add(R, rat(-1)), Fraction(1, 2))
+    e2 = add(shared(), mul(shared(), sin_(shared())), pow_(shared(), 2))
+    rep = equal_numeric(add(e, root), add(root, e2), SampleSpec({"r": (0.5, 1.5)}, fns),
+                        trials=10, seed=3)
+    assert rep.equal and rep.domain_errors > 0
+    assert len(calls) == 10 + 10 + rep.domain_errors
 
 
 @settings(max_examples=200, deadline=None)

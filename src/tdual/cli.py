@@ -188,7 +188,10 @@ def _read_json(path: str, what: str, parse, errors: tuple = ()):
             return parse(json.load(fh))
     except RecursionError:      # from the decoder or a recursive reader
         raise InputError(f"cannot read {what}: input nested too deeply") from None
-    except (OSError, KeyError, ValueError, TypeError, *errors) as exc:
+    except KeyError as exc:     # a bare one is a field the reader looked up
+        missing = f"missing field {exc.args[0]!r}" if type(exc) is KeyError else exc
+        raise InputError(f"cannot read {what}: {missing}") from None
+    except (OSError, ValueError, TypeError, *errors) as exc:
         raise InputError(f"cannot read {what}: {exc}") from None
 
 

@@ -51,6 +51,13 @@ class MissingCell(KeyError):
         return self.message
 
 
+class UnknownSpace(KeyError):
+    """No builtin space has the name: ``args`` is ``(message,)``, ``str()`` the message."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 PT = ("*",)   # basepoint id used by quotient complexes
 
 
@@ -472,19 +479,19 @@ def builtin_space(name: str) -> CellComplex:
         "D2": disc2,
     }
     if name not in table:
-        raise KeyError(f"unknown builtin space {name!r}")
+        raise UnknownSpace(f"unknown builtin space {name!r}")
     return table[name]()
 
 
 def _size_suffix(name: str, var: str, least: int) -> int:
-    """The integer after the colon of ``name``; KeyError unless it is >= least."""
+    """The integer after the colon of ``name``; UnknownSpace unless it is >= least."""
     prefix, _, suffix = name.partition(":")
     try:
         value = int(suffix)
     except ValueError:
         value = None
     if value is None or value < least:
-        raise KeyError(f"builtin space {prefix}:<{var}> needs an integer {var} >= {least}, "
-                       f"got {name!r}")
+        raise UnknownSpace(f"builtin space {prefix}:<{var}> needs an integer {var} >= {least}, "
+                           f"got {name!r}")
     return value
 

@@ -8,8 +8,9 @@ resolves opaque applications through closures registered per (name, arity)
 in a :class:`FunctionTable`. There is one evaluator and nothing is
 compiled: a block evaluates each distinct subtree of some roots once over
 its points, as one column of values. ``evaluate`` is a block of one point;
-``equal_numeric`` evaluates blocks of sampled points and reruns a check
-point by point, as blocks of one point, only where a block meets an error.
+``equal_numeric`` runs one loop over blocks of sampled points, and goes on
+point by point, as blocks of one point, from the first block that meets an
+error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree dispatches through it.
 
@@ -648,6 +649,8 @@ class Chart:
             raise ValueError("coordinate names must be unique")
         if len(self.periodic) != len(self.names):
             raise ValueError("periodicity flags must match coordinates")
+        if not self.names:
+            raise ValueError("a chart needs at least the fiber coordinate")
         if not self.periodic[0]:
             raise ValueError("the dualized (index 0) coordinate must be periodic")
 
@@ -742,67 +745,45 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     raises ValueError.
 
     Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn
-    at once. A check whose blocks meet any error or non-finite value runs
-    again from its seed, point by point, each point a block of one; that
-    loop alone retries, counts domain errors and raises. Both ways draw the
-    same points and apply the same float operations to each, so they return
-    the same report.
+    at once from one ``Random(seed)`` stream. From the first block that
+    meets any error or non-finite value on, the check goes on one point at a
+    time, starting again at that block's first point; only these blocks of
+    one point retry, count domain errors and raise. Every point gets the
+    same float operations either way, so the report is that of evaluating
+    the points one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    report = _equal_in_blocks(a, b, spec, trials, tol, seed)
-    if report is not None:
-        return report
-    _check_constants((a, b), spec.functions)
-    rng = random.Random(seed)
-    domain_errors = 0
-    for _ in range(trials):
-        for attempt in range(_RETRY_BOUND + 1):
-            drawn = _draw_columns(spec.boxes, rng, 1)
-            block = _Block(spec.functions, drawn, 1)
-            try:
-                (va,), (vb,) = block.column(a), block.column(b)
-                if not (math.isfinite(va) and math.isfinite(vb)):
-                    raise DomainError(f"non-finite sample value {va} vs {vb}")
-            except DomainError:
-                domain_errors += 1
-                if attempt == _RETRY_BOUND:
-                    raise
-                continue
-            break
-        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-            point = {name: column[0] for name, column in drawn.items()}
-            return EqualityReport(False, trials, Witness(point, va, vb), domain_errors)
-    return EqualityReport(True, trials, None, domain_errors)
-
-
-def _equal_in_blocks(a: Expr, b: Expr, spec: SampleSpec, trials: int, tol: float,
-                     seed: int) -> EqualityReport | None:
-    """The report of ``equal_numeric`` from columns over blocks of points,
-    or None if any point of a block that it evaluates meets an error or a
-    non-finite value."""
-    rng = random.Random(seed)
-    done = 0
+    rng, one_by_one = random.Random(seed), False
+    done = attempt = domain_errors = 0
     while done < trials:
-        size = min(_BLOCK, trials - done)
-        drawn = _draw_columns(spec.boxes, rng, size)
-        block = _Block(spec.functions, drawn, size)
+        n = 1 if one_by_one else min(_BLOCK, trials - done)
+        drawn = _draw_columns(spec.boxes, rng, n)
+        block = _Block(spec.functions, drawn, n)
         try:
             ca, cb = block.column(a), block.column(b)
-            finite = all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))
-        except Exception:       # whatever it was, the per-point loop reports it
-            finite = False
-        if not finite:
-            return None
+            if not (all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))):
+                raise DomainError(f"non-finite sample value {ca[0]} vs {cb[0]}")
+        except Exception as exc:
+            if not one_by_one:      # the first error: redraw this block's points one at a time
+                _check_constants((a, b), spec.functions)
+                one_by_one, rng = True, random.Random(seed)
+                _draw_columns(spec.boxes, rng, done)        # the draws of the points checked
+                continue
+            if not isinstance(exc, DomainError) or attempt == _RETRY_BOUND:
+                raise
+            domain_errors, attempt = domain_errors + 1, attempt + 1
+            continue
+        attempt = 0
         if ca is not cb:    # one column for both sides passes at every finite point
             for t, (va, vb) in enumerate(zip(ca, cb)):
                 if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
                     point = {name: column[t] for name, column in drawn.items()}
-                    return EqualityReport(False, trials, Witness(point, va, vb), 0)
-        done += size
-    return EqualityReport(True, trials, None, 0)
+                    return EqualityReport(False, trials, Witness(point, va, vb), domain_errors)
+        done += n
+    return EqualityReport(True, trials, None, domain_errors)
 
 
 # ---------------------------------------------------------------------------

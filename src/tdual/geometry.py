@@ -665,8 +665,9 @@ def conformal_factor(m: MetricData, reference: MetricData,
     if pivot is None:
         raise NotConformal(None, "reference metric is numerically zero")
     f = mul(m.g(*pivot), pow_(reference.g(*pivot), Fraction(-1)))
-    for (i, j), gm, _ in m.components():
-        rep = equal_numeric(gm, mul(f, reference.g(i, j)), spec, trials, tol, seed)
-        if not rep:
-            raise NotConformal((i, j), rep.witness)
+    scaled = MetricData(m.chart, {k: mul(f, e) for k, e in reference.g_upper.items()}, {})
+    ok, failure = metrics_equal(m, scaled, spec, trials, tol, seed, compare_b=False)
+    if not ok:
+        (_, *component), witness = failure
+        raise NotConformal(tuple(component), witness)
     return f

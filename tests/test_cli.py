@@ -506,6 +506,30 @@ def test_missing_name_errors_print_the_message_unquoted(argv, line):
     assert run_cli(*argv) == (2, "", f"error: {line}\n")
 
 
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("command, obj, what", [
+    ("buscher", {"g": [], "b": []}, "metric from {path}: missing field 'chart'"),
+    ("buscher", {"chart": {"names": ["kappa"]}, "g": [], "b": []},
+     "metric from {path}: missing field 'periodic'"),
+    ("buscher", {"chart": {"names": [], "periodic": []}, "g": [], "b": []},
+     "metric from {path}: a chart needs at least the fiber coordinate"),
+    ("dualize-gerbe", _without(TWO_PATCH_GERBE, "cover"), "gerbe: missing field 'cover'"),
+    ("dualize-gerbe", dict(TWO_PATCH_GERBE, space="foo"), "gerbe: unknown builtin space 'foo'"),
+    ("dualize-gerbe", dict(TWO_PATCH_GERBE, space="L1p:x"),
+     "gerbe: builtin space L1p:<p> needs an integer p >= 1, got 'L1p:x'"),
+    ("classify", _without(CHARGE_2_RECORD, "complement"), "record: missing field 'complement'"),
+    ("tdualize", dict(CHARGE_2_RECORD, base="foo"), "record: unknown builtin space 'foo'"),
+])
+def test_reader_errors_name_the_missing_field_or_space(command, obj, what, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    line = f"error: cannot read {what.format(path=path)}\n"
+    assert run_cli(command, "--input", str(path)) == (2, "", line)
+
+
 @pytest.mark.parametrize("preset", ["monopole:x", "monopole:", "dirac:2"])
 def test_malformed_gerbe_preset_exits_two(preset):
     code, out, err = run_cli("dualize-gerbe", "--preset", preset)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expr_oracle as oracle
-from tdual import DEFAULT_TOL, expr
+from tdual import expr
 from tdual.expr import (
     App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _draw_columns, _nodes,
@@ -447,6 +447,20 @@ def _taub_nut_pair(fails: bool):
     return dual.g(2, 2), mul(rat(1000001, 1000000) if fails else rat(1), ref.g(2, 2))
 
 
+def block_sizes(run) -> list:
+    """The size of every ``_Block`` that ``run()`` builds, in order."""
+    sizes = []
+
+    class Recorder(_Block):
+        def __init__(self, functions, drawn, size):
+            sizes.append(size)
+            super().__init__(functions, drawn, size)
+
+    with mock.patch.object(expr, "_Block", Recorder):
+        outcome(run)
+    return sizes
+
+
 @pytest.mark.parametrize("make", [
     lambda: _taub_nut_pair(fails=False), lambda: _taub_nut_pair(fails=True),
     lambda: (Sum(()), Prod(())),        # raw trees: an empty sum is 0, an empty product 1
@@ -459,7 +473,8 @@ def test_checks_without_errors_compile_nothing(make):
         got = equality_outcome(equal_numeric, a, b, spec, seed, trials)
         assert got == equality_outcome(oracle.equal_numeric, a, b, spec, seed, trials)
         assert not got.startswith("(<")
-        assert expr._equal_in_blocks(a, b, spec, trials, DEFAULT_TOL, seed) is not None
+        sizes = block_sizes(lambda: equal_numeric(a, b, spec, trials=trials, seed=seed))
+        assert 1 not in sizes and sum(sizes) <= trials    # no point is redrawn on its own
 
 
 NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf vs"
@@ -481,11 +496,37 @@ NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf v
 def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want):
     spec = SampleSpec({"r": box}, f_table().merged(EXOTIC))
     got = equality_outcome(equal_numeric, a, b, spec, 3, 10)
-    assert expr._equal_in_blocks(a, b, spec, 10, DEFAULT_TOL, 3) is None
+    sizes = block_sizes(lambda: equal_numeric(a, b, spec, trials=10, seed=3))
+    # the block of all 10 points meets the error, and the check goes on point
+    # by point, unless a constant outside the float range ends it first
+    assert sizes[0] == 10
+    assert set(sizes[1:]) == (set() if "outside the float range" in got else {1})
     if want is None:
         assert got == equality_outcome(oracle.equal_numeric, a, b, spec, 3, 10)
     else:               # the oracle reports neither error
         assert got.startswith(want)
+
+
+ROOT = pow_(add(R, rat(-1)), Fraction(1, 2))     # a negative base below r = 1
+
+
+@pytest.mark.parametrize("b, seed, expect, points", [
+    (ROOT, 17, "(True, 6, None)", 7 + 6),       # 7 trials and 6 resampled points
+    # (r - 1)^20 exceeds the tolerance only above r = 1.35: trial 4 passes,
+    # trial 5 meets a negative base and its resampled point fails
+    (add(ROOT, pow_(add(R, rat(-1)), 20)), 19, "(False, 1, ({'r': 1.49", 3),
+], ids=["equal", "witness"])
+def test_first_error_in_a_later_block_goes_on_point_by_point_from_that_block(
+        b, seed, expect, points):
+    spec = SampleSpec({"r": (0.5, 1.5)})
+    got = equality_outcome(equal_numeric, ROOT, b, spec, seed)
+    assert got == equality_outcome(oracle.equal_numeric, ROOT, b, spec, seed)
+    assert got.startswith(expect)
+    with mock.patch.object(expr, "_BLOCK", 3):
+        sizes = block_sizes(lambda: equal_numeric(ROOT, b, spec, trials=10, seed=seed))
+    # the first block of 3 passes; the second meets the error and is redrawn
+    # one point at a time from its first point, not from the seed
+    assert sizes == [3, 3] + [1] * points
 
 
 NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
@@ -741,6 +782,11 @@ def test_unknown_node_is_one_error():
 def test_chart_fiber_must_be_periodic():
     with pytest.raises(ValueError):
         Chart(("r", "kappa"), (False, True))
+
+
+def test_chart_needs_a_fiber_coordinate():
+    with pytest.raises(ValueError, match="a chart needs at least the fiber coordinate"):
+        Chart((), ())
 
 
 def test_chart_reorders_fiber_first():

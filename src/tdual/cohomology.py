@@ -79,9 +79,11 @@ class SubquotientSpace:
         self.in_map = in_map
         self.kernel = kernel_basis(out_map)          # n x z
         z = self.kernel.cols
+        out_snf = out_map.snf()
+        self.kernel_cols = out_snf.v_t.nz[out_snf.rank:]     # column j of the kernel
         cols = []
-        for j in range(in_map.cols):
-            c = solve(self.kernel, in_map.col(j))
+        for col in in_map.columns():
+            c = solve(self.kernel, col)
             if c is None:
                 raise ValueError("image does not lie in the kernel")
             cols.append(c)
@@ -112,9 +114,9 @@ class SubquotientSpace:
         c = solve(self.kernel, vec)
         if c is None:
             raise NotACocycle("cocycle not in kernel lattice")
-        y = self.snf.u.mul_vec(c)
-        out = [y[i] % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
-        out.extend(y[i] for i in self.free_slots)
+        y = self.snf.u_times(c)
+        out = [y.get(i, 0) % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
+        out.extend(y.get(i, 0) for i in self.free_slots)
         return tuple(out)
 
     def relations_lattice(self) -> IMat:
@@ -127,21 +129,25 @@ class SubquotientSpace:
             cols.append(col)
         return IMat.from_columns(cols, dim)
 
+    def _add_generator(self, vec: list, slot: int, coeff: int):
+        # vec += coeff * kernel @ (column slot of U^-1), over that column's nonzeros
+        for j, x in self.snf.uinv_t.nz[slot].items():
+            for i, k in self.kernel_cols[j].items():
+                vec[i] += coeff * x * k
+
     def generators(self) -> list["CohClass"]:
         gens = []
         for slot in self.torsion_slots + self.free_slots:
-            c = self.snf.uinv.col(slot)
-            vec = self.kernel.mul_vec(c)
+            vec = [0] * self.n
+            self._add_generator(vec, slot, 1)
             gens.append(CohClass(self, tuple(vec)))
         return gens
 
     def class_from_coords(self, coords) -> "CohClass":
-        coords = list(coords)
         vec = [0] * self.n
         for coeff, slot in zip(coords, self.torsion_slots + self.free_slots):
             if coeff:
-                base = self.kernel.mul_vec(self.snf.uinv.col(slot))
-                vec = [v + coeff * b for v, b in zip(vec, base)]
+                self._add_generator(vec, slot, coeff)
         return CohClass(self, tuple(vec))
 
     def zero(self) -> "CohClass":

@@ -806,4 +806,7 @@ def expr_from_json(obj) -> Expr:
         cls = _KINDS[obj["k"]]
         return cls(**{attr: load(obj[key]) for key, attr, (_, load) in _NODES[cls].fields})
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed expression node {obj!r:.80}: {exc}") from None
+        why = exc
+        if type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS):
+            why = f"missing field {exc.args[0]!r}"      # a field, not an unknown kind
+        raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None

@@ -8,7 +8,8 @@ complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 
 class IMat:
@@ -22,7 +23,7 @@ class IMat:
     after factoring it (internal callers build matrices, then consume them).
     """
 
-    __slots__ = ("rows", "cols", "nz", "_snf")
+    __slots__ = ("rows", "cols", "nz", "_snf", "__weakref__")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
@@ -96,8 +97,13 @@ class IMat:
     def __repr__(self):
         return f"IMat({self.rows}x{self.cols}, {self.nz})"
 
-    def col(self, j: int) -> list[int]:
-        return [r.get(j, 0) for r in self.nz]
+    def columns(self):
+        """Each column in turn as a dense list, filled from its nonzeros."""
+        for col in self.transpose().nz:
+            out = [0] * self.rows
+            for i, x in col.items():
+                out[i] = x
+            yield out
 
     def transpose(self) -> "IMat":
         nz = [{} for _ in range(self.cols)]
@@ -159,18 +165,39 @@ def _axpy(dst: dict, src: dict, k: int):
 class SNF:
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
-    ``uinv`` is maintained alongside so cohomology bases can be read
-    without re-inversion.
+    V and U^-1 are kept transposed (``v_t``, ``uinv_t``), as the elimination
+    builds them: row i of ``v_t`` is column i of V, and row i of ``uinv_t``
+    is column i of U^-1, so cohomology bases are read without re-inversion.
     """
 
     u: IMat
     d: IMat
-    v: IMat
-    uinv: IMat
+    v_t: IMat
+    uinv_t: IMat
     rank: int
+    # the columns of U as rows, built by the first ``u_times``
+    u_t: IMat | None = field(default=None, init=False, repr=False, compare=False)
 
     def diagonal(self) -> list[int]:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
+
+    def u_times(self, b) -> dict:
+        """U b as ``{row: nonzero}``, summed over the nonzeros of b."""
+        if self.u_t is None:
+            self.u_t = self.u.transpose()
+        out = {}
+        for j, x in enumerate(b):
+            if x:
+                _axpy(out, self.u_t.nz[j], x)
+        return out
+
+    def v_times(self, y: dict) -> list[int]:
+        """V y for y given as ``{row: nonzero}``, summed over its nonzeros."""
+        out = [0] * self.v_t.rows
+        for i, x in y.items():
+            for j, vij in self.v_t.nz[i].items():
+                out[j] += x * vij
+        return out
 
 
 def smith_normal_form(m: IMat) -> SNF:
@@ -178,48 +205,69 @@ def smith_normal_form(m: IMat) -> SNF:
 
     The pivot is the row-major first entry of least absolute value in the
     remaining block; rows below the pivot are reduced against it, then the
-    columns right of it, until both are clear. ``uinv`` and ``v`` take only
-    column operations, so they are kept transposed (``uinv_t``, ``v_t``)
-    and every operation on them is a row operation.
+    columns right of it, until both are clear. U^-1 and V take only column
+    operations, so they are built and returned transposed (``uinv_t``,
+    ``v_t``) and every operation on them is a row operation.
     """
     rows, cols = m.rows, m.cols
     d = m.copy().nz
     u, uinv_t = IMat.identity(rows).nz, IMat.identity(rows).nz
     v_t = IMat.identity(cols).nz
+    # column index of D: the rows holding each column, so column operations
+    # visit only those rows
+    in_col = defaultdict(set)
+    for i, row in enumerate(d):
+        for j in row:
+            in_col[j].add(i)
 
     def swap_rows(i, j):
+        for a, b in ((i, j), (j, i)):
+            for c in d[a].keys() - d[b].keys():
+                in_col[c].remove(a)
+                in_col[c].add(b)
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
         uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
-        for row in d:
+        for r in in_col[i] | in_col[j]:
+            row = d[r]
             a, b = row.pop(i, 0), row.pop(j, 0)
             if a:
                 row[j] = a
             if b:
                 row[i] = b
+        in_col[i], in_col[j] = in_col[j], in_col[i]
         v_t[i], v_t[j] = v_t[j], v_t[i]
 
     def add_row(src, dst, k):
         # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
         if not k:
             return
-        _axpy(d[dst], d[src], k)
+        row = d[dst]
+        for j, x in d[src].items():
+            y = row.get(j, 0) + k * x
+            if not y:
+                del row[j]
+                in_col[j].discard(dst)
+            else:
+                row[j] = y
+                in_col[j].add(dst)
         _axpy(u[dst], u[src], k)
         _axpy(uinv_t[src], uinv_t[dst], -k)
 
     def add_col(src, dst, k):
         if not k:
             return
-        for row in d:
-            x = row.get(src)
-            if x:
-                y = row.get(dst, 0) + k * x
-                if y:
-                    row[dst] = y
-                else:
-                    del row[dst]
+        for r in in_col[src]:
+            row = d[r]
+            y = row.get(dst, 0) + k * row[src]
+            if y:
+                row[dst] = y
+                in_col[dst].add(r)
+            else:
+                del row[dst]
+                in_col[dst].discard(r)
         _axpy(v_t[dst], v_t[src], k)
 
     def negate_row(i):
@@ -251,7 +299,7 @@ def smith_normal_form(m: IMat) -> SNF:
             while True:
                 # a row (column) is only changed when the pass reaches it, so
                 # snapshots of the nonzero positions match a full scan
-                for i in [i for i in range(t + 1, rows) if t in d[i]]:
+                for i in sorted(i for i in in_col[t] if i > t):
                     add_row(t, i, -(d[i][t] // d[t][t]))
                     if t in d[i]:         # remainder smaller than pivot
                         swap_rows(t, i)
@@ -259,7 +307,7 @@ def smith_normal_form(m: IMat) -> SNF:
                     add_col(t, j, -(d[t][j] // d[t][t]))
                     if j in d[t]:
                         swap_cols(t, j)
-                if len(d[t]) == 1 and not any(t in d[i] for i in range(t + 1, rows)):
+                if len(d[t]) == 1 and len(in_col[t]) == 1:   # both hold only d[t][t]
                     break
             if d[t][t] < 0:
                 negate_row(t)
@@ -283,38 +331,32 @@ def smith_normal_form(m: IMat) -> SNF:
         diagonalize()
 
     return SNF(IMat.of(rows, rows, u), IMat.of(rows, cols, d),
-               IMat.of(cols, cols, v_t).transpose(),
-               IMat.of(rows, rows, uinv_t).transpose(), rank)
+               IMat.of(cols, cols, v_t), IMat.of(rows, rows, uinv_t), rank)
 
 
 def solve(m: IMat, b: list[int]) -> list[int] | None:
     """An integer solution x of M x = b, or None if none exists.
 
     The factorization is cached on ``m``, so solving many right-hand sides
-    against one matrix costs one SNF total.
+    against one matrix costs one SNF total. A solve then reads only the
+    columns of U at b's nonzeros and the rows of ``v_t`` at y's nonzeros.
     """
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
     s = m.snf()
-    ub = s.u.mul_vec(b)
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = s.d[i, i] if i < min(m.rows, m.cols) else 0
-        if di:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
+    y = s.u_times(b)
+    for i, x in y.items():
+        di = s.d.nz[i].get(i, 0)
+        if not di or x % di:
             return None
-    return s.v.mul_vec(y)
+        y[i] = x // di
+    return s.v_times(y)
 
 
 def kernel_basis(m: IMat) -> IMat:
     """Basis of ker(M) as columns; a pure sublattice of Z^cols."""
     s = m.snf()
-    r = s.rank
-    return IMat.of(m.cols, m.cols - r,
-                   [{j - r: x for j, x in row.items() if j >= r} for row in s.v.nz])
+    return IMat.of(m.cols - s.rank, m.cols, s.v_t.nz[s.rank:]).transpose()
 
 
 def lattice_contains(gens: IMat, vec: list[int]) -> bool:
@@ -324,7 +366,7 @@ def lattice_contains(gens: IMat, vec: list[int]) -> bool:
 
 def lattice_subset(a: IMat, b: IMat) -> bool:
     """Column lattice of a contained in column lattice of b?"""
-    return all(lattice_contains(b, a.col(j)) for j in range(a.cols))
+    return all(lattice_contains(b, col) for col in a.columns())
 
 
 def lattice_equal(a: IMat, b: IMat) -> bool:

@@ -6,11 +6,16 @@ sparse code must perform exactly the same elementary operations, so the
 differential tests in ``test_intlin.py`` require all five factors to agree
 entry for entry. ``IMat`` here is the minimal dense matrix that function
 needs: an explicit shape and a list of rows.
+
+The second half keeps the old solve, kernel and class-coordinate products,
+which read U and V by rows, as the oracle for the sparse products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from tdual import intlin
 
 
 class IMat:
@@ -134,3 +139,67 @@ def smith_normal_form(m: IMat) -> SNF:
         diagonalize()
 
     return SNF(u, d, v, uinv, rank)
+
+
+# ---------------------------------------------------------------------------
+# the old products, kept as the oracle for the sparse ones
+#
+# Before ``SNF`` kept V and U^-1 transposed, ``tdual.intlin`` transposed
+# ``v_t`` and ``uinv_t`` back once per factorization, and every solve walked
+# all rows of U and of V. The functions below redo that arithmetic: U b and
+# V y by rows, the kernel from the rows of V, class vectors from columns of
+# U^-1. They read the sparse factorization, whose factors the tests above
+# check, so they check the products, not the elimination.
+
+def _v(s):
+    return s.v_t.transpose()
+
+
+def solve(m, b):
+    if len(b) != m.rows:
+        raise ValueError("shape mismatch")
+    s = m.snf()
+    ub = s.u.mul_vec(b)
+    y = [0] * m.cols
+    for i in range(m.rows):
+        di = s.d[i, i] if i < min(m.rows, m.cols) else 0
+        if di:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i] != 0:
+            return None
+    return _v(s).mul_vec(y)
+
+
+def kernel_basis(m):
+    s = m.snf()
+    r = s.rank
+    return intlin.IMat.of(m.cols, m.cols - r,
+                          [{j - r: x for j, x in row.items() if j >= r} for row in _v(s).nz])
+
+
+def reduce(space, vec):
+    """``SubquotientSpace.reduce`` on a cocycle, by rows of U."""
+    c = solve(kernel_basis(space.out_map), list(vec))
+    y = space.snf.u.mul_vec(c)
+    out = [y[i] % space.torsion_values[k] for k, i in enumerate(space.torsion_slots)]
+    out.extend(y[i] for i in space.free_slots)
+    return tuple(out)
+
+
+def generators(space):
+    """The vectors of ``SubquotientSpace.generators``, by columns of U^-1."""
+    kernel = kernel_basis(space.out_map)
+    uinv = space.snf.uinv_t.transpose()
+    return [tuple(kernel.mul_vec([r.get(slot, 0) for r in uinv.nz]))
+            for slot in space.torsion_slots + space.free_slots]
+
+
+def class_from_coords(space, coords):
+    """The vector of ``SubquotientSpace.class_from_coords``."""
+    vec = [0] * space.n
+    for coeff, base in zip(coords, generators(space)):
+        if coeff:
+            vec = [v + coeff * b for v, b in zip(vec, base)]
+    return tuple(vec)

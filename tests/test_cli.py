@@ -219,6 +219,9 @@ R_JSON = {"k": "sym", "name": "r"}
     # a chart field of the wrong type, given as {field: value}
     ({"names": [0, "r", "theta", "phi"]}, "chart 'names' must be a list of str"),
     ({"periodic": ["no", False, False, False]}, "chart 'periodic' must be a list of bool"),
+    # a node without one of its fields names the field
+    ([1, 1, {"k": "rat"}], "malformed expression node {'k': 'rat'}: missing field 'v'"),
+    ([1, 1, {"v": [1, 1]}], "malformed expression node {'v': [1, 1]}: missing field 'k'"),
 ])
 def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     from tdual.geometry import make_taub_nut

@@ -2,16 +2,21 @@
 excision, circle products, Thom spaces, collapse maps."""
 
 import gc
+import random
 import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_snf
 
 from tdual.cohomology import (
     AbelianGroup, CohClass, NotAProduct, TRIVIAL, Z, betti_numbers,
     chain_space, cochain_space, cohomology, cross_with_z, excision_hom,
     fiber_integrate, homology, long_exact_sequence, pullback_hom,
-    relative_cochain_space, relative_cohomology, universal_coefficients_consistent,
+    SubquotientSpace, relative_cochain_space, relative_cohomology,
+    universal_coefficients_consistent,
 )
 from tdual.complexes import (
     BUILTIN_NAMES, BoundaryNotLabeled, LabelMismatch, NotASubcomplex,
@@ -19,6 +24,8 @@ from tdual.complexes import (
     product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
     interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
 )
+from tdual.gerbes import trivial_bundle_gerbe_models
+from tdual.intlin import IMat
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +415,57 @@ def test_collapse_labels_validated():
     bplus = s3_two_disc()
     with pytest.raises(LabelMismatch):
         collapse_map(bplus, {"u", "f2"}, {"u", "f2", "c3out"})
+
+
+# ---------------------------------------------------------------------------
+# class coordinates against the old row-by-row products (tests/dense_snf.py)
+
+def _class_spaces():
+    for name in BUILTIN_NAMES:
+        x = builtin_space(name)
+        for k in range(x.top + 1):
+            yield pytest.param(cochain_space(x, k), id=f"{name}-H^{k}")
+            yield pytest.param(chain_space(x, k), id=f"{name}-H_{k}")
+    xs1 = product_with_circle(s3_two_disc())
+    outer = {(c, y) for c in ("u", "f2", "c3out") for y in ("a", "e")}
+    for k in range(2, 5):
+        yield pytest.param(relative_cochain_space(xs1, outer, k), id=f"S3xS1-outer-H^{k}")
+    models = trivial_bundle_gerbe_models(4)
+    yield pytest.param(cochain_space(models.complement_model(), 2), id="codim4-lambda-H^2")
+    yield pytest.param(relative_cochain_space(models.b, models.complement_ids, 3),
+                       id="codim4-pair-H^3")
+
+
+def assert_class_coordinates_match_old_products(space):
+    gens = space.generators()
+    assert [g.vector for g in gens] == dense_snf.generators(space)
+    rng = random.Random(space.n)
+    for _ in range(4):
+        coords = [rng.randint(-5, 5) for _ in gens]
+        cls = space.class_from_coords(coords)
+        assert cls.vector == dense_snf.class_from_coords(space, coords)
+        # move the representative by a random coboundary
+        shift = space.in_map.mul_vec([rng.randint(-3, 3) for _ in range(space.in_map.cols)])
+        vec = [a + b for a, b in zip(cls.vector, shift)]
+        assert space.reduce(vec) == dense_snf.reduce(space, vec)
+
+
+@pytest.mark.parametrize("space", list(_class_spaces()))
+def test_class_coordinates_match_old_products(space):
+    assert_class_coordinates_match_old_products(space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))))
+def test_quotients_by_random_lattices_match_old_products(shape_and_columns):
+    # Z^n / (column span): a dense relation matrix gives U^-1 columns with
+    # several nonzeros, which the builtin spaces rarely have
+    n, columns = shape_and_columns
+    in_map = IMat.from_columns(columns, n)
+    assert_class_coordinates_match_old_products(SubquotientSpace(n, IMat(0, n), in_map))
+
+
+def test_wedge_generators_match_old_products():
+    space = cochain_space(wedge_of_spheres(1000, 2), 2)
+    assert [g.vector for g in space.generators()] == dense_snf.generators(space)

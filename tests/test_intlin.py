@@ -1,5 +1,8 @@
 """Integer matrix algebra: Smith normal form and lattice arithmetic."""
 
+import random
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +29,7 @@ def test_identity_matrix():
 def test_arbitrary_precision_entries():
     m = IMat.from_rows([[10 ** 14, 3], [7, 10 ** 17]])
     s = smith_normal_form(m)
-    assert (s.u @ m) @ s.v == s.d
+    assert (s.u @ m) @ s.v_t.transpose() == s.d
 
 
 matrices = st.integers(0, 4).flatmap(
@@ -40,8 +43,8 @@ matrices = st.integers(0, 4).flatmap(
 @given(matrices)
 def test_snf_structure(m):
     s = smith_normal_form(m)
-    assert (s.u @ m) @ s.v == s.d
-    assert s.u @ s.uinv == IMat.identity(m.rows)
+    assert (s.u @ m) @ s.v_t.transpose() == s.d
+    assert s.u @ s.uinv_t.transpose() == IMat.identity(m.rows)
     diag = s.diagonal()
     for i in range(m.rows):
         for j in range(m.cols):
@@ -96,8 +99,9 @@ def assert_matches_dense_oracle(m: IMat):
     rows = _rows(m)
     want = dense_snf.smith_normal_form(dense_snf.IMat(m.rows, m.cols, rows))
     got = smith_normal_form(m)
+    factors = {"u": got.u, "d": got.d, "v": got.v_t.transpose(), "uinv": got.uinv_t.transpose()}
     for name in ("u", "d", "v", "uinv"):
-        assert _rows(getattr(got, name)) == getattr(want, name).data, name
+        assert _rows(factors[name]) == getattr(want, name).data, name
     assert got.rank == want.rank
     assert _rows(m) == rows          # the input is left alone
 
@@ -136,3 +140,54 @@ def _boundary_cases():
 @pytest.mark.parametrize("m", list(_boundary_cases()))
 def test_snf_of_builtin_boundaries_matches_dense_oracle(m):
     assert_matches_dense_oracle(m)
+
+
+# ---------------------------------------------------------------------------
+# the sparse products against the old row-by-row ones
+
+def assert_products_match_oracle(m: IMat, rhs):
+    assert _rows(kernel_basis(m)) == _rows(dense_snf.kernel_basis(m))
+    for b in rhs:
+        assert solve(m, b) == dense_snf.solve(m, b), b
+
+
+def _rhs(m: IMat, draw_ints):
+    """Right-hand sides for m: images of integer vectors (solvable) and raw
+    vectors (often not), with the zero vector."""
+    return [m.mul_vec(draw_ints(m.cols)), draw_ints(m.rows), [0] * m.rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, sparse_unit_matrices), st.data())
+def test_solve_and_kernel_match_old_products(m, data):
+    def ints(n):
+        return data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    assert_products_match_oracle(m, _rhs(m, ints))
+
+
+def test_unsolvable_right_hand_sides_match_old_products():
+    # b = 1 against D = 2; b outside the image of a rank-deficient matrix
+    for m, b in ((IMat.from_rows([[2]]), [1]), (IMat.from_rows([[2, 0], [0, 3]]), [1, 1]),
+                 (IMat.from_rows([[1, 1], [1, 1]]), [1, 0]), (IMat(2, 0), [0, 1])):
+        assert solve(m, b) is None
+        assert_products_match_oracle(m, [b])
+
+
+@pytest.mark.parametrize("m", list(_boundary_cases()))
+def test_products_on_builtin_boundaries_match_old_products(m):
+    rng = random.Random(m.rows * 1009 + m.cols)
+    assert_products_match_oracle(m, _rhs(m, lambda n: [rng.randint(-3, 3) for _ in range(n)])
+                                 + [m.mul_vec([1] * m.cols)])
+
+
+def test_dropped_matrix_frees_its_factors():
+    # no module-level cache: the U columns that a solve builds live on the
+    # SNF, which lives on the matrix
+    m = IMat.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for b in ([2, -6, 10], [1, 0, 0]):
+        assert solve(m, b) == dense_snf.solve(m, b)
+    s = m.snf()
+    refs = [weakref.ref(x) for x in (m, s, s.u_t)]
+    assert all(r() is not None for r in refs)
+    del m, s
+    assert [r() for r in refs] == [None, None, None]

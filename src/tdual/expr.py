@@ -1,13 +1,15 @@
 """Exact symbolic expression trees over named coordinates and opaque functions.
 
-Nodes are immutable and hashable. Rational constants are stored exactly as
+Nodes are immutable and hash-consed: every construction goes through one
+weak intern table, so structurally equal trees are one object, and equality
+and hashing are identity. Rational constants are stored exactly as
 ``fractions.Fraction``. Opaque function applications carry a name, an argument
 tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
 in a :class:`FunctionTable`. There is one evaluator and nothing is
-compiled: a block evaluates each distinct subtree of some roots once over
-its points, as one column of values. ``evaluate`` is a block of one point;
+compiled: a block evaluates each node of some roots once over its points,
+as one column of values. ``evaluate`` is a block of one point;
 ``equal_numeric`` runs one loop over blocks of sampled points, and goes on
 point by point, as blocks of one point, from the first block that meets an
 error.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat, starmap
@@ -54,8 +57,31 @@ def _as_expr(x) -> "Expr":
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
-@dataclass(frozen=True)
-class Expr:
+class _Interned(type):
+    """Builds each node once: a call with the fields of a live node returns
+    that node. The key is (type, fields), with a Fraction field as its
+    integer pair, whose hash is cheap; children are compared by identity,
+    which decides structural equality once every node is interned."""
+
+    def __call__(cls, *fields, **named):
+        if named:       # bound in field order; a name left over fails in the dataclass
+            fields += tuple(named.pop(f) for f in cls.__match_args__[len(fields):] if f in named)
+        key = (cls, *map(_scalar_key, fields))
+        node = _INTERNED.get(key)
+        if node is None or named:
+            node = _INTERNED[key] = super().__call__(*fields, **named)
+        return node
+
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _scalar_key(f):
+    return (f.numerator, f.denominator) if type(f) is Fraction else f
+
+
+@dataclass(frozen=True, eq=False)
+class Expr(metaclass=_Interned):
     """Base node. Subclasses define the tree shape; operators build new trees."""
 
     def __add__(self, other):
@@ -87,7 +113,7 @@ class Expr:
         return pow_(self, Fraction(exponent))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rat(Expr):
     value: Fraction
 
@@ -95,7 +121,7 @@ class Rat(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
 
@@ -103,7 +129,7 @@ class Sym(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Expr):
     """Opaque function application ``name(args)`` with derivative multi-index.
 
@@ -123,7 +149,7 @@ class App(Expr):
         return f"{self.name}{primes}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(Expr):
     terms: tuple
 
@@ -131,7 +157,7 @@ class Sum(Expr):
         return "(" + " + ".join(map(str, self.terms)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod(Expr):
     factors: tuple
 
@@ -139,7 +165,7 @@ class Prod(Expr):
         return "(" + "*".join(map(str, self.factors)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: Fraction
@@ -148,7 +174,7 @@ class Pow(Expr):
         return f"{self.base}^({self.exponent})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinE(Expr):
     arg: Expr
 
@@ -156,7 +182,7 @@ class SinE(Expr):
         return f"sin({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosE(Expr):
     arg: Expr
 
@@ -247,8 +273,7 @@ def _sum(terms) -> Expr:
 
 def _prod(factors) -> Expr:
     const = Fraction(1)
-    bases: list[Expr] = []
-    exps: list[Fraction] = []
+    exps: dict[Expr, Fraction] = {}     # by base, in first-seen order
     for f in factors:
         for s in (f.factors if type(f) is Prod else (f,)):
             if type(s) is Rat:
@@ -258,14 +283,8 @@ def _prod(factors) -> Expr:
                 continue
             # collect identical bases: x^a * x^b -> x^(a+b)
             base, exp = (s.base, s.exponent) if type(s) is Pow else (s, Fraction(1))
-            for i, b in enumerate(bases):
-                if b == base:
-                    exps[i] += exp
-                    break
-            else:
-                bases.append(base)
-                exps.append(exp)
-    out = [_pow(b, x) for b, x in zip(bases, exps) if x != 0]
+            exps[base] = exps[base] + exp if base in exps else exp
+    out = [_pow(b, x) for b, x in exps.items() if x != 0]
     # a collected power can come out rational (2^(1/2)*2^(1/2)) or a product
     # ((x*y)^2*(x*y)^-1): fold and flatten it too, or the result is not normal
     if any(type(f) is Rat or type(f) is Prod for f in out):
@@ -326,93 +345,77 @@ def _float(q: Fraction) -> float:
         raise DomainError("rational constant outside the float range") from None
 
 
-# column rules: (node, _Block) -> (key, column). Taking the children's
-# columns evaluates them first, so a block runs in the post-order of a
-# left-to-right walk, and values and errors come out as in a recursive
-# evaluation. The key is (type, scalar fields, child columns); only a new
-# key's ``column()`` runs. It gives the node's value at every point of the
-# block, by the same float operations at each point, and raises at a point
-# where they fail, with an error that names the values there.
+# column rules: (node, _Block) -> column, the node's value at every point of
+# the block, by the same float operations at each point. Taking the
+# children's columns evaluates them first, so a block runs in the post-order
+# of a left-to-right walk, and values and errors come out as in a recursive
+# evaluation. A rule raises at a point where the operations fail, with an
+# error that names the values there.
 
 def _column_rat(e: Rat, block):
-    return (Rat, e.value.numerator, e.value.denominator), lambda: [_float(e.value)] * block.size
+    return [_float(e.value)] * block.size
 
 
 def _column_sym(e: Sym, block):
-    def column():
-        try:
-            values = block.drawn[e.name]
-        except KeyError:
-            raise UnboundSymbol(f"symbol {e.name!r} not assigned") from None
-        return list(map(float, values))
-    return (Sym, e.name), column
+    try:
+        values = block.drawn[e.name]
+    except KeyError:
+        raise UnboundSymbol(f"symbol {e.name!r} not assigned") from None
+    return list(map(float, values))
 
 
 def _column_app(e: App, block):
     fn = block.functions.lookup(e.name, len(e.args)).closure(e.deriv)
     args = list(map(block.column, e.args))
-
-    def column():
-        out, error = [], "non-finite value from"
-        try:        # on an exception, out keeps the values before the failing point
-            out.extend(map(fn, *args) if args else starmap(fn, repeat((), block.size)))
-        except ZeroDivisionError:
-            error = "pole in"
-        except OverflowError:       # a result too large for a float is not finite either
-            pass
-        else:
-            if all(map(math.isfinite, out)):
-                return out
-            del out[list(map(math.isfinite, out)).index(False):]
-        raise DomainError(f"{error} {e.name} at {[a[len(out)] for a in args]}")
-    return (App, e.name, e.deriv, *map(id, args)), column
+    out, error = [], "non-finite value from"
+    try:        # on an exception, out keeps the values before the failing point
+        out.extend(map(fn, *args) if args else starmap(fn, repeat((), block.size)))
+    except ZeroDivisionError:
+        error = "pole in"
+    except OverflowError:       # a result too large for a float is not finite either
+        pass
+    else:
+        if all(map(math.isfinite, out)):
+            return out
+        del out[list(map(math.isfinite, out)).index(False):]
+    raise DomainError(f"{error} {e.name} at {[a[len(out)] for a in args]}")
 
 
 def _column_sum(e: Sum, block):
     terms = list(map(block.column, e.terms))
-    return (Sum, *map(id, terms)), lambda: (
-        list(map(sum, zip(*terms))) if terms else [0] * block.size)    # sum([]) is 0
+    return list(map(sum, zip(*terms))) if terms else [0] * block.size     # sum([]) is 0
 
 
 def _column_prod(e: Prod, block):
     factors = list(map(block.column, e.factors))
-
-    def column():
-        out = [1.0] * block.size
-        for f in factors:
-            out = list(map(_times, out, f))
-        return out
-    return (Prod, *map(id, factors)), column
+    out = [1.0] * block.size
+    for f in factors:
+        out = list(map(_times, out, f))
+    return out
 
 
 def _column_pow(e: Pow, block):
     base, q = block.column(e.base), e.exponent
-
-    def column():
-        if q < 0:
-            for b in compress(base, map(_ABS_POLE.__gt__, map(abs, base))):    # |b| < _ABS_POLE
-                raise DomainError(f"pole: {e.base}^{q} at base {b}")
-        if q.denominator != 1:
-            for b in compress(base, map((0.0).__gt__, base)):                  # b < 0
-                raise DomainError(f"negative base {b} under fractional power {q}")
-        try:        # an exponent outside the float range fails as math.pow's conversion
-            return list(map(math.pow, base, repeat(float(q))))
-        except (OverflowError, ValueError) as exc:
-            raise DomainError(str(exc)) from None
-    return (Pow, id(base), q.numerator, q.denominator), column
+    if q < 0:
+        for b in compress(base, map(_ABS_POLE.__gt__, map(abs, base))):    # |b| < _ABS_POLE
+            raise DomainError(f"pole: {e.base}^{q} at base {b}")
+    if q.denominator != 1:
+        for b in compress(base, map((0.0).__gt__, base)):                  # b < 0
+            raise DomainError(f"negative base {b} under fractional power {q}")
+    try:        # an exponent outside the float range fails as math.pow's conversion
+        return list(map(math.pow, base, repeat(float(q))))
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(str(exc)) from None
 
 
 def _column_trig(e: SinE | CosE, block):
     arg, fn = block.column(e.arg), math.sin if type(e) is SinE else math.cos
-
-    def column():
-        out = []
-        try:        # on an exception, out keeps the values before the failing point
-            out.extend(map(fn, arg))
-        except ValueError:      # an infinite argument
-            raise DomainError(f"{fn.__name__} of non-finite {arg[len(out)]}") from None
-        return out
-    return (type(e), id(arg)), column
+    out = []
+    try:        # on an exception, out keeps the values before the failing point
+        out.extend(map(fn, arg))
+    except ValueError:      # an infinite argument
+        raise DomainError(f"{fn.__name__} of non-finite {arg[len(out)]}") from None
+    return out
 
 
 def _derivative_app(e: App, x: str) -> Expr:
@@ -431,7 +434,7 @@ class _Node(NamedTuple):
     fields: tuple           # (JSON key, attribute, codec) per dataclass field
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
-    column: Callable        # (node, _Block) -> (dedupe key, column() of its values)
+    column: Callable        # (node, _Block) -> the node's column of values
     derivative: Callable    # (node, coordinate name) -> normal tree
 
 
@@ -582,23 +585,18 @@ _ABS_POLE = 1e-13
 
 class _Block:
     """The values of some roots at every point of a block: one column, a
-    list with one value per point, per distinct subtree. Subtrees are
-    deduplicated by identity, then by the rules' keys, so no whole tree is
-    hashed or compared. ``drawn`` maps each coordinate to its column."""
+    list with one value per point, per node. Nodes are interned, so a
+    subtree that occurs twice is one node and is evaluated once. ``drawn``
+    maps each coordinate to its column."""
 
     def __init__(self, functions: FunctionTable, drawn: Mapping[str, list], size: int):
         self.functions, self.drawn, self.size = functions, drawn, size
-        self.column_of_id: dict[int, list] = {}     # the roots keep every node alive meanwhile
-        self.column_of_key: dict[tuple, list] = {}  # and this every column, whose ids key it
+        self.columns: dict[Expr, list] = {}
 
     def column(self, e: Expr) -> list:
-        c = self.column_of_id.get(id(e))
+        c = self.columns.get(e)
         if c is None:
-            key, column = _NODES[type(e)].column(e, self)
-            c = self.column_of_key.get(key)
-            if c is None:
-                c = self.column_of_key[key] = column()
-            self.column_of_id[id(e)] = c
+            c = self.columns[e] = _NODES[type(e)].column(e, self)
         return c
 
 
@@ -609,9 +607,9 @@ def _check_constants(roots, functions: FunctionTable) -> None:
     seen, stack = set(), list(roots)
     while stack:
         e = stack.pop()
-        if id(e) in seen:
+        if e in seen:
             continue
-        seen.add(id(e))
+        seen.add(e)
         if type(e) is Rat:
             _float(e.value)
         elif type(e) is App:

@@ -172,14 +172,6 @@ class DiffForm:
         return DiffForm(self.chart, self.degree,
                         {idx: mul(factor, e) for idx, e in self.comps.items()})
 
-    def plus(self, other: "DiffForm") -> "DiffForm":
-        if other.degree != self.degree or other.chart != self.chart:
-            raise ValueError("form mismatch")
-        out = dict(self.comps)
-        for idx, e in other.comps.items():
-            out[idx] = add(out.get(idx, ZERO), e)
-        return DiffForm(self.chart, self.degree, out)
-
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
     """Coordinate exterior derivative; raises on top-degree input."""

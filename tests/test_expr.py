@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import expr_oracle as oracle
 from tdual import expr
 from tdual.expr import (
-    App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
+    ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _draw_columns, _nodes,
     add, app, cos_, differentiate, equal_numeric, evaluate,
     expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
@@ -606,7 +606,7 @@ def test_block_has_one_column_per_distinct_subtree_and_is_freed(spec):
                                         "g": [q["g"] for q in points]}, 3)
         assert repr(block.column(e)) == repr(
             [oracle.evaluate(e, PointAssignment(q, spec.functions)) for q in points])
-        assert len(block.column_of_key) == distinct
+        assert len(block.columns) == distinct
         ref = weakref.ref(block)
         del block
         assert ref() is None
@@ -618,7 +618,7 @@ def test_shared_subtrees_call_a_closure_once_per_point():
     calls = []
     fns = FunctionTable([OpaqueFunction("C", 1, {(0,): lambda x: calls.append(x) or 2 * x})])
 
-    def shared():       # a new tree on each call, structurally equal to the last
+    def shared():       # built anew on each call, and interned as the same node
         return app("C", (add(R, rat(1)),))
     e = add(shared(), mul(shared(), sin_(shared())), pow_(shared(), 2))
     evaluate(e, PointAssignment({"r": 0.5}, fns))
@@ -647,7 +647,41 @@ def test_json_codec_equals_the_oracle_and_round_trips(recipe, raw):
         return
     obj = expr_to_json(e)
     assert obj == oracle.expr_to_json(e)
-    assert expr_from_json(json.loads(json.dumps(obj))) == e == oracle.expr_from_json(obj)
+    back = expr_from_json(json.loads(json.dumps(obj)))
+    assert back is e is oracle.expr_from_json(obj)
+    assert simplify_basic(back) is simplify_basic(e)
+
+
+def test_every_path_builds_the_same_object():
+    x, y = sym("x"), sym("y")
+    h = app("H", (y,))
+    e = x * sin_(y) ** 2 + rat(3, 2) / h
+    sin_y = SinE(Sym("y"))
+    raw = Sum((Sum((Prod((Rat(Fraction(1)), Sym("x"), sin_y, sin_y)),)),
+               Prod((Rat(Fraction(3, 2)), Pow(App("H", (Sym("y"),), (0,)), Fraction(-1))))))
+    primitive = mul(rat(1, 2), pow_(x, 2), pow_(sin_(y), 2)) + mul(rat(3, 2), x, pow_(h, -1))
+    assert raw is not e
+    for other in (simplify_basic(raw), simplify_basic(expr_from_json(expr_to_json(raw))),
+                  simplify_basic(expr_from_json(expr_to_json(e))),
+                  substitute(e, {"x": x, "y": y}), differentiate(primitive, "x")):
+        assert other is e
+    assert rat(2, 2) is ONE is Rat(Fraction(1))
+    assert mul(x, x) is pow_(x, 2) is Pow(Sym("x"), Fraction(2))
+    assert Pow(base=x, exponent=Fraction(2)) is pow_(x, 2)
+
+
+def test_intern_table_frees_dropped_nodes():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(expr._INTERNED)
+        nodes = [add(sym(f"t{k}"), rat(k + 1, 10 ** 9 + 7)) for k in range(3400)]
+        assert len(expr._INTERNED) == before + 3 * len(nodes)     # a Sym, a Rat, a Sum each
+        del nodes
+        gc.collect()
+        assert len(expr._INTERNED) == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

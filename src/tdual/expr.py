@@ -14,7 +14,9 @@ as one column of values. ``evaluate`` is a block of one point;
 point by point, as blocks of one point, from the first block that meets an
 error.
 One table, ``_NODES``, describes each node type once, and every walk over a
-tree dispatches through it.
+tree dispatches through it. ``simplify_basic``, ``substitute`` and
+``differentiate`` are one memoized walk, ``_Walk``, that visits each distinct
+node once per call and is freed when the call returns.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -23,7 +25,9 @@ powers; simplifying its result again changes nothing. ``add``, ``mul``,
 node they build; ``differentiate`` and ``substitute`` build through them, so
 given normal trees they all return normal trees without a second walk.
 ``simplify_basic`` is the one entry for raw trees: nodes built directly, or
-read by ``expr_from_json``. Equality of expressions is decided by seeded
+read by ``expr_from_json``. It marks each node it returns as normal, on the
+interned node, and returns a marked node at once, so normalising a tree again
+costs nothing. Equality of expressions is decided by seeded
 randomized sampling (:func:`equal_numeric`), not by canonical-form rewriting.
 """
 
@@ -82,7 +86,13 @@ def _scalar_key(f):
 
 @dataclass(frozen=True, eq=False)
 class Expr(metaclass=_Interned):
-    """Base node. Subclasses define the tree shape; operators build new trees."""
+    """Base node. Subclasses define the tree shape; operators build new trees.
+
+    ``simplify_basic`` sets ``_normal`` on each node it returns. It is not a
+    field: the node's ``repr``, ``str`` and JSON do not show it, and it is
+    freed with the node."""
+
+    _normal = False
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -272,8 +282,10 @@ def _sum(terms) -> Expr:
 
 
 def _prod(factors) -> Expr:
-    const = Fraction(1)
-    exps: dict[Expr, Fraction] = {}     # by base, in first-seen order
+    const = ONE.value
+    # by base, in first-seen order: the summed exponent, and the factor itself
+    # while nothing is collected into it (it is kept as it is)
+    exps: dict[Expr, tuple[Fraction, Expr | None]] = {}
     for f in factors:
         for s in (f.factors if type(f) is Prod else (f,)):
             if type(s) is Rat:
@@ -282,9 +294,9 @@ def _prod(factors) -> Expr:
                 const *= s.value
                 continue
             # collect identical bases: x^a * x^b -> x^(a+b)
-            base, exp = (s.base, s.exponent) if type(s) is Pow else (s, Fraction(1))
-            exps[base] = exps[base] + exp if base in exps else exp
-    out = [_pow(b, x) for b, x in exps.items() if x != 0]
+            base, exp = (s.base, s.exponent) if type(s) is Pow else (s, ONE.value)
+            exps[base] = (exps[base][0] + exp, None) if base in exps else (exp, s)
+    out = [_pow(b, x) if s is None else s for b, (x, s) in exps.items() if x != 0]
     # a collected power can come out rational (2^(1/2)*2^(1/2)) or a product
     # ((x*y)^2*(x*y)^-1): fold and flatten it too, or the result is not normal
     if any(type(f) is Rat or type(f) is Prod for f in out):
@@ -418,11 +430,11 @@ def _column_trig(e: SinE | CosE, block):
     return out
 
 
-def _derivative_app(e: App, x: str) -> Expr:
+def _derivative_app(e: App, d: Callable[[Expr], Expr]) -> Expr:
     # chain rule: bump the multi-index in each slot whose argument moves
     terms = []
     for i, a in enumerate(e.args):
-        da = differentiate(a, x)
+        da = d(a)
         if da != ZERO:
             bumped = e.deriv[:i] + (e.deriv[i] + 1,) + e.deriv[i + 1:]
             terms.append(_prod((App(e.name, e.args, bumped), da)))
@@ -435,49 +447,73 @@ class _Node(NamedTuple):
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
     column: Callable        # (node, _Block) -> the node's column of values
-    derivative: Callable    # (node, coordinate name) -> normal tree
+    derivative: Callable    # (node, child -> its derivative) -> normal tree
 
 
 _NODES = _ByType({
     Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
-               _column_rat, lambda e, x: ZERO),
+               _column_rat, lambda e, d: ZERO),
+    # the walk knows the coordinate it differentiates in; any other symbol's derivative is 0
     Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
-               _column_sym, lambda e, x: ONE if e.name == x else ZERO),
+               _column_sym, lambda e, d: ZERO),
     App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
                       ("args", "args", _EXPRS)),
                lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
                _column_app, _derivative_app),
     Sum: _Node("sum", (("terms", "terms", _EXPRS),),
                lambda e: e.terms, lambda e, terms: _sum(terms),
-               _column_sum, lambda e, x: _sum([differentiate(t, x) for t in e.terms])),
+               _column_sum, lambda e, d: _sum(list(map(d, e.terms)))),
     Prod: _Node("prod", (("factors", "factors", _EXPRS),),
                 lambda e: e.factors, lambda e, factors: _prod(factors),
                 _column_prod,
-                lambda e, x: _sum([_prod(e.factors[:i] + (differentiate(f, x),)
-                                         + e.factors[i + 1:]) for i, f in enumerate(e.factors)])),
+                lambda e, d: _sum([_prod(e.factors[:i] + (d(f),) + e.factors[i + 1:])
+                                   for i, f in enumerate(e.factors)])),
     Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
                lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
                _column_pow,
-               lambda e, x: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1),
-                                   differentiate(e.base, x)))),
+               lambda e, d: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), d(e.base)))),
     SinE: _Node("sin", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _sin(*c),
-                _column_trig, lambda e, x: _prod((_cos(e.arg), differentiate(e.arg, x)))),
+                _column_trig, lambda e, d: _prod((_cos(e.arg), d(e.arg)))),
     CosE: _Node("cos", (("arg", "arg", _EXPR),),
                 lambda e: (e.arg,), lambda e, c: _cos(*c),
                 _column_trig,
-                lambda e, x: _prod((Rat(Fraction(-1)), _sin(e.arg), differentiate(e.arg, x)))),
+                lambda e, d: _prod((Rat(Fraction(-1)), _sin(e.arg), d(e.arg)))),
 })
-_KINDS = {node.tag: cls for cls, node in _NODES.items()}
+# JSON kind -> (positional constructor, (JSON key, load) per field in the
+# table's order); only App's JSON order (name, deriv, args) is not its
+# dataclass order
+_KINDS = {node.tag: (cls, tuple((key, load) for key, _, (_, load) in node.fields))
+          for cls, node in _NODES.items()}
+_KINDS["app"] = (lambda name, deriv, args: App(name, args, deriv), _KINDS["app"][1])
 
 
 # ---------------------------------------------------------------------------
 # walks
 
+class _Walk(dict):
+    """One rewrite of a tree: ``rule(node, child)`` runs once per distinct
+    node that has no ``known`` result, where ``child`` gives the result of a
+    child through this memo. Nodes are interned, so the memo is keyed by the
+    node itself. A walk lives for one call: it refers to its rule and never
+    to itself, and a rule refers to no walk, so reference counting frees the
+    memo and every node only it holds when the call returns."""
+
+    __slots__ = ("rule", "__weakref__")
+
+    def __init__(self, rule: Callable[[Expr, Callable[[Expr], Expr]], Expr], known=()):
+        super().__init__(known)
+        self.rule = rule
+
+    def __missing__(self, e: Expr) -> Expr:
+        out = self[e] = self.rule(e, self.__getitem__)
+        return out
+
+
 def _map(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """``e`` with ``f`` applied to each child, normalising only the new top."""
     node = _NODES[type(e)]
-    return node.rebuild(e, tuple([f(c) for c in node.children(e)]))
+    return node.rebuild(e, tuple(map(f, node.children(e))))
 
 
 def _nodes(e: Expr):
@@ -488,10 +524,28 @@ def _nodes(e: Expr):
         stack.extend(_NODES[type(n)].children(n))
 
 
+def _normalize(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
+    """The rule of ``simplify_basic``: its result is marked normal, and a
+    node marked normal is its own result."""
+    if e._normal:
+        return e
+    # _map, inline: one frame less per level, so every tree the reader takes fits the stack here
+    node = _NODES[type(e)]
+    out = node.rebuild(e, tuple(map(child, node.children(e))))
+    object.__setattr__(out, "_normal", True)
+    return out
+
+
 def simplify_basic(e: Expr) -> Expr:
     """Constant folding, 0/1 rules, flattening, collection of identical
-    rational powers. Idempotent; never expands or rewrites beyond this list."""
-    return _map(e, simplify_basic)
+    rational powers. Idempotent; never expands or rewrites beyond this list.
+    Each distinct node is normalised once, and a tree that this has
+    returned before is returned at once."""
+    return e if e._normal else _Walk(_normalize)[e]
+
+
+def _derivative(e: Expr, d: Callable[[Expr], Expr]) -> Expr:
+    return _NODES[type(e)].derivative(e, d)
 
 
 def differentiate(e: Expr, x: str) -> Expr:
@@ -500,17 +554,12 @@ def differentiate(e: Expr, x: str) -> Expr:
     Opaque applications differentiate by the chain rule, bumping the
     derivative multi-index in each argument slot.
     """
-    return _NODES[type(e)].derivative(e, x)
+    return _Walk(_derivative, {Sym(x): ONE})[e]
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of coordinate symbols by normal trees."""
-    b = {k: _as_expr(v) for k, v in bindings.items()}
-
-    def walk(n):
-        return b.get(n.name, n) if type(n) is Sym else _map(n, walk)
-
-    return walk(e)
+    return _Walk(_map, {Sym(k): _as_expr(v) for k, v in bindings.items()})[e]
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -801,8 +850,8 @@ def expr_from_json(obj) -> Expr:
     Raises ValueError on an unknown kind or a missing or malformed field.
     """
     try:
-        cls = _KINDS[obj["k"]]
-        return cls(**{attr: load(obj[key]) for key, attr, (_, load) in _NODES[cls].fields})
+        build, fields = _KINDS[obj["k"]]
+        return build(*[load(obj[key]) for key, load in fields])
     except (KeyError, TypeError) as exc:
         why = exc
         if type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS):

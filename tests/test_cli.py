@@ -102,13 +102,13 @@ def test_dualize_gerbe_json_matches_golden(argv, expected):
     assert out == golden
 
 
-def _coupling_metric_json():
-    # Taub-NUT with a fixed 25-term coupling sum (n/d) g^e, n, d in 1..9, e in 1..3
+def _coupling_metric_json(terms: int = 25, seed: int = 25):
+    # Taub-NUT with a fixed coupling sum of (n/d) g^e, n, d in 1..9, e in 1..3
     from tdual.expr import add, mul, pow_, rat, sym
     from tdual.geometry import make_taub_nut
-    rng = random.Random(25)
+    rng = random.Random(seed)
     coupling = add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)),
-                         pow_(sym("g"), rng.randint(1, 3))) for _ in range(25)])
+                         pow_(sym("g"), rng.randint(1, 3))) for _ in range(terms)])
     return make_taub_nut(coupling).to_json()
 
 
@@ -116,12 +116,17 @@ def _coupling_metric_json():
     (["--preset", "taub-nut", "--verify", "involution"], "buscher_taub_nut_involution.json"),
     (["--b-field", "dyonic", "--verify", "dyonic", "--seed", "7"], "buscher_dyonic_seed7.json"),
     (["--input", "coupling25.json"], "buscher_coupling25.json"),
+    # the profile H is written out again in every entry: the reader, the
+    # normal form and the double dual on one metric of many shared subtrees
+    (["--input", "coupling100.json", "--verify", "involution"],
+     "buscher_coupling100_involution.json"),
 ])
 def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
     # the golden files are earlier output, byte for byte; the input path is
     # echoed, so the input is read from the working directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / "coupling25.json").write_text(json.dumps(_coupling_metric_json()))
+    (tmp_path / "coupling100.json").write_text(json.dumps(_coupling_metric_json(100, seed=1)))
     code, out, _ = run_cli("buscher", *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN / expected).read_text()

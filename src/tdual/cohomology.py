@@ -222,31 +222,24 @@ def homology(x: CellComplex, k: int) -> AbelianGroup:
     return chain_space(x, k).group()
 
 
-class RelativeCochainSpace(SubquotientSpace):
-    """Cochains of X vanishing on a subcomplex A, i.e. functions on X-A cells."""
-
-    def __init__(self, x: CellComplex, a_ids, k: int):
-        self.complex = x
-        self.a_ids = x.check_subcomplex(a_ids)
-        self.kept = {d: [c for c in x.cell_ids(d) if c not in self.a_ids]
-                     for d in range(x.top + 2)}
-        self.degree = k
-        n = len(self.kept.get(k, []))
-        super().__init__(n, self._delta(x, k), self._delta(x, k - 1),
-                         label=f"H^{k}({x.name}, A)")
-
-    def _delta(self, x: CellComplex, k: int) -> IMat:
-        # restricted coboundary C^k_rel -> C^{k+1}_rel; boundaries of A-cells
-        # stay in A, so dropping A-coordinates is compatible with delta
-        return _restricted_coboundary(x, k, self.kept.get(k, []), self.kept.get(k + 1, []))
-
-
-def relative_cochain_space(x: CellComplex, a_ids, k: int) -> RelativeCochainSpace:
+def relative_cochain_space(x: CellComplex, a_ids, k: int) -> SubquotientSpace:
+    """Cochains of X vanishing on a subcomplex A, i.e. functions on X-A cells;
+    boundaries of A-cells stay in A, so dropping A-coordinates commutes with delta."""
     key = ("rel", frozenset(a_ids), k)
     space = x.derived.get(key)
     if space is None:
-        space = x.derived[key] = RelativeCochainSpace(x, a_ids, k)
+        a_ids = x.check_subcomplex(a_ids)
+        below, cells, above = (_relative_cells(x, a_ids, d) for d in (k - 1, k, k + 1))
+        space = x.derived[key] = SubquotientSpace(
+            len(cells), _restricted_coboundary(x, k, cells, above),
+            _restricted_coboundary(x, k - 1, below, cells), label=f"H^{k}({x.name}, A)")
     return space
+
+
+def _relative_cells(x: CellComplex, a_ids, k: int) -> list:
+    """The k-cells of X - A in X's order: the basis of relative k-cochains."""
+    a_ids = frozenset(a_ids)
+    return [c for c in x.cell_ids(k) if c not in a_ids]
 
 
 def relative_cohomology(x: CellComplex, a_ids, k: int) -> AbelianGroup:
@@ -297,11 +290,8 @@ class GroupHom:
         return self.matrix.hstack(self.codomain.relations_lattice())
 
     def kernel_lattice(self) -> IMat:
-        rel_c = self.codomain.relations_lattice()
-        block = self.matrix.hstack(rel_c.neg())
-        kern = kernel_basis(block)
-        cols = [[kern[i, j] for i in range(self.matrix.cols)] for j in range(kern.cols)]
-        x_part = IMat.from_columns(cols, self.matrix.cols)
+        kern = kernel_basis(self.matrix.hstack(self.codomain.relations_lattice().neg()))
+        x_part = IMat.of(self.matrix.cols, kern.cols, kern.nz[:self.matrix.cols])
         return x_part.hstack(self.domain.relations_lattice())
 
     def is_iso(self) -> bool:
@@ -336,10 +326,9 @@ def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
     agree. Cells of the small pair must appear in the big complex."""
     dom = relative_cochain_space(big, big_a_ids, k)
     cod = relative_cochain_space(small, small_a_ids, k)
-    big_kept = dom.kept.get(k, [])
-    pos = {c: i for i, c in enumerate(big_kept)}
+    pos = {c: i for i, c in enumerate(_relative_cells(big, big_a_ids, k))}
     m = IMat(cod.n, dom.n)
-    for j, cell in enumerate(cod.kept.get(k, [])):
+    for j, cell in enumerate(_relative_cells(small, small_a_ids, k)):
         if cell not in pos:
             raise NotASubcomplex(
                 f"relative cell {cell} of the small pair missing from the big pair")
@@ -362,7 +351,7 @@ def relative_inclusion_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
     """j*: H^k(X, A) -> H^k(X), inclusion of relative cochains."""
     rel = relative_cochain_space(x, a_ids, k)
     m = IMat(x.n_cells(k), rel.n)
-    for j, cell in enumerate(rel.kept.get(k, [])):
+    for j, cell in enumerate(_relative_cells(x, a_ids, k)):
         m[x.index(k, cell), j] = 1
     return GroupHom(rel, cochain_space(x, k), m, f"j*{k}")
 
@@ -372,7 +361,7 @@ def connecting_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
     a = x.subcomplex(a_ids)
     rel_next = relative_cochain_space(x, a_ids, k + 1)
     return GroupHom(cochain_space(a, k), rel_next, _restricted_coboundary(
-        x, k, a.cell_ids(k), rel_next.kept.get(k + 1, [])), f"d{k}")
+        x, k, a.cell_ids(k), _relative_cells(x, a_ids, k + 1)), f"d{k}")
 
 
 @dataclass
@@ -466,7 +455,7 @@ def fiber_integrate(cls: CohClass, xs1: CellComplex, degree: int | None = None) 
 
 def _degree_of_space(space: SubquotientSpace, x: CellComplex) -> int:
     for k in range(x.top + 1):
-        if cochain_space(x, k) is space:
+        if x.derived.get(("abs", k)) is space:
             return k
     raise ValueError("class space does not belong to this complex")
 

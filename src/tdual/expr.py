@@ -575,24 +575,23 @@ def opaque_functions(e: Expr) -> set[tuple[str, int]]:
 # evaluation
 
 class OpaqueFunction:
-    """Numeric closures for an opaque symbol, one per derivative multi-index."""
+    """Numeric closures for an opaque symbol, one per derivative multi-index,
+    each built on first use by ``closure_factory(deriv)`` (None if there is none)."""
 
     def __init__(self, name: str, arity: int,
-                 closures: Mapping[tuple, Callable] | None = None,
-                 closure_factory: Callable[[tuple], Callable | None] | None = None):
+                 closure_factory: Callable[[tuple], Callable | None]):
         self.name = name
         self.arity = arity
-        self._closures = dict(closures or {})
+        self._closures: dict[tuple, Callable] = {}
         self._factory = closure_factory
 
     def closure(self, deriv: tuple) -> Callable:
         if deriv in self._closures:
             return self._closures[deriv]
-        if self._factory is not None:
-            fn = self._factory(deriv)
-            if fn is not None:
-                self._closures[deriv] = fn
-                return fn
+        fn = self._factory(deriv)
+        if fn is not None:
+            self._closures[deriv] = fn
+            return fn
         raise UnboundSymbol(f"no closure for {self.name}{deriv} (arity {self.arity})")
 
 
@@ -704,9 +703,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
     @staticmethod
     def with_fiber(names: Iterable[str], periodic: Mapping[str, bool], fiber: str) -> "Chart":

@@ -277,7 +277,7 @@ def _nonzero_somewhere(e: Expr, spec: SampleSpec) -> bool:
 # ---------------------------------------------------------------------------
 # Buscher rules
 
-def buscher_transform(m: MetricData, check_g00: bool = True) -> MetricData:
+def buscher_transform(m: MetricData) -> MetricData:
     """Dualize along the index-0 isometry direction.
 
     Metric half:  ~g00 = 1/g00, ~g0a = b0a/g00,
@@ -289,7 +289,7 @@ def buscher_transform(m: MetricData, check_g00: bool = True) -> MetricData:
     g00 = m.g(0, 0)
     if g00 == ZERO:
         raise SingularG00("g00 is identically zero")
-    if check_g00 and m.sample is not None and not _nonzero_somewhere(g00, m.sample):
+    if m.sample is not None and not _nonzero_somewhere(g00, m.sample):
         raise SingularG00("g00 vanishes on the sample domain")
     inv = pow_(g00, Fraction(-1))
     n = m.chart.dim

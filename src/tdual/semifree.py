@@ -21,7 +21,7 @@ from .cohomology import (AbelianGroup, CohClass, cochain_space, cross_with_z,
                          fiber_integrate, homology)
 from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
                         sphere, wedge_of_spheres)
-from .intlin import IMat, solve
+from .intlin import IMat
 
 
 class InvalidClass(ValueError):
@@ -311,13 +311,7 @@ def dyonic_automorphism_check(x: CellComplex, lam: CohClass,
     fixes = moved == lam
     xs1 = product_with_circle(x)
     dual = cross_with_z(lam, xs1)
-    rotation = None
-    h2 = lam.space.group()
-    if h2 == AbelianGroup(1):
-        gen = lam.space.generators()[0]
-        target = list(lam.reduced())
-        sol = solve(IMat(1, 1, [gen.reduced()]), target)
-        if sol is not None:
-            rotation = sol[0]
+    # on H^2 = Z the generator reduces to (1,): lambda's coordinate is its multiple
+    rotation = lam.reduced()[0] if lam.space.group() == AbelianGroup(1) else None
     label = f"2*pi*{rotation}" if rotation is not None else "non-integral"
     return DyonicReport(fixes, rotation, label, dual)

@@ -179,6 +179,20 @@ def test_homotopy_table():
     assert "H_2 = Z^4" in out
 
 
+def test_buscher_without_verification_prints_only_its_header():
+    assert run_cli("buscher", "--verify", "none") == (0, "buscher dual of taub-nut\n", "")
+
+
+def test_trivial_record_classifies_and_dualizes_to_empty_classes():
+    code, out, _ = run_cli("classify", "--preset", "trivial")
+    assert code == 0
+    assert out.splitlines()[2:] == ["  fixed locus cells: (empty)", "  bundle class: []"]
+    code, out, _ = run_cli("tdualize", "--preset", "trivial")
+    assert code == 0
+    assert "  flux class: []" in out.splitlines()
+    assert out.endswith("[PASS] fiber integration returns the bundle class\n")
+
+
 @pytest.mark.parametrize("suite", ["metrics", "dyonic", "cohomology", "gerbes", "semifree"])
 def test_verify_suites_pass_within_budget(suite):
     import time
@@ -368,6 +382,21 @@ def test_zero_trials_is_a_usage_error():
     assert out == ""
     assert "argument --trials: trials must be >= 1" in err
     assert "Traceback" not in err
+
+
+def test_non_integer_trials_is_a_usage_error():
+    code, out, err = run_cli("buscher", "--trials", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("tdual buscher: error: argument --trials: invalid int value: 'abc'\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["dualize-gerbe"], "error: need --preset or --input\n"),
+    (["classify"], "error: need --preset or --input\n"),
+    (["homotopy", "--centers", "0"], "error: --centers must be >= 1\n"),
+])
+def test_missing_or_nonpositive_input_exits_two(argv, line):
+    assert run_cli(*argv) == (2, "", line)
 
 
 @pytest.mark.parametrize("argv", [["buscher", "--preset", "taub-nut"], ["verify", "metrics"]])

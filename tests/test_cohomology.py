@@ -25,7 +25,7 @@ from tdual.complexes import (
     interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
 )
 from tdual.gerbes import trivial_bundle_gerbe_models
-from tdual.intlin import IMat
+from tdual.intlin import IMat, lattice_equal
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,32 @@ def test_derived_models_are_canonical_and_die_with_their_complex():
     del x, xs1
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_relative_spaces_keep_no_reference_to_their_complex():
+    # freed by reference counting alone, so nothing in x.derived points back at x
+    gc.disable()
+    try:
+        x = _fresh_lens("rel")
+        assert relative_cohomology(x, {"e0", "e1"}, 2) == Z
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_degree_of_a_class_is_found_without_building_other_spaces():
+    x = _fresh_lens("degree")
+    xs1 = product_with_circle(x)
+    gen = cochain_space(x, 2).generators()[0]
+    crossed = cross_with_z(gen, xs1)
+    assert crossed == cross_with_z(gen, xs1, degree=2)
+    assert fiber_integrate(crossed, xs1) == gen
+    assert [k for k in (0, 1) if ("abs", k) in x.derived] == []
+    assert [k for k in (0, 1, 2) if ("abs", k) in xs1.derived] == []
+    with pytest.raises(ValueError, match="class space does not belong to this complex"):
+        cross_with_z(cochain_space(lens(3), 2).generators()[0], xs1)
 
 
 def test_parametrised_builtins_are_held_only_while_referenced():
@@ -241,6 +267,23 @@ def test_les_cone_product_pair_exact():
     assert long_exact_sequence(xs1, complement).all_exact
 
 
+def test_les_lens_pair_is_exact_across_torsion():
+    # H^2(X) = Z/3: exactness at H^2(X, A) needs the torsion relation of H^2(X)
+    rep = long_exact_sequence(lens(3), {"e0", "e1"})
+    assert rep.all_exact
+    assert [n.group for n in rep.nodes if n.label == "H^2(X)"] == [AbelianGroup(0, (3,))]
+    j2, d1 = rep.maps[("j", 2)], rep.maps[("d", 1)]
+    assert j2.codomain.relations_lattice() == IMat.from_rows([[3]])
+    assert lattice_equal(j2.kernel_lattice(), IMat.from_rows([[3]]))
+    assert not j2.is_iso()          # Z -> Z/3
+    assert not d1.is_iso()          # Z -> Z, multiplication by 3
+    rel_gen = d1.codomain.generators()[0]
+    assert d1.preimage(rel_gen) is None
+    assert d1.apply(d1.preimage(3 * rel_gen)) == 3 * rel_gen
+    torsion_gen = j2.codomain.generators()[0]
+    assert j2.apply(j2.preimage(torsion_gen)) == torsion_gen
+
+
 # ---------------------------------------------------------------------------
 # excision and the monopole isomorphism chain
 
@@ -298,6 +341,13 @@ def test_cross_product_is_additive():
     sp = cochain_space(s2, 2)
     a, b = sp.class_from_coords([2]), sp.class_from_coords([-5])
     assert cross_with_z(a + b, xs1) == cross_with_z(a, xs1) + cross_with_z(b, xs1)
+
+
+def test_class_negation_and_hash_follow_reduced_coordinates():
+    gen = cochain_space(lens(3), 2).generators()[0]
+    assert (-gen).reduced() == (2,)
+    assert -gen == 2 * gen and hash(-gen) == hash(2 * gen)
+    assert len({gen, -gen, 2 * gen, 4 * gen}) == 2
 
 
 def test_fiber_integration_inverts_cross_product_everywhere():

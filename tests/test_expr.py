@@ -419,7 +419,7 @@ def _raises(exc):
     return fn
 
 
-EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}) for name, fn in [
+EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}.get) for name, fn in [
     ("Zero", lambda x: 1.0 / (x - x)), ("Exp", lambda x: math.exp(1000.0 * x)),
     ("Inf", lambda x: x * 1e308 * 10.0), ("Nan", lambda x: math.nan),
     ("Key", _raises(KeyError("r"))), ("Big", lambda x: 10 ** 400),
@@ -544,7 +544,7 @@ NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
 
 def test_names_with_python_syntax_evaluate_as_the_oracle():
     fname = "F(0)); __import__('os').system('false') #"
-    fns = FunctionTable([OpaqueFunction(fname, 2, {(0, 0): lambda u, w: 2 * u - w})])
+    fns = FunctionTable([OpaqueFunction(fname, 2, {(0, 0): lambda u, w: 2 * u - w}.get)])
     names = NASTY + ["v0", "k0", "values", "float"]     # Python identifiers too
     xs = [sym(n) for n in names]
     e = add(*[mul(rat(k + 1), pow_(x, k % 3 + 1)) for k, x in enumerate(xs)],
@@ -626,7 +626,7 @@ def test_block_has_one_column_per_distinct_subtree_and_is_freed(spec):
 
 def test_shared_subtrees_call_a_closure_once_per_point():
     calls = []
-    fns = FunctionTable([OpaqueFunction("C", 1, {(0,): lambda x: calls.append(x) or 2 * x})])
+    fns = FunctionTable([OpaqueFunction("C", 1, {(0,): lambda x: calls.append(x) or 2 * x}.get)])
 
     def shared():       # built anew on each call, and interned as the same node
         return app("C", (add(R, rat(1)),))

@@ -10,8 +10,8 @@ import re
 
 import pytest
 
-from tdual.expr import (PointAssignment, app, add, cos_, equal_numeric,
-                        evaluate, mul, pow_, rat, sin_, sym)
+from tdual.expr import (Chart, PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
+                        equal_numeric, evaluate, mul, pow_, rat, sin_, sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
@@ -110,7 +110,7 @@ def test_involution_on_random_metric_pairs(spec):
     rng = random.Random(1)
     for _ in range(200):
         m = _random_metric(rng, spec)
-        dd = buscher_transform(buscher_transform(m), check_g00=False)
+        dd = buscher_transform(buscher_transform(m))
         ok, witness = metrics_equal(dd, m, spec, trials=5, tol=1e-9,
                                     seed=rng.randrange(10**6))
         assert ok, witness
@@ -218,6 +218,29 @@ def test_center_index_out_of_range():
     fam = MultiCenterFamily([(0.1, 0.0, 0.0)])
     with pytest.raises(IndexError):
         fam.b_field(3, sym("beta"))
+
+
+@pytest.mark.parametrize("preset", ["coupling", "unit"])
+def test_multi_center_first_derivatives_match_central_differences(preset):
+    fam = MultiCenterFamily([(0.3, -0.2, 0.1), (-0.4, 0.5, 0.2)], preset)
+    arity = 4 if preset == "coupling" else 3
+    hp = fam.sample.functions.lookup("Hp", arity)
+    value = hp.closure((0,) * arity)
+    point, h = [2.1, 1.1, 0.7, 0.8][:arity], 1e-5
+    for slot in range(arity):
+        up, down = list(point), list(point)
+        up[slot] += h
+        down[slot] -= h
+        central = (value(*up) - value(*down)) / (2 * h)
+        deriv = tuple(int(i == slot) for i in range(arity))
+        assert hp.closure(deriv)(*point) == pytest.approx(central, rel=1e-7), deriv
+    with pytest.raises(UnboundSymbol):
+        hp.closure((1, 1) + (0,) * (arity - 2))
+
+
+def test_single_center_mixed_partial_vanishes():
+    h = taub_nut_sample_spec().functions.lookup("H", 2)
+    assert [h.closure(d)(1.3, 0.8) for d in ((1, 1), (2, 3))] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +424,21 @@ def test_degenerate_map_raises_singular_jacobian(spec):
     squashed = Diffeo(MONOPOLE_CHART, (sym("kappa"), R, THETA, rat(1)))
     with pytest.raises(SingularJacobian):
         pullback(make_taub_nut(), squashed)
+
+
+def test_pullback_carries_the_b_field():
+    # along (k, x, y) -> (k, x + y, y), whose Jacobian has the columns
+    # (1, 0, 0), (0, 1, 0) and (0, 1, 1), expanded by hand
+    chart = Chart(("k", "x", "y"), (True, False, False))
+    spec = SampleSpec({"k": (0.1, 6.2), "x": (-2.0, 2.0), "y": (-2.0, 2.0)})
+    k, x, y = sym("k"), sym("x"), sym("y")
+    m = metric(chart, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(1)},
+               {(0, 1): y, (1, 2): x}, spec)
+    pulled = pullback(m, Diffeo(chart, (k, add(x, y), y)))
+    expected = metric(chart, {(0, 0): rat(1), (1, 1): rat(1), (1, 2): rat(1), (2, 2): rat(2)},
+                      {(0, 1): y, (0, 2): y, (1, 2): add(x, y)}, spec)
+    ok, witness = metrics_equal(pulled, expected)
+    assert ok, witness
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from tdual.cohomology import (AbelianGroup, TRIVIAL, Z, cochain_space,
                               fiber_integrate)
-from tdual.complexes import cp2, cone_on_s2, sphere, product_with_circle
+from tdual.complexes import builtin_space, cp2, cone_on_s2, lens, sphere, product_with_circle
 from tdual.intlin import IMat
 from tdual.semifree import (
     DegreeMismatch, InvalidClass, RegularizedDual, UnwrappedSource,
@@ -90,6 +90,12 @@ def test_source_sits_on_fixed_locus_times_circle():
 def test_unwrapped_source_rejected():
     with pytest.raises(UnwrappedSource):
         make_tdual_record(kk_record(), frozenset({("v", "a")}))
+
+
+def test_full_source_locus_is_accepted():
+    dual = make_tdual_record(kk_record(2), [("v", "e"), ("v", "a")])
+    assert dual.source_ids == frozenset({("v", "a"), ("v", "e")})
+    assert dual.flux.reduced() == (2,)
 
 
 def test_dual_record_description_is_serializable():
@@ -177,6 +183,26 @@ def test_integral_class_maps_to_rotation_multiple(m):
     rep = dyonic_automorphism_check(x, lam)
     assert rep.rotation_multiple == m
     assert rep.beta_label == f"2*pi*{m}"
+
+
+@pytest.mark.parametrize("space", ["S2", "S2xS1", "complement"])
+def test_rotation_multiple_on_other_integral_second_cohomology(space):
+    x = kk_record().complement_model() if space == "complement" else builtin_space(space)
+    rep = dyonic_automorphism_check(x, -4 * cochain_space(x, 2).generators()[0])
+    assert (rep.rotation_multiple, rep.beta_label) == (-4, "2*pi*-4")
+
+
+def test_torsion_class_has_no_rotation_multiple():
+    x = lens(3)
+    rep = dyonic_automorphism_check(x, cochain_space(x, 2).generators()[0])
+    assert (rep.rotation_multiple, rep.beta_label) == (None, "non-integral")
+
+
+def test_dyonic_report_description():
+    x = cp2()
+    rep = dyonic_automorphism_check(x, 3 * cochain_space(x, 2).generators()[0])
+    assert rep.describe() == {"action_fixes_class": True, "rotation_multiple": 3,
+                              "beta": "2*pi*3", "dual_datum": [3]}
 
 
 def test_zero_class_gives_trivial_datum():

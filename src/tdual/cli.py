@@ -327,8 +327,14 @@ def _gerbe_from_json(obj):
     cover = CoverNerve(x, [frozenset(_checked(s, list, "cover set", str))
                            for s in _checked(obj["cover"], list, "cover")])
 
+    def indices(label, key):
+        try:
+            return tuple(int(i) for i in key.split(","))
+        except ValueError:
+            raise InputError(f"{label} key {key!r} is not comma-separated integers") from None
+
     def parse(label):
-        return {tuple(int(i) for i in key.split(",")): _checked(vec, list, f"{label} {key}", int)
+        return {indices(label, key): _checked(vec, list, f"{label} {key}", int)
                 for key, vec in _checked(obj.get(label, {}), dict, label).items()}
 
     return TwoGerbe(cover, **{layer.attr: parse(layer.label) for layer in TwoGerbe.layers})

@@ -4,9 +4,14 @@ A cover assigns to each index a subcomplex of a fixed cell model, so the
 nerve is downward closed by construction (hand-built nerve flags can also
 be validated, and violations are reported with a witness tuple). The nerve
 is one table: each degree is enumerated once, on first use, and every
-nonempty sorted tuple is stored with its intersection model. The tuples
-share a few models (the space caches a subcomplex per cell set), so the cover
-keeps restriction positions per (source model, target model, cell degree).
+nonempty sorted tuple is stored with its intersection model. The cover also
+records each cell's pattern, the indices whose sets hold it. The nerve
+tuples whose intersection holds a cell are exactly the subsets of its
+pattern, so the nerve half of every operator below acts, pattern by
+pattern, on a full simplex: its data is regrouped into one stream per
+pattern, gathered through an index plan that depends only on the pattern's
+size, the degree and the pattern's cell count (so plans are shared across
+covers, in one bounded cache), and read back tuple by tuple.
 
 A gerbe type declares its data once, as a table of layers
 ``(label, attribute, nerve degree q, cell degree d)``. Each layer stores,
@@ -30,19 +35,24 @@ layer. A gauge transformation adds D(x) for x one degree lower. The
 characteristic class lives in degree = number of layers (H^3 for
 2-gerbes, H^4 for 3-gerbes on the circle product) and is computed by the
 explicit staircase through the double complex, using the row contraction
-given by a least-index choice function; the rows are exact because every
-cell's index simplex is a full simplex. Dualization crosses every layer
-with the circle generator (q, d) -> (q, d + 1), and the new top layer is
-zero; since the cross product commutes with both differentials and with
-the staircase contraction on the product cover, the dual's class is
-exactly the cross product of the input's class.
+given by a least-index choice function (the first index of each cell's
+pattern); the rows are exact because every cell's index simplex is a full
+simplex. Dualization crosses every layer with the circle generator
+(q, d) -> (q, d + 1), and the new top layer is zero; since the cross
+product commutes with both differentials and with the staircase
+contraction on the product cover, the dual's class is exactly the cross
+product of the input's class.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations, zip_longest
+from functools import lru_cache
+from itertools import combinations, repeat
+from math import comb
+from operator import add, sub
 from typing import ClassVar, NamedTuple
 
 from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
@@ -81,8 +91,10 @@ class CoverNerve:
 
     ``sets[i]`` is the cell-id set of U_i. Each nerve degree is enumerated
     once, on first use: the nonempty sorted tuples of that degree go into
-    one table together with their intersection models.
-    ``least_index[cell]`` is the first index whose set holds the cell.
+    one table together with their intersection models. The pattern of a cell
+    is the sorted tuple of the indices whose sets hold it: the cover's
+    distinct patterns are ``_patterns``, and ``_pattern_of[cell]`` is the
+    position of the cell's own among them. All of it is freed with the cover.
     """
 
     space: CellComplex
@@ -90,18 +102,28 @@ class CoverNerve:
 
     def __post_init__(self):
         self.sets = [frozenset(s) for s in self.sets]
-        self.least_index = {}
+        groups = {(): self.space.all_ids()}      # pattern -> its cells
         for i, s in enumerate(self.sets):
             self.space.check_subcomplex(s)
-            for cell in s:
-                self.least_index.setdefault(cell, i)
-        missing = self.space.all_ids() - self.least_index.keys()
+            split = {}
+            for pattern, cells in groups.items():
+                inside = cells & s
+                if inside:
+                    split[pattern + (i,)] = inside
+                if len(inside) < len(cells):
+                    split[pattern] = cells - inside
+            groups = split
+        missing = groups.pop((), None)
         if missing:
             raise MalformedNerve("cover does not exhaust the space",
                                  witness=sorted(map(str, missing)))
+        self._patterns = list(groups)
+        self._pattern_of = {}
+        for p, cells in enumerate(groups.values()):
+            self._pattern_of.update(dict.fromkeys(cells, p))
         self._tuples = {}     # nerve degree -> its nonempty sorted tuples
         self._models = {}     # nonempty sorted tuple -> intersection model
-        self._positions = {}  # (id(frm), id(to), d) -> restriction positions
+        self._cells = {}      # (q, d) -> _cell_patterns(q, d)
 
     @property
     def size(self) -> int:
@@ -116,14 +138,33 @@ class CoverNerve:
     def tuples(self, q: int) -> list:
         """Nonempty sorted tuples of nerve degree q (length q+1)."""
         if q not in self._tuples:
-            found = []
+            found, models = [], {}      # the few distinct intersections, each named once
             for t in combinations(range(self.size), q + 1):
                 ids = self.intersection_ids(t)
                 if ids:
-                    self._models[t] = self.space.subcomplex(ids, name=f"U{t}")
+                    model = models.get(ids)
+                    if model is None:
+                        model = models[ids] = self.space.subcomplex(ids, name=f"U{t}")
+                    self._models[t] = model
                     found.append(t)
             self._tuples[q] = found
         return self._tuples[q]
+
+    def _cell_patterns(self, q: int, d: int) -> list:
+        """For each tuple of ``tuples(q)``, the patterns of the degree-d cells
+        of its model in order (one tuple of patterns per model)."""
+        found = self._cells.get((q, d))
+        if found is None:
+            found, shared = [], {}
+            for t in self.tuples(q):
+                model = self._models[t]
+                patterns = shared.get(id(model))
+                if patterns is None:
+                    patterns = shared[id(model)] = tuple(map(self._pattern_of.__getitem__,
+                                                             model.cell_ids(d)))
+                found.append(patterns)
+            self._cells[(q, d)] = found
+        return found
 
     def model(self, t: tuple) -> CellComplex:
         """The intersection model of a nonempty nerve tuple in any order."""
@@ -136,15 +177,6 @@ class CoverNerve:
         if key not in self._models:
             raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
         return self._models[key]
-
-    def positions(self, frm: CellComplex, to: CellComplex, d: int) -> list:
-        """Where each degree-d cell of ``to`` sits among those of ``frm`` (two
-        models of this cover or its space), computed once per model pair."""
-        key = (id(frm), id(to), d)
-        found = self._positions.get(key)
-        if found is None:
-            found = self._positions[key] = [frm.index(d, c) for c in to.cell_ids(d)]
-        return found
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1."""
@@ -172,59 +204,118 @@ def _add(a: dict, b: dict, k: int = 1) -> dict:
     return {t: [x + k * y for x, y in zip(vec, b[t])] for t, vec in a.items()}
 
 
+# Bound on the plans kept. A 12-set cover's largest plan, (12, 5, 1), holds
+# 5544 indices; a dualize run over covers of 2-12 sets builds 59 plans.
+_PLANS = 256
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
+    """Index arrays for one pattern P of m = |P| indices with k cells of the
+    degree at hand. A stream lists P's data subset-major, over the subsets
+    of P in combinations order (as cover.tuples meets them), the k cells in
+    space order within each subset.
+
+    The nerve coboundary (``contract`` false) reads a stream over q-subsets:
+    face a gives entry j of the i-th (q+1)-subset t from entry j of t minus
+    its a-th vertex, and the faces alternate in sign. The row contraction
+    (``contract`` true) reads a stream over (q+1)-subsets: the i-th q-subset
+    s gets (0,) + s, or the k zeros appended after the stream when s holds
+    vertex 0."""
+    low = combinations(range(m), q + 1 if contract else q)
+    rank = {s: r * k for r, s in enumerate(low)}
+    if contract:
+        zeros, out = len(rank) * k, array("I")
+        for s in combinations(range(m), q):
+            base = zeros if s[0] == 0 else rank[(0,) + s]
+            out.extend(range(base, base + k))
+        return (out,)
+    faces = tuple(array("I") for _ in range(q + 1))
+    for t in combinations(range(m), q + 1):
+        for a, face in enumerate(faces):
+            base = rank[t[:a] + t[a + 1:]]
+            face.extend(range(base, base + k))
+    return faces
+
+
+def _by_pattern(cover: CoverNerve, data: dict, q: int, d: int) -> list:
+    """The streams of tuple-major data of nerve degree q and cell degree d,
+    one list per pattern (empty where no cell of degree d has the pattern)."""
+    streams = [[] for _ in cover._patterns]
+    into = streams.__getitem__
+    for t, patterns in zip(cover.tuples(q), cover._cell_patterns(q, d)):
+        any(map(list.append, map(into, patterns), data[t]))     # append gives None: any reads all
+    return streams
+
+
+def _by_tuple(cover: CoverNerve, streams: list, q: int, d: int) -> dict:
+    """Tuple-major data of nerve degree q and cell degree d read from one
+    iterator per pattern: each model's cells draw from their patterns' in
+    turn, which meets every stream in its own order."""
+    take = streams.__getitem__
+    return {t: list(map(next, map(take, patterns)))
+            for t, patterns in zip(cover.tuples(q), cover._cell_patterns(q, d))}
+
+
+def _apply(plan: tuple, stream: list):
+    """The alternating sum of the plan's gathers from ``stream``, lazily."""
+    take = stream.__getitem__
+    acc = map(take, plan[0])
+    for a in range(1, len(plan)):
+        acc = map(sub if a % 2 else add, acc, map(take, plan[a]))
+    return acc
+
+
 def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
     """The total differential D = delta_nerve + (-1)^q delta_cell of data
     ``comps[q]`` of cell degree (degree - q), for consecutive nerve degrees
     q. Returns every component of D: ``out[q]`` has cell degree
     (degree + 1 - q), for q from the lowest input degree to the highest
-    plus one. Each slot is written once, in ``cover.tuples(q)`` order: the
-    faces of a sorted tuple are sorted tuples, each restricted through the
-    positions of its model pair, and the summands add up by sign."""
+    plus one, each slot in ``cover.tuples(q)`` order. The nerve half is one
+    plan per cell pattern; the cell half is each model's coboundary."""
     qs, models, out = sorted(comps), cover._models, {}
     for q in range(qs[0], qs[-1] + 2):
         d, cell, nerve = degree + 1 - q, comps.get(q), comps.get(q - 1)
-        slot = out[q] = {}
-        for t in cover.tuples(q):
-            to = models[t]
-            vec = [0] * to.n_cells(d) if cell is None else to.coboundary(d).mul_vec(cell[t])
-            plus, minus = ([], [vec]) if q % 2 else ([vec], [])
-            for a in range(len(t) if nerve is not None else 0):
-                sub = t[:a] + t[a + 1:]
-                frm, face = models[sub], nerve[sub]
-                if frm is not to:
-                    face = [face[i] for i in cover.positions(frm, to, d)]
-                (minus if a % 2 else plus).append(face)
-            slot[t] = [sum(x) - sum(y) for x, y in
-                       zip_longest(zip(*plus), zip(*minus), fillvalue=())]
+        tuples = cover.tuples(q)
+        if nerve is None or not tuples:
+            slot = out[q] = {t: [0] * models[t].n_cells(d) for t in tuples}
+        else:
+            # a pattern is read only if it has cells of degree d and > q indices
+            streams = [None] * len(cover._patterns)
+            for p, low in enumerate(_by_pattern(cover, nerve, q - 1, d)):
+                m = len(cover._patterns[p])
+                if low and m > q:
+                    streams[p] = _apply(_plan(m, q, len(low) // comb(m, q), False), low)
+            slot = out[q] = _by_tuple(cover, streams, q, d)
+        if cell is not None:
+            sign = sub if q % 2 else add
+            for t, vec in slot.items():
+                slot[t] = list(map(sign, vec, models[t].coboundary(d).mul_vec(cell[t])))
     return out
 
 
 def _contract(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
     """Row contraction h with the least-index choice function:
-    (h x)_S(cell) = x_{(c(cell),) + S}(cell). Requires delta_nerve(data) = 0."""
-    out = {}
-    for s in cover.tuples(q - 1):
-        vec = []
-        for cell in cover.model(s).cell_ids(d):
-            c = cover.least_index[cell]
-            if c in s:
-                vec.append(0)
-                continue
-            # U_c and U_s share the cell, so (c,) + s is a nerve tuple
-            key = tuple(sorted((c,) + s))
-            vec.append(_parity((c,) + s) * data[key][cover.model(key).index(d, cell)])
-        out[s] = vec
-    return out
+    (h x)_S(cell) = x_{(c,) + S}(cell) for c the first index of the cell's
+    pattern, and 0 where c is in S; (c,) + S is sorted, as S lies in the
+    pattern. Requires delta_nerve(data) = 0."""
+    streams = [repeat(0)] * len(cover._patterns)
+    for p, high in enumerate(_by_pattern(cover, data, q, d)):
+        if high:        # else S is the whole pattern, or no cell has it: c is in S
+            m = len(cover._patterns[p])
+            k = len(high) // comb(m, q + 1)
+            high += [0] * k
+            streams[p] = _apply(_plan(m, q, k, True), high)
+    return _by_tuple(cover, streams, q - 1, d)
 
 
 def _glue(cover: CoverNerve, data: dict, d: int) -> list:
     """Invert the augmentation: a delta_nerve-closed family over single
-    indices glues to a global cochain."""
-    out = []
-    for cell in cover.space.cell_ids(d):
-        i = cover.least_index[cell]
-        out.append(data[(i,)][cover.model((i,)).index(d, cell)])
-    return out
+    indices glues to a global cochain, each cell read on its least index,
+    whose entries lead its pattern's stream."""
+    streams = list(map(iter, _by_pattern(cover, data, 0, d)))
+    return [next(streams[p]) for p in map(cover._pattern_of.__getitem__,
+                                          cover.space.cell_ids(d))]
 
 
 def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohClass:
@@ -305,8 +396,7 @@ class _Gerbe:
 
     def _canonicalize_layers(self):
         for layer in self.layers:
-            setattr(self, layer.attr, _canonicalize(self.cover, getattr(self, layer.attr),
-                                                    layer.q, layer.d))
+            setattr(self, layer.attr, _canonicalize(self.cover, getattr(self, layer.attr), layer))
 
     def _data(self) -> list:
         return [(layer, getattr(self, layer.attr)) for layer in self.layers]
@@ -360,13 +450,16 @@ class ThreeGerbe(_Gerbe):
         self._canonicalize_layers()
 
 
-def _canonicalize(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
+def _canonicalize(cover: CoverNerve, data: dict, layer: _Layer) -> dict:
     """Fold arbitrary-order keys into sorted storage with sign bookkeeping;
-    reject inconsistent duplicates and wrong-length vectors."""
-    out = {t: [0] * cover.model(t).n_cells(d) for t in cover.tuples(q)}
+    reject inconsistent duplicates and wrong-length tuples and vectors."""
+    out = {t: [0] * cover.model(t).n_cells(layer.d) for t in cover.tuples(layer.q)}
     seen = {}
     for key, vec in data.items():
         key = tuple(key)
+        if len(key) != layer.q + 1:
+            raise MalformedNerve(f"{layer.label} tuple {key} has length {len(key)}; "
+                                 f"the {layer.label} layer expects {layer.q + 1}", witness=key)
         if len(set(key)) != len(key):
             raise MalformedNerve(f"tuple {key} has repeated indices")
         skey = tuple(sorted(key))
@@ -403,9 +496,12 @@ def _check(g: _Gerbe) -> GerbeReport:
     report = GerbeReport([])
     for name, (q, slot) in zip(names, total_coboundary(g.cover, comps, n).items()):
         for t, vec in slot.items():
-            bad = next((i for i, v in enumerate(vec) if v), None)
-            witness = None if bad is None else g.cover.model(t).cell_ids(n + 1 - q)[bad]
-            report.conditions.append(GerbeCondition(name, t, bad is None, witness))
+            if any(vec):
+                bad = next(i for i, v in enumerate(vec) if v)
+                report.conditions.append(GerbeCondition(
+                    name, t, False, g.cover.model(t).cell_ids(n + 1 - q)[bad]))
+            else:
+                report.conditions.append(GerbeCondition(name, t, True))
     if report.passed:
         report.characteristic_class = total_class(g.cover, comps, n)
     return report
@@ -466,21 +562,17 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     seeded gauge scramble then produces generic-looking theta and mu data
     without changing the class.
     """
-    cocycle = list(cocycle)
+    cocycle = dict(zip(cover.space.cell_ids(3), cocycle))
     ts = []
     for i in range(cover.size):
         ui = cover.model((i,))
-        t = solve(ui.coboundary(3), [cocycle[k] for k in cover.positions(cover.space, ui, 3)])
+        t = solve(ui.coboundary(3), [cocycle[c] for c in ui.cell_ids(3)])
         if t is None:
             raise ModelMismatch(f"patch {i} does not trivialize the class "
                                 "(H^3 of the patch obstructs)")
-        ts.append(t)
-    p = {}
-    for (i, j) in cover.tuples(1):
-        uij = cover.model((i, j))
-        ti, tj = ts[i], ts[j]
-        p[(i, j)] = [ti[a] - tj[b] for a, b in zip(cover.positions(cover.model((i,)), uij, 2),
-                                                   cover.positions(cover.model((j,)), uij, 2))]
+        ts.append(dict(zip(ui.cell_ids(2), t)))
+    p = {(i, j): [ts[i][c] - ts[j][c] for c in cover.model((i, j)).cell_ids(2)]
+         for (i, j) in cover.tuples(1)}
     g = TwoGerbe(cover, p=p)
     if scramble_seed is not None:
         g = gauge_perturb(g, scramble_seed)

@@ -8,12 +8,16 @@ p/theta/mu formulas it replaced, with their own sparse cochain arithmetic
 draw for draw. ``total_coboundary`` sums the per-face restrictions of
 ``nerve_coboundary`` and the transposed boundaries of ``cell_coboundary``
 slot by slot, which is what ``tdual.gerbes.total_coboundary`` computes
-through its per-model-pair restriction positions.
+through one plan per cell pattern. ``total_class`` runs the staircase with
+the row contraction and the gluing written cell by cell: each cell's least
+index is found by scanning the cover's sets, and each reordered tuple's
+sign by counting inversions.
 """
 
 import random
 
-from tdual.gerbes import _GAUGE_BOUND, TwoGerbe
+from tdual.cohomology import CohClass, cochain_space
+from tdual.gerbes import _GAUGE_BOUND, InvalidGerbe, TwoGerbe
 
 
 def _restrict(vec, frm, to, d):
@@ -63,6 +67,48 @@ def total_coboundary(cover, comps, degree):
             slot = _plus(slot, nerve_coboundary(cover, comps[q - 1], q - 1, d))
         out[q] = slot
     return out
+
+
+def _parity(t):
+    inversions = sum(a > b for i, a in enumerate(t) for b in t[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _least_index(cover, cell):
+    return next(i for i, s in enumerate(cover.sets) if cell in s)
+
+
+def _contract(cover, data, q, d):
+    out = {}
+    for s in cover.tuples(q - 1):
+        vec = []
+        for cell in cover.model(s).cell_ids(d):
+            c = _least_index(cover, cell)
+            if c in s:
+                vec.append(0)
+                continue
+            key = tuple(sorted((c,) + s))
+            vec.append(_parity((c,) + s) * data[key][cover.model(key).index(d, cell)])
+        out[s] = vec
+    return out
+
+
+def total_class(cover, components, total_degree):
+    """The staircase: contract each level, subtract D of the contraction,
+    and glue the nerve-degree-0 residue on least indices."""
+    comps = dict(components)
+    comps[0] = {t: [0] * cover.model(t).n_cells(total_degree) for t in cover.tuples(0)}
+    for q in range(total_degree, 0, -1):
+        w = _contract(cover, comps[q], q, total_degree - q)
+        dw = total_coboundary(cover, {q - 1: w}, total_degree - 1)
+        if dw[q] != comps[q]:
+            raise InvalidGerbe(f"contraction failed at nerve degree {q}")
+        comps[q - 1] = _plus(comps[q - 1], dw[q - 1], -1)
+    glued = []
+    for cell in cover.space.cell_ids(total_degree):
+        i = _least_index(cover, cell)
+        glued.append(comps[0][(i,)][cover.model((i,)).index(total_degree, cell)])
+    return CohClass(cochain_space(cover.space, total_degree), tuple(glued))
 
 
 def gauge_perturb(g: TwoGerbe, seed: int, pair=None, triple=None) -> TwoGerbe:

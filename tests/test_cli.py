@@ -489,6 +489,20 @@ def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
     assert message in err
 
 
+@pytest.mark.parametrize("layer, key, message", [
+    # a key's length is the layer's tuple length, named before the nerve is consulted
+    ("p", "0", "p tuple (0,) has length 1; the p layer expects 2"),
+    ("theta", "0,1", "theta tuple (0, 1) has length 2; the theta layer expects 3"),
+    ("p", "", "p key '' is not comma-separated integers"),
+    ("mu", "a,b", "mu key 'a,b' is not comma-separated integers"),
+])
+def test_gerbe_json_keys_name_their_layer(layer, key, message, tmp_path):
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps(dict(TWO_PATCH_GERBE, **{layer: {key: [1]}})))
+    code, out, err = run_cli("dualize-gerbe", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read gerbe: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "tdualize"])
 @pytest.mark.parametrize("record, message", [
     (dict(CHARGE_2_RECORD, base=["x"]), "base must be a JSON string"),

@@ -3,6 +3,7 @@ gauge invariance, and the constructive dualization map."""
 
 import gc
 import random
+import re
 import weakref
 from math import comb
 
@@ -10,12 +11,13 @@ import pytest
 
 import gerbe_oracle
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
-from tdual.complexes import CellComplex, product_with_circle, s3_two_disc, sphere
+from tdual import gerbes
+from tdual.complexes import interval_power, product_with_circle, s3_two_disc, sphere
 from tdual.gerbes import (
     CoverNerve, InvalidGerbe, MalformedNerve, ThreeGerbe, TwoGerbe,
     characteristic_class_two_gerbe, check_three_gerbe, check_two_gerbe,
     gauge_perturb, kk_gerbe_models, monopole_two_gerbe,
-    semifree_class_to_two_gerbe, tdualize_two_gerbe, total_coboundary,
+    semifree_class_to_two_gerbe, tdualize_two_gerbe, total_class, total_coboundary,
     trivial_bundle_gerbe_models, two_gerbe_from_class,
     validate_nerve_flags,
 )
@@ -113,6 +115,15 @@ def test_inconsistent_reorderings_rejected(two_patch_cover):
     vec[u12.index(2, "f2")] = 1
     with pytest.raises(MalformedNerve):
         TwoGerbe(two_patch_cover, p={(0, 1): vec, (1, 0): vec})
+
+
+@pytest.mark.parametrize("layer, key", [("p", (0,)), ("theta", (1, 0)), ("mu", (0, 1, 2))])
+def test_a_tuple_of_the_wrong_length_names_its_layer(two_patch_cover, layer, key):
+    expects = {"p": 2, "theta": 3, "mu": 4}[layer]
+    with pytest.raises(MalformedNerve, match=rf"^{layer} tuple {re.escape(str(key))} has "
+                       rf"length {len(key)}; the {layer} layer expects {expects}$") as err:
+        TwoGerbe(two_patch_cover, **{layer: {key: [0]}})
+    assert err.value.witness == key
 
 
 def test_antisymmetric_access(two_patch_cover):
@@ -246,37 +257,130 @@ def test_total_coboundary_matches_the_oracle_on_six_patches(six_patch_cover):
     _assert_total_coboundary_matches_oracle(six_patch_cover, random.Random(6))
 
 
-def test_total_coboundary_looks_up_each_model_pair_once(bplus, monkeypatch):
-    calls = []
-    original = CellComplex.index
-    monkeypatch.setattr(CellComplex, "index",
-                        lambda self, k, cell: calls.append(k) or original(self, k, cell))
-    counts = {}
-    for size in (6, 8, 12):
-        cover = CoverNerve(bplus, [INNER, OUTER] * (size // 2))
-        comps = _random_comps(cover, (1, 2, 3), 3, random.Random(size))
-        calls.clear()
-        total_coboundary(cover, comps, 3)
-        counts[size] = len(calls)
-    # 63, 255 and 4095 tuples share three models: the inner and outer
-    # patches restrict to their overlap {u, f2} (one 2-cell, one 0-cell) once
-    # per degree. Degree 0 restricts 4-fold data to 5-fold overlaps, and only
-    # from four equal patches, which six alternating sets do not hold.
-    assert counts == {6: 2, 8: 4, 12: 4}
+def _closure(space, cells):
+    out, stack = set(), list(cells)
+    while stack:
+        cell = stack.pop()
+        if cell not in out:
+            out.add(cell)
+            stack.extend(space.faces[cell])
+    return frozenset(out)
 
 
-def test_restriction_positions_die_with_their_cover(bplus):
-    class Positions(dict):      # a dict that can be weakly referenced
+def _random_cover(space, size, rng):
+    """``size`` subcomplexes, each the closure of one or two random cells
+    (the last also closes whatever the others miss), with at least three
+    distinct sets and at least one empty pair intersection."""
+    cells = sorted(space.all_ids(), key=str)
+    while True:
+        sets = [_closure(space, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
+        sets.append(_closure(space, space.all_ids().difference(*sets) or rng.sample(cells, 1)))
+        rng.shuffle(sets)
+        cover = CoverNerve(space, sets)
+        if len(set(sets)) >= 3 and len(cover.tuples(1)) < comb(size, 2):
+            return cover
+
+
+RANDOM_SPACES = {"S3+": s3_two_disc, "I^3": lambda: interval_power(3)}
+
+
+@pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
+@pytest.mark.parametrize("size", [3, 4, 6, 9, 12])
+@pytest.mark.parametrize("space", sorted(RANDOM_SPACES))
+def test_total_coboundary_matches_the_oracle_on_random_covers(space, size, crossed):
+    rng = random.Random(f"{space} {size} {crossed}")
+    cover = _random_cover(RANDOM_SPACES[space](), size, rng)
+    if crossed:
+        cover = cover.crossed(product_with_circle(cover.space))
+    _assert_total_coboundary_matches_oracle(cover, rng)
+
+
+# proper subcomplexes of the two-disc S^3: each kills H^3, and {v} misses OUTER
+FAMILY = [INNER, OUTER, frozenset({"v"}), frozenset({"u"}), frozenset({"u", "f2"}),
+          frozenset({"v", "u", "a"}), frozenset({"v", "u", "a", "f2"}),
+          frozenset({"v", "u", "a", "f2", "c3out"})]
+
+
+def _family_cover(bplus, size, rng):
+    while True:
+        sets = [INNER, OUTER] + [rng.choice(FAMILY) for _ in range(size - 2)]
+        rng.shuffle(sets)
+        cover = CoverNerve(bplus, sets)
+        if len(set(sets)) >= 3 and len(cover.tuples(1)) < comb(size, 2):
+            return cover
+
+
+def _class_outcome(total_class, cover, comps, degree):
+    try:
+        return total_class(cover, comps, degree).vector
+    except InvalidGerbe:
+        return "not a total cocycle"
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 7, 9, 12])
+def test_total_class_matches_the_oracle_on_random_covers(bplus, generator_cocycle, size):
+    rng = random.Random(size)
+    cover = _family_cover(bplus, size, rng)
+    multiple = rng.choice((-2, -1, 1, 3))
+    g = two_gerbe_from_class(cover, [multiple * v for v in generator_cocycle],
+                             scramble_seed=rng.randrange(10 ** 6))
+    dual = tdualize_two_gerbe(g)
+    for gerbe in (g, dual):
+        comps = {layer.q: data for layer, data in gerbe._data()}
+        n = len(gerbe.layers)
+        got = total_class(gerbe.cover, comps, n)
+        assert got.vector == gerbe_oracle.total_class(gerbe.cover, comps, n).vector
+        assert got.reduced() == (multiple,)
+        # one corrupted entry of the highest layer with data: both agree on the outcome
+        q = max(q for q, data in comps.items() if any(data.values()))
+        layer = {t: list(vec) for t, vec in comps[q].items()}
+        t = rng.choice([t for t, vec in layer.items() if vec])
+        layer[t][rng.randrange(len(layer[t]))] += 1
+        comps[q] = layer
+        assert (_class_outcome(total_class, gerbe.cover, comps, n)
+                == _class_outcome(gerbe_oracle.total_class, gerbe.cover, comps, n))
+
+
+@pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
+@pytest.mark.parametrize("size", [3, 6, 10])
+def test_staircase_of_an_exact_cocycle_matches_the_oracle(size, crossed):
+    """D(x) for random x one row below a 2-gerbe, on random covers of the cube:
+    every level contracts, and the glued cochains agree entry for entry."""
+    rng = random.Random(size + crossed)
+    cover = _random_cover(interval_power(3), size, rng)
+    if crossed:
+        cover = cover.crossed(product_with_circle(cover.space))
+    comps = gerbe_oracle.total_coboundary(cover, _random_comps(cover, (1, 2), 2, rng), 2)
+    got = total_class(cover, comps, 3)
+    assert got.vector == gerbe_oracle.total_class(cover, comps, 3).vector
+    assert got.is_zero()
+
+
+def test_face_plans_stay_within_their_bound():
+    bound = gerbes._plan.cache_info().maxsize
+    assert bound == gerbes._PLANS
+    for k in range(1, bound + 20):
+        gerbes._plan(2, 1, k, False)
+    assert gerbes._plan.cache_info().currsize <= bound
+
+
+def test_pattern_table_dies_with_its_cover(bplus, generator_cocycle):
+    class Table(dict):      # a dict that can be weakly referenced
         pass
 
-    cover = CoverNerve(bplus, [INNER, OUTER] * 3)
-    cover._positions = Positions()
-    total_coboundary(cover, _random_comps(cover, (1, 2, 3), 3, random.Random(0)), 3)
-    probe = weakref.ref(cover._positions)
-    assert len(probe()) > 0
-    del cover
+    class Patterns(list):
+        pass
+
+    cover = CoverNerve(bplus, [INNER, OUTER, frozenset({"v", "u", "a"})] * 2)
+    cover._pattern_of, cover._patterns = Table(cover._pattern_of), Patterns(cover._patterns)
+    cover._cells = Table()
+    g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=3)
+    assert check_two_gerbe(g).passed
+    assert len(cover._cells) > 0
+    probes = [weakref.ref(table) for table in (cover._pattern_of, cover._patterns, cover._cells)]
+    del cover, g
     gc.collect()
-    assert probe() is None
+    assert [probe() for probe in probes] == [None, None, None]
 
 
 def _gauge_cases():

@@ -341,13 +341,12 @@ def _load_order(v) -> int:
     return v
 
 
-# JSON codecs of node fields, (dump, load); a load checks the types it reads
-_FRACTION = (lambda q: [q.numerator, q.denominator], _load_fraction)
-_NAME = (str, lambda v: _typed(str, v))
-_ORDERS = (list, lambda v: tuple(_load_order(x) for x in _typed(list, v)))
-_EXPR = (lambda e: expr_to_json(e), lambda v: expr_from_json(v))
-_EXPRS = (lambda es: [expr_to_json(e) for e in es],
-          lambda v: tuple(expr_from_json(x) for x in _typed(list, v)))
+# JSON codecs of node fields, (dump(field, child's dump), load); a load checks its types
+_FRACTION = (lambda q, _: [q.numerator, q.denominator], _load_fraction)
+_NAME = (lambda s, _: str(s), lambda v: _typed(str, v))
+_ORDERS = (lambda v, _: list(v), lambda v: tuple(_load_order(x) for x in _typed(list, v)))
+_EXPR = (lambda e, c: c(e), lambda v: expr_from_json(v))
+_EXPRS = (lambda es, c: list(map(c, es)), lambda v: tuple(map(expr_from_json, _typed(list, v))))
 
 
 def _float(q: Fraction) -> float:
@@ -832,11 +831,12 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
 # ---------------------------------------------------------------------------
 # canonical JSON serialization
 
-def expr_to_json(e: Expr) -> dict:
-    node = _NODES[type(e)]
-    obj = {"k": node.tag}
+def expr_to_json(e: Expr, _child=None) -> dict:
+    if _child is None:      # one walk per call: each distinct node becomes one shared dict
+        return _Walk(expr_to_json)[e]
+    obj = {"k": (node := _NODES[type(e)]).tag}
     for key, attr, (dump, _) in node.fields:
-        obj[key] = dump(getattr(e, attr))
+        obj[key] = dump(getattr(e, attr), _child)
     return obj
 
 

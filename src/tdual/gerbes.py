@@ -1,64 +1,53 @@
-"""Cech cocycle algebra for gerbes on finite covers, one table per degree.
+"""Cech cocycle algebra for gerbes on finite covers, stored pattern by pattern.
 
-A cover assigns to each index a subcomplex of a fixed cell model, so the
-nerve is downward closed by construction (hand-built nerve flags can also
-be validated, and violations are reported with a witness tuple). The nerve
-is one table: each degree is enumerated once, on first use, and every
-nonempty sorted tuple is stored with its intersection model. The cover also
-records each cell's pattern, the indices whose sets hold it. The nerve
-tuples whose intersection holds a cell are exactly the subsets of its
-pattern, so the nerve half of every operator below acts, pattern by
-pattern, on a full simplex: its data is regrouped into one stream per
-pattern, gathered through an index plan that depends only on the pattern's
-size, the degree and the pattern's cell count (so plans are shared across
-covers, in one bounded cache), and read back tuple by tuple.
+A cover assigns to each index a subcomplex of a fixed cell model. The
+pattern of a cell is the sorted tuple of the indices whose sets hold it.
+The nerve is read off the distinct patterns: its nonempty tuples of degree
+q are the (q+1)-subsets of the patterns, in combinations order, and a
+tuple's model is the subcomplex on the cells of the patterns that contain
+it. Tables are built on first use and freed with the cover; the crossed
+cover of X x S^1 shares the patterns and the nerve.
 
-A gerbe type declares its data once, as a table of layers
-``(label, attribute, nerve degree q, cell degree d)``. Each layer stores,
-for every nonempty sorted (q+1)-tuple (full support: a tuple is never
-missing), an integer cochain of degree d on the intersection model, one
-Bockstein degree up from its circle-valued sheaf degree, and q + d is the
-same for every layer:
+A gerbe type declares its layers ``(label, attribute, nerve degree q, cell
+degree d)``, q + d fixed: an integer cochain of degree d on every nonempty
+(q+1)-fold intersection, one Bockstein degree up from its circle-valued
+sheaf degree. ``TwoGerbe`` has p (1, 2), theta (2, 1), mu (3, 0);
+``ThreeGerbe`` has A (1, 3), gamma (2, 2), eta (3, 1), nu (4, 0). A layer
+is stored as one stream per pattern P, subset-major over the (q+1)-subsets
+of P in combinations order, with the d-cells of P in space order inside
+each. Only outside input (the public constructors, so the JSON readers) is
+validated, and folded with sign bookkeeping from tuple-keyed data in any
+key order; the operators build canonical streams directly, and ``g.p``,
+``g.theta``, ... are tuple-keyed views.
 
-* ``TwoGerbe``: pair cocycles p (1, 2), triple sections theta (2, 1) and
-  four-fold matching data mu (3, 0);
-* ``ThreeGerbe``: pair data A (1, 3), triple trivializations gamma (2, 2),
-  four-fold sections eta (3, 1) and five-fold data nu (4, 0).
-
-Everything else is written once over that table, through the total
-differential D = delta_nerve + (-1)^q delta_cell of the Cech/cell double
-complex. The validity conditions are the components of D(data), which is
-exactly the tensor-triviality and coboundary bookkeeping of the defining
-data: the cell-cocycle condition on the lowest layer, one matching slot
-between consecutive layers, and the nerve-cocycle condition on the top
-layer. A gauge transformation adds D(x) for x one degree lower. The
-characteristic class lives in degree = number of layers (H^3 for
-2-gerbes, H^4 for 3-gerbes on the circle product) and is computed by the
-explicit staircase through the double complex, using the row contraction
-given by a least-index choice function (the first index of each cell's
-pattern); the rows are exact because every cell's index simplex is a full
-simplex. Dualization crosses every layer with the circle generator
-(q, d) -> (q, d + 1), and the new top layer is zero; since the cross
-product commutes with both differentials and with the staircase
-contraction on the product cover, the dual's class is exactly the cross
-product of the input's class.
+Everything else is one total differential D = delta_nerve + (-1)^q
+delta_cell of the Cech/cell double complex, pattern by pattern: the nerve
+half is the coboundary of the full simplex on P, the cell half sends the
+cells of P to their faces (whose patterns contain P), both through index
+plans in bounded caches. Validity is D(data) = 0, slot by slot; a gauge
+change adds D(x) for x one degree lower; the class (degree = number of
+layers) is the explicit staircase, whose row contraction reads each cell
+on the first index of its pattern. Dualization crosses every layer with
+the circle generator, (q, d) -> (q, d + 1), under a zero top layer; the
+cross product commutes with both differentials and the contraction, so the
+dual's class is the cross product of the input's.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from math import comb
 from operator import add, sub
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
-from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
+from .complexes import (CellComplex, circle, circle_product_ids, cone_on_s2, product_with_circle,
                         s3_two_disc, sphere, trivial_disc_bundle)
-from .cohomology import (CohClass, cochain_space, connecting_hom, cross_with_z_vector,
-                         excision_hom, relative_inclusion_hom)
+from .cohomology import (CohClass, cochain_space, connecting_hom, excision_hom,
+                         relative_inclusion_hom)
 from .intlin import solve
 
 
@@ -81,106 +70,131 @@ _GAUGE_BOUND = 3
 
 
 def _parity(t: tuple) -> int:
-    inv = sum(1 for a in range(len(t)) for b in range(a + 1, len(t)) if t[a] > t[b])
-    return -1 if inv % 2 else 1
+    return (-1) ** sum(1 for a in range(len(t)) for b in range(a + 1, len(t)) if t[a] > t[b])
 
 
 @dataclass
 class CoverNerve:
-    """Nerve of a subcomplex cover, with intersection models.
-
-    ``sets[i]`` is the cell-id set of U_i. Each nerve degree is enumerated
-    once, on first use: the nonempty sorted tuples of that degree go into
-    one table together with their intersection models. The pattern of a cell
-    is the sorted tuple of the indices whose sets hold it: the cover's
-    distinct patterns are ``_patterns``, and ``_pattern_of[cell]`` is the
-    position of the cell's own among them. All of it is freed with the cover.
-    """
+    """Nerve of a subcomplex cover, read off its cell patterns. ``sets[i]``
+    is the cell-id set of U_i; the distinct patterns are ``_patterns``, the
+    cells of each ``_members``, and ``_pattern_of[cell]`` indexes its own."""
 
     space: CellComplex
     sets: list
+    _groups: InitVar[dict | None] = None     # pattern -> its cells, when already known
 
-    def __post_init__(self):
+    def __post_init__(self, _groups=None):
         self.sets = [frozenset(s) for s in self.sets]
-        groups = {(): self.space.all_ids()}      # pattern -> its cells
-        for i, s in enumerate(self.sets):
-            self.space.check_subcomplex(s)
-            split = {}
-            for pattern, cells in groups.items():
-                inside = cells & s
-                if inside:
-                    split[pattern + (i,)] = inside
-                if len(inside) < len(cells):
-                    split[pattern] = cells - inside
-            groups = split
-        missing = groups.pop((), None)
-        if missing:
-            raise MalformedNerve("cover does not exhaust the space",
-                                 witness=sorted(map(str, missing)))
-        self._patterns = list(groups)
-        self._pattern_of = {}
-        for p, cells in enumerate(groups.values()):
-            self._pattern_of.update(dict.fromkeys(cells, p))
-        self._tuples = {}     # nerve degree -> its nonempty sorted tuples
+        if _groups is None:
+            held = dict.fromkeys(self.space.faces, ())      # cell -> indices of its sets
+            for i, s in enumerate(self.sets):
+                for cell in self.space.check_subcomplex(s):
+                    held[cell] += (i,)
+            _groups = {}
+            for cell, pattern in held.items():
+                _groups.setdefault(pattern, []).append(cell)
+            missing = _groups.pop((), None)
+            if missing:
+                raise MalformedNerve("cover does not exhaust the space",
+                                     witness=sorted(map(str, missing)))
+        self._patterns = list(_groups)
+        self._members = [frozenset(cells) for cells in _groups.values()]
+        self._pattern_of = {cell: p for p, cells in enumerate(self._members) for cell in cells}
+        self._nerve = {}      # q -> tuples(q)
         self._models = {}     # nonempty sorted tuple -> intersection model
-        self._cells = {}      # (q, d) -> _cell_patterns(q, d)
+        self._tables = {}     # d -> _cells(d); (q, d) -> _layout(q, d); ("faces", d)
 
     @property
     def size(self) -> int:
         return len(self.sets)
 
-    def intersection_ids(self, t: tuple) -> frozenset:
-        out = self.sets[t[0]]
-        for i in t[1:]:
-            out = out & self.sets[i]
-        return out
-
     def tuples(self, q: int) -> list:
-        """Nonempty sorted tuples of nerve degree q (length q+1)."""
-        if q not in self._tuples:
-            found, models = [], {}      # the few distinct intersections, each named once
-            for t in combinations(range(self.size), q + 1):
-                ids = self.intersection_ids(t)
-                if ids:
-                    model = models.get(ids)
-                    if model is None:
-                        model = models[ids] = self.space.subcomplex(ids, name=f"U{t}")
-                    self._models[t] = model
-                    found.append(t)
-            self._tuples[q] = found
-        return self._tuples[q]
-
-    def _cell_patterns(self, q: int, d: int) -> list:
-        """For each tuple of ``tuples(q)``, the patterns of the degree-d cells
-        of its model in order (one tuple of patterns per model)."""
-        found = self._cells.get((q, d))
+        """Nonempty sorted tuples of nerve degree q (length q+1), in
+        combinations order: the (q+1)-subsets of the patterns."""
+        found = self._nerve.get(q)
         if found is None:
-            found, shared = [], {}
-            for t in self.tuples(q):
-                model = self._models[t]
-                patterns = shared.get(id(model))
-                if patterns is None:
-                    patterns = shared[id(model)] = tuple(map(self._pattern_of.__getitem__,
-                                                             model.cell_ids(d)))
-                found.append(patterns)
-            self._cells[(q, d)] = found
+            found = self._nerve[q] = sorted(set().union(*(combinations(pattern, q + 1)
+                                                          for pattern in self._patterns)))
         return found
 
     def model(self, t: tuple) -> CellComplex:
-        """The intersection model of a nonempty nerve tuple in any order."""
-        found = self._models.get(t)
-        if found is not None:
-            return found
+        """The intersection model of a nonempty nerve tuple in any order: the
+        subcomplex on the cells of the patterns that contain it."""
         key = tuple(sorted(t))
-        if key and len(key) - 1 not in self._tuples:
-            self.tuples(len(key) - 1)
-        if key not in self._models:
-            raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
-        return self._models[key]
+        found = self._models.get(key)
+        if found is None:
+            inside = set(key)
+            ids = frozenset().union(*(own for pattern, own in zip(self._patterns, self._members)
+                                      if inside.issubset(pattern)))
+            if not key or not ids or len(inside) < len(key):
+                raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
+            found = self._models[key] = self.space.subcomplex(ids, name=f"U{key}")
+        return found
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
-        """The induced cover of X x S^1 by the U_i x S^1."""
-        return CoverNerve(xs1, [circle_product_ids(s) for s in self.sets])
+        """The induced cover of X x S^1 by the U_i x S^1. A cell A x c lies in
+        the sets that hold A, so the patterns and the nerve are this cover's."""
+        base, fiber = xs1.product_of or (None, None)
+        if base is not self.space or fiber is not circle():
+            raise ModelMismatch(f"{xs1.name} is not {self.space.name} x S^1")
+        out = CoverNerve(xs1, [circle_product_ids(s) for s in self.sets],
+                         dict(zip(self._patterns, map(circle_product_ids, self._members))))
+        out._nerve = self._nerve
+        return out
+
+    def _cells(self, d: int) -> tuple:
+        """Per pattern, its d-cells in space order; and per d-cell, its
+        pattern and its position there."""
+        found = self._tables.get(d)
+        if found is None:
+            own, at = [[] for _ in self._patterns], {}
+            for cell in self.space.cell_ids(d):
+                p = self._pattern_of[cell]
+                at[cell] = (p, len(own[p]))
+                own[p].append(cell)
+            found = self._tables[d] = (own, at)
+        return found
+
+    def _zeros(self, q: int, d: int) -> list:
+        """The streams of zero data of nerve degree q and cell degree d."""
+        return [[0] * (comb(len(pattern), q + 1) * len(cells))
+                for pattern, cells in zip(self._patterns, self._cells(d)[0])]
+
+    def _layout(self, q: int, d: int) -> dict:
+        """Each tuple of ``tuples(q)`` with the (pattern, stream index) of the
+        d-cells of its model, in space order."""
+        found = self._tables.get((q, d))
+        if found is None:
+            spots = {t: [] for t in self.tuples(q)}     # (space index, pattern, stream index)
+            for p, (pattern, cells) in enumerate(zip(self._patterns, self._cells(d)[0])):
+                order = [self.space.index(d, c) for c in cells]
+                for r, t in enumerate(combinations(pattern, q + 1)):
+                    spots[t] += [(s, p, r * len(cells) + i) for i, s in enumerate(order)]
+            found = self._tables[(q, d)] = {t: [(p, x) for _, p, x in sorted(spot)]
+                                            for t, spot in spots.items()}
+        return found
+
+    def _tuple_major(self, streams: list, q: int, d: int) -> dict:
+        """The tuple-keyed view of streams: each tuple's cochain on its model."""
+        return {t: [streams[p][x] for p, x in at] for t, at in self._layout(q, d).items()}
+
+    def _faces(self, d: int) -> list:
+        """Per pattern P, the incidences of its d-cells grouped by the
+        pattern P' of the face, which contains P: (P', the positions of the
+        indices of P in P', [(i, j, coefficient)]) for the i-th d-cell of P
+        and the j-th (d-1)-cell of P'."""
+        found = self._tables.get(("faces", d))
+        if found is None:
+            at, found = self._cells(d - 1)[1], []
+            for pattern, cells in zip(self._patterns, self._cells(d)[0]):
+                blocks = {}
+                for i, cell in enumerate(cells):
+                    for face, x in self.space.faces[cell].items():
+                        blocks.setdefault(at[face][0], []).append((i, at[face][1], x))
+                found.append([(pf, tuple(map(self._patterns[pf].index, pattern)), entries)
+                              for pf, entries in blocks.items()])
+            self._tables[("faces", d)] = found
+        return found
 
 
 def validate_nerve_flags(flags: dict) -> tuple | None:
@@ -196,15 +210,15 @@ def validate_nerve_flags(flags: dict) -> tuple | None:
 
 
 # ---------------------------------------------------------------------------
-# bigraded cochain bookkeeping: data of nerve degree q holds one vector for
-# every tuple of cover.tuples(q), and every operator keeps that full support
+# bigraded cochain bookkeeping: data of nerve degree q and cell degree d is
+# one stream per pattern, and every operator keeps full support
 
-def _add(a: dict, b: dict, k: int = 1) -> dict:
-    """a + k*b for two full-support data of the same (q, d)."""
-    return {t: [x + k * y for x, y in zip(vec, b[t])] for t, vec in a.items()}
+def _add(a: list, b: list, op=add) -> list:
+    """a + b, or a - b for ``op`` sub, for two data of the same (q, d)."""
+    return [list(map(op, x, y)) for x, y in zip(a, b)]
 
 
-# Bound on the plans kept. A 12-set cover's largest plan, (12, 5, 1), holds
+# Bound on each plan cache. A 12-set cover's largest plan, (12, 5, 1), holds
 # 5544 indices; a dualize run over covers of 2-12 sets builds 59 plans.
 _PLANS = 256
 
@@ -212,9 +226,7 @@ _PLANS = 256
 @lru_cache(maxsize=_PLANS)
 def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
     """Index arrays for one pattern P of m = |P| indices with k cells of the
-    degree at hand. A stream lists P's data subset-major, over the subsets
-    of P in combinations order (as cover.tuples meets them), the k cells in
-    space order within each subset.
+    degree at hand, on its streams.
 
     The nerve coboundary (``contract`` false) reads a stream over q-subsets:
     face a gives entry j of the i-th (q+1)-subset t from entry j of t minus
@@ -238,23 +250,12 @@ def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
     return faces
 
 
-def _by_pattern(cover: CoverNerve, data: dict, q: int, d: int) -> list:
-    """The streams of tuple-major data of nerve degree q and cell degree d,
-    one list per pattern (empty where no cell of degree d has the pattern)."""
-    streams = [[] for _ in cover._patterns]
-    into = streams.__getitem__
-    for t, patterns in zip(cover.tuples(q), cover._cell_patterns(q, d)):
-        any(map(list.append, map(into, patterns), data[t]))     # append gives None: any reads all
-    return streams
-
-
-def _by_tuple(cover: CoverNerve, streams: list, q: int, d: int) -> dict:
-    """Tuple-major data of nerve degree q and cell degree d read from one
-    iterator per pattern: each model's cells draw from their patterns' in
-    turn, which meets every stream in its own order."""
-    take = streams.__getitem__
-    return {t: list(map(next, map(take, patterns)))
-            for t, patterns in zip(cover.tuples(q), cover._cell_patterns(q, d))}
+@lru_cache(maxsize=_PLANS)
+def _ranks(m: int, within: tuple, q: int) -> array:
+    """The ranks among the (q+1)-subsets of range(m), in combinations order,
+    of the (q+1)-subsets of ``within`` (increasing, below m) in that order."""
+    rank = {s: r for r, s in enumerate(combinations(range(m), q + 1))}
+    return array("I", map(rank.__getitem__, combinations(within, q + 1)))
 
 
 def _apply(plan: tuple, stream: list):
@@ -266,70 +267,72 @@ def _apply(plan: tuple, stream: list):
     return acc
 
 
-def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
-    """The total differential D = delta_nerve + (-1)^q delta_cell of data
-    ``comps[q]`` of cell degree (degree - q), for consecutive nerve degrees
-    q. Returns every component of D: ``out[q]`` has cell degree
-    (degree + 1 - q), for q from the lowest input degree to the highest
-    plus one, each slot in ``cover.tuples(q)`` order. The nerve half is one
-    plan per cell pattern; the cell half is each model's coboundary."""
-    qs, models, out = sorted(comps), cover._models, {}
-    for q in range(qs[0], qs[-1] + 2):
-        d, cell, nerve = degree + 1 - q, comps.get(q), comps.get(q - 1)
-        tuples = cover.tuples(q)
-        if nerve is None or not tuples:
-            slot = out[q] = {t: [0] * models[t].n_cells(d) for t in tuples}
-        else:
-            # a pattern is read only if it has cells of degree d and > q indices
-            streams = [None] * len(cover._patterns)
-            for p, low in enumerate(_by_pattern(cover, nerve, q - 1, d)):
-                m = len(cover._patterns[p])
-                if low and m > q:
-                    streams[p] = _apply(_plan(m, q, len(low) // comb(m, q), False), low)
-            slot = out[q] = _by_tuple(cover, streams, q, d)
-        if cell is not None:
-            sign = sub if q % 2 else add
-            for t, vec in slot.items():
-                slot[t] = list(map(sign, vec, models[t].coboundary(d).mul_vec(cell[t])))
+def _cell_half(cover: CoverNerve, data: list, p: int, q: int, d: int) -> list | None:
+    """(-1)^q delta_cell of data of nerve degree q and cell degree d - 1 on
+    the stream of pattern p in cell degree d, or None if no d-cell of p has
+    a face. On a subset S of P, a cell of P reads each face's pattern
+    stream at the rank of S among that pattern's subsets."""
+    blocks = cover._faces(d)[p]
+    if not blocks:
+        return None
+    k, m = len(cover._cells(d)[0][p]), len(cover._patterns[p])
+    out = [0] * (comb(m, q + 1) * k)
+    for pf, within, entries in blocks:
+        src, kf, mf = data[pf], len(cover._cells(d - 1)[0][pf]), len(cover._patterns[pf])
+        ranks = range(comb(m, q + 1)) if mf == m else _ranks(mf, within, q)
+        for i, j, x in entries:
+            x *= -1 if q % 2 else 1
+            out[i::k] = map(add, out[i::k], [x * src[r * kf + j] for r in ranks])
     return out
 
 
-def _contract(cover: CoverNerve, data: dict, q: int, d: int) -> dict:
+def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
+    """The total differential D = delta_nerve + (-1)^q delta_cell of data
+    ``comps[q]`` of cell degree (degree - q), for consecutive nerve degrees
+    q, each given as its streams. Returns every component of D as streams:
+    ``out[q]`` has cell degree (degree + 1 - q), for q from the lowest input
+    degree to the highest plus one."""
+    qs, out = sorted(comps), {}
+    for q in range(qs[0], qs[-1] + 2):
+        d, cell, nerve = degree + 1 - q, comps.get(q), comps.get(q - 1)
+        slot = out.setdefault(q, [])
+        for p, (pattern, cells) in enumerate(zip(cover._patterns, cover._cells(d)[0])):
+            m, k = len(pattern), len(cells)
+            n = comb(m, q + 1) * k
+            acc = None if nerve is None or not n else _apply(_plan(m, q, k, False), nerve[p])
+            half = None if cell is None or not n else _cell_half(cover, cell, p, q, d)
+            if half is None:
+                slot.append([0] * n if acc is None else list(acc))
+            else:
+                slot.append(half if acc is None else list(map(add, acc, half)))
+    return out
+
+
+def _contract(cover: CoverNerve, data: list, q: int, d: int) -> list:
     """Row contraction h with the least-index choice function:
     (h x)_S(cell) = x_{(c,) + S}(cell) for c the first index of the cell's
     pattern, and 0 where c is in S; (c,) + S is sorted, as S lies in the
     pattern. Requires delta_nerve(data) = 0."""
-    streams = [repeat(0)] * len(cover._patterns)
-    for p, high in enumerate(_by_pattern(cover, data, q, d)):
+    out = cover._zeros(q - 1, d)
+    for p, (pattern, cells, high) in enumerate(zip(cover._patterns, cover._cells(d)[0], data)):
         if high:        # else S is the whole pattern, or no cell has it: c is in S
-            m = len(cover._patterns[p])
-            k = len(high) // comb(m, q + 1)
-            high += [0] * k
-            streams[p] = _apply(_plan(m, q, k, True), high)
-    return _by_tuple(cover, streams, q - 1, d)
-
-
-def _glue(cover: CoverNerve, data: dict, d: int) -> list:
-    """Invert the augmentation: a delta_nerve-closed family over single
-    indices glues to a global cochain, each cell read on its least index,
-    whose entries lead its pattern's stream."""
-    streams = list(map(iter, _by_pattern(cover, data, 0, d)))
-    return [next(streams[p]) for p in map(cover._pattern_of.__getitem__,
-                                          cover.space.cell_ids(d))]
+            k = len(cells)
+            out[p] = list(_apply(_plan(len(pattern), q, k, True), high + [0] * k))
+    return out
 
 
 def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohClass:
     """Characteristic class of a total cocycle with components
-    ``components[q]`` = tuple-indexed degree (total_degree - q) data, for
+    ``components[q]`` = the streams of degree (total_degree - q) data, for
     q = 1 .. total_degree.
 
     Runs the staircase down the double complex and returns the glued class
     in H^total_degree of the covered space.
     """
     comps = dict(components)
-    comps[0] = {t: [0] * cover.model(t).n_cells(total_degree) for t in cover.tuples(0)}
+    comps[0] = cover._zeros(0, total_degree)
     for q in range(total_degree, 0, -1):
-        if not any(any(vec) for vec in comps[q].values()):
+        if not any(map(any, comps[q])):
             continue
         w = _contract(cover, comps[q], q, total_degree - q)
         # subtract D(w): kills level q, moves the residue one nerve degree down
@@ -337,12 +340,14 @@ def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohCl
         if dw[q] != comps[q]:
             raise InvalidGerbe(f"contraction failed at nerve degree {q}; "
                                "data was not a total cocycle")
-        comps[q - 1] = _add(comps[q - 1], dw[q - 1], -1)
-    glued = _glue(cover, comps[0], total_degree)
-    space = cochain_space(cover.space, total_degree)
+        comps[q - 1] = _add(comps[q - 1], dw[q - 1], sub)
+    # glue the delta_nerve-closed residue over single indices: each cell reads its
+    # least index, whose entries lead its pattern's stream
+    at = cover._cells(total_degree)[1]
+    glued = [comps[0][p][i] for p, i in map(at.__getitem__, cover.space.cell_ids(total_degree))]
     # sign convention: the two-patch wrap of a class pushed through the
     # connecting map of the pair reproduces that class on the nose
-    return CohClass(space, tuple(glued))
+    return CohClass(cochain_space(cover.space, total_degree), tuple(glued))
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +363,20 @@ class GerbeCondition:
 
 @dataclass
 class GerbeReport:
-    conditions: list
+    """The slots of D(data), each (name, its nerve tuples, the witness cell
+    of each failing tuple), read as one condition per tuple."""
+
+    slots: list
     characteristic_class: CohClass | None = None
+
+    @cached_property
+    def conditions(self) -> list:
+        return [GerbeCondition(name, t, t not in bad, bad.get(t))
+                for name, tuples, bad in self.slots for t in tuples]
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.conditions)
+        return not any(bad for _, _, bad in self.slots)
 
     def failures(self) -> list:
         return [c for c in self.conditions if not c.ok]
@@ -380,32 +393,39 @@ class GerbeReport:
 
 class _Layer(NamedTuple):
     label: str      # name in reports and JSON
-    attr: str       # field holding the tuple-indexed data
+    attr: str       # attribute of the tuple-keyed view
     q: int          # nerve degree: data lives on (q+1)-fold intersections
     d: int          # cell degree of each cochain
 
 
-@dataclass
+def _view(i: int) -> property:
+    """The i-th layer as a dict from each sorted nerve tuple to its cochain."""
+    return property(lambda g: g.cover._tuple_major(g._streams[i], g.layers[i].q, g.layers[i].d))
+
+
 class _Gerbe:
-    """Locally trivialized gerbe data, one dict per row of ``layers``
-    (ordered by nerve degree 1, 2, ...). Data is stored once per sorted
-    tuple; odd reorderings flip the sign."""
+    """Locally trivialized gerbe data, the streams of each row of ``layers``
+    (ordered by nerve degree 1, 2, ...). Each type's ``__post_init__``
+    validates outside input, one tuple-keyed dict per layer, stored once per
+    sorted tuple (odd reorderings flip the sign); the operators build their
+    results through ``_trusted``."""
 
-    cover: CoverNerve
-    layers: ClassVar[tuple] = ()
+    layers: tuple = ()
 
-    def _canonicalize_layers(self):
-        for layer in self.layers:
-            setattr(self, layer.attr, _canonicalize(self.cover, getattr(self, layer.attr), layer))
+    def __init__(self, cover: CoverNerve, *data: dict, **named: dict):
+        self.cover = cover
+        self.__post_init__(*data, **named)      # per type: the entry bench/layers.py traces
 
-    def _data(self) -> list:
-        return [(layer, getattr(self, layer.attr)) for layer in self.layers]
+    @classmethod
+    def _trusted(cls, cover: CoverNerve, streams: list) -> "_Gerbe":
+        g = cls.__new__(cls)
+        g.cover, g._streams = cover, streams
+        return g
 
     def pair_class(self, i: int, j: int) -> CohClass:
         """The class of the pair datum on U_ij, sign-adjusted."""
-        layer, data = self._data()[0]
-        model = self.cover.model((i, j))     # rejects a repeated index
-        vec = data[tuple(sorted((i, j)))]
+        layer, model = self.layers[0], self.cover.model((i, j))     # rejects a repeated index
+        vec = getattr(self, layer.attr)[tuple(sorted((i, j)))]
         return CohClass(cochain_space(model, layer.d),
                         tuple(_parity((i, j)) * v for v in vec))
 
@@ -414,48 +434,41 @@ class _Gerbe:
                 (self.cover.space is not other.cover.space
                  or self.cover.sets != other.cover.sets):
             raise ModelMismatch("tensor requires a common cover")
-        return type(self)(self.cover, *(_add(data, getattr(other, layer.attr))
-                                        for layer, data in self._data()))
+        return self._trusted(self.cover, list(map(_add, self._streams, other._streams)))
 
 
-@dataclass
 class TwoGerbe(_Gerbe):
     """Locally trivialized 2-gerbe: pair cocycles p (degree 2), triple
     sections theta (degree 1), 4-fold matching data mu (degree 0)."""
 
-    layers: ClassVar[tuple] = (_Layer("p", "p", 1, 2), _Layer("theta", "theta", 2, 1),
-                               _Layer("mu", "mu", 3, 0))
-    p: dict = field(default_factory=dict)
-    theta: dict = field(default_factory=dict)
-    mu: dict = field(default_factory=dict)
+    layers = (_Layer("p", "p", 1, 2), _Layer("theta", "theta", 2, 1), _Layer("mu", "mu", 3, 0))
+    p, theta, mu = map(_view, range(3))
 
-    def __post_init__(self):
-        self._canonicalize_layers()
+    def __post_init__(self, p: dict | None = None, theta: dict | None = None,
+                      mu: dict | None = None):
+        self._streams = list(map(_validated, repeat(self.cover), self.layers, (p, theta, mu)))
 
 
-@dataclass
 class ThreeGerbe(_Gerbe):
     """Locally trivialized 3-gerbe on a circle product: pair data A (degree
     3), triple trivializations gamma (degree 2), 4-fold sections eta (degree
     1), 5-fold data nu (degree 0)."""
 
-    layers: ClassVar[tuple] = (_Layer("A", "a", 1, 3), _Layer("gamma", "gamma", 2, 2),
-                               _Layer("eta", "eta", 3, 1), _Layer("nu", "nu", 4, 0))
-    a: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)
-    eta: dict = field(default_factory=dict)
-    nu: dict = field(default_factory=dict)
+    layers = (_Layer("A", "a", 1, 3), _Layer("gamma", "gamma", 2, 2),
+              _Layer("eta", "eta", 3, 1), _Layer("nu", "nu", 4, 0))
+    a, gamma, eta, nu = map(_view, range(4))
 
-    def __post_init__(self):
-        self._canonicalize_layers()
+    def __post_init__(self, a: dict | None = None, gamma: dict | None = None,
+                      eta: dict | None = None, nu: dict | None = None):
+        self._streams = list(map(_validated, repeat(self.cover), self.layers, (a, gamma, eta, nu)))
 
 
-def _canonicalize(cover: CoverNerve, data: dict, layer: _Layer) -> dict:
-    """Fold arbitrary-order keys into sorted storage with sign bookkeeping;
-    reject inconsistent duplicates and wrong-length tuples and vectors."""
-    out = {t: [0] * cover.model(t).n_cells(layer.d) for t in cover.tuples(layer.q)}
-    seen = {}
-    for key, vec in data.items():
+def _validated(cover: CoverNerve, layer: _Layer, data: dict | None) -> list:
+    """The streams of outside input: fold arbitrary-order keys into sorted
+    storage with sign bookkeeping; reject inconsistent duplicates and
+    wrong-length tuples and vectors."""
+    layout, out, seen = cover._layout(layer.q, layer.d), cover._zeros(layer.q, layer.d), {}
+    for key, vec in (data or {}).items():
         key = tuple(key)
         if len(key) != layer.q + 1:
             raise MalformedNerve(f"{layer.label} tuple {key} has length {len(key)}; "
@@ -463,18 +476,17 @@ def _canonicalize(cover: CoverNerve, data: dict, layer: _Layer) -> dict:
         if len(set(key)) != len(key):
             raise MalformedNerve(f"tuple {key} has repeated indices")
         skey = tuple(sorted(key))
-        sign = 1 if key == skey else _parity(key)
-        if skey not in out:
-            raise MalformedNerve(f"tuple {key} is not a nonempty nerve tuple",
-                                 witness=key)
+        if skey not in layout:
+            raise MalformedNerve(f"tuple {key} is not a nonempty nerve tuple", witness=key)
+        sign = _parity(key)
         stored = [sign * v for v in vec]
-        if len(stored) != len(out[skey]):
+        if len(stored) != len(layout[skey]):
             raise MalformedNerve(f"cochain on {key} has wrong length", witness=key)
-        if skey in seen and seen[skey] != stored:
+        if seen.setdefault(skey, stored) != stored:
             raise MalformedNerve(f"inconsistent reorderings supplied for {skey}",
                                  witness=skey)
-        seen[skey] = stored
-        out[skey] = stored
+        for (p, x), v in zip(layout[skey], stored):
+            out[p][x] = v
     return out
 
 
@@ -487,31 +499,22 @@ def _check(g: _Gerbe) -> GerbeReport:
     delta_n(lower) + (-1)^q delta_c(upper) at each upper layer's nerve degree
     q, and the nerve-cocycle slot of the top layer. A failing slot's witness
     is the id of its first nonzero cell. The class is computed if all pass."""
-    comps = {layer.q: data for layer, data in g._data()}
+    cover, n = g.cover, len(g.layers)
+    comps = {layer.q: data for layer, data in zip(g.layers, g._streams)}
     labels = [layer.label for layer in g.layers]
     names = ([f"{labels[0]}_cocycle"]
              + [f"{lower}_{upper}_matching" for lower, upper in zip(labels, labels[1:])]
              + [f"{labels[-1]}_nerve_cocycle"])
-    n = len(g.layers)
     report = GerbeReport([])
-    for name, (q, slot) in zip(names, total_coboundary(g.cover, comps, n).items()):
-        for t, vec in slot.items():
+    for name, (q, slot) in zip(names, total_coboundary(cover, comps, n).items()):
+        bad, d = {}, n + 1 - q
+        for t, vec in cover._tuple_major(slot, q, d).items() if any(map(any, slot)) else ():
             if any(vec):
-                bad = next(i for i, v in enumerate(vec) if v)
-                report.conditions.append(GerbeCondition(
-                    name, t, False, g.cover.model(t).cell_ids(n + 1 - q)[bad]))
-            else:
-                report.conditions.append(GerbeCondition(name, t, True))
+                bad[t] = cover.model(t).cell_ids(d)[next(i for i, v in enumerate(vec) if v)]
+        report.slots.append((name, cover.tuples(q), bad))
     if report.passed:
-        report.characteristic_class = total_class(g.cover, comps, n)
+        report.characteristic_class = total_class(cover, comps, n)
     return report
-
-
-def _class_or_raise(report: GerbeReport) -> CohClass:
-    if not report.passed:
-        f = report.failures()[0]
-        raise InvalidGerbe(f"gerbe fails validity: {f.name} at {f.where}")
-    return report.characteristic_class
 
 
 def check_two_gerbe(g: TwoGerbe) -> GerbeReport:
@@ -528,7 +531,11 @@ def check_three_gerbe(g: ThreeGerbe) -> GerbeReport:
 
 
 def characteristic_class_two_gerbe(g: TwoGerbe) -> CohClass:
-    return _class_or_raise(check_two_gerbe(g))
+    report = check_two_gerbe(g)
+    if not report.passed:
+        f = report.failures()[0]
+        raise InvalidGerbe(f"gerbe fails validity: {f.name} at {f.where}")
+    return report.characteristic_class
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +546,16 @@ def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerb
     degree-3 pair data, triple sections theta x z the trivializing line
     bundles, 4-fold data mu x z the sections eta; nu = 0. The output passes
     the 3-gerbe checks and its class is (class of g) x z."""
-    _class_or_raise(check_two_gerbe(g))
-    xs1 = xs1 or product_with_circle(g.cover.space)
-    dual_cover = g.cover.crossed(xs1)
-
-    def crossed(data, d):
-        return {t: cross_with_z_vector(g.cover.model(t), dual_cover.model(t), vec, d)
-                for t, vec in data.items()}
-
-    return ThreeGerbe(dual_cover, *(crossed(data, layer.d) for layer, data in g._data()))
+    characteristic_class_two_gerbe(g)
+    dual = g.cover.crossed(xs1 or product_with_circle(g.cover.space))
+    e, top, out = circle().cell_ids(1)[0], ThreeGerbe.layers[-1], []
+    for layer, data in zip(g.layers, g._streams):
+        (wide, at), crossed = dual._cells(layer.d + 1), dual._zeros(layer.q, layer.d + 1)
+        for p, cells in enumerate(g.cover._cells(layer.d)[0]):
+            for i, cell in enumerate(cells):    # c(A) on A x e in every subset, else 0
+                crossed[p][at[(cell, e)][1]::len(wide[p])] = data[p][i::len(cells)]
+        out.append(crossed)
+    return ThreeGerbe._trusted(dual, out + [dual._zeros(top.q, top.d)])
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +566,9 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     """Realize a degree-3 cocycle on the covered space as a 2-gerbe.
 
     Requires each patch to kill the restricted class (solvable t_i with
-    delta t_i = s|U_i); pair data is the patch discrepancy t_j - t_i. A
-    seeded gauge scramble then produces generic-looking theta and mu data
-    without changing the class.
+    delta t_i = s|U_i); pair data is the patch discrepancy t_i - t_j on
+    U_ij. A seeded gauge scramble then produces generic-looking theta and mu
+    data without changing the class.
     """
     cocycle = dict(zip(cover.space.cell_ids(3), cocycle))
     ts = []
@@ -571,12 +579,11 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
             raise ModelMismatch(f"patch {i} does not trivialize the class "
                                 "(H^3 of the patch obstructs)")
         ts.append(dict(zip(ui.cell_ids(2), t)))
-    p = {(i, j): [ts[i][c] - ts[j][c] for c in cover.model((i, j)).cell_ids(2)]
-         for (i, j) in cover.tuples(1)}
-    g = TwoGerbe(cover, p=p)
-    if scramble_seed is not None:
-        g = gauge_perturb(g, scramble_seed)
-    return g
+    p = [[ts[i][c] - ts[j][c] for i, j in combinations(pattern, 2) for c in cells]
+         for pattern, cells in zip(cover._patterns, cover._cells(2)[0])]
+    g = TwoGerbe._trusted(cover, [p] + [cover._zeros(layer.q, layer.d)
+                                        for layer in TwoGerbe.layers[1:]])
+    return g if scramble_seed is None else gauge_perturb(g, scramble_seed)
 
 
 def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
@@ -592,31 +599,29 @@ def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
     line bundle representative does.
     """
     rng = random.Random(seed)
-    cover = g.cover
-    support = {1: pair, 2: triple}
+    cover, support, x = g.cover, {1: pair, 2: triple}, {}
     localized = pair is not None or triple is not None
-
-    def draw(t, q, d):
-        n = cover.model(t).n_cells(d)
-        chosen = support.get(q)
-        if localized and (chosen is None or tuple(sorted(chosen)) != t):
-            return [0] * n
-        return [rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND) for _ in range(n)]
-
-    x = {layer.q: {t: draw(t, layer.q, layer.d - 1) for t in cover.tuples(layer.q)}
-         for layer in g.layers[:-1]}
+    for layer in g.layers[:-1]:
+        q, d, chosen = layer.q, layer.d - 1, support.get(layer.q)
+        layout, x[q] = cover._layout(q, d), cover._zeros(q, d)
+        key = None if chosen is None else tuple(sorted(chosen))
+        for at in layout.values() if not localized else [layout[key]] if key in layout else []:
+            for p, i in at:
+                x[q][p][i] = rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND)
     dx = total_coboundary(cover, x, len(g.layers) - 1)
-    return type(g)(cover, *(_add(data, dx[layer.q]) for layer, data in g._data()))
+    return g._trusted(cover, [_add(data, dx[layer.q])
+                              for layer, data in zip(g.layers, g._streams)])
+
+
+def _two_patch_gerbe(cover: CoverNerve, values: dict) -> TwoGerbe:
+    """The 2-gerbe whose one datum is the 2-cochain ``values`` (cell -> value) on U_01."""
+    return TwoGerbe(cover, p={(0, 1): [values.get(c, 0) for c in cover.model((0, 1)).cell_ids(2)]})
 
 
 def monopole_two_gerbe(n: int):
     """The standard two-patch gerbe on the two-disc 3-sphere with clutching
     class n on the equatorial 2-sphere; its class is n times the generator."""
-    cover = kk_gerbe_models().cover()
-    u12 = cover.model((0, 1))
-    vec = [0] * u12.n_cells(2)
-    vec[u12.index(2, "f2")] = n
-    return TwoGerbe(cover, p={(0, 1): vec})
+    return _two_patch_gerbe(kk_gerbe_models().cover(), {"f2": n})
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +690,7 @@ def semifree_class_to_two_gerbe(lam: CohClass, models: GerbeModels):
     class equals the pushed class.
     """
     comp_model = models.complement_model()
-    lam_space = cochain_space(comp_model, 2)
-    if lam.space is not lam_space:
+    if lam.space is not cochain_space(comp_model, 2):
         raise ModelMismatch("lambda must live on the complement model's H^2")
     rel_cls = connecting_hom(models.b, models.complement_ids, 2).apply(lam)
     exc = excision_hom(models.bplus, models.bplus_minus_f_ids,
@@ -696,10 +700,4 @@ def semifree_class_to_two_gerbe(lam: CohClass, models: GerbeModels):
         raise ModelMismatch("excision preimage failed; models are inconsistent")
     pushed = relative_inclusion_hom(models.bplus, models.bplus_minus_f_ids, 3).apply(rel_plus)
 
-    cover = models.cover()
-    u12 = cover.model((0, 1))
-    vec = [0] * u12.n_cells(2)
-    for j, cell in enumerate(comp_model.cell_ids(2)):
-        vec[u12.index(2, cell)] = lam.vector[j]
-    gerbe = TwoGerbe(cover, p={(0, 1): vec})
-    return gerbe, pushed
+    return _two_patch_gerbe(models.cover(), dict(zip(comp_model.cell_ids(2), lam.vector))), pushed

@@ -599,6 +599,17 @@ def test_gerbe_failing_a_slot_exits_one(tmp_path):
                    "        mu_nerve_cocycle fails at (0, 1, 2, 3, 5)\n")
 
 
+@pytest.mark.parametrize("fmt, golden", [("table", "dualize_gerbe7_bad.txt"),
+                                         ("json", "dualize_gerbe7_bad.json")])
+def test_failing_gerbe_report_matches_golden(fmt, golden):
+    # earlier output, byte for byte: gerbe7_input.json with one entry changed
+    # in theta and one in mu, so every failing tuple and cell id is pinned
+    code, out, _ = run_cli("dualize-gerbe", "--input", str(GOLDEN / "gerbe7_bad_input.json"),
+                           "--format", fmt)
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("no-such-command")
     assert code == 2

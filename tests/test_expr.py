@@ -664,6 +664,24 @@ def test_json_codec_equals_the_oracle_and_round_trips(recipe, raw):
     assert same_outcome(outcome(lambda: simplify_basic(back)), outcome(lambda: simplify_basic(e)))
 
 
+def test_json_dumps_each_distinct_node_once():
+    r = sym("r")
+    shared = sin_(add(r, rat(1)))
+    e = add(mul(shared, shared, r), pow_(shared, 3), app("H", (r, shared)))
+    obj = expr_to_json(e)
+    assert json.dumps(obj) == json.dumps(oracle.expr_to_json(e))
+    want, found, stack = expr_to_json(shared), [], [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            found += [node] if node == want else []
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    assert len(found) >= 3 and len({id(node) for node in found}) == 1
+    assert expr_to_json(e) is not obj       # one memo per call
+
+
 def test_every_path_builds_the_same_object():
     x, y = sym("x"), sym("y")
     h = app("H", (y,))

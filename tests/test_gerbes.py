@@ -5,6 +5,7 @@ import gc
 import random
 import re
 import weakref
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -12,9 +13,10 @@ import pytest
 import gerbe_oracle
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
 from tdual import gerbes
-from tdual.complexes import interval_power, product_with_circle, s3_two_disc, sphere
+from tdual.complexes import (build_complex, interval_power, product_complex,
+                             product_with_circle, s3_two_disc, sphere)
 from tdual.gerbes import (
-    CoverNerve, InvalidGerbe, MalformedNerve, ThreeGerbe, TwoGerbe,
+    CoverNerve, InvalidGerbe, MalformedNerve, ModelMismatch, ThreeGerbe, TwoGerbe,
     characteristic_class_two_gerbe, check_three_gerbe, check_two_gerbe,
     gauge_perturb, kk_gerbe_models, monopole_two_gerbe,
     semifree_class_to_two_gerbe, tdualize_two_gerbe, total_class, total_coboundary,
@@ -84,22 +86,11 @@ def test_model_rejects_an_empty_intersection(bplus):
         cover.model((1, 0))
 
 
-def test_a_full_check_intersects_each_enumerated_tuple_once(bplus, generator_cocycle,
-                                                            monkeypatch):
-    calls = []
-    original = CoverNerve.intersection_ids
-    monkeypatch.setattr(CoverNerve, "intersection_ids",
-                        lambda self, t: calls.append(t) or original(self, t))
-    inner = frozenset({"v", "u", "a", "f2", "c3"})
-    outer = frozenset({"u", "f2", "c3out"})
-    cover = CoverNerve(bplus, [inner, outer, inner, outer, inner])
-    g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=8)
-    assert check_two_gerbe(g).passed
-    # every tuple of nerve degree 0 .. 4 is intersected once, and only once
-    assert sorted(calls) == sorted(t for q in range(5) for t in cover.tuples(q))
-    assert len(calls) == sum(comb(5, q + 1) for q in range(5))
-    assert check_two_gerbe(gauge_perturb(g, 1)).passed
-    assert len(calls) == sum(comb(5, q + 1) for q in range(5))
+@pytest.mark.parametrize("build", [s3_two_disc, lambda: product_with_circle(sphere(2)),
+                                   lambda: product_complex(s3_two_disc(), interval_power(1))])
+def test_crossing_needs_the_product_with_the_circle(two_patch_cover, build):
+    with pytest.raises(ModelMismatch, match=r"is not S3\+ x S\^1$"):
+        two_patch_cover.crossed(build())
 
 
 def test_downward_closure_violation_detected():
@@ -231,14 +222,20 @@ def _random_comps(cover, qs, degree, rng):
 
 
 def _assert_total_coboundary_matches_oracle(cover, rng):
+    """The streams of D against the face-by-face oracle and against the
+    tuple-major operators, on random tuple-keyed data."""
+    tm = gerbe_oracle.TupleMajor(cover)
     for qs, degree in TOTAL_SHAPES:
         comps = _random_comps(cover, qs, degree, rng)
-        got = total_coboundary(cover, comps, degree)
+        got = total_coboundary(cover, {q: tm.by_pattern(data, q, degree - q)
+                                       for q, data in comps.items()}, degree)
         want = gerbe_oracle.total_coboundary(cover, comps, degree)
         assert list(got) == list(want) == list(range(qs[0], qs[-1] + 2))
+        assert tm.total_coboundary(comps, degree) == want
         for q, slot in want.items():
-            assert list(got[q]) == list(slot) == cover.tuples(q)
-            assert got[q] == slot, (qs, degree, q)
+            assert list(slot) == cover.tuples(q) == tm.tuples(q)
+            assert got[q] == tm.by_pattern(slot, q, degree + 1 - q), (qs, degree, q)
+            assert cover._tuple_major(got[q], q, degree + 1 - q) == slot
 
 
 @pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
@@ -295,6 +292,84 @@ def test_total_coboundary_matches_the_oracle_on_random_covers(space, size, cross
     _assert_total_coboundary_matches_oracle(cover, rng)
 
 
+@pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
+@pytest.mark.parametrize("size", [3, 5, 8])
+@pytest.mark.parametrize("space", sorted(RANDOM_SPACES))
+def test_nerve_tuples_and_models_equal_the_brute_force_filter(space, size, crossed):
+    """In every degree, the tuples read off the patterns are the combinations
+    whose sets meet, in combinations order, and each model is the subcomplex
+    on the intersection."""
+    cover = _random_cover(RANDOM_SPACES[space](), size, random.Random(f"{space} {size}"))
+    if crossed:
+        cover = cover.crossed(product_with_circle(cover.space))
+    for q in range(size + 1):
+        meets = {t: frozenset.intersection(*(cover.sets[i] for i in t))
+                 for t in combinations(range(size), q + 1)}
+        assert cover.tuples(q) == [t for t, ids in meets.items() if ids]
+        for t in cover.tuples(q):
+            assert cover.model(t) is cover.space.subcomplex(meets[t])
+            assert cover.model(t[::-1]) is cover.model(t)
+
+
+def _layers(g):
+    return [getattr(g, layer.attr) for layer in g.layers]
+
+
+def _corrupted(g, rng):
+    """g with one entry changed on about half the tuples of each layer."""
+    data = _layers(g)
+    for vec in (vec for layer in data for vec in layer.values() if vec and rng.random() < 0.5):
+        vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
+    return type(g)(g.cover, *data)
+
+
+@pytest.mark.parametrize("size", [4, 5, 7, 9])
+def test_pattern_major_gerbes_match_the_tuple_major_operators_on_covers_of_the_cube(size):
+    """On random covers of I^3 (with non-full nerves): the scramble, every
+    support mode of gauge_perturb, the checks of valid and failing 2- and
+    3-gerbes (witness tuples and cell ids) and the dualization, each against
+    the tuple-major operators; gauge_perturb also against the hand-written
+    formulas."""
+    rng = random.Random(size)
+    cube = interval_power(3)
+    squares = cube.cell_ids(2) + cube.cell_ids(3)
+    while True:     # closures of squares (opposite ones are disjoint) and of the cube
+        sets = [_closure(cube, rng.sample(squares, rng.randint(1, 3))) for _ in range(size)]
+        rest = cube.all_ids().difference(*sets) or rng.sample(squares, 1)
+        cover = CoverNerve(cube, sets + [_closure(cube, rest)])
+        if len(cover.tuples(1)) < comb(size + 1, 2):
+            break
+    tm = gerbe_oracle.TupleMajor(cover)
+    zero = [0] * cover.space.n_cells(3)
+    g = two_gerbe_from_class(cover, zero, scramble_seed=size)
+    assert _layers(g) == tm.gauge_perturb(two_gerbe_from_class(cover, zero), size)
+    assert any(map(any, g.mu.values()))
+    pairs, triples = cover.tuples(1), cover.tuples(2)
+    for support in ({}, {"pair": rng.choice(pairs)[::-1]}, {"triple": rng.choice(triples)}):
+        got = gauge_perturb(g, 7, **support)
+        assert _layers(got) == tm.gauge_perturb(g, 7, **support)
+        want = gerbe_oracle.gauge_perturb(g, 7, **support)
+        assert (got.p, got.theta, got.mu) == (want.p, want.theta, want.mu)
+    xs1 = product_with_circle(cover.space)
+    dual = tdualize_two_gerbe(g, xs1)
+    assert _layers(dual) == tm.dualize(g, xs1)
+    dual_tm = gerbe_oracle.TupleMajor(dual.cover)
+    triple = rng.choice(triples)
+    for support in ({}, {"pair": rng.choice(pairs)}, {"triple": triple}):
+        assert _layers(gauge_perturb(dual, 3, **support)) == \
+            dual_tm.gauge_perturb(dual, 3, **support)
+    passed = []
+    for gerbe, oracle in ((g, tm), (dual, dual_tm), (_corrupted(g, rng), tm),
+                          (_corrupted(dual, rng), dual_tm)):
+        rep = (check_two_gerbe if gerbe.layers is TwoGerbe.layers else check_three_gerbe)(gerbe)
+        rows, cls = oracle.check(gerbe)
+        assert _report_rows(rep) == rows
+        assert rep.characteristic_class == cls
+        passed.append(rep.passed)
+    # a changed entry on a tuple that no slot reaches can leave a valid gerbe
+    assert passed[:2] == [True, True] and not all(passed[2:])
+
+
 # proper subcomplexes of the two-disc S^3: each kills H^3, and {v} misses OUTER
 FAMILY = [INNER, OUTER, frozenset({"v"}), frozenset({"u"}), frozenset({"u", "f2"}),
           frozenset({"v", "u", "a"}), frozenset({"v", "u", "a", "f2"}),
@@ -326,19 +401,23 @@ def test_total_class_matches_the_oracle_on_random_covers(bplus, generator_cocycl
                              scramble_seed=rng.randrange(10 ** 6))
     dual = tdualize_two_gerbe(g)
     for gerbe in (g, dual):
-        comps = {layer.q: data for layer, data in gerbe._data()}
+        tm = gerbe_oracle.TupleMajor(gerbe.cover)
+        comps = {layer.q: getattr(gerbe, layer.attr) for layer in gerbe.layers}
         n = len(gerbe.layers)
-        got = total_class(gerbe.cover, comps, n)
+        got = total_class(gerbe.cover, dict(zip(comps, gerbe._streams)), n)
         assert got.vector == gerbe_oracle.total_class(gerbe.cover, comps, n).vector
+        assert got.vector == tm.total_class(comps, n).vector
         assert got.reduced() == (multiple,)
-        # one corrupted entry of the highest layer with data: both agree on the outcome
-        q = max(q for q, data in comps.items() if any(data.values()))
-        layer = {t: list(vec) for t, vec in comps[q].items()}
-        t = rng.choice([t for t, vec in layer.items() if vec])
-        layer[t][rng.randrange(len(layer[t]))] += 1
-        comps[q] = layer
-        assert (_class_outcome(total_class, gerbe.cover, comps, n)
-                == _class_outcome(gerbe_oracle.total_class, gerbe.cover, comps, n))
+        # one corrupted entry of the highest layer with data: all agree on the outcome
+        q = max(q for q, data in comps.items() if any(map(any, data.values())))
+        data = {t: list(vec) for t, vec in comps[q].items()}
+        t = rng.choice([t for t, vec in data.items() if vec])
+        data[t][rng.randrange(len(data[t]))] += 1
+        comps[q] = data
+        streams = {q: tm.by_pattern(data, q, n - q) for q, data in comps.items()}
+        outcome = _class_outcome(total_class, gerbe.cover, streams, n)
+        assert outcome == _class_outcome(gerbe_oracle.total_class, gerbe.cover, comps, n)
+        assert outcome == _class_outcome(lambda _, c, n: tm.total_class(c, n), None, comps, n)
 
 
 @pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
@@ -351,17 +430,21 @@ def test_staircase_of_an_exact_cocycle_matches_the_oracle(size, crossed):
     if crossed:
         cover = cover.crossed(product_with_circle(cover.space))
     comps = gerbe_oracle.total_coboundary(cover, _random_comps(cover, (1, 2), 2, rng), 2)
-    got = total_class(cover, comps, 3)
+    tm = gerbe_oracle.TupleMajor(cover)
+    got = total_class(cover, {q: tm.by_pattern(data, q, 3 - q) for q, data in comps.items()}, 3)
     assert got.vector == gerbe_oracle.total_class(cover, comps, 3).vector
+    assert got.vector == tm.total_class(comps, 3).vector
     assert got.is_zero()
 
 
 def test_face_plans_stay_within_their_bound():
-    bound = gerbes._plan.cache_info().maxsize
-    assert bound == gerbes._PLANS
-    for k in range(1, bound + 20):
-        gerbes._plan(2, 1, k, False)
-    assert gerbes._plan.cache_info().currsize <= bound
+    for cache, key in ((gerbes._plan, lambda k: (2, 1, k, False)),
+                       (gerbes._ranks, lambda k: (k + 2, (0, k + 1), 1))):
+        bound = cache.cache_info().maxsize
+        assert bound == gerbes._PLANS
+        for k in range(1, bound + 20):
+            cache(*key(k))
+        assert cache.cache_info().currsize <= bound
 
 
 def test_pattern_table_dies_with_its_cover(bplus, generator_cocycle):
@@ -373,14 +456,17 @@ def test_pattern_table_dies_with_its_cover(bplus, generator_cocycle):
 
     cover = CoverNerve(bplus, [INNER, OUTER, frozenset({"v", "u", "a"})] * 2)
     cover._pattern_of, cover._patterns = Table(cover._pattern_of), Patterns(cover._patterns)
-    cover._cells = Table()
+    cover._nerve, cover._tables = Table(), Table()
     g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=3)
-    assert check_two_gerbe(g).passed
-    assert len(cover._cells) > 0
-    probes = [weakref.ref(table) for table in (cover._pattern_of, cover._patterns, cover._cells)]
-    del cover, g
+    dual = tdualize_two_gerbe(g)
+    assert check_three_gerbe(dual).passed
+    assert len(cover._nerve) > 0 and len(cover._tables) > 0
+    assert dual.cover._nerve is cover._nerve
+    tables = (cover._pattern_of, cover._patterns, cover._nerve, cover._tables)
+    probes = [weakref.ref(table) for table in tables]
+    del cover, g, dual, tables
     gc.collect()
-    assert [probe() for probe in probes] == [None, None, None]
+    assert [probe() for probe in probes] == [None] * 4
 
 
 def _gauge_cases():
@@ -544,6 +630,29 @@ def test_corrupted_nu_fails_only_the_top_slot_with_a_cell_witness(six_patch_cove
     assert failures[0].where == six
     assert failures[0].witness in tg.cover.model(six).cell_ids(0)
     assert rep.characteristic_class is None
+
+
+def test_the_cube_cover_of_the_three_torus_dualizes_its_generator():
+    """The cubical 3-torus (C_4)^3, 512 cells, covered by the closures of its
+    64 top cubes: every vertex lies in 8 of them, so the nerve reaches
+    degree 7 and has 64 * C(8, 5) tuples of degree 4."""
+    c4 = build_complex("C4", {0: [f"v{i}" for i in range(4)], 1: [f"e{i}" for i in range(4)]},
+                       {1: {**{(f"v{i}", f"e{i}"): -1 for i in range(4)},
+                            **{(f"v{(i + 1) % 4}", f"e{i}"): 1 for i in range(4)}}})
+    torus = product_complex(product_complex(c4, c4), c4, name="T3")
+    assert sum(map(len, torus.cells.values())) == 512
+    cover = CoverNerve(torus, [_closure(torus, [cube]) for cube in torus.cell_ids(3)])
+    (gen,) = cochain_space(torus, 3).generators()
+    g = two_gerbe_from_class(cover, list(gen.vector), scramble_seed=3)
+    rep = check_two_gerbe(g)
+    assert rep.passed and rep.characteristic_class == gen
+    xs1 = product_with_circle(torus)
+    rep3 = check_three_gerbe(tdualize_two_gerbe(g, xs1))
+    assert rep3.passed
+    assert rep3.characteristic_class == cross_with_z(rep.characteristic_class, xs1)
+    assert len(cover.tuples(4)) == 3584
+    for cache in (gerbes._plan, gerbes._ranks):
+        assert cache.cache_info().currsize <= gerbes._PLANS
 
 
 def _gen_vec(bplus):

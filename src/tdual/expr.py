@@ -10,9 +10,9 @@ resolves opaque applications through closures registered per (name, arity)
 in a :class:`FunctionTable`. There is one evaluator and nothing is
 compiled: a block evaluates each node of some roots once over its points,
 as one column of values. ``evaluate`` is a block of one point;
-``equal_numeric`` runs one loop over blocks of sampled points, and goes on
-point by point, as blocks of one point, from the first block that meets an
-error.
+``equal_numeric`` runs one loop over blocks of sampled points, shared with
+their column memos by the components of one metric check, and goes on point
+by point, as blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree dispatches through it. ``simplify_basic``, ``substitute`` and
 ``differentiate`` are one memoized walk, ``_Walk``, that visits each distinct
@@ -772,11 +772,26 @@ class EqualityReport:
 DEFAULT_SEED = 42
 _RETRY_BOUND = 5
 _BLOCK = 128        # points drawn and evaluated together by equal_numeric
+_SHARED = 8 * _BLOCK    # the most trials of a check that shares the blocks of a _Blocks source
+
+
+class _Blocks(dict):
+    """The blocks of points of ``key`` = (spec, trials, seed), keyed by the
+    index of their first point and drawn in order, on demand, from one
+    ``Random(seed)``: the checks that share a source share its columns."""
+
+    def __init__(self, spec: SampleSpec, trials: int, seed: int):
+        self.key, self.rng = (spec, trials, seed), random.Random(seed)
+
+    def __missing__(self, i: int) -> _Block:
+        spec, trials, _ = self.key
+        n = min(_BLOCK, trials - i)
+        return self.setdefault(i, _Block(spec.functions, _draw_columns(spec.boxes, self.rng, n), n))
 
 
 def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
                   trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL,
-                  seed: int = DEFAULT_SEED) -> EqualityReport:
+                  seed: int = DEFAULT_SEED, *, _blocks: _Blocks | None = None) -> EqualityReport:
     """Seeded randomized equality: true iff at every sampled point
     ``|a-b| <= tol * max(1, |a|, |b|)``.
 
@@ -787,23 +802,25 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     raises ValueError.
 
     Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn
-    at once from one ``Random(seed)`` stream. From the first block that
-    meets any error or non-finite value on, the check goes on one point at a
-    time, starting again at that block's first point; only these blocks of
-    one point retry, count domain errors and raise. Every point gets the
-    same float operations either way, so the report is that of evaluating
-    the points one at a time.
+    at once from one ``Random(seed)`` stream, or lent with their columns by
+    ``_blocks``, a ``_Blocks`` source made for the same (spec, trials, seed).
+    From the first block that meets any error or non-finite value on, the
+    check goes on one point at a time, starting again at that block's first
+    point; only these blocks of one point retry, count domain errors and
+    raise. Every point gets the same float operations either way, so the
+    report is that of evaluating the points one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    shared = _blocks is not None and _blocks.key == (spec, trials, seed) and trials <= _SHARED
     rng, one_by_one = random.Random(seed), False
     done = attempt = domain_errors = 0
     while done < trials:
         n = 1 if one_by_one else min(_BLOCK, trials - done)
-        drawn = _draw_columns(spec.boxes, rng, n)
-        block = _Block(spec.functions, drawn, n)
+        block = (_blocks[done] if shared
+                 else _Block(spec.functions, _draw_columns(spec.boxes, rng, n), n))
         try:
             ca, cb = block.column(a), block.column(b)
             if not (all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))):
@@ -811,7 +828,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         except Exception as exc:
             if not one_by_one:      # the first error: redraw this block's points one at a time
                 _check_constants((a, b), spec.functions)
-                one_by_one, rng = True, random.Random(seed)
+                one_by_one, shared, rng = True, False, random.Random(seed)
                 _draw_columns(spec.boxes, rng, done)        # the draws of the points checked
                 continue
             if not isinstance(exc, DomainError) or attempt == _RETRY_BOUND:
@@ -822,7 +839,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         if ca is not cb:    # one column for both sides passes at every finite point
             for t, (va, vb) in enumerate(zip(ca, cb)):
                 if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-                    point = {name: column[t] for name, column in drawn.items()}
+                    point = {name: column[t] for name, column in block.drawn.items()}
                     return EqualityReport(False, trials, Witness(point, va, vb), domain_errors)
         done += n
     return EqualityReport(True, trials, None, domain_errors)

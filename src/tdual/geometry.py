@@ -35,7 +35,7 @@ from .expr import (
     add, app, cos_, differentiate, equal_numeric, evaluate, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
     DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS,
-    expr_from_json, expr_to_json,
+    expr_from_json, expr_to_json, _Blocks,
 )
 
 
@@ -326,14 +326,12 @@ def metrics_equal(a: MetricData, b: MetricData, spec: SampleSpec | None = None,
     spec = spec or a.sample or b.sample
     if spec is None:
         raise ValueError("no sample spec available")
-    for (i, j), ga, ba in a.components():
-        rep = equal_numeric(ga, b.g(i, j), spec, trials, tol, seed)
-        if not rep:
-            return False, (("g", i, j), rep.witness)
-        if compare_b:
-            rep = equal_numeric(ba, b.b(i, j), spec, trials, tol, seed)
+    blocks = _Blocks(spec, trials, seed)    # all components share its points and columns
+    for (i, j), *sides in a.components():
+        for part, x in zip(("g", "b") if compare_b else ("g",), sides):
+            rep = equal_numeric(x, getattr(b, part)(i, j), spec, trials, tol, seed, _blocks=blocks)
             if not rep:
-                return False, (("b", i, j), rep.witness)
+                return False, ((part, i, j), rep.witness)
     return True, None
 
 

@@ -493,12 +493,13 @@ def _validated(cover: CoverNerve, layer: _Layer, data: dict | None) -> list:
 # ---------------------------------------------------------------------------
 # validity checks
 
-def _check(g: _Gerbe) -> GerbeReport:
+def _check(g: _Gerbe, with_class: bool = True) -> GerbeReport:
     """Verify the vanishing slots of the total differential D(data): the
     cell-cocycle slot of the lowest layer, the matching slot
     delta_n(lower) + (-1)^q delta_c(upper) at each upper layer's nerve degree
     q, and the nerve-cocycle slot of the top layer. A failing slot's witness
-    is the id of its first nonzero cell. The class is computed if all pass."""
+    is the id of its first nonzero cell. The class is computed if all pass,
+    unless ``with_class`` is false."""
     cover, n = g.cover, len(g.layers)
     comps = {layer.q: data for layer, data in zip(g.layers, g._streams)}
     labels = [layer.label for layer in g.layers]
@@ -512,8 +513,16 @@ def _check(g: _Gerbe) -> GerbeReport:
             if any(vec):
                 bad[t] = cover.model(t).cell_ids(d)[next(i for i, v in enumerate(vec) if v)]
         report.slots.append((name, cover.tuples(q), bad))
-    if report.passed:
+    if with_class and report.passed:
         report.characteristic_class = total_class(cover, comps, n)
+    return report
+
+
+def _valid(report: GerbeReport) -> GerbeReport:
+    """``report``, or InvalidGerbe naming its first failing condition."""
+    if not report.passed:
+        f = report.failures()[0]
+        raise InvalidGerbe(f"gerbe fails validity: {f.name} at {f.where}")
     return report
 
 
@@ -531,11 +540,7 @@ def check_three_gerbe(g: ThreeGerbe) -> GerbeReport:
 
 
 def characteristic_class_two_gerbe(g: TwoGerbe) -> CohClass:
-    report = check_two_gerbe(g)
-    if not report.passed:
-        f = report.failures()[0]
-        raise InvalidGerbe(f"gerbe fails validity: {f.name} at {f.where}")
-    return report.characteristic_class
+    return _valid(check_two_gerbe(g)).characteristic_class
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +551,7 @@ def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerb
     degree-3 pair data, triple sections theta x z the trivializing line
     bundles, 4-fold data mu x z the sections eta; nu = 0. The output passes
     the 3-gerbe checks and its class is (class of g) x z."""
-    characteristic_class_two_gerbe(g)
+    _valid(_check(g, with_class=False))
     dual = g.cover.crossed(xs1 or product_with_circle(g.cover.space))
     e, top, out = circle().cell_ids(1)[0], ThreeGerbe.layers[-1], []
     for layer, data in zip(g.layers, g._streams):

@@ -18,7 +18,8 @@ import expr_oracle as oracle
 from tdual import expr
 from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _draw_columns, _nodes,
+    Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
+    _nodes,
     add, app, cos_, differentiate, equal_numeric, evaluate,
     expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
     simplify_basic, sin_, substitute, sym,
@@ -537,6 +538,28 @@ def test_first_error_in_a_later_block_goes_on_point_by_point_from_that_block(
     # the first block of 3 passes; the second meets the error and is redrawn
     # one point at a time from its first point, not from the seed
     assert sizes == [3, 3] + [1] * points
+
+
+def test_a_block_source_is_used_only_by_checks_of_its_own_sampling():
+    a, b = _taub_nut_pair(fails=True)
+    spec = taub_nut_sample_spec()
+
+    def report(**kwargs):
+        rep = equal_numeric(a, b, spec, 300, 1e-9, 3, **kwargs)
+        return repr((rep.equal, rep.domain_errors, rep.witness))
+
+    want = report()
+    assert want.startswith("(False, 0, Witness(")
+    for other in [(spec, 300, 4), (spec, 299, 3), (SampleSpec(dict(spec.boxes)), 300, 3)]:
+        blocks = _Blocks(*other)
+        assert report(_blocks=blocks) == want and not blocks     # nothing drawn from it
+    shared = _Blocks(spec, 300, 3)
+    assert report(_blocks=shared) == want and shared
+    drawn = dict(shared)
+    assert report(_blocks=shared) == want and shared == drawn   # its blocks, drawn once
+    with mock.patch.object(expr, "_SHARED", 299):       # too many trials to keep their blocks
+        blocks = _Blocks(spec, 300, 3)
+        assert report(_blocks=blocks) == want and not blocks
 
 
 NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]

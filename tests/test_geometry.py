@@ -5,13 +5,17 @@ The monopole metric constructor is checked against an independent oracle
 that expands a list of weighted covector squares into components.
 """
 
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
-from tdual.expr import (Chart, PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
-                        equal_numeric, evaluate, mul, pow_, rat, sin_, sym)
+from tdual import geometry
+from tdual.expr import (Chart, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
+                        SampleSpec, UnboundSymbol, app, add, cos_, equal_numeric, evaluate,
+                        mul, pow_, rat, sin_, sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
@@ -459,6 +463,168 @@ def test_taub_nut_not_conformal_to_flat(spec):
     with pytest.raises(NotConformal) as err:
         conformal_factor(make_taub_nut(), flat_product_metric(spec), spec)
     assert err.value.component is not None
+
+
+# ---------------------------------------------------------------------------
+# shared sample blocks: every component of one metrics_equal is checked over
+# the same blocks of points and column memos
+
+def _gh_pair(m):
+    return buscher_transform(m), h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+
+
+def _coupling_pair(terms, seed=1):
+    rng, g = random.Random(seed), sym("g")
+    return _gh_pair(make_taub_nut(add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)),
+                                            pow_(g, rng.randint(1, 3))) for _ in range(terms)])))
+
+
+def _multi_pair(count, seed=5):
+    rng, centers = random.Random(seed), []
+    while len(centers) < count:
+        c = tuple(round(rng.uniform(-0.9, 0.9), 3) for _ in range(3))
+        if c not in centers:
+            centers.append(c)
+    fam = MultiCenterFamily(centers)
+    return buscher_transform(fam.metric()), fam.dual_reference()
+
+
+def _dyonic_pair():
+    beta = sym("beta")
+    m = with_b_field(make_taub_nut(), dyonic_b_field(beta))
+    ref = h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+    return buscher_transform(m), pullback(ref, dyonic_shift(beta))
+
+
+def _perturbed(a, b, idx):
+    g = dict(b.g_upper)
+    g[idx] = mul(rat(1000001, 1000000), g[idx])
+    return a, metric(b.chart, g, dict(b.b_upper), b.sample)
+
+
+# P(r) = 1/max(r - 1, 0) divides by zero wherever r <= 1
+POLES = FunctionTable([OpaqueFunction("P", 1, {(0,): lambda r: 1 / max(r - 1, 0.0)}.get)])
+
+
+def _pole_pair(r_box):
+    """A metric whose (0, 1) entry has a pole on the part r <= 1 of the box,
+    between entries that share its blocks."""
+    spec = SampleSpec({"k": (0.0, 6.0), "r": r_box}, POLES)
+    g = {(0, 0): R, (0, 1): app("P", (R,)), (1, 1): mul(R, R)}
+    chart = Chart(("k", "r"), (True, False))
+    return metric(chart, g, {(0, 1): R}, spec), metric(chart, g, {(0, 1): mul(R, R)}, spec)
+
+
+SHARED_CASES = {
+    "taub-nut-gh": lambda: _gh_pair(make_taub_nut()),
+    "taub-nut-inv": lambda: (buscher_transform(buscher_transform(make_taub_nut())),
+                             make_taub_nut()),
+    "dyonic": _dyonic_pair,
+    "multi2": lambda: _multi_pair(2),
+    "multi5": lambda: _multi_pair(5),
+    "multi8": lambda: _multi_pair(8),
+    "coupling100": lambda: _coupling_pair(100),
+    "perturbed": lambda: _perturbed(*_gh_pair(make_taub_nut()), (2, 2)),
+    "pole-retried": lambda: _pole_pair((0.95, 3.0)),    # 2% of points meet the pole
+    "pole-raises": lambda: _pole_pair((0.5, 1.02)),     # 96%: retries run out
+}
+
+
+def _per_component(a, b, spec, trials, tol, seed, compare_b):
+    """metrics_equal with one sampling of its own per component, the oracle
+    of the shared blocks."""
+    for (i, j), ga, ba in a.components():
+        for part, x, y in [("g", ga, b.g(i, j)), ("b", ba, b.b(i, j))][:1 + compare_b]:
+            rep = geometry.equal_numeric(x, y, spec, trials, tol, seed)
+            if not rep:
+                return False, ((part, i, j), rep.witness)
+    return True, None
+
+
+def _reports(monkeypatch, check) -> str:
+    """Every report of geometry.equal_numeric that ``check()`` sees, then its
+    outcome or error, as a string; repr tells every float apart."""
+    seen, real = [], geometry.equal_numeric
+
+    def recording(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        w = rep.witness
+        seen.append((rep.equal, rep.trials, rep.domain_errors, w and (w.point, w.lhs, w.rhs)))
+        return rep
+
+    with monkeypatch.context() as patched:
+        patched.setattr(geometry, "equal_numeric", recording)
+        try:
+            out = check()
+        except Exception as exc:
+            out = (type(exc), exc.args)
+    return repr((seen, out))
+
+
+@pytest.mark.parametrize("compare_b", [False, True])
+@pytest.mark.parametrize("trials", [1, 128, 300])       # one, one and three blocks
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_shared_blocks_report_as_one_sampling_per_component(case, trials, compare_b,
+                                                             monkeypatch):
+    a, b = SHARED_CASES[case]()
+    args = (a, b, a.sample, trials, 1e-9, 7, compare_b)
+    got = _reports(monkeypatch, lambda: metrics_equal(*args))
+    assert got == _reports(monkeypatch, lambda: _per_component(*args))
+    # each case takes the path it is named for
+    if case == "pole-raises":
+        assert f"{DomainError!r}, ('pole in P at [" in got
+    elif compare_b and case != "taub-nut-inv":      # a B-field the reference does not have
+        assert f"(False, (('b', 0, {1 if case == 'pole-retried' else 3}), Witness(" in got
+    elif case == "perturbed":
+        assert "(False, (('g', 2, 2), Witness(" in got
+    else:
+        assert got.endswith("(True, None))")
+    if case == "pole-retried" and trials > 1:
+        assert re.search(r"\(True, \d+, [1-9]\d*, None\)", got)     # domain errors, retried
+
+
+def test_metrics_equal_calls_equal_numeric_once_per_component(spec, monkeypatch):
+    # bench/layers.py traces equal_numeric per call: both trees by position, and the trials
+    a, b = buscher_transform(buscher_transform(make_taub_nut())), make_taub_nut()
+    calls, real = [], geometry.equal_numeric
+
+    def counting(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        calls.append((args, sorted(kwargs), rep.trials))
+        return rep
+
+    monkeypatch.setattr(geometry, "equal_numeric", counting)
+    for compare_b in (False, True):
+        calls.clear()
+        assert metrics_equal(a, b, spec, 50, 1e-9, 3, compare_b) == (True, None)
+        shared = list(calls)
+        calls.clear()
+        assert _per_component(a, b, spec, 50, 1e-9, 3, compare_b) == (True, None)
+        pairs = [p for (i, j), ga, ba in a.components()
+                 for p in [(ga, b.g(i, j)), (ba, b.b(i, j))][:1 + compare_b]]
+        assert [args[:2] for args, _, _ in shared] == pairs
+        assert all(args[2:] == (spec, 50, 1e-9, 3) and kw == ["_blocks"]
+                   for args, kw, _ in shared)
+        assert sum(t for *_, t in shared) == sum(t for *_, t in calls) == 50 * len(pairs)
+
+
+@pytest.mark.parametrize("case", ["taub-nut-inv", "perturbed"])
+def test_metrics_equal_frees_its_blocks_when_it_returns(case, monkeypatch):
+    a, b = SHARED_CASES[case]()
+    refs, real = [], geometry.equal_numeric
+
+    def watching(*args, _blocks, **kwargs):
+        refs.extend(map(weakref.ref, [_blocks, *_blocks.values()]))
+        return real(*args, _blocks=_blocks, **kwargs)
+
+    monkeypatch.setattr(geometry, "equal_numeric", watching)
+    gc.disable()
+    try:
+        ok, _ = metrics_equal(a, b, a.sample, 300, 1e-9, 7)
+        assert ok == (case != "perturbed") and refs
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

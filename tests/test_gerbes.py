@@ -595,8 +595,23 @@ def test_dualization_rejects_invalid_input(six_patch_cover, generator_cocycle):
     quad = six_patch_cover.tuples(3)[0]
     bad_mu[quad] = [v + 1 if i == 0 else v for i, v in enumerate(bad_mu[quad])]
     bad = TwoGerbe(six_patch_cover, g.p, g.theta, bad_mu)
-    with pytest.raises(InvalidGerbe):
-        tdualize_two_gerbe(bad)
+    want = "gerbe fails validity: mu_nerve_cocycle at (0, 1, 2, 3, 4)"
+    for run in (tdualize_two_gerbe, characteristic_class_two_gerbe):
+        with pytest.raises(InvalidGerbe) as err:
+            run(bad)
+        assert str(err.value) == want
+
+
+def test_dualization_checks_the_slots_but_not_the_class(six_patch_cover, generator_cocycle,
+                                                         monkeypatch):
+    g = two_gerbe_from_class(six_patch_cover, generator_cocycle, scramble_seed=5)
+    staircases = []
+    real = gerbes.total_class
+    monkeypatch.setattr(gerbes, "total_class", lambda *a: staircases.append(a) or real(*a))
+    tdualize_two_gerbe(g)
+    assert staircases == []
+    characteristic_class_two_gerbe(g)
+    assert len(staircases) == 1
 
 
 def test_corrupted_eta_fails_three_gerbe_check():

@@ -509,13 +509,10 @@ def _suite_metrics(args):
 
 def _suite_dyonic(args):
     from . import geometry as geo
-    from .expr import _Blocks
     tn = geo.make_taub_nut()
     beta = geo.sym("beta")
     field = geo.dyonic_b_field(beta)
-    blocks = _Blocks(tn.sample, args.trials, args.seed)     # every component of dB shares its points
-    reps = ((idx, geo.equal_numeric(c, geo.rat(0), tn.sample, args.trials, args.tol, args.seed,
-                                    _blocks=blocks))
+    reps = ((idx, geo.equal_numeric(c, geo.rat(0), tn.sample, args.trials, args.tol, args.seed))
             for idx, c in geo.exterior_derivative(field).comps.items())
     wit = next(((("dB", *idx), rep.witness) for idx, rep in reps if not rep), None)
     yield _sampled("dyonic field is closed", wit is None, wit)

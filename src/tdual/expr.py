@@ -776,9 +776,8 @@ _SHARED = 8 * _BLOCK    # the most trials of a check that shares the blocks of a
 
 
 class _Blocks(dict):
-    """The blocks of points of ``key`` = (spec, trials, seed), keyed by the
-    index of their first point and drawn in order, on demand, from one
-    ``Random(seed)``: the checks that share a source share its columns."""
+    """The blocks of points of one check's ``key`` = (spec, trials, seed), keyed by the index
+    of their first point and drawn in order, on demand, from one ``Random(seed)``."""
 
     def __init__(self, spec: SampleSpec, trials: int, seed: int):
         self.key, self.rng = (spec, trials, seed), random.Random(seed)
@@ -803,7 +802,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
 
     Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn
     at once from one ``Random(seed)`` stream, or lent with their columns by
-    ``_blocks``, a ``_Blocks`` source made for the same (spec, trials, seed).
+    ``_blocks``, a ``_Blocks`` source made for this spec object, trials and seed.
     From the first block that meets any error or non-finite value on, the
     check goes on one point at a time, starting again at that block's first
     point; only these blocks of one point retry, count domain errors and
@@ -814,7 +813,8 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         raise ValueError("trials must be >= 1")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    shared = _blocks is not None and _blocks.key == (spec, trials, seed) and trials <= _SHARED
+    shared = (_blocks is not None and _blocks.key[0] is spec     # the same spec, boxes in order
+              and _blocks.key[1:] == (trials, seed) and trials <= _SHARED)
     rng, one_by_one = random.Random(seed), False
     done = attempt = domain_errors = 0
     while done < trials:

@@ -550,7 +550,10 @@ def test_a_block_source_is_used_only_by_checks_of_its_own_sampling():
 
     want = report()
     assert want.startswith("(False, 0, Witness(")
-    for other in [(spec, 300, 4), (spec, 299, 3), (SampleSpec(dict(spec.boxes)), 300, 3)]:
+    reordered = SampleSpec(dict(reversed(spec.boxes.items())), spec.functions)
+    assert reordered == spec        # equal specs, but the boxes take their draws in another order
+    for other in [(spec, 300, 4), (spec, 299, 3), (SampleSpec(dict(spec.boxes)), 300, 3),
+                  (reordered, 300, 3)]:
         blocks = _Blocks(*other)
         assert report(_blocks=blocks) == want and not blocks     # nothing drawn from it
     shared = _Blocks(spec, 300, 3)

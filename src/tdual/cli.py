@@ -203,23 +203,8 @@ def _load_metric(path: str):
     spec = geo.taub_nut_sample_spec()
     m = _read_json(path, f"metric from {path}", lambda obj: geo.MetricData.from_json(obj, spec),
                    (ex.DomainError,))
-    # sampling needs a box for every symbol, a closure for every function and
-    # constants that are floats
-    for e in [*m.g_upper.values(), *m.b_upper.values()]:
-        try:
-            for n in ex._nodes(e):
-                if type(n) is ex.Rat:
-                    ex._float(n.value)
-        except ex.DomainError as exc:
-            raise InputError(f"{path}: {exc}") from None
-        unsampled = sorted(ex.free_symbols(e) - spec.boxes.keys())
-        if unsampled:
-            raise InputError(f"{path}: symbol {unsampled[0]!r} has no sampling box")
-        for name, arity in sorted(ex.opaque_functions(e)):
-            try:
-                spec.functions.lookup(name, arity)
-            except ex.UnboundSymbol:
-                raise InputError(f"{path}: no function {name}/{arity} is registered") from None
+    if failure := ex.sampling_failure([*m.g_upper.values(), *m.b_upper.values()], spec):
+        raise InputError(f"{path}: {failure}")
     return m
 
 
@@ -256,9 +241,14 @@ def cmd_buscher(args):
         m = geo.make_taub_nut()
     else:
         m = _multi_preset(int(label.removeprefix("multi")), args.seed).metric()
-    if args.b_field == "dyonic":
+    dyonic, monopole = args.b_field == "dyonic", args.verify in ("g-h", "dyonic")
+    if (dyonic or monopole) and m.chart != geo.MONOPOLE_CHART:
+        what = "the dyonic b-field" if dyonic else f"{args.verify} verification"
+        raise InputError(f"{what} needs a metric on the chart (kappa, r, theta, phi) "
+                         "with kappa and phi periodic")
+    if dyonic:
         m = geo.with_b_field(m, geo.dyonic_b_field(ex.sym("beta")))
-    if args.verify in ("g-h", "dyonic") and (1, 1) not in m.g_upper:
+    if monopole and (1, 1) not in m.g_upper:
         raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
                          "with a radial component")
     try:
@@ -273,9 +263,8 @@ def cmd_buscher(args):
                 "g_H = H((dk)^2 + dr.dr)"
             verdicts = [_equal(args, f"dual matches {name}", dual,
                                _gh_reference(m, args.verify == "dyonic"))]
-    except (geo.SingularG00, ex.DomainError) as exc:
-        raise InputError(f"{label}: {exc}") from None
-    except ex.UnboundSymbol as exc:     # a KeyError: str() would quote its text
+    except (geo.SingularG00, ex.DomainError, ex.UnboundSymbol) as exc:
+        # the message itself: str() of an UnboundSymbol, a KeyError, would quote it
         raise InputError(f"{label}: {exc.args[0]}") from None
     payload = {"input": label, "dual": dual.to_json(),
                "checks": [{"witness": None, **v.to_json()} for v in verdicts]}

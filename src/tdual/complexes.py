@@ -269,17 +269,23 @@ def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
             elif face in vertices:      # a collapsed vertex becomes the basepoint
                 own[PT] = own.get(PT, 0) + coeff
     q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, faces)
+    return q, ChainMap(x, q, _collapse_mats(x, q), name=f"collapse:{x.name}")
+
+
+def _collapse_mats(x: CellComplex, target: CellComplex) -> dict:
+    """The matrices, by degree, of the collapse x -> target: it sends a cell
+    of the target to itself, any other vertex to the basepoint and every
+    other cell to 0."""
     mats = {}
     for k in x.degrees():
-        m = IMat(q.n_cells(k), x.n_cells(k))
+        m = mats[k] = IMat(target.n_cells(k), x.n_cells(k))
+        kept = target._index.get(k, {})
         for j, cell in enumerate(x.cell_ids(k)):
-            if cell in sub_ids:
-                if k == 0:
-                    m[q.index(0, PT), j] = 1
-                continue
-            m[q.index(k, cell), j] = 1
-        mats[k] = m
-    return q, ChainMap(x, q, mats, name=f"collapse:{x.name}")
+            if cell in kept:
+                m[kept[cell], j] = 1
+            elif k == 0:
+                m[target.index(0, PT), j] = 1
+    return mats
 
 
 def thom_space(disc_bundle: CellComplex, sphere_ids):
@@ -310,18 +316,8 @@ def collapse_map(btilde: CellComplex, disc_ids, sphere_ids) -> ChainMap:
         raise LabelMismatch("sphere bundle cells must lie inside the disc bundle")
     disc = btilde.subcomplex(disc_ids, name="D(F)")
     td, _ = thom_space(disc, sphere_ids)
-    interior = disc_ids - sphere_ids
-    mats = {}
-    for k in btilde.degrees():
-        m = IMat(td.n_cells(k), btilde.n_cells(k))
-        for j, cell in enumerate(btilde.cell_ids(k)):
-            if cell in interior:
-                m[td.index(k, cell), j] = 1
-            elif k == 0:
-                m[td.index(0, PT), j] = 1
-        mats[k] = m
     try:
-        return ChainMap(btilde, td, mats, name=f"collapse:{btilde.name}->TD")
+        return ChainMap(btilde, td, _collapse_mats(btilde, td), name=f"collapse:{btilde.name}->TD")
     except ValueError as exc:
         raise LabelMismatch(f"collapse is not cellular with these labels: {exc}") from None
 
@@ -419,7 +415,9 @@ def disc2() -> CellComplex:
 def interval_power(k: int) -> CellComplex:
     """I^k as an iterated product; its boundary sphere is the set of product
     cells with at least one endpoint factor."""
-    if k <= 1:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k == 1:
         return interval()
     return product_complex(interval_power(k - 1), interval(), name=f"I^{k}")
 

@@ -14,9 +14,8 @@ as one column of values. ``evaluate`` is a block of one point;
 their column memos by the components of one metric check, and goes on point
 by point, as blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
-tree dispatches through it. ``simplify_basic``, ``substitute`` and
-``differentiate`` are one memoized walk, ``_Walk``, that visits each distinct
-node once per call and is freed when the call returns.
+tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
+it, visits each distinct node once per call and is freed when it returns.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -377,7 +376,7 @@ def _column_sym(e: Sym, block):
 
 def _column_app(e: App, block):
     fn = block.functions.lookup(e.name, len(e.args)).closure(e.deriv)
-    args = list(map(block.column, e.args))
+    args = list(map(block.__getitem__, e.args))
     out, error = [], "non-finite value from"
     try:        # on an exception, out keeps the values before the failing point
         out.extend(map(fn, *args) if args else starmap(fn, repeat((), block.size)))
@@ -393,12 +392,12 @@ def _column_app(e: App, block):
 
 
 def _column_sum(e: Sum, block):
-    terms = list(map(block.column, e.terms))
+    terms = list(map(block.__getitem__, e.terms))
     return list(map(sum, zip(*terms))) if terms else [0] * block.size     # sum([]) is 0
 
 
 def _column_prod(e: Prod, block):
-    factors = list(map(block.column, e.factors))
+    factors = list(map(block.__getitem__, e.factors))
     out = [1.0] * block.size
     for f in factors:
         out = list(map(_times, out, f))
@@ -406,7 +405,7 @@ def _column_prod(e: Prod, block):
 
 
 def _column_pow(e: Pow, block):
-    base, q = block.column(e.base), e.exponent
+    base, q = block[e.base], e.exponent
     if q < 0:
         for b in compress(base, map(_ABS_POLE.__gt__, map(abs, base))):    # |b| < _ABS_POLE
             raise DomainError(f"pole: {e.base}^{q} at base {b}")
@@ -420,7 +419,7 @@ def _column_pow(e: Pow, block):
 
 
 def _column_trig(e: SinE | CosE, block):
-    arg, fn = block.column(e.arg), math.sin if type(e) is SinE else math.cos
+    arg, fn = block[e.arg], math.sin if type(e) is SinE else math.cos
     out = []
     try:        # on an exception, out keeps the values before the failing point
         out.extend(map(fn, arg))
@@ -491,7 +490,7 @@ _KINDS["app"] = (lambda name, deriv, args: App(name, args, deriv), _KINDS["app"]
 # walks
 
 class _Walk(dict):
-    """One rewrite of a tree: ``rule(node, child)`` runs once per distinct
+    """One walk over a tree: ``rule(node, child)`` runs once per distinct
     node that has no ``known`` result, where ``child`` gives the result of a
     child through this memo. Nodes are interned, so the memo is keyed by the
     node itself. A walk lives for one call: it refers to its rule and never
@@ -515,14 +514,6 @@ def _map(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     return node.rebuild(e, tuple(map(f, node.children(e))))
 
 
-def _nodes(e: Expr):
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(_NODES[type(n)].children(n))
-
-
 def _normalize(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
     """The rule of ``simplify_basic``: its result is marked normal, and a
     node marked normal is its own result."""
@@ -543,17 +534,13 @@ def simplify_basic(e: Expr) -> Expr:
     return e if e._normal else _Walk(_normalize)[e]
 
 
-def _derivative(e: Expr, d: Callable[[Expr], Expr]) -> Expr:
-    return _NODES[type(e)].derivative(e, d)
-
-
 def differentiate(e: Expr, x: str) -> Expr:
     """Symbolic partial derivative of a normal tree in coordinate ``x``.
 
     Opaque applications differentiate by the chain rule, bumping the
     derivative multi-index in each argument slot.
     """
-    return _Walk(_derivative, {Sym(x): ONE})[e]
+    return _Walk(lambda e, d: _NODES[type(e)].derivative(e, d), {Sym(x): ONE})[e]
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
@@ -561,13 +548,27 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     return _Walk(_map, {Sym(k): _as_expr(v) for k, v in bindings.items()})[e]
 
 
+def _visit(roots: Iterable[Expr], enter: Callable[[Expr], bool] = lambda e: True) -> _Walk:
+    """Run ``enter`` once on each distinct node of ``roots``, going on into
+    its children where it returns true; the walk's keys are the nodes visited."""
+    def rule(e: Expr, child: Callable[[Expr], None]) -> None:
+        if enter(e):        # children in a loop here, not in a helper: one frame per level
+            for c in _NODES[type(e)].children(e):
+                child(c)
+
+    walk = _Walk(rule)
+    for root in roots:
+        walk[root]
+    return walk
+
+
 def free_symbols(e: Expr) -> set[str]:
-    return {n.name for n in _nodes(e) if type(n) is Sym}
+    return {n.name for n in _visit((e,)) if type(n) is Sym}
 
 
 def opaque_functions(e: Expr) -> set[tuple[str, int]]:
     """The (name, arity) of every opaque application in ``e``."""
-    return {(n.name, len(n.args)) for n in _nodes(e) if type(n) is App}
+    return {(n.name, len(n.args)) for n in _visit((e,)) if type(n) is App}
 
 
 # ---------------------------------------------------------------------------
@@ -579,38 +580,24 @@ class OpaqueFunction:
 
     def __init__(self, name: str, arity: int,
                  closure_factory: Callable[[tuple], Callable | None]):
-        self.name = name
-        self.arity = arity
-        self._closures: dict[tuple, Callable] = {}
-        self._factory = closure_factory
+        self.name, self.arity, self._factory, self._closures = name, arity, closure_factory, {}
 
     def closure(self, deriv: tuple) -> Callable:
-        if deriv in self._closures:
-            return self._closures[deriv]
-        fn = self._factory(deriv)
-        if fn is not None:
-            self._closures[deriv] = fn
-            return fn
-        raise UnboundSymbol(f"no closure for {self.name}{deriv} (arity {self.arity})")
+        fn = self._closures.get(deriv) or self._factory(deriv)
+        if fn is None:
+            raise UnboundSymbol(f"no closure for {self.name}{deriv} (arity {self.arity})")
+        self._closures[deriv] = fn
+        return fn
 
 
 class FunctionTable:
     """Registry of opaque functions keyed by (name, arity)."""
 
     def __init__(self, functions: Iterable[OpaqueFunction] = ()):
-        self._by_key: dict[tuple[str, int], OpaqueFunction] = {}
-        for f in functions:
-            self.register(f)
-
-    def register(self, f: OpaqueFunction) -> "FunctionTable":
-        self._by_key[(f.name, f.arity)] = f
-        return self
+        self._by_key = {(f.name, f.arity): f for f in functions}
 
     def merged(self, other: "FunctionTable") -> "FunctionTable":
-        t = FunctionTable()
-        t._by_key.update(self._by_key)
-        t._by_key.update(other._by_key)
-        return t
+        return FunctionTable([*self._by_key.values(), *other._by_key.values()])
 
     def lookup(self, name: str, arity: int) -> OpaqueFunction:
         try:
@@ -630,20 +617,17 @@ class PointAssignment:
 _ABS_POLE = 1e-13
 
 
-class _Block:
-    """The values of some roots at every point of a block: one column, a
-    list with one value per point, per node. Nodes are interned, so a
-    subtree that occurs twice is one node and is evaluated once. ``drawn``
-    maps each coordinate to its column."""
+class _Block(dict):
+    """The values of some roots at every point of a block: ``block[node]``
+    is the node's column, a list with one value per point, computed on first
+    use. Nodes are interned, so a subtree that occurs twice is one node and
+    is evaluated once. ``drawn`` maps each coordinate to its column."""
 
     def __init__(self, functions: FunctionTable, drawn: Mapping[str, list], size: int):
         self.functions, self.drawn, self.size = functions, drawn, size
-        self.columns: dict[Expr, list] = {}
 
-    def column(self, e: Expr) -> list:
-        c = self.columns.get(e)
-        if c is None:
-            c = self.columns[e] = _NODES[type(e)].column(e, self)
+    def __missing__(self, e: Expr) -> list:
+        c = self[e] = _NODES[type(e)].column(e, self)
         return c
 
 
@@ -651,20 +635,37 @@ def _check_constants(roots, functions: FunctionTable) -> None:
     """Raise DomainError if evaluating ``roots`` meets a rational constant
     outside the float range, before any point is evaluated. The arguments
     of an unregistered function are never evaluated, so they are skipped."""
-    seen, stack = set(), list(roots)
-    while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
+    def enter(e: Expr) -> bool:
         if type(e) is Rat:
             _float(e.value)
         elif type(e) is App:
             try:
                 functions.lookup(e.name, len(e.args)).closure(e.deriv)
             except UnboundSymbol:
-                continue
-        stack.extend(_NODES[type(e)].children(e))
+                return False
+        return True
+
+    _visit(roots, enter)
+
+
+def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
+    """Why ``spec`` cannot sample ``roots``, or None: for the first root that fails, a
+    rational constant outside the float range, else its first symbol without a box,
+    else its first (name, arity) of an unregistered function, in sorted order."""
+    for root in roots:
+        nodes = _visit((root,))
+        try:
+            for n in nodes:
+                if type(n) is Rat:
+                    _float(n.value)
+        except DomainError as exc:
+            return str(exc)
+        unboxed = sorted({n.name for n in nodes if type(n) is Sym} - spec.boxes.keys())
+        unknown = sorted({(n.name, len(n.args)) for n in nodes if type(n) is App}
+                         - spec.functions._by_key.keys())
+        if unboxed or unknown:
+            return (f"symbol {unboxed[0]!r} has no sampling box" if unboxed
+                    else "no function {}/{} is registered".format(*unknown[0]))
 
 
 def evaluate(e: Expr, p: PointAssignment) -> float:
@@ -673,7 +674,7 @@ def evaluate(e: Expr, p: PointAssignment) -> float:
     DomainError for a constant outside the float range, at a pole, a
     negative base under a fractional power or a non-finite value."""
     _check_constants((e,), p.functions)
-    return _Block(p.functions, {name: [v] for name, v in p.values.items()}, 1).column(e)[0]
+    return _Block(p.functions, {name: [v] for name, v in p.values.items()}, 1)[e][0]
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +725,7 @@ class SampleSpec:
     functions: FunctionTable = field(default_factory=FunctionTable)
 
     def merged(self, other: "SampleSpec") -> "SampleSpec":
-        boxes = dict(self.boxes)
-        boxes.update(other.boxes)
-        return SampleSpec(boxes, self.functions.merged(other.functions))
+        return SampleSpec({**self.boxes, **other.boxes}, self.functions.merged(other.functions))
 
     def draw(self, rng: random.Random) -> PointAssignment:
         point = {name: column[0] for name, column in _draw_columns(self.boxes, rng, 1).items()}
@@ -822,7 +821,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         block = (_blocks[done] if shared
                  else _Block(spec.functions, _draw_columns(spec.boxes, rng, n), n))
         try:
-            ca, cb = block.column(a), block.column(b)
+            ca, cb = block[a], block[b]
             if not (all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))):
                 raise DomainError(f"non-finite sample value {ca[0]} vs {cb[0]}")
         except Exception as exc:

@@ -322,7 +322,7 @@ def metrics_equal(a: MetricData, b: MetricData, spec: SampleSpec | None = None,
     residual B-field that such statements do not constrain).
     """
     if a.chart != b.chart:
-        return False, ("chart", None)
+        return False, (("chart",), None)
     spec = spec or a.sample or b.sample
     if spec is None:
         raise ValueError("no sample spec available")
@@ -559,11 +559,14 @@ class MultiCenterFamily:
             raise IndexError(f"center index {i} out of range for {self.p} centers")
         return app(f"Hcen{i}", (sym(R),))
 
+    def _share(self, i: int, tilde: bool = False) -> Expr:
+        """The share H_i/H of center i in the radial profile (or 1 - H_i/H)."""
+        ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
+        return add(ONE, -ratio) if tilde else ratio
+
     def b_potential(self, i: int, tilde: bool = False) -> DiffForm:
         """Radial potential whose exterior derivative gives B_i (or B~_i)."""
-        ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        coeff = add(ONE, -ratio) if tilde else ratio
-        return DiffForm(MONOPOLE_CHART, 1, {(0,): coeff})
+        return DiffForm(MONOPOLE_CHART, 1, {(0,): self._share(i, tilde)})
 
     def b_field(self, i: int, beta: Expr, tilde: bool = False) -> DiffForm:
         """B_i = beta d(xi_i); the dk^dr coefficient is -beta d/dr (H_i/H)."""
@@ -582,11 +585,7 @@ class MultiCenterFamily:
         """Fiber shift kappa -> kappa - beta H_i/H (or the 1 - H_i/H basis);
         pulling the radial dual back along it reproduces the dual of the
         radial metric with b-field B_i."""
-        ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        coeff = add(ONE, -ratio) if tilde else ratio
-        shift = mul(rat(-1), beta, coeff)
-        targets = (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI))
-        return Diffeo(MONOPOLE_CHART, targets)
+        return _fiber_shift(mul(rat(-1), beta, self._share(i, tilde)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +621,12 @@ def dyonic_shift(beta: Expr, variant: str = "gamma") -> Diffeo:
         shift = add(shift, -beta)
     elif variant != "gamma":
         raise ValueError("variant must be 'gamma' or 'lambda'")
-    targets = (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI))
-    return Diffeo(MONOPOLE_CHART, targets)
+    return _fiber_shift(shift)
+
+
+def _fiber_shift(shift: Expr) -> Diffeo:
+    """The map kappa -> kappa + shift of the monopole chart."""
+    return Diffeo(MONOPOLE_CHART, (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI)))
 
 
 def with_b_field(m: MetricData, b: DiffForm) -> MetricData:

@@ -14,6 +14,9 @@ one closure per tree node, evaluating its children left to right. The package
 compiles nothing now; it has one evaluator, which computes each distinct
 subtree once over a block of points, and these two evaluators are what its
 values and errors are compared against.
+
+``nodes`` is the earlier occurrence walk, which lists a shared subtree once
+per use; the package walks each distinct node once.
 """
 
 import math
@@ -427,3 +430,18 @@ def expr_from_json(obj):
     if k == "cos":
         return CosE(expr_from_json(obj["arg"]))
     raise ValueError(f"unknown expression kind {k!r}")
+
+
+def nodes(e):
+    """Every node of ``e``, once per occurrence, each parent before its children."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        if isinstance(n, (App, Sum, Prod)):
+            stack.extend(n.args if isinstance(n, App) else n.terms if isinstance(n, Sum)
+                         else n.factors)
+        elif isinstance(n, Pow):
+            stack.append(n.base)
+        elif isinstance(n, (SinE, CosE)):
+            stack.append(n.arg)

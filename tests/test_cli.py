@@ -322,6 +322,68 @@ def test_unsamplable_metric_exits_two(edit, argv, message, tmp_path):
     assert message in err
 
 
+def _psi_chart_metric(tmp_path) -> str:
+    """A file holding the Taub-NUT metric JSON on the chart (kappa, r, theta, psi)."""
+    from tdual.geometry import make_taub_nut
+    obj = make_taub_nut().to_json()
+    obj["chart"]["names"][3] = "psi"
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, what", [
+    ((), "g-h verification"),
+    (("--verify", "dyonic"), "dyonic verification"),
+    (("--b-field", "dyonic"), "the dyonic b-field"),
+    (("--b-field", "dyonic", "--verify", "involution"), "the dyonic b-field"),
+])
+def test_monopole_checks_refuse_a_metric_on_another_chart(argv, what, tmp_path):
+    assert run_cli("buscher", "--input", _psi_chart_metric(tmp_path), *argv) == (
+        2, "", f"error: {what} needs a metric on the chart (kappa, r, theta, phi) "
+               "with kappa and phi periodic\n")
+
+
+def test_a_metric_on_another_chart_dualizes_and_checks_its_involution(tmp_path):
+    code, out, _ = run_cli("buscher", "--input", _psi_chart_metric(tmp_path),
+                           "--verify", "involution", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dual"]["chart"]["names"] == ["kappa", "r", "theta", "psi"]
+
+
+def test_a_chart_mismatch_is_witnessed_by_the_chart():
+    from argparse import Namespace
+    from tdual.cli import _equal
+    from tdual.expr import Chart
+    from tdual.geometry import make_taub_nut, metric
+    tn = make_taub_nut()
+    other = metric(Chart(("kappa", "r", "theta", "psi"), tn.chart.periodic), tn.g_upper)
+    verdict = _equal(Namespace(trials=10, tol=1e-9, seed=1), "same metric", tn, other)
+    assert verdict.to_json() == {"name": "same metric", "passed": False,
+                                 "witness": {"component": ["chart"], "point": None}}
+
+
+def test_the_deepest_metric_the_reader_takes_passes_the_sampling_scan(tmp_path):
+    from tdual.cli import InputError, _load_metric
+    path = tmp_path / "deep.json"
+
+    def loads(depth: int) -> bool:
+        path.write_text(_sin_chain_g00(depth))
+        try:
+            _load_metric(str(path))     # a RecursionError in the scan escapes
+        except InputError as exc:
+            assert str(exc).endswith(": input nested too deeply")
+            return False
+        return True
+
+    taken, refused = 1, 400
+    assert loads(taken) and not loads(refused)
+    while refused - taken > 1:      # every depth tried is a tree the reader took or refused
+        mid = (taken + refused) // 2
+        taken, refused = (mid, refused) if loads(mid) else (taken, mid)
+    assert taken > 100
+
+
 @pytest.mark.parametrize("suite, failing", [
     ("metrics", ["taub-nut dual equals H((dk)^2 + dr.dr)",
                  "2-center dual equals H((dk)^2 + dr.dr)",
@@ -647,6 +709,21 @@ def _tdual_modules_after(*argv) -> set:
     proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout))
+
+
+def test_the_cli_names_no_private_expr_name():
+    import ast
+    from tdual import cli, expr
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+               for alias in node.names}         # from . import expr as ex, geometry as geo
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert {"ex", "geo"} <= modules and "DomainError" in read
+    assert [name for name in imported + read if name.startswith("_") and hasattr(expr, name)] == []
 
 
 def test_importing_the_cli_loads_no_layer():

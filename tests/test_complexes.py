@@ -129,3 +129,9 @@ def test_a_missing_cell_is_named_in_a_sentence():
     with pytest.raises(cx.MissingCell) as exc:
         cx.build_complex("X", {0: ["v"], 3: ["c"]}, {1: {("v", "c"): 3}})
     assert str(exc.value) == "degree 1 incidence of 'v' in 'c': there is no cell 'c' of degree 1"
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_interval_power_below_one_is_refused(k):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        cx.interval_power(k)

@@ -19,7 +19,6 @@ from tdual import expr
 from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
-    _nodes,
     add, app, cos_, differentiate, equal_numeric, evaluate,
     expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
     simplify_basic, sin_, substitute, sym,
@@ -198,7 +197,7 @@ def test_simplify_idempotent(e):
     assert simplify_basic(once) == once
     # past the normal mark: rebuilding each node from its own children, or
     # normalising the whole tree again unmarked, gives it back
-    assert all(expr._map(n, lambda c: c) is n for n in _nodes(once))
+    assert all(expr._map(n, lambda c: c) is n for n in oracle.nodes(once))
     assert oracle.simplify_basic(once) is once
 
 
@@ -598,14 +597,14 @@ def test_draw_equals_uniform_bit_for_bit(boxes, seed):
 def _big_tree():
     e = add(*[mul(rat(k), pow_(add(sym("r"), rat(k)), Fraction(-1, 2)), sin_(H()))
               for k in range(1, 31)])
-    assert sum(1 for _ in _nodes(e)) >= 300
+    assert sum(1 for _ in oracle.nodes(e)) >= 300
     return e
 
 
 def test_compiled_closures_are_freed_by_reference_counting(spec):
     # the closure compiler, kept as the oracle
     e = _big_tree()
-    nodes = sum(1 for _ in _nodes(e))
+    nodes = sum(1 for _ in oracle.nodes(e))
     gc.disable()
     try:
         fn = oracle.compile_expr(e, spec.functions)
@@ -632,17 +631,17 @@ def test_compiled_closures_are_freed_by_reference_counting(spec):
 
 def test_block_has_one_column_per_distinct_subtree_and_is_freed(spec):
     e = _big_tree()
-    nodes = sum(1 for _ in _nodes(e))
-    distinct = len(set(_nodes(e)))       # structurally distinct subtrees
+    nodes = sum(1 for _ in oracle.nodes(e))
+    distinct = len(set(oracle.nodes(e)))       # structurally distinct subtrees
     assert distinct < nodes
     points = [{"r": 0.5 + t / 4, "g": 1.0 - t / 8} for t in range(3)]
     gc.disable()
     try:
         block = _Block(spec.functions, {"r": [q["r"] for q in points],
                                         "g": [q["g"] for q in points]}, 3)
-        assert repr(block.column(e)) == repr(
+        assert repr(block[e]) == repr(
             [oracle.evaluate(e, PointAssignment(q, spec.functions)) for q in points])
-        assert len(block.columns) == distinct
+        assert len(block) == distinct
         ref = weakref.ref(block)
         del block
         assert ref() is None
@@ -660,7 +659,7 @@ def test_shared_subtrees_call_a_closure_once_per_point():
     evaluate(e, PointAssignment({"r": 0.5}, fns))
     assert calls == [1.5]
     calls.clear()
-    _Block(fns, {"r": [0.5, 1.0, 2.0]}, 3).column(e)
+    _Block(fns, {"r": [0.5, 1.0, 2.0]}, 3)[e]
     assert calls == [1.5, 2.0, 3.0]
     # a negative base fails at some points after the closure ran there: the
     # block of 10 points fails, and the check reruns from its seed point by
@@ -804,7 +803,7 @@ def test_walks_free_their_memo_and_nodes_when_they_return():
                 built.clear()
                 out = walk()
                 assert walks and all(w() is None for w in walks)     # the memo died with the call
-                keep = set(_nodes(raw)) | set(_nodes(binding))
+                keep = set(oracle.nodes(raw)) | set(oracle.nodes(binding))
                 assert any(n() is not None and n() not in keep for n in built)
                 del out
                 alive = [n() for n in built if n() is not None]
@@ -853,8 +852,8 @@ def test_shared_entries_normalize_once_per_distinct_node():
                          pow_(sym("g"), rng.randint(1, 3))) for _ in range(100)])
     obj = json.loads(json.dumps(make_taub_nut(coupling).to_json()))
     raw = [expr_from_json(e) for _, _, e in obj["g"]]
-    assert sum(1 for e in raw for _ in _nodes(e)) == 2160
-    assert len({n for e in raw for n in _nodes(e)}) == 125
+    assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160
+    assert len({n for e in raw for n in oracle.nodes(e)}) == 125
     out = []
     # a walk of every occurrence asked for 1939 constructions
     assert constructions(lambda: out.extend(map(simplify_basic, raw))) <= 400
@@ -941,6 +940,54 @@ def test_free_symbols():
     e = mul(sym("beta"), pow_(sym("g"), -2), H())
     assert free_symbols(e) == {"beta", "g", "r"}
     assert opaque_functions(e) == {("H", 2)}
+
+
+def children_calls(run) -> list:
+    """Every node whose children ``run()`` asks the node table for, once per ask."""
+    asked = []
+    table = {cls: node._replace(children=lambda e, c=node.children: asked.append(e) or c(e))
+             for cls, node in expr._NODES.items()}
+    with mock.patch.dict(expr._NODES, table):
+        run()
+    return asked
+
+
+def test_scans_visit_each_distinct_node_once():
+    # Sum((e, e)) nested k deep: 2^k occurrences of the base, k + 4 distinct nodes
+    k = 16
+    x, third = sym("x"), Rat(Fraction(1, 3))
+    e = Prod((third, App("F", (x,), (0,))))
+    distinct = {x, third, e.factors[1], e}
+    for _ in range(k):
+        e = Sum((e, e))
+        distinct.add(e)
+    fns = FunctionTable([OpaqueFunction("F", 1, {(0,): lambda x: 3 * x}.get)])
+    spec = SampleSpec({"x": (1.0, 2.0)}, fns)
+    for scan, want in [
+            (lambda: free_symbols(e), {"x"}),
+            (lambda: opaque_functions(e), {("F", 1)}),
+            (lambda: expr._check_constants((e,), fns), None),
+            (lambda: expr.sampling_failure([e], spec), None),
+            # evaluate asks only in its constant check: a block reads the fields itself
+            (lambda: evaluate(e, PointAssignment({"x": 1.5}, fns)), 2 ** k * 1.5)]:
+        out = []
+        asked = children_calls(lambda: out.append(scan()))
+        assert out == [want]
+        assert len(asked) == len(set(asked)) and set(asked) == distinct
+
+
+@pytest.mark.parametrize("entries, failure", [
+    ([H()], None),
+    ([H(), mul(sym("zeta"), sym("alpha"))], "symbol 'alpha' has no sampling box"),
+    ([add(app("F", (R,)), app("E", (R, R)))], "no function E/2 is registered"),
+    ([add(app("F", (R,)), sym("zeta"))], "symbol 'zeta' has no sampling box"),
+    # a constant anywhere comes first, in the arguments of an unregistered function too
+    ([add(sym("zeta"), app("F", (rat(10 ** 400),)))], "rational constant outside the float range"),
+    # entry by entry: a later entry's constant does not come before an earlier failure
+    ([app("F", (R,)), rat(10 ** 400)], "no function F/1 is registered"),
+])
+def test_sampling_failure_names_the_first_failure(entries, failure, spec):
+    assert expr.sampling_failure(entries, spec) == failure
 
 
 R_JSON = {"k": "sym", "name": "r"}

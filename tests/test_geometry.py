@@ -403,6 +403,23 @@ def test_multi_center_dyonic_identity_per_center():
             assert ok, (i, tilde, witness)
 
 
+def test_shares_and_shifts_are_the_trees_written_out():
+    beta, kappa = sym("beta"), sym("kappa")
+    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
+    for i in range(fam.p):
+        ratio = mul(fam.center_summand(i), pow_(fam.H_radial, -1))
+        for tilde, share in ((False, ratio), (True, add(rat(1), -ratio))):
+            assert fam.b_potential(i, tilde).component((0,)) is share
+            f = fam.dyonic_shift(i, beta, tilde)
+            assert f.targets[0] is add(kappa, mul(rat(-1), beta, share))
+            assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
+    gamma = mul(beta, pow_(sym("g"), -2), pow_(H, -1))
+    for variant, shift in (("gamma", gamma), ("lambda", add(gamma, -beta))):
+        f = dyonic_shift(beta, variant)
+        assert f.targets[0] is add(kappa, shift)
+        assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
+
+
 def test_shift_asymptotics():
     gamma = dyonic_shift(sym("beta"), variant="gamma")
     lam = dyonic_shift(sym("beta"), variant="lambda")

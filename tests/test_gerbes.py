@@ -726,6 +726,11 @@ def test_codimension_above_three_vanishes(rank):
     assert characteristic_class_two_gerbe(gerbe) == pushed
 
 
+def test_codimension_below_one_is_refused():
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        trivial_bundle_gerbe_models(0)
+
+
 def test_wrong_class_home_rejected():
     from tdual.gerbes import ModelMismatch
     models = kk_gerbe_models()

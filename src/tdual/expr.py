@@ -16,6 +16,8 @@ by point, as blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
+The JSON codec reads and writes each distinct node of a document once, and its
+reader refuses nesting deeper than ``MAX_DEPTH``, which every later walk fits.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -319,35 +321,6 @@ class _ByType(dict):
         raise TypeError(f"unknown node {cls.__name__}")
 
 
-def _typed(kind: type, v):
-    if type(v) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {v!r:.40}")
-    return v
-
-
-def _load_fraction(v) -> Fraction:
-    if type(v) is not list or len(v) != 2 or v[1] == 0:
-        raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
-    return Fraction(_typed(int, v[0]), _typed(int, v[1]))
-
-
-MAX_DERIV_ORDER = 32    # largest derivative order that expr_from_json accepts
-
-
-def _load_order(v) -> int:
-    if _typed(int, v) > MAX_DERIV_ORDER:
-        raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
-    return v
-
-
-# JSON codecs of node fields, (dump(field, child's dump), load); a load checks its types
-_FRACTION = (lambda q, _: [q.numerator, q.denominator], _load_fraction)
-_NAME = (lambda s, _: str(s), lambda v: _typed(str, v))
-_ORDERS = (lambda v, _: list(v), lambda v: tuple(_load_order(x) for x in _typed(list, v)))
-_EXPR = (lambda e, c: c(e), lambda v: expr_from_json(v))
-_EXPRS = (lambda es, c: list(map(c, es)), lambda v: tuple(map(expr_from_json, _typed(list, v))))
-
-
 def _float(q: Fraction) -> float:
     try:
         return float(q)
@@ -440,8 +413,6 @@ def _derivative_app(e: App, d: Callable[[Expr], Expr]) -> Expr:
 
 
 class _Node(NamedTuple):
-    tag: str                # JSON kind
-    fields: tuple           # (JSON key, attribute, codec) per dataclass field
     children: Callable      # node -> tuple of its Expr children
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
     column: Callable        # (node, _Block) -> the node's column of values
@@ -449,41 +420,23 @@ class _Node(NamedTuple):
 
 
 _NODES = _ByType({
-    Rat: _Node("rat", (("v", "value", _FRACTION),), lambda e: (), lambda e, c: e,
-               _column_rat, lambda e, d: ZERO),
+    Rat: _Node(lambda e: (), lambda e, c: e, _column_rat, lambda e, d: ZERO),
     # the walk knows the coordinate it differentiates in; any other symbol's derivative is 0
-    Sym: _Node("sym", (("name", "name", _NAME),), lambda e: (), lambda e, c: e,
-               _column_sym, lambda e, d: ZERO),
-    App: _Node("app", (("name", "name", _NAME), ("deriv", "deriv", _ORDERS),
-                      ("args", "args", _EXPRS)),
-               lambda e: e.args, lambda e, args: App(e.name, args, e.deriv),
-               _column_app, _derivative_app),
-    Sum: _Node("sum", (("terms", "terms", _EXPRS),),
-               lambda e: e.terms, lambda e, terms: _sum(terms),
-               _column_sum, lambda e, d: _sum(list(map(d, e.terms)))),
-    Prod: _Node("prod", (("factors", "factors", _EXPRS),),
-                lambda e: e.factors, lambda e, factors: _prod(factors),
-                _column_prod,
+    Sym: _Node(lambda e: (), lambda e, c: e, _column_sym, lambda e, d: ZERO),
+    App: _Node(lambda e: e.args, lambda e, args: App(e.name, args, e.deriv), _column_app,
+               _derivative_app),
+    Sum: _Node(lambda e: e.terms, lambda e, terms: _sum(terms), _column_sum,
+               lambda e, d: _sum(list(map(d, e.terms)))),
+    Prod: _Node(lambda e: e.factors, lambda e, factors: _prod(factors), _column_prod,
                 lambda e, d: _sum([_prod(e.factors[:i] + (d(f),) + e.factors[i + 1:])
                                    for i, f in enumerate(e.factors)])),
-    Pow: _Node("pow", (("base", "base", _EXPR), ("exp", "exponent", _FRACTION)),
-               lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent),
-               _column_pow,
+    Pow: _Node(lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent), _column_pow,
                lambda e, d: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), d(e.base)))),
-    SinE: _Node("sin", (("arg", "arg", _EXPR),),
-                lambda e: (e.arg,), lambda e, c: _sin(*c),
+    SinE: _Node(lambda e: (e.arg,), lambda e, c: _sin(*c),
                 _column_trig, lambda e, d: _prod((_cos(e.arg), d(e.arg)))),
-    CosE: _Node("cos", (("arg", "arg", _EXPR),),
-                lambda e: (e.arg,), lambda e, c: _cos(*c),
-                _column_trig,
+    CosE: _Node(lambda e: (e.arg,), lambda e, c: _cos(*c), _column_trig,
                 lambda e, d: _prod((Rat(Fraction(-1)), _sin(e.arg), d(e.arg)))),
 })
-# JSON kind -> (positional constructor, (JSON key, load) per field in the
-# table's order); only App's JSON order (name, deriv, args) is not its
-# dataclass order
-_KINDS = {node.tag: (cls, tuple((key, load) for key, _, (_, load) in node.fields))
-          for cls, node in _NODES.items()}
-_KINDS["app"] = (lambda name, deriv, args: App(name, args, deriv), _KINDS["app"][1])
 
 
 # ---------------------------------------------------------------------------
@@ -845,27 +798,92 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON serialization
+# canonical JSON serialization: one node memo per document in each direction
 
-def expr_to_json(e: Expr, _child=None) -> dict:
-    if _child is None:      # one walk per call: each distinct node becomes one shared dict
-        return _Walk(expr_to_json)[e]
-    obj = {"k": (node := _NODES[type(e)]).tag}
-    for key, attr, (dump, _) in node.fields:
-        obj[key] = dump(getattr(e, attr), _child)
-    return obj
+MAX_DERIV_ORDER = 32    # largest derivative order that expr_from_json accepts
+MAX_DEPTH = 256         # deepest node, the root at depth 0, that expr_from_json accepts
 
 
-def expr_from_json(obj) -> Expr:
-    """The raw tree that ``obj`` encodes; ``simplify_basic`` makes it normal.
+def _typed(kind: type, v):
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {v!r:.40}")
+    return v
 
-    Raises ValueError on an unknown kind or a missing or malformed field.
-    """
+
+def _pair(v) -> tuple[int, int]:
+    if type(v) is not list or len(v) != 2 or v[1] == 0:
+        raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
+    return _typed(int, v[0]), _typed(int, v[1])
+
+
+def _order(v) -> int:
+    if _typed(int, v) > MAX_DERIV_ORDER:
+        raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
+    return v
+
+
+# writers by node type: (node, memo) -> its dict, each child's through _dump
+_DUMP = _ByType({
+    Rat: lambda e, m: {"k": "rat", "v": [e.value.numerator, e.value.denominator]},
+    Sym: lambda e, m: {"k": "sym", "name": e.name},
+    App: lambda e, m: {"k": "app", "name": e.name, "deriv": list(e.deriv),
+                       "args": list(map(_dump, e.args, repeat(m)))},
+    Sum: lambda e, m: {"k": "sum", "terms": list(map(_dump, e.terms, repeat(m)))},
+    Prod: lambda e, m: {"k": "prod", "factors": list(map(_dump, e.factors, repeat(m)))},
+    Pow: lambda e, m: {"k": "pow", "base": _dump(e.base, m),
+                       "exp": [e.exponent.numerator, e.exponent.denominator]},
+    SinE: lambda e, m: {"k": "sin", "arg": _dump(e.arg, m)},
+    CosE: lambda e, m: {"k": "cos", "arg": _dump(e.arg, m)},
+})
+# readers by JSON kind: (build, fields); fields(obj, memo, children's depth) checks the
+# node's fields in JSON order, reading children through _read, and build(*fields) makes it
+_READ = {
+    "rat": (lambda p, q: Rat(Fraction(p, q)), lambda o, m, d: _pair(o["v"])),
+    "sym": (Sym, lambda o, m, d: (_typed(str, o["name"]),)),
+    "app": (lambda name, deriv, args: App(name, args, deriv),
+            lambda o, m, d: (_typed(str, o["name"]), tuple(map(_order, _typed(list, o["deriv"]))),
+                             tuple(map(_read, _typed(list, o["args"]), repeat(m), repeat(d))))),
+    "sum": (Sum, lambda o, m, d: (
+        tuple(map(_read, _typed(list, o["terms"]), repeat(m), repeat(d))),)),
+    "prod": (Prod, lambda o, m, d: (
+        tuple(map(_read, _typed(list, o["factors"]), repeat(m), repeat(d))),)),
+    "pow": (lambda base, p, q: Pow(base, Fraction(p, q)),
+            lambda o, m, d: (_read(o["base"], m, d), *_pair(o["exp"]))),
+    "sin": (SinE, lambda o, m, d: (_read(o["arg"], m, d),)),
+    "cos": (CosE, lambda o, m, d: (_read(o["arg"], m, d),)),
+}
+
+
+def _dump(e: Expr, memo: dict) -> dict:
+    if e not in memo:
+        memo[e] = _DUMP[type(e)](e, memo)
+    return memo[e]
+
+
+def _read(obj, memo: dict, depth: int) -> Expr:
+    if depth > MAX_DEPTH:
+        raise ValueError("input nested too deeply")
     try:
-        build, fields = _KINDS[obj["k"]]
-        return build(*[load(obj[key]) for key, load in fields])
+        build, fields = _READ[obj["k"]]
+        key = build, fields(obj, memo, depth + 1)
+        node = memo.get(key)
+        if node is None:        # the first node of this kind, these fields and these children
+            node = memo[key] = build(*key[1])
+        return node
     except (KeyError, TypeError) as exc:
-        why = exc
-        if type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS):
-            why = f"missing field {exc.args[0]!r}"      # a field, not an unknown kind
+        missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _READ)
+        why = f"missing field {exc.args[0]!r}" if missing else exc    # else an unknown kind
         raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None
+
+
+def expr_to_json(e: Expr, _memo: dict | None = None) -> dict:
+    """``e`` as JSON: one dict per distinct node, shared where it recurs and by the calls
+    that pass one ``_memo`` (the entries of one document); never mutate the dicts."""
+    return _dump(e, {} if _memo is None else _memo)
+
+
+def expr_from_json(obj, _memo: dict | None = None) -> Expr:
+    """The raw tree that ``obj`` encodes, each distinct node built once per call or per
+    ``_memo``; ``simplify_basic`` makes it normal. Raises ValueError on an unknown kind,
+    a missing or malformed field, or a node nested deeper than ``MAX_DEPTH``."""
+    return _read(obj, {} if _memo is None else _memo, 0)

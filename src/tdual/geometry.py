@@ -96,11 +96,12 @@ class MetricData:
                 yield (i, j), self.g(i, j), self.b(i, j)
 
     def to_json(self) -> dict:
+        dumped = {}     # one dict per distinct node of all the entries
         return {
             "chart": {"names": list(self.chart.names),
                       "periodic": list(self.chart.periodic)},
-            "g": [[i, j, expr_to_json(e)] for (i, j), e in sorted(self.g_upper.items())],
-            "b": [[i, j, expr_to_json(e)] for (i, j), e in sorted(self.b_upper.items())],
+            "g": [[i, j, expr_to_json(e, dumped)] for (i, j), e in sorted(self.g_upper.items())],
+            "b": [[i, j, expr_to_json(e, dumped)] for (i, j), e in sorted(self.b_upper.items())],
         }
 
     @staticmethod
@@ -111,8 +112,9 @@ class MetricData:
             if type(v) is not list or not all(type(x) is kind for x in v):
                 raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
         chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
-        g = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["g"]}
-        b = {(i, j): simplify_basic(expr_from_json(e)) for i, j, e in obj["b"]}
+        read = {}       # one node memo for all the entries
+        g = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["g"]}
+        b = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["b"]}
         m = metric(chart, g, b, sample)
         for part in ("g", "b"):         # (i, j) and (j, i) are one component
             counts = Counter((min(i, j), max(i, j)) for i, j, _ in obj[part])

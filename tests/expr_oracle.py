@@ -17,6 +17,11 @@ values and errors are compared against.
 
 ``nodes`` is the earlier occurrence walk, which lists a shared subtree once
 per use; the package walks each distinct node once.
+
+``checked_expr_from_json`` is the reader that checked each field's type and
+built every occurrence of a node again, through one loop over a node's
+(JSON key, load) fields. The package's reader keeps one node memo per
+document; its values and error messages are compared with this one's.
 """
 
 import math
@@ -25,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from tdual.expr import (
-    ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
+    MAX_DERIV_ORDER, ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
     UnboundSymbol, Witness,
 )
 
@@ -445,3 +450,58 @@ def nodes(e):
             stack.append(n.base)
         elif isinstance(n, (SinE, CosE)):
             stack.append(n.arg)
+
+
+def _typed(kind, v):
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {v!r:.40}")
+    return v
+
+
+def _load_fraction(v):
+    if type(v) is not list or len(v) != 2 or v[1] == 0:
+        raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
+    return Fraction(_typed(int, v[0]), _typed(int, v[1]))
+
+
+def _load_order(v):
+    if _typed(int, v) > MAX_DERIV_ORDER:
+        raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
+    return v
+
+
+def _load_name(v):
+    return _typed(str, v)
+
+
+def _load_orders(v):
+    return tuple(_load_order(x) for x in _typed(list, v))
+
+
+def _load_exprs(v):
+    return tuple(map(checked_expr_from_json, _typed(list, v)))
+
+
+def checked_expr_from_json(obj):
+    try:
+        build, fields = _KINDS[obj["k"]]
+        return build(*[load(obj[key]) for key, load in fields])
+    except (KeyError, TypeError) as exc:
+        why = exc
+        if type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS):
+            why = f"missing field {exc.args[0]!r}"      # a field, not an unknown kind
+        raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None
+
+
+# JSON kind -> (positional constructor, (JSON key, load) per field in JSON order)
+_KINDS = {
+    "rat": (Rat, (("v", _load_fraction),)),
+    "sym": (Sym, (("name", _load_name),)),
+    "app": (lambda name, deriv, args: App(name, args, deriv),
+            (("name", _load_name), ("deriv", _load_orders), ("args", _load_exprs))),
+    "sum": (Sum, (("terms", _load_exprs),)),
+    "prod": (Prod, (("factors", _load_exprs),)),
+    "pow": (Pow, (("base", checked_expr_from_json), ("exp", _load_fraction))),
+    "sin": (SinE, (("arg", checked_expr_from_json),)),
+    "cos": (CosE, (("arg", checked_expr_from_json),)),
+}

@@ -288,6 +288,45 @@ def test_deeply_nested_input_exits_two(command, text, tmp_path):
     assert err.endswith(": input nested too deeply\n")
 
 
+@pytest.mark.parametrize("verify", ["none", "involution", "g-h", "dyonic"])
+def test_a_metric_nested_to_the_reader_bound_runs_every_verify(verify, tmp_path):
+    from tdual.expr import MAX_DEPTH
+    path = tmp_path / "deep.json"
+    path.write_text(_sin_chain_g00(MAX_DEPTH))
+    code, out, err = run_cli("buscher", "--input", str(path), "--verify", verify,
+                             "--format", "json")
+    assert code in (0, 1) and err == ""
+    assert [c["passed"] for c in json.loads(out)["checks"]] == [code == 0] * (verify != "none")
+
+
+def test_a_metric_nested_past_the_reader_bound_exits_two(tmp_path):
+    from tdual.expr import MAX_DEPTH
+    path = tmp_path / "deep.json"
+    path.write_text(_sin_chain_g00(MAX_DEPTH + 1))
+    code, out, err = run_cli("buscher", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read metric from {path}: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("source", [("--preset", "taub-nut"), ("--preset", "multi3"),
+                                    ("--b-field", "dyonic"), ("--input", "coupling")])
+def test_the_buscher_payload_leaves_the_shared_dicts_as_written(source, tmp_path, monkeypatch):
+    from tdual import geometry as geo
+    from tdual.expr import add, mul, pow_, rat, sym
+    if source[1] == "coupling":
+        g = sym("g")
+        coupling = add(*[mul(rat(n, 7), pow_(g, n % 3 + 1)) for n in range(1, 40)])
+        source = ("--input", str(tmp_path / "m.json"))
+        Path(source[1]).write_text(json.dumps(geo.make_taub_nut(coupling).to_json()))
+    written, to_json = [], geo.MetricData.to_json
+    monkeypatch.setattr(geo.MetricData, "to_json",
+                        lambda m: written.append((obj := to_json(m), json.dumps(obj))) or obj)
+    code, out, _ = run_cli("buscher", *source, "--verify", "involution", "--format", "json")
+    assert code == 0 and len(written) == 1
+    obj, text = written[0]
+    assert json.dumps(obj) == text and json.loads(out)["dual"] == json.loads(text)
+
+
 R_MINUS_10 = {"k": "sum", "terms": [R_JSON, {"k": "rat", "v": [-10, 1]}]}
 
 

@@ -695,16 +695,21 @@ def test_json_dumps_each_distinct_node_once():
     e = add(mul(shared, shared, r), pow_(shared, 3), app("H", (r, shared)))
     obj = expr_to_json(e)
     assert json.dumps(obj) == json.dumps(oracle.expr_to_json(e))
-    want, found, stack = expr_to_json(shared), [], [obj]
+    found = [node for node in walk_dicts(obj) if node == expr_to_json(shared)]
+    assert len(found) >= 3 and len({id(node) for node in found}) == 1
+    assert expr_to_json(e) is not obj       # one memo per call
+
+
+def walk_dicts(obj):
+    """Every dict of a JSON tree, once per occurrence."""
+    stack = [obj]
     while stack:
         node = stack.pop()
         if isinstance(node, dict):
-            found += [node] if node == want else []
+            yield node
             stack.extend(node.values())
         elif isinstance(node, list):
             stack.extend(node)
-    assert len(found) >= 3 and len({id(node) for node in found}) == 1
-    assert expr_to_json(e) is not obj       # one memo per call
 
 
 def test_every_path_builds_the_same_object():
@@ -844,13 +849,16 @@ def test_simplify_of_a_normal_tree_builds_no_node():
     assert constructions(lambda: simplify_basic(built)) == 0
 
 
+def coupling_metric(terms: int, seed: int = 1):
+    rng = random.Random(seed)
+    return make_taub_nut(add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)),
+                                   pow_(sym("g"), rng.randint(1, 3))) for _ in range(terms)]))
+
+
 def test_shared_entries_normalize_once_per_distinct_node():
     # the five g entries of a 100-term coupling metric, as a JSON reader sees
     # them: the profile H is written out again in each
-    rng = random.Random(1)
-    coupling = add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)),
-                         pow_(sym("g"), rng.randint(1, 3))) for _ in range(100)])
-    obj = json.loads(json.dumps(make_taub_nut(coupling).to_json()))
+    obj = json.loads(json.dumps(coupling_metric(100).to_json()))
     raw = [expr_from_json(e) for _, _, e in obj["g"]]
     assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160
     assert len({n for e in raw for n in oracle.nodes(e)}) == 125
@@ -858,6 +866,40 @@ def test_shared_entries_normalize_once_per_distinct_node():
     # a walk of every occurrence asked for 1939 constructions
     assert constructions(lambda: out.extend(map(simplify_basic, raw))) <= 400
     assert out == [oracle.simplify_basic(e) for e in raw]
+
+
+def test_a_document_reader_builds_each_distinct_node_once():
+    obj = json.loads(json.dumps(coupling_metric(100).to_json()))
+    entries = [e for _, _, e in obj["g"]]
+    assert len(entries) == 5 and obj["b"] == []
+    raw = [oracle.checked_expr_from_json(e) for e in entries]
+    distinct = {n for e in raw for n in oracle.nodes(e)}
+    assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160 and len(distinct) == 125
+    memo, out = {}, []
+    assert constructions(lambda: out.extend(expr_from_json(e, memo) for e in entries)) == 125
+    assert out == raw
+    # one memo per call builds H's tree again in each entry, and the
+    # per-occurrence reader builds every occurrence
+    each = sum(len(set(oracle.nodes(e))) for e in raw)
+    assert constructions(lambda: [expr_from_json(e) for e in entries]) == each == 570
+    assert constructions(lambda: [oracle.checked_expr_from_json(e) for e in entries]) == 2160
+
+
+def test_a_document_writer_dumps_each_distinct_node_once():
+    m = coupling_metric(100)
+    entries = [*m.g_upper.values(), *m.b_upper.values()]
+    dumped = []
+    table = {cls: lambda e, memo, dump=dump: dumped.append(e) or dump(e, memo)
+             for cls, dump in expr._DUMP.items()}
+    with mock.patch.dict(expr._DUMP, table):
+        obj = m.to_json()
+    assert len(dumped) == len(set(dumped))
+    assert set(dumped) == {n for e in entries for n in oracle.nodes(e)}
+    # H's dict is one object wherever H occurs
+    h = m.g_upper[(1, 1)]
+    found = [d for d in walk_dicts(obj) if d == expr_to_json(h)]
+    assert len(found) == sum(n is h for e in entries for n in oracle.nodes(e)) > 5
+    assert len({id(d) for d in found}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +1035,7 @@ def test_sampling_failure_names_the_first_failure(entries, failure, spec):
 R_JSON = {"k": "sym", "name": "r"}
 
 
-@pytest.mark.parametrize("obj", [
+MALFORMED = [
     {"k": "rat", "v": [1, 0]},
     {"k": "pow", "base": R_JSON, "exp": [1, 0]},
     {"k": "rat", "v": [1.5, 2]},
@@ -1008,7 +1050,10 @@ R_JSON = {"k": "sym", "name": "r"}
     {"k": "app", "name": "H", "deriv": [0], "args": [R_JSON, R_JSON]},
     {"k": "app", "name": "H", "deriv": [-1, 0], "args": [R_JSON, R_JSON]},
     {"k": "app", "name": "H", "deriv": ["1", 0], "args": [R_JSON, R_JSON]},
-])
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED)
 def test_malformed_json_raises_value_error(obj):
     with pytest.raises(ValueError):
         expr_from_json(obj)
@@ -1022,6 +1067,82 @@ def test_derivative_orders_are_bounded_on_read():
     for order in (MAX_DERIV_ORDER + 1, 10 ** 6):
         with pytest.raises(ValueError, match=f"derivative order {order} exceeds"):
             expr_from_json(dict(ok, deriv=[0, order]))
+
+
+def read_outcome(read, obj):
+    """The node ``read(obj)`` returns, or the text of the ValueError it raises."""
+    try:
+        return read(obj)
+    except ValueError as exc:
+        return str(exc)
+
+
+def node_slots(obj) -> list:
+    """(container, key) of every node below the root of a JSON tree."""
+    slots, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        for key in ("arg", "base"):
+            if key in node:
+                slots.append((node, key))
+                stack.append(node[key])
+        for key in ("terms", "factors", "args"):
+            slots += [(node[key], i) for i in range(len(node.get(key, ())))]
+            stack += node.get(key, ())
+    return slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(recipes, st.booleans(), st.data())
+def test_the_reader_equals_the_checked_per_occurrence_reader(recipe, raw, data):
+    try:
+        e = build_raw(recipe) if raw else build(recipe)
+    except DomainError:
+        return
+    obj = json.loads(json.dumps(expr_to_json(e)))
+    assert expr_from_json(obj) is oracle.checked_expr_from_json(obj) is oracle.expr_from_json(obj)
+    # one malformed node anywhere below the root: the same first error, in reading order
+    slots = node_slots(obj)
+    assume(slots)
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = data.draw(st.sampled_from(MALFORMED))
+    want = read_outcome(oracle.checked_expr_from_json, obj)
+    assert isinstance(want, str) and read_outcome(expr_from_json, obj) == want
+
+
+WRAPS = [
+    lambda o: {"k": "sin", "arg": o},
+    lambda o: {"k": "cos", "arg": o},
+    lambda o: {"k": "sum", "terms": [R_JSON, o]},
+    lambda o: {"k": "prod", "factors": [o, {"k": "rat", "v": [2, 3]}]},
+    lambda o: {"k": "app", "name": "H", "deriv": [0, 1], "args": [R_JSON, o]},
+    lambda o: {"k": "pow", "base": o, "exp": [1, 2]},
+]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 9, 100, 200])
+@pytest.mark.parametrize("obj", MALFORMED)
+def test_malformed_children_nested_deep_raise_the_checked_readers_error(obj, depth):
+    rng = random.Random(depth)
+    for _ in range(depth):
+        obj = rng.choice(WRAPS)(obj)
+    want = read_outcome(oracle.checked_expr_from_json, obj)
+    assert want.startswith(("malformed expression node ", "derivative multi-index"))
+    assert read_outcome(expr_from_json, obj) == want
+
+
+def test_the_reader_refuses_nesting_past_its_bound():
+    from tdual.expr import MAX_DEPTH
+    for wrap in WRAPS:
+        obj = R_JSON
+        for _ in range(MAX_DEPTH):
+            obj = wrap(obj)
+        assert expr_from_json(obj) is oracle.checked_expr_from_json(obj)
+        with pytest.raises(ValueError, match="^input nested too deeply$"):
+            expr_from_json(wrap(obj))
+        # a shallow malformed node found first is reported before the depth
+        bad = {"k": "sum", "terms": [MALFORMED[0], wrap(obj)]}
+        assert read_outcome(expr_from_json, bad) == read_outcome(oracle.checked_expr_from_json, bad)
 
 
 def test_unknown_node_is_one_error():

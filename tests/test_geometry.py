@@ -6,16 +6,18 @@ that expands a list of weighted covector squares into components.
 """
 
 import gc
+import json
 import random
 import re
 import weakref
 
 import pytest
 
+import expr_oracle as oracle
 from tdual import geometry
 from tdual.expr import (Chart, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
                         SampleSpec, UnboundSymbol, app, add, cos_, equal_numeric, evaluate,
-                        mul, pow_, rat, sin_, sym)
+                        expr_from_json, mul, pow_, rat, sin_, sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
@@ -666,6 +668,54 @@ def test_metric_from_json_is_simplified_by_upper_triangle(spec):
     obj["b"].append([7, 0, {"k": "sym", "name": "r"}])
     with pytest.raises(ValueError, match="outside the 4-dim chart"):
         MetricData.from_json(obj, sample=spec)
+
+
+def _coupling(terms: int):
+    rng = random.Random(terms)
+    return add(*[mul(rat(rng.randint(1, 9), rng.randint(1, 9)), pow_(sym("g"), rng.randint(1, 3)))
+                 for _ in range(terms)])
+
+
+def _multi(p: int) -> MultiCenterFamily:
+    from tdual.cli import _multi_preset
+    return _multi_preset(p, 42)
+
+
+# every preset metric of buscher and its dual, the multi-center families and
+# their references, and coupling metrics of 25, 50 and 100 terms
+DOCUMENTS = {
+    "taub-nut": make_taub_nut,
+    "dyonic": lambda: with_b_field(make_taub_nut(), dyonic_b_field(sym("beta"))),
+    "flat": flat_product_metric,
+    **{f"multi{p}": (lambda p=p: _multi(p).metric()) for p in (2, 3, 5, 8)},
+    **{f"multi{p}-reference": (lambda p=p: _multi(p).dual_reference()) for p in (2, 3, 5, 8)},
+    "multi3-radial": lambda: _multi(3).radial_metric(),
+    **{f"coupling{n}": (lambda n=n: make_taub_nut(_coupling(n))) for n in (25, 50, 100)},
+}
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_metric_json_is_the_per_entry_codec_with_one_memo(name, dual):
+    m = DOCUMENTS[name]()
+    m = buscher_transform(m) if dual else m
+    obj = m.to_json()
+    text = json.dumps(obj)
+    per_entry = {"chart": obj["chart"], **{part: [[i, j, oracle.expr_to_json(e)] for (i, j), e in
+                                                  sorted(getattr(m, f"{part}_upper").items())]
+                                           for part in ("g", "b")}}
+    assert text == json.dumps(per_entry)
+    # the document reader builds the nodes the per-occurrence reader builds
+    read = json.loads(text)
+    memo = {}
+    for part in ("g", "b"):
+        for i, j, e in read[part]:
+            node = expr_from_json(e, memo)
+            assert node is oracle.checked_expr_from_json(e) is oracle.expr_from_json(e)
+            assert node is getattr(m, f"{part}_upper")[(i, j)]
+    back = MetricData.from_json(read, sample=m.sample)
+    assert (back.chart, back.g_upper, back.b_upper) == (m.chart, m.g_upper, m.b_upper)
+    assert json.dumps(read) == text == json.dumps(obj)      # neither side mutates a dict
 
 
 @pytest.mark.parametrize("part, entry, component", [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import CellComplex, ChainMap, NotASubcomplex, circle
+from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
 from .intlin import IMat, kernel_basis, lattice_equal, rank_q, solve
 
 
@@ -112,8 +112,6 @@ class SubquotientSpace:
         if not self.is_cocycle(vec):
             raise NotACocycle(f"vector is not a cocycle in {self.label}")
         c = solve(self.kernel, vec)
-        if c is None:
-            raise NotACocycle("cocycle not in kernel lattice")
         y = self.snf.u_times(c)
         out = [y.get(i, 0) % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
         out.extend(y.get(i, 0) for i in self.free_slots)
@@ -413,9 +411,7 @@ def _require_circle_product(xs1: CellComplex) -> CellComplex:
     if not xs1.product_of:
         raise NotAProduct(f"{xs1.name} was not built as a product")
     base, fiber = xs1.product_of
-    ref = circle()
-    if {k: fiber.cell_ids(k) for k in fiber.degrees()} != \
-       {k: ref.cell_ids(k) for k in ref.degrees()}:
+    if not _is_circle(fiber):
         raise NotAProduct("second factor is not the standard circle model")
     return base
 

@@ -240,6 +240,12 @@ def product_with_circle(x: CellComplex) -> CellComplex:
     return product_complex(x, circle(), name=f"{x.name}xS1")
 
 
+def _is_circle(y: CellComplex) -> bool:
+    """Whether ``y`` has the circle model's cells and faces: the one test that
+    a product X x Y is X x S^1, for crossing and fiber integration."""
+    return (y.cells, y.faces) == (circle().cells, circle().faces)
+
+
 def circle_product_ids(ids) -> frozenset:
     """The cells A x S^1 of ``product_with_circle(X)`` for cells A of X."""
     s1 = circle().all_ids()

@@ -604,21 +604,28 @@ def _check_constants(roots, functions: FunctionTable) -> None:
 def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
     """Why ``spec`` cannot sample ``roots``, or None: for the first root that fails, a
     rational constant outside the float range, else its first symbol without a box,
-    else its first (name, arity) of an unregistered function, in sorted order."""
+    else its first (name, arity) of an unregistered function, in sorted order. One
+    walk visits all the roots: a node that an earlier root reached passed there."""
+    unboxed, unknown = set(), set()     # stay empty while every root passes
+
+    def enter(e: Expr) -> bool:
+        if type(e) is Rat:
+            _float(e.value)
+        elif type(e) is Sym and e.name not in spec.boxes:
+            unboxed.add(e.name)
+        elif type(e) is App and (e.name, len(e.args)) not in spec.functions._by_key:
+            unknown.add((e.name, len(e.args)))
+        return True
+
+    walk = _visit((), enter)
     for root in roots:
-        nodes = _visit((root,))
         try:
-            for n in nodes:
-                if type(n) is Rat:
-                    _float(n.value)
+            walk[root]
         except DomainError as exc:
             return str(exc)
-        unboxed = sorted({n.name for n in nodes if type(n) is Sym} - spec.boxes.keys())
-        unknown = sorted({(n.name, len(n.args)) for n in nodes if type(n) is App}
-                         - spec.functions._by_key.keys())
         if unboxed or unknown:
-            return (f"symbol {unboxed[0]!r} has no sampling box" if unboxed
-                    else "no function {}/{} is registered".format(*unknown[0]))
+            return (f"symbol {min(unboxed)!r} has no sampling box" if unboxed
+                    else "no function {}/{} is registered".format(*min(unknown)))
 
 
 def evaluate(e: Expr, p: PointAssignment) -> float:

@@ -83,11 +83,10 @@ class MetricData:
         return self.g_upper.get((i, j), ZERO)
 
     def b(self, i: int, j: int) -> Expr:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.b_upper.get((i, j), ZERO)
-        return -self.b_upper.get((j, i), ZERO)
+        if i <= j:
+            return ZERO if i == j else self.b_upper.get((i, j), ZERO)
+        e = self.b_upper.get((j, i))
+        return ZERO if e is None else -e
 
     def components(self):
         n = self.chart.dim
@@ -230,30 +229,24 @@ def _det(mat) -> Expr:
 
 
 def pullback(m: MetricData, f: Diffeo) -> MetricData:
-    """Componentwise pullback of (g, b) along ``f`` via its Jacobian."""
+    """Componentwise pullback of (g, b) along ``f``: one congruence J^T M J
+    for both halves, with each stored entry substituted once."""
     if f.chart != m.chart:
         raise ValueError("diffeo and metric charts differ")
     jac = f.jacobian()
     if m.sample is not None and not _nonzero_somewhere(_det(jac), m.sample):
         raise SingularJacobian("Jacobian determinant vanishes on sample domain")
     binds = f.bindings()
+    moved = MetricData(m.chart, {k: substitute(e, binds) for k, e in m.g_upper.items()},
+                       {k: substitute(e, binds) for k, e in m.b_upper.items()})
     n = m.chart.dim
-    g_new, b_new = {}, {}
-    for i in range(n):
-        for j in range(i, n):
-            g_terms, b_terms = [], []
-            for k in range(n):
-                for l in range(n):
-                    gkl = m.g(k, l)
-                    if gkl != ZERO:
-                        g_terms.append(mul(jac[k][i], jac[l][j], substitute(gkl, binds)))
-                    bkl = m.b(k, l)
-                    if bkl != ZERO:
-                        b_terms.append(mul(jac[k][i], jac[l][j], substitute(bkl, binds)))
-            g_new[(i, j)] = add(*g_terms)
-            if i != j:
-                b_new[(i, j)] = add(*b_terms)
-    return metric(m.chart, g_new, b_new, m.sample)
+    halves = []
+    for part, off in ((moved.g, 0), (moved.b, 1)):     # b has no diagonal
+        # the nonzero entries e_kl, partners included, in row-major (k, l) order
+        entries = [(k, l, e) for k in range(n) for l in range(n) if (e := part(k, l)) != ZERO]
+        halves.append({(i, j): add(*[mul(jac[k][i], jac[l][j], e) for k, l, e in entries])
+                       for i in range(n) for j in range(i + off, n)})
+    return metric(m.chart, *halves, m.sample)
 
 
 _PROBES, _EPS = 16, 1e-8
@@ -561,14 +554,11 @@ class MultiCenterFamily:
             raise IndexError(f"center index {i} out of range for {self.p} centers")
         return app(f"Hcen{i}", (sym(R),))
 
-    def _share(self, i: int, tilde: bool = False) -> Expr:
-        """The share H_i/H of center i in the radial profile (or 1 - H_i/H)."""
-        ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        return add(ONE, -ratio) if tilde else ratio
-
     def b_potential(self, i: int, tilde: bool = False) -> DiffForm:
-        """Radial potential whose exterior derivative gives B_i (or B~_i)."""
-        return DiffForm(MONOPOLE_CHART, 1, {(0,): self._share(i, tilde)})
+        """Radial potential whose exterior derivative gives B_i (or B~_i): the
+        share H_i/H of center i in the radial profile (or 1 - H_i/H)."""
+        ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
+        return DiffForm(MONOPOLE_CHART, 1, {(0,): add(ONE, -ratio) if tilde else ratio})
 
     def b_field(self, i: int, beta: Expr, tilde: bool = False) -> DiffForm:
         """B_i = beta d(xi_i); the dk^dr coefficient is -beta d/dr (H_i/H)."""
@@ -587,7 +577,7 @@ class MultiCenterFamily:
         """Fiber shift kappa -> kappa - beta H_i/H (or the 1 - H_i/H basis);
         pulling the radial dual back along it reproduces the dual of the
         radial metric with b-field B_i."""
-        return _fiber_shift(mul(rat(-1), beta, self._share(i, tilde)))
+        return _fiber_shift(self.b_potential(i, tilde), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -612,22 +602,21 @@ def dyonic_b_field(beta: Expr) -> DiffForm:
 
 
 def dyonic_shift(beta: Expr, variant: str = "gamma") -> Diffeo:
-    """Fiber shift diffeomorphism.
+    """Fiber shift diffeomorphism kappa -> kappa - beta xi_kappa, xi the
+    dyonic potential.
 
     gamma: kappa -> kappa + beta/(g^2 H); its shift tends to beta at infinity.
     lambda: the same minus beta, approaching the identity at infinity.
     """
-    g = sym("g")
-    shift = mul(beta, pow_(g, Fraction(-2)), pow_(app("H", (sym(R), g)), Fraction(-1)))
-    if variant == "lambda":
-        shift = add(shift, -beta)
-    elif variant != "gamma":
+    if variant not in ("gamma", "lambda"):
         raise ValueError("variant must be 'gamma' or 'lambda'")
-    return _fiber_shift(shift)
+    return _fiber_shift(dyonic_potential(), beta, -beta if variant == "lambda" else ZERO)
 
 
-def _fiber_shift(shift: Expr) -> Diffeo:
-    """The map kappa -> kappa + shift of the monopole chart."""
+def _fiber_shift(potential: DiffForm, beta: Expr, offset: Expr = ZERO) -> Diffeo:
+    """The map kappa -> kappa - beta xi_kappa + offset of the monopole chart,
+    xi_kappa the fiber component of ``potential``."""
+    shift = add(mul(rat(-1), beta, potential.component((0,))), offset)
     return Diffeo(MONOPOLE_CHART, (add(sym(KAPPA), shift), sym(R), sym(THETA), sym(PHI)))
 
 

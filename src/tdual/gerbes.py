@@ -44,8 +44,8 @@ from math import comb
 from operator import add, sub
 from typing import NamedTuple
 
-from .complexes import (CellComplex, circle, circle_product_ids, cone_on_s2, product_with_circle,
-                        s3_two_disc, sphere, trivial_disc_bundle)
+from .complexes import (CellComplex, _is_circle, circle, circle_product_ids, cone_on_s2,
+                        product_with_circle, s3_two_disc, sphere, trivial_disc_bundle)
 from .cohomology import (CohClass, cochain_space, connecting_hom, excision_hom,
                          relative_inclusion_hom)
 from .intlin import solve
@@ -135,7 +135,7 @@ class CoverNerve:
         """The induced cover of X x S^1 by the U_i x S^1. A cell A x c lies in
         the sets that hold A, so the patterns and the nerve are this cover's."""
         base, fiber = xs1.product_of or (None, None)
-        if base is not self.space or fiber is not circle():
+        if base is not self.space or not _is_circle(fiber):
             raise ModelMismatch(f"{xs1.name} is not {self.space.name} x S^1")
         out = CoverNerve(xs1, [circle_product_ids(s) for s in self.sets],
                          dict(zip(self._patterns, map(circle_product_ids, self._members))))

@@ -18,6 +18,10 @@ values and errors are compared against.
 ``nodes`` is the earlier occurrence walk, which lists a shared subtree once
 per use; the package walks each distinct node once.
 
+``sampling_failure`` is the earlier scan, which walked each root on its own;
+the package walks all the roots once and judges each root by the nodes it
+reaches first.
+
 ``checked_expr_from_json`` is the reader that checked each field's type and
 built every occurrence of a node again, through one loop over a node's
 (JSON key, load) fields. The package's reader keeps one node memo per
@@ -31,7 +35,7 @@ from typing import Callable
 
 from tdual.expr import (
     MAX_DERIV_ORDER, ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
-    UnboundSymbol, Witness,
+    UnboundSymbol, Witness, _float, _visit,
 )
 
 
@@ -450,6 +454,25 @@ def nodes(e):
             stack.append(n.base)
         elif isinstance(n, (SinE, CosE)):
             stack.append(n.arg)
+
+
+def sampling_failure(roots, spec):
+    """The earlier scan: one walk per root, so a subtree that several roots
+    share is visited once per root."""
+    for root in roots:
+        found = _visit((root,))
+        try:
+            for n in found:
+                if type(n) is Rat:
+                    _float(n.value)
+        except DomainError as exc:
+            return str(exc)
+        unboxed = sorted({n.name for n in found if type(n) is Sym} - spec.boxes.keys())
+        unknown = sorted({(n.name, len(n.args)) for n in found if type(n) is App}
+                         - spec.functions._by_key.keys())
+        if unboxed or unknown:
+            return (f"symbol {unboxed[0]!r} has no sampling box" if unboxed
+                    else "no function {}/{} is registered".format(*unknown[0]))
 
 
 def _typed(kind, v):

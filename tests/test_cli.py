@@ -218,7 +218,7 @@ def test_malformed_input_exits_two(tmp_path):
 R_JSON = {"k": "sym", "name": "r"}
 
 
-@pytest.mark.parametrize("entry, message", [
+MALFORMED_ENTRIES = [
     ([1, 1, {"k": "rat", "v": [1, 0]}], "nonzero denominator"),
     ([1, 1, {"k": "pow", "base": R_JSON, "exp": [1, 0]}], "nonzero denominator"),
     ([1, 1, {"k": "sym", "name": "zeta"}], "symbol 'zeta' has no sampling box"),
@@ -241,8 +241,10 @@ R_JSON = {"k": "sym", "name": "r"}
     # a node without one of its fields names the field
     ([1, 1, {"k": "rat"}], "malformed expression node {'k': 'rat'}: missing field 'v'"),
     ([1, 1, {"v": [1, 1]}], "malformed expression node {'v': [1, 1]}: missing field 'k'"),
-])
-def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
+]
+
+
+def _malformed_metric(entry):
     from tdual.geometry import make_taub_nut
     obj = make_taub_nut().to_json()
     if type(entry) is dict:
@@ -251,13 +253,33 @@ def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
         _replace_entry(obj, 1, 1, entry[2])
     else:
         obj["g"].append(entry)
+    return obj
+
+
+@pytest.mark.parametrize("entry, message", MALFORMED_ENTRIES)
+def test_malformed_metric_entry_exits_two(entry, message, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_malformed_metric(entry)))
     code, out, err = run_cli("buscher", "--input", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("entry, message", MALFORMED_ENTRIES)
+def test_sampling_failure_of_a_malformed_metric_is_the_per_root_scan(entry, message):
+    import expr_oracle
+    from tdual.expr import DomainError, sampling_failure
+    from tdual.geometry import MetricData, taub_nut_sample_spec
+    spec = taub_nut_sample_spec()
+    try:
+        m = MetricData.from_json(_malformed_metric(entry), spec)
+    except (DomainError, KeyError, TypeError, ValueError):
+        return      # refused by the reader, before any scan
+    roots = [*m.g_upper.values(), *m.b_upper.values()]
+    assert sampling_failure(roots, spec) == expr_oracle.sampling_failure(roots, spec)
+    assert message in sampling_failure(roots, spec)
 
 
 def _replace_entry(obj, i, j, node):
@@ -596,6 +618,9 @@ def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
     ("theta", "0,1", "theta tuple (0, 1) has length 2; the theta layer expects 3"),
     ("p", "", "p key '' is not comma-separated integers"),
     ("mu", "a,b", "mu key 'a,b' is not comma-separated integers"),
+    # a key of the right length names a tuple that is not in the nerve
+    ("p", "0,0", "tuple (0, 0) has repeated indices"),
+    ("p", "0,2", "tuple (0, 2) is not a nonempty nerve tuple"),
 ])
 def test_gerbe_json_keys_name_their_layer(layer, key, message, tmp_path):
     path = tmp_path / "gerbe.json"

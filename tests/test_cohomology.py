@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import dense_snf
 
 from tdual.cohomology import (
-    AbelianGroup, CohClass, NotAProduct, TRIVIAL, Z, betti_numbers,
+    AbelianGroup, CohClass, DegreeOverflow, NotAProduct, TRIVIAL, Z, betti_numbers,
     chain_space, cochain_space, cohomology, cross_with_z, excision_hom,
     fiber_integrate, homology, long_exact_sequence, pullback_hom,
     SubquotientSpace, relative_cochain_space, relative_cohomology,
@@ -390,6 +390,33 @@ def test_products_require_the_circle_model():
         cross_with_z(gen, s2xs2, 2)
 
 
+def test_circle_products_need_the_circles_faces():
+    # a circle's cells with de = 2a: no circle generator lies behind a class x z
+    s2 = sphere(2)
+    look_alike = product_complex(s2, build_complex("S1", {0: ["a"], 1: ["e"]},
+                                                   {1: {("a", "e"): 2}}))
+    gen = cochain_space(s2, 2).generators()[0]
+    with pytest.raises(NotAProduct, match="second factor is not the standard circle model"):
+        cross_with_z(gen, look_alike)
+    up = cochain_space(look_alike, 3).generators()[0]
+    with pytest.raises(NotAProduct, match="second factor is not the standard circle model"):
+        fiber_integrate(up, look_alike)
+    # an isomorphic twin of the circle model is a circle
+    twin = product_complex(s2, build_complex("S1", {0: ["a"], 1: ["e"]}))
+    crossed = cross_with_z(gen, twin)
+    assert crossed.vector == cross_with_z(gen, product_with_circle(s2)).vector
+    assert fiber_integrate(crossed, twin) == gen
+
+
+def test_crossing_needs_a_product_and_room_above():
+    s2 = sphere(2)
+    gen = cochain_space(s2, 2).generators()[0]
+    with pytest.raises(NotAProduct, match="S2 was not built as a product"):
+        cross_with_z(gen, s2)
+    with pytest.raises(DegreeOverflow, match="degree 4 exceeds the product top degree"):
+        cross_with_z(gen, product_with_circle(s2), degree=3)
+
+
 # ---------------------------------------------------------------------------
 # thom spaces
 
@@ -465,6 +492,24 @@ def test_collapse_labels_validated():
     bplus = s3_two_disc()
     with pytest.raises(LabelMismatch):
         collapse_map(bplus, {"u", "f2"}, {"u", "f2", "c3out"})
+
+
+def test_collapse_outside_the_disc_must_be_cellular():
+    # the edge i leaves the disc {p} through the open part at p: no chain map
+    with pytest.raises(LabelMismatch, match="collapse is not cellular with these labels"):
+        collapse_map(interval(), {"p"}, set())
+
+
+def test_excision_needs_every_relative_cell_of_the_small_pair():
+    with pytest.raises(NotASubcomplex, match="relative cell c3out of the small pair missing"):
+        excision_hom(s3_two_disc(), {"u", "f2", "c3out"}, s3_two_disc(), {"u", "f2"}, 3)
+
+
+def test_subquotient_needs_composable_maps_that_compose_to_zero():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        SubquotientSpace(2, IMat(1, 3), IMat(2, 0))
+    with pytest.raises(ValueError, match="image does not lie in the kernel"):
+        SubquotientSpace(1, IMat.identity(1), IMat.identity(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1010,6 +1010,8 @@ def test_scans_visit_each_distinct_node_once():
             (lambda: opaque_functions(e), {("F", 1)}),
             (lambda: expr._check_constants((e,), fns), None),
             (lambda: expr.sampling_failure([e], spec), None),
+            # later roots inside an earlier one add nothing to the walk
+            (lambda: expr.sampling_failure([e, e.terms[0], e.terms[0].terms[0]], spec), None),
             # evaluate asks only in its constant check: a block reads the fields itself
             (lambda: evaluate(e, PointAssignment({"x": 1.5}, fns)), 2 ** k * 1.5)]:
         out = []
@@ -1030,6 +1032,32 @@ def test_scans_visit_each_distinct_node_once():
 ])
 def test_sampling_failure_names_the_first_failure(entries, failure, spec):
     assert expr.sampling_failure(entries, spec) == failure
+
+
+# failures for a spec that boxes r, theta and g and registers H/2: a constant
+# outside the float range, a symbol without a box, unregistered functions
+POISON = [rat(10 ** 400), sym("zeta"), sym("alpha"), app("E", (R,)), app("H", (R,))]
+
+
+@st.composite
+def roots_sharing_subtrees(draw):
+    """Roots built over a few shared subtrees, some of which hold a failure."""
+    plain = st.recursive(st.sampled_from([R, sym("theta"), H(), rat(2)]), lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
+        kids.map(sin_)), max_leaves=5)
+    parts = st.one_of(plain, st.sampled_from(POISON))
+    shared = draw(st.lists(st.builds(mul, parts, parts), min_size=1, max_size=3))
+    return [draw(st.sampled_from([add, mul]))(*draw(st.lists(
+        st.one_of(st.sampled_from(shared), plain), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots_sharing_subtrees())
+def test_sampling_failure_is_the_per_root_scan(roots):
+    spec = taub_nut_sample_spec()
+    assert expr.sampling_failure(roots, spec) == oracle.sampling_failure(roots, spec)
 
 
 R_JSON = {"k": "sym", "name": "r"}
@@ -1161,6 +1189,11 @@ def test_unknown_node_is_one_error():
 def test_chart_fiber_must_be_periodic():
     with pytest.raises(ValueError):
         Chart(("r", "kappa"), (False, True))
+
+
+def test_chart_names_must_be_unique():
+    with pytest.raises(ValueError, match="coordinate names must be unique"):
+        Chart(("kappa", "r", "r"), (True, False, False))
 
 
 def test_chart_needs_a_fiber_coordinate():

@@ -10,14 +10,17 @@ import json
 import random
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expr_oracle as oracle
+import geometry_oracle
 from tdual import geometry
-from tdual.expr import (Chart, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
-                        SampleSpec, UnboundSymbol, app, add, cos_, equal_numeric, evaluate,
-                        expr_from_json, mul, pow_, rat, sin_, sym)
+from tdual.expr import (ZERO, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
+                        PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
+                        equal_numeric, evaluate, expr_from_json, mul, pow_, rat, sin_, sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, compose, conformal_factor,
@@ -226,6 +229,15 @@ def test_center_index_out_of_range():
         fam.b_field(3, sym("beta"))
 
 
+def test_profiles_have_poles_at_the_centers():
+    # the point r = 0.5 on the axis theta = 0 is the first center, at radius 0.5
+    fam = MultiCenterFamily([(0.0, 0.0, 0.5), (0.3, 0.0, 0.0)], "unit")
+    at_center = PointAssignment({"r": 0.5, "theta": 0.0, "phi": 0.0}, fam.sample.functions)
+    for e in (fam.H, fam.center_summand(0)):
+        with pytest.raises(DomainError, match=f"pole in {e.name} at "):
+            evaluate(e, at_center)
+
+
 @pytest.mark.parametrize("preset", ["coupling", "unit"])
 def test_multi_center_first_derivatives_match_central_differences(preset):
     fam = MultiCenterFamily([(0.3, -0.2, 0.1), (-0.4, 0.5, 0.2)], preset)
@@ -406,20 +418,22 @@ def test_multi_center_dyonic_identity_per_center():
 
 
 def test_shares_and_shifts_are_the_trees_written_out():
-    beta, kappa = sym("beta"), sym("kappa")
-    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
-    for i in range(fam.p):
-        ratio = mul(fam.center_summand(i), pow_(fam.H_radial, -1))
-        for tilde, share in ((False, ratio), (True, add(rat(1), -ratio))):
-            assert fam.b_potential(i, tilde).component((0,)) is share
-            f = fam.dyonic_shift(i, beta, tilde)
-            assert f.targets[0] is add(kappa, mul(rat(-1), beta, share))
+    kappa, centers = sym("kappa"), [(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)]
+    for beta in (sym("beta"), rat(3, 2), rat(0), mul(rat(2), sym("g"))):
+        for p in (2, 3):
+            fam = MultiCenterFamily(centers[:p], "unit")
+            for i in range(fam.p):
+                ratio = mul(fam.center_summand(i), pow_(fam.H_radial, -1))
+                for tilde, share in ((False, ratio), (True, add(rat(1), -ratio))):
+                    assert fam.b_potential(i, tilde).component((0,)) is share
+                    f = fam.dyonic_shift(i, beta, tilde)
+                    assert f.targets[0] is add(kappa, mul(rat(-1), beta, share))
+                    assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
+        gamma = mul(beta, pow_(sym("g"), -2), pow_(H, -1))
+        for variant, shift in (("gamma", gamma), ("lambda", add(gamma, -beta))):
+            f = dyonic_shift(beta, variant)
+            assert f.targets[0] is add(kappa, shift)
             assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
-    gamma = mul(beta, pow_(sym("g"), -2), pow_(H, -1))
-    for variant, shift in (("gamma", gamma), ("lambda", add(gamma, -beta))):
-        f = dyonic_shift(beta, variant)
-        assert f.targets[0] is add(kappa, shift)
-        assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
 
 
 def test_shift_asymptotics():
@@ -464,6 +478,134 @@ def test_pullback_carries_the_b_field():
     assert ok, witness
 
 
+def _b_field_case():
+    chart = Chart(("k", "x", "y"), (True, False, False))
+    spec = SampleSpec({"k": (0.1, 6.2), "x": (-2.0, 2.0), "y": (-2.0, 2.0)})
+    k, x, y = sym("k"), sym("x"), sym("y")
+    m = metric(chart, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(1)},
+               {(0, 1): y, (1, 2): x}, spec)
+    return [(m, Diffeo(chart, (k, add(x, y), y)))]
+
+
+def _dyonic_cases():
+    beta, spec = sym("beta"), taub_nut_sample_spec()
+    metrics = [h_monopole_metric(H, spec), with_b_field(make_taub_nut(), dyonic_b_field(beta))]
+    return [(m, dyonic_shift(b, variant)) for m in metrics
+            for b in (beta, rat(3, 2), mul(rat(2), sym("g"))) for variant in ("gamma", "lambda")]
+
+
+def _multi_center_cases():
+    beta, cases = sym("beta"), []
+    for p in (2, 3):
+        fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)][:p], "unit")
+        for i in range(p):
+            for tilde in (False, True):
+                f = fam.dyonic_shift(i, beta, tilde)
+                field = with_b_field(fam.radial_metric(), fam.b_field(i, beta, tilde))
+                cases += [(fam.radial_dual_reference(), f), (field, f)]
+    return cases
+
+
+def _composition_cases():
+    rng, spec, cases = random.Random(11), taub_nut_sample_spec(), []
+    m = flat_product_metric(spec)
+    for _ in range(5):
+        c1, c2 = rat(rng.randint(1, 3)), rat(rng.randint(1, 3), 2)
+        f = Diffeo(MONOPOLE_CHART, (add(sym("kappa"), mul(c1, R)), R, THETA, sym("phi")))
+        h = Diffeo(MONOPOLE_CHART, (sym("kappa"), R, THETA, add(sym("phi"), mul(c2, THETA))))
+        cases += [(m, compose(f, h)), (m, f), (pullback(m, f), h)]
+    return cases
+
+
+def assert_pullback_is_the_oracles(m, f):
+    """``pullback`` builds every component the per-component loop builds."""
+    try:
+        want = geometry_oracle.pullback(m, f)
+    except DomainError:
+        with pytest.raises(DomainError):
+            pullback(m, f)
+        return
+    got = pullback(m, f)
+    assert (got.g_upper.keys(), got.b_upper.keys()) == (want.g_upper.keys(), want.b_upper.keys())
+    n = m.chart.dim
+    for i in range(n):
+        for j in range(n):
+            assert got.g(i, j) is want.g(i, j) and got.b(i, j) is want.b(i, j), (i, j)
+
+
+PULLBACK_CASES = {
+    "identity": lambda: [(m, identity_diffeo(MONOPOLE_CHART)) for m in (
+        make_taub_nut(), with_b_field(make_taub_nut(), dyonic_b_field(sym("beta"))))],
+    "dyonic": _dyonic_cases,
+    "multi-center": _multi_center_cases,
+    "composition": _composition_cases,
+    "b-field": _b_field_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CASES))
+def test_pullback_builds_the_oracles_nodes(name):
+    for m, f in PULLBACK_CASES[name]():
+        assert_pullback_is_the_oracles(m, f)
+
+
+def _trees(names):
+    leaves = st.one_of(st.sampled_from([sym(n) for n in names]), st.integers(-3, 3).map(rat))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
+        st.tuples(kids, st.sampled_from(["2", "-1", "1/2", "-3/2"])).filter(
+            lambda t: t[0] != rat(0)).map(lambda t: pow_(t[0], Fraction(t[1]))),
+        kids.map(sin_), kids.map(cos_), kids.map(lambda e: app("F", (e,)))), max_leaves=6)
+
+
+@st.composite
+def metrics_and_diffeos(draw):
+    n = draw(st.sampled_from([3, 4]))
+    chart = Chart(("k", "x", "y", "z")[:n], (True,) + (False,) * (n - 1))
+    trees = _trees(chart.names)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    # a b entry given below the diagonal is stored negated
+    m = metric(chart, draw(st.dictionaries(pairs, trees, max_size=5)),
+               draw(st.dictionaries(pairs.filter(lambda p: p[0] != p[1]), trees,
+                                    min_size=1, max_size=4)))
+    return m, Diffeo(chart, tuple(draw(st.lists(trees, min_size=n, max_size=n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(metrics_and_diffeos())
+def test_pullback_builds_the_oracles_nodes_on_random_metrics(case):
+    assert_pullback_is_the_oracles(*case)
+
+
+def test_pullback_substitutes_each_stored_entry_once(monkeypatch):
+    calls, negated = [], []
+    real_substitute, real_neg = geometry.substitute, Expr.__neg__
+
+    def substituting(e, binds):
+        calls.append(e)
+        return real_substitute(e, binds)
+
+    def negating(e):
+        negated.append(e)
+        return real_neg(e)
+
+    monkeypatch.setattr(geometry, "substitute", substituting)
+    monkeypatch.setattr(Expr, "__neg__", negating)
+    beta, spec = sym("beta"), taub_nut_sample_spec()
+    for m, f, count in [(h_monopole_metric(H, spec), dyonic_shift(beta), 4),
+                        (with_b_field(make_taub_nut(), dyonic_b_field(beta)),
+                         dyonic_shift(beta, "lambda"), 8)]:
+        calls.clear(), negated.clear()
+        pulled = pullback(m, f)
+        stored = [*m.g_upper.values(), *m.b_upper.values()]
+        assert len(calls) == len(stored) == count and set(calls) == set(stored)
+        # one negation per stored b entry, read as its partner below the diagonal
+        moved = [real_substitute(e, f.bindings()) for e in m.b_upper.values()]
+        assert sorted(map(id, negated)) == sorted(map(id, moved))
+        assert pulled.g_upper and ZERO not in negated
+
+
 # ---------------------------------------------------------------------------
 # conformal comparison
 
@@ -476,6 +618,12 @@ def test_dual_is_conformal_to_flat_product(spec):
 def test_self_conformal_factor_is_one(spec):
     tn = make_taub_nut()
     assert equal_numeric(conformal_factor(tn, tn, spec), rat(1), spec)
+
+
+def test_zero_reference_is_not_conformal(spec):
+    with pytest.raises(NotConformal, match="at component None") as err:
+        conformal_factor(make_taub_nut(), MetricData(MONOPOLE_CHART, {}, {}), spec)
+    assert err.value.witness == "reference metric is numerically zero"
 
 
 def test_taub_nut_not_conformal_to_flat(spec):

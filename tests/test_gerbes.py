@@ -87,10 +87,31 @@ def test_model_rejects_an_empty_intersection(bplus):
 
 
 @pytest.mark.parametrize("build", [s3_two_disc, lambda: product_with_circle(sphere(2)),
-                                   lambda: product_complex(s3_two_disc(), interval_power(1))])
+                                   lambda: product_complex(s3_two_disc(), interval_power(1)),
+                                   lambda: product_complex(s3_two_disc(), build_complex(
+                                       "S1", {0: ["a"], 1: ["e"]}, {1: {("a", "e"): 2}}))])
 def test_crossing_needs_the_product_with_the_circle(two_patch_cover, build):
     with pytest.raises(ModelMismatch, match=r"is not S3\+ x S\^1$"):
         two_patch_cover.crossed(build())
+
+
+def test_a_twin_circle_product_crosses_and_dualizes(two_patch_cover, generator_cocycle):
+    # the circle's cells and faces, built again: a product with it is X x S^1
+    twin = product_complex(two_patch_cover.space, build_complex("S1", {0: ["a"], 1: ["e"]}))
+    crossed = two_patch_cover.crossed(twin)
+    assert crossed.space is twin and crossed.tuples(1) == two_patch_cover.tuples(1)
+    g = two_gerbe_from_class(two_patch_cover, generator_cocycle, scramble_seed=3)
+    dual = tdualize_two_gerbe(g, twin)
+    rep = check_three_gerbe(dual)
+    assert rep.passed
+    assert rep.characteristic_class == cross_with_z(characteristic_class_two_gerbe(g), twin)
+    assert not rep.characteristic_class.is_zero()
+
+
+def test_a_patch_must_kill_the_class(bplus, generator_cocycle):
+    whole = CoverNerve(bplus, [frozenset(bplus.all_ids())])
+    with pytest.raises(ModelMismatch, match="patch 0 does not trivialize the class"):
+        two_gerbe_from_class(whole, generator_cocycle)
 
 
 def test_downward_closure_violation_detected():

@@ -14,7 +14,6 @@ loads no other layer; at module level only the standard library is imported.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -162,6 +161,7 @@ def _render(args, payload: dict, lines: list, verdicts: list) -> int:
     """Write the JSON payload, or the table lines followed by one PASS/FAIL
     line per verdict; exit 1 if a verdict failed, else 0."""
     if args.format == "json":
+        import json
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         for v in verdicts:
@@ -183,6 +183,7 @@ def _render(args, payload: dict, lines: list, verdicts: list) -> int:
 def _read_json(path: str, what: str, parse, errors: tuple = ()):
     """``parse`` of the JSON in ``path``; a failure to open, decode or parse
     it is an InputError 'cannot read <what>: ...'."""
+    import json
     try:
         with open(path) as fh:
             return parse(json.load(fh))

@@ -10,7 +10,7 @@ cochain level on product complexes and are strict chain-level inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
 from .intlin import IMat, kernel_basis, lattice_equal, rank_q, solve
@@ -28,21 +28,25 @@ class NotACocycle(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group: free rank plus divisibility-ordered
-    torsion coefficients (each > 1, each dividing the next)."""
-
+class _Group(NamedTuple):
     free_rank: int
     torsion: tuple = ()
 
-    def __post_init__(self):
-        for t in self.torsion:
+
+class AbelianGroup(_Group):
+    """Finitely generated abelian group: free rank plus divisibility-ordered
+    torsion coefficients (each > 1, each dividing the next)."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple = ()):
+        for t in torsion:
             if t <= 1:
                 raise ValueError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion list must be in divisibility order")
+        return super().__new__(cls, free_rank, torsion)
 
     def __str__(self):
         parts = []
@@ -152,9 +156,9 @@ class SubquotientSpace:
         return CohClass(self, (0,) * self.n)
 
 
-@dataclass(frozen=True)
-class CohClass:
-    """A cohomology class: a cocycle representative in its ambient space."""
+class CohClass(NamedTuple):
+    """A cohomology class: a cocycle representative in its ambient space,
+    equal to another of the same space when their reduced coordinates are."""
 
     space: SubquotientSpace
     vector: tuple
@@ -171,6 +175,9 @@ class CohClass:
         if self.space is not other.space:
             raise ValueError("classes live in different spaces")
         return self.reduced() == other.reduced()
+
+    def __ne__(self, other):        # tuple's own would compare the fields
+        return not self == other
 
     def __hash__(self):
         return hash((id(self.space), self.reduced()))
@@ -362,15 +369,14 @@ def connecting_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
         x, k, a.cell_ids(k), _relative_cells(x, a_ids, k + 1)), f"d{k}")
 
 
-@dataclass
-class LESNode:
+class LESNode(NamedTuple):
     label: str
     group: AbelianGroup
     exact: bool | None    # None at the two open ends
+    __hash__ = None
 
 
-@dataclass
-class LESReport:
+class LESReport(NamedTuple):
     nodes: list
     maps: dict
 

@@ -20,12 +20,11 @@ spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from weakref import WeakValueDictionary
 
 from . import BUILTIN_NAMES  # noqa: F401  (re-exported: the registry's names)
-from .intlin import IMat
+from .intlin import IMat, _Record
 
 
 class NotASubcomplex(ValueError):
@@ -61,14 +60,19 @@ class UnknownSpace(KeyError):
 PT = ("*",)   # basepoint id used by quotient complexes
 
 
-@dataclass
-class CellComplex:
-    name: str
-    cells: dict                             # degree -> ordered list of ids
-    faces: dict = field(default_factory=dict)   # cell id -> {face id: coefficient}
-    product_of: tuple | None = None         # (X, Y) provenance
-    # subcomplexes by cell set, products by (id(Y), name), class spaces by kind
-    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class CellComplex(_Record):
+    """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
+    coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
+    subcomplexes by cell set, products by (id(Y), name), class spaces by kind."""
+
+    _fields = ("name", "cells", "faces", "product_of")
+    __slots__ = (*_fields, "derived", "_index", "_coboundary", "__weakref__")
+
+    def __init__(self, name: str, cells: dict, faces: dict | None = None,
+                 product_of: tuple | None = None):
+        self.name, self.cells, self.faces, self.product_of = name, cells, faces or {}, product_of
+        self.derived = {}
+        self.__post_init__()        # the entry bench/layers.py traces
 
     def __post_init__(self):
         """Keep every cell's nonzero faces in face-index order and derive, per
@@ -181,16 +185,14 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
 # ---------------------------------------------------------------------------
 # chain maps
 
-@dataclass
-class ChainMap:
-    """Degree-wise integer matrices commuting with the boundaries."""
+class ChainMap(_Record):
+    """Degree-wise integer matrices commuting with the boundaries; ``mats``
+    maps a degree to its IMat (n_target x n_source)."""
 
-    source: CellComplex
-    target: CellComplex
-    mats: dict                                  # degree -> IMat (n_target x n_source)
-    name: str = ""
+    __slots__ = _fields = ("source", "target", "mats", "name")
 
-    def __post_init__(self):
+    def __init__(self, source: CellComplex, target: CellComplex, mats: dict, name: str = ""):
+        self.source, self.target, self.mats, self.name = source, target, mats, name
         for k in range(max(self.source.top, self.target.top) + 1):
             m = self.mat(k)
             if m.rows != self.target.n_cells(k) or m.cols != self.source.n_cells(k):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from math import comb
@@ -48,7 +47,7 @@ from .complexes import (CellComplex, _is_circle, circle, circle_product_ids, con
                         product_with_circle, s3_two_disc, sphere, trivial_disc_bundle)
 from .cohomology import (CohClass, cochain_space, connecting_hom, excision_hom,
                          relative_inclusion_hom)
-from .intlin import solve
+from .intlin import _Record, solve
 
 
 class MalformedNerve(ValueError):
@@ -73,15 +72,18 @@ def _parity(t: tuple) -> int:
     return (-1) ** sum(1 for a in range(len(t)) for b in range(a + 1, len(t)) if t[a] > t[b])
 
 
-@dataclass
-class CoverNerve:
+class CoverNerve(_Record):
     """Nerve of a subcomplex cover, read off its cell patterns. ``sets[i]``
     is the cell-id set of U_i; the distinct patterns are ``_patterns``, the
-    cells of each ``_members``, and ``_pattern_of[cell]`` indexes its own."""
+    cells of each ``_members``, and ``_pattern_of[cell]`` indexes its own.
+    ``_groups`` maps each pattern to its cells, when that is already known."""
 
-    space: CellComplex
-    sets: list
-    _groups: InitVar[dict | None] = None     # pattern -> its cells, when already known
+    _fields = ("space", "sets")
+    __slots__ = (*_fields, "_patterns", "_members", "_pattern_of", "_nerve", "_models", "_tables")
+
+    def __init__(self, space: CellComplex, sets: list, _groups: dict | None = None):
+        self.space, self.sets = space, sets
+        self.__post_init__(_groups)     # the entry bench/layers.py traces
 
     def __post_init__(self, _groups=None):
         self.sets = [frozenset(s) for s in self.sets]
@@ -353,21 +355,22 @@ def total_class(cover: CoverNerve, components: dict, total_degree: int) -> CohCl
 # ---------------------------------------------------------------------------
 # gerbe data
 
-@dataclass
-class GerbeCondition:
+class GerbeCondition(NamedTuple):
     name: str
     where: tuple
     ok: bool
     witness: object = None
+    __hash__ = None
 
 
-@dataclass
-class GerbeReport:
+class GerbeReport(_Record):
     """The slots of D(data), each (name, its nerve tuples, the witness cell
     of each failing tuple), read as one condition per tuple."""
 
-    slots: list
-    characteristic_class: CohClass | None = None
+    _fields = ("slots", "characteristic_class")
+
+    def __init__(self, slots: list, characteristic_class: CohClass | None = None):
+        self.slots, self.characteristic_class = slots, characteristic_class
 
     @cached_property
     def conditions(self) -> list:
@@ -632,8 +635,7 @@ def monopole_two_gerbe(n: int):
 # ---------------------------------------------------------------------------
 # from semi-free data to gerbes
 
-@dataclass
-class GerbeModels:
+class GerbeModels(NamedTuple):
     """Compact models tying a semi-free classification datum to a gerbe.
 
     ``b`` models the base B with the fixed locus and a compact complement

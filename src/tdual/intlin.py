@@ -9,7 +9,6 @@ complexes.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 
 class IMat:
@@ -161,8 +160,24 @@ def _axpy(dst: dict, src: dict, k: int):
             del dst[j]
 
 
-@dataclass
-class SNF:
+class _Record:
+    """A mutable record: ``==`` and ``repr`` over the attributes named in
+    ``_fields``, and no hash, as a plain ``@dataclass`` has them."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SNF(_Record):
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
     V and U^-1 are kept transposed (``v_t``, ``uinv_t``), as the elimination
@@ -170,13 +185,12 @@ class SNF:
     is column i of U^-1, so cohomology bases are read without re-inversion.
     """
 
-    u: IMat
-    d: IMat
-    v_t: IMat
-    uinv_t: IMat
-    rank: int
-    # the columns of U as rows, built by the first ``u_times``
-    u_t: IMat | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("u", "d", "v_t", "uinv_t", "rank")
+    __slots__ = (*_fields, "u_t", "__weakref__")
+
+    def __init__(self, u: IMat, d: IMat, v_t: IMat, uinv_t: IMat, rank: int):
+        self.u, self.d, self.v_t, self.uinv_t, self.rank = u, d, v_t, uinv_t, rank
+        self.u_t = None         # the columns of U as rows, built by the first ``u_times``
 
     def diagonal(self) -> list[int]:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]

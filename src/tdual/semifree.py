@@ -14,8 +14,7 @@ Hausdorff regularization is the physical dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .cohomology import (AbelianGroup, CohClass, cochain_space, cross_with_z,
                          fiber_integrate, homology)
@@ -40,8 +39,7 @@ class UnwrappedSource(ValueError):
 # ---------------------------------------------------------------------------
 # classification records
 
-@dataclass
-class SemifreeSpace:
+class SemifreeSpace(NamedTuple):
     """Classification triple (B, F, lambda) of a semi-free circle space.
 
     ``complement_ids`` is the compact model of B - F inside the base model;
@@ -77,13 +75,16 @@ def classify(base: CellComplex, fixed_ids, complement_ids,
              charge: int | None = None) -> SemifreeSpace:
     """Validate and canonicalize a classification record.
 
-    The fixed locus and the complement model must be subcomplexes, and the
-    bundle class must be a degree-2 class on the complement model; records
-    built from equal data compare equal (the uniqueness statement of the
-    classification).
+    The fixed locus and the complement model must be disjoint subcomplexes,
+    and the bundle class must be a degree-2 class on the complement model;
+    records built from equal data compare equal (the uniqueness statement of
+    the classification).
     """
     fixed_ids = base.check_subcomplex(fixed_ids)
     complement_ids = base.check_subcomplex(complement_ids)
+    if fixed_ids & complement_ids:
+        raise InvalidClass(f"fixed cells {sorted(map(str, fixed_ids & complement_ids))} "
+                           "lie in the complement model of B - F")
     comp = base.subcomplex(complement_ids)
     space = cochain_space(comp, 2)
     if bundle_class.space is not space:
@@ -115,22 +116,21 @@ def trivial_record() -> SemifreeSpace:
 # ---------------------------------------------------------------------------
 # the T-dual record
 
-@dataclass
-class ExtensionDescriptor:
+class ExtensionDescriptor(NamedTuple):
     """The unique extension data: continuous-trace ideal on the complement
     product with the flux class, quotient algebra over the source locus."""
 
     ideal: str
     ideal_class: tuple
     quotient: str
+    __hash__ = None
 
     def to_json(self) -> dict:
         return {"ideal": self.ideal, "ideal_class": list(self.ideal_class),
                 "quotient": self.quotient}
 
 
-@dataclass
-class TDualRecord:
+class TDualRecord(NamedTuple):
     source_space: SemifreeSpace
     product: CellComplex                  # B x S^1
     source_ids: frozenset                 # F x S^1 cells
@@ -195,15 +195,13 @@ def multi_center_homotopy(p: int) -> dict:
 # ---------------------------------------------------------------------------
 # the crossed-product spectrum of the basic example
 
-@dataclass(frozen=True)
-class StabilizerDatum:
+class StabilizerDatum(NamedTuple):
     orbit_type: str
     stabilizer: str
     dual_fiber: str
 
 
-@dataclass
-class SpectrumModel:
+class SpectrumModel(NamedTuple):
     """Spectrum of the basic crossed product: a Hausdorff regular part
     (S^2 x S^1 x (0, inf)) carrying the flux class, with the dual line
     glued on over the fixed point.
@@ -224,6 +222,7 @@ class SpectrumModel:
     def non_separable(self, k1: Fraction, k2: Fraction) -> bool:
         """Exact separability predicate on the glued line, arguments in
         period units (multiples of 2 pi)."""
+        from fractions import Fraction
         diff = Fraction(k1) - Fraction(k2)
         return diff % self.glued_line_period == 0
 
@@ -243,6 +242,7 @@ def basic_example_spectrum() -> SpectrumModel:
     """The spectrum model of the basic example (cone on S^3 over cone on
     S^2): regular part S^2 x S^1 x (0, inf) with one unit of flux, a full
     line glued over the origin with period-2pi identifications."""
+    from fractions import Fraction
     s2s1 = product_with_circle(sphere(2))
     flux = cochain_space(s2s1, 3).generators()[0]
     stabs = (
@@ -253,8 +253,7 @@ def basic_example_spectrum() -> SpectrumModel:
                          glued_line_period=Fraction(1), stabilizers=stabs)
 
 
-@dataclass
-class RegularizedDual:
+class RegularizedDual(NamedTuple):
     """Maximal Hausdorff regularization of a spectrum model: the glued line
     collapses to the dual circle over the fixed locus, giving coneS2 x S1."""
 
@@ -283,12 +282,12 @@ def hausdorff_regularization(m) -> RegularizedDual:
 # ---------------------------------------------------------------------------
 # the dyonic datum at class level
 
-@dataclass
-class DyonicReport:
+class DyonicReport(NamedTuple):
     action_fixes_class: bool
     rotation_multiple: int | None
     beta_label: str
     dual_datum: CohClass
+    __hash__ = None
 
     def describe(self) -> dict:
         return {"action_fixes_class": self.action_fixes_class,

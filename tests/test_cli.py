@@ -640,6 +640,11 @@ def test_gerbe_json_keys_name_their_layer(layer, key, message, tmp_path):
     (dict(CHARGE_2_RECORD, complement=[], **{"class": []}),
      "the bundle class has degree 2, above the top cell degree 0 of the complement"),
     ([CHARGE_2_RECORD], "record must be a JSON object"),
+    # the complement models B - F, so it holds no fixed cell
+    (dict(CHARGE_2_RECORD, fixed=["u"], **{"class": [1]}),
+     "fixed cells ['u'] lie in the complement model of B - F"),
+    (dict(CHARGE_2_RECORD, complement=["v", "u", "a", "f2", "c3"], **{"class": [0]}),
+     "fixed cells ['v'] lie in the complement model of B - F"),
 ])
 def test_malformed_record_json_exits_two(command, record, message, tmp_path):
     path = tmp_path / "record.json"
@@ -754,25 +759,31 @@ def test_help_matches_golden(command, monkeypatch):
     assert out == (GOLDEN / f"help_{command or 'top'}.txt").read_text()
 
 
+# prints, without importing json, each module loaded after its own imports
 IMPORTS_AFTER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 import tdual.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert tdual.cli.main(sys.argv[1:]) == 0
-print(json.dumps([name for name in sys.modules if name.startswith("tdual")]))
+print(*sorted(set(sys.modules) - before))
 """
 
 
-def _tdual_modules_after(*argv) -> set:
-    """The tdual modules of a fresh interpreter that imported tdual.cli and,
-    given an argv, ran ``main`` on it."""
+def _modules_after(*argv) -> set:
+    """The modules that a fresh interpreter loaded to import tdual.cli and,
+    given an argv, to run ``main`` on it."""
     import tdual
     src = str(Path(tdual.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    return set(json.loads(proc.stdout))
+    return set(proc.stdout.split())
+
+
+def _tdual_modules_after(*argv) -> set:
+    return {name for name in _modules_after(*argv) if name.startswith("tdual")}
 
 
 def test_the_cli_names_no_private_expr_name():
@@ -811,6 +822,35 @@ METRIC_LAYERS = {"tdual.expr", "tdual.geometry"}
 def test_each_command_loads_only_its_layers(argv, loaded, absent):
     modules = _tdual_modules_after(*argv)
     assert loaded <= modules and not modules & absent
+
+
+# Each integer-side command, and the costly standard modules it may import:
+# json to read --input or write --format json, fractions for the spectrum.
+@pytest.mark.parametrize("argv, wanted", [
+    (["cohomology", "--space", "CP2", "--degree", "2"], set()),
+    (["cohomology", "--space", "CP2", "--degree", "2", "--format", "json"], {"json"}),
+    (["dualize-gerbe", "--preset", "monopole:2"], set()),
+    (["dualize-gerbe", "--input", "{gerbe}"], {"json"}),
+    (["classify", "--preset", "kk"], set()),
+    (["classify", "--input", "{record}"], {"json"}),
+    (["tdualize", "--preset", "charge:2"], set()),
+    (["tdualize", "--input", "{record}", "--format", "json"], {"json"}),
+    (["spectrum"], {"fractions"}),
+    (["spectrum", "--format", "json"], {"json", "fractions"}),
+    (["homotopy", "--centers", "3"], set()),
+    (["verify", "cohomology"], set()),
+    (["verify", "gerbes"], set()),
+    (["verify", "semifree"], {"fractions"}),
+    (["verify", "semifree", "--format", "json"], {"json", "fractions"}),
+], ids=lambda arg: " ".join(arg) if type(arg) is list else "+".join(sorted(arg)) or "-")
+def test_integer_side_commands_import_no_dataclasses(argv, wanted, tmp_path):
+    inputs = {"gerbe": TWO_PATCH_GERBE, "record": CHARGE_2_RECORD}
+    for name, obj in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in inputs}) for arg in argv]
+    loaded = _modules_after(*argv)
+    assert "tdual.cohomology" in loaded and not loaded & {"tdual.expr", "tdual.geometry"}
+    assert loaded & {"dataclasses", "inspect", "json", "fractions"} == wanted
 
 
 def test_byte_identical_output_for_fixed_seed():

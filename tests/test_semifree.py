@@ -52,6 +52,14 @@ def test_records_equal_iff_data_equal():
     assert not kk_record().same_record(empty_fixed)
 
 
+def test_classify_refuses_fixed_cells_in_the_complement():
+    base = cone_on_s2()
+    for fixed, comp in (({"u"}, {"u", "f2"}), ({"v"}, base.all_ids())):
+        gen = cochain_space(base.subcomplex(comp), 2).zero()
+        with pytest.raises(InvalidClass, match="lie in the complement model"):
+            classify(base, frozenset(fixed), frozenset(comp), gen)
+
+
 def test_classify_validates_class_home():
     base = cone_on_s2()
     with pytest.raises(InvalidClass):

@@ -82,8 +82,8 @@ def classify(base: CellComplex, fixed_ids, complement_ids,
     """
     fixed_ids = base.check_subcomplex(fixed_ids)
     complement_ids = base.check_subcomplex(complement_ids)
-    if fixed_ids & complement_ids:
-        raise InvalidClass(f"fixed cells {sorted(map(str, fixed_ids & complement_ids))} "
+    if overlap := fixed_ids & complement_ids:
+        raise InvalidClass(f"fixed cells {sorted(map(str, overlap))} "
                            "lie in the complement model of B - F")
     comp = base.subcomplex(complement_ids)
     space = cochain_space(comp, 2)

@@ -63,7 +63,11 @@ PT = ("*",)   # basepoint id used by quotient complexes
 class CellComplex(_Record):
     """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
     coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
-    subcomplexes by cell set, products by (id(Y), name), class spaces by kind."""
+    subcomplexes by cell set, products by (id(Y), name), class spaces by kind.
+
+    A complex built directly trusts its faces: ``build_complex`` checks
+    boundary squared zero where cell data enters, and products, subcomplexes
+    and quotients of a checked complex satisfy it by construction."""
 
     _fields = ("name", "cells", "faces", "product_of")
     __slots__ = (*_fields, "derived", "_index", "_coboundary", "__weakref__")
@@ -90,7 +94,6 @@ class CellComplex(_Record):
             self._coboundary[k] = IMat.of(len(rows), len(lower_ids), rows)
         if len(self.faces) < sum(map(len, self.cells.values())):
             raise ValueError(f"cell ids of {self.name} are not distinct")
-        self.validate_square_zero()
 
     @property
     def top(self) -> int:
@@ -168,7 +171,8 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
     ``incidences[k]`` maps (lower_id, upper_id) to the integer coefficient of
     lower_id in the boundary of upper_id. The face must be a (k-1)-cell and
     the upper cell a k-cell; otherwise MissingCell names the face, or else
-    the cell, that is missing.
+    the cell, that is missing. A boundary whose square is nonzero raises
+    ValueError naming the degree.
     """
     ids = {k: set(v) for k, v in cells.items()}
     faces: dict = {}
@@ -179,7 +183,9 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
                     raise MissingCell(cell, f"degree {k} incidence of {low!r} in {up!r}: "
                                             f"there is no {what} {cell!r} of degree {degree}")
             faces.setdefault(up, {})[low] = coeff
-    return CellComplex(name, cells, faces)
+    x = CellComplex(name, cells, faces)
+    x.validate_square_zero()
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,11 @@ CHARGE_2_RECORD = {"base": "coneS2", "fixed": ["v"], "complement": ["u", "f2"], 
                 "boundaries": {"5": [["zz", "qq", 7]], "7": [["c", "v", 3]]}},
       "cover": [["v", "c"]]},
      "cannot read gerbe: degree 5 incidence of 'qq' in 'zz': there is no face 'qq' of degree 4"),
+    # a custom space is where cell data enters, so its boundary squared is checked there
+    ({"space": {"name": "X", "cells": {"0": ["v"], "1": ["e"], "2": ["f"]},
+                "boundaries": {"1": [["e", "v", 1]], "2": [["f", "e", 1]]}},
+      "cover": [["v", "e", "f"]]},
+     "cannot read gerbe: boundary squared nonzero at degree 2 in X\n"),
 ])
 def test_malformed_gerbe_json_exits_two(gerbe, message, tmp_path):
     path = tmp_path / "gerbe.json"
@@ -645,6 +650,9 @@ def test_gerbe_json_keys_name_their_layer(layer, key, message, tmp_path):
      "fixed cells ['u'] lie in the complement model of B - F"),
     (dict(CHARGE_2_RECORD, complement=["v", "u", "a", "f2", "c3"], **{"class": [0]}),
      "fixed cells ['v'] lie in the complement model of B - F"),
+    # the 2-cochain 1 on f2 has coboundary c3 on the whole cone
+    ({"base": "coneS2", "fixed": [], "complement": ["v", "u", "a", "f2", "c3"], "class": [1]},
+     "vector is not a cocycle in H^2(coneS2|sub)\n"),
 ])
 def test_malformed_record_json_exits_two(command, record, message, tmp_path):
     path = tmp_path / "record.json"

@@ -117,6 +117,27 @@ def test_cell_ids_must_be_distinct_across_degrees():
         cx.build_complex("X", {0: ["v"], 1: ["v"]})
 
 
+def test_boundary_squared_nonzero_is_refused_where_cells_enter():
+    with pytest.raises(ValueError, match="boundary squared nonzero at degree 2 in X"):
+        cx.build_complex("X", {0: ["v"], 1: ["e"], 2: ["f"]},
+                         {1: {("v", "e"): 1}, 2: {("e", "f"): 1}})
+
+
+def test_only_build_complex_checks_boundary_squared(monkeypatch):
+    # products, subcomplexes and quotients of a checked complex are trusted
+    calls = []
+    check = cx.CellComplex.validate_square_zero
+    monkeypatch.setattr(cx.CellComplex, "validate_square_zero",
+                        lambda self: calls.append(self.name) or check(self))
+    x, y = _triangle(), cx.build_complex("J", {0: ["s", "t"], 1: ["j"]},
+                                         {1: {("t", "j"): 1, ("s", "j"): -1}})
+    assert calls == ["triangle", "J"]
+    cx.product_complex(x, y)
+    x.subcomplex({"p", "q", "i"})
+    cx.quotient_by_subcomplex(x, {"p", "q", "i"})
+    assert calls == ["triangle", "J"]
+
+
 def test_circle_product_ids_are_the_cells_of_the_circle_product():
     x = cx.cone_on_s2()
     assert cx.circle_product_ids({"u", "f2"}) == frozenset(

@@ -76,7 +76,7 @@ def test_taub_nut_dual_emits_one_unit_of_flux():
     assert cochain_space(dual.complement_product, 3).group() == Z
 
 
-@pytest.mark.parametrize("p", list(range(1, 8)))
+@pytest.mark.parametrize("p", [-3, -1, 0, *range(1, 8)])
 def test_flux_round_trip_up_to_charge_seven(p):
     rec = kk_record(p)
     dual = tdualize(rec)
@@ -85,8 +85,10 @@ def test_flux_round_trip_up_to_charge_seven(p):
 
 
 def test_trivial_record_dualizes_to_zero_flux():
-    dual = tdualize(trivial_record())
+    rec = trivial_record()
+    dual = tdualize(rec)
     assert dual.flux.is_zero()
+    assert fiber_integrate(dual.flux, dual.complement_product) == rec.bundle_class
 
 
 def test_source_sits_on_fixed_locus_times_circle():

@@ -508,7 +508,7 @@ def _suite_dyonic(args):
     yield _sampled("dyonic field is closed", wit is None, wit)
     yield _equal(args, "dual of (g, beta*Omega) is the shifted product metric",
                  geo.buscher_transform(geo.with_b_field(tn, field)), _gh_reference(tn, True))
-    fam = geo.MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
+    fam = geo.MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)])
     dual_i = geo.buscher_transform(geo.with_b_field(fam.radial_metric(), fam.b_field(0, beta)))
     target_i = geo.pullback(fam.radial_dual_reference(), fam.dyonic_shift(0, beta))
     yield _equal(args, "per-center dual matches the H_i/H-shifted product metric",

@@ -5,7 +5,8 @@ vectors reduced to canonical coordinates modulo coboundaries, so class
 equality, generator extraction, induced maps, connecting maps, and
 exactness checks are all exact integer computations. Cross product with
 the circle generator and integration over the circle fiber act at the
-cochain level on product complexes and are strict chain-level inverses.
+cochain level on product complexes and are strict chain-level inverses;
+each reads the degree off the class's space and refuses one that differs.
 """
 
 from __future__ import annotations
@@ -105,17 +106,15 @@ class SubquotientSpace:
     def coord_dim(self) -> int:
         return len(self.torsion_slots) + len(self.free_slots)
 
-    def is_cocycle(self, vec) -> bool:
-        return all(x == 0 for x in self.out_map.mul_vec(list(vec)))
-
     def reduce(self, vec) -> tuple:
-        """Canonical coordinates of the class of ``vec``."""
+        """Canonical coordinates of the class of ``vec``. The kernel basis is
+        saturated, so ``vec`` solves against it exactly when it is a cocycle."""
         vec = list(vec)
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        if not self.is_cocycle(vec):
-            raise NotACocycle(f"vector is not a cocycle in {self.label}")
         c = solve(self.kernel, vec)
+        if c is None:
+            raise NotACocycle(f"vector is not a cocycle in {self.label}")
         y = self.snf.u_times(c)
         out = [y.get(i, 0) % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
         out.extend(y.get(i, 0) for i in self.free_slots)
@@ -124,12 +123,8 @@ class SubquotientSpace:
     def relations_lattice(self) -> IMat:
         """Columns generating the subgroup of coordinate vectors that are zero."""
         dim = self.coord_dim
-        cols = []
-        for k, t in enumerate(self.torsion_values):
-            col = [0] * dim
-            col[k] = t
-            cols.append(col)
-        return IMat.from_columns(cols, dim)
+        return IMat.from_columns([[t if i == k else 0 for i in range(dim)]
+                                  for k, t in enumerate(self.torsion_values)], dim)
 
     def _add_generator(self, vec: list, slot: int, coeff: int):
         # vec += coeff * kernel @ (column slot of U^-1), over that column's nonzeros
@@ -440,9 +435,9 @@ def fiber_integrate_vector(x: CellComplex, xs1: CellComplex, vec, k: int) -> lis
 def cross_with_z(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> CohClass:
     """H^k(X) -> H^{k+1}(X x S^1), cross product with the circle generator."""
     base = _require_circle_product(xs1)
-    k = degree if degree is not None else _degree_of_space(cls.space, base)
-    if k + 1 > xs1.top:
-        raise DegreeOverflow(f"degree {k+1} exceeds the product top degree")
+    if degree is not None and degree + 1 > xs1.top:
+        raise DegreeOverflow(f"degree {degree+1} exceeds the product top degree")
+    k = _degree_of_space(cls.space, base, degree)
     vec = cross_with_z_vector(base, xs1, list(cls.vector), k)
     return CohClass(cochain_space(xs1, k + 1), tuple(vec))
 
@@ -450,16 +445,17 @@ def cross_with_z(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> 
 def fiber_integrate(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> CohClass:
     """H^k(X x S^1) -> H^{k-1}(X); strict left inverse of cross_with_z."""
     base = _require_circle_product(xs1)
-    k = degree if degree is not None else _degree_of_space(cls.space, xs1)
+    k = _degree_of_space(cls.space, xs1, degree)
     vec = fiber_integrate_vector(base, xs1, list(cls.vector), k)
     return CohClass(cochain_space(base, k - 1), tuple(vec))
 
 
-def _degree_of_space(space: SubquotientSpace, x: CellComplex) -> int:
+def _degree_of_space(space: SubquotientSpace, x: CellComplex, degree: int | None) -> int:
     for k in range(x.top + 1):
-        if x.derived.get(("abs", k)) is space:
+        if x.derived.get(("abs", k)) is space and degree in (None, k):
             return k
-    raise ValueError("class space does not belong to this complex")
+    at = "" if degree is None else f" in degree {degree}"
+    raise ValueError(f"class space does not belong to this complex{at}: {space.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cohomology import AbelianGroup, CohClass, cochain_space, cross_with_z, homology
+from .cohomology import Z, CohClass, cochain_space, cross_with_z, homology
 from .complexes import (CellComplex, circle_product_ids, cone_on_s2, product_with_circle,
                         sphere, wedge_of_spheres)
 from .intlin import IMat
@@ -69,26 +69,31 @@ class SemifreeSpace(NamedTuple):
                 "charge": self.charge}
 
 
+def _generator_multiple(space, coords: tuple) -> int | None:
+    # on H^2 = Z the generator reduces to (1,): a class's coordinate is its multiple
+    return coords[0] if space.group() == Z else None
+
+
 def classify(base: CellComplex, fixed_ids, complement_ids,
-             bundle_class: CohClass, name: str = "",
-             charge: int | None = None) -> SemifreeSpace:
+             bundle_class: CohClass, name: str = "") -> SemifreeSpace:
     """Validate and canonicalize a classification record.
 
     The fixed locus and the complement model must be disjoint subcomplexes,
-    and the bundle class must be a degree-2 class on the complement model;
-    records built from equal data compare equal (the uniqueness statement of
-    the classification).
+    and the bundle class must be a degree-2 class on the complement model.
+    The charge is the class's multiple of a generator of H^2 = Z (else None),
+    so records built from equal data compare equal (the uniqueness statement
+    of the classification).
     """
     fixed_ids = base.check_subcomplex(fixed_ids)
-    complement_ids = base.check_subcomplex(complement_ids)
+    comp = base.subcomplex(complement_ids)      # checks the cell set when first built
+    complement_ids = frozenset(complement_ids)
     if overlap := fixed_ids & complement_ids:
         raise InvalidClass(f"fixed cells {sorted(map(str, overlap))} "
                            "lie in the complement model of B - F")
-    comp = base.subcomplex(complement_ids)
     space = cochain_space(comp, 2)
     if bundle_class.space is not space:
         raise InvalidClass("bundle class must live in H^2 of the complement model")
-    space.reduce(bundle_class.vector)   # raises if not a cocycle
+    charge = _generator_multiple(space, space.reduce(bundle_class.vector))  # raises if not a cocycle
     return SemifreeSpace(base, fixed_ids, complement_ids, bundle_class, name, charge)
 
 
@@ -100,8 +105,7 @@ def kk_record(charge: int = 1) -> SemifreeSpace:
     comp = base.subcomplex(frozenset({"u", "f2"}))
     gen = cochain_space(comp, 2).generators()[0]
     return classify(base, frozenset({"v"}), frozenset({"u", "f2"}),
-                    charge * gen, name=f"KK(p={charge})" if charge != 1 else "Taub-NUT",
-                    charge=charge)
+                    charge * gen, name=f"KK(p={charge})" if charge != 1 else "Taub-NUT")
 
 
 def trivial_record() -> SemifreeSpace:
@@ -302,7 +306,6 @@ def dyonic_automorphism_check(x: CellComplex, lam: CohClass,
     fixes = moved == lam
     xs1 = product_with_circle(x)
     dual = cross_with_z(lam, xs1)
-    # on H^2 = Z the generator reduces to (1,): lambda's coordinate is its multiple
-    rotation = lam.reduced()[0] if lam.space.group() == AbelianGroup(1) else None
+    rotation = _generator_multiple(lam.space, lam.reduced())
     label = f"2*pi*{rotation}" if rotation is not None else "non-integral"
     return DyonicReport(fixes, rotation, label, dual)

@@ -663,6 +663,22 @@ def test_malformed_record_json_exits_two(command, record, message, tmp_path):
     assert message in err
 
 
+@pytest.mark.parametrize("record, charge", [
+    (CHARGE_2_RECORD, 2),
+    (dict(CHARGE_2_RECORD, **{"class": [-3]}), -3),
+    # H^2 of the whole cone is 0, and H^2(L(1,3)) is Z/3: no charge
+    ({"base": "coneS2", "fixed": [], "complement": ["v", "u", "a", "f2", "c3"], "class": [0]},
+     None),
+    ({"base": "L1p:3", "fixed": [], "complement": ["e0", "e1", "e2", "e3"], "class": [1]}, None),
+])
+def test_record_charge_is_read_off_its_class(record, charge, tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli("classify", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["charge"] == charge
+
+
 def test_record_outside_its_subcomplex_names_the_first_face_in_face_order(tmp_path):
     # a's faces are u (+1) and v (-1); v comes first in the 0-cell order
     path = tmp_path / "record.json"

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 import dense_snf
 
 from tdual.cohomology import (
-    AbelianGroup, CohClass, DegreeOverflow, NotAProduct, TRIVIAL, Z, betti_numbers,
-    chain_space, cochain_space, cohomology, cross_with_z, excision_hom,
+    AbelianGroup, CohClass, DegreeOverflow, NotACocycle, NotAProduct, TRIVIAL, Z,
+    betti_numbers, chain_space, cochain_space, cohomology, cross_with_z, exact_at, excision_hom,
     fiber_integrate, homology, long_exact_sequence, pullback_hom,
     SubquotientSpace, relative_cochain_space, relative_cohomology,
     universal_coefficients_consistent,
 )
 from tdual.complexes import (
-    BUILTIN_NAMES, BoundaryNotLabeled, LabelMismatch, NotASubcomplex,
+    BUILTIN_NAMES, BoundaryNotLabeled, ChainMap, LabelMismatch, NotASubcomplex,
     build_complex, builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
     product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
     interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
@@ -436,6 +436,22 @@ def test_crossing_needs_a_product_and_room_above():
         cross_with_z(gen, product_with_circle(s2), degree=3)
 
 
+def test_a_given_degree_must_be_the_degree_of_the_class():
+    s2 = sphere(2)
+    xs1 = product_with_circle(s2)
+    gen = cochain_space(s2, 2).generators()[0]
+    crossed = cross_with_z(gen, xs1)
+    foreign = cochain_space(lens(3), 2).generators()[0]
+    for call, cls, degree in ((cross_with_z, gen, 0), (cross_with_z, gen, 1),
+                              (cross_with_z, foreign, 2), (fiber_integrate, crossed, 2),
+                              (fiber_integrate, crossed, 0), (fiber_integrate, foreign, 2)):
+        with pytest.raises(ValueError) as info:
+            call(cls, xs1, degree)
+        assert str(info.value) == ("class space does not belong to this complex in degree "
+                                   f"{degree}: {cls.space.label}")
+    assert fiber_integrate(cross_with_z(gen, xs1, 2), xs1, 3) == gen
+
+
 # ---------------------------------------------------------------------------
 # thom spaces
 
@@ -580,6 +596,58 @@ def test_quotients_by_random_lattices_match_old_products(shape_and_columns):
     assert_class_coordinates_match_old_products(SubquotientSpace(n, IMat(0, n), in_map))
 
 
+@pytest.mark.parametrize("space", list(_class_spaces()))
+def test_reduce_refuses_exactly_the_vectors_outside_the_kernel(space):
+    # the oracle is the coboundary mat-vec that reduce no longer makes
+    rng = random.Random(space.n)
+    gens = space.generators()
+    outcomes = set()
+    for trial in range(24):
+        if trial % 2:
+            vec = list(space.class_from_coords([rng.randint(-3, 3) for _ in gens]).vector)
+            if trial % 4 == 1 and space.n:
+                vec[rng.randrange(space.n)] += rng.choice((-1, 1))
+        else:
+            vec = [rng.randint(-2, 2) for _ in range(space.n)]
+        cocycle = not any(space.out_map.mul_vec(vec))
+        outcomes.add(cocycle)
+        if cocycle:
+            assert len(space.reduce(vec)) == space.coord_dim
+        else:
+            with pytest.raises(NotACocycle) as info:
+                space.reduce(vec)
+            assert str(info.value) == f"vector is not a cocycle in {space.label}"
+    assert True in outcomes and (False in outcomes or not any(space.out_map.nz))
+
+
 def test_wedge_generators_match_old_products():
     space = cochain_space(wedge_of_spheres(1000, 2), 2)
     assert [g.vector for g in space.generators()] == dense_snf.generators(space)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def _sphere_identity_hom():
+    s2 = sphere(2)
+    return pullback_hom(ChainMap(s2, s2, {0: IMat.identity(1), 2: IMat.identity(1)}), 2)
+
+
+def _lens_class():
+    return cochain_space(lens(3), 2).generators()[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cochain_space(sphere(2), 2).generators()[0] + _lens_class(),
+     "classes live in different spaces"),
+    (lambda: _sphere_identity_hom().apply(_lens_class()), "class not in the domain of this map"),
+    (lambda: _sphere_identity_hom().preimage(_lens_class()),
+     "class not in the codomain of this map"),
+    (lambda: exact_at(_sphere_identity_hom(),
+                      pullback_hom(ChainMap(lens(3), lens(3), {}), 2)),
+     "maps do not share the middle space"),
+], ids=["add", "apply", "preimage", "exact_at"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -156,3 +156,18 @@ def test_a_missing_cell_is_named_in_a_sentence():
 def test_interval_power_below_one_is_refused(k):
     with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
         cx.interval_power(k)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cx.ChainMap(cx.sphere(2), cx.sphere(2), {2: cx.IMat(2, 1)}),
+     "chain map degree 2 shape mismatch"),
+    (lambda: cx.sphere(1), "use circle() for S^1"),
+    (lambda: cx.lens(0), "p must be >= 1"),
+], ids=["chain-map-shape", "sphere-1", "lens-0"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1206,3 +1206,15 @@ def test_chart_reorders_fiber_first():
                          {"r": False, "kappa": True, "theta": False}, "kappa")
     assert c.names == ("kappa", "r", "theta")
     assert c.periodic[0]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sym("x") + 0.5, "cannot coerce 0.5 to Expr"),
+], ids=["float-operand"])
+def test_refusals(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message

@@ -256,6 +256,19 @@ def test_multi_center_first_derivatives_match_central_differences(preset):
         hp.closure((1, 1) + (0,) * (arity - 2))
 
 
+@pytest.mark.parametrize("axis", [0, 1], ids=["r", "g"])
+def test_single_center_derivatives_match_central_differences(axis):
+    h, point, step = taub_nut_sample_spec().functions.lookup("H", 2), (1.7, 0.9), 1e-5
+    for order in range(1, 4):
+        lower = h.closure(tuple(order - 1 if i == axis else 0 for i in range(2)))
+        up, down = list(point), list(point)
+        up[axis] += step
+        down[axis] -= step
+        central = (lower(*up) - lower(*down)) / (2 * step)
+        deriv = tuple(order if i == axis else 0 for i in range(2))
+        assert h.closure(deriv)(*point) == pytest.approx(central, rel=1e-7), deriv
+
+
 def test_single_center_mixed_partial_vanishes():
     h = taub_nut_sample_spec().functions.lookup("H", 2)
     assert [h.closure(d)(1.3, 0.8) for d in ((1, 1), (2, 3))] == [0.0, 0.0]
@@ -878,3 +891,40 @@ def test_metric_from_json_refuses_a_component_given_twice(part, entry, component
     obj[part].append(entry)
     with pytest.raises(ValueError, match=re.escape(f"{part} component {component} is given")):
         MetricData.from_json(obj, sample=spec)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+_PLANE = Chart(("x", "y"), (True, False))
+
+
+def _unsampled_taub_nut():
+    return metric(MONOPOLE_CHART, dict(make_taub_nut().g_upper))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: metric(MONOPOLE_CHART, {(0, 0): rat(1)}, {(1, 1): rat(1)}),
+     "b is antisymmetric; no diagonal entries"),
+    (lambda: DiffForm(MONOPOLE_CHART, 5, {}), "form degree exceeds chart dimension"),
+    (lambda: DiffForm(MONOPOLE_CHART, 2, {(1, 0): rat(1)}),
+     "component index (1, 0) not strictly increasing of length 2"),
+    (lambda: pullback(make_taub_nut(), identity_diffeo(_PLANE)),
+     "diffeo and metric charts differ"),
+    (lambda: metrics_equal(_unsampled_taub_nut(), _unsampled_taub_nut()),
+     "no sample spec available"),
+    (lambda: make_taub_nut(rat(0)), "coupling must be nonzero"),
+    (lambda: dyonic_shift(sym("beta"), "delta"), "variant must be 'gamma' or 'lambda'"),
+    (lambda: with_b_field(make_taub_nut(), dyonic_potential()),
+     "b-field must be a 2-form on the metric chart"),
+    (lambda: conformal_factor(make_taub_nut(), metric(_PLANE, {(0, 0): rat(1)})),
+     "charts differ"),
+    (lambda: conformal_factor(_unsampled_taub_nut(), _unsampled_taub_nut()),
+     "no sample spec available"),
+], ids=["b-diagonal", "form-degree", "form-index", "pullback-chart", "equal-unsampled",
+        "zero-coupling", "shift-variant", "b-field-degree", "conformal-chart",
+        "conformal-unsampled"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -13,7 +13,7 @@ import pytest
 import gerbe_oracle
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
 from tdual import gerbes
-from tdual.complexes import (build_complex, interval_power, product_complex,
+from tdual.complexes import (build_complex, cone_on_s2, interval_power, product_complex,
                              product_with_circle, s3_two_disc, sphere)
 from tdual.gerbes import (
     CoverNerve, InvalidGerbe, MalformedNerve, ModelMismatch, ThreeGerbe, TwoGerbe,
@@ -758,3 +758,34 @@ def test_wrong_class_home_rejected():
     lam = cochain_space(sphere(2), 2).generators()[0]
     with pytest.raises(ModelMismatch):
         semifree_class_to_two_gerbe(lam, models)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def _disc_filled_models():
+    # B+ = the two-disc S^3 filled by a 4-cell, so H^3(B+, B+ - F) = 0 and
+    # the pushed class has no preimage under excision
+    d4 = build_complex("D4", {0: ["v", "u"], 1: ["a"], 2: ["f2"], 3: ["c3", "c3out"],
+                              4: ["e4"]},
+                       {1: {("u", "a"): 1, ("v", "a"): -1},
+                        3: {("f2", "c3"): 1, ("f2", "c3out"): -1},
+                        4: {("c3", "e4"): 1, ("c3out", "e4"): 1}})
+    return kk_gerbe_models()._replace(bplus=d4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monopole_two_gerbe(1).tensor(two_gerbe_from_class(
+        CoverNerve(s3_two_disc(), [frozenset({"v", "u", "a", "f2", "c3"}),
+                                   frozenset({"u", "f2", "c3out"})] * 2),
+        list(cochain_space(s3_two_disc(), 3).generators()[0].vector))),
+     "tensor requires a common cover"),
+    (lambda: semifree_class_to_two_gerbe(
+        cochain_space(cone_on_s2().subcomplex({"u", "f2"}), 2).generators()[0],
+        _disc_filled_models()),
+     "excision preimage failed; models are inconsistent"),
+], ids=["tensor-cover", "excision-preimage"])
+def test_refusals(call, message):
+    with pytest.raises(ModelMismatch) as info:
+        call()
+    assert str(info.value) == message

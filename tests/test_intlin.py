@@ -191,3 +191,21 @@ def test_dropped_matrix_frees_its_factors():
     assert all(r() is not None for r in refs)
     del m, s
     assert [r() for r in refs] == [None, None, None]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: IMat(2, 2, [[1, 2]]), ValueError, "data does not match shape"),
+    (lambda: IMat.from_columns([[1, 2]], 3), ValueError, "column length mismatch"),
+    (lambda: IMat(2, 2)[2, 0], IndexError, "index (2, 0) outside 2x2"),
+    (lambda: IMat(2, 3) @ IMat(2, 3), ValueError, "shape mismatch 2x3 @ 2x3"),
+    (lambda: IMat(2, 3).mul_vec([1, 2]), ValueError, "shape mismatch"),
+    (lambda: IMat(2, 3).hstack(IMat(3, 1)), ValueError, "row mismatch"),
+    (lambda: solve(IMat(2, 3), [1]), ValueError, "shape mismatch"),
+], ids=["rows", "from-columns", "index", "matmul", "mul-vec", "hstack", "solve"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -52,6 +52,32 @@ def test_records_equal_iff_data_equal():
     assert not kk_record().same_record(empty_fixed)
 
 
+@pytest.mark.parametrize("p", range(-3, 8))
+def test_kk_record_equals_the_record_classified_from_its_data(p):
+    base = cone_on_s2()
+    comp = base.subcomplex(frozenset({"u", "f2"}))
+    lam = p * cochain_space(comp, 2).generators()[0]
+    name = "Taub-NUT" if p == 1 else f"KK(p={p})"
+    rec = classify(base, frozenset({"v"}), frozenset({"u", "f2"}), lam, name=name)
+    assert kk_record(p) == rec
+    assert rec.charge == p == dyonic_automorphism_check(comp, lam).rotation_multiple
+
+
+@pytest.mark.parametrize("base", [cone_on_s2, lambda: lens(3)], ids=["H2=0", "H2=Z/3"])
+def test_charge_is_none_unless_the_bundle_group_is_z(base):
+    base = base()
+    ids = frozenset(base.all_ids())
+    space = cochain_space(base.subcomplex(ids), 2)
+    for lam in [space.zero(), *space.generators()]:
+        assert classify(base, frozenset(), ids, lam).charge is None
+
+
+def test_classify_takes_no_charge():
+    rec = kk_record(2)
+    with pytest.raises(TypeError, match="charge"):
+        classify(rec.base, rec.fixed_ids, rec.complement_ids, rec.bundle_class, charge=1)
+
+
 def test_classify_refuses_fixed_cells_in_the_complement():
     base = cone_on_s2()
     for fixed, comp in (({"u"}, {"u", "f2"}), ({"v"}, base.all_ids())):
@@ -235,3 +261,16 @@ def test_degree_mismatch_rejected():
     x = cp2()
     with pytest.raises(DegreeMismatch):
         dyonic_automorphism_check(x, cochain_space(x, 4).generators()[0])
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hausdorff_regularization(kk_record()),
+     "expected a SpectrumModel or RegularizedDual"),
+], ids=["regularize-a-record"])
+def test_refusals(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,12 +1,14 @@
 """Integer (co)homology of finite cell complexes, pairs, and products.
 
-Groups are computed by Smith normal form; classes are integer cochain
-vectors reduced to canonical coordinates modulo coboundaries, so class
-equality, generator extraction, induced maps, connecting maps, and
-exactness checks are all exact integer computations. Cross product with
-the circle generator and integration over the circle fiber act at the
-cochain level on product complexes and are strict chain-level inverses;
-each reads the degree off the class's space and refuses one that differs.
+Groups are read off the ranks and invariant factors of the (co)boundary
+matrices, with no basis built. Classes are integer cochain vectors reduced
+to canonical coordinates modulo coboundaries, which the full Smith normal
+form builds the first time a space is asked for a class; class equality,
+generator extraction, induced maps, connecting maps, and exactness checks
+are all exact integer computations. Cross product with the circle
+generator and integration over the circle fiber act at the cochain level
+on product complexes and are strict chain-level inverses; each reads the
+degree off the class's space and refuses one that differs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
-from .intlin import IMat, kernel_basis, lattice_equal, rank_q, solve
+from .intlin import (IMat, invariant_factors, kernel_basis, lattice_equal, rank_q, solve,
+                     solve_columns)
 
 
 class NotAProduct(ValueError):
@@ -67,43 +70,64 @@ TRIVIAL = AbelianGroup(0)
 # subquotient spaces: ker(out_map) / im(in_map)
 
 class SubquotientSpace:
-    """The abelian group ker(out_map)/im(in_map) with explicit coordinates.
+    """The abelian group ker(out_map)/im(in_map), with coordinates on demand.
 
     ``out_map``: Z^n -> Z^q and ``in_map``: Z^m -> Z^n must compose to zero.
-    Elements are integer vectors in Z^n lying in ker(out_map); ``reduce``
-    maps them to canonical coordinates (torsion residues, then free parts),
-    and ``generators`` returns one representative per cyclic factor.
+    ``group()`` needs no coordinates: ker(out_map) is a saturated sublattice
+    of Z^n holding im(in_map), so the quotient has free rank
+    n - rank(out_map) - rank(in_map) and the torsion of Z^n/im(in_map), the
+    non-unit invariant factors of ``in_map``. Elements are integer vectors
+    in Z^n lying in ker(out_map); ``reduce`` maps them to canonical
+    coordinates (torsion residues, then free parts), and ``generators``
+    returns one representative per cyclic factor. Those read the
+    coordinates (``kernel``, ``kernel_cols``, ``rel``, ``snf`` and the
+    slots, None until then), which the full SNF builds once, on the first
+    call of ``reduce``, ``generators``, ``class_from_coords``,
+    ``relations_lattice`` or ``coord_dim``.
     """
 
     def __init__(self, n: int, out_map: IMat, in_map: IMat, label: str = ""):
         if out_map.cols != n or in_map.rows != n:
             raise ValueError("shape mismatch")
+        if not (out_map @ in_map).is_zero():
+            raise ValueError("image does not lie in the kernel")
         self.n = n
         self.label = label
         self.out_map = out_map
         self.in_map = in_map
-        self.kernel = kernel_basis(out_map)          # n x z
-        z = self.kernel.cols
-        out_snf = out_map.snf()
+        self._group = None
+        self.kernel = self.kernel_cols = self.rel = self.snf = None
+        self.torsion_slots = self.free_slots = self.torsion_values = None
+
+    def _coordinates(self):
+        if self.snf is not None:
+            return
+        self.kernel = kernel_basis(self.out_map)          # n x z
+        out_snf = self.out_map.snf()
         self.kernel_cols = out_snf.v_t.nz[out_snf.rank:]     # column j of the kernel
-        cols = []
-        for col in in_map.columns():
-            c = solve(self.kernel, col)
-            if c is None:
-                raise ValueError("image does not lie in the kernel")
-            cols.append(c)
-        self.rel = IMat.from_columns(cols, z)        # z x m
-        self.snf = self.rel.snf()
-        diag = self.snf.diagonal()
-        self.torsion_slots = [i for i in range(self.snf.rank) if diag[i] > 1]
-        self.free_slots = list(range(self.snf.rank, z))
+        # out_map @ in_map is zero, so every column solves against the kernel
+        self.rel = solve_columns(self.kernel, self.in_map)     # z x m
+        snf = self.rel.snf()
+        diag = snf.diagonal()
+        self.torsion_slots = [i for i in range(snf.rank) if diag[i] > 1]
+        self.free_slots = list(range(snf.rank, self.kernel.cols))
         self.torsion_values = [diag[i] for i in self.torsion_slots]
+        self.snf = snf
 
     def group(self) -> AbelianGroup:
-        return AbelianGroup(len(self.free_slots), tuple(self.torsion_values))
+        if self._group is None:
+            if self.snf is not None:
+                free, torsion = len(self.free_slots), self.torsion_values
+            else:
+                factors = invariant_factors(self.in_map)
+                free = self.n - rank_q(self.out_map) - len(factors)
+                torsion = [d for d in factors if d > 1]
+            self._group = AbelianGroup(free, tuple(torsion))
+        return self._group
 
     @property
     def coord_dim(self) -> int:
+        self._coordinates()
         return len(self.torsion_slots) + len(self.free_slots)
 
     def reduce(self, vec) -> tuple:
@@ -112,10 +136,11 @@ class SubquotientSpace:
         vec = list(vec)
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
+        self._coordinates()
         c = solve(self.kernel, vec)
         if c is None:
             raise NotACocycle(f"vector is not a cocycle in {self.label}")
-        y = self.snf.u_times(c)
+        y = self.snf.u_times(enumerate(c))
         out = [y.get(i, 0) % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
         out.extend(y.get(i, 0) for i in self.free_slots)
         return tuple(out)
@@ -133,6 +158,7 @@ class SubquotientSpace:
                 vec[i] += coeff * x * k
 
     def generators(self) -> list["CohClass"]:
+        self._coordinates()
         gens = []
         for slot in self.torsion_slots + self.free_slots:
             vec = [0] * self.n
@@ -141,6 +167,7 @@ class SubquotientSpace:
         return gens
 
     def class_from_coords(self, coords) -> "CohClass":
+        self._coordinates()
         vec = [0] * self.n
         for coeff, slot in zip(coords, self.torsion_slots + self.free_slots):
             if coeff:
@@ -210,7 +237,7 @@ def chain_space(x: CellComplex, k: int) -> SubquotientSpace:
 
 
 def cohomology(x: CellComplex, k: int) -> AbelianGroup:
-    """H^k(X; Z) via Smith normal form of the coboundary matrices."""
+    """H^k(X; Z) from the invariant factors of the coboundary matrices."""
     if k < 0:
         return TRIVIAL
     return cochain_space(x, k).group()

@@ -9,6 +9,7 @@ complexes.
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd
 
 
 class IMat:
@@ -95,14 +96,6 @@ class IMat:
 
     def __repr__(self):
         return f"IMat({self.rows}x{self.cols}, {self.nz})"
-
-    def columns(self):
-        """Each column in turn as a dense list, filled from its nonzeros."""
-        for col in self.transpose().nz:
-            out = [0] * self.rows
-            for i, x in col.items():
-                out[i] = x
-            yield out
 
     def transpose(self) -> "IMat":
         nz = [{} for _ in range(self.cols)]
@@ -195,12 +188,13 @@ class SNF(_Record):
     def diagonal(self) -> list[int]:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
 
-    def u_times(self, b) -> dict:
-        """U b as ``{row: nonzero}``, summed over the nonzeros of b."""
+    def u_times(self, pairs) -> dict:
+        """U b as ``{row: nonzero}`` for b given by (index, value) pairs,
+        summed over the nonzero values."""
         if self.u_t is None:
             self.u_t = self.u.transpose()
         out = {}
-        for j, x in enumerate(b):
+        for j, x in pairs:
             if x:
                 _axpy(out, self.u_t.nz[j], x)
         return out
@@ -357,8 +351,26 @@ def solve(m: IMat, b: list[int]) -> list[int] | None:
     """
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
+    return _solve_factored(m.snf(), enumerate(b))
+
+
+def solve_columns(m: IMat, b: IMat) -> IMat | None:
+    """X with M X = B, or None if a column of B has no integer solution;
+    each column of B is read by its nonzeros only."""
+    if b.rows != m.rows:
+        raise ValueError("shape mismatch")
     s = m.snf()
-    y = s.u_times(b)
+    cols = []
+    for col in b.transpose().nz:
+        x = _solve_factored(s, col.items())
+        if x is None:
+            return None
+        cols.append(x)
+    return IMat.from_columns(cols, m.cols)
+
+
+def _solve_factored(s: SNF, pairs) -> list[int] | None:
+    y = s.u_times(pairs)
     for i, x in y.items():
         di = s.d.nz[i].get(i, 0)
         if not di or x % di:
@@ -380,7 +392,7 @@ def lattice_contains(gens: IMat, vec: list[int]) -> bool:
 
 def lattice_subset(a: IMat, b: IMat) -> bool:
     """Column lattice of a contained in column lattice of b?"""
-    return all(lattice_contains(b, col) for col in a.columns())
+    return solve_columns(b, a) is not None
 
 
 def lattice_equal(a: IMat, b: IMat) -> bool:
@@ -388,5 +400,125 @@ def lattice_equal(a: IMat, b: IMat) -> bool:
 
 
 def rank_q(m: IMat) -> int:
-    """Rank over Q (equals the SNF rank)."""
-    return m.snf().rank
+    """Rank over Q (equals the SNF rank), with no U or V built."""
+    return len(invariant_factors(m))
+
+
+# ---------------------------------------------------------------------------
+# invariant factors without U or V
+
+def invariant_factors(m: IMat) -> list[int]:
+    """The nonzero diagonal entries of M's Smith normal form, in order.
+
+    Reads the cached factorization when ``m.snf()`` has run; otherwise no U
+    or V is built. A unit entry clears its column by row operations, and its
+    row then by column operations that touch nothing else, so it gives one
+    factor 1 and both are dropped; on boundary matrices that leaves little
+    or nothing. The rows left, none holding a unit, go to ``_dense_factors``,
+    whose coefficients stay bounded where the full SNF's pivot rule lets
+    them grow.
+    """
+    if m._snf is not None:
+        return m._snf.diagonal()[:m._snf.rank]
+    rows = {i: dict(r) for i, r in enumerate(m.nz) if r}
+    in_col = defaultdict(set)
+    for i, row in rows.items():
+        for j in row:
+            in_col[j].add(i)
+    units = 0
+    todo = sorted(rows, reverse=True)
+    while todo:
+        i = todo.pop()
+        row = rows.get(i, {})
+        j = next((j for j, x in row.items() if x in (1, -1)), None)
+        if j is None:
+            continue
+        units += 1
+        del rows[i]
+        for c in row:
+            in_col[c].discard(i)
+        for r in sorted(in_col[j]):
+            dst, k = rows[r], -rows[r][j] * row[j]
+            for c, x in row.items():
+                y = dst.get(c, 0) + k * x
+                if y:
+                    dst[c] = y
+                    in_col[c].add(r)
+                else:
+                    del dst[c]
+                    in_col[c].discard(r)
+            if dst:
+                todo.append(r)
+            else:
+                del rows[r]
+    return [1] * units + (_dense_factors(list(rows.values())) if rows else [])
+
+
+def _dense_factors(rows: list) -> list[int]:
+    """Invariant factors of the rows left with no unit entry.
+
+    Fraction-free elimination (Bareiss) finds the rank r and a nonzero r x r
+    minor ``det``; each of its entries is a minor, so none outgrows the
+    Hadamard bound. The r factors divide det, so they are read from the
+    Smith form over Z/det: diagonalize with every entry reduced mod det,
+    take gcd(e, det) of each diagonal entry e, and sort those into a
+    divisibility chain, whose first r entries are the factors.
+    """
+    cols = sorted({j for row in rows for j in row})
+    a = [[row.get(j, 0) for j in cols] for row in rows]
+    n, width = len(a), len(cols)
+    rank, det = _rank_and_minor([list(row) for row in a])
+    det = abs(det)
+    if det == 1:
+        return [1] * rank
+    a = [[x % det for x in row] for row in a]
+    diag = []
+    for t in range(min(n, width)):
+        while True:
+            nonzero = [(a[i][j], i, j) for i in range(t, n) for j in range(t, width) if a[i][j]]
+            if not nonzero:
+                break
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for row in a[t + 1:]:
+                q = row[t] // p
+                if q:
+                    for c in range(t, width):
+                        row[c] = (row[c] - q * a[t][c]) % det
+            for c in range(t + 1, width):
+                q = a[t][c] // p
+                if q:
+                    for row in a[t:]:
+                        row[c] = (row[c] - q * row[t]) % det
+            if not any(row[t] for row in a[t + 1:]) and not any(a[t][t + 1:]):
+                break
+        diag.append(gcd(a[t][t], det))
+    # cyclic orders to a divisibility chain: (a, b) -> (gcd, lcm)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag[:rank]
+
+
+def _rank_and_minor(a: list) -> tuple:
+    """(r, a nonzero r x r minor) of a dense matrix, eliminated in place."""
+    n, width = len(a), len(a[0]) if a else 0
+    prev = 1
+    for k in range(min(n, width)):
+        pos = next(((i, j) for i in range(k, n) for j in range(k, width) if a[i][j]), None)
+        if pos is None:
+            return k, prev
+        i, j = pos
+        a[k], a[i] = a[i], a[k]
+        for row in a[k:]:
+            row[k], row[j] = row[j], row[k]
+        p = a[k][k]
+        for row in a[k + 1:]:
+            for c in range(k + 1, width):
+                row[c] = (row[c] * p - row[k] * a[k][c]) // prev
+        prev = p
+    return min(n, width), prev

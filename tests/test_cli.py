@@ -132,6 +132,19 @@ def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
     assert out == (GOLDEN / expected).read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["cohomology", "--space", "L1p:12", "--degree", "2", "--format", "json"],
+     "cohomology_L1p12_deg2.json"),
+    (["cohomology", "--space", "wedge:1100", "--degree", "2"], "cohomology_wedge1100_deg2.txt"),
+    (["homotopy", "--centers", "12"], "homotopy_centers12.txt"),
+])
+def test_group_answers_match_golden(argv, golden):
+    # the golden files are output of the coordinate route, byte for byte
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize("argv, golden, exit_code", [
     *[(["verify", suite, "--seed", "7"], f"verify_{suite}_seed7", 0)

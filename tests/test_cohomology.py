@@ -22,10 +22,13 @@ from tdual.complexes import (
     BUILTIN_NAMES, BoundaryNotLabeled, ChainMap, LabelMismatch, NotASubcomplex,
     build_complex, builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
     product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
-    interval, interval_power, trivial_disc_bundle, wedge_of_spheres,
+    interval, interval_power, interval_power_boundary_ids, trivial_disc_bundle,
+    wedge_of_spheres,
 )
+from tdual import cohomology as cohomology_module, intlin
 from tdual.gerbes import CoverNerve, trivial_bundle_gerbe_models
 from tdual.intlin import IMat, lattice_equal
+from tdual.semifree import multi_center_homotopy
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +626,90 @@ def test_reduce_refuses_exactly_the_vectors_outside_the_kernel(space):
 def test_wedge_generators_match_old_products():
     space = cochain_space(wedge_of_spheres(1000, 2), 2)
     assert [g.vector for g in space.generators()] == dense_snf.generators(space)
+
+
+# ---------------------------------------------------------------------------
+# groups without coordinates against the groups the coordinates give
+
+def _skeleton(x, top: int) -> frozenset:
+    return frozenset(c for k in range(top + 1) for c in x.cell_ids(k))
+
+
+def _families():
+    builtins = [builtin_space(name) for name in BUILTIN_NAMES]
+    bundles = [trivial_disc_bundle(sphere(2), rank) for rank in range(3, 7)]
+    cubes = [interval_power(k) for k in range(1, 5)]
+    models = {id(m): m for n in (2, 3, 6) for m in _s3_cover_models(n)}
+    return {
+        "builtins": [(x, ()) for x in builtins],
+        "circle-products": [(product_with_circle(x), ()) for x in builtins],
+        "lens": [(x, ()) for p in (1, 2, 3, 4, 12, 97) for x in (lens(p), product_with_circle(lens(p)))],
+        "cubes": [(cube, (interval_power_boundary_ids(cube, k),))
+                  for k, cube in enumerate(cubes, 1)],
+        "wedges": [(wedge_of_spheres(count, dim), ()) for count in (1, 5, 40) for dim in (1, 2, 3)],
+        "disc-bundles": [(total, (sphere_ids, f_ids)) for total, sphere_ids, f_ids in bundles]
+                        + [(total.subcomplex(sphere_ids), ()) for total, sphere_ids, _ in bundles],
+        "s3-covers": [(m, ()) for m in models.values()],
+        "pairs": [(cone_on_s2(), ({"u", "f2"}, {"v"})),
+                  (s3_two_disc(), ({"u", "f2", "c3out"}, {"v", "u", "a", "f2", "c3"}))],
+    }
+
+
+def _spaces_of(x, pairs):
+    """Absolute, chain and relative spaces of x in every degree; relative to
+    the given subcomplexes and to the 0-skeleton and the one below the top."""
+    subs = list(pairs) + [_skeleton(x, j) for j in {0, x.top - 1} if j >= 0]
+    for k in range(x.top + 2):
+        yield cochain_space(x, k)
+        yield chain_space(x, k)
+        for a_ids in subs:
+            yield relative_cochain_space(x, a_ids, k)
+
+
+def _fresh(space: SubquotientSpace) -> SubquotientSpace:
+    # copies of the maps hold no cached factorization
+    return SubquotientSpace(space.n, space.out_map.copy(), space.in_map.copy(), space.label)
+
+
+@pytest.mark.parametrize("family", list(_families()))
+def test_group_without_coordinates_matches_the_coordinates(family):
+    seen = 0
+    for x, pairs in _families()[family]:
+        for space in _spaces_of(x, pairs):
+            lazy, forced = _fresh(space), _fresh(space)
+            assert forced.coord_dim >= 0         # builds the coordinates by the full SNF
+            assert lazy.group() == forced.group(), space.label
+            assert lazy.snf is None and lazy.in_map._snf is None
+            assert lazy.out_map._snf is None
+            seen += 1
+    assert seen
+
+
+def test_group_queries_build_no_coordinates(monkeypatch):
+    built = []
+    real_snf, real_kernel = intlin.smith_normal_form, cohomology_module.kernel_basis
+    monkeypatch.setattr(intlin, "smith_normal_form", lambda m: built.append("snf") or real_snf(m))
+    monkeypatch.setattr(cohomology_module, "kernel_basis",
+                        lambda m: built.append("kernel") or real_kernel(m))
+    tag = f"q{random.randrange(10 ** 9)}"       # fresh complexes: nothing is cached on them
+    lens7 = build_complex(f"L{tag}", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]},
+                          {2: {("e1", "e2"): 7}})
+    xs1 = product_with_circle(lens7)
+    wedge = build_complex(f"W{tag}", {0: ["v"], 2: [f"{tag}s{i}" for i in range(30)]})
+    assert [cohomology(lens7, k) for k in range(4)] == [Z, TRIVIAL, AbelianGroup(0, (7,)), Z]
+    assert homology(xs1, 1) == AbelianGroup(1, (7,))
+    assert betti_numbers(xs1) == [1, 1, 0, 1, 1]
+    assert universal_coefficients_consistent(xs1)
+    assert cohomology(wedge, 2) == homology(wedge, 2) == AbelianGroup(30)
+    relative = [relative_cohomology(xs1, _skeleton(xs1, 1), k) for k in range(5)]
+    assert multi_center_homotopy(29)[2] == AbelianGroup(28)
+    assert built == []
+    spaces = [v for x in (lens7, xs1, wedge) for v in x.derived.values()
+              if isinstance(v, SubquotientSpace)]
+    assert len(spaces) > 10 and all(v.kernel is None for v in spaces)
+    for k, group in enumerate(relative):
+        forced = _fresh(relative_cochain_space(xs1, _skeleton(xs1, 1), k))
+        assert forced.coord_dim >= 0 and forced.group() == group
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Integer matrix algebra: Smith normal form and lattice arithmetic."""
 
+import itertools
 import random
+import time
 import weakref
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_snf
 from tdual.complexes import BUILTIN_NAMES, builtin_space, product_with_circle, s3_two_disc
-from tdual.intlin import (IMat, kernel_basis, lattice_contains, lattice_equal,
-                          rank_q, smith_normal_form, solve)
+from tdual.intlin import (IMat, invariant_factors, kernel_basis, lattice_contains,
+                          lattice_equal, rank_q, smith_normal_form, solve, solve_columns)
 
 
 def test_hand_reduced_example():
@@ -95,6 +98,10 @@ def _rows(m: IMat) -> list:
     return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
 
 
+def _columns(m: IMat) -> list:
+    return [[m[i, j] for i in range(m.rows)] for j in range(m.cols)]
+
+
 def assert_matches_dense_oracle(m: IMat):
     rows = _rows(m)
     want = dense_snf.smith_normal_form(dense_snf.IMat(m.rows, m.cols, rows))
@@ -165,6 +172,23 @@ def test_solve_and_kernel_match_old_products(m, data):
     assert_products_match_oracle(m, _rhs(m, ints))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices, sparse_unit_matrices), st.data())
+def test_solve_columns_solves_each_column(m, data):
+    # images of integer vectors, and raw columns that often have no solution
+    x = IMat(m.cols, 3, [data.draw(st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+                         for _ in range(m.cols)])
+    raw = IMat(m.rows, 2, [data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+                           for _ in range(m.rows)])
+    for b in (m @ x, (m @ x).hstack(raw)):
+        want = [dense_snf.solve(m, col) for col in _columns(b)]
+        got = solve_columns(m, b)
+        if None in want:
+            assert got is None
+        else:
+            assert _columns(got) == want
+
+
 def test_unsolvable_right_hand_sides_match_old_products():
     # b = 1 against D = 2; b outside the image of a rank-deficient matrix
     for m, b in ((IMat.from_rows([[2]]), [1]), (IMat.from_rows([[2, 0], [0, 3]]), [1, 1]),
@@ -194,6 +218,97 @@ def test_dropped_matrix_frees_its_factors():
 
 
 # ---------------------------------------------------------------------------
+# invariant factors without U or V
+
+def _det(rows: list) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def _determinantal_factors(rows: list, cols: int) -> list:
+    """d_k = D_k / D_(k-1), with D_k the gcd of all k x k minors, while D_k != 0."""
+    factors, before = [], 1
+    for k in range(1, min(len(rows), cols) + 1):
+        divisor = 0
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(cols), k):
+                divisor = gcd(divisor, _det([[rows[i][j] for j in cs] for i in rs]))
+        if not divisor:
+            break
+        factors.append(divisor // before)
+        before = divisor
+    return factors
+
+
+def _random_small_matrices(seed: int, count: int):
+    # dense and sparse, and some with a repeated row so the rank drops
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c, density = rng.randint(0, 5), rng.randint(0, 6), rng.random()
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            rows[rng.randrange(1, r)] = list(rows[0])
+        yield rows, c
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invariant_factors_match_determinantal_divisors(seed):
+    for rows, c in _random_small_matrices(seed, 100):
+        assert invariant_factors(IMat(len(rows), c, rows)) == _determinantal_factors(rows, c), rows
+
+
+# the dense 6x7 matrix of README's input limits: the full SNF does not
+# finish on it in a minute
+DENSE_6X7 = [[5, -2, -5, 3, 8, 2, -9], [-7, 9, 4, -9, -5, 6, 8], [-7, 6, -3, 2, -9, -2, -9],
+             [7, 5, 9, -2, 7, -2, -1], [-8, 9, -7, 7, 1, -9, -5], [-9, 4, -1, -6, 2, -3, 8]]
+
+
+def test_invariant_factors_of_a_dense_matrix_stay_fast():
+    start = time.perf_counter()
+    factors = invariant_factors(IMat.from_rows(DENSE_6X7))
+    assert time.perf_counter() - start < 1.0
+    assert factors == [1, 1, 1, 1, 1, 3] == _determinantal_factors(DENSE_6X7, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, sparse_unit_matrices))
+def test_invariant_factors_match_the_snf_diagonal(m):
+    got = invariant_factors(m)
+    assert m._snf is None            # no U or V was built
+    s = smith_normal_form(m)
+    assert got == s.diagonal()[:s.rank]
+    assert rank_q(m) == s.rank
+
+
+@pytest.mark.parametrize("m", list(_boundary_cases()))
+def test_invariant_factors_of_builtin_boundaries_match_the_snf(m):
+    fresh = m.copy()
+    s = smith_normal_form(m)
+    assert invariant_factors(fresh) == s.diagonal()[:s.rank]
+    assert fresh._snf is None
+
+
+def test_invariant_factors_read_a_cached_factorization():
+    m = IMat.from_rows([[2, 4], [6, 8]])
+    s = m.snf()
+    s.d.nz[1][1] = 12                 # a stand-in diagonal shows where the answer came from
+    assert invariant_factors(m) == [2, 12]
+
+
+# ---------------------------------------------------------------------------
 # refusals
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -204,7 +319,8 @@ def test_dropped_matrix_frees_its_factors():
     (lambda: IMat(2, 3).mul_vec([1, 2]), ValueError, "shape mismatch"),
     (lambda: IMat(2, 3).hstack(IMat(3, 1)), ValueError, "row mismatch"),
     (lambda: solve(IMat(2, 3), [1]), ValueError, "shape mismatch"),
-], ids=["rows", "from-columns", "index", "matmul", "mul-vec", "hstack", "solve"])
+    (lambda: solve_columns(IMat(2, 3), IMat(1, 2)), ValueError, "shape mismatch"),
+], ids=["rows", "from-columns", "index", "matmul", "mul-vec", "hstack", "solve", "solve-columns"])
 def test_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()

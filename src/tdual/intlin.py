@@ -356,13 +356,13 @@ def solve(m: IMat, b: list[int]) -> list[int] | None:
 
 def solve_columns(m: IMat, b: IMat) -> IMat | None:
     """X with M X = B, or None if a column of B has no integer solution;
-    each column of B is read by its nonzeros only."""
+    each column of B is read by its nonzeros only, and M is factored only
+    when B has a column."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
-    s = m.snf()
     cols = []
     for col in b.transpose().nz:
-        x = _solve_factored(s, col.items())
+        x = _solve_factored(m.snf(), col.items())
         if x is None:
             return None
         cols.append(x)

@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 
 # The defaults of tdual.expr.equal_numeric and the registry names of
 # tdual.complexes.builtin_space, here so the CLI parser loads no layer module.
+DEFAULT_SEED = 42
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-9
 BUILTIN_NAMES = ("pt", "S1", "S2", "S3", "S2xS1", "S3xS1", "CP2", "coneS2",

@@ -20,7 +20,7 @@ import random
 import sys
 from typing import NamedTuple
 
-from . import BUILTIN_NAMES, DEFAULT_TOL, DEFAULT_TRIALS
+from . import BUILTIN_NAMES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
 
 
 class InputError(ValueError):
@@ -29,9 +29,9 @@ class InputError(ValueError):
 
 def _default_seed() -> int:
     try:
-        return int(os.environ.get("TDUAL_SEED", "42"))
+        return int(os.environ.get("TDUAL_SEED", DEFAULT_SEED))
     except ValueError:
-        return 42
+        return DEFAULT_SEED
 
 
 def _preset_int(preset: str, kind: str, usage: str) -> int:

@@ -1,9 +1,9 @@
 """Integer (co)homology of finite cell complexes, pairs, and products.
 
-Groups are read off the ranks and invariant factors of the (co)boundary
-matrices, with no basis built. Classes are integer cochain vectors reduced
-to canonical coordinates modulo coboundaries, which the full Smith normal
-form builds the first time a space is asked for a class; class equality,
+Groups are read only off the ranks and invariant factors of the
+(co)boundary matrices, never off a basis. Classes are integer cochain
+vectors reduced to canonical coordinates modulo coboundaries, which the
+full SNF builds on the first class query to a space; class equality,
 generator extraction, induced maps, connecting maps, and exactness checks
 are all exact integer computations. Cross product with the circle
 generator and integration over the circle fiber act at the cochain level
@@ -73,17 +73,17 @@ class SubquotientSpace:
     """The abelian group ker(out_map)/im(in_map), with coordinates on demand.
 
     ``out_map``: Z^n -> Z^q and ``in_map``: Z^m -> Z^n must compose to zero.
-    ``group()`` needs no coordinates: ker(out_map) is a saturated sublattice
-    of Z^n holding im(in_map), so the quotient has free rank
-    n - rank(out_map) - rank(in_map) and the torsion of Z^n/im(in_map), the
-    non-unit invariant factors of ``in_map``. Elements are integer vectors
-    in Z^n lying in ker(out_map); ``reduce`` maps them to canonical
-    coordinates (torsion residues, then free parts), and ``generators``
-    returns one representative per cyclic factor. Those read the
-    coordinates (``kernel``, ``kernel_cols``, ``rel``, ``snf`` and the
-    slots, None until then), which the full SNF builds once, on the first
-    call of ``reduce``, ``generators``, ``class_from_coords``,
-    ``relations_lattice`` or ``coord_dim``.
+    ``group()`` is always read off the two maps, never off coordinates:
+    ker(out_map) is a saturated sublattice of Z^n holding im(in_map), so the
+    quotient has free rank n - rank(out_map) - rank(in_map) and the torsion
+    of Z^n/im(in_map), the non-unit invariant factors of ``in_map``.
+    Elements are integer vectors in Z^n lying in ker(out_map); ``reduce``
+    maps them to canonical coordinates (torsion residues, then free parts),
+    and ``generators`` returns one representative per cyclic factor. Only
+    those class paths read the coordinates (``kernel``, ``kernel_cols``,
+    ``rel``, ``snf`` and the slots, None until then), which the full SNF
+    builds once, on the first call of ``reduce``, ``generators``,
+    ``class_from_coords``, ``relations_lattice`` or ``coord_dim``.
     """
 
     def __init__(self, n: int, out_map: IMat, in_map: IMat, label: str = ""):
@@ -116,13 +116,9 @@ class SubquotientSpace:
 
     def group(self) -> AbelianGroup:
         if self._group is None:
-            if self.snf is not None:
-                free, torsion = len(self.free_slots), self.torsion_values
-            else:
-                factors = invariant_factors(self.in_map)
-                free = self.n - rank_q(self.out_map) - len(factors)
-                torsion = [d for d in factors if d > 1]
-            self._group = AbelianGroup(free, tuple(torsion))
+            factors = invariant_factors(self.in_map)
+            self._group = AbelianGroup(self.n - rank_q(self.out_map) - len(factors),
+                                       tuple(d for d in factors if d > 1))
         return self._group
 
     @property

@@ -341,7 +341,15 @@ def collapse_map(btilde: CellComplex, disc_ids, sphere_ids) -> ChainMap:
 #
 # Builders are cached: complexes are immutable after construction, and a
 # canonical instance per space lets cohomology classes computed through
-# different call sites live in the same coordinate space.
+# different call sites live in the same coordinate space. Fixed spaces are
+# cached for the process, parametrised families only while referenced.
+
+_live_families: WeakValueDictionary = WeakValueDictionary()
+
+
+def _family(key: tuple, build) -> CellComplex:
+    return _live_families.get(key) or _live_families.setdefault(key, build())
+
 
 @cache
 def point() -> CellComplex:
@@ -359,11 +367,10 @@ def interval() -> CellComplex:
                          {1: {("q", "i"): 1, ("p", "i"): -1}})
 
 
-@cache
 def sphere(n: int) -> CellComplex:
     if n < 2:
         raise ValueError("use circle() for S^1")
-    return build_complex(f"S{n}", {0: ["v"], n: [f"c{n}"]})
+    return _family(("sphere", n), lambda: build_complex(f"S{n}", {0: ["v"], n: [f"c{n}"]}))
 
 
 @cache
@@ -396,15 +403,6 @@ def cp2() -> CellComplex:
     return build_complex("CP2", {0: ["v"], 2: ["c2"], 4: ["c4"]})
 
 
-# parametrised families are canonical only while referenced, so a process
-# that resolves many sizes keeps none of them for good
-_live_families: WeakValueDictionary = WeakValueDictionary()
-
-
-def _family(key: tuple, build) -> CellComplex:
-    return _live_families.get(key) or _live_families.setdefault(key, build())
-
-
 def lens(p: int) -> CellComplex:
     """L(1,p): one cell per degree 0..3 with degree-p attaching in the middle."""
     if p < 1:
@@ -425,15 +423,16 @@ def disc2() -> CellComplex:
     return build_complex("D2", {0: ["a"], 1: ["e"], 2: ["f"]}, {2: {("e", "f"): 1}})
 
 
-@cache
 def interval_power(k: int) -> CellComplex:
-    """I^k as an iterated product; its boundary sphere is the set of product
-    cells with at least one endpoint factor."""
+    """I^k as an iterated product, each also cached in the ``derived`` of
+    I^(k-1), so every cube stays reachable from ``interval()``; its boundary
+    sphere is the set of product cells with at least one endpoint factor."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         return interval()
-    return product_complex(interval_power(k - 1), interval(), name=f"I^{k}")
+    return _family(("cube", k), lambda: product_complex(interval_power(k - 1), interval(),
+                                                         name=f"I^{k}"))
 
 
 def interval_power_boundary_ids(cube: CellComplex, k: int) -> frozenset:

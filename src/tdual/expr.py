@@ -43,7 +43,7 @@ from itertools import compress, repeat, starmap
 from operator import mul as _times
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from . import DEFAULT_TOL, DEFAULT_TRIALS
+from . import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
 
 
 class UnboundSymbol(KeyError):
@@ -728,7 +728,6 @@ class EqualityReport:
         return self.equal
 
 
-DEFAULT_SEED = 42
 _RETRY_BOUND = 5
 _BLOCK = 128        # points drawn and evaluated together by equal_numeric
 _SHARED = 8 * _BLOCK    # the most trials of a check that shares the blocks of a _Blocks source

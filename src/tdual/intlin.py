@@ -143,6 +143,20 @@ class IMat:
                        [{j: -x for j, x in row.items()} for row in self.nz])
 
 
+def _add_row(rows, in_col, dst: int, src: dict, k: int):
+    """rows[dst] += k * src, keeping the column index exact: ``in_col[j]``
+    holds the rows with a nonzero in column j."""
+    row = rows[dst]
+    for j, x in src.items():
+        y = row.get(j, 0) + k * x
+        if y:
+            row[j] = y
+            in_col[j].add(dst)
+        else:
+            del row[j]
+            in_col[j].discard(dst)
+
+
 def _axpy(dst: dict, src: dict, k: int):
     """dst += k * src on row dicts, dropping entries that cancel."""
     for j, x in src.items():
@@ -252,15 +266,7 @@ def smith_normal_form(m: IMat) -> SNF:
         # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
         if not k:
             return
-        row = d[dst]
-        for j, x in d[src].items():
-            y = row.get(j, 0) + k * x
-            if not y:
-                del row[j]
-                in_col[j].discard(dst)
-            else:
-                row[j] = y
-                in_col[j].add(dst)
+        _add_row(d, in_col, dst, d[src], k)
         _axpy(u[dst], u[src], k)
         _axpy(uinv_t[src], uinv_t[dst], -k)
 
@@ -410,16 +416,14 @@ def rank_q(m: IMat) -> int:
 def invariant_factors(m: IMat) -> list[int]:
     """The nonzero diagonal entries of M's Smith normal form, in order.
 
-    Reads the cached factorization when ``m.snf()`` has run; otherwise no U
-    or V is built. A unit entry clears its column by row operations, and its
+    No U or V is built, and a factorization cached by ``m.snf()`` is not
+    read. A unit entry clears its column by row operations, and its
     row then by column operations that touch nothing else, so it gives one
     factor 1 and both are dropped; on boundary matrices that leaves little
     or nothing. The rows left, none holding a unit, go to ``_dense_factors``,
     whose coefficients stay bounded where the full SNF's pivot rule lets
     them grow.
     """
-    if m._snf is not None:
-        return m._snf.diagonal()[:m._snf.rank]
     rows = {i: dict(r) for i, r in enumerate(m.nz) if r}
     in_col = defaultdict(set)
     for i, row in rows.items():
@@ -438,16 +442,8 @@ def invariant_factors(m: IMat) -> list[int]:
         for c in row:
             in_col[c].discard(i)
         for r in sorted(in_col[j]):
-            dst, k = rows[r], -rows[r][j] * row[j]
-            for c, x in row.items():
-                y = dst.get(c, 0) + k * x
-                if y:
-                    dst[c] = y
-                    in_col[c].add(r)
-                else:
-                    del dst[c]
-                    in_col[c].discard(r)
-            if dst:
+            _add_row(rows, in_col, r, row, -rows[r][j] * row[j])
+            if rows[r]:
                 todo.append(r)
             else:
                 del rows[r]
@@ -469,8 +465,6 @@ def _dense_factors(rows: list) -> list[int]:
     n, width = len(a), len(cols)
     rank, det = _rank_and_minor([list(row) for row in a])
     det = abs(det)
-    if det == 1:
-        return [1] * rank
     a = [[x % det for x in row] for row in a]
     diag = []
     for t in range(min(n, width)):

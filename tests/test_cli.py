@@ -911,10 +911,13 @@ def test_entry_point_runs_as_module():
 
 def test_env_var_overrides_default_seed(monkeypatch):
     import tdual.cli as cli
+    import tdual.expr
     monkeypatch.setenv("TDUAL_SEED", "12345")
     assert cli._default_seed() == 12345
     monkeypatch.setenv("TDUAL_SEED", "not-an-int")
     assert cli._default_seed() == 42
+    monkeypatch.delenv("TDUAL_SEED")
+    assert cli._default_seed() == tdual.DEFAULT_SEED == tdual.expr.DEFAULT_SEED == 42
 
 
 def test_metric_json_round_trips_through_buscher(tmp_path):

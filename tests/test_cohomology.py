@@ -166,6 +166,16 @@ def test_parametrised_builtins_are_held_only_while_referenced():
     assert [r() for r in refs] == [None, None]
 
 
+def test_released_spheres_are_not_retained():
+    spheres = [sphere(n) for n in range(2, 41)]
+    assert all(sphere(n) is s for n, s in zip(range(2, 41), spheres))
+    assert [cohomology(s, s.top) for s in spheres] == [Z] * 39
+    refs = [weakref.ref(s) for s in spheres]
+    del spheres
+    gc.collect()
+    assert [r() for r in refs] == [None] * 39
+
+
 def test_betti_numbers_of_circle_product():
     assert betti_numbers(builtin_space("S2xS1")) == [1, 1, 1, 1]
 
@@ -178,12 +188,23 @@ def test_cone_is_acyclic():
 
 
 def test_negative_degree_is_trivial():
-    assert cohomology(sphere(2), -1) == TRIVIAL
+    s2 = sphere(2)
+    assert cohomology(s2, -1) == homology(s2, -1) == TRIVIAL
+    assert relative_cohomology(s2, s2.cell_ids(0), -1) == TRIVIAL
 
 
 def test_universal_coefficients_on_all_builtins():
     for name in BUILTIN_NAMES:
         assert universal_coefficients_consistent(builtin_space(name)), name
+
+
+@pytest.mark.parametrize("wrong", [lambda h: AbelianGroup(h.free_rank + 1, h.torsion),
+                                   lambda h: AbelianGroup(h.free_rank)],
+                         ids=["free-rank", "torsion"])
+def test_universal_coefficients_catch_a_wrong_homology(monkeypatch, wrong):
+    real = cohomology_module.homology
+    monkeypatch.setattr(cohomology_module, "homology", lambda x, k: wrong(real(x, k)))
+    assert not universal_coefficients_consistent(lens(3))     # H_1 = Z/3 is read
 
 
 def _s3_cover_models(n: int) -> list:
@@ -673,6 +694,11 @@ def _fresh(space: SubquotientSpace) -> SubquotientSpace:
     return SubquotientSpace(space.n, space.out_map.copy(), space.in_map.copy(), space.label)
 
 
+def _coordinate_group(space: SubquotientSpace) -> AbelianGroup:
+    # the oracle: the group the full SNF's coordinate slots describe
+    return AbelianGroup(len(space.free_slots), tuple(space.torsion_values))
+
+
 @pytest.mark.parametrize("family", list(_families()))
 def test_group_without_coordinates_matches_the_coordinates(family):
     seen = 0
@@ -680,7 +706,7 @@ def test_group_without_coordinates_matches_the_coordinates(family):
         for space in _spaces_of(x, pairs):
             lazy, forced = _fresh(space), _fresh(space)
             assert forced.coord_dim >= 0         # builds the coordinates by the full SNF
-            assert lazy.group() == forced.group(), space.label
+            assert lazy.group() == _coordinate_group(forced), space.label
             assert lazy.snf is None and lazy.in_map._snf is None
             assert lazy.out_map._snf is None
             seen += 1
@@ -711,7 +737,7 @@ def test_group_queries_build_no_coordinates(monkeypatch):
     assert len(spaces) > 10 and all(v.kernel is None for v in spaces)
     for k, group in enumerate(relative):
         forced = _fresh(relative_cochain_space(xs1, _skeleton(xs1, 1), k))
-        assert forced.coord_dim >= 0 and forced.group() == group
+        assert forced.coord_dim >= 0 and _coordinate_group(forced) == group
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +761,8 @@ def _lens_class():
     (lambda: exact_at(_sphere_identity_hom(),
                       pullback_hom(ChainMap(lens(3), lens(3), {}), 2)),
      "maps do not share the middle space"),
-], ids=["add", "apply", "preimage", "exact_at"])
+    (lambda: cochain_space(sphere(2), 2).reduce([1, 0]), "vector length mismatch"),
+], ids=["add", "apply", "preimage", "exact_at", "reduce-length"])
 def test_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()

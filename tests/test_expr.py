@@ -55,6 +55,16 @@ def test_evaluate_sin_at_zero():
     assert evaluate(sin_(sym("theta")), PointAssignment({"theta": 0.0})) == 0.0
 
 
+@pytest.mark.parametrize("build, want", [(lambda r: r - 2, -0.5), (lambda r: 2 - r, 0.5),
+                                         (lambda r: 3 / r, 2.0)], ids=["sub", "rsub", "rtruediv"])
+def test_evaluate_difference_and_reflected_quotient(build, want):
+    assert evaluate(build(sym("r")), PointAssignment({"r": 1.5})) == pytest.approx(want, abs=1e-15)
+
+
+def test_zeroth_power_is_one():
+    assert pow_(sym("r"), 0) is ONE
+
+
 def test_evaluate_unbound_symbol_raises():
     with pytest.raises(UnboundSymbol):
         evaluate(sym("q"), PointAssignment({"r": 1.0}))

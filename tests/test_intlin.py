@@ -301,11 +301,16 @@ def test_invariant_factors_of_builtin_boundaries_match_the_snf(m):
     assert fresh._snf is None
 
 
-def test_invariant_factors_read_a_cached_factorization():
+@pytest.mark.parametrize("rows", [[[2, 3], [3, 5]], [[2, 3], [4, 6], [3, 5]]])
+def test_invariant_factors_with_a_unit_minor_and_no_unit_entry(rows):
+    # the Smith form taken mod a minor of 1 reads every factor as 1
+    assert invariant_factors(IMat.from_rows(rows)) == [1, 1] == _determinantal_factors(rows, 2)
+
+
+def test_invariant_factors_never_read_a_cached_factorization():
     m = IMat.from_rows([[2, 4], [6, 8]])
-    s = m.snf()
-    s.d.nz[1][1] = 12                 # a stand-in diagonal shows where the answer came from
-    assert invariant_factors(m) == [2, 12]
+    m.snf().d.nz[1][1] = 12           # a stand-in diagonal would show through a side door
+    assert invariant_factors(m) == [2, 4]
 
 
 # ---------------------------------------------------------------------------

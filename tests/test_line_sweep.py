@@ -1,0 +1,28 @@
+"""``tools/line_sweep.py`` reports the lines of ``src/tdual`` a run skips."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from tdual.intlin import IMat, invariant_factors
+
+_SWEEP_PY = Path(__file__).resolve().parent.parent / "tools" / "line_sweep.py"
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("line_sweep", _SWEEP_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_missed_lines_follow_the_branches_a_call_takes():
+    before = sys.gettrace()
+    missed = _load_sweep().missed_lines(lambda: invariant_factors(IMat.identity(3)))
+    assert sys.gettrace() is before
+    intlin = {source: (path, line) for path, line, source in missed if path.name == "intlin.py"}
+    # every entry is a unit, so the unit pass runs and the dense route does not
+    assert "units += 1" not in intlin
+    dense = "a = [[x % det for x in row] for row in a]"
+    path, line = intlin[dense]
+    assert path.read_text().splitlines()[line - 1].strip() == dense

@@ -3,7 +3,7 @@
 Groups are read only off the ranks and invariant factors of the
 (co)boundary matrices, never off a basis. Classes are integer cochain
 vectors reduced to canonical coordinates modulo coboundaries, which the
-full SNF builds on the first class query to a space; class equality,
+full SNF builds on the first query that reads them; class equality,
 generator extraction, induced maps, connecting maps, and exactness checks
 are all exact integer computations. Cross product with the circle
 generator and integration over the circle fiber act at the cochain level
@@ -13,6 +13,7 @@ degree off the class's space and refuses one that differs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
@@ -83,7 +84,9 @@ class SubquotientSpace:
     those class paths read the coordinates (``kernel``, ``kernel_cols``,
     ``rel``, ``snf`` and the slots, None until then), which the full SNF
     builds once, on the first call of ``reduce``, ``generators``,
-    ``class_from_coords``, ``relations_lattice`` or ``coord_dim``.
+    ``class_from_coords``, ``relations_lattice``, ``coord_dim`` or
+    ``GroupHom.matrix``. ``group()`` and ``GroupHom.apply`` build none;
+    ``CohClass.is_zero`` builds them only for a nonzero vector in a nontrivial group.
     """
 
     def __init__(self, n: int, out_map: IMat, in_map: IMat, label: str = ""):
@@ -185,6 +188,15 @@ class CohClass(NamedTuple):
         return self.space.reduce(self.vector)
 
     def is_zero(self) -> bool:
+        """A cocycle test by one ``out_map`` product, then True for a zero vector or a
+        trivial group on a space with no coordinates yet; else compare coordinates."""
+        space = self.space
+        if len(self.vector) != space.n:
+            raise ValueError("vector length mismatch")
+        if any(space.out_map.mul_vec(self.vector)):
+            raise NotACocycle(f"vector is not a cocycle in {space.label}")
+        if not any(self.vector) or (space.snf is None and space.group() == TRIVIAL):
+            return True
         return all(x == 0 for x in self.reduced())
 
     def __eq__(self, other):
@@ -285,11 +297,14 @@ class GroupHom:
         self.codomain = codomain
         self.cochain_matrix = cochain_matrix
         self.name = name
-        cols = []
-        for gen in domain.generators():
-            img = cochain_matrix.mul_vec(list(gen.vector))
-            cols.append(list(codomain.reduce(img)))
-        self.matrix = IMat.from_columns(cols, codomain.coord_dim)
+
+    @cached_property
+    def matrix(self) -> IMat:
+        """The action on reduced coordinates, built on the first read; raises
+        ``NotACocycle`` if the cochain matrix sends a cocycle off the cocycles."""
+        cols = [list(self.codomain.reduce(self.cochain_matrix.mul_vec(list(gen.vector))))
+                for gen in self.domain.generators()]
+        return IMat.from_columns(cols, self.codomain.coord_dim)
 
     def apply(self, cls: CohClass) -> CohClass:
         if cls.space is not self.domain:
@@ -330,8 +345,7 @@ def exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of  A --f--> B --g--> C  at B: image f == kernel g."""
     if f.codomain is not g.domain:
         raise ValueError("maps do not share the middle space")
-    dim = f.codomain.coord_dim
-    if dim == 0:
+    if f.codomain.group() == TRIVIAL:
         return True
     return lattice_equal(f.image_lattice(), g.kernel_lattice())
 

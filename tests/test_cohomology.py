@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 import dense_snf
 
 from tdual.cohomology import (
-    AbelianGroup, CohClass, DegreeOverflow, NotACocycle, NotAProduct, TRIVIAL, Z,
-    betti_numbers, chain_space, cochain_space, cohomology, cross_with_z, exact_at, excision_hom,
-    fiber_integrate, homology, long_exact_sequence, pullback_hom,
-    SubquotientSpace, relative_cochain_space, relative_cohomology,
+    AbelianGroup, CohClass, DegreeOverflow, GroupHom, NotACocycle, NotAProduct, TRIVIAL, Z,
+    betti_numbers, chain_space, cochain_space, cohomology, connecting_hom, cross_with_z,
+    exact_at, excision_hom, fiber_integrate, homology, long_exact_sequence, pullback_hom,
+    SubquotientSpace, relative_cochain_space, relative_cohomology, relative_inclusion_hom,
     universal_coefficients_consistent,
 )
 from tdual.complexes import (
@@ -26,7 +26,8 @@ from tdual.complexes import (
     wedge_of_spheres,
 )
 from tdual import cohomology as cohomology_module, intlin
-from tdual.gerbes import CoverNerve, trivial_bundle_gerbe_models
+from tdual.gerbes import (CoverNerve, GerbeModels, characteristic_class_two_gerbe,
+                          semifree_class_to_two_gerbe, trivial_bundle_gerbe_models)
 from tdual.intlin import IMat, lattice_equal
 from tdual.semifree import multi_center_homotopy
 
@@ -713,12 +714,20 @@ def test_group_without_coordinates_matches_the_coordinates(family):
     assert seen
 
 
-def test_group_queries_build_no_coordinates(monkeypatch):
-    built = []
+def _counted(monkeypatch) -> list:
+    """The shapes of the matrices the full SNF factors from now on, and a
+    "kernel" for each kernel basis the coordinates take."""
+    shapes = []
     real_snf, real_kernel = intlin.smith_normal_form, cohomology_module.kernel_basis
-    monkeypatch.setattr(intlin, "smith_normal_form", lambda m: built.append("snf") or real_snf(m))
+    monkeypatch.setattr(intlin, "smith_normal_form",
+                        lambda m: shapes.append((m.rows, m.cols)) or real_snf(m))
     monkeypatch.setattr(cohomology_module, "kernel_basis",
-                        lambda m: built.append("kernel") or real_kernel(m))
+                        lambda m: shapes.append("kernel") or real_kernel(m))
+    return shapes
+
+
+def test_group_queries_build_no_coordinates(monkeypatch):
+    built = _counted(monkeypatch)
     # fresh complexes: nothing is cached on them or on their matrices
     lens7 = build_complex("L7", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]},
                           {2: {("e1", "e2"): 7}})
@@ -738,6 +747,129 @@ def test_group_queries_build_no_coordinates(monkeypatch):
     for k, group in enumerate(relative):
         forced = _fresh(relative_cochain_space(xs1, _skeleton(xs1, 1), k))
         assert forced.coord_dim >= 0 and _coordinate_group(forced) == group
+
+
+# ---------------------------------------------------------------------------
+# zero tests and induced maps that build no coordinates they do not read
+
+def _zero_test_spaces():
+    yield from _class_spaces()
+    for name in BUILTIN_NAMES:
+        xs1 = product_with_circle(builtin_space(name))
+        for k in range(xs1.top + 1):
+            yield pytest.param(cochain_space(xs1, k), id=f"{name}xS1-H^{k}")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _zero_test_vectors(space):
+    """The zero vector, nonzero coboundaries, generators, their multiples
+    (torsion orders too) and sums, shifted by coboundaries; then random
+    vectors, most of them no cocycle, and vectors of the wrong length."""
+    rng = random.Random(space.n)
+    gens = [g.vector for g in space.generators()]
+    orders = space.torsion_values + [0] * len(space.free_slots)
+    coboundaries = [tuple(col.get(i, 0) for i in range(space.n))
+                    for col in space.in_map.transpose().nz if col][:3]
+    vectors = [(0,) * space.n] + coboundaries
+    for g, t in zip(gens, orders):
+        vectors += [g] + [tuple(k * a for a in g) for k in (-1, 2, 3) + ((t, 2 * t) if t else ())]
+    vectors += [tuple(map(sum, zip(a, b))) for a, b in zip(gens, gens[1:])]
+    for vec in list(vectors[1:]):
+        for shift in coboundaries:
+            vectors.append(tuple(a + rng.randint(-2, 2) * b for a, b in zip(vec, shift)))
+    vectors += [tuple(rng.randint(-2, 2) for _ in range(space.n)) for _ in range(6)]
+    return vectors + [(), (0,) * (space.n + 1), (1,) * (space.n + 1)]
+
+
+@pytest.mark.parametrize("space", list(_zero_test_spaces()))
+def test_zero_test_matches_the_reduced_coordinates(space):
+    lazy = _fresh(space)
+    outcomes = []
+    for vec in _zero_test_vectors(space):
+        got = _outcome(lambda: CohClass(lazy, vec).is_zero())
+        assert got == _outcome(lambda: all(x == 0 for x in CohClass(space, vec).reduced())), vec
+        outcomes.append(got)
+    errors = {kind for kind, *_ in filter(lambda o: isinstance(o, tuple), outcomes)}
+    assert True in outcomes and ValueError in errors
+    assert (NotACocycle in errors) == any(space.out_map.nz)
+    assert (False in outcomes) == (space.group() != TRIVIAL)
+    if space.group() == TRIVIAL:
+        assert lazy.snf is None and lazy.in_map._snf is None and lazy.out_map._snf is None
+
+
+def _eager_matrix(hom) -> IMat:
+    # the matrix the constructor used to build, by the dense products
+    return IMat.from_columns(
+        [list(dense_snf.reduce(hom.codomain, hom.cochain_matrix.mul_vec(list(g))))
+         for g in dense_snf.generators(hom.domain)], hom.codomain.coord_dim)
+
+
+def test_induced_maps_and_trivial_zero_tests_build_no_coordinates(monkeypatch):
+    shapes = _counted(monkeypatch)
+    disc = build_complex("D2", {0: ["v"], 1: ["e"], 2: ["f"]}, {2: {("e", "f"): 1}})
+    j = relative_inclusion_hom(disc, {"v", "e"}, 2)
+    c = CohClass(j.domain, (1,))                  # generates H^2(D, S^1) = Z
+    image = j.apply(c)
+    assert image.vector == (1,) and image.space is cochain_space(disc, 2)
+    assert image.is_zero() and (-image).is_zero() and image.space.group() == TRIVIAL
+    assert cochain_space(disc, 1).zero().is_zero()
+    circle_a = disc.subcomplex({"v", "e"})
+    i = GroupHom(image.space, cochain_space(circle_a, 2), IMat(0, 1))
+    assert exact_at(j, i)                         # the middle group is 0
+    assert shapes == [] and j.domain.snf is None and image.space.snf is None
+    assert "matrix" not in vars(j) and "matrix" not in vars(i)
+    assert j.matrix == _eager_matrix(j) == IMat(0, 1)
+    assert not c.is_zero() and c == j.domain.generators()[0]
+
+
+def _fresh_codim_models(rank: int, tag: str) -> GerbeModels:
+    # the codimension push of the homology benchmark, on a fresh S^2
+    base = build_complex(f"S2{tag}", {0: [f"{tag}v"], 2: [f"{tag}c"]})
+    total, sphere_ids, f_ids = trivial_disc_bundle(base, rank)
+    return GerbeModels(b=total, f_ids=f_ids, complement_ids=sphere_ids, bplus=total,
+                       bplus_minus_f_ids=sphere_ids, patch_neighborhood=frozenset(total.all_ids()),
+                       patch_complement=sphere_ids)
+
+
+def test_a_codimension_push_factors_only_what_it_reads(monkeypatch):
+    shapes = _counted(monkeypatch)
+    models = _fresh_codim_models(4, "zt")
+    lam = 3 * cochain_space(models.complement_model(), 2).generators()[0]
+    assert not lam.is_zero() and lam.space._group is None    # read off the coordinates
+    gerbe, pushed = semifree_class_to_two_gerbe(lam, models)
+    assert pushed.is_zero() and characteristic_class_two_gerbe(gerbe).is_zero()
+    # three for the coordinates of the complement's H^2 (out_map, kernel,
+    # relations) and four empty ones for excision's preimage; H^3(B+) builds none
+    assert len([s for s in shapes if s != "kernel"]) == 7
+    assert pushed.space.snf is None and pushed.space.group() == TRIVIAL
+    homs = [connecting_hom(models.b, models.complement_ids, 2),
+            excision_hom(models.bplus, models.bplus_minus_f_ids, models.b,
+                         models.complement_ids, 3),
+            relative_inclusion_hom(models.bplus, models.bplus_minus_f_ids, 3)]
+    for hom in homs:
+        assert hom.matrix == _eager_matrix(hom) and hom.matrix is hom.matrix
+    assert homs[0].matrix.cols == 1 and homs[2].matrix.rows == 0
+
+
+def test_a_map_off_the_cocycles_raises_when_its_matrix_or_image_is_read():
+    point = build_complex("pt", {0: ["p"]})
+    edge = build_complex("I", {0: ["a", "b"], 1: ["e"]}, {1: {("a", "e"): -1, ("b", "e"): 1}})
+    # the point's generator to the vertex a: delta(a) = -e, no cocycle
+    hom = GroupHom(cochain_space(point, 0), cochain_space(edge, 0), IMat.from_rows([[1], [0]]))
+    message = "vector is not a cocycle in H^0(I)"
+    with pytest.raises(NotACocycle) as info:
+        hom.matrix
+    assert str(info.value) == message
+    with pytest.raises(NotACocycle) as info:
+        hom.apply(CohClass(hom.domain, (1,))).is_zero()
+    assert str(info.value) == message
+    assert hom.apply(hom.domain.zero()).is_zero()
 
 
 # ---------------------------------------------------------------------------

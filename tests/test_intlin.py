@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_snf
+from tdual import intlin
 from tdual.complexes import BUILTIN_NAMES, builtin_space, product_with_circle, s3_two_disc
 from tdual.intlin import (IMat, invariant_factors, kernel_basis, lattice_contains,
                           lattice_equal, rank_q, smith_normal_form, solve, solve_columns)
@@ -305,6 +306,22 @@ def test_invariant_factors_of_builtin_boundaries_match_the_snf(m):
 def test_invariant_factors_with_a_unit_minor_and_no_unit_entry(rows):
     # the Smith form taken mod a minor of 1 reads every factor as 1
     assert invariant_factors(IMat.from_rows(rows)) == [1, 1] == _determinantal_factors(rows, 2)
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+def test_unit_pass_pivots_on_units_of_either_sign(monkeypatch, unit):
+    # every entry is the same unit, and the elimination makes the other sign
+    # (row 1 becomes -unit * e1), so a unit pass that missed either sign
+    # would leave rows for the dense route
+    dense = []
+    monkeypatch.setattr(intlin, "_dense_factors", lambda rows: dense.append(rows) or [])
+    m = IMat.from_rows([[unit, unit, 0], [unit, 0, 0], [0, unit, unit]])
+    assert invariant_factors(m) == [1, 1, 1] and dense == []
+
+
+def test_from_rows_of_no_rows_is_empty():
+    m = IMat.from_rows([])
+    assert (m.rows, m.cols, m.nz) == (0, 0, [])
 
 
 def test_invariant_factors_never_read_a_cached_factorization():

@@ -18,6 +18,7 @@ import math
 import os
 import random
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import BUILTIN_NAMES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
@@ -81,12 +82,21 @@ def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--output", default=None, help="write the result here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list | None = None) -> argparse.ArgumentParser:
+    """All eight subcommands; given ``argv``, only the one argparse dispatches
+    to, its first token not starting with "-", gets its arguments."""
     p = argparse.ArgumentParser(prog="tdual",
                                 description="topological T-duality toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    invoked = next((a for a in argv if a[:1] != "-"), None) if argv is not None else None
 
-    b = sub.add_parser("buscher", help="dualize a metric along its fiber direction")
+    def command(name: str, text: str):
+        parser = sub.add_parser(name, help=text)
+        if argv is None or name == invoked:
+            return parser
+        return SimpleNamespace(add_argument=lambda *args, **kwargs: None)     # never parsed
+
+    b = command("buscher", "dualize a metric along its fiber direction")
     b.add_argument("--preset", choices=("taub-nut", "multi2", "multi3", "multi5"))
     b.add_argument("--input", help="MetricData JSON file")
     b.add_argument("--b-field", choices=("none", "dyonic"), default="none")
@@ -94,35 +104,35 @@ def build_parser() -> argparse.ArgumentParser:
                    default="g-h")
     _common(b)
 
-    c = sub.add_parser("cohomology", help="integer cohomology of a builtin space")
+    c = command("cohomology", "integer cohomology of a builtin space")
     c.add_argument("--space", required=True,
                    help=f"one of {', '.join(BUILTIN_NAMES)} (or L1p:<p>, wedge:<k>)")
     c.add_argument("--degree", type=int, required=True)
     _common(c)
 
-    d = sub.add_parser("dualize-gerbe", help="T-dualize a 2-gerbe to a 3-gerbe")
+    d = command("dualize-gerbe", "T-dualize a 2-gerbe to a 3-gerbe")
     d.add_argument("--input", help="TwoGerbe JSON file")
     d.add_argument("--preset", help="monopole:<n>")
     _common(d)
 
-    cl = sub.add_parser("classify", help="canonical semi-free classification record")
+    cl = command("classify", "canonical semi-free classification record")
     cl.add_argument("--preset", help="kk, charge:<p>, or trivial")
     cl.add_argument("--input", help="record JSON file")
     _common(cl)
 
-    t = sub.add_parser("tdualize", help="T-dual record of a semi-free space")
+    t = command("tdualize", "T-dual record of a semi-free space")
     t.add_argument("--preset", help="kk, charge:<p>, or trivial")
     t.add_argument("--input", help="record JSON file")
     _common(t)
 
-    s = sub.add_parser("spectrum", help="crossed-product spectrum of the test example")
+    s = command("spectrum", "crossed-product spectrum of the test example")
     _common(s)
 
-    h = sub.add_parser("homotopy", help="homology of the p-center space")
+    h = command("homotopy", "homology of the p-center space")
     h.add_argument("--centers", type=int, required=True)
     _common(h)
 
-    v = sub.add_parser("verify", help="run a golden identity suite")
+    v = command("verify", "run a golden identity suite")
     v.add_argument("suite", help=f"one of {', '.join(SUITES)}")
     _common(v)
 
@@ -580,7 +590,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

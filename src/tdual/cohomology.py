@@ -1,14 +1,15 @@
 """Integer (co)homology of finite cell complexes, pairs, and products.
 
-Groups are read only off the ranks and invariant factors of the
-(co)boundary matrices, never off a basis. Classes are integer cochain
-vectors reduced to canonical coordinates modulo coboundaries, which the
-full SNF builds on the first query that reads them; class equality,
-generator extraction, induced maps, connecting maps, and exactness checks
-are all exact integer computations. Cross product with the circle
-generator and integration over the circle fiber act at the cochain level
-on product complexes and are strict chain-level inverses; each reads the
-degree off the class's space and refuses one that differs.
+Groups are read only off the ranks and invariant factors of the coboundary
+matrices, never off a basis; homology groups too, as transposing keeps
+both, so no chain space is built. Classes are integer cochain vectors
+reduced to canonical coordinates modulo coboundaries, which the full SNF
+builds on the first query that reads them; class equality, generator
+extraction, induced maps, connecting maps, and exactness checks are all
+exact integer computations. Cross product with the circle generator and
+integration over the circle fiber act at the cochain level on product
+complexes and are strict chain-level inverses; each reads the degree off
+the class's space and refuses one that differs.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ TRIVIAL = AbelianGroup(0)
 class SubquotientSpace:
     """The abelian group ker(out_map)/im(in_map), with coordinates on demand.
 
-    ``out_map``: Z^n -> Z^q and ``in_map``: Z^m -> Z^n must compose to zero.
+    ``out_map``: Z^n -> Z^q and ``in_map``: Z^m -> Z^n must compose to zero;
+    the factories, whose complexes are checked where built, skip that check.
     ``group()`` is always read off the two maps, never off coordinates:
     ker(out_map) is a saturated sublattice of Z^n holding im(in_map), so the
     quotient has free rank n - rank(out_map) - rank(in_map) and the torsion
@@ -89,10 +91,10 @@ class SubquotientSpace:
     ``CohClass.is_zero`` builds them only for a nonzero vector in a nontrivial group.
     """
 
-    def __init__(self, n: int, out_map: IMat, in_map: IMat, label: str = ""):
+    def __init__(self, n: int, out_map: IMat, in_map: IMat, label: str = "", trusted: bool = False):
         if out_map.cols != n or in_map.rows != n:
             raise ValueError("shape mismatch")
-        if not (out_map @ in_map).is_zero():
+        if not trusted and not (out_map @ in_map).is_zero():
             raise ValueError("image does not lie in the kernel")
         self.n = n
         self.label = label
@@ -119,9 +121,7 @@ class SubquotientSpace:
 
     def group(self) -> AbelianGroup:
         if self._group is None:
-            factors = invariant_factors(self.in_map)
-            self._group = AbelianGroup(self.n - rank_q(self.out_map) - len(factors),
-                                       tuple(d for d in factors if d > 1))
+            self._group = _quotient_group(self.n, self.out_map, self.in_map)
         return self._group
 
     @property
@@ -175,6 +175,12 @@ class SubquotientSpace:
 
     def zero(self) -> "CohClass":
         return CohClass(self, (0,) * self.n)
+
+
+def _quotient_group(n: int, out_map: IMat, in_map: IMat) -> AbelianGroup:
+    """ker(out_map)/im(in_map) on Z^n, off a rank and invariant factors."""
+    factors = invariant_factors(in_map)
+    return AbelianGroup(n - rank_q(out_map) - len(factors), tuple(d for d in factors if d > 1))
 
 
 class CohClass(NamedTuple):
@@ -232,7 +238,7 @@ def cochain_space(x: CellComplex, k: int) -> SubquotientSpace:
     if space is None:
         space = x.derived[("abs", k)] = SubquotientSpace(
             x.n_cells(k), x.coboundary(k + 1), x.coboundary(k),
-            label=f"H^{k}({x.name})")
+            label=f"H^{k}({x.name})", trusted=True)
     return space
 
 
@@ -252,9 +258,10 @@ def cohomology(x: CellComplex, k: int) -> AbelianGroup:
 
 
 def homology(x: CellComplex, k: int) -> AbelianGroup:
+    """H_k(X; Z) off the coboundaries; ``chain_space(x, k).group()`` is the oracle."""
     if k < 0:
         return TRIVIAL
-    return chain_space(x, k).group()
+    return _quotient_group(x.n_cells(k), x.coboundary(k), x.coboundary(k + 1))
 
 
 def relative_cochain_space(x: CellComplex, a_ids, k: int) -> SubquotientSpace:
@@ -267,7 +274,8 @@ def relative_cochain_space(x: CellComplex, a_ids, k: int) -> SubquotientSpace:
         below, cells, above = (_relative_cells(x, a_ids, d) for d in (k - 1, k, k + 1))
         space = x.derived[key] = SubquotientSpace(
             len(cells), _restricted_coboundary(x, k, cells, above),
-            _restricted_coboundary(x, k - 1, below, cells), label=f"H^{k}({x.name}, A)")
+            _restricted_coboundary(x, k - 1, below, cells), label=f"H^{k}({x.name}, A)",
+            trusted=True)
     return space
 
 

@@ -1,12 +1,13 @@
 """Finite cell complexes with integer incidences.
 
-A complex stores ordered cell ids per degree and each cell's faces
-(``faces[cell]`` maps a face id to its coefficient, in face order), and
-derives from them its coboundary matrices ``coboundary(k): C^{k-1} ->
-C^k``, one row per k-cell; ``bmat(k)`` is their transpose. Builders emit
-faces by id: products carry Koszul signs and traceable ids (pairs of
-factor ids), quotients collapse a labeled subcomplex to a basepoint, and
-chain maps are validated to commute with the boundaries.
+A complex stores ordered cell ids per degree, its coboundary matrices
+``coboundary(k): C^{k-1} -> C^k`` (row j: the faces of the j-th k-cell by
+index, in index order; ``bmat(k)`` is the transpose) and each cell's faces
+by id in that order. ``build_complex`` and quotients give faces by id; a
+product writes each row by index arithmetic on its factors' rows (Koszul
+signs, ids that are pairs of factor ids), and a subcomplex renumbers its
+parent's rows, which checks closure in the same pass. Chain maps are
+validated to commute with the boundaries.
 
 Subcomplexes, products with a second factor and the class spaces of
 ``tdual.cohomology`` are cached in their complex's ``derived`` dict:
@@ -21,6 +22,7 @@ spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from weakref import WeakValueDictionary
 
 from . import BUILTIN_NAMES  # noqa: F401  (re-exported: the registry's names)
@@ -64,6 +66,7 @@ class CellComplex(_Record):
     """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
     coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
     subcomplexes by cell set, products by (id(Y), name), class spaces by kind.
+    ``rows`` (degree -> coboundary row dicts, in index order) may replace ``faces``.
 
     A complex built directly trusts its faces: ``build_complex`` checks
     boundary squared zero where cell data enters, and products, subcomplexes
@@ -73,25 +76,25 @@ class CellComplex(_Record):
     __slots__ = (*_fields, "derived", "_index", "_coboundary", "__weakref__")
 
     def __init__(self, name: str, cells: dict, faces: dict | None = None,
-                 product_of: tuple | None = None):
+                 product_of: tuple | None = None, rows: dict | None = None):
         self.name, self.cells, self.faces, self.product_of = name, cells, faces or {}, product_of
-        self.derived = {}
+        self.derived, self._coboundary = {}, rows
         self.__post_init__()        # the entry bench/layers.py traces
 
     def __post_init__(self):
-        """Keep every cell's nonzero faces in face-index order and derive, per
-        degree k, the coboundary whose row j holds the faces of the j-th k-cell."""
+        """Take each degree's coboundary rows, or index and sort the faces
+        given by id into them, and read every cell's faces by id off its row."""
         self.cells = {k: list(v) for k, v in self.cells.items() if v}
         self._index = {k: {c: i for i, c in enumerate(v)} for k, v in self.cells.items()}
-        given, self.faces, self._coboundary = self.faces, {}, {}
+        given, rows, self.faces, self._coboundary = self.faces, self._coboundary, {}, {}
         for k in sorted(self.cells):
-            lower, lower_ids, rows = self._index.get(k - 1, {}), self.cell_ids(k - 1), []
-            for cell in self.cells[k]:
-                own = given.get(cell)
-                row = dict(sorted((lower[f], x) for f, x in own.items() if x)) if own else {}
+            lower, lower_ids = self._index.get(k - 1, {}), self.cell_ids(k - 1)
+            krows = rows[k] if rows is not None else [
+                dict(sorted((lower[f], x) for f, x in given[c].items() if x)) if c in given
+                else {} for c in self.cells[k]]
+            for cell, row in zip(self.cells[k], krows):
                 self.faces[cell] = {lower_ids[i]: x for i, x in row.items()} if row else {}
-                rows.append(row)
-            self._coboundary[k] = IMat.of(len(rows), len(lower_ids), rows)
+            self._coboundary[k] = IMat.of(len(krows), len(lower_ids), krows)
         if len(self.faces) < sum(map(len, self.cells.values())):
             raise ValueError(f"cell ids of {self.name} are not distinct")
 
@@ -153,15 +156,23 @@ class CellComplex(_Record):
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
         """Canonical subcomplex on the given cells; instances are cached per
         cell set so class spaces computed through different call sites agree.
-        A cell set is validated, and the name taken, when it is first built."""
+        A cell set is validated, and the name taken, when it is first built:
+        self's rows are renumbered to the cells kept, and a face left out fails."""
         ids = frozenset(ids)
         sub = self.derived.get(ids)
         if sub is None:
-            ids = self.check_subcomplex(ids)
-            sub = self.derived[ids] = CellComplex(
-                name or f"{self.name}|sub",
-                {k: [c for c in v if c in ids] for k, v in self.cells.items()},
-                {c: self.faces[c] for c in ids})
+            kept = {k: [i for i, c in enumerate(v) if c in ids] for k, v in self.cells.items()}
+            if sum(map(len, kept.values())) < len(ids):
+                self.check_subcomplex(ids)          # raises, naming the cells not in self
+            rows = {}
+            for k, at in kept.items():
+                new, cob = {i: j for j, i in enumerate(kept.get(k - 1, ()))}, self._coboundary[k].nz
+                try:
+                    rows[k] = [{new[f]: x for f, x in cob[i].items()} for i in at]
+                except KeyError:                    # a face left out: the scan names the first
+                    self.check_subcomplex(ids)
+            sub = self.derived[ids] = CellComplex(name or f"{self.name}|sub", {
+                k: [self.cells[k][i] for i in at] for k, at in kept.items()}, rows=rows)
         return sub
 
 
@@ -227,19 +238,21 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
     out = x.derived.get(key)
     if out is not None:
         return out
-    cells: dict = {}
-    faces: dict = {}
-    for k in range(x.top + y.top + 1):
-        cells[k] = []
-        for da in range(k + 1):
-            sign = (-1) ** da
-            for a in x.cell_ids(da):
-                for b in y.cell_ids(k - da):
-                    cells[k].append((a, b))
-                    own = faces[(a, b)] = {(f, b): c for f, c in x.faces[a].items()}
-                    own.update(((a, f), sign * c) for f, c in y.faces[b].items())
-    out = x.derived[key] = CellComplex(name or f"{x.name}x{y.name}", cells, faces,
-                                          product_of=(x, y))
+    cells, rows, first = {}, {}, {}     # first[k, da]: index of the first k-cell with |a| = da
+    for da, db in sorted(product(x.cells, y.cells), key=lambda d: (sum(d), d)):
+        k, sign, n_b, n_face_b = da + db, (-1) ** da, y.n_cells(db), y.n_cells(db - 1)
+        first[k, da], k_rows = len(cells.setdefault(k, [])), rows.setdefault(k, [])
+        # the faces f x b (|f| = da - 1) come first, then a x g, each in index order
+        at_fb, at_ag = first.get((k - 1, da - 1), 0), first.get((k - 1, da), 0)
+        for i_a, (a, x_row) in enumerate(zip(x.cells[da], x._coboundary[da].nz)):
+            for i_b, (b, y_row) in enumerate(zip(y.cells[db], y._coboundary[db].nz)):
+                cells[k].append((a, b))
+                row = {at_fb + f * n_b + i_b: c for f, c in x_row.items()} if x_row else {}
+                if y_row:
+                    row.update((at_ag + i_a * n_face_b + g, sign * c) for g, c in y_row.items())
+                k_rows.append(row)
+    out = x.derived[key] = CellComplex(name or f"{x.name}x{y.name}", cells,
+                                          product_of=(x, y), rows=rows)
     return out
 
 
@@ -455,16 +468,9 @@ def trivial_disc_bundle(base: CellComplex, rank: int):
     total = product_complex(base, cube, name=f"{base.name}xD{rank}")
     boundary = interval_power_boundary_ids(cube, rank)
     sphere_ids = frozenset((a, b) for a in base.all_ids() for b in boundary)
-    corner = _corner_id(rank)
+    corner = cube.cell_ids(0)[0]        # (...(p, p), ..., p), the first vertex
     f_ids = frozenset((a, corner) for a in base.all_ids())
     return total, sphere_ids, f_ids
-
-
-def _corner_id(rank: int):
-    cell = "p"
-    for _ in range(rank - 1):
-        cell = (cell, "p")
-    return cell
 
 
 # registry ------------------------------------------------------------------

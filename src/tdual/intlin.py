@@ -19,16 +19,17 @@ class IMat:
     zero entries are never stored, so equality of matrices is equality of
     their row dicts. Indexing ``m[i, j]`` reads and writes single entries.
 
-    ``snf()`` caches its result on the instance; do not mutate a matrix
-    after factoring it (internal callers build matrices, then consume them).
+    ``snf()`` keeps its factorization (``_snf``) and ``invariant_factors`` its
+    factors (``_factors``) on the instance; ``m[i, j] = v`` drops both, and
+    ``nz`` is not changed in place after either.
     """
 
-    __slots__ = ("rows", "cols", "nz", "_snf", "__weakref__")
+    __slots__ = ("rows", "cols", "nz", "_snf", "_factors", "__weakref__")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
         self.cols = cols
-        self._snf = None
+        self._snf = self._factors = None
         if data is None:
             self.nz = [{} for _ in range(rows)]
         else:
@@ -41,7 +42,7 @@ class IMat:
     def of(rows: int, cols: int, nz: list) -> "IMat":
         """Wrap row dicts (no zero values) without copying them."""
         m = IMat.__new__(IMat)
-        m.rows, m.cols, m.nz, m._snf = rows, cols, nz, None
+        m.rows, m.cols, m.nz, m._snf, m._factors = rows, cols, nz, None, None
         return m
 
     def snf(self) -> "SNF":
@@ -85,6 +86,7 @@ class IMat:
     def __setitem__(self, ij, v):
         i, j = ij
         self._check(i, j)
+        self._snf = self._factors = None
         if v:
             self.nz[i][j] = v
         else:
@@ -416,14 +418,16 @@ def rank_q(m: IMat) -> int:
 def invariant_factors(m: IMat) -> list[int]:
     """The nonzero diagonal entries of M's Smith normal form, in order.
 
-    No U or V is built, and a factorization cached by ``m.snf()`` is not
-    read. A unit entry clears its column by row operations, and its
-    row then by column operations that touch nothing else, so it gives one
-    factor 1 and both are dropped; on boundary matrices that leaves little
-    or nothing. The rows left, none holding a unit, go to ``_dense_factors``,
-    whose coefficients stay bounded where the full SNF's pivot rule lets
-    them grow.
+    No U or V is built, a factorization cached by ``m.snf()`` is not read,
+    and the factors are kept on ``m``. A unit entry clears its column by row
+    operations, and its row then by column operations that touch nothing
+    else, so it gives one factor 1 and both are dropped; on boundary matrices
+    that leaves little or nothing. The rows left, none holding a unit, go to
+    ``_dense_factors``, whose coefficients stay bounded where the full SNF's
+    pivot rule lets them grow.
     """
+    if m._factors is not None:
+        return m._factors
     rows = {i: dict(r) for i, r in enumerate(m.nz) if r}
     in_col = defaultdict(set)
     for i, row in rows.items():
@@ -447,7 +451,8 @@ def invariant_factors(m: IMat) -> list[int]:
                 todo.append(r)
             else:
                 del rows[r]
-    return [1] * units + (_dense_factors(list(rows.values())) if rows else [])
+    m._factors = [1] * units + (_dense_factors(list(rows.values())) if rows else [])
+    return m._factors
 
 
 def _dense_factors(rows: list) -> list[int]:

@@ -11,13 +11,18 @@ that code, copied without change except that ``to_json`` and
 ``col_items`` reader. ``test_complexes.py`` requires the face-table
 builders to give the same cell order and the same ``bmat(k)``, entry for
 entry.
+
+``face_dict_product`` and ``face_dict_subcomplex`` are the next step: the
+builders that handed ``tdual.complexes.CellComplex`` each cell's faces by
+id, for it to index and sort, before products and subcomplexes wrote their
+coboundary rows themselves. They are kept as the oracle for those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from tdual import intlin
+from tdual import complexes as cx, intlin
 from tdual.complexes import PT, NotASubcomplex
 
 
@@ -274,3 +279,40 @@ def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
             m[q.index(k, cell), j] = 1
         mats[k] = m
     return q, ChainMap(x, q, mats, name=f"collapse:{x.name}")
+
+
+# ---------------------------------------------------------------------------
+# the face-dict builders of ``tdual.complexes``
+
+
+def face_dict_product(x: cx.CellComplex, y: cx.CellComplex, name: str | None = None):
+    """X x Y from each cell's faces by id: d(a x b) = da x b + (-1)^|a| a x db."""
+    cells: dict = {}
+    faces: dict = {}
+    for k in range(x.top + y.top + 1):
+        cells[k] = []
+        for da in range(k + 1):
+            sign = (-1) ** da
+            for a in x.cell_ids(da):
+                for b in y.cell_ids(k - da):
+                    cells[k].append((a, b))
+                    own = faces[(a, b)] = {(f, b): c for f, c in x.faces[a].items()}
+                    own.update(((a, f), sign * c) for f, c in y.faces[b].items())
+    return cx.CellComplex(name or f"{x.name}x{y.name}", cells, faces, product_of=(x, y))
+
+
+def face_dict_subcomplex(x: cx.CellComplex, ids, name: str | None = None):
+    """The subcomplex on ``ids`` from its cells' faces by id, after a scan of
+    every face of ``x`` that checks the cells are closed under faces."""
+    ids = frozenset(ids)
+    unknown = ids.difference(x.faces)
+    if unknown:
+        raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {x.name}")
+    for cell, faces in x.faces.items():
+        if cell in ids:
+            for face in faces:
+                if face not in ids:
+                    raise NotASubcomplex(f"boundary of {cell} leaves the cell set at {face}")
+    return cx.CellComplex(name or f"{x.name}|sub",
+                          {k: [c for c in v if c in ids] for k, v in x.cells.items()},
+                          {c: x.faces[c] for c in ids})

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tdual import cli
 from tdual.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -794,6 +795,42 @@ def test_help_matches_golden(command, monkeypatch):
     code, out, _ = run_cli(*([command] if command else []), "--help")
     assert code == 0
     assert out == (GOLDEN / f"help_{command or 'top'}.txt").read_text()
+
+
+COMMANDS = ("buscher", "cohomology", "dualize-gerbe", "classify", "tdualize", "spectrum",
+            "homotopy", "verify")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "cohomology"], *([c, "--help"] for c in COMMANDS),
+    ["no-such-command"], ["no-such-command", "--space", "S2"], ["-1", "spectrum"], [""],
+    ["cohomology", "--bogus"], ["cohomology", "--space", "S2"], ["cohomology", "--degree", "x"],
+    ["cohomology", "--space", "S2", "--degree", "2", "--format", "yaml"],
+    ["--bogus", "cohomology", "--space", "S2", "--degree", "2"],
+    ["--", "cohomology", "--space", "S2", "--degree", "2"],
+    ["cohomology", "--space", "L1p:12", "--degree", "2", "--format", "json"],
+    ["spectrum", "extra"], ["verify"], ["verify", "cohomology", "--trials", "0"],
+    ["verify", "--seed", "3", "cohomology"], ["homotopy", "--centers", "3", "--tol", "-1"],
+    ["buscher", "--preset", "nope"], ["classify", "--preset", "kk", "--format", "json"],
+], ids=lambda argv: " ".join(argv) if any(argv) else repr(argv))
+def test_a_parser_built_for_one_command_answers_as_the_full_parser(argv, monkeypatch):
+    # the exit code, stdout and stderr of a parser with every command's arguments
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = run_cli(*argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert run_cli(*argv) == lazy
+
+
+def test_only_the_invoked_command_gets_its_arguments():
+    def options(parser) -> dict:
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+    full, lazy = options(cli.build_parser()), options(cli.build_parser(["homotopy", "-h"]))
+    assert list(full) == list(lazy) == list(COMMANDS)
+    assert lazy == {name: full[name] if name == "homotopy" else ["help"] for name in COMMANDS}
+    assert full["homotopy"] == ["help", "centers", "seed", "trials", "tol", "format", "output"]
 
 
 # prints, without importing json, each module loaded after its own imports

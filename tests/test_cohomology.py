@@ -572,6 +572,69 @@ def test_subquotient_needs_composable_maps_that_compose_to_zero():
         SubquotientSpace(1, IMat.identity(1), IMat.identity(1))
 
 
+def test_only_a_space_built_directly_proves_the_maps_compose_to_zero(monkeypatch):
+    # the factories' complexes were checked where built; a direct space checks itself
+    products = []
+    matmul = IMat.__matmul__
+    x = product_with_circle(_fresh_lens("dd"))
+    monkeypatch.setattr(IMat, "__matmul__", lambda a, b: products.append(a) or matmul(a, b))
+    for k in range(x.top + 2):
+        cochain_space(x, k)
+        relative_cochain_space(x, _skeleton(x, 1), k)
+    assert products == []
+    with pytest.raises(ValueError) as info:
+        SubquotientSpace(2, IMat.from_rows([[1, 0]]), IMat.from_rows([[1], [1]]))
+    assert str(info.value) == "image does not lie in the kernel" and len(products) == 1
+    assert SubquotientSpace(2, IMat.from_rows([[1, 0]]), IMat.from_rows([[0], [3]])).group() == \
+        AbelianGroup(0, (3,))
+
+
+# ---------------------------------------------------------------------------
+# homology off the coboundaries, against the chain spaces (the oracle)
+
+# builders, not complexes: a parameter would keep the weakly held families alive
+HOMOLOGY_CASES = {
+    **{name: (lambda n=name: builtin_space(n)) for name in BUILTIN_NAMES},
+    **{f"{name}xS1": (lambda n=name: product_with_circle(builtin_space(n)))
+       for name in BUILTIN_NAMES},
+    **{f"wedge{count}S{dim}": (lambda c=count, d=dim: wedge_of_spheres(c, d))
+       for count, dim in ((0, 2), (1, 1), (5, 2), (40, 3))},
+    "S2xD3": lambda: trivial_disc_bundle(sphere(2), 3)[0],
+    "L(1,4)xI^2": lambda: product_complex(lens(4), interval_power(2)),
+}
+
+
+@pytest.mark.parametrize("case", list(HOMOLOGY_CASES))
+def test_homology_off_the_coboundaries_matches_the_chain_space(case):
+    x = HOMOLOGY_CASES[case]()
+    for k in range(-1, x.top + 2):
+        assert homology(x, k) == chain_space(x, k).group(), k
+
+
+def test_a_cohomology_then_homology_sweep_factors_each_coboundary_once(monkeypatch):
+    factored = []
+    real = intlin.invariant_factors
+
+    def counted(m):             # a factorization makes a new list; a read of the record not
+        before = m._factors
+        factors = real(m)
+        if factors is not before:
+            factored.append(m)
+        return factors
+
+    monkeypatch.setattr(intlin, "invariant_factors", counted)
+    monkeypatch.setattr(cohomology_module, "invariant_factors", counted)
+    for p in (2, 3, 12):
+        xs1 = product_with_circle(build_complex(
+            f"L{p}", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]}, {2: {("e1", "e2"): p}}))
+        torsion = AbelianGroup(0, (p,))
+        assert [cohomology(xs1, k) for k in range(5)] == [Z, Z, torsion, AbelianGroup(1, (p,)), Z]
+        assert [homology(xs1, k) for k in range(5)] == [Z, AbelianGroup(1, (p,)), torsion, Z, Z]
+        stored = [xs1.coboundary(k) for k in range(xs1.top + 1)]
+        assert [sum(m is s for m in factored) for s in stored] == [1] * len(stored)
+        assert not any(("hom", k) in xs1.derived for k in range(-1, 6))
+
+
 # ---------------------------------------------------------------------------
 # class coordinates against the old row-by-row products (tests/dense_snf.py)
 

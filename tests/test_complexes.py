@@ -170,3 +170,97 @@ def test_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# products and subcomplexes that write their rows, against the face-dict
+# builders they replaced (``complex_oracle.face_dict_*``)
+
+def assert_same_rows(new, old, same_factors: bool = True):
+    assert type(new) is type(old) is cx.CellComplex
+    assert (new.name, new.cells, new._index) == (old.name, old.cells, old._index)
+    assert [(c, list(f.items())) for c, f in new.faces.items()] == \
+        [(c, list(f.items())) for c, f in old.faces.items()]
+    for k in range(-1, new.top + 2):
+        assert new.coboundary(k) == old.coboundary(k)
+        assert all(list(row) == sorted(row) for row in new.coboundary(k).nz)
+    if same_factors:
+        assert new == old
+
+
+def _product_pair(kind: str, arg) -> tuple:
+    """(row-built product, face-dict product) of the kind ``XxS1``, ``S1xX``
+    or ``XxI`` for the builtin X named ``arg``, or ``S2xD`` for D = I^arg."""
+    if kind == "S2xD":
+        s2 = cx.sphere(2)
+        return (cx.trivial_disc_bundle(s2, arg)[0],
+                oracle.face_dict_product(s2, cx.interval_power(arg), name=f"S2xD{arg}"))
+    x, s1, i = cx.builtin_space(arg), cx.circle(), cx.interval()
+    if kind == "XxS1":
+        return cx.product_with_circle(x), oracle.face_dict_product(x, s1, name=f"{x.name}xS1")
+    if kind == "XxI":
+        return cx.product_complex(x, i), oracle.face_dict_product(x, i)
+    s1 = cx.circle.__wrapped__()    # a fresh circle: S1 x X is cached on it, and freed with it
+    return cx.product_complex(s1, x), oracle.face_dict_product(s1, x)
+
+
+@pytest.mark.parametrize("kind, arg", [(kind, name) for kind in ("XxS1", "S1xX", "XxI")
+                                       for name in BUILTIN_NAMES]
+                         + [("S2xD", k) for k in range(1, 6)])
+def test_row_built_products_match_the_face_dict_products(kind, arg):
+    assert_same_rows(*_product_pair(kind, arg))
+
+
+def test_cubes_match_iterated_face_dict_products():
+    old = cx.interval()
+    for k in range(2, 6):
+        old = oracle.face_dict_product(old, cx.interval(), name=f"I^{k}")
+        new = cx.interval_power(k)
+        assert_same_rows(new, old, same_factors=False)
+        assert new.product_of[1] is cx.interval()
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_disc_bundle_subcomplexes_match_the_face_dict_subcomplexes(k):
+    total, sphere_ids, f_ids = cx.trivial_disc_bundle(cx.sphere(2), k)
+    for ids in (sphere_ids, f_ids, total.all_ids()):
+        sub = total.subcomplex(ids)       # named when first built, maybe elsewhere
+        assert_same_rows(sub, oracle.face_dict_subcomplex(total, ids, name=sub.name))
+    assert cx.product_complex(total.subcomplex(f_ids), cx.circle()).n_cells(3) == 1
+
+
+def _closure(x, cells) -> set:
+    out, todo = set(), list(cells)
+    while todo:
+        cell = todo.pop()
+        if cell not in out:
+            out.add(cell)
+            todo.extend(x.faces[cell])
+    return out
+
+
+def _outcome(build):
+    try:
+        return build()
+    except cx.NotASubcomplex as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_subcomplexes_match_the_face_dict_subcomplexes(seed):
+    rng = random.Random(seed)
+    spaces = [cx.product_with_circle(cx.builtin_space(name)) for name in BUILTIN_NAMES]
+    spaces.append(cx.trivial_disc_bundle(cx.cone_on_s2(), 2)[0])
+    for x in spaces:
+        cells = sorted(x.all_ids(), key=str)
+        for _ in range(4):
+            pick = rng.sample(cells, rng.randint(0, len(cells)))
+            for ids in (_closure(x, pick), set(pick), set(pick) | {("no", "cell")}):
+                got = _outcome(lambda: x.subcomplex(ids))
+                want = _outcome(lambda: oracle.face_dict_subcomplex(x, ids))
+                if isinstance(want, str):
+                    assert got == want
+                    assert _outcome(lambda: x.check_subcomplex(ids)) == want
+                else:
+                    assert_same_rows(got, want)
+                    assert x.check_subcomplex(ids) == frozenset(ids)

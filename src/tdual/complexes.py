@@ -143,6 +143,8 @@ class CellComplex(_Record):
 
     def check_subcomplex(self, ids) -> frozenset:
         ids = frozenset(ids)
+        if ids in self.derived:     # a cell set was checked when its subcomplex was built
+            return ids
         unknown = ids.difference(self.faces)
         if unknown:
             raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {self.name}")

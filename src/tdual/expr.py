@@ -1,10 +1,14 @@
 """Exact symbolic expression trees over named coordinates and opaque functions.
 
-Nodes are immutable and hash-consed: every construction goes through one
-weak intern table, so structurally equal trees are one object, and equality
-and hashing are identity. Rational constants are stored exactly as
-``fractions.Fraction``. Opaque function applications carry a name, an argument
-tuple and a derivative multi-index, so a function and its partial derivatives
+Nodes are immutable and hash-consed: every construction goes through
+``_Interned.__call__``, which looks its key, the type and the fields, up in
+one table of weak references, so structurally equal trees are one object,
+and equality and hashing are identity. A missing node is made without the
+dataclass ``__init__``, and a dead node's reference drops its own entry.
+Rational constants are stored exactly as ``fractions.Fraction``; a sum or a
+product folds its constants on integer numerators and denominators into one
+``Fraction``. Opaque function applications carry a name, an argument tuple
+and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
 in a :class:`FunctionTable`. There is one evaluator and nothing is
@@ -16,8 +20,10 @@ by point, as blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
-The JSON codec reads and writes each distinct node of a document once, and its
-reader refuses nesting deeper than ``MAX_DEPTH``, which every later walk fits.
+The JSON codec reads and writes each distinct node of a document once: the
+reader is one function with a branch per node kind, which checks each field
+where it reads it. It refuses nesting deeper than ``MAX_DEPTH``, which every
+later walk fits.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -64,25 +70,52 @@ def _as_expr(x) -> "Expr":
 
 class _Interned(type):
     """Builds each node once: a call with the fields of a live node returns
-    that node. The key is (type, fields), with a Fraction field as its
-    integer pair, whose hash is cheap; children are compared by identity,
-    which decides structural equality once every node is interned."""
+    that node. The key is ``(type, *fields)``, with a trailing Fraction field
+    as its numerator and denominator, whose hash is cheap; children are
+    compared by identity, which decides structural equality once every node
+    is interned. A missing node is made by ``__new__``, its fields are set in
+    order by ``object.__setattr__``, and ``App`` checks its multi-index; the
+    dataclass ``__init__`` runs only for a call with the wrong fields, to
+    raise its TypeError. The table holds a weak reference to each node,
+    which carries the node's key for ``_forget``."""
 
     def __call__(cls, *fields, **named):
-        if named:       # bound in field order; a name left over fails in the dataclass
-            fields += tuple(named.pop(f) for f in cls.__match_args__[len(fields):] if f in named)
-        key = (cls, *map(_scalar_key, fields))
-        node = _INTERNED.get(key)
-        if node is None or named:
-            node = _INTERNED[key] = super().__call__(*fields, **named)
+        names = cls.__match_args__
+        if named and named.keys() == set(names[len(fields):]):     # the fields left, by name
+            fields += tuple(map(named.__getitem__, names[len(fields):]))
+        elif named or len(fields) != len(names):
+            return super().__call__(*fields, **named)
+        q = fields[-1] if fields else None
+        key = ((cls, *fields[:-1], q.numerator, q.denominator) if type(q) is Fraction
+               else (cls, *fields))
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = cls.__new__(cls)
+            for name, value in zip(names, fields):      # __dict__ would give each node a dict
+                object.__setattr__(node, name, value)
+            if cls is App:
+                node.__post_init__()
+            ref = _INTERNED[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
 
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that carries the node's key."""
+
+    __slots__ = ("key",)
 
 
-def _scalar_key(f):
-    return (f.numerator, f.denominator) if type(f) is Fraction else f
+# the intern table: key -> weak reference to the live node of that key
+_INTERNED: dict = {}
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
+    """Drop a dead node's entry, unless the key's entry is already a newer
+    node's; the table is bound here, so this runs at interpreter exit too."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,38 +276,41 @@ def cos_(x) -> Expr:
 # node it builds
 
 def _sin(a: Expr) -> Expr:
-    return ZERO if a == ZERO else SinE(a)
+    return ZERO if a is ZERO else SinE(a)
 
 
 def _cos(a: Expr) -> Expr:
-    return ONE if a == ZERO else CosE(a)
+    return ONE if a is ZERO else CosE(a)
 
 
 def _pow(base: Expr, exponent: Fraction) -> Expr:
-    if exponent == 0:
+    p, q = exponent.numerator, exponent.denominator
+    if not p:
         return ONE
-    if exponent == 1:
+    if p == q:
         return base
-    if type(base) is Rat and exponent.denominator == 1:
-        if base.value == 0 and exponent < 0:
+    if type(base) is Rat and q == 1:
+        if not base.value.numerator and p < 0:
             raise DomainError("0 raised to a negative power")
-        return Rat(base.value ** exponent.numerator)
+        return Rat(base.value ** p)
     if type(base) is Pow:
         return _pow(base.base, base.exponent * exponent)
     return Pow(base, exponent)
 
 
 def _sum(terms) -> Expr:
-    out = []
-    const = Fraction(0)
+    out, rats = [], []
     for t in terms:
         for s in (t.terms if type(t) is Sum else (t,)):
-            if type(s) is Rat:
-                const += s.value
-            else:
-                out.append(s)
-    if const != 0:
-        out.append(Rat(const))
+            (rats if type(s) is Rat else out).append(s)
+    if len(rats) > 1:       # fold on integers: the constant n/d, reduced once
+        n, d = 0, 1
+        for r in rats:
+            q = r.value
+            n, d = n * q.denominator + q.numerator * d, d * q.denominator
+        rats = [Rat(Fraction(n, d))]
+    if rats and rats[0].value.numerator:
+        out.append(rats[0])
     if not out:
         return ZERO
     if len(out) == 1:
@@ -282,28 +318,45 @@ def _sum(terms) -> Expr:
     return Sum(tuple(out))
 
 
+def _exponent(f: Expr) -> Fraction:
+    """The exponent that the factor ``f`` puts on its base."""
+    return f.exponent if type(f) is Pow else ONE.value
+
+
 def _prod(factors) -> Expr:
-    const = ONE.value
-    # by base, in first-seen order: the summed exponent, and the factor itself
-    # while nothing is collected into it (it is kept as it is)
-    exps: dict[Expr, tuple[Fraction, Expr | None]] = {}
+    rats = []
+    kept: dict[Expr, Expr] = {}     # by base, in first-seen order: its first factor
+    summed: dict[Expr, Fraction] = {}   # a base that repeats: its summed exponent
     for f in factors:
         for s in (f.factors if type(f) is Prod else (f,)):
             if type(s) is Rat:
-                if s.value == 0:
+                if not s.value.numerator:
                     return ZERO
-                const *= s.value
+                rats.append(s)
                 continue
             # collect identical bases: x^a * x^b -> x^(a+b)
-            base, exp = (s.base, s.exponent) if type(s) is Pow else (s, ONE.value)
-            exps[base] = (exps[base][0] + exp, None) if base in exps else (exp, s)
-    out = [_pow(b, x) if s is None else s for b, (x, s) in exps.items() if x != 0]
-    # a collected power can come out rational (2^(1/2)*2^(1/2)) or a product
-    # ((x*y)^2*(x*y)^-1): fold and flatten it too, or the result is not normal
-    if any(type(f) is Rat or type(f) is Prod for f in out):
-        return _prod([Rat(const), *out])
-    if const != 1:
-        out.insert(0, Rat(const))
+            base = s.base if type(s) is Pow else s
+            if base in kept:
+                summed[base] = summed.get(base, _exponent(kept[base])) + _exponent(s)
+            else:
+                kept[base] = s
+    if len(rats) > 1:       # fold on integers: the constant n/d, reduced once
+        n = d = 1
+        for r in rats:
+            q = r.value
+            n, d = n * q.numerator, d * q.denominator
+        rats = [Rat(Fraction(n, d))]
+    if not summed:
+        out = list(kept.values())
+    else:
+        out = [s if b not in summed else _pow(b, summed[b])
+               for b, s in kept.items() if summed.get(b, 1)]
+        # a collected power can come out rational (2^(1/2)*2^(1/2)) or a product
+        # ((x*y)^2*(x*y)^-1): fold and flatten it too, or the result is not normal
+        if any(type(f) is Rat or type(f) is Prod for f in out):
+            return _prod([*rats, *out])
+    if rats and rats[0].value.numerator != rats[0].value.denominator:     # not 1
+        out.insert(0, rats[0])
     if not out:
         return ONE
     if len(out) == 1:
@@ -810,22 +863,8 @@ MAX_DERIV_ORDER = 32    # largest derivative order that expr_from_json accepts
 MAX_DEPTH = 256         # deepest node, the root at depth 0, that expr_from_json accepts
 
 
-def _typed(kind: type, v):
-    if type(v) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {v!r:.40}")
-    return v
-
-
-def _pair(v) -> tuple[int, int]:
-    if type(v) is not list or len(v) != 2 or v[1] == 0:
-        raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
-    return _typed(int, v[0]), _typed(int, v[1])
-
-
-def _order(v) -> int:
-    if _typed(int, v) > MAX_DERIV_ORDER:
-        raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
-    return v
+def _expected(kind: type, v) -> TypeError:
+    return TypeError(f"expected {kind.__name__}, got {v!r:.40}")
 
 
 # writers by node type: (node, memo) -> its dict, each child's through _dump
@@ -841,23 +880,9 @@ _DUMP = _ByType({
     SinE: lambda e, m: {"k": "sin", "arg": _dump(e.arg, m)},
     CosE: lambda e, m: {"k": "cos", "arg": _dump(e.arg, m)},
 })
-# readers by JSON kind: (build, fields); fields(obj, memo, children's depth) checks the
-# node's fields in JSON order, reading children through _read, and build(*fields) makes it
-_READ = {
-    "rat": (lambda p, q: Rat(Fraction(p, q)), lambda o, m, d: _pair(o["v"])),
-    "sym": (Sym, lambda o, m, d: (_typed(str, o["name"]),)),
-    "app": (lambda name, deriv, args: App(name, args, deriv),
-            lambda o, m, d: (_typed(str, o["name"]), tuple(map(_order, _typed(list, o["deriv"]))),
-                             tuple(map(_read, _typed(list, o["args"]), repeat(m), repeat(d))))),
-    "sum": (Sum, lambda o, m, d: (
-        tuple(map(_read, _typed(list, o["terms"]), repeat(m), repeat(d))),)),
-    "prod": (Prod, lambda o, m, d: (
-        tuple(map(_read, _typed(list, o["factors"]), repeat(m), repeat(d))),)),
-    "pow": (lambda base, p, q: Pow(base, Fraction(p, q)),
-            lambda o, m, d: (_read(o["base"], m, d), *_pair(o["exp"]))),
-    "sin": (SinE, lambda o, m, d: (_read(o["arg"], m, d),)),
-    "cos": (CosE, lambda o, m, d: (_read(o["arg"], m, d),)),
-}
+# node types by JSON kind
+_KINDS = {"rat": Rat, "sym": Sym, "app": App, "sum": Sum, "prod": Prod, "pow": Pow,
+          "sin": SinE, "cos": CosE}
 
 
 def _dump(e: Expr, memo: dict) -> dict:
@@ -867,17 +892,63 @@ def _dump(e: Expr, memo: dict) -> dict:
 
 
 def _read(obj, memo: dict, depth: int) -> Expr:
+    """The node ``obj`` encodes: its fields are checked in JSON order, children
+    read at the next depth, and the memo key is ``(type, *fields)``, with a
+    rational as its integer pair as written; a key met before gives its node."""
     if depth > MAX_DEPTH:
         raise ValueError("input nested too deeply")
+    depth += 1
     try:
-        build, fields = _READ[obj["k"]]
-        key = build, fields(obj, memo, depth + 1)
+        cls = _KINDS[obj["k"]]
+        if cls is Rat or cls is Pow:
+            if cls is Rat:
+                key, v = (Rat,), obj["v"]
+            else:
+                key = Pow, _read(obj["base"], memo, depth)
+                v = obj["exp"]
+            if type(v) is not list or len(v) != 2 or v[1] == 0:
+                raise TypeError(f"expected [numerator, nonzero denominator], got {v!r:.40}")
+            p, q = v
+            if type(p) is not int:
+                raise _expected(int, p)
+            if type(q) is not int:
+                raise _expected(int, q)
+            key += p, q
+        elif cls is Sum or cls is Prod:
+            children = obj["terms" if cls is Sum else "factors"]
+            if type(children) is not list:
+                raise _expected(list, children)
+            key = cls, tuple([_read(c, memo, depth) for c in children])
+        elif cls is Sym:
+            name = obj["name"]
+            if type(name) is not str:
+                raise _expected(str, name)
+            key = Sym, name
+        elif cls is App:
+            name = obj["name"]
+            if type(name) is not str:
+                raise _expected(str, name)
+            deriv = obj["deriv"]
+            if type(deriv) is not list:
+                raise _expected(list, deriv)
+            for v in deriv:
+                if type(v) is not int:
+                    raise _expected(int, v)
+                if v > MAX_DERIV_ORDER:
+                    raise TypeError(f"derivative order {v} exceeds {MAX_DERIV_ORDER}")
+            args = obj["args"]
+            if type(args) is not list:
+                raise _expected(list, args)
+            key = App, name, tuple([_read(a, memo, depth) for a in args]), tuple(deriv)
+        else:
+            key = cls, _read(obj["arg"], memo, depth)
         node = memo.get(key)
         if node is None:        # the first node of this kind, these fields and these children
-            node = memo[key] = build(*key[1])
+            node = memo[key] = (cls(*key[1:-2], Fraction(key[-2], key[-1]))
+                                if cls is Rat or cls is Pow else cls(*key[1:]))
         return node
     except (KeyError, TypeError) as exc:
-        missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _READ)
+        missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS)
         why = f"missing field {exc.args[0]!r}" if missing else exc    # else an unknown kind
         raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None
 

@@ -264,3 +264,33 @@ def test_random_subcomplexes_match_the_face_dict_subcomplexes(seed):
                 else:
                     assert_same_rows(got, want)
                     assert x.check_subcomplex(ids) == frozenset(ids)
+
+
+def test_a_cell_set_with_a_built_subcomplex_is_not_scanned_again(monkeypatch):
+    total, sphere_ids, f_ids = cx.trivial_disc_bundle(cx.sphere(2), 4)
+    total.subcomplex(sphere_ids)
+    reads = []
+
+    class Counting(dict):
+        """The face table, noting every read of it."""
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+        def items(self):
+            reads.append("items")
+            return super().items()
+
+        def __getitem__(self, cell):
+            reads.append(cell)
+            return super().__getitem__(cell)
+
+    monkeypatch.setattr(total, "faces", Counting(total.faces))
+    assert total.check_subcomplex(set(sphere_ids)) == sphere_ids
+    assert reads == []
+    # a set whose subcomplex is not built yet is scanned
+    vertex = frozenset(total.cell_ids(0)[:1])
+    assert vertex not in total.derived
+    assert total.check_subcomplex(vertex) == vertex
+    assert reads

@@ -1,13 +1,16 @@
 """Symbolic core: evaluation, differentiation, substitution, simplification,
 and the seeded randomized equality engine."""
 
+import contextlib
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 from types import FunctionType
 from unittest import mock
 
@@ -296,6 +299,85 @@ def test_built_trees_equal_the_oracle_simplification(recipe):
     # the earlier core re-simplified every subtree it was given: that is a no-op
     assert oracle.simplify_basic(got) == got
     assert simplify_basic(build_raw(recipe)) == got
+
+
+# seeded trees through the operators, against the oracle's simplification of
+# the same raw tree; the templates make the cases where the folds differ
+SEEDED_RATS = [(0, 1), (1, 1), (-1, 1), (2, 1), (-3, 2), (2, 3), (4, 9), (-5, 7), (9, 4)]
+SEEDED_EXPONENTS = [Fraction(q) for q in ("0", "1", "2", "3", "-1", "-2", "1/2", "-1/2", "3/2",
+                                          "-2/3")]
+
+
+def seeded_pair(rng: random.Random, depth: int, hits: set) -> tuple:
+    """(built, raw): one random tree through add/mul/pow_/sin_/cos_, and as raw
+    nodes; ``hits`` gets the name of each edge case the tree contains."""
+    kind = rng.randrange(10) if depth else rng.randrange(2)
+    if kind == 0:
+        name = rng.choice("xy")
+        return sym(name), Sym(name)
+    if kind == 1:
+        n, d = rng.choice(SEEDED_RATS)
+        hits.update(["negative numerator"] if n < 0 else [])
+        return rat(n, d), Rat(Fraction(n, d))
+    if kind == 9:       # a rational power of a rational, 0^-k among them
+        (n, d), q = rng.choice(SEEDED_RATS), rng.choice(SEEDED_EXPONENTS)
+        hits.add("0^-k" if n == 0 and q < 0 and q.denominator == 1
+                 else "rational power of a rational")
+        return lazy(pow_, rat(n, d), q), Pow(Rat(Fraction(n, d)), q)
+    kids = [seeded_pair(rng, depth - 1, hits) for _ in range(rng.randint(1, 3))]
+    built, raw = [b for b, _ in kids], [r for _, r in kids]
+    if kind == 2:
+        return lazy(add, *built), Sum(tuple(raw))
+    if kind == 3:
+        hits.update(["zero factor"] if Rat(Fraction(0)) in raw else [])
+        return lazy(mul, *built), Prod(tuple(raw))
+    if kind == 4:
+        q = rng.choice(SEEDED_EXPONENTS)
+        return lazy(pow_, built[0], q), Pow(raw[0], q)
+    if kind in (5, 6):
+        return lazy((sin_, cos_)[kind - 5], built[0]), (SinE, CosE)[kind - 5](raw[0])
+    if kind == 7:       # constants that cancel to 1
+        n, d = rng.choice([(n, d) for n, d in SEEDED_RATS if n])
+        hits.add("constants cancel to 1")
+        return (lazy(mul, rat(n, d), *built, rat(d, n)),
+                Prod((Rat(Fraction(n, d)), *raw, Rat(Fraction(d, n)))))
+    # a repeated base, its exponents summing to 0 or not
+    a, b = rng.choice(SEEDED_EXPONENTS), rng.choice(SEEDED_EXPONENTS)
+    b = -a if rng.random() < 0.5 else b
+    hits.add("exponents sum to 0" if a and a + b == 0 else "repeated base")
+    return (lazy(mul, lazy(pow_, built[0], a), *built[1:], lazy(pow_, built[0], b)),
+            Prod((Pow(raw[0], a), *raw[1:], Pow(raw[0], b))))
+
+
+class Raised:
+    """A DomainError met while building; it passes up through every operator."""
+
+
+def lazy(op, *args):
+    if any(type(a) is Raised for a in args):
+        return Raised()
+    try:
+        return op(*args)
+    except DomainError:
+        return Raised()
+
+
+def test_seeded_built_trees_are_the_oracles_simplification():
+    hits, raised = set(), 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        built, raw = seeded_pair(rng, rng.randint(1, 4), hits)
+        try:
+            want = oracle.simplify_basic(raw)
+        except DomainError:
+            assert type(built) is Raised, seed
+            raised += 1
+            continue
+        assert built is want, seed
+        assert simplify_basic(raw) is want, seed
+    assert hits == {"negative numerator", "rational power of a rational", "0^-k", "zero factor",
+                    "constants cancel to 1", "exponents sum to 0", "repeated base"}
+    assert raised > 0
 
 
 def f_table():
@@ -755,6 +837,140 @@ def test_intern_table_frees_dropped_nodes():
 
 
 # ---------------------------------------------------------------------------
+# the construction path: fields set without the dataclass __init__, which
+# still decides every call with the wrong fields
+
+def dataclass_init_error(cls, *fields, **named) -> str:
+    """The text of the TypeError that the dataclass ``__init__`` of ``cls`` raises."""
+    with pytest.raises(TypeError) as info:
+        cls.__init__(object.__new__(cls), *fields, **named)
+    return str(info.value)
+
+
+X = Sym("x")
+WRONG_FIELDS = [
+    (Sym, (), {}),
+    (Sym, ("x", "y"), {}),
+    (Sym, ("x",), {"name": "y"}),
+    (Sym, (), {"label": "x"}),
+    (Sym, (), {"name": "x", "label": "x"}),
+    (Rat, (Fraction(1), Fraction(2)), {}),
+    (Pow, (X,), {}),
+    (Pow, (X,), {"exp": Fraction(2)}),
+    (Pow, (), {"exponent": Fraction(2)}),
+    (Pow, (X, Fraction(2)), {"base": X}),
+    (App, ("F", (X,)), {}),
+    (App, ("F",), {"deriv": (0,)}),
+    (App, ("F",), {"deriv": (0,), "argz": (X,)}),
+    (Sum, (), {}),
+    (Prod, ((X,), (X,)), {}),
+    (SinE, (X, X), {}),
+    (CosE, (), {"arg": X, "other": X}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, named", WRONG_FIELDS)
+def test_wrong_fields_raise_the_dataclass_type_error(cls, fields, named):
+    want = dataclass_init_error(cls, *fields, **named)
+    with pytest.raises(TypeError) as info:
+        cls(*fields, **named)
+    assert str(info.value) == want
+
+
+def test_fields_by_name_build_the_interned_node():
+    assert Pow(base=X, exponent=Fraction(2)) is Pow(X, exponent=Fraction(2)) is pow_(X, 2)
+    assert App("F", deriv=(1,), args=(X,)) is App("F", (X,), (1,))
+    assert Sym(name="x") is X
+
+
+def test_nodes_are_frozen():
+    for node in (X, rat(1, 2), app("F", (X,)), add(X, 1), mul(X, sym("y")), pow_(X, 2),
+                 sin_(X), cos_(X)):
+        for f in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, X)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, f.name)
+
+
+@pytest.mark.parametrize("args, deriv", [((X,), (0, 0)), ((X,), ()), ((X,), (-1,)),
+                                         ((X, X), (2, -1))])
+def test_a_bad_multi_index_raises_the_dataclass_error_and_interns_nothing(args, deriv):
+    with pytest.raises(ValueError) as want:
+        App.__init__(object.__new__(App), "F", args, deriv)
+    with pytest.raises(ValueError) as got:
+        App("F", args, deriv)
+    assert str(got.value) == str(want.value) == (
+        "derivative multi-index must be one order >= 0 per argument")
+    assert (App, "F", args, deriv) not in expr._INTERNED
+
+
+def test_every_node_type_is_a_dataclass_of_its_fields():
+    layers = importlib.util.module_from_spec(importlib.util.spec_from_file_location(
+        "bench_layers", Path(__file__).resolve().parent.parent / "bench" / "layers.py"))
+    layers.__spec__.loader.exec_module(layers)
+    h = app("H", (X, sin_(X)), (0, 1))
+    nodes = [X, rat(-3, 4), h, add(X, h), mul(X, h), pow_(h, Fraction(-1, 2)), sin_(h), cos_(h)]
+    assert {type(n) for n in nodes} == set(expr._NODES)
+    for node in nodes:
+        cls = type(node)
+        assert dataclasses.is_dataclass(node)
+        names = [f.name for f in dataclasses.fields(node)]
+        assert names == list(cls.__match_args__)
+        values = [getattr(node, name) for name in names]
+        # the fields and repr the dataclass __init__ would have given
+        built = object.__new__(cls)
+        cls.__init__(built, *values)
+        assert repr(node) == repr(built) and dataclasses.astuple(node) == dataclasses.astuple(built)
+        assert layers.count_nodes(node) == sum(1 for _ in oracle.nodes(node))
+
+
+def test_a_released_node_leaves_no_entry_and_is_built_anew():
+    u, q = Sym("released_u"), Fraction(5, 23)
+    key = (Pow, u, 5, 23)
+    gc.collect()
+    gc.disable()
+    try:
+        node = Pow(u, q)
+        assert expr._INTERNED[key]() is node
+        first = weakref.ref(node)
+        del node
+        assert first() is None and key not in expr._INTERNED
+        again = Pow(u, q)
+        assert expr._INTERNED[key]() is again is Pow(u, Fraction(10, 46))
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("order", ["node first", "holder first"])
+def test_a_late_callback_keeps_the_entry_of_a_node_built_again(order):
+    # a node and a holder die in one cycle; the holder's callback builds the
+    # node's key again, before or after the node's own callback runs
+    u, q = Sym("late_u"), Fraction(7, 29)
+    key, rebuilt = (Pow, u, 7, 29), []
+
+    class Holder:
+        pass
+
+    gc.collect()
+    gc.disable()
+    try:
+        if order == "node first":
+            node, holder = Pow(u, q), Holder()
+        else:
+            holder, node = Holder(), Pow(u, q)
+        holder.cycle, holder.node = holder, node
+        watch = weakref.ref(holder, lambda _: rebuilt.append(Pow(u, q)))
+        first = weakref.ref(node)
+        del node, holder
+        gc.collect()
+        assert watch() is None and first() is None and len(rebuilt) == 1
+        assert expr._INTERNED[key]() is rebuilt[0] is Pow(u, q)
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # memoized walks and the normal mark
 
 ZERO_POW = ("pow", ("mul", ("rat", 0), ("sym", "r")), Fraction(-1))     # 0^-1 once normal
@@ -893,6 +1109,44 @@ def test_a_document_reader_builds_each_distinct_node_once():
     each = sum(len(set(oracle.nodes(e))) for e in raw)
     assert constructions(lambda: [expr_from_json(e) for e in entries]) == each == 570
     assert constructions(lambda: [oracle.checked_expr_from_json(e) for e in entries]) == 2160
+
+
+def test_building_a_coupling_calls_no_dataclass_init():
+    calls = []
+
+    def counting(init):
+        return lambda self, *fields, **named: calls.append(type(self)) or init(self, *fields, **named)
+
+    before = len(expr._INTERNED)
+    with contextlib.ExitStack() as patches:
+        for cls in expr._NODES:
+            patches.enter_context(mock.patch.object(cls, "__init__", counting(cls.__init__)))
+        m = coupling_metric(100, seed=2024)
+        assert calls == [] and len(expr._INTERNED) > before
+        with pytest.raises(TypeError):      # a call with the wrong fields does reach it
+            Pow(sym("g"))
+    assert calls == [Pow] and m.g_upper
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_a_fold_of_n_constants_builds_one_fraction(n):
+    rng = random.Random(n)
+    rats = [rat(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    if n % 2 == 0:      # the product cancels to 1
+        rats[-1] = ONE / mul(*rats[:-1])
+    x = sym("x")
+    made = []
+    real = Fraction.__new__
+    for fold, node in ((expr._prod, Prod), (expr._sum, Sum)):
+        args = [*rats[:1], x, *rats[1:]]
+        made.clear()
+        with mock.patch.object(Fraction, "__new__", staticmethod(
+                lambda cls, *a, **k: made.append(a) or real(cls, *a, **k))):
+            got = fold(args)
+        assert len(made) == 1
+        assert got is oracle.simplify_basic(node(tuple(args)))
+    # one constant is kept as it is
+    assert constructions(lambda: expr._prod([rats[0], x])) == 1      # the Prod, not a Rat
 
 
 def test_a_document_writer_dumps_each_distinct_node_once():
@@ -1105,6 +1359,50 @@ def test_derivative_orders_are_bounded_on_read():
     for order in (MAX_DERIV_ORDER + 1, 10 ** 6):
         with pytest.raises(ValueError, match=f"derivative order {order} exceeds"):
             expr_from_json(dict(ok, deriv=[0, order]))
+
+
+INT_SLOTS = [
+    lambda bad: {"k": "rat", "v": [bad, 3]},
+    lambda bad: {"k": "rat", "v": [2, bad]},
+    lambda bad: {"k": "pow", "base": R_JSON, "exp": [bad, 2]},
+    lambda bad: {"k": "pow", "base": R_JSON, "exp": [1, bad]},
+    lambda bad: {"k": "app", "name": "H", "deriv": [bad, 0], "args": [R_JSON, R_JSON]},
+    lambda bad: {"k": "app", "name": "H", "deriv": [0, bad], "args": [R_JSON, R_JSON]},
+]
+# a field of another type than the reader expects, one per field check
+WRONG_TYPES = [
+    {"k": "app", "name": ["H"], "deriv": [0], "args": [R_JSON]},
+    {"k": "app", "name": "H", "deriv": 0, "args": [R_JSON]},
+    {"k": "app", "name": "H", "deriv": [0], "args": R_JSON},
+    {"k": "app", "name": "H", "deriv": [0], "args": [R_JSON, ["sym", "r"]]},
+    {"k": "prod", "factors": {"k": "sym", "name": "r"}},
+    {"k": "sin", "arg": []},
+    {"k": "cos"},
+    {"k": "pow", "base": R_JSON, "exp": (1, 2)},
+    {"k": "pow", "exp": [1, 2]},
+    {"k": ["rat"], "v": [1, 2]},
+    {"k": None},
+    "sym",
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, 2.5, -1.0])
+@pytest.mark.parametrize("slot", range(len(INT_SLOTS)))
+@pytest.mark.parametrize("depth", [0, 1, 5])
+def test_a_bool_or_float_in_an_integer_slot_is_the_checked_readers_error(bad, slot, depth):
+    obj = INT_SLOTS[slot](bad)
+    for _ in range(depth):
+        obj = {"k": "sum", "terms": [R_JSON, {"k": "sin", "arg": obj}]}
+    want = read_outcome(oracle.checked_expr_from_json, obj)
+    assert want.startswith("malformed expression node ")
+    assert read_outcome(expr_from_json, obj) == want
+
+
+@pytest.mark.parametrize("obj", WRONG_TYPES)
+def test_a_field_of_the_wrong_type_is_the_checked_readers_error(obj):
+    want = read_outcome(oracle.checked_expr_from_json, obj)
+    assert want.startswith("malformed expression node ")
+    assert read_outcome(expr_from_json, obj) == want
 
 
 def read_outcome(read, obj):

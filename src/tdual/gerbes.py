@@ -3,8 +3,9 @@
 A cover assigns to each index a subcomplex of a fixed cell model. The
 pattern of a cell is the sorted tuple of the indices whose sets hold it.
 The nerve is read off the distinct patterns: its nonempty tuples of degree
-q are the (q+1)-subsets of the patterns, in combinations order, and a
-tuple's model is the subcomplex on the cells of the patterns that contain
+q are the (q+1)-subsets of the patterns, in combinations order, enumerated
+only when a view, a report's conditions or a gauge support reads them, and
+a tuple's model is the subcomplex on the cells of the patterns that contain
 it. Tables are built on first use and freed with the cover; the crossed
 cover of X x S^1 shares the patterns and the nerve.
 
@@ -18,19 +19,22 @@ of P in combinations order, with the d-cells of P in space order inside
 each. Only outside input (the public constructors, so the JSON readers) is
 validated, and folded with sign bookkeeping from tuple-keyed data in any
 key order; the operators build canonical streams directly, and ``g.p``,
-``g.theta``, ... are tuple-keyed views.
+``g.theta``, ... are tuple-keyed views. Their layout, each tuple's (pattern,
+stream index) pairs, is built in one pass over the cells in space order.
 
 Everything else is one total differential D = delta_nerve + (-1)^q
 delta_cell of the Cech/cell double complex, pattern by pattern: the nerve
 half is the coboundary of the full simplex on P, the cell half sends the
 cells of P to their faces (whose patterns contain P), both through index
-plans in bounded caches. Validity is D(data) = 0, slot by slot; a gauge
-change adds D(x) for x one degree lower; the class (degree = number of
-layers) is the explicit staircase, whose row contraction reads each cell
-on the first index of its pattern. Dualization crosses every layer with
-the circle generator, (q, d) -> (q, d + 1), under a zero top layer; the
-cross product commutes with both differentials and the contraction, so the
-dual's class is the cross product of the input's.
+plans in bounded caches; the ranks of P's subsets among those of a face's
+pattern come from the combinatorial number system. Validity is D(data) = 0,
+slot by slot; a gauge change adds D(x) for x one degree lower; the class
+(degree = number of layers) is the explicit staircase, whose row
+contraction reads each cell on the first index of its pattern.
+Dualization crosses every layer with the circle generator, (q, d) ->
+(q, d + 1), under a zero top layer; the cross product commutes with both
+differentials and the contraction, so the dual's class is the cross
+product of the input's.
 """
 
 from __future__ import annotations
@@ -167,13 +171,12 @@ class CoverNerve(_Record):
         d-cells of its model, in space order."""
         found = self._tables.get((q, d))
         if found is None:
-            spots = {t: [] for t in self.tuples(q)}     # (space index, pattern, stream index)
-            for p, (pattern, cells) in enumerate(zip(self._patterns, self._cells(d)[0])):
-                order = [self.space.index(d, c) for c in cells]
-                for r, t in enumerate(combinations(pattern, q + 1)):
-                    spots[t] += [(s, p, r * len(cells) + i) for i, s in enumerate(order)]
-            found = self._tables[(q, d)] = {t: [(p, x) for _, p, x in sorted(spot)]
-                                            for t, spot in spots.items()}
+            found, (own, at) = {t: [] for t in self.tuples(q)}, self._cells(d)
+            for p, i in at.values():        # the d-cells in space order
+                k = len(own[p])
+                for r, t in enumerate(combinations(self._patterns[p], q + 1)):
+                    found[t].append((p, r * k + i))
+            self._tables[(q, d)] = found
         return found
 
     def _tuple_major(self, streams: list, q: int, d: int) -> dict:
@@ -256,8 +259,9 @@ def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
 def _ranks(m: int, within: tuple, q: int) -> array:
     """The ranks among the (q+1)-subsets of range(m), in combinations order,
     of the (q+1)-subsets of ``within`` (increasing, below m) in that order."""
-    rank = {s: r for r, s in enumerate(combinations(range(m), q + 1))}
-    return array("I", map(rank.__getitem__, combinations(within, q + 1)))
+    last = comb(m, q + 1) - 1       # combinatorial number system, counted from the end
+    return array("I", [last - sum(comb(m - 1 - x, q + 1 - i) for i, x in enumerate(s))
+                       for s in combinations(within, q + 1)])
 
 
 def _apply(plan: tuple, stream: list):
@@ -364,8 +368,9 @@ class GerbeCondition(NamedTuple):
 
 
 class GerbeReport(_Record):
-    """The slots of D(data), each (name, its nerve tuples, the witness cell
-    of each failing tuple), read as one condition per tuple."""
+    """The slots of D(data) on ``cover``, each (name, its nerve degree q, the
+    witness cell of each failing tuple), read as one condition per tuple of
+    ``cover.tuples(q)``, enumerated when the conditions are first read."""
 
     _fields = ("slots", "characteristic_class")
 
@@ -375,7 +380,7 @@ class GerbeReport(_Record):
     @cached_property
     def conditions(self) -> list:
         return [GerbeCondition(name, t, t not in bad, bad.get(t))
-                for name, tuples, bad in self.slots for t in tuples]
+                for name, q, bad in self.slots for t in self.cover.tuples(q)]
 
     @property
     def passed(self) -> bool:
@@ -510,12 +515,13 @@ def _check(g: _Gerbe, with_class: bool = True) -> GerbeReport:
              + [f"{lower}_{upper}_matching" for lower, upper in zip(labels, labels[1:])]
              + [f"{labels[-1]}_nerve_cocycle"])
     report = GerbeReport([])
+    report.cover = cover
     for name, (q, slot) in zip(names, total_coboundary(cover, comps, n).items()):
         bad, d = {}, n + 1 - q
         for t, vec in cover._tuple_major(slot, q, d).items() if any(map(any, slot)) else ():
             if any(vec):
                 bad[t] = cover.model(t).cell_ids(d)[next(i for i, v in enumerate(vec) if v)]
-        report.slots.append((name, cover.tuples(q), bad))
+        report.slots.append((name, q, bad))
     if with_class and report.passed:
         report.characteristic_class = total_class(cover, comps, n)
     return report
@@ -606,7 +612,8 @@ def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
     drags the induced rephasing through the sections, exactly as changing a
     line bundle representative does.
     """
-    rng = random.Random(seed)
+    # choice makes randint's one _randbelow call per entry: the same stream
+    draw, entries = random.Random(seed).choice, range(-_GAUGE_BOUND, _GAUGE_BOUND + 1)
     cover, support, x = g.cover, {1: pair, 2: triple}, {}
     localized = pair is not None or triple is not None
     for layer in g.layers[:-1]:
@@ -615,7 +622,7 @@ def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
         key = None if chosen is None else tuple(sorted(chosen))
         for at in layout.values() if not localized else [layout[key]] if key in layout else []:
             for p, i in at:
-                x[q][p][i] = rng.randint(-_GAUGE_BOUND, _GAUGE_BOUND)
+                x[q][p][i] = draw(entries)
     dx = total_coboundary(cover, x, len(g.layers) - 1)
     return g._trusted(cover, [_add(data, dx[layer.q])
                               for layer, data in zip(g.layers, g._streams)])

@@ -11,7 +11,9 @@ slot by slot, which is what ``tdual.gerbes.total_coboundary`` computes
 through one plan per cell pattern. ``total_class`` runs the staircase with
 the row contraction and the gluing written cell by cell: each cell's least
 index is found by scanning the cover's sets, and each reordered tuple's
-sign by counting inversions.
+sign by counting inversions. ``layout`` is the sorted construction of
+``CoverNerve._layout``: per pattern, the stream index of each cell on each
+subset, tagged with its space index and sorted by it.
 
 ``TupleMajor`` keeps the tuple-major operators that the pattern-major
 streams replaced: the nerve from intersecting every combination of sets,
@@ -120,6 +122,17 @@ def total_class(cover, components, total_degree):
         i = _least_index(cover, cell)
         glued.append(comps[0][(i,)][cover.model((i,)).index(total_degree, cell)])
     return CohClass(cochain_space(cover.space, total_degree), tuple(glued))
+
+
+def layout(cover, q, d):
+    """Each tuple of ``cover.tuples(q)`` with the (pattern, stream index) of
+    the d-cells of its model, sorted by space index."""
+    spots = {t: [] for t in cover.tuples(q)}     # (space index, pattern, stream index)
+    for p, (pattern, cells) in enumerate(zip(cover._patterns, cover._cells(d)[0])):
+        order = [cover.space.index(d, c) for c in cells]
+        for r, t in enumerate(combinations(pattern, q + 1)):
+            spots[t] += [(s, p, r * len(cells) + i) for i, s in enumerate(order)]
+    return {t: [(p, x) for _, p, x in sorted(spot)] for t, spot in spots.items()}
 
 
 def gauge_perturb(g: TwoGerbe, seed: int, pair=None, triple=None) -> TwoGerbe:

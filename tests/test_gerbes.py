@@ -344,7 +344,23 @@ def _corrupted(g, rng):
     return type(g)(g.cover, *data)
 
 
-@pytest.mark.parametrize("size", [4, 5, 7, 9])
+def _cube_cover(size, rng):
+    """A cover of I^3 by closures of squares (opposite ones are disjoint) and
+    of the cube, size + 1 sets, with a non-full nerve."""
+    cube = interval_power(3)
+    squares = cube.cell_ids(2) + cube.cell_ids(3)
+    while True:
+        sets = [_closure(cube, rng.sample(squares, rng.randint(1, 3))) for _ in range(size)]
+        rest = cube.all_ids().difference(*sets) or rng.sample(squares, 1)
+        cover = CoverNerve(cube, sets + [_closure(cube, rest)])
+        if len(cover.tuples(1)) < comb(size + 1, 2):
+            return cover
+
+
+CUBE_SIZES = [4, 5, 7, 9]
+
+
+@pytest.mark.parametrize("size", CUBE_SIZES)
 def test_pattern_major_gerbes_match_the_tuple_major_operators_on_covers_of_the_cube(size):
     """On random covers of I^3 (with non-full nerves): the scramble, every
     support mode of gauge_perturb, the checks of valid and failing 2- and
@@ -352,14 +368,7 @@ def test_pattern_major_gerbes_match_the_tuple_major_operators_on_covers_of_the_c
     the tuple-major operators; gauge_perturb also against the hand-written
     formulas."""
     rng = random.Random(size)
-    cube = interval_power(3)
-    squares = cube.cell_ids(2) + cube.cell_ids(3)
-    while True:     # closures of squares (opposite ones are disjoint) and of the cube
-        sets = [_closure(cube, rng.sample(squares, rng.randint(1, 3))) for _ in range(size)]
-        rest = cube.all_ids().difference(*sets) or rng.sample(squares, 1)
-        cover = CoverNerve(cube, sets + [_closure(cube, rest)])
-        if len(cover.tuples(1)) < comb(size + 1, 2):
-            break
+    cover = _cube_cover(size, rng)
     tm = gerbe_oracle.TupleMajor(cover)
     zero = [0] * cover.space.n_cells(3)
     g = two_gerbe_from_class(cover, zero, scramble_seed=size)
@@ -458,6 +467,53 @@ def test_staircase_of_an_exact_cocycle_matches_the_oracle(size, crossed):
     assert got.is_zero()
 
 
+def _inner_outer_cover(bplus, size, rng):
+    sets = [INNER, OUTER] * (size // 2) + [INNER] * (size % 2)
+    rng.shuffle(sets)
+    return CoverNerve(bplus, sets)
+
+
+LAYOUT_COVERS = ([("cube", size) for size in CUBE_SIZES]
+                 + [("family", size) for size in (3, 4, 5, 7, 9, 12)] + [("inner-outer", 12)])
+
+
+@pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
+@pytest.mark.parametrize("kind, size", LAYOUT_COVERS, ids=[f"{k}{n}" for k, n in LAYOUT_COVERS])
+def test_one_pass_layouts_equal_the_sorted_construction(bplus, kind, size, crossed):
+    """Key order and list order included, in every (q, d) with tuples, on the
+    cube covers, on family covers (no pattern holds every index) and on a
+    12-set cover by the two discs."""
+    rng = random.Random(size)
+    cover = {"cube": lambda: _cube_cover(size, rng),
+             "family": lambda: _family_cover(bplus, size, rng),
+             "inner-outer": lambda: _inner_outer_cover(bplus, size, rng)}[kind]()
+    if crossed:
+        cover = cover.crossed(product_with_circle(cover.space))
+    for q in range(cover.size):
+        for d in cover.space.degrees() if cover.tuples(q) else ():
+            got, want = cover._layout(q, d), gerbe_oracle.layout(cover, q, d)
+            assert list(got.items()) == list(want.items()), (q, d)
+
+
+def _rank_cases(m, withins):
+    ranks = [{s: r for r, s in enumerate(combinations(range(m), q + 1))} for q in range(m)]
+    for within in withins:
+        for q, rank in enumerate(ranks):
+            yield (m, within, q), [rank[s] for s in combinations(within, q + 1)]
+
+
+def test_ranks_are_positions_among_all_subsets():
+    """Every increasing subset of range(m), m <= 9, and a sample for m = 12."""
+    rng = random.Random(12)
+    cases = [case for m in range(1, 10)
+             for case in _rank_cases(m, (w for n in range(m + 1)
+                                         for w in combinations(range(m), n)))]
+    cases += _rank_cases(12, (tuple(sorted(rng.sample(range(12), rng.randint(0, 12))))
+                              for _ in range(40)))
+    for args, want in cases:
+        assert list(gerbes._ranks(*args)) == want, args
+
+
 def test_face_plans_stay_within_their_bound():
     for cache, key in ((gerbes._plan, lambda k: (2, 1, k, False)),
                        (gerbes._ranks, lambda k: (k + 2, (0, k + 1), 1))):
@@ -510,6 +566,29 @@ def _gauge_cases():
 
 def _report_rows(rep):
     return [(c.name, c.where, c.ok, c.witness) for c in rep.conditions]
+
+
+def test_passing_checks_enumerate_no_nerve_tuple_above_the_gauge_degrees(bplus,
+                                                                           generator_cocycle):
+    """The scramble reads the tuples of degrees 1 and 2; the checks and the
+    dual read none, and the conditions, enumerated when first read, are the
+    tuple-major rows, on passing and on failing gerbes."""
+    rng = random.Random(12)
+    cover = _inner_outer_cover(bplus, 12, rng)
+    g = two_gerbe_from_class(cover, [-3 * v for v in generator_cocycle], scramble_seed=12)
+    rep2 = check_two_gerbe(g)
+    dual = tdualize_two_gerbe(g)
+    rep3 = check_three_gerbe(dual)
+    assert rep2.passed and rep3.passed
+    assert dual.cover._nerve is cover._nerve and max(cover._nerve) <= 2
+    bad2, bad3 = _corrupted(g, rng), _corrupted(dual, rng)
+    reports = [(g, rep2), (dual, rep3), (bad2, check_two_gerbe(bad2)),
+               (bad3, check_three_gerbe(bad3))]
+    assert [rep.passed for _, rep in reports] == [True, True, False, False]
+    for gerbe, rep in reports:
+        rows, cls = gerbe_oracle.TupleMajor(gerbe.cover).check(gerbe)
+        assert _report_rows(rep) == rows
+        assert rep.characteristic_class == cls
 
 
 @pytest.mark.parametrize("sets, mode, seed", list(_gauge_cases()))

@@ -319,6 +319,19 @@ def test_unit_pass_pivots_on_units_of_either_sign(monkeypatch, unit):
     assert invariant_factors(m) == [1, 1, 1] and dense == []
 
 
+def test_the_pivot_search_stops_at_a_unit(monkeypatch):
+    # lower unitriangular: after each step the next row's first remaining
+    # entry is its unit, so the search reads one entry per step; read on to
+    # the end of the block, it would read every entry left below
+    rng, n = random.Random(17), 7
+    m = IMat.from_rows([[rng.randint(2, 9) for _ in range(i)] + [1] + [0] * (n - 1 - i)
+                        for i in range(n)])
+    reads = []
+    monkeypatch.setattr(intlin, "abs", lambda x: reads.append(x) or abs(x), raising=False)
+    assert smith_normal_form(m).diagonal() == [1] * n
+    assert reads == [1] * n
+
+
 def test_from_rows_of_no_rows_is_empty():
     m = IMat.from_rows([])
     assert (m.rows, m.cols, m.nz) == (0, 0, [])

@@ -9,9 +9,14 @@ signs, ids that are pairs of factor ids), and a subcomplex renumbers its
 parent's rows, which checks closure in the same pass. Chain maps are
 validated to commute with the boundaries.
 
-Subcomplexes, products with a second factor and the class spaces of
-``tdual.cohomology`` are cached in their complex's ``derived`` dict:
-canonical while the complex lives, and freed with it.
+The cache rule: each object derived from a complex (a subcomplex, a
+product, a class space of ``tdual.cohomology``) is cached exactly once, in
+the ``derived`` dict of one owner, so it is canonical while the owner lives
+and is freed with it; and no complex that lives for the process holds one
+that would otherwise be freed. Process-lived are the fixed builtins and the
+cubes I^k, kept in one table, ``_process_lived``. A subcomplex or class
+space is owned by its complex; a product by its first factor, unless that
+factor is process-lived and the second is not, then by the second.
 
 The builtin registry holds the spaces the toolkit's identities live on:
 spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
@@ -21,7 +26,6 @@ spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from weakref import WeakValueDictionary
 
@@ -65,7 +69,8 @@ PT = ("*",)   # basepoint id used by quotient complexes
 class CellComplex(_Record):
     """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
     coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
-    subcomplexes by cell set, products by (id(Y), name), class spaces by kind.
+    what the module's cache rule gives it to own: subcomplexes by cell set,
+    products by (id(Y), name) or ("x", id(X), name), class spaces by kind.
     ``rows`` (degree -> coboundary row dicts, in index order) may replace ``faces``.
 
     A complex built directly trusts its faces: ``build_complex`` checks
@@ -234,12 +239,21 @@ class ChainMap(_Record):
 def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> CellComplex:
     """Cellular product; cell ids are (x_id, y_id), boundaries carry the
     Koszul sign: d(a x b) = da x b + (-1)^|a| a x db. Canonical per factor
-    pair: repeated calls return the same instance, cached on ``x`` (the
-    product holds ``y`` through ``product_of``, so ``id(y)`` stays unique)."""
-    key = (id(y), name)
-    out = x.derived.get(key)
-    if out is not None:
-        return out
+    pair by the cache rule: on ``x`` under ``(id(y), name)``, or on ``y`` under
+    ``("x", id(x), name)`` when only ``x`` lives for the process; the product
+    holds both factors through ``product_of``, so the ids stay unique."""
+    if _process_lived.get(x.name) is x and _process_lived.get(y.name) is not y:
+        owner, key = y, ("x", id(x), name)
+    else:
+        owner, key = x, (id(y), name)
+    out = owner.derived.get(key)
+    if out is None:
+        out = owner.derived[key] = _product(x, y, name)
+    return out
+
+
+def _product(x: CellComplex, y: CellComplex, name: str | None) -> CellComplex:
+    """X x Y built afresh, each row by index arithmetic on the factors' rows."""
     cells, rows, first = {}, {}, {}     # first[k, da]: index of the first k-cell with |a| = da
     for da, db in sorted(product(x.cells, y.cells), key=lambda d: (sum(d), d)):
         k, sign, n_b, n_face_b = da + db, (-1) ** da, y.n_cells(db), y.n_cells(db - 1)
@@ -253,9 +267,7 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
                 if y_row:
                     row.update((at_ag + i_a * n_face_b + g, sign * c) for g, c in y_row.items())
                 k_rows.append(row)
-    out = x.derived[key] = CellComplex(name or f"{x.name}x{y.name}", cells,
-                                          product_of=(x, y), rows=rows)
-    return out
+    return CellComplex(name or f"{x.name}x{y.name}", cells, product_of=(x, y), rows=rows)
 
 
 def product_with_circle(x: CellComplex) -> CellComplex:
@@ -354,10 +366,10 @@ def collapse_map(btilde: CellComplex, disc_ids, sphere_ids) -> ChainMap:
 # ---------------------------------------------------------------------------
 # builtin spaces
 #
-# Builders are cached: complexes are immutable after construction, and a
-# canonical instance per space lets cohomology classes computed through
-# different call sites live in the same coordinate space. Fixed spaces are
-# cached for the process, parametrised families only while referenced.
+# One canonical instance per space puts the classes computed through different
+# call sites in one coordinate space. By the cache rule the fixed builtins and
+# the cubes I^k live for the process, built on first use; the families
+# ``sphere``, ``lens`` and ``wedge_of_spheres`` only while referenced.
 
 _live_families: WeakValueDictionary = WeakValueDictionary()
 
@@ -366,20 +378,46 @@ def _family(key: tuple, build) -> CellComplex:
     return _live_families.get(key) or _live_families.setdefault(key, build())
 
 
-@cache
+_FIXED = {      # name -> (cells, incidences) of each fixed builtin
+    "pt": ({0: ["v"]}, None),
+    "S1": ({0: ["a"], 1: ["e"]}, None),
+    "I": ({0: ["p", "q"], 1: ["i"]}, {1: {("q", "i"): 1, ("p", "i"): -1}}),
+    "coneS2": ({0: ["v", "u"], 1: ["a"], 2: ["f2"], 3: ["c3"]},
+               {1: {("u", "a"): 1, ("v", "a"): -1}, 3: {("f2", "c3"): 1}}),
+    "S3+": ({0: ["v", "u"], 1: ["a"], 2: ["f2"], 3: ["c3", "c3out"]},
+            {1: {("u", "a"): 1, ("v", "a"): -1}, 3: {("f2", "c3"): 1, ("f2", "c3out"): -1}}),
+    "CP2": ({0: ["v"], 2: ["c2"], 4: ["c4"]}, None),
+    "D2": ({0: ["a"], 1: ["e"], 2: ["f"]}, {2: {("e", "f"): 1}}),
+}
+
+
+class _ProcessLived(dict):
+    """Name -> the process-lived complex of that name, built by the first
+    lookup: a fixed builtin, or a cube ``I^k`` by the uncached ``_product``.
+    ``get`` builds nothing: ``_process_lived.get(x.name) is x`` tests ``x``."""
+
+    def __missing__(self, name: str) -> CellComplex:
+        if name in _FIXED:
+            x = build_complex(name, *_FIXED[name])
+        else:
+            x = _product(interval_power(int(name[2:]) - 1), interval(), name)
+        self[name] = x
+        return x
+
+
+_process_lived = _ProcessLived()
+
+
 def point() -> CellComplex:
-    return build_complex("pt", {0: ["v"]})
+    return _process_lived["pt"]
 
 
-@cache
 def circle() -> CellComplex:
-    return build_complex("S1", {0: ["a"], 1: ["e"]})
+    return _process_lived["S1"]
 
 
-@cache
 def interval() -> CellComplex:
-    return build_complex("I", {0: ["p", "q"], 1: ["i"]},
-                         {1: {("q", "i"): 1, ("p", "i"): -1}})
+    return _process_lived["I"]
 
 
 def sphere(n: int) -> CellComplex:
@@ -388,34 +426,23 @@ def sphere(n: int) -> CellComplex:
     return _family(("sphere", n), lambda: build_complex(f"S{n}", {0: ["v"], n: [f"c{n}"]}))
 
 
-@cache
 def cone_on_s2() -> CellComplex:
     """Compact model of the cone C^0 S^2 (= R^3, = D^3): the 2-sphere
     {u, f2} joined to the cone vertex v, filled by one 3-cell."""
-    return build_complex(
-        "coneS2",
-        {0: ["v", "u"], 1: ["a"], 2: ["f2"], 3: ["c3"]},
-        {1: {("u", "a"): 1, ("v", "a"): -1},
-         3: {("f2", "c3"): 1}})
+    return _process_lived["coneS2"]
 
 
-@cache
 def s3_two_disc() -> CellComplex:
     """S^3 as two 3-discs glued along the equatorial S^2 {u, f2}.
 
     Contains cone_on_s2 (the inner disc) as a subcomplex; the outer disc
     {u, f2, c3out} is a compact model of S^3 minus the inner vertex.
     """
-    return build_complex(
-        "S3+",
-        {0: ["v", "u"], 1: ["a"], 2: ["f2"], 3: ["c3", "c3out"]},
-        {1: {("u", "a"): 1, ("v", "a"): -1},
-         3: {("f2", "c3"): 1, ("f2", "c3out"): -1}})
+    return _process_lived["S3+"]
 
 
-@cache
 def cp2() -> CellComplex:
-    return build_complex("CP2", {0: ["v"], 2: ["c2"], 4: ["c4"]})
+    return _process_lived["CP2"]
 
 
 def lens(p: int) -> CellComplex:
@@ -432,22 +459,18 @@ def wedge_of_spheres(count: int, dim: int = 2) -> CellComplex:
         else {0: ["v"]}))
 
 
-@cache
 def disc2() -> CellComplex:
     """D^2 with its boundary circle {a, e} as a subcomplex."""
-    return build_complex("D2", {0: ["a"], 1: ["e"], 2: ["f"]}, {2: {("e", "f"): 1}})
+    return _process_lived["D2"]
 
 
 def interval_power(k: int) -> CellComplex:
-    """I^k as an iterated product, each also cached in the ``derived`` of
-    I^(k-1), so every cube stays reachable from ``interval()``; its boundary
+    """I^k = I^(k-1) x I, which lives for the process: built once per k and
+    cached only in ``_process_lived``, in no cube's ``derived``. Its boundary
     sphere is the set of product cells with at least one endpoint factor."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return interval()
-    return _family(("cube", k), lambda: product_complex(interval_power(k - 1), interval(),
-                                                         name=f"I^{k}"))
+    return interval() if k == 1 else _process_lived[f"I^{k}"]
 
 
 def interval_power_boundary_ids(cube: CellComplex, k: int) -> frozenset:

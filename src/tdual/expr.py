@@ -717,14 +717,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    @staticmethod
-    def with_fiber(names: Iterable[str], periodic: Mapping[str, bool], fiber: str) -> "Chart":
-        """Reorder so the fiber coordinate sits at index 0."""
-        names = list(names)
-        names.remove(fiber)
-        names.insert(0, fiber)
-        return Chart(tuple(names), tuple(bool(periodic[n]) for n in names))
-
 
 @dataclass
 class SampleSpec:

@@ -6,8 +6,9 @@ The nerve is read off the distinct patterns: its nonempty tuples of degree
 q are the (q+1)-subsets of the patterns, in combinations order, enumerated
 only when a view, a report's conditions or a gauge support reads them, and
 a tuple's model is the subcomplex on the cells of the patterns that contain
-it. Tables are built on first use and freed with the cover; the crossed
-cover of X x S^1 shares the patterns and the nerve.
+it, cached once, in the space's subcomplex cache. Tables are built on first
+use and freed with the cover; the crossed cover of X x S^1 shares the
+patterns and the nerve.
 
 A gerbe type declares its layers ``(label, attribute, nerve degree q, cell
 degree d)``, q + d fixed: an integer cochain of degree d on every nonempty
@@ -83,7 +84,7 @@ class CoverNerve(_Record):
     ``_groups`` maps each pattern to its cells, when that is already known."""
 
     _fields = ("space", "sets")
-    __slots__ = (*_fields, "_patterns", "_members", "_pattern_of", "_nerve", "_models", "_tables")
+    __slots__ = (*_fields, "_patterns", "_members", "_pattern_of", "_nerve", "_tables")
 
     def __init__(self, space: CellComplex, sets: list, _groups: dict | None = None):
         self.space, self.sets = space, sets
@@ -107,7 +108,6 @@ class CoverNerve(_Record):
         self._members = [frozenset(cells) for cells in _groups.values()]
         self._pattern_of = {cell: p for p, cells in enumerate(self._members) for cell in cells}
         self._nerve = {}      # q -> tuples(q)
-        self._models = {}     # nonempty sorted tuple -> intersection model
         self._tables = {}     # d -> _cells(d); (q, d) -> _layout(q, d); ("faces", d)
 
     @property
@@ -125,17 +125,15 @@ class CoverNerve(_Record):
 
     def model(self, t: tuple) -> CellComplex:
         """The intersection model of a nonempty nerve tuple in any order: the
-        subcomplex on the cells of the patterns that contain it."""
+        subcomplex on the cells of the patterns that contain it, cached once,
+        in the space's subcomplex cache."""
         key = tuple(sorted(t))
-        found = self._models.get(key)
-        if found is None:
-            inside = set(key)
-            ids = frozenset().union(*(own for pattern, own in zip(self._patterns, self._members)
-                                      if inside.issubset(pattern)))
-            if not key or not ids or len(inside) < len(key):
-                raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
-            found = self._models[key] = self.space.subcomplex(ids, name=f"U{key}")
-        return found
+        inside = set(key)
+        ids = frozenset().union(*(own for pattern, own in zip(self._patterns, self._members)
+                                  if inside.issubset(pattern)))
+        if not key or not ids or len(inside) < len(key):
+            raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
+        return self.space.subcomplex(ids, name=f"U{key}")
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1. A cell A x c lies in
@@ -200,18 +198,6 @@ class CoverNerve(_Record):
                               for pf, entries in blocks.items()])
             self._tables[("faces", d)] = found
         return found
-
-
-def validate_nerve_flags(flags: dict) -> tuple | None:
-    """Downward closure check for hand-built nerve data; returns a witness
-    tuple on violation (a nonempty tuple with an empty subtuple), else None."""
-    nonempty = {tuple(sorted(t)) for t, flag in flags.items() if flag}
-    for t in nonempty:
-        for k in range(1, len(t)):
-            for sub in combinations(t, k):
-                if sub not in nonempty:
-                    return t
-    return None
 
 
 # ---------------------------------------------------------------------------

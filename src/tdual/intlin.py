@@ -393,11 +393,6 @@ def kernel_basis(m: IMat) -> IMat:
     return IMat.of(m.cols - s.rank, m.cols, s.v_t.nz[s.rank:]).transpose()
 
 
-def lattice_contains(gens: IMat, vec: list[int]) -> bool:
-    """Is vec in the lattice spanned by the columns of gens?"""
-    return solve(gens, vec) is not None
-
-
 def lattice_subset(a: IMat, b: IMat) -> bool:
     """Column lattice of a contained in column lattice of b?"""
     return solve_columns(b, a) is not None

@@ -11,17 +11,16 @@ import pytest
 import complex_oracle as oracle
 from tdual import BUILTIN_NAMES, complexes as cx
 
-_CACHED_BUILTINS = ("point", "circle", "interval", "cone_on_s2", "s3_two_disc", "cp2", "disc2")
-
 
 def _old(monkeypatch, build):
     """``build()`` with every builder of ``tdual.complexes`` swapped for the
-    oracle's and every builtin built afresh, so no new complex takes part."""
+    oracle's and an empty table of process-lived builtins, so every builtin
+    is built afresh and no new complex takes part."""
     with monkeypatch.context() as m:
-        for name in ("build_complex", "product_complex", "quotient_by_subcomplex"):
-            m.setattr(cx, name, getattr(oracle, name))
-        for name in _CACHED_BUILTINS:
-            m.setattr(cx, name, getattr(cx, name).__wrapped__)
+        m.setattr(cx, "build_complex", oracle.build_complex)
+        m.setattr(cx, "_product", oracle.product_complex)
+        m.setattr(cx, "quotient_by_subcomplex", oracle.quotient_by_subcomplex)
+        m.setattr(cx, "_process_lived", cx._ProcessLived())
         m.setattr(cx, "_family", lambda key, make: make())
         return build()
 
@@ -200,7 +199,6 @@ def _product_pair(kind: str, arg) -> tuple:
         return cx.product_with_circle(x), oracle.face_dict_product(x, s1, name=f"{x.name}xS1")
     if kind == "XxI":
         return cx.product_complex(x, i), oracle.face_dict_product(x, i)
-    s1 = cx.circle.__wrapped__()    # a fresh circle: S1 x X is cached on it, and freed with it
     return cx.product_complex(s1, x), oracle.face_dict_product(s1, x)
 
 

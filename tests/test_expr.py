@@ -1509,13 +1509,6 @@ def test_chart_needs_a_fiber_coordinate():
         Chart((), ())
 
 
-def test_chart_reorders_fiber_first():
-    c = Chart.with_fiber(["r", "kappa", "theta"],
-                         {"r": False, "kappa": True, "theta": False}, "kappa")
-    assert c.names == ("kappa", "r", "theta")
-    assert c.periodic[0]
-
-
 # ---------------------------------------------------------------------------
 # refusals
 

@@ -21,7 +21,6 @@ from tdual.gerbes import (
     gauge_perturb, kk_gerbe_models, monopole_two_gerbe,
     semifree_class_to_two_gerbe, tdualize_two_gerbe, total_class, total_coboundary,
     trivial_bundle_gerbe_models, two_gerbe_from_class,
-    validate_nerve_flags,
 )
 
 
@@ -112,13 +111,6 @@ def test_a_patch_must_kill_the_class(bplus, generator_cocycle):
     whole = CoverNerve(bplus, [frozenset(bplus.all_ids())])
     with pytest.raises(ModelMismatch, match="patch 0 does not trivialize the class"):
         two_gerbe_from_class(whole, generator_cocycle)
-
-
-def test_downward_closure_violation_detected():
-    flags = {(0,): True, (1,): True, (2,): True,
-             (0, 1): True, (0, 2): True, (1, 2): False, (0, 1, 2): True}
-    assert validate_nerve_flags(flags) == (0, 1, 2)
-    assert validate_nerve_flags({(0,): True, (1,): True, (0, 1): True}) is None
 
 
 def test_inconsistent_reorderings_rejected(two_patch_cover):

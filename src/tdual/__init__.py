@@ -19,5 +19,6 @@ __version__ = "0.1.0"
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-9
+MAX_CELLS = 100_000     # most cells of a named size: wedge:<k>, --centers, a custom complex
 BUILTIN_NAMES = ("pt", "S1", "S2", "S3", "S2xS1", "S3xS1", "CP2", "coneS2",
                  "S3plus", "D2", "L1p:2", "L1p:3", "L1p:7", "wedge:1", "wedge:4")

@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import BUILTIN_NAMES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
+from . import BUILTIN_NAMES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, MAX_CELLS
 
 
 class InputError(ValueError):
@@ -308,6 +308,8 @@ def _complex_from_json(obj):
     ids = [c for v in cells.values() for c in v]
     if min(cells, default=0) < 0 or len(set(ids)) < len(ids):
         raise InputError("cells need degrees >= 0 and distinct ids")
+    if len(ids) > MAX_CELLS:
+        raise InputError(f"a complex may have at most {MAX_CELLS} cells, got {len(ids)}")
     inc = {}
     for k, entries in _checked(obj.get("boundaries", {}), dict, "boundaries").items():
         inc[int(k)] = {(low, up): _checked(c, int, f"coefficient of {low} in {up}")
@@ -473,8 +475,8 @@ def cmd_spectrum(args):
 
 def cmd_homotopy(args):
     from .semifree import multi_center_homotopy
-    if args.centers < 1:
-        raise InputError("--centers must be >= 1")
+    if not 1 <= args.centers <= MAX_CELLS:
+        raise InputError(f"--centers must be {'>= 1' if args.centers < 1 else f'<= {MAX_CELLS}'}")
     groups = multi_center_homotopy(args.centers)
     payload = {"centers": args.centers,
                "homology": {str(k): str(g) for k, g in groups.items()}}

@@ -16,7 +16,8 @@ and is freed with it; and no complex that lives for the process holds one
 that would otherwise be freed. Process-lived are the fixed builtins and the
 cubes I^k, kept in one table, ``_process_lived``. A subcomplex or class
 space is owned by its complex; a product by its first factor, unless that
-factor is process-lived and the second is not, then by the second.
+factor is process-lived and the second is not, then by the second. A
+gerbe of ``tdual.gerbes`` owns its validity report, the same way.
 
 The builtin registry holds the spaces the toolkit's identities live on:
 spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
@@ -29,7 +30,7 @@ from __future__ import annotations
 from itertools import product
 from weakref import WeakValueDictionary
 
-from . import BUILTIN_NAMES  # noqa: F401  (re-exported: the registry's names)
+from . import BUILTIN_NAMES, MAX_CELLS  # noqa: F401  (BUILTIN_NAMES re-exported: the registry)
 from .intlin import IMat, _Record
 
 
@@ -506,7 +507,7 @@ def builtin_space(name: str) -> CellComplex:
     if name.startswith("L1p:"):
         return lens(_size_suffix(name, "p", 1))
     if name.startswith("wedge:"):
-        return wedge_of_spheres(_size_suffix(name, "k", 0))
+        return wedge_of_spheres(_size_suffix(name, "k", 0, MAX_CELLS - 1))
     table = {
         "pt": point,
         "S1": circle,
@@ -525,15 +526,14 @@ def builtin_space(name: str) -> CellComplex:
     return table[name]()
 
 
-def _size_suffix(name: str, var: str, least: int) -> int:
-    """The integer after the colon of ``name``; UnknownSpace unless it is >= least."""
+def _size_suffix(name: str, var: str, least: int, most: int | None = None) -> int:
+    """The integer after the colon of ``name``; UnknownSpace unless least <= it (<= most)."""
     prefix, _, suffix = name.partition(":")
     try:
         value = int(suffix)
     except ValueError:
         value = None
-    if value is None or value < least:
-        raise UnknownSpace(f"builtin space {prefix}:<{var}> needs an integer {var} >= {least}, "
-                           f"got {name!r}")
+    if value is None or value < least or most is not None and value > most:
+        rule = f"{var} >= {least}" if most is None else f"{least} <= {var} <= {most}"
+        raise UnknownSpace(f"builtin space {prefix}:<{var}> needs an integer {rule}, got {name!r}")
     return value
-

@@ -29,13 +29,13 @@ half is the coboundary of the full simplex on P, the cell half sends the
 cells of P to their faces (whose patterns contain P), both through index
 plans in bounded caches; the ranks of P's subsets among those of a face's
 pattern come from the combinatorial number system. Validity is D(data) = 0,
-slot by slot; a gauge change adds D(x) for x one degree lower; the class
-(degree = number of layers) is the explicit staircase, whose row
-contraction reads each cell on the first index of its pattern.
-Dualization crosses every layer with the circle generator, (q, d) ->
-(q, d + 1), under a zero top layer; the cross product commutes with both
-differentials and the contraction, so the dual's class is the cross
-product of the input's.
+slot by slot, one report per gerbe, kept on it; a gauge change adds D(x)
+for x one degree lower; the class (degree = number of layers) is the
+explicit staircase, added to the report when first asked for, whose row
+contraction reads each cell on the first index of its pattern. Dualization
+crosses every layer with the circle generator, (q, d) -> (q, d + 1), under
+a zero top layer; the cross product commutes with both differentials and
+the contraction, so the dual's class is the cross product of the input's.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from array import array
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .complexes import (CellComplex, _is_circle, circle, circle_product_ids, cone_on_s2,
@@ -214,9 +214,14 @@ def _add(a: list, b: list, op=add) -> list:
 _PLANS = 256
 
 
+def _gather(at: array):
+    """A stream's entries at the indices ``at``, as a tuple, in one C call."""
+    return itemgetter(*at) if len(at) > 1 else lambda s: tuple(map(s.__getitem__, at))
+
+
 @lru_cache(maxsize=_PLANS)
 def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
-    """Index arrays for one pattern P of m = |P| indices with k cells of the
+    """Index gathers for one pattern P of m = |P| indices with k cells of the
     degree at hand, on its streams.
 
     The nerve coboundary (``contract`` false) reads a stream over q-subsets:
@@ -232,13 +237,13 @@ def _plan(m: int, q: int, k: int, contract: bool) -> tuple:
         for s in combinations(range(m), q):
             base = zeros if s[0] == 0 else rank[(0,) + s]
             out.extend(range(base, base + k))
-        return (out,)
+        return (_gather(out),)
     faces = tuple(array("I") for _ in range(q + 1))
     for t in combinations(range(m), q + 1):
         for a, face in enumerate(faces):
             base = rank[t[:a] + t[a + 1:]]
             face.extend(range(base, base + k))
-    return faces
+    return tuple(map(_gather, faces))
 
 
 @lru_cache(maxsize=_PLANS)
@@ -252,10 +257,9 @@ def _ranks(m: int, within: tuple, q: int) -> array:
 
 def _apply(plan: tuple, stream: list):
     """The alternating sum of the plan's gathers from ``stream``, lazily."""
-    take = stream.__getitem__
-    acc = map(take, plan[0])
+    acc = plan[0](stream)
     for a in range(1, len(plan)):
-        acc = map(sub if a % 2 else add, acc, map(take, plan[a]))
+        acc = map(sub if a % 2 else add, acc, plan[a](stream))
     return acc
 
 
@@ -360,8 +364,8 @@ class GerbeReport(_Record):
 
     _fields = ("slots", "characteristic_class")
 
-    def __init__(self, slots: list, characteristic_class: CohClass | None = None):
-        self.slots, self.characteristic_class = slots, characteristic_class
+    def __init__(self, slots: list, characteristic_class: CohClass | None = None, cover=None):
+        self.slots, self.characteristic_class, self.cover = slots, characteristic_class, cover
 
     @cached_property
     def conditions(self) -> list:
@@ -405,6 +409,7 @@ class _Gerbe:
     results through ``_trusted``."""
 
     layers: tuple = ()
+    _report = None      # the GerbeReport of the first check: no operator writes into _streams
 
     def __init__(self, cover: CoverNerve, *data: dict, **named: dict):
         self.cover = cover
@@ -487,29 +492,36 @@ def _validated(cover: CoverNerve, layer: _Layer, data: dict | None) -> list:
 # ---------------------------------------------------------------------------
 # validity checks
 
-def _check(g: _Gerbe, with_class: bool = True) -> GerbeReport:
-    """Verify the vanishing slots of the total differential D(data): the
-    cell-cocycle slot of the lowest layer, the matching slot
+def _check(g: _Gerbe) -> GerbeReport:
+    """The report of ``g``, made by its first check and kept on it: the slots
+    of D(data), the cell-cocycle slot of the lowest layer, the matching slot
     delta_n(lower) + (-1)^q delta_c(upper) at each upper layer's nerve degree
     q, and the nerve-cocycle slot of the top layer. A failing slot's witness
-    is the id of its first nonzero cell. The class is computed if all pass,
-    unless ``with_class`` is false."""
-    cover, n = g.cover, len(g.layers)
-    comps = {layer.q: data for layer, data in zip(g.layers, g._streams)}
-    labels = [layer.label for layer in g.layers]
-    names = ([f"{labels[0]}_cocycle"]
-             + [f"{lower}_{upper}_matching" for lower, upper in zip(labels, labels[1:])]
-             + [f"{labels[-1]}_nerve_cocycle"])
-    report = GerbeReport([])
-    report.cover = cover
-    for name, (q, slot) in zip(names, total_coboundary(cover, comps, n).items()):
-        bad, d = {}, n + 1 - q
-        for t, vec in cover._tuple_major(slot, q, d).items() if any(map(any, slot)) else ():
-            if any(vec):
-                bad[t] = cover.model(t).cell_ids(d)[next(i for i, v in enumerate(vec) if v)]
-        report.slots.append((name, q, bad))
-    if with_class and report.passed:
-        report.characteristic_class = total_class(cover, comps, n)
+    is the id of its first nonzero cell."""
+    if g._report is None:
+        cover, n = g.cover, len(g.layers)
+        comps = {layer.q: data for layer, data in zip(g.layers, g._streams)}
+        labels = [layer.label for layer in g.layers]
+        names = ([f"{labels[0]}_cocycle"]
+                 + [f"{lower}_{upper}_matching" for lower, upper in zip(labels, labels[1:])]
+                 + [f"{labels[-1]}_nerve_cocycle"])
+        slots = []
+        for name, (q, slot) in zip(names, total_coboundary(cover, comps, n).items()):
+            bad, d = {}, n + 1 - q
+            for t, vec in cover._tuple_major(slot, q, d).items() if any(map(any, slot)) else ():
+                if any(vec):
+                    bad[t] = cover.model(t).cell_ids(d)[next(i for i, v in enumerate(vec) if v)]
+            slots.append((name, q, bad))
+        g._report = GerbeReport(slots, cover=cover)
+    return g._report
+
+
+def _classified(g: _Gerbe) -> GerbeReport:
+    """``_check(g)``, with the class the staircase adds when first asked for, if all pass."""
+    report = _check(g)
+    if report.passed and report.characteristic_class is None:
+        report.characteristic_class = total_class(
+            g.cover, {layer.q: data for layer, data in zip(g.layers, g._streams)}, len(g.layers))
     return report
 
 
@@ -526,12 +538,12 @@ def check_two_gerbe(g: TwoGerbe) -> GerbeReport:
     report verifies the cocycle, triple-trivialization (delta_n p = -delta_c
     theta up to the total-complex sign), section-coboundary, and top nerve
     coherence conditions, then computes the characteristic class in H^3."""
-    return _check(g)
+    return _classified(g)
 
 
 def check_three_gerbe(g: ThreeGerbe) -> GerbeReport:
     """The same slots for A, gamma, eta and nu; the class lies in H^4."""
-    return _check(g)
+    return _classified(g)
 
 
 def characteristic_class_two_gerbe(g: TwoGerbe) -> CohClass:
@@ -546,7 +558,7 @@ def tdualize_two_gerbe(g: TwoGerbe, xs1: CellComplex | None = None) -> ThreeGerb
     degree-3 pair data, triple sections theta x z the trivializing line
     bundles, 4-fold data mu x z the sections eta; nu = 0. The output passes
     the 3-gerbe checks and its class is (class of g) x z."""
-    _valid(_check(g, with_class=False))
+    _valid(_check(g))
     dual = g.cover.crossed(xs1 or product_with_circle(g.cover.space))
     e, top, out = circle().cell_ids(1)[0], ThreeGerbe.layers[-1], []
     for layer, data in zip(g.layers, g._streams):

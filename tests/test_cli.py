@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tdual import cli
+from tdual import MAX_CELLS, cli
 from tdual.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -782,6 +783,99 @@ def test_failing_gerbe_report_matches_golden(fmt, golden):
 def test_usage_error_exits_two():
     code, _, _ = run_cli("no-such-command")
     assert code == 2
+
+
+def _corrupted(g, attr):
+    """``g`` read back through the public constructor, as outside input is,
+    with the first entry of layer ``attr`` on its first tuple raised by one."""
+    data = [dict(getattr(g, layer.attr)) for layer in g.layers]
+    layer = data[[layer.attr for layer in g.layers].index(attr)]
+    t = next(iter(layer))
+    layer[t] = [layer[t][0] + 1, *layer[t][1:]]
+    return type(g)(g.cover, *data)
+
+
+def _six_patch_gerbe():
+    """A scrambled 2-gerbe of class 2 on six patches of the two-disc S^3, whose
+    nerve has tuples up to degree 5, so every layer has data."""
+    from tdual.cohomology import cochain_space
+    from tdual.gerbes import CoverNerve, kk_gerbe_models, two_gerbe_from_class
+    two = kk_gerbe_models().cover()
+    cover = CoverNerve(two.space, list(two.sets) * 3)
+    gen = cochain_space(cover.space, 3).generators()[0].vector
+    return two_gerbe_from_class(cover, [2 * v for v in gen], scramble_seed=5)
+
+
+GERBE_VERDICTS = ("monopole 2-gerbe valid", "dual 3-gerbe valid", "dual class equals class x z",
+                  "gauge perturbation preserves validity and class")
+
+
+@pytest.mark.parametrize("name, corrupt, failing", [
+    # a mu entry off on six patches: the check fails, and so its perturbation's
+    ("monopole_two_gerbe", lambda real: lambda n: _corrupted(_six_patch_gerbe(), "mu"),
+     [GERBE_VERDICTS[0], GERBE_VERDICTS[3]]),
+    # an eta entry off: the dual fails its check and so has no class
+    ("tdualize_two_gerbe",
+     lambda real: lambda g, xs1=None: _corrupted(real(_six_patch_gerbe()), "eta"),
+     [GERBE_VERDICTS[1], GERBE_VERDICTS[2]]),
+    # an A entry off on the two patches: still a 3-gerbe, of another class
+    ("tdualize_two_gerbe", lambda real: lambda g, xs1=None: _corrupted(real(g, xs1), "a"),
+     [GERBE_VERDICTS[2]]),
+    # a p entry off on the source's cover: valid, of another class, which a
+    # perturbed gerbe reading its source's report would not see
+    ("gauge_perturb", lambda real: lambda g, seed: _corrupted(real(g, seed), "p"),
+     [GERBE_VERDICTS[3]]),
+])
+def test_each_gerbes_verdict_fails_on_a_corrupted_gerbe(name, corrupt, failing, monkeypatch):
+    from tdual import gerbes
+    monkeypatch.setattr(gerbes, name, corrupt(getattr(gerbes, name)))
+    code, out, err = run_cli("verify", "gerbes", "--format", "json")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failing
+    code, out, _ = run_cli("verify", "gerbes")
+    assert code == 1
+    assert [line[7:] for line in out.splitlines() if line.startswith("[FAIL] ")] == failing
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["cohomology", "--space", "wedge:100000000", "--degree", "2"],
+     "error: builtin space wedge:<k> needs an integer 0 <= k <= 99999, got 'wedge:100000000'\n"),
+    (["cohomology", "--space", "wedge:100000", "--degree", "2"],
+     "error: builtin space wedge:<k> needs an integer 0 <= k <= 99999, got 'wedge:100000'\n"),
+    (["homotopy", "--centers", "100000000"], "error: --centers must be <= 100000\n"),
+    (["homotopy", "--centers", "100001"], "error: --centers must be <= 100000\n"),
+])
+def test_a_size_past_the_cell_bound_exits_two_at_once(argv, line):
+    start = time.perf_counter()
+    assert run_cli(*argv) == (2, "", line)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["cohomology", "--space", "wedge:99999", "--degree", "2"], "H^2(wedge:99999) = Z^99999"),
+    (["homotopy", "--centers", "100000"], "100000-center space is homotopy equivalent to a wedge "
+                                          "of 99999 two-spheres:"),
+])
+def test_the_cell_bound_admits_its_largest_size(argv, first):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("space, message", [
+    ("wedge:100000000",
+     "builtin space wedge:<k> needs an integer 0 <= k <= 99999, got 'wedge:100000000'"),
+    ({"cells": {"0": ["v"], "3": [f"c{i}" for i in range(MAX_CELLS)]}},
+     f"a complex may have at most {MAX_CELLS} cells, got {MAX_CELLS + 1}"),
+])
+def test_a_gerbe_space_past_the_cell_bound_exits_two_at_once(space, message, tmp_path):
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps({"space": space, "cover": [["v"]]}))
+    start = time.perf_counter()
+    assert run_cli("dualize-gerbe", "--input", str(path)) == \
+        (2, "", f"error: cannot read gerbe: {message}\n")
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

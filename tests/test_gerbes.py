@@ -1,6 +1,7 @@
 """Cech gerbe cocycle algebra: validity checks, characteristic classes,
 gauge invariance, and the constructive dualization map."""
 
+import copy
 import gc
 import random
 import re
@@ -704,6 +705,129 @@ def test_dualization_checks_the_slots_but_not_the_class(six_patch_cover, generat
     assert staircases == []
     characteristic_class_two_gerbe(g)
     assert len(staircases) == 1
+
+
+# ---------------------------------------------------------------------------
+# one report per gerbe
+
+def _count_passes(monkeypatch, *watched):
+    """Per watched gerbe, the slot passes run on its streams and the
+    staircases run from them, counted from here on."""
+    counts = [{"slots": 0, "staircases": 0} for _ in watched]
+    coboundary, staircase = gerbes.total_coboundary, gerbes.total_class
+
+    def owners(comps):
+        return [i for i, g in enumerate(watched)
+                if any(data is stream for data in comps.values() for stream in g._streams)]
+
+    def counted_coboundary(cover, comps, degree):
+        for i in owners(comps):
+            counts[i]["slots"] += 1
+        return coboundary(cover, comps, degree)
+
+    def counted_class(cover, comps, degree):
+        for i in owners(comps):
+            counts[i]["staircases"] += 1
+        return staircase(cover, comps, degree)
+
+    monkeypatch.setattr(gerbes, "total_coboundary", counted_coboundary)
+    monkeypatch.setattr(gerbes, "total_class", counted_class)
+    return counts
+
+
+def test_a_gerbe_runs_its_slot_pass_once(bplus, generator_cocycle, monkeypatch):
+    """On a fresh 12-set cover: a check and then the dual run one slot pass;
+    a second check runs neither a slot pass nor a staircase; the dual and then
+    the class run one of each."""
+    rng = random.Random(36)
+    cover = _family_cover(bplus, 12, rng)
+    cocycle = [3 * v for v in generator_cocycle]
+    g, h = (two_gerbe_from_class(cover, cocycle, scramble_seed=seed) for seed in (36, 37))
+    counts = _count_passes(monkeypatch, g, h)
+    report = check_two_gerbe(g)
+    tdualize_two_gerbe(g)
+    assert counts[0] == {"slots": 1, "staircases": 1}
+    assert check_two_gerbe(g) is report and report.characteristic_class.reduced() == (3,)
+    assert counts[0] == {"slots": 1, "staircases": 1}
+    tdualize_two_gerbe(h)
+    assert counts[1] == {"slots": 1, "staircases": 0}
+    assert characteristic_class_two_gerbe(h) == report.characteristic_class
+    assert counts[1] == {"slots": 1, "staircases": 1}
+
+
+def test_no_operator_writes_into_a_gerbe(six_patch_cover, generator_cocycle):
+    """Every operator leaves its input's streams as they were, so a report
+    kept on a gerbe cannot go stale; and no result carries its source's."""
+    g = two_gerbe_from_class(six_patch_cover, generator_cocycle, scramble_seed=9)
+    other = two_gerbe_from_class(six_patch_cover, generator_cocycle, scramble_seed=10)
+    before, before_other = copy.deepcopy(g._streams), copy.deepcopy(other._streams)
+    check_two_gerbe(g)
+    supports = ({}, {"pair": (4, 1)}, {"triple": (0, 2, 5)}, {"pair": (0, 1), "triple": (0, 1, 2)})
+    made = [g.tensor(other), other.tensor(g), tdualize_two_gerbe(g)]
+    made += [gauge_perturb(g, seed, **support) for seed, support in enumerate(supports)]
+    for view in _layers(g):         # the views are copies: writing into one changes nothing
+        for vec in view.values():
+            vec[:] = [v + 1 for v in vec]
+    g.pair_class(0, 1), g.pair_class(3, 2)
+    characteristic_class_two_gerbe(g)
+    assert g._streams == before and other._streams == before_other
+    assert [r._report for r in made] == [None] * len(made)
+    dual = made[2]
+    before_dual = copy.deepcopy(dual._streams)
+    check_three_gerbe(dual)
+    made = [dual.tensor(dual), *(gauge_perturb(dual, seed, **support)
+                                 for seed, support in enumerate(supports))]
+    _layers(dual), dual.pair_class(5, 0), check_three_gerbe(dual)
+    assert dual._streams == before_dual
+    assert [r._report for r in made] == [None] * len(made)
+
+
+def _random_cover_gerbes(bplus, generator_cocycle, kind, size):
+    """The valid 2-gerbe of the random-cover tests on a cover of ``kind``, its
+    dual, and one corruption of each."""
+    rng = random.Random(size)
+    if kind == "cube":
+        cover = _cube_cover(size, rng)
+        g = two_gerbe_from_class(cover, [0] * cover.space.n_cells(3), scramble_seed=size)
+    else:
+        cover = (_family_cover if kind == "family" else _inner_outer_cover)(bplus, size, rng)
+        multiple = rng.choice((-2, -1, 1, 3))
+        g = two_gerbe_from_class(cover, [multiple * v for v in generator_cocycle],
+                                 scramble_seed=rng.randrange(10 ** 6))
+    dual = tdualize_two_gerbe(g)
+    return [g, dual, _corrupted(g, rng), _corrupted(dual, rng)]
+
+
+def _fresh(g):
+    return type(g)._trusted(g.cover, copy.deepcopy(g._streams))
+
+
+def _report_outcome(rep):
+    return rep.passed, rep.failures(), rep.to_json(), rep.characteristic_class
+
+
+@pytest.mark.parametrize("kind, size", LAYOUT_COVERS, ids=[f"{k}{n}" for k, n in LAYOUT_COVERS])
+def test_a_kept_report_equals_a_fresh_check(bplus, generator_cocycle, kind, size):
+    """Whatever ran first on a gerbe (the dual's slot pass, the class, or a
+    check), its report reads as the first check of an unchecked copy does."""
+    gerbes_ = _random_cover_gerbes(bplus, generator_cocycle, kind, size)
+    # a changed entry on a tuple that no slot reaches can leave a valid gerbe
+    assert [gerbes._check(g).passed for g in map(_fresh, gerbes_[:2])] == [True, True]
+    for g in gerbes_:
+        check = check_two_gerbe if g.layers is TwoGerbe.layers else check_three_gerbe
+        want = _report_outcome(check(_fresh(g)))
+        firsts = [check, gerbes._check]
+        if g.layers is TwoGerbe.layers:
+            firsts += [tdualize_two_gerbe, characteristic_class_two_gerbe]
+        for first in firsts:
+            kept = _fresh(g)
+            try:
+                first(kept)
+            except InvalidGerbe:
+                pass
+            report = check(kept)
+            assert _report_outcome(report) == want, first.__name__
+            assert check(kept) is report
 
 
 def test_corrupted_eta_fails_three_gerbe_check():

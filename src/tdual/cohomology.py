@@ -3,8 +3,9 @@
 Groups are read only off the ranks and invariant factors of the coboundary
 matrices, never off a basis; homology groups too, as transposing keeps
 both, so no chain space is built. Classes are integer cochain vectors
-reduced to canonical coordinates modulo coboundaries, which the full SNF
-builds on the first query that reads them; class equality, generator
+reduced to canonical coordinates modulo coboundaries, which two full SNFs
+(of the coboundary and of the relations, never of a kernel basis) build on
+the first query that reads them; class equality, generator
 extraction, induced maps, connecting maps, and exactness checks are all
 exact integer computations. Cross product with the circle generator and
 integration over the circle fiber act at the cochain level on product
@@ -18,8 +19,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
-from .intlin import (IMat, invariant_factors, kernel_basis, lattice_equal, rank_q, solve,
-                     solve_columns)
+from .intlin import IMat, invariant_factors, kernel_basis, lattice_equal, rank_q, solve
 
 
 class NotAProduct(ValueError):
@@ -83,9 +83,11 @@ class SubquotientSpace:
     Elements are integer vectors in Z^n lying in ker(out_map); ``reduce``
     maps them to canonical coordinates (torsion residues, then free parts),
     and ``generators`` returns one representative per cyclic factor. Only
-    those class paths read the coordinates (``kernel``, ``kernel_cols``,
-    ``rel``, ``snf`` and the slots, None until then), which the full SNF
-    builds once, on the first call of ``reduce``, ``generators``,
+    those class paths read the coordinates (``kernel_coords``, ``kernel_cols``,
+    ``rel``, ``snf`` and the slots, None until then): ``out_map``'s SNF gives
+    the kernel basis V[:, r:] and its left inverse V^-1[r:], and the SNF of
+    ``rel = V^-1[r:] @ in_map`` the coordinates. They are built once, on the
+    first call of ``reduce``, ``generators``,
     ``class_from_coords``, ``relations_lattice``, ``coord_dim`` or
     ``GroupHom.matrix``. ``group()`` and ``GroupHom.apply`` build none;
     ``CohClass.is_zero`` builds them only for a nonzero vector in a nontrivial group.
@@ -101,21 +103,22 @@ class SubquotientSpace:
         self.out_map = out_map
         self.in_map = in_map
         self._group = None
-        self.kernel = self.kernel_cols = self.rel = self.snf = None
+        self.kernel_coords = self.kernel_cols = self.rel = self.snf = None
         self.torsion_slots = self.free_slots = self.torsion_values = None
 
     def _coordinates(self):
         if self.snf is not None:
             return
-        self.kernel = kernel_basis(self.out_map)          # n x z
         out_snf = self.out_map.snf()
-        self.kernel_cols = out_snf.v_t.nz[out_snf.rank:]     # column j of the kernel
-        # out_map @ in_map is zero, so every column solves against the kernel
-        self.rel = solve_columns(self.kernel, self.in_map)     # z x m
+        r = out_snf.rank
+        self.kernel_cols = out_snf.v_t.nz[r:]     # column j of the kernel basis V[:, r:]
+        # V^-1[r:] inverts it on its span, which holds in_map: out_map @ in_map = 0
+        self.kernel_coords = IMat.of(self.n - r, self.n, out_snf.vinv.nz[r:])    # z x n
+        self.rel = self.kernel_coords @ self.in_map     # z x m
         snf = self.rel.snf()
         diag = snf.diagonal()
         self.torsion_slots = [i for i in range(snf.rank) if diag[i] > 1]
-        self.free_slots = list(range(snf.rank, self.kernel.cols))
+        self.free_slots = list(range(snf.rank, self.n - r))
         self.torsion_values = [diag[i] for i in self.torsion_slots]
         self.snf = snf
 
@@ -130,16 +133,21 @@ class SubquotientSpace:
         return len(self.torsion_slots) + len(self.free_slots)
 
     def reduce(self, vec) -> tuple:
-        """Canonical coordinates of the class of ``vec``. The kernel basis is
-        saturated, so ``vec`` solves against it exactly when it is a cocycle."""
+        """Canonical coordinates of the class of ``vec``, a checked cocycle."""
         vec = list(vec)
+        self._check_cocycle(vec)
+        return self._reduced(vec)
+
+    def _check_cocycle(self, vec):
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        self._coordinates()
-        c = solve(self.kernel, vec)
-        if c is None:
+        if any(self.out_map.mul_vec(vec)):
             raise NotACocycle(f"vector is not a cocycle in {self.label}")
-        y = self.snf.u_times(enumerate(c))
+
+    def _reduced(self, vec) -> tuple:
+        # the kernel basis is saturated, so V^-1[r:] @ vec are a cocycle's coordinates in it
+        self._coordinates()
+        y = self.snf.u_times(enumerate(self.kernel_coords.mul_vec(vec)))
         out = [y.get(i, 0) % self.torsion_values[k] for k, i in enumerate(self.torsion_slots)]
         out.extend(y.get(i, 0) for i in self.free_slots)
         return tuple(out)
@@ -197,13 +205,10 @@ class CohClass(NamedTuple):
         """A cocycle test by one ``out_map`` product, then True for a zero vector or a
         trivial group on a space with no coordinates yet; else compare coordinates."""
         space = self.space
-        if len(self.vector) != space.n:
-            raise ValueError("vector length mismatch")
-        if any(space.out_map.mul_vec(self.vector)):
-            raise NotACocycle(f"vector is not a cocycle in {space.label}")
+        space._check_cocycle(self.vector)
         if not any(self.vector) or (space.snf is None and space.group() == TRIVIAL):
             return True
-        return all(x == 0 for x in self.reduced())
+        return not any(space._reduced(self.vector))
 
     def __eq__(self, other):
         if not isinstance(other, CohClass):

@@ -584,8 +584,10 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     """
     cocycle = dict(zip(cover.space.cell_ids(3), cocycle))
     ts = []
-    for i in range(cover.size):
-        ui = cover.model((i,))
+    for i, patch in enumerate(cover.sets):
+        if not patch:
+            raise MalformedNerve(f"tuple {(i,)} is not a nonempty nerve tuple", witness=(i,))
+        ui = cover.space.subcomplex(patch, name=f"U{(i,)}")      # cover.model((i,)), read directly
         t = solve(ui.coboundary(3), [cocycle[c] for c in ui.cell_ids(3)])
         if t is None:
             raise ModelMismatch(f"patch {i} does not trivialize the class "

@@ -1,5 +1,8 @@
 """Integer matrix algebra: Smith normal form, solving, kernels, lattices.
 
+The SNF eliminates only D and logs its operations; U, U^-1, V and V^-1 are
+each replayed from the log on first read, so a caller pays for what it reads.
+
 Entries are Python ints (arbitrary precision, so SNF pivot growth cannot
 overflow). Shapes are tracked explicitly so zero-row and zero-column
 matrices behave; those occur constantly as (co)chain groups of small cell
@@ -189,17 +192,55 @@ class _Record:
 class SNF(_Record):
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
-    V and U^-1 are kept transposed (``v_t``, ``uinv_t``), as the elimination
-    builds them: row i of ``v_t`` is column i of V, and row i of ``uinv_t``
-    is column i of U^-1, so cohomology bases are read without re-inversion.
+    The elimination builds D and logs its row and column operations. U, V^-1
+    (``vinv``), and V and U^-1 transposed (``v_t``, ``uinv_t``: row i is column
+    i) are each replayed from the log on first read; rows rank.. of ``vinv``
+    are a left inverse of the kernel basis. A record built from its fields
+    has no ``vinv``.
     """
 
     _fields = ("u", "d", "v_t", "uinv_t", "rank")
-    __slots__ = (*_fields, "u_t", "__weakref__")
+    __slots__ = ("d", "rank", "_t", "u_t", "__weakref__")
 
     def __init__(self, u: IMat, d: IMat, v_t: IMat, uinv_t: IMat, rank: int):
-        self.u, self.d, self.v_t, self.uinv_t, self.rank = u, d, v_t, uinv_t, rank
+        self.d, self.rank, self._t = d, rank, {"u": u, "v_t": v_t, "uinv_t": uinv_t}
         self.u_t = None         # the columns of U as rows, built by the first ``u_times``
+
+    @staticmethod
+    def _logged(d: IMat, rank: int, row_ops: list, col_ops: list) -> "SNF":
+        s = SNF.__new__(SNF)
+        s.d, s.rank, s.u_t = d, rank, None
+        s._t = {"u": (row_ops, d.rows, False), "uinv_t": (row_ops, d.rows, True),
+                "v_t": (col_ops, d.cols, False), "vinv": (col_ops, d.cols, True)}
+        return s
+
+    def _transform(self, name: str) -> IMat:
+        """The transform, replayed from its log ``(src, dst, k)`` on first read:
+        the n x n identity, whose rows k = 0 swaps, src == dst negates, and
+        any other op adds k * row src to row dst, or, replaying an inverse,
+        -k * row dst to row src. The row log so gives U or U^-1 transposed,
+        the column log V transposed or V^-1."""
+        t = self._t[name]
+        if isinstance(t, IMat):
+            return t
+        ops, n, inverse = t
+        rows = [{i: 1} for i in range(n)]
+        for src, dst, k in ops:
+            if not k:
+                rows[src], rows[dst] = rows[dst], rows[src]
+            elif src == dst:
+                rows[src] = {j: -x for j, x in rows[src].items()}
+            elif inverse:
+                _axpy(rows[src], rows[dst], -k)
+            else:
+                _axpy(rows[dst], rows[src], k)
+        t = self._t[name] = IMat.of(n, n, rows)
+        return t
+
+    u = property(lambda self: self._transform("u"))
+    uinv_t = property(lambda self: self._transform("uinv_t"))
+    v_t = property(lambda self: self._transform("v_t"))
+    vinv = property(lambda self: self._transform("vinv"))
 
     def diagonal(self) -> list[int]:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
@@ -229,14 +270,12 @@ def smith_normal_form(m: IMat) -> SNF:
 
     The pivot is the row-major first entry of least absolute value in the
     remaining block; rows below the pivot are reduced against it, then the
-    columns right of it, until both are clear. U^-1 and V take only column
-    operations, so they are built and returned transposed (``uinv_t``,
-    ``v_t``) and every operation on them is a row operation.
+    columns right of it, until both are clear. Only D is eliminated; each
+    operation is logged for the transforms that ``SNF`` replays on read.
     """
     rows, cols = m.rows, m.cols
     d = m.copy().nz
-    u, uinv_t = IMat.identity(rows).nz, IMat.identity(rows).nz
-    v_t = IMat.identity(cols).nz
+    row_ops, col_ops = [], []
     # column index of D: the rows holding each column, so column operations
     # visit only those rows
     in_col = defaultdict(set)
@@ -250,8 +289,7 @@ def smith_normal_form(m: IMat) -> SNF:
                 in_col[c].remove(a)
                 in_col[c].add(b)
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+        row_ops.append((i, j, 0))
 
     def swap_cols(i, j):
         for r in in_col[i] | in_col[j]:
@@ -262,15 +300,14 @@ def smith_normal_form(m: IMat) -> SNF:
             if b:
                 row[i] = b
         in_col[i], in_col[j] = in_col[j], in_col[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
+        col_ops.append((i, j, 0))
 
     def add_row(src, dst, k):
-        # row_dst += k * row_src;  U <- E U, Uinv <- Uinv E^-1
+        # row_dst += k * row_src
         if not k:
             return
         _add_row(d, in_col, dst, d[src], k)
-        _axpy(u[dst], u[src], k)
-        _axpy(uinv_t[src], uinv_t[dst], -k)
+        row_ops.append((src, dst, k))
 
     def add_col(src, dst, k):
         if not k:
@@ -284,11 +321,11 @@ def smith_normal_form(m: IMat) -> SNF:
             else:
                 del row[dst]
                 in_col[dst].discard(r)
-        _axpy(v_t[dst], v_t[src], k)
+        col_ops.append((src, dst, k))
 
     def negate_row(i):
-        for r in (d, u, uinv_t):
-            r[i] = {j: -x for j, x in r[i].items()}
+        d[i] = {j: -x for j, x in d[i].items()}
+        row_ops.append((i, i, -1))
 
     limit = min(rows, cols)
 
@@ -346,8 +383,7 @@ def smith_normal_form(m: IMat) -> SNF:
         add_col(violation + 1, violation, 1)
         diagonalize()
 
-    return SNF(IMat.of(rows, rows, u), IMat.of(rows, cols, d),
-               IMat.of(cols, cols, v_t), IMat.of(rows, rows, uinv_t), rank)
+    return SNF._logged(IMat.of(rows, cols, d), rank, row_ops, col_ops)
 
 
 def solve(m: IMat, b: list[int]) -> list[int] | None:

@@ -714,6 +714,92 @@ def test_wedge_generators_match_old_products():
 
 
 # ---------------------------------------------------------------------------
+# the kernel's left inverse against the solve against the kernel basis
+
+def _closure(x, cells) -> frozenset:
+    out, todo = set(), list(cells)
+    while todo:
+        cell = todo.pop()
+        if cell not in out:
+            out.add(cell)
+            todo.extend(x.faces[cell])
+    return frozenset(out)
+
+
+def _random_cover_models(x, size: int, seed: int) -> list:
+    """The intersection models of a cover of x by closures of one or two
+    random cells and x itself, as the random-cover gerbe tests draw them."""
+    rng = random.Random(seed)
+    cells = sorted(x.all_ids(), key=str)
+    sets = [_closure(x, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
+    cover = CoverNerve(x, sets + [frozenset(x.all_ids())])
+    return [cover.model(t) for q in range(size) for t in cover.tuples(q)]
+
+
+def _left_inverse_families():
+    builtins = [builtin_space(name) for name in BUILTIN_NAMES]
+    codim = [trivial_bundle_gerbe_models(rank) for rank in (4, 5, 6)]
+    return {
+        "builtins": [s for x in builtins for k in range(x.top + 2)
+                     for s in (cochain_space(x, k), chain_space(x, k))],
+        "builtin-products": [cochain_space(p, k) for i, x in enumerate(builtins)
+                             for p in (product_complex(x, y) for y in builtins[i:])
+                             for k in range(p.top + 2)],
+        "codim": [s for m in codim for k in range(m.b.top + 1)
+                  for s in (cochain_space(m.complement_model(), k),
+                            relative_cochain_space(m.b, m.complement_ids, k))],
+        "random-covers": [cochain_space(m, k) for size, seed in ((4, 1), (6, 2), (9, 3))
+                          for x in (s3_two_disc(), interval_power(3))
+                          for m in _random_cover_models(x, size, seed) for k in range(m.top + 1)],
+    }
+
+
+@pytest.mark.parametrize("family", list(_left_inverse_families()))
+def test_the_kernel_left_inverse_matches_the_solve_against_the_kernel(family):
+    """Rows rank.. of out_map's V^-1 give the relations that the solve against
+    the (twice factored) kernel basis gave, the coordinates of the dense
+    oracle on seeded random cocycles, and the same refusal of a non-cocycle."""
+    rng = random.Random(7)
+    spaces = _left_inverse_families()[family]
+    for space in spaces:
+        kernel = intlin.kernel_basis(space.out_map)
+        assert space.coord_dim >= 0
+        assert space.rel == intlin.solve_columns(kernel, space.in_map), space.label
+        gens = space.generators()
+        for _ in range(3):
+            cls = space.class_from_coords([rng.randint(-4, 4) for _ in gens])
+            shift = space.in_map.mul_vec([rng.randint(-2, 2) for _ in range(space.in_map.cols)])
+            vec = [a + b for a, b in zip(cls.vector, shift)]
+            assert space.reduce(vec) == dense_snf.reduce(space, vec), space.label
+            off = [j for j in range(space.n) if any(j in row for row in space.out_map.nz)]
+            if off:
+                vec[rng.choice(off)] += 1
+                assert intlin.solve(kernel, vec) is None
+                with pytest.raises(NotACocycle) as info:
+                    space.reduce(vec)
+                assert str(info.value) == f"vector is not a cocycle in {space.label}"
+    assert len(spaces) >= 20
+
+
+def _replayed(snf) -> set:
+    # the transforms replayed from the elimination's log so far
+    return {name for name, t in snf._t.items() if isinstance(t, IMat)}
+
+
+def test_coordinates_factor_no_kernel_and_read_only_the_transforms_they_use(monkeypatch):
+    shapes = _counted(monkeypatch)
+    models = _fresh_codim_models(4, "lk")
+    space = cochain_space(models.complement_model(), 2)
+    gens = space.generators()
+    out_snf, rel_snf = space.out_map.snf(), space.snf
+    assert shapes == [(40, 40), (18, 32)]           # out_map and relations, no kernel
+    assert _replayed(out_snf) == {"v_t", "vinv"} and _replayed(rel_snf) == {"uinv_t"}
+    assert [space.reduce(g.vector) for g in gens] == [(1,)]
+    assert _replayed(out_snf) == {"v_t", "vinv"} and _replayed(rel_snf) == {"uinv_t", "u"}
+    assert len(shapes) == 2
+
+
+# ---------------------------------------------------------------------------
 # groups without coordinates against the groups the coordinates give
 
 def _skeleton(x, top: int) -> frozenset:
@@ -806,7 +892,7 @@ def test_group_queries_build_no_coordinates(monkeypatch):
     assert built == []
     spaces = [v for x in (lens7, xs1, wedge) for v in x.derived.values()
               if isinstance(v, SubquotientSpace)]
-    assert len(spaces) > 10 and all(v.kernel is None for v in spaces)
+    assert len(spaces) > 10 and all(v.kernel_coords is None for v in spaces)
     for k, group in enumerate(relative):
         forced = _fresh(relative_cochain_space(xs1, _skeleton(xs1, 1), k))
         assert forced.coord_dim >= 0 and _coordinate_group(forced) == group
@@ -907,9 +993,10 @@ def test_a_codimension_push_factors_only_what_it_reads(monkeypatch):
     assert not lam.is_zero() and lam.space._group is None    # read off the coordinates
     gerbe, pushed = semifree_class_to_two_gerbe(lam, models)
     assert pushed.is_zero() and characteristic_class_two_gerbe(gerbe).is_zero()
-    # three for the coordinates of the complement's H^2 (out_map, kernel,
-    # relations) and four empty ones for excision's preimage; H^3(B+) builds none
-    assert len([s for s in shapes if s != "kernel"]) == 7
+    # two for the coordinates of the complement's H^2 (out_map and relations,
+    # no kernel) and three empty ones for excision's preimage (the relative
+    # H^3's out_map and relations, and the image lattice); H^3(B+) builds none
+    assert len([s for s in shapes if s != "kernel"]) == 5
     assert pushed.space.snf is None and pushed.space.group() == TRIVIAL
     homs = [connecting_hom(models.b, models.complement_ids, 2),
             excision_hom(models.bplus, models.bplus_minus_f_ids, models.b,

@@ -443,6 +443,34 @@ def test_total_class_matches_the_oracle_on_random_covers(bplus, generator_cocycl
         assert outcome == _class_outcome(lambda _, c, n: tm.total_class(c, n), None, comps, n)
 
 
+def test_each_patch_read_directly_is_the_cover_model(bplus, generator_cocycle):
+    """two_gerbe_from_class reads U_i by its cell set: on a fresh copy of the
+    space the patch models are the cover's, with the same names, whichever
+    call builds them first."""
+    incidences = {k: {(f, c): x for c in bplus.cell_ids(k) for f, x in bplus.faces[c].items()}
+                  for k in bplus.degrees()}
+    names = []
+    for gerbe_first in (True, False):
+        cover = _family_cover(build_complex("S3copy", bplus.cells, incidences), 12,
+                              random.Random(12))
+        if gerbe_first:
+            two_gerbe_from_class(cover, generator_cocycle)
+        models = [cover.model((i,)) for i in range(cover.size)]
+        if not gerbe_first:
+            two_gerbe_from_class(cover, generator_cocycle)
+        assert all(m is cover.space.subcomplex(s, name=f"U{(i,)}")
+                   for i, (m, s) in enumerate(zip(models, cover.sets)))
+        names.append([m.name for m in models])
+    assert names[0] == names[1] and len(set(names[0])) > 1
+
+
+def test_an_empty_patch_is_refused_as_no_nerve_tuple(bplus, generator_cocycle):
+    cover = CoverNerve(bplus, [INNER, OUTER, frozenset()])
+    with pytest.raises(MalformedNerve, match=re.escape("tuple (2,) is not a nonempty nerve")) as err:
+        two_gerbe_from_class(cover, generator_cocycle)
+    assert err.value.witness == (2,)
+
+
 @pytest.mark.parametrize("crossed", [False, True], ids=["plain", "crossed"])
 @pytest.mark.parametrize("size", [3, 6, 10])
 def test_staircase_of_an_exact_cocycle_matches_the_oracle(size, crossed):

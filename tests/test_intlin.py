@@ -136,6 +136,16 @@ def test_snf_of_sparse_unit_matrices_matches_dense_oracle(m):
     assert_matches_dense_oracle(m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, sparse_unit_matrices))
+def test_replayed_transforms_invert_each_other(m):
+    # V^-1 has no dense oracle: V matches the oracle, so V @ V^-1 == I pins it
+    s = smith_normal_form(m)
+    assert s.v_t.transpose() @ s.vinv == IMat.identity(m.cols)
+    assert s.u @ s.uinv_t.transpose() == IMat.identity(m.rows)
+    assert s.vinv @ s.v_t.transpose() == IMat.identity(m.cols)
+
+
 def _boundary_cases():
     spaces = {name: builtin_space(name) for name in BUILTIN_NAMES}
     spaces["S3+xS1"] = product_with_circle(s3_two_disc())

@@ -215,11 +215,11 @@ class SNF(_Record):
         return s
 
     def _transform(self, name: str) -> IMat:
-        """The transform, replayed from its log ``(src, dst, k)`` on first read:
-        the n x n identity, whose rows k = 0 swaps, src == dst negates, and
-        any other op adds k * row src to row dst, or, replaying an inverse,
-        -k * row dst to row src. The row log so gives U or U^-1 transposed,
-        the column log V transposed or V^-1."""
+        """The transform, replayed on first read from its log of ops ``(src,
+        dst, k)`` on the rows of the n x n identity: k = 0 swaps two rows,
+        src == dst negates one, any other op adds k * row src to row dst, or,
+        for an inverse, -k * row dst to row src. The row log so gives U or
+        U^-1 transposed, the column log V transposed or V^-1."""
         t = self._t[name]
         if isinstance(t, IMat):
             return t

@@ -125,15 +125,16 @@ class CoverNerve(_Record):
 
     def model(self, t: tuple) -> CellComplex:
         """The intersection model of a nonempty nerve tuple in any order: the
-        subcomplex on the cells of the patterns that contain it, cached once,
-        in the space's subcomplex cache."""
+        subcomplex on the cells its sets share, cached once, in the space's
+        subcomplex cache."""
         key = tuple(sorted(t))
-        inside = set(key)
-        ids = frozenset().union(*(own for pattern, own in zip(self._patterns, self._members)
-                                  if inside.issubset(pattern)))
-        if not key or not ids or len(inside) < len(key):
-            raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
-        return self.space.subcomplex(ids, name=f"U{key}")
+        if key and 0 <= key[0] and key[-1] < self.size and len(set(key)) == len(key):
+            ids = self.sets[key[0]]
+            for i in key[1:]:
+                ids = ids & self.sets[i]
+            if ids:
+                return self.space.subcomplex(ids, name=f"U{key}")
+        raise MalformedNerve(f"tuple {t} is not a nonempty nerve tuple", witness=t)
 
     def crossed(self, xs1: CellComplex) -> "CoverNerve":
         """The induced cover of X x S^1 by the U_i x S^1. A cell A x c lies in
@@ -584,10 +585,8 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     """
     cocycle = dict(zip(cover.space.cell_ids(3), cocycle))
     ts = []
-    for i, patch in enumerate(cover.sets):
-        if not patch:
-            raise MalformedNerve(f"tuple {(i,)} is not a nonempty nerve tuple", witness=(i,))
-        ui = cover.space.subcomplex(patch, name=f"U{(i,)}")      # cover.model((i,)), read directly
+    for i in range(cover.size):
+        ui = cover.model((i,))
         t = solve(ui.coboundary(3), [cocycle[c] for c in ui.cell_ids(3)])
         if t is None:
             raise ModelMismatch(f"patch {i} does not trivialize the class "

@@ -1,8 +1,5 @@
 """Integer matrix algebra: Smith normal form, solving, kernels, lattices.
 
-The SNF eliminates only D and logs its operations; U, U^-1, V and V^-1 are
-each replayed from the log on first read, so a caller pays for what it reads.
-
 Entries are Python ints (arbitrary precision, so SNF pivot growth cannot
 overflow). Shapes are tracked explicitly so zero-row and zero-column
 matrices behave; those occur constantly as (co)chain groups of small cell
@@ -196,7 +193,7 @@ class SNF(_Record):
     (``vinv``), and V and U^-1 transposed (``v_t``, ``uinv_t``: row i is column
     i) are each replayed from the log on first read; rows rank.. of ``vinv``
     are a left inverse of the kernel basis. A record built from its fields
-    has no ``vinv``.
+    has no ``vinv``: reading it raises AttributeError.
     """
 
     _fields = ("u", "d", "v_t", "uinv_t", "rank")
@@ -220,7 +217,9 @@ class SNF(_Record):
         src == dst negates one, any other op adds k * row src to row dst, or,
         for an inverse, -k * row dst to row src. The row log so gives U or
         U^-1 transposed, the column log V transposed or V^-1."""
-        t = self._t[name]
+        t = self._t.get(name)
+        if t is None:
+            raise AttributeError(name)
         if isinstance(t, IMat):
             return t
         ops, n, inverse = t
@@ -270,8 +269,7 @@ def smith_normal_form(m: IMat) -> SNF:
 
     The pivot is the row-major first entry of least absolute value in the
     remaining block; rows below the pivot are reduced against it, then the
-    columns right of it, until both are clear. Only D is eliminated; each
-    operation is logged for the transforms that ``SNF`` replays on read.
+    columns right of it, until both are clear.
     """
     rows, cols = m.rows, m.cols
     d = m.copy().nz

@@ -443,10 +443,10 @@ def test_total_class_matches_the_oracle_on_random_covers(bplus, generator_cocycl
         assert outcome == _class_outcome(lambda _, c, n: tm.total_class(c, n), None, comps, n)
 
 
-def test_each_patch_read_directly_is_the_cover_model(bplus, generator_cocycle):
-    """two_gerbe_from_class reads U_i by its cell set: on a fresh copy of the
-    space the patch models are the cover's, with the same names, whichever
-    call builds them first."""
+def test_each_patch_model_is_the_subcomplex_on_its_set(bplus, generator_cocycle):
+    """U_i is the subcomplex on the cells of sets[i]: on a fresh copy of the
+    space the patch models are the same objects, with the same names, whether
+    two_gerbe_from_class or model builds them first."""
     incidences = {k: {(f, c): x for c in bplus.cell_ids(k) for f, x in bplus.faces[c].items()}
                   for k in bplus.degrees()}
     names = []

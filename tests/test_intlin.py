@@ -146,6 +146,12 @@ def test_replayed_transforms_invert_each_other(m):
     assert s.vinv @ s.v_t.transpose() == IMat.identity(m.cols)
 
 
+def test_a_record_built_from_its_fields_equals_the_factorization_and_has_no_vinv():
+    s = smith_normal_form(IMat.from_rows([[2, 4], [6, 8]]))
+    record = intlin.SNF(s.u, s.d, s.v_t, s.uinv_t, s.rank)
+    assert record == s and not hasattr(record, "vinv")
+
+
 def _boundary_cases():
     spaces = {name: builtin_space(name) for name in BUILTIN_NAMES}
     spaces["S3+xS1"] = product_with_circle(s3_two_disc())

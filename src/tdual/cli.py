@@ -328,6 +328,10 @@ def _gerbe_from_json(obj):
                          f"above the top cell degree {x.top} of {x.name}")
     cover = CoverNerve(x, [frozenset(_checked(s, list, "cover set", str))
                            for s in _checked(obj["cover"], list, "cover")])
+    for q in range(1, 6):       # the layers of the gerbe and its dual, and their checks
+        if (n := cover.cochain_size(q)) > MAX_CELLS:
+            raise InputError(f"a cover's cochains may have at most {MAX_CELLS} entries "
+                             f"in one nerve degree, got {n} in degree {q}")
 
     def indices(label, key):
         try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .complexes import CellComplex, ChainMap, NotASubcomplex, _is_circle, circle
+from .complexes import CellComplex, NotASubcomplex, _is_circle, circle
 from .intlin import IMat, invariant_factors, kernel_basis, lattice_equal, rank_q, solve
 
 
@@ -290,13 +290,6 @@ def _relative_cells(x: CellComplex, a_ids, k: int) -> list:
     return [c for c in x.cell_ids(k) if c not in a_ids]
 
 
-def relative_cohomology(x: CellComplex, a_ids, k: int) -> AbelianGroup:
-    """H^k(X, A; Z) for a labeled subcomplex A."""
-    if k < 0:
-        return TRIVIAL
-    return relative_cochain_space(x, a_ids, k).group()
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms between class spaces
 
@@ -361,12 +354,6 @@ def exact_at(f: GroupHom, g: GroupHom) -> bool:
     if f.codomain.group() == TRIVIAL:
         return True
     return lattice_equal(f.image_lattice(), g.kernel_lattice())
-
-
-def pullback_hom(f: ChainMap, k: int) -> GroupHom:
-    """Induced map H^k(target of f) -> H^k(source of f)."""
-    return GroupHom(cochain_space(f.target, k), cochain_space(f.source, k),
-                    f.mat(k).transpose(), name=f"{f.name}^*")
 
 
 def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
@@ -507,21 +494,3 @@ def _degree_of_space(space: SubquotientSpace, x: CellComplex, degree: int | None
     at = "" if degree is None else f" in degree {degree}"
     raise ValueError(f"class space does not belong to this complex{at}: {space.label}")
 
-
-# ---------------------------------------------------------------------------
-# convenience
-
-def betti_numbers(x: CellComplex) -> list[int]:
-    return [cohomology(x, k).free_rank for k in range(x.top + 1)]
-
-
-def universal_coefficients_consistent(x: CellComplex) -> bool:
-    """Free ranks of H^k and H_k agree; torsion of H^k equals torsion of H_{k-1}."""
-    for k in range(x.top + 1):
-        hk = cohomology(x, k)
-        if hk.free_rank != homology(x, k).free_rank:
-            return False
-        lower = homology(x, k - 1) if k else TRIVIAL
-        if hk.torsion != lower.torsion:
-            return False
-    return True

@@ -3,11 +3,10 @@
 A complex stores ordered cell ids per degree, its coboundary matrices
 ``coboundary(k): C^{k-1} -> C^k`` (row j: the faces of the j-th k-cell by
 index, in index order; ``bmat(k)`` is the transpose) and each cell's faces
-by id in that order. ``build_complex`` and quotients give faces by id; a
-product writes each row by index arithmetic on its factors' rows (Koszul
-signs, ids that are pairs of factor ids), and a subcomplex renumbers its
-parent's rows, which checks closure in the same pass. Chain maps are
-validated to commute with the boundaries.
+by id in that order. ``build_complex`` gives faces by id; a product writes
+each row by index arithmetic on its factors' rows (Koszul signs, ids that
+are pairs of factor ids), and a subcomplex renumbers its parent's rows,
+which checks closure in the same pass.
 
 The cache rule: each object derived from a complex (a subcomplex, a
 product, a class space of ``tdual.cohomology``) is cached exactly once, in
@@ -38,14 +37,6 @@ class NotASubcomplex(ValueError):
     pass
 
 
-class BoundaryNotLabeled(ValueError):
-    pass
-
-
-class LabelMismatch(ValueError):
-    pass
-
-
 class MissingCell(KeyError):
     """An incidence names a missing cell: ``args`` is ``(cell,)``, ``str()`` a sentence."""
 
@@ -64,9 +55,6 @@ class UnknownSpace(KeyError):
         return self.args[0]
 
 
-PT = ("*",)   # basepoint id used by quotient complexes
-
-
 class CellComplex(_Record):
     """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
     coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
@@ -75,8 +63,8 @@ class CellComplex(_Record):
     ``rows`` (degree -> coboundary row dicts, in index order) may replace ``faces``.
 
     A complex built directly trusts its faces: ``build_complex`` checks
-    boundary squared zero where cell data enters, and products, subcomplexes
-    and quotients of a checked complex satisfy it by construction."""
+    boundary squared zero where cell data enters, and products and
+    subcomplexes of a checked complex satisfy it by construction."""
 
     _fields = ("name", "cells", "faces", "product_of")
     __slots__ = (*_fields, "derived", "_index", "_coboundary", "__weakref__")
@@ -142,9 +130,6 @@ class CellComplex(_Record):
             if not square.is_zero():
                 raise ValueError(f"boundary squared nonzero at degree {k} in {self.name}")
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.n_cells(k) for k in self.degrees())
-
     # -- subcomplexes --------------------------------------------------
 
     def check_subcomplex(self, ids) -> frozenset:
@@ -208,33 +193,6 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
 
 
 # ---------------------------------------------------------------------------
-# chain maps
-
-class ChainMap(_Record):
-    """Degree-wise integer matrices commuting with the boundaries; ``mats``
-    maps a degree to its IMat (n_target x n_source)."""
-
-    __slots__ = _fields = ("source", "target", "mats", "name")
-
-    def __init__(self, source: CellComplex, target: CellComplex, mats: dict, name: str = ""):
-        self.source, self.target, self.mats, self.name = source, target, mats, name
-        for k in range(max(self.source.top, self.target.top) + 1):
-            m = self.mat(k)
-            if m.rows != self.target.n_cells(k) or m.cols != self.source.n_cells(k):
-                raise ValueError(f"chain map degree {k} shape mismatch")
-        for k in range(1, self.source.top + 1):
-            lhs = self.target.bmat(k) @ self.mat(k)
-            rhs = self.mat(k - 1) @ self.source.bmat(k)
-            if lhs != rhs:
-                raise ValueError(f"chain map does not commute with boundary at degree {k}")
-
-    def mat(self, k: int) -> IMat:
-        if k in self.mats:
-            return self.mats[k]
-        return IMat(self.target.n_cells(k), self.source.n_cells(k))
-
-
-# ---------------------------------------------------------------------------
 # products
 
 def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> CellComplex:
@@ -286,82 +244,6 @@ def circle_product_ids(ids) -> frozenset:
     """The cells A x S^1 of ``product_with_circle(X)`` for cells A of X."""
     s1 = circle().all_ids()
     return frozenset((c, y) for c in ids for y in s1)
-
-
-# ---------------------------------------------------------------------------
-# quotients (Thom spaces, collapse maps)
-
-def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
-    """X / A: collapse the labeled subcomplex to a basepoint.
-
-    Returns (quotient complex, collapse chain map). Vertices of A map to the
-    basepoint; higher A-cells map to zero; other cells map to themselves with
-    A-terms of their boundaries redirected accordingly.
-    """
-    sub_ids = x.check_subcomplex(sub_ids)
-    cells = {k: [c for c in x.cell_ids(k) if c not in sub_ids] for k in x.degrees()}
-    cells[0].insert(0, PT)
-    vertices = set(x.cell_ids(0))
-    faces = {}
-    for cell in x.faces.keys() - sub_ids:
-        own = faces[cell] = {}
-        for face, coeff in x.faces[cell].items():
-            if face not in sub_ids:
-                own[face] = coeff
-            elif face in vertices:      # a collapsed vertex becomes the basepoint
-                own[PT] = own.get(PT, 0) + coeff
-    q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, faces)
-    return q, ChainMap(x, q, _collapse_mats(x, q), name=f"collapse:{x.name}")
-
-
-def _collapse_mats(x: CellComplex, target: CellComplex) -> dict:
-    """The matrices, by degree, of the collapse x -> target: it sends a cell
-    of the target to itself, any other vertex to the basepoint and every
-    other cell to 0."""
-    mats = {}
-    for k in x.degrees():
-        m = mats[k] = IMat(target.n_cells(k), x.n_cells(k))
-        kept = target._index.get(k, {})
-        for j, cell in enumerate(x.cell_ids(k)):
-            if cell in kept:
-                m[kept[cell], j] = 1
-            elif k == 0:
-                m[target.index(0, PT), j] = 1
-    return mats
-
-
-def thom_space(disc_bundle: CellComplex, sphere_ids):
-    """Collapse the labeled boundary sphere bundle of a disc bundle model.
-
-    ``sphere_ids`` must be a subcomplex of the disc bundle; otherwise
-    BoundaryNotLabeled is raised.
-    """
-    try:
-        ids = disc_bundle.check_subcomplex(sphere_ids)
-    except NotASubcomplex as exc:
-        raise BoundaryNotLabeled(str(exc)) from None
-    return quotient_by_subcomplex(disc_bundle, ids, f"TD({disc_bundle.name})")
-
-
-def collapse_map(btilde: CellComplex, disc_ids, sphere_ids) -> ChainMap:
-    """Collapse everything outside the open disc neighborhood of F.
-
-    ``disc_ids`` labels the closed neighborhood N(F)-model inside ``btilde``
-    and ``sphere_ids`` its boundary sphere bundle. The target of the map is
-    the Thom space of the disc subcomplex. Cells outside the neighborhood
-    whose boundaries meet the open part would make the collapse ill-defined;
-    that situation raises LabelMismatch.
-    """
-    disc_ids = btilde.check_subcomplex(disc_ids)
-    sphere_ids = frozenset(sphere_ids)
-    if not sphere_ids <= disc_ids:
-        raise LabelMismatch("sphere bundle cells must lie inside the disc bundle")
-    disc = btilde.subcomplex(disc_ids, name="D(F)")
-    td, _ = thom_space(disc, sphere_ids)
-    try:
-        return ChainMap(btilde, td, _collapse_mats(btilde, td), name=f"collapse:{btilde.name}->TD")
-    except ValueError as exc:
-        raise LabelMismatch(f"collapse is not cellular with these labels: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -568,15 +568,6 @@ def _visit(roots: Iterable[Expr], enter: Callable[[Expr], bool] = lambda e: True
     return walk
 
 
-def free_symbols(e: Expr) -> set[str]:
-    return {n.name for n in _visit((e,)) if type(n) is Sym}
-
-
-def opaque_functions(e: Expr) -> set[tuple[str, int]]:
-    """The (name, arity) of every opaque application in ``e``."""
-    return {(n.name, len(n.args)) for n in _visit((e,)) if type(n) is App}
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -728,9 +719,6 @@ class SampleSpec:
 
     boxes: dict
     functions: FunctionTable = field(default_factory=FunctionTable)
-
-    def merged(self, other: "SampleSpec") -> "SampleSpec":
-        return SampleSpec({**self.boxes, **other.boxes}, self.functions.merged(other.functions))
 
     def draw(self, rng: random.Random) -> PointAssignment:
         point = {name: column[0] for name, column in _draw_columns(self.boxes, rng, 1).items()}

@@ -166,9 +166,6 @@ class DiffForm:
     def component(self, idx) -> Expr:
         return self.comps.get(tuple(idx), ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def scaled(self, factor: Expr) -> "DiffForm":
         return DiffForm(self.chart, self.degree,
                         {idx: mul(factor, e) for idx, e in self.comps.items()})
@@ -207,15 +204,6 @@ class Diffeo:
     def jacobian(self):
         names = self.chart.names
         return [[differentiate(t, x) for x in names] for t in self.targets]
-
-
-def identity_diffeo(chart: Chart) -> Diffeo:
-    return Diffeo(chart, tuple(sym(n) for n in chart.names))
-
-
-def compose(outer: Diffeo, inner: Diffeo) -> Diffeo:
-    binds = inner.bindings()
-    return Diffeo(inner.chart, tuple(substitute(t, binds) for t in outer.targets))
 
 
 def _det(mat) -> Expr:

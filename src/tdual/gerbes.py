@@ -114,6 +114,12 @@ class CoverNerve(_Record):
     def size(self) -> int:
         return len(self.sets)
 
+    def cochain_size(self, q: int) -> int:
+        """The entries of a cochain of nerve degree q over all cells: C(|P|, q+1)
+        for each cell of each pattern P, counted off the patterns alone."""
+        return sum(comb(len(pattern), q + 1) * len(cells)
+                   for pattern, cells in zip(self._patterns, self._members))
+
     def tuples(self, q: int) -> list:
         """Nonempty sorted tuples of nerve degree q (length q+1), in
         combinations order: the (q+1)-subsets of the patterns."""
@@ -421,13 +427,6 @@ class _Gerbe:
         g = cls.__new__(cls)
         g.cover, g._streams = cover, streams
         return g
-
-    def pair_class(self, i: int, j: int) -> CohClass:
-        """The class of the pair datum on U_ij, sign-adjusted."""
-        layer, model = self.layers[0], self.cover.model((i, j))     # rejects a repeated index
-        vec = getattr(self, layer.attr)[tuple(sorted((i, j)))]
-        return CohClass(cochain_space(model, layer.d),
-                        tuple(_parity((i, j)) * v for v in vec))
 
     def tensor(self, other):
         if self.cover is not other.cover and \

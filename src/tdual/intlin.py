@@ -51,12 +51,6 @@ class IMat:
         return self._snf
 
     @staticmethod
-    def from_rows(data) -> "IMat":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return IMat(rows, cols, data)
-
-    @staticmethod
     def identity(n: int) -> "IMat":
         return IMat.of(n, n, [{i: 1} for i in range(n)])
 
@@ -192,21 +186,18 @@ class SNF(_Record):
     The elimination builds D and logs its row and column operations. U, V^-1
     (``vinv``), and V and U^-1 transposed (``v_t``, ``uinv_t``: row i is column
     i) are each replayed from the log on first read; rows rank.. of ``vinv``
-    are a left inverse of the kernel basis. A record built from its fields
-    has no ``vinv``: reading it raises AttributeError.
+    are a left inverse of the kernel basis. ``smith_normal_form`` builds every
+    record, through ``_logged``.
     """
 
     _fields = ("u", "d", "v_t", "uinv_t", "rank")
     __slots__ = ("d", "rank", "_t", "u_t", "__weakref__")
 
-    def __init__(self, u: IMat, d: IMat, v_t: IMat, uinv_t: IMat, rank: int):
-        self.d, self.rank, self._t = d, rank, {"u": u, "v_t": v_t, "uinv_t": uinv_t}
-        self.u_t = None         # the columns of U as rows, built by the first ``u_times``
-
     @staticmethod
     def _logged(d: IMat, rank: int, row_ops: list, col_ops: list) -> "SNF":
         s = SNF.__new__(SNF)
-        s.d, s.rank, s.u_t = d, rank, None
+        s.d, s.rank = d, rank
+        s.u_t = None            # the columns of U as rows, built by the first ``u_times``
         s._t = {"u": (row_ops, d.rows, False), "uinv_t": (row_ops, d.rows, True),
                 "v_t": (col_ops, d.cols, False), "vinv": (col_ops, d.cols, True)}
         return s
@@ -217,10 +208,8 @@ class SNF(_Record):
         src == dst negates one, any other op adds k * row src to row dst, or,
         for an inverse, -k * row dst to row src. The row log so gives U or
         U^-1 transposed, the column log V transposed or V^-1."""
-        t = self._t.get(name)
-        if t is None:
-            raise AttributeError(name)
-        if isinstance(t, IMat):
+        t = self._t[name]
+        if isinstance(t, IMat):     # replayed by an earlier read
             return t
         ops, n, inverse = t
         rows = [{i: 1} for i in range(n)]

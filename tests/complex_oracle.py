@@ -4,13 +4,17 @@
 coboundary matrices from them. Before that it stored the boundary matrices
 ``bmat(k)`` themselves, and every builder filled them entry by entry through
 per-degree id -> index tables, reading the faces of a cell as a column of
-``bmat(k)`` (``col_items``). ``CellComplex``, ``build_complex``,
-``ChainMap``, ``product_complex`` and ``quotient_by_subcomplex`` below are
-that code, copied without change except that ``to_json`` and
-``euler_characteristic`` are left out; ``IMat`` adds back the
-``col_items`` reader. ``test_complexes.py`` requires the face-table
+``bmat(k)`` (``col_items``). ``CellComplex``, ``build_complex`` and
+``product_complex`` below are that code, copied without change except that
+``to_json`` and ``euler_characteristic`` are left out; ``IMat`` adds back
+the ``col_items`` reader. ``test_complexes.py`` requires the face-table
 builders to give the same cell order and the same ``bmat(k)``, entry for
 entry.
+
+``quotient`` builds X/A and the collapse X -> X/A through whichever
+``build_complex`` ``tdual.complexes`` holds, so it serves both sides of
+that comparison, and it is the collapse route that the cohomology tests
+check the excision route against.
 
 ``face_dict_product`` and ``face_dict_subcomplex`` are the next step: the
 builders that handed ``tdual.complexes.CellComplex`` each cell's faces by
@@ -23,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from tdual import complexes as cx, intlin
-from tdual.complexes import PT, NotASubcomplex
+from tdual.complexes import NotASubcomplex
+
+PT = ("*",)   # the basepoint of a quotient
 
 
 class IMat(intlin.IMat):
@@ -161,35 +167,6 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
 
 
 # ---------------------------------------------------------------------------
-# chain maps
-
-@dataclass
-class ChainMap:
-    """Degree-wise integer matrices commuting with the boundaries."""
-
-    source: CellComplex
-    target: CellComplex
-    mats: dict                                  # degree -> IMat (n_target x n_source)
-    name: str = ""
-
-    def __post_init__(self):
-        for k in range(max(self.source.top, self.target.top) + 1):
-            m = self.mat(k)
-            if m.rows != self.target.n_cells(k) or m.cols != self.source.n_cells(k):
-                raise ValueError(f"chain map degree {k} shape mismatch")
-        for k in range(1, self.source.top + 1):
-            lhs = self.target.bmat(k) @ self.mat(k)
-            rhs = self.mat(k - 1) @ self.source.bmat(k)
-            if lhs != rhs:
-                raise ValueError(f"chain map does not commute with boundary at degree {k}")
-
-    def mat(self, k: int) -> IMat:
-        if k in self.mats:
-            return self.mats[k]
-        return IMat(self.target.n_cells(k), self.source.n_cells(k))
-
-
-# ---------------------------------------------------------------------------
 
 
 def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> CellComplex:
@@ -237,48 +214,36 @@ def product_complex(x: CellComplex, y: CellComplex, name: str | None = None) -> 
     return out
 
 
-def quotient_by_subcomplex(x: CellComplex, sub_ids, name: str | None = None):
-    """X / A: collapse the labeled subcomplex to a basepoint.
+def quotient(x, sub_ids, name: str | None = None) -> tuple:
+    """X/A by ``cx.build_complex``, and the collapse X -> X/A as matrices by
+    degree (n_target x n_source), checked to commute with the boundaries.
 
-    Returns (quotient complex, collapse chain map). Vertices of A map to the
-    basepoint; higher A-cells map to zero; other cells map to themselves with
-    A-terms of their boundaries redirected accordingly.
-    """
+    The basepoint comes first among the vertices. A cell of A maps to the
+    basepoint if it is a vertex and to 0 otherwise; every other cell keeps
+    its id, and so do its faces outside A."""
     sub_ids = x.check_subcomplex(sub_ids)
-    cells = {0: [PT] + [c for c in x.cell_ids(0) if c not in sub_ids]}
+    cells = {k: [c for c in x.cell_ids(k) if c not in sub_ids] for k in x.degrees()}
+    cells[0].insert(0, PT)
+    incidences = {}
     for k in range(1, x.top + 1):
-        kept = [c for c in x.cell_ids(k) if c not in sub_ids]
-        if kept:
-            cells[k] = kept
-    index = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
-    bounds = {}
-    for k in range(1, x.top + 1):
-        if k not in cells:
-            continue
-        mat = IMat(len(cells.get(k - 1, [])), len(cells[k]))
-        faces = x.bmat(k).col_items()
-        lower = x.cell_ids(k - 1)
-        for j, cell in enumerate(cells[k]):
-            for i, coeff in faces[x.index(k, cell)]:
-                low = lower[i]
-                if low in sub_ids:
-                    if k == 1:          # collapsed vertex becomes the basepoint
-                        mat[index[0][PT], j] += coeff
-                    continue
-                mat[index[k - 1][low], j] += coeff
-        bounds[k] = mat
-    q = CellComplex(name or f"{x.name}/{len(sub_ids)}cells", cells, bounds)
-    mats = {}
+        lower, inc = x.cell_ids(k - 1), incidences.setdefault(k, {})
+        for cell, faces in zip(x.cell_ids(k), x.bmat(k).transpose().nz):
+            for i, coeff in faces.items() if cell not in sub_ids else ():
+                face = lower[i] if lower[i] not in sub_ids else PT if k == 1 else None
+                if face is not None:
+                    inc[face, cell] = inc.get((face, cell), 0) + coeff
+    q = cx.build_complex(name or f"{x.name}/{len(sub_ids)}cells", cells, incidences)
+    collapse = {}
     for k in x.degrees():
-        m = IMat(q.n_cells(k), x.n_cells(k))
+        m = collapse[k] = intlin.IMat(q.n_cells(k), x.n_cells(k))
         for j, cell in enumerate(x.cell_ids(k)):
-            if cell in sub_ids:
-                if k == 0:
-                    m[q.index(0, PT), j] = 1
-                continue
-            m[q.index(k, cell), j] = 1
-        mats[k] = m
-    return q, ChainMap(x, q, mats, name=f"collapse:{x.name}")
+            if cell not in sub_ids:
+                m[q.index(k, cell), j] = 1
+            elif k == 0:
+                m[q.index(0, PT), j] = 1
+    for k in range(1, x.top + 1):
+        assert q.bmat(k) @ collapse[k] == collapse[k - 1] @ x.bmat(k), f"degree {k}"
+    return q, collapse
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ row lists before its matrices became sparse, copied without change. The
 sparse code must perform exactly the same elementary operations, so the
 differential tests in ``test_intlin.py`` require all five factors to agree
 entry for entry. ``IMat`` here is the minimal dense matrix that function
-needs: an explicit shape and a list of rows.
+needs: an explicit shape and a list of rows; ``from_rows`` gives the sparse
+``tdual.intlin.IMat`` of such a list, with the shape read off it.
 
 The second half keeps the old solve, kernel and class-coordinate products,
 which read U and V by rows, as the oracle for the sparse products.
@@ -36,6 +37,11 @@ class IMat:
 
     def copy(self) -> "IMat":
         return IMat(self.rows, self.cols, self.data)
+
+
+def from_rows(data) -> intlin.IMat:
+    """The sparse matrix of a list of equal-length rows; no rows give 0 x 0."""
+    return intlin.IMat(len(data), len(data[0]) if data else 0, data)
 
 
 @dataclass

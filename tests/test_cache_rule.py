@@ -32,18 +32,18 @@ def _fresh(tag: int) -> cx.CellComplex:
 
 def _derive_all(f: cx.CellComplex, lived: list) -> list:
     """Every kind of object derived from ``f``: products with each
-    process-lived complex on either side, X x S^1, a subcomplex, a quotient,
-    class spaces, a crossed cover and a disc bundle. Returns the complexes."""
+    process-lived complex on either side, X x S^1, a subcomplex, class
+    spaces, a crossed cover and a disc bundle. Returns the complexes."""
     products = [cx.product_complex(b, f) for b in lived] + [cx.product_complex(f, b) for b in lived]
     assert all(cx.product_complex(b, f) is p for b, p in zip(lived, products))
     xs1, vertices = cx.product_with_circle(f), frozenset(f.cell_ids(0))
-    sub, (quotient, _) = f.subcomplex(vertices), cx.quotient_by_subcomplex(f, vertices)
+    sub = f.subcomplex(vertices)
     cochain_space(f, 1)
     relative_cochain_space(f, vertices, 1)
     assert cohomology(f, 1).free_rank == (f.name == "S1")     # H^1 of L(1,3) is 0
     CoverNerve(f, [f.all_ids(), vertices]).crossed(xs1)
     total = cx.trivial_disc_bundle(f, 4)[0]
-    return [f, xs1, sub, quotient, total, *products]
+    return [f, xs1, sub, total, *products]
 
 
 def test_process_lived_complexes_keep_no_fresh_complex_alive():

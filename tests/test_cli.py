@@ -1,11 +1,13 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -838,6 +840,77 @@ def test_each_gerbes_verdict_fails_on_a_corrupted_gerbe(name, corrupt, failing, 
     assert [line[7:] for line in out.splitlines() if line.startswith("[FAIL] ")] == failing
 
 
+def _without(name, degree):
+    """A ``cohomology`` that answers 0 for H^degree of the complex ``name``."""
+    from tdual.cohomology import TRIVIAL
+    return lambda real: lambda x, k: TRIVIAL if (x.name, k) == (name, degree) else real(x, k)
+
+
+def _doubled(real):
+    return lambda *args: 2 * real(*args)
+
+
+def _doubled_push(real):
+    def push(lam, models):
+        g, pushed = real(lam, models)
+        return g, 2 * pushed
+    return push
+
+
+COHOMOLOGY_VERDICTS = ("H^3(S2xS1) = Z", "H^2(CP2) = Z", "H^2(L(1,3)) = Z/3",
+                       "pair (D3, S2) long exact sequence exact",
+                       "fiber integration inverts cross product")
+SEMIFREE_VERDICTS = ("taub-nut record emits one unit of flux",
+                     "fiber integration returns the bundle class",
+                     "non-separable iff difference in 2*pi*Z",
+                     "monopole class pushes to the H^3 generator")
+
+
+@pytest.mark.parametrize("suite, module, name, corrupt, failing", [
+    ("cohomology", "cohomology", "cohomology", _without("S2xS1", 3), [COHOMOLOGY_VERDICTS[0]]),
+    ("cohomology", "cohomology", "cohomology", _without("CP2", 2), [COHOMOLOGY_VERDICTS[1]]),
+    ("cohomology", "cohomology", "cohomology", _without("L(1,3)", 2), [COHOMOLOGY_VERDICTS[2]]),
+    # every interior node reported inexact
+    ("cohomology", "cohomology", "long_exact_sequence",
+     lambda real: lambda x, a: real(x, a)._replace(nodes=[
+         n if n.exact is None else n._replace(exact=False) for n in real(x, a).nodes]),
+     [COHOMOLOGY_VERDICTS[3]]),
+    ("cohomology", "cohomology", "fiber_integrate", _doubled, [COHOMOLOGY_VERDICTS[4]]),
+    # two units of flux: their fiber integral is twice the bundle class too
+    ("semifree", "semifree", "tdualize",
+     lambda real: lambda rec: real(rec)._replace(flux=2 * real(rec).flux),
+     list(SEMIFREE_VERDICTS[:2])),
+    ("semifree", "cohomology", "fiber_integrate", _doubled, [SEMIFREE_VERDICTS[1]]),
+    # half a period: 1/2 - 0 is a whole number of periods
+    ("semifree", "semifree", "basic_example_spectrum",
+     lambda real: lambda: real()._replace(glued_line_period=Fraction(1, 2)),
+     [SEMIFREE_VERDICTS[2]]),
+    ("semifree", "gerbes", "semifree_class_to_two_gerbe", _doubled_push, [SEMIFREE_VERDICTS[3]]),
+], ids=["H3-S2xS1", "H2-CP2", "H2-L13", "les", "cross", "flux", "round-trip", "spectrum", "push"])
+def test_each_computed_verdict_fails_on_a_corrupted_layer(suite, module, name, corrupt, failing,
+                                                          monkeypatch):
+    layer = importlib.import_module(f"tdual.{module}")
+    monkeypatch.setattr(layer, name, corrupt(getattr(layer, name)))
+    code, out, err = run_cli("verify", suite, "--format", "json")
+    assert (code, err) == (1, "")
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == failing
+    code, out, _ = run_cli("verify", suite)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("[FAIL] ")] == \
+        [f"[FAIL] {name}" for name in failing]
+
+
+def test_the_round_trip_of_tdualize_fails_on_a_corrupted_fiber_integration(monkeypatch):
+    from tdual import cohomology
+    monkeypatch.setattr(cohomology, "fiber_integrate", _doubled(cohomology.fiber_integrate))
+    code, out, err = run_cli("tdualize", "--preset", "kk", "--format", "json")
+    assert (code, err, json.loads(out)["round_trip"]) == (1, "", False)
+    code, out, _ = run_cli("tdualize", "--preset", "kk")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("[FAIL] ")] == \
+        ["[FAIL] fiber integration returns the bundle class"]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["cohomology", "--space", "wedge:100000000", "--degree", "2"],
      "error: builtin space wedge:<k> needs an integer 0 <= k <= 99999, got 'wedge:100000000'\n"),
@@ -849,6 +922,19 @@ def test_each_gerbes_verdict_fails_on_a_corrupted_gerbe(name, corrupt, failing, 
 def test_a_size_past_the_cell_bound_exits_two_at_once(argv, line):
     start = time.perf_counter()
     assert run_cli(*argv) == (2, "", line)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("copies, entries, degree", [(40, 548340, 3), (20, 232560, 5)])
+def test_a_cover_past_the_cell_bound_exits_two_at_once(copies, entries, degree, tmp_path):
+    # each copy holds every cell: one pattern of `copies` indices, on six cells
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps({"space": "S3plus",
+                                "cover": [["v", "u", "a", "f2", "c3", "c3out"]] * copies}))
+    start = time.perf_counter()
+    assert run_cli("dualize-gerbe", "--input", str(path)) == (
+        2, "", f"error: cannot read gerbe: a cover's cochains may have at most {MAX_CELLS} "
+               f"entries in one nerve degree, got {entries} in degree {degree}\n")
     assert time.perf_counter() - start < 1.0
 
 

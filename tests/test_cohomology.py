@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_snf
+from complex_oracle import quotient
+from dense_snf import from_rows
 
 from tdual.cohomology import (
     AbelianGroup, CohClass, DegreeOverflow, GroupHom, NotACocycle, NotAProduct, TRIVIAL, Z,
-    betti_numbers, chain_space, cochain_space, cohomology, connecting_hom, cross_with_z,
-    exact_at, excision_hom, fiber_integrate, homology, long_exact_sequence, pullback_hom,
-    SubquotientSpace, relative_cochain_space, relative_cohomology, relative_inclusion_hom,
-    universal_coefficients_consistent,
+    chain_space, cochain_space, cohomology, connecting_hom, cross_with_z,
+    exact_at, excision_hom, fiber_integrate, homology, long_exact_sequence,
+    SubquotientSpace, relative_cochain_space, relative_inclusion_hom,
 )
 from tdual.complexes import (
-    BUILTIN_NAMES, BoundaryNotLabeled, ChainMap, LabelMismatch, NotASubcomplex,
-    build_complex, builtin_space, circle, collapse_map, cone_on_s2, disc2, lens, point,
-    product_complex, product_with_circle, s3_two_disc, sphere, thom_space,
+    BUILTIN_NAMES, NotASubcomplex,
+    build_complex, builtin_space, circle, cone_on_s2, disc2, lens, point,
+    product_complex, product_with_circle, s3_two_disc, sphere,
     interval, interval_power, interval_power_boundary_ids, trivial_disc_bundle,
     wedge_of_spheres,
 )
@@ -30,6 +31,18 @@ from tdual.gerbes import (CoverNerve, GerbeModels, characteristic_class_two_gerb
                           semifree_class_to_two_gerbe, trivial_bundle_gerbe_models)
 from tdual.intlin import IMat, lattice_equal
 from tdual.semifree import multi_center_homotopy
+
+
+def _betti(x) -> list:
+    return [cohomology(x, k).free_rank for k in range(x.top + 1)]
+
+
+def _universal_coefficients_hold(x) -> bool:
+    """H^k and H_k have one free rank, and H^k the torsion of H_{k-1}; the
+    module's ``homology`` is read at each call, so a patched one is seen."""
+    return all(cohomology(x, k).free_rank == cohomology_module.homology(x, k).free_rank
+               and cohomology(x, k).torsion == cohomology_module.homology(x, k - 1).torsion
+               for k in range(x.top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +134,7 @@ def test_relative_spaces_keep_no_reference_to_their_complex():
     gc.disable()
     try:
         x = _fresh_lens("rel")
-        assert relative_cohomology(x, {"e0", "e1"}, 2) == Z
+        assert relative_cochain_space(x, {"e0", "e1"}, 2).group() == Z
         ref = weakref.ref(x)
         del x
         assert ref() is None
@@ -178,7 +191,7 @@ def test_released_spheres_are_not_retained():
 
 
 def test_betti_numbers_of_circle_product():
-    assert betti_numbers(builtin_space("S2xS1")) == [1, 1, 1, 1]
+    assert _betti(builtin_space("S2xS1")) == [1, 1, 1, 1]
 
 
 def test_cone_is_acyclic():
@@ -191,12 +204,11 @@ def test_cone_is_acyclic():
 def test_negative_degree_is_trivial():
     s2 = sphere(2)
     assert cohomology(s2, -1) == homology(s2, -1) == TRIVIAL
-    assert relative_cohomology(s2, s2.cell_ids(0), -1) == TRIVIAL
 
 
 def test_universal_coefficients_on_all_builtins():
     for name in BUILTIN_NAMES:
-        assert universal_coefficients_consistent(builtin_space(name)), name
+        assert _universal_coefficients_hold(builtin_space(name)), name
 
 
 @pytest.mark.parametrize("wrong", [lambda h: AbelianGroup(h.free_rank + 1, h.torsion),
@@ -205,7 +217,7 @@ def test_universal_coefficients_on_all_builtins():
 def test_universal_coefficients_catch_a_wrong_homology(monkeypatch, wrong):
     real = cohomology_module.homology
     monkeypatch.setattr(cohomology_module, "homology", lambda x, k: wrong(real(x, k)))
-    assert not universal_coefficients_consistent(lens(3))     # H_1 = Z/3 is read
+    assert not _universal_coefficients_hold(lens(3))     # H_1 = Z/3 is read
 
 
 def _s3_cover_models(n: int) -> list:
@@ -228,7 +240,6 @@ def test_boundary_squared_validated_on_products():
         total, sphere_ids, _ = trivial_disc_bundle(sphere(2), k)
         spaces += [total, total.subcomplex(sphere_ids)]
     spaces += [m for n in (2, 3, 6, 12) for m in _s3_cover_models(n)]
-    spaces.append(thom_space(*trivial_disc_bundle(sphere(2), 4)[:2])[0])
     for x in {id(x): x for x in spaces}.values():
         x.validate_square_zero()
 
@@ -237,13 +248,13 @@ def test_boundary_squared_validated_on_products():
 # relative cohomology and pairs
 
 def test_disc_sphere_pair():
-    assert relative_cohomology(cone_on_s2(), {"u", "f2"}, 3) == Z
+    assert relative_cochain_space(cone_on_s2(), {"u", "f2"}, 3).group() == Z
 
 
 def test_pair_with_itself_vanishes():
     cone = cone_on_s2()
     for k in range(4):
-        assert relative_cohomology(cone, cone.all_ids(), k) == TRIVIAL
+        assert relative_cochain_space(cone, cone.all_ids(), k).group() == TRIVIAL
 
 
 def test_sphere_product_pair():
@@ -251,18 +262,18 @@ def test_sphere_product_pair():
     bplus = s3_two_disc()
     xs1 = product_with_circle(bplus)
     outer = {(c, y) for c in ("u", "f2", "c3out") for y in ("a", "e")}
-    assert relative_cohomology(xs1, outer, 4) == Z
+    assert relative_cochain_space(xs1, outer, 4).group() == Z
 
 
 def test_cone_product_pair():
     xs1 = product_with_circle(cone_on_s2())
     complement = {(c, y) for c in ("u", "f2") for y in ("a", "e")}
-    assert relative_cohomology(xs1, complement, 4) == Z
+    assert relative_cochain_space(xs1, complement, 4).group() == Z
 
 
 def test_not_a_subcomplex_rejected():
     with pytest.raises(NotASubcomplex):
-        relative_cohomology(cone_on_s2(), {"c3"}, 3)
+        relative_cochain_space(cone_on_s2(), {"c3"}, 3)
     # validation happens on a cache miss; cached valid sets must not let an
     # invalid one through, and a rejected set is never cached
     cone = cone_on_s2()
@@ -295,14 +306,14 @@ def test_les_empty_subcomplex_recovers_absolute():
     rep = long_exact_sequence(x, frozenset())
     assert rep.all_exact
     for k in range(3):
-        assert relative_cohomology(x, frozenset(), k) == cohomology(x, k)
+        assert relative_cochain_space(x, frozenset(), k).group() == cohomology(x, k)
 
 
 def test_les_cp2_point():
     x = builtin_space("CP2")
     rep = long_exact_sequence(x, {"v"})
     assert rep.all_exact
-    assert relative_cohomology(x, {"v"}, 2) == Z
+    assert relative_cochain_space(x, {"v"}, 2).group() == Z
 
 
 def test_les_cone_product_pair_exact():
@@ -317,8 +328,8 @@ def test_les_lens_pair_is_exact_across_torsion():
     assert rep.all_exact
     assert [n.group for n in rep.nodes if n.label == "H^2(X)"] == [AbelianGroup(0, (3,))]
     j2, d1 = rep.maps[("j", 2)], rep.maps[("d", 1)]
-    assert j2.codomain.relations_lattice() == IMat.from_rows([[3]])
-    assert lattice_equal(j2.kernel_lattice(), IMat.from_rows([[3]]))
+    assert j2.codomain.relations_lattice() == from_rows([[3]])
+    assert lattice_equal(j2.kernel_lattice(), from_rows([[3]]))
     assert not j2.is_iso()          # Z -> Z/3
     assert not d1.is_iso()          # Z -> Z, multiplication by 3
     rel_gen = d1.codomain.generators()[0]
@@ -355,12 +366,13 @@ def test_monopole_isomorphism_chain_rank_one():
 
 def test_point_times_circle_is_circle():
     ps1 = product_with_circle(point())
-    assert betti_numbers(ps1) == betti_numbers(circle())
+    assert _betti(ps1) == _betti(circle())
 
 
 def test_euler_characteristic_vanishes_on_circle_products():
     for name in ("S2", "S3", "CP2", "L1p:3"):
-        assert product_with_circle(builtin_space(name)).euler_characteristic() == 0
+        x = product_with_circle(builtin_space(name))
+        assert sum((-1) ** k * x.n_cells(k) for k in x.degrees()) == 0
 
 
 def test_cross_product_sends_generator_to_generator():
@@ -481,7 +493,7 @@ def test_a_given_degree_must_be_the_degree_of_the_class():
 # thom spaces
 
 def test_trivial_disc_over_point_gives_sphere():
-    td, _ = thom_space(disc2(), {"a", "e"})
+    td, _ = quotient(disc2(), {"a", "e"})
     assert cohomology(td, 0) == Z
     assert cohomology(td, 1) == TRIVIAL
     assert cohomology(td, 2) == Z
@@ -489,7 +501,7 @@ def test_trivial_disc_over_point_gives_sphere():
 
 def test_interval_bundle_over_sphere_shifts_by_one():
     total, sphere_ids, _ = trivial_disc_bundle(sphere(2), 1)
-    td, _ = thom_space(total, sphere_ids)
+    td, _ = quotient(total, sphere_ids)
     assert cohomology(td, 3) == Z
 
 
@@ -505,59 +517,38 @@ def test_interval_power_leaves_shared_instances_alone():
 def test_thom_isomorphism_rank_check(base_name, rank):
     base = builtin_space(base_name)
     total, sphere_ids, _ = trivial_disc_bundle(base, rank)
-    td, _ = thom_space(total, sphere_ids)
+    td, _ = quotient(total, sphere_ids)
     for i in range(base.top + 1):
         assert cohomology(td, i + rank) == cohomology(base, i)
     for i in range(1, rank):
         assert cohomology(td, i) == TRIVIAL
 
 
-def test_unlabeled_boundary_rejected():
-    with pytest.raises(BoundaryNotLabeled):
-        thom_space(disc2(), {"f"})
-
-
 # ---------------------------------------------------------------------------
-# collapse maps
+# the collapse route against the excision route
 
 def test_collapse_diagram_commutes_for_the_monopole():
+    # B+ -> B+/(B+ - open disc) is the collapse onto the Thom space of the
+    # disc {v, u, a, f2, c3} with boundary sphere {u, f2}
     bplus = s3_two_disc()
     b = cone_on_s2()
-    cm = collapse_map(bplus, {"v", "u", "a", "f2", "c3"}, {"u", "f2"})
+    td, collapse = quotient(bplus, {"u", "f2", "c3out"})
     lam = cochain_space(b.subcomplex(frozenset({"u", "f2"})), 2).generators()[0]
     conn = long_exact_sequence(b, {"u", "f2"}).maps[("d", 2)]
     exc = excision_hom(bplus, {"u", "f2", "c3out"}, b, {"u", "f2"}, 3)
     j3 = long_exact_sequence(bplus, {"u", "f2", "c3out"}).maps[("j", 3)]
     via_sequence = j3.apply(exc.preimage(conn.apply(lam)))
-    gen_td = cochain_space(cm.target, 3).generators()[0]
-    via_collapse = pullback_hom(cm, 3).apply(gen_td)
+    gen_td = cochain_space(td, 3).generators()[0]
+    pullback = GroupHom(cochain_space(td, 3), cochain_space(bplus, 3), collapse[3].transpose())
+    via_collapse = pullback.apply(gen_td)
     assert via_collapse == via_sequence
-
-
-def test_collapse_with_full_space_is_identity_like():
-    s2 = sphere(2)
-    cm = collapse_map(s2, s2.all_ids(), frozenset())
-    assert cohomology(cm.target, 2) == Z
-    assert pullback_hom(cm, 2).rank() == 1
 
 
 def test_high_codimension_kills_degree_three():
     for rank in (4, 5):
         total, sphere_ids, _ = trivial_disc_bundle(sphere(2), rank)
-        td, _ = thom_space(total, sphere_ids)
+        td, _ = quotient(total, sphere_ids)
         assert cohomology(td, 3) == TRIVIAL
-
-
-def test_collapse_labels_validated():
-    bplus = s3_two_disc()
-    with pytest.raises(LabelMismatch):
-        collapse_map(bplus, {"u", "f2"}, {"u", "f2", "c3out"})
-
-
-def test_collapse_outside_the_disc_must_be_cellular():
-    # the edge i leaves the disc {p} through the open part at p: no chain map
-    with pytest.raises(LabelMismatch, match="collapse is not cellular with these labels"):
-        collapse_map(interval(), {"p"}, set())
 
 
 def test_excision_needs_every_relative_cell_of_the_small_pair():
@@ -583,9 +574,9 @@ def test_only_a_space_built_directly_proves_the_maps_compose_to_zero(monkeypatch
         relative_cochain_space(x, _skeleton(x, 1), k)
     assert products == []
     with pytest.raises(ValueError) as info:
-        SubquotientSpace(2, IMat.from_rows([[1, 0]]), IMat.from_rows([[1], [1]]))
+        SubquotientSpace(2, from_rows([[1, 0]]), from_rows([[1], [1]]))
     assert str(info.value) == "image does not lie in the kernel" and len(products) == 1
-    assert SubquotientSpace(2, IMat.from_rows([[1, 0]]), IMat.from_rows([[0], [3]])).group() == \
+    assert SubquotientSpace(2, from_rows([[1, 0]]), from_rows([[0], [3]])).group() == \
         AbelianGroup(0, (3,))
 
 
@@ -884,10 +875,10 @@ def test_group_queries_build_no_coordinates(monkeypatch):
     wedge = build_complex("W30", {0: ["v"], 2: [f"s{i}" for i in range(30)]})
     assert [cohomology(lens7, k) for k in range(4)] == [Z, TRIVIAL, AbelianGroup(0, (7,)), Z]
     assert homology(xs1, 1) == AbelianGroup(1, (7,))
-    assert betti_numbers(xs1) == [1, 1, 0, 1, 1]
-    assert universal_coefficients_consistent(xs1)
+    assert _betti(xs1) == [1, 1, 0, 1, 1]
+    assert _universal_coefficients_hold(xs1)
     assert cohomology(wedge, 2) == homology(wedge, 2) == AbelianGroup(30)
-    relative = [relative_cohomology(xs1, _skeleton(xs1, 1), k) for k in range(5)]
+    relative = [relative_cochain_space(xs1, _skeleton(xs1, 1), k).group() for k in range(5)]
     assert multi_center_homotopy(29)[2] == AbelianGroup(28)
     assert built == []
     spaces = [v for x in (lens7, xs1, wedge) for v in x.derived.values()
@@ -1011,7 +1002,7 @@ def test_a_map_off_the_cocycles_raises_when_its_matrix_or_image_is_read():
     point = build_complex("pt", {0: ["p"]})
     edge = build_complex("I", {0: ["a", "b"], 1: ["e"]}, {1: {("a", "e"): -1, ("b", "e"): 1}})
     # the point's generator to the vertex a: delta(a) = -e, no cocycle
-    hom = GroupHom(cochain_space(point, 0), cochain_space(edge, 0), IMat.from_rows([[1], [0]]))
+    hom = GroupHom(cochain_space(point, 0), cochain_space(edge, 0), from_rows([[1], [0]]))
     message = "vector is not a cocycle in H^0(I)"
     with pytest.raises(NotACocycle) as info:
         hom.matrix
@@ -1026,8 +1017,8 @@ def test_a_map_off_the_cocycles_raises_when_its_matrix_or_image_is_read():
 # refusals
 
 def _sphere_identity_hom():
-    s2 = sphere(2)
-    return pullback_hom(ChainMap(s2, s2, {0: IMat.identity(1), 2: IMat.identity(1)}), 2)
+    h2 = cochain_space(sphere(2), 2)
+    return GroupHom(h2, h2, IMat.identity(1))
 
 
 def _lens_class():
@@ -1041,7 +1032,7 @@ def _lens_class():
     (lambda: _sphere_identity_hom().preimage(_lens_class()),
      "class not in the codomain of this map"),
     (lambda: exact_at(_sphere_identity_hom(),
-                      pullback_hom(ChainMap(lens(3), lens(3), {}), 2)),
+                      GroupHom(cochain_space(lens(3), 2), cochain_space(lens(3), 2), IMat(1, 1))),
      "maps do not share the middle space"),
     (lambda: cochain_space(sphere(2), 2).reduce([1, 0]), "vector length mismatch"),
 ], ids=["add", "apply", "preimage", "exact_at", "reduce-length"])

@@ -23,7 +23,7 @@ from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
     add, app, cos_, differentiate, equal_numeric, evaluate,
-    expr_from_json, expr_to_json, free_symbols, mul, opaque_functions, pow_, rat,
+    expr_from_json, expr_to_json, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
 )
 from tdual.geometry import (
@@ -1242,12 +1242,6 @@ def test_json_round_trip():
     assert expr_from_json(expr_to_json(e)) == e
 
 
-def test_free_symbols():
-    e = mul(sym("beta"), pow_(sym("g"), -2), H())
-    assert free_symbols(e) == {"beta", "g", "r"}
-    assert opaque_functions(e) == {("H", 2)}
-
-
 def children_calls(run) -> list:
     """Every node whose children ``run()`` asks the node table for, once per ask."""
     asked = []
@@ -1270,8 +1264,6 @@ def test_scans_visit_each_distinct_node_once():
     fns = FunctionTable([OpaqueFunction("F", 1, {(0,): lambda x: 3 * x}.get)])
     spec = SampleSpec({"x": (1.0, 2.0)}, fns)
     for scan, want in [
-            (lambda: free_symbols(e), {"x"}),
-            (lambda: opaque_functions(e), {("F", 1)}),
             (lambda: expr._check_constants((e,), fns), None),
             (lambda: expr.sampling_failure([e], spec), None),
             # later roots inside an earlier one add nothing to the walk
@@ -1484,7 +1476,7 @@ def test_the_reader_refuses_nesting_past_its_bound():
 def test_unknown_node_is_one_error():
     class Other(Sym):
         pass
-    for walk in (simplify_basic, free_symbols, expr_to_json,
+    for walk in (simplify_basic, expr_to_json,
                  lambda e: evaluate(e, PointAssignment({"x": 1.0, "y": 1.0})),
                  lambda e: differentiate(e, "x"), lambda e: substitute(e, {"x": 1})):
         with pytest.raises(TypeError, match="unknown node Other"):

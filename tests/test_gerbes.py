@@ -131,11 +131,6 @@ def test_a_tuple_of_the_wrong_length_names_its_layer(two_patch_cover, layer, key
     assert err.value.witness == key
 
 
-def test_antisymmetric_access(two_patch_cover):
-    g = monopole_two_gerbe(3)
-    assert g.pair_class(0, 1) == -1 * g.pair_class(1, 0)
-
-
 # ---------------------------------------------------------------------------
 # validity and classes
 
@@ -706,8 +701,9 @@ def test_dual_pair_data_restricts_to_crossed_line_bundle():
     pmx = tg.cover.model((0, 1))
     vec = [0] * pmx.n_cells(3)
     for j, cell in enumerate(pm.cell_ids(2)):
-        vec[pmx.index(3, (cell, "e"))] = g.pair_class(0, 1).vector[j]
-    assert tg.pair_class(0, 1) == CohClass(cochain_space(pmx, 3), tuple(vec))
+        vec[pmx.index(3, (cell, "e"))] = g.p[(0, 1)][j]
+    space = cochain_space(pmx, 3)
+    assert CohClass(space, tuple(tg.a[(0, 1)])) == CohClass(space, tuple(vec))
 
 
 def test_dualization_rejects_invalid_input(six_patch_cover, generator_cocycle):
@@ -796,7 +792,6 @@ def test_no_operator_writes_into_a_gerbe(six_patch_cover, generator_cocycle):
     for view in _layers(g):         # the views are copies: writing into one changes nothing
         for vec in view.values():
             vec[:] = [v + 1 for v in vec]
-    g.pair_class(0, 1), g.pair_class(3, 2)
     characteristic_class_two_gerbe(g)
     assert g._streams == before and other._streams == before_other
     assert [r._report for r in made] == [None] * len(made)
@@ -805,7 +800,7 @@ def test_no_operator_writes_into_a_gerbe(six_patch_cover, generator_cocycle):
     check_three_gerbe(dual)
     made = [dual.tensor(dual), *(gauge_perturb(dual, seed, **support)
                                  for seed, support in enumerate(supports))]
-    _layers(dual), dual.pair_class(5, 0), check_three_gerbe(dual)
+    _layers(dual), check_three_gerbe(dual)
     assert dual._streams == before_dual
     assert [r._report for r in made] == [None] * len(made)
 

@@ -7,9 +7,10 @@ import weakref
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_snf
+from dense_snf import from_rows
 from tdual import intlin
 from tdual.complexes import BUILTIN_NAMES, builtin_space, product_with_circle, s3_two_disc
 from tdual.intlin import (IMat, invariant_factors, kernel_basis, lattice_equal,
@@ -18,8 +19,12 @@ from tdual.intlin import (IMat, invariant_factors, kernel_basis, lattice_equal,
 
 def test_hand_reduced_example():
     # gcd of entries is 2; |det| = |16 - 24| = 8, so the chain is (2, 4)
-    s = smith_normal_form(IMat.from_rows([[2, 4], [6, 8]]))
+    s = smith_normal_form(from_rows([[2, 4], [6, 8]]))
     assert s.diagonal() == [2, 4]
+    # a record: == and repr read the transforms, replayed on first read
+    assert s == smith_normal_form(from_rows([[2, 4], [6, 8]])) != \
+        smith_normal_form(from_rows([[2, 4], [6, 9]]))
+    assert repr(s) == f"SNF(u={s.u!r}, d={s.d!r}, v_t={s.v_t!r}, uinv_t={s.uinv_t!r}, rank=2)"
 
 
 def test_zero_matrix():
@@ -31,7 +36,7 @@ def test_identity_matrix():
 
 
 def test_arbitrary_precision_entries():
-    m = IMat.from_rows([[10 ** 14, 3], [7, 10 ** 17]])
+    m = from_rows([[10 ** 14, 3], [7, 10 ** 17]])
     s = smith_normal_form(m)
     assert (s.u @ m) @ s.v_t.transpose() == s.d
 
@@ -71,8 +76,8 @@ def test_solve_recovers_image_vectors(m, x):
 
 
 def test_solve_detects_unsolvable():
-    assert solve(IMat.from_rows([[2]]), [1]) is None
-    assert solve(IMat.from_rows([[2, 0], [0, 3]]), [1, 1]) is None
+    assert solve(from_rows([[2]]), [1]) is None
+    assert solve(from_rows([[2, 0], [0, 3]]), [1, 1]) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -84,8 +89,8 @@ def test_kernel_basis_annihilates(m):
 
 
 def test_lattice_equality():
-    a = IMat.from_rows([[2, 0], [0, 2]])
-    b = IMat.from_rows([[2, 2], [0, 2]])
+    a = from_rows([[2, 0], [0, 2]])
+    b = from_rows([[2, 2], [0, 2]])
     assert lattice_equal(a, b)
     assert not lattice_equal(a, IMat.identity(2))
     assert solve(IMat.identity(2), [5, -3]) is not None
@@ -116,6 +121,8 @@ def assert_matches_dense_oracle(m: IMat):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices)
+# a column step whose quotient is 0: add_col returns before it logs an op
+@example(IMat(3, 3, [[-3, 2, -3], [1, -3, -4], [-4, -1, -2]]))
 def test_snf_matches_dense_oracle(m):
     assert_matches_dense_oracle(m)
 
@@ -144,12 +151,6 @@ def test_replayed_transforms_invert_each_other(m):
     assert s.v_t.transpose() @ s.vinv == IMat.identity(m.cols)
     assert s.u @ s.uinv_t.transpose() == IMat.identity(m.rows)
     assert s.vinv @ s.v_t.transpose() == IMat.identity(m.cols)
-
-
-def test_a_record_built_from_its_fields_equals_the_factorization_and_has_no_vinv():
-    s = smith_normal_form(IMat.from_rows([[2, 4], [6, 8]]))
-    record = intlin.SNF(s.u, s.d, s.v_t, s.uinv_t, s.rank)
-    assert record == s and not hasattr(record, "vinv")
 
 
 def _boundary_cases():
@@ -208,8 +209,8 @@ def test_solve_columns_solves_each_column(m, data):
 
 def test_unsolvable_right_hand_sides_match_old_products():
     # b = 1 against D = 2; b outside the image of a rank-deficient matrix
-    for m, b in ((IMat.from_rows([[2]]), [1]), (IMat.from_rows([[2, 0], [0, 3]]), [1, 1]),
-                 (IMat.from_rows([[1, 1], [1, 1]]), [1, 0]), (IMat(2, 0), [0, 1])):
+    for m, b in ((from_rows([[2]]), [1]), (from_rows([[2, 0], [0, 3]]), [1, 1]),
+                 (from_rows([[1, 1], [1, 1]]), [1, 0]), (IMat(2, 0), [0, 1])):
         assert solve(m, b) is None
         assert_products_match_oracle(m, [b])
 
@@ -224,7 +225,7 @@ def test_products_on_builtin_boundaries_match_old_products(m):
 def test_dropped_matrix_frees_its_factors():
     # no module-level cache: the U columns that a solve builds live on the
     # SNF, which lives on the matrix
-    m = IMat.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    m = from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     for b in ([2, -6, 10], [1, 0, 0]):
         assert solve(m, b) == dense_snf.solve(m, b)
     s = m.snf()
@@ -295,7 +296,7 @@ DENSE_6X7 = [[5, -2, -5, 3, 8, 2, -9], [-7, 9, 4, -9, -5, 6, 8], [-7, 6, -3, 2, 
 
 def test_invariant_factors_of_a_dense_matrix_stay_fast():
     start = time.perf_counter()
-    factors = invariant_factors(IMat.from_rows(DENSE_6X7))
+    factors = invariant_factors(from_rows(DENSE_6X7))
     assert time.perf_counter() - start < 1.0
     assert factors == [1, 1, 1, 1, 1, 3] == _determinantal_factors(DENSE_6X7, 7)
 
@@ -321,7 +322,7 @@ def test_invariant_factors_of_builtin_boundaries_match_the_snf(m):
 @pytest.mark.parametrize("rows", [[[2, 3], [3, 5]], [[2, 3], [4, 6], [3, 5]]])
 def test_invariant_factors_with_a_unit_minor_and_no_unit_entry(rows):
     # the Smith form taken mod a minor of 1 reads every factor as 1
-    assert invariant_factors(IMat.from_rows(rows)) == [1, 1] == _determinantal_factors(rows, 2)
+    assert invariant_factors(from_rows(rows)) == [1, 1] == _determinantal_factors(rows, 2)
 
 
 @pytest.mark.parametrize("unit", [1, -1])
@@ -331,7 +332,7 @@ def test_unit_pass_pivots_on_units_of_either_sign(monkeypatch, unit):
     # would leave rows for the dense route
     dense = []
     monkeypatch.setattr(intlin, "_dense_factors", lambda rows: dense.append(rows) or [])
-    m = IMat.from_rows([[unit, unit, 0], [unit, 0, 0], [0, unit, unit]])
+    m = from_rows([[unit, unit, 0], [unit, 0, 0], [0, unit, unit]])
     assert invariant_factors(m) == [1, 1, 1] and dense == []
 
 
@@ -340,7 +341,7 @@ def test_the_pivot_search_stops_at_a_unit(monkeypatch):
     # entry is its unit, so the search reads one entry per step; read on to
     # the end of the block, it would read every entry left below
     rng, n = random.Random(17), 7
-    m = IMat.from_rows([[rng.randint(2, 9) for _ in range(i)] + [1] + [0] * (n - 1 - i)
+    m = from_rows([[rng.randint(2, 9) for _ in range(i)] + [1] + [0] * (n - 1 - i)
                         for i in range(n)])
     reads = []
     monkeypatch.setattr(intlin, "abs", lambda x: reads.append(x) or abs(x), raising=False)
@@ -348,13 +349,8 @@ def test_the_pivot_search_stops_at_a_unit(monkeypatch):
     assert reads == [1] * n
 
 
-def test_from_rows_of_no_rows_is_empty():
-    m = IMat.from_rows([])
-    assert (m.rows, m.cols, m.nz) == (0, 0, [])
-
-
 def test_invariant_factors_never_read_a_cached_factorization():
-    m = IMat.from_rows([[2, 4], [6, 8]])
+    m = from_rows([[2, 4], [6, 8]])
     m.snf().d.nz[1][1] = 12           # a stand-in diagonal would show through a side door
     assert invariant_factors(m) == [2, 4]
 
@@ -376,7 +372,7 @@ def test_a_write_drops_the_factor_record():
 
 
 def test_invariant_factors_are_kept_on_the_matrix(monkeypatch):
-    m = IMat.from_rows([[2, 4], [6, 8]])
+    m = from_rows([[2, 4], [6, 8]])
     factors = invariant_factors(m)
     monkeypatch.setattr(intlin, "_dense_factors", lambda rows: pytest.fail("factored twice"))
     assert invariant_factors(m) is factors == [2, 4] and rank_q(m) == 2

@@ -26,3 +26,12 @@ def test_missed_lines_follow_the_branches_a_call_takes():
     dense = "a = [[x % det for x in row] for row in a]"
     path, line = intlin[dense]
     assert path.read_text().splitlines()[line - 1].strip() == dense
+
+
+def test_main_names_each_failed_test_beside_the_count(tmp_path, capsys):
+    tests = tmp_path / "test_two.py"
+    tests.write_text("def test_passes():\n    pass\n\n\ndef test_fails():\n    assert False\n")
+    assert _load_sweep().main(["-q", "-p", "no:cacheprovider", str(tests)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[:-1] == ["FAILED test_two.py::test_fails"]     # ids relative to the rootdir
+    assert err[-1].endswith(" line(s) never ran")

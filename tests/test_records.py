@@ -9,10 +9,9 @@ import pytest
 
 from tdual.cohomology import (AbelianGroup, CohClass, LESNode, LESReport, Z, cochain_space,
                               long_exact_sequence)
-from tdual.complexes import CellComplex, ChainMap, build_complex, cone_on_s2, cp2
+from tdual.complexes import CellComplex, build_complex, cone_on_s2, cp2
 from tdual.gerbes import (CoverNerve, GerbeCondition, GerbeModels, GerbeReport,
                           check_two_gerbe, kk_gerbe_models, monopole_two_gerbe)
-from tdual.intlin import SNF, IMat
 from tdual.semifree import (DyonicReport, ExtensionDescriptor, RegularizedDual, SemifreeSpace,
                             SpectrumModel, StabilizerDatum, TDualRecord, basic_example_spectrum,
                             dyonic_automorphism_check, hausdorff_regularization, kk_record,
@@ -26,10 +25,6 @@ L3 = build_complex("L3", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]}, {2: {("e1
 
 def _circle(name: str) -> CellComplex:
     return build_complex(name, {0: ["v"], 1: ["e"]})
-
-
-def _identity_map(x: CellComplex, name: str) -> ChainMap:
-    return ChainMap(x, x, {k: IMat.identity(x.n_cells(k)) for k in x.degrees()}, name)
 
 
 def _gerbe_models(swap: bool) -> GerbeModels:
@@ -51,11 +46,7 @@ def _dyonic(multiple: int) -> DyonicReport:
 
 # type -> (its fields in order, a builder of a sample from a key; keys 0 and 1 differ)
 RECORDS = {
-    SNF: (("u", "d", "v_t", "uinv_t", "rank"),
-          lambda k: IMat.from_rows([[2, 4], [6, 8 + k]]).snf()),
     CellComplex: (("name", "cells", "faces", "product_of"), lambda k: _circle(f"C{k}")),
-    ChainMap: (("source", "target", "mats", "name"),
-               lambda k: _identity_map(cone_on_s2(), f"id{k}")),
     AbelianGroup: (("free_rank", "torsion"), lambda k: AbelianGroup(k, (2, 4))),
     CohClass: (("space", "vector"),
                lambda k: CohClass(cochain_space(L3, 2), (1 + k,))),
@@ -90,7 +81,7 @@ FROZEN = (AbelianGroup, CohClass, StabilizerDatum)
 
 
 def test_every_record_type_is_checked():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 16
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

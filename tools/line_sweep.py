@@ -4,8 +4,9 @@
 
 runs pytest in this process (the tier-1 suite when no argument is given)
 under ``sys.settrace`` and prints each executable line of ``src/tdual`` that
-never ran, as ``file:line: source``, then the count on stderr. It exits 1
-when pytest fails or a line is missed, else 0. Only frames whose code lives
+never ran, as ``file:line: source``, then on stderr the id of each test
+that failed and the count of lines. It exits 1 when pytest fails or a line
+is missed, else 0. Only frames whose code lives
 in ``src/tdual`` get a line tracer, so the rest of the run pays one call
 event per frame. Code that runs only in a subprocess, such as the
 ``__main__`` guard of ``cli.py``, is never seen, and module-level lines
@@ -64,14 +65,30 @@ def missed_lines(run) -> list:
     return missed
 
 
+class _Failures:
+    """A pytest plugin that keeps the id of each test or collector that fails."""
+
+    def __init__(self):
+        self.ids = {}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids[report.nodeid] = None
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
 def main(argv: list) -> int:
     import pytest
 
-    status = []
+    status, failures = [], _Failures()
     missed = missed_lines(lambda: status.append(pytest.main(
-        argv or ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", str(ROOT)])))
+        argv or ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", str(ROOT)],
+        plugins=[failures])))
     for path, line, source in missed:
         print(f"{path.relative_to(ROOT)}:{line}: {source}")
+    for test in failures.ids:
+        print(f"FAILED {test}", file=sys.stderr)
     print(f"{len(missed)} line(s) never ran", file=sys.stderr)
     return 1 if status[0] or missed else 0
 

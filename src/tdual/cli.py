@@ -263,6 +263,8 @@ def cmd_buscher(args):
         raise InputError(f"{args.verify} verification needs a monopole-shaped metric "
                          "with a radial component")
     try:
+        if args.verify == "dyonic" or dyonic:   # both are written on the single-center H(r, g)
+            m.sample.functions.lookup("H", 2)
         dual = geo.buscher_transform(m)
         if args.verify == "involution":
             verdicts = [_equal(args, "double dual returns the input", geo.buscher_transform(dual),

@@ -356,6 +356,14 @@ def exact_at(f: GroupHom, g: GroupHom) -> bool:
     return lattice_equal(f.image_lattice(), g.kernel_lattice())
 
 
+def _ones(rows: int, cols: int, at) -> IMat:
+    """The rows x cols 0/1 matrix with a 1 at each (row, column) of ``at``."""
+    nz = [{} for _ in range(rows)]
+    for i, j in at:
+        nz[i][j] = 1
+    return IMat.of(rows, cols, nz)
+
+
 def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
                  k: int) -> GroupHom:
     """Restriction H^k(big, big-A) -> H^k(small, small-A) induced by an
@@ -364,13 +372,13 @@ def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
     dom = relative_cochain_space(big, big_a_ids, k)
     cod = relative_cochain_space(small, small_a_ids, k)
     pos = {c: i for i, c in enumerate(_relative_cells(big, big_a_ids, k))}
-    m = IMat(cod.n, dom.n)
-    for j, cell in enumerate(_relative_cells(small, small_a_ids, k)):
+    cells = _relative_cells(small, small_a_ids, k)
+    for cell in cells:
         if cell not in pos:
             raise NotASubcomplex(
                 f"relative cell {cell} of the small pair missing from the big pair")
-        m[j, pos[cell]] = 1
-    return GroupHom(dom, cod, m, name=f"excision^{k}")
+    return GroupHom(dom, cod, _ones(cod.n, dom.n, ((j, pos[c]) for j, c in enumerate(cells))),
+                    name=f"excision^{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +387,16 @@ def excision_hom(big: CellComplex, big_a_ids, small: CellComplex, small_a_ids,
 def _restricted_coboundary(x: CellComplex, k: int, src: list, dst: list) -> IMat:
     """delta_X: C^k -> C^{k+1} with columns the k-cells ``src`` and rows the
     (k+1)-cells ``dst``; coefficients outside these cells are dropped."""
-    pos = {cell: j for j, cell in enumerate(src)}
-    return IMat.of(len(dst), len(src), [{pos[f]: c for f, c in x.faces[up].items() if f in pos}
-                                        for up in dst])
+    pos, cob = {x.index(k, cell): j for j, cell in enumerate(src)}, x.coboundary(k + 1).nz
+    return IMat.of(len(dst), len(src), [
+        {pos[i]: c for i, c in cob[x.index(k + 1, up)].items() if i in pos} for up in dst])
 
 
 def relative_inclusion_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
     """j*: H^k(X, A) -> H^k(X), inclusion of relative cochains."""
     rel = relative_cochain_space(x, a_ids, k)
-    m = IMat(x.n_cells(k), rel.n)
-    for j, cell in enumerate(_relative_cells(x, a_ids, k)):
-        m[x.index(k, cell), j] = 1
-    return GroupHom(rel, cochain_space(x, k), m, f"j*{k}")
+    return GroupHom(rel, cochain_space(x, k), _ones(x.n_cells(k), rel.n, (
+        (x.index(k, cell), j) for j, cell in enumerate(_relative_cells(x, a_ids, k)))), f"j*{k}")
 
 
 def connecting_hom(x: CellComplex, a_ids, k: int) -> GroupHom:
@@ -426,9 +432,8 @@ def long_exact_sequence(x: CellComplex, a_ids) -> LESReport:
     maps = {}
     for k in range(top + 1):
         maps[("j", k)] = relative_inclusion_hom(x, a_ids, k)
-        restrict = IMat(a.n_cells(k), x.n_cells(k))
-        for j, cell in enumerate(a.cell_ids(k)):
-            restrict[j, x.index(k, cell)] = 1
+        restrict = _ones(a.n_cells(k), x.n_cells(k),
+                         ((j, x.index(k, cell)) for j, cell in enumerate(a.cell_ids(k))))
         maps[("i", k)] = GroupHom(cochain_space(x, k), cochain_space(a, k), restrict, f"i*{k}")
         maps[("d", k)] = connecting_hom(x, a_ids, k)
     nodes = []

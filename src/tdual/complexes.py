@@ -1,12 +1,12 @@
 """Finite cell complexes with integer incidences.
 
-A complex stores ordered cell ids per degree, its coboundary matrices
-``coboundary(k): C^{k-1} -> C^k`` (row j: the faces of the j-th k-cell by
-index, in index order; ``bmat(k)`` is the transpose) and each cell's faces
-by id in that order. ``build_complex`` gives faces by id; a product writes
-each row by index arithmetic on its factors' rows (Koszul signs, ids that
-are pairs of factor ids), and a subcomplex renumbers its parent's rows,
-which checks closure in the same pass.
+A complex stores ordered cell ids per degree and, as its one incidence
+store, the rows of its coboundary matrices ``coboundary(k): C^{k-1} -> C^k``
+(row j: the faces of the j-th k-cell by index, in index order; ``bmat(k)``
+is the transpose). ``build_complex`` sorts incidences given by id into
+rows; a product writes each row by index arithmetic on its factors' rows
+(Koszul signs, ids that are pairs of factor ids), and a subcomplex
+renumbers its parent's rows, which checks closure in the same pass.
 
 The cache rule: each object derived from a complex (a subcomplex, a
 product, a class space of ``tdual.cohomology``) is cached exactly once, in
@@ -56,41 +56,35 @@ class UnknownSpace(KeyError):
 
 
 class CellComplex(_Record):
-    """``cells``: degree -> ordered list of ids; ``faces``: cell id -> {face id:
-    coefficient}; ``product_of``: the (X, Y) of a product. ``derived`` caches
-    what the module's cache rule gives it to own: subcomplexes by cell set,
-    products by (id(Y), name) or ("x", id(X), name), class spaces by kind.
-    ``rows`` (degree -> coboundary row dicts, in index order) may replace ``faces``.
+    """``cells``: degree -> ordered list of ids, in ascending degree order;
+    ``rows``: degree -> the rows of ``coboundary(k)``, one {face index:
+    coefficient} dict per k-cell in index order; ``product_of``: the (X, Y)
+    of a product. ``derived`` caches what the module's cache rule gives it
+    to own: subcomplexes by cell set, products by (id(Y), name) or ("x",
+    id(X), name), class spaces by kind.
 
-    A complex built directly trusts its faces: ``build_complex`` checks
+    A complex built directly trusts its rows: ``build_complex`` checks
     boundary squared zero where cell data enters, and products and
     subcomplexes of a checked complex satisfy it by construction."""
 
-    _fields = ("name", "cells", "faces", "product_of")
-    __slots__ = (*_fields, "derived", "_index", "_coboundary", "__weakref__")
+    _fields = ("name", "cells", "rows", "product_of")
+    __slots__ = (*_fields, "derived", "_position", "_coboundary", "__weakref__")
 
-    def __init__(self, name: str, cells: dict, faces: dict | None = None,
-                 product_of: tuple | None = None, rows: dict | None = None):
-        self.name, self.cells, self.faces, self.product_of = name, cells, faces or {}, product_of
-        self.derived, self._coboundary = {}, rows
+    def __init__(self, name: str, cells: dict, rows: dict, product_of: tuple | None = None):
+        self.name, self.cells, self.rows, self.product_of = name, cells, rows, product_of
+        self.derived = {}
         self.__post_init__()        # the entry bench/layers.py traces
 
     def __post_init__(self):
-        """Take each degree's coboundary rows, or index and sort the faces
-        given by id into them, and read every cell's faces by id off its row."""
-        self.cells = {k: list(v) for k, v in self.cells.items() if v}
-        self._index = {k: {c: i for i, c in enumerate(v)} for k, v in self.cells.items()}
-        given, rows, self.faces, self._coboundary = self.faces, self._coboundary, {}, {}
-        for k in sorted(self.cells):
-            lower, lower_ids = self._index.get(k - 1, {}), self.cell_ids(k - 1)
-            krows = rows[k] if rows is not None else [
-                dict(sorted((lower[f], x) for f, x in given[c].items() if x)) if c in given
-                else {} for c in self.cells[k]]
-            for cell, row in zip(self.cells[k], krows):
-                self.faces[cell] = {lower_ids[i]: x for i, x in row.items()} if row else {}
-            self._coboundary[k] = IMat.of(len(krows), len(lower_ids), krows)
-        if len(self.faces) < sum(map(len, self.cells.values())):
+        """Index every cell within its degree, and wrap each degree's rows,
+        without copying them, as its coboundary matrix."""
+        self.cells = {k: list(v) for k, v in sorted(self.cells.items()) if v}
+        self._position = {c: i for v in self.cells.values() for i, c in enumerate(v)}
+        if len(self._position) < sum(map(len, self.cells.values())):
             raise ValueError(f"cell ids of {self.name} are not distinct")
+        self.rows = {k: self.rows[k] for k in self.cells}
+        self._coboundary = {k: IMat.of(len(v), self.n_cells(k - 1), v)
+                            for k, v in self.rows.items()}
 
     @property
     def top(self) -> int:
@@ -106,10 +100,11 @@ class CellComplex(_Record):
         return self.cells.get(k, [])
 
     def all_ids(self) -> set:
-        return set(self.faces)
+        return set(self._position)
 
     def index(self, k: int, cell) -> int:
-        return self._index[k][cell]
+        """The index of the k-cell ``cell`` among the k-cells."""
+        return self._position[cell]
 
     def coboundary(self, k: int) -> IMat:
         """delta: C^{k-1} -> C^k as an n_k x n_{k-1} matrix; row j holds the
@@ -136,14 +131,17 @@ class CellComplex(_Record):
         ids = frozenset(ids)
         if ids in self.derived:     # a cell set was checked when its subcomplex was built
             return ids
-        unknown = ids.difference(self.faces)
+        unknown = ids.difference(self._position)
         if unknown:
             raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {self.name}")
-        for cell, faces in self.faces.items():
-            if cell in ids:
-                for face in faces:
-                    if face not in ids:
-                        raise NotASubcomplex(f"boundary of {cell} leaves the cell set at {face}")
+        for k, v in self.cells.items():
+            lower = self.cells.get(k - 1)
+            for cell, row in zip(v, self.rows[k]):
+                if row and cell in ids:
+                    for i in row:
+                        if lower[i] not in ids:
+                            raise NotASubcomplex(
+                                f"boundary of {cell} leaves the cell set at {lower[i]}")
         return ids
 
     def subcomplex(self, ids, name: str | None = None) -> "CellComplex":
@@ -159,13 +157,13 @@ class CellComplex(_Record):
                 self.check_subcomplex(ids)          # raises, naming the cells not in self
             rows = {}
             for k, at in kept.items():
-                new, cob = {i: j for j, i in enumerate(kept.get(k - 1, ()))}, self._coboundary[k].nz
+                new, cob = {i: j for j, i in enumerate(kept.get(k - 1, ()))}, self.rows[k]
                 try:
                     rows[k] = [{new[f]: x for f, x in cob[i].items()} for i in at]
                 except KeyError:                    # a face left out: the scan names the first
                     self.check_subcomplex(ids)
             sub = self.derived[ids] = CellComplex(name or f"{self.name}|sub", {
-                k: [self.cells[k][i] for i in at] for k, at in kept.items()}, rows=rows)
+                k: [self.cells[k][i] for i in at] for k, at in kept.items()}, rows)
         return sub
 
 
@@ -178,16 +176,20 @@ def build_complex(name: str, cells: dict, incidences: dict | None = None) -> Cel
     the cell, that is missing. A boundary whose square is nonzero raises
     ValueError naming the degree.
     """
-    ids = {k: set(v) for k, v in cells.items()}
-    faces: dict = {}
+    at = {k: {c: i for i, c in enumerate(v)} for k, v in cells.items()}
+    rows = {k: [{} for _ in v] for k, v in cells.items()}
     for k, entries in (incidences or {}).items():
+        found = []
         for (low, up), coeff in entries.items():
             for cell, degree, what in ((low, k - 1, "face"), (up, k, "cell")):
-                if cell not in ids.get(degree, ()):
+                if cell not in at.get(degree, ()):
                     raise MissingCell(cell, f"degree {k} incidence of {low!r} in {up!r}: "
                                             f"there is no {what} {cell!r} of degree {degree}")
-            faces.setdefault(up, {})[low] = coeff
-    x = CellComplex(name, cells, faces)
+            if coeff:
+                found.append((at[k][up], at[k - 1][low], coeff))
+        for i, j, coeff in sorted(found):       # each row in face index order
+            rows[k][i][j] = coeff
+    x = CellComplex(name, cells, rows)
     x.validate_square_zero()
     return x
 
@@ -219,14 +221,14 @@ def _product(x: CellComplex, y: CellComplex, name: str | None) -> CellComplex:
         first[k, da], k_rows = len(cells.setdefault(k, [])), rows.setdefault(k, [])
         # the faces f x b (|f| = da - 1) come first, then a x g, each in index order
         at_fb, at_ag = first.get((k - 1, da - 1), 0), first.get((k - 1, da), 0)
-        for i_a, (a, x_row) in enumerate(zip(x.cells[da], x._coboundary[da].nz)):
-            for i_b, (b, y_row) in enumerate(zip(y.cells[db], y._coboundary[db].nz)):
+        for i_a, (a, x_row) in enumerate(zip(x.cells[da], x.rows[da])):
+            for i_b, (b, y_row) in enumerate(zip(y.cells[db], y.rows[db])):
                 cells[k].append((a, b))
                 row = {at_fb + f * n_b + i_b: c for f, c in x_row.items()} if x_row else {}
                 if y_row:
                     row.update((at_ag + i_a * n_face_b + g, sign * c) for g, c in y_row.items())
                 k_rows.append(row)
-    return CellComplex(name or f"{x.name}x{y.name}", cells, product_of=(x, y), rows=rows)
+    return CellComplex(name or f"{x.name}x{y.name}", cells, rows, product_of=(x, y))
 
 
 def product_with_circle(x: CellComplex) -> CellComplex:
@@ -235,9 +237,9 @@ def product_with_circle(x: CellComplex) -> CellComplex:
 
 
 def _is_circle(y: CellComplex) -> bool:
-    """Whether ``y`` has the circle model's cells and faces: the one test that
-    a product X x Y is X x S^1, for crossing and fiber integration."""
-    return (y.cells, y.faces) == (circle().cells, circle().faces)
+    """Whether ``y`` has the circle model's cells and coboundary rows: the one
+    test that a product X x Y is X x S^1, for crossing and fiber integration."""
+    return (y.cells, y.rows) == (circle().cells, circle().rows)
 
 
 def circle_product_ids(ids) -> frozenset:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property, lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import add, itemgetter, sub
 from typing import NamedTuple
@@ -93,7 +93,8 @@ class CoverNerve(_Record):
     def __post_init__(self, _groups=None):
         self.sets = [frozenset(s) for s in self.sets]
         if _groups is None:
-            held = dict.fromkeys(self.space.faces, ())      # cell -> indices of its sets
+            # cell -> indices of its sets, in space order
+            held = dict.fromkeys(chain.from_iterable(self.space.cells.values()), ())
             for i, s in enumerate(self.sets):
                 for cell in self.space.check_subcomplex(s):
                     held[cell] += (i,)
@@ -195,14 +196,15 @@ class CoverNerve(_Record):
         and the j-th (d-1)-cell of P'."""
         found = self._tables.get(("faces", d))
         if found is None:
-            at, found = self._cells(d - 1)[1], []
-            for pattern, cells in zip(self._patterns, self._cells(d)[0]):
-                blocks = {}
-                for i, cell in enumerate(cells):
-                    for face, x in self.space.faces[cell].items():
-                        blocks.setdefault(at[face][0], []).append((i, at[face][1], x))
-                found.append([(pf, tuple(map(self._patterns[pf].index, pattern)), entries)
-                              for pf, entries in blocks.items()])
+            face_at = list(self._cells(d - 1)[1].values())     # (pattern, position) by index
+            found, patterns = [{} for _ in self._patterns], self._patterns
+            for (p, i), row in zip(self._cells(d)[1].values(), self.space.rows.get(d, ())):
+                for f, x in row.items():
+                    pf, j = face_at[f]
+                    found[p].setdefault(pf, []).append((i, j, x))
+            for p, blocks in enumerate(found):
+                found[p] = [(pf, tuple(map(patterns[pf].index, patterns[p])), entries)
+                            for pf, entries in blocks.items()]
             self._tables[("faces", d)] = found
         return found
 

@@ -17,11 +17,11 @@ class IMat:
 
     Row ``i`` is stored as a ``{column: nonzero entry}`` dict in ``nz[i]``;
     zero entries are never stored, so equality of matrices is equality of
-    their row dicts. Indexing ``m[i, j]`` reads and writes single entries.
+    their row dicts. Indexing ``m[i, j]`` reads single entries.
 
-    ``snf()`` keeps its factorization (``_snf``) and ``invariant_factors`` its
-    factors (``_factors``) on the instance; ``m[i, j] = v`` drops both, and
-    ``nz`` is not changed in place after either.
+    A matrix is never changed after it is built, so ``snf()`` keeps its
+    factorization (``_snf``) and ``invariant_factors`` its factors
+    (``_factors``) on the instance for good.
     """
 
     __slots__ = ("rows", "cols", "nz", "_snf", "_factors", "__weakref__")
@@ -68,23 +68,11 @@ class IMat:
     def copy(self) -> "IMat":
         return IMat.of(self.rows, self.cols, [dict(r) for r in self.nz])
 
-    def _check(self, i: int, j: int):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
-
     def __getitem__(self, ij):
         i, j = ij
-        self._check(i, j)
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
         return self.nz[i].get(j, 0)
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self._check(i, j)
-        self._snf = self._factors = None
-        if v:
-            self.nz[i][j] = v
-        else:
-            self.nz[i].pop(j, None)
 
     def __eq__(self, other):
         return (isinstance(other, IMat) and self.rows == other.rows

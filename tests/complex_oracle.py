@@ -1,14 +1,14 @@
-"""The entry-by-entry complex builders, kept as the oracle for the face table.
+"""The entry-by-entry complex builders, kept as the oracle for the coboundary rows.
 
-``tdual.complexes`` stores each cell's faces by id and derives its
-coboundary matrices from them. Before that it stored the boundary matrices
-``bmat(k)`` themselves, and every builder filled them entry by entry through
-per-degree id -> index tables, reading the faces of a cell as a column of
-``bmat(k)`` (``col_items``). ``CellComplex``, ``build_complex`` and
-``product_complex`` below are that code, copied without change except that
-``to_json`` and ``euler_characteristic`` are left out; ``IMat`` adds back
-the ``col_items`` reader. ``test_complexes.py`` requires the face-table
-builders to give the same cell order and the same ``bmat(k)``, entry for
+``tdual.complexes`` stores each degree's coboundary rows, by index, as its
+one incidence store. Before that it stored the boundary matrices ``bmat(k)``
+themselves, and every builder filled them entry by entry through per-degree
+id -> index tables, reading the faces of a cell as a column of ``bmat(k)``
+(``col_items``). ``CellComplex``, ``build_complex`` and ``product_complex``
+below are that code, copied without change except that ``to_json`` and
+``euler_characteristic`` are left out; ``IMat`` adds back the ``col_items``
+reader and the entry writer. ``test_complexes.py`` requires the row-built
+complexes to give the same cell order and the same ``bmat(k)``, entry for
 entry.
 
 ``quotient`` builds X/A and the collapse X -> X/A through whichever
@@ -18,8 +18,10 @@ check the excision route against.
 
 ``face_dict_product`` and ``face_dict_subcomplex`` are the next step: the
 builders that handed ``tdual.complexes.CellComplex`` each cell's faces by
-id, for it to index and sort, before products and subcomplexes wrote their
-coboundary rows themselves. They are kept as the oracle for those rows.
+id, for it to index and sort (``from_faces`` does that here), before
+products and subcomplexes wrote their coboundary rows themselves. They are
+kept as the oracle for those rows. ``faces`` reads a cell's faces by id off
+its row, and ``closure`` closes a cell set under them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ class IMat(intlin.IMat):
         """Per column, its nonzero ``(row, entry)`` pairs in ascending row order
         (``transpose`` fills every row dict in ascending index order)."""
         return [list(r.items()) for r in self.transpose().nz]
+
+    def __setitem__(self, ij, v):
+        """Write one entry, as the builders fill their matrices."""
+        i, j = ij
+        self[i, j]          # the bounds check of a read
+        if v:
+            self.nz[i][j] = v
+        else:
+            self.nz[i].pop(j, None)
 
 
 @dataclass
@@ -235,25 +246,55 @@ def quotient(x, sub_ids, name: str | None = None) -> tuple:
     q = cx.build_complex(name or f"{x.name}/{len(sub_ids)}cells", cells, incidences)
     collapse = {}
     for k in x.degrees():
-        m = collapse[k] = intlin.IMat(q.n_cells(k), x.n_cells(k))
+        rows = [{} for _ in range(q.n_cells(k))]
         for j, cell in enumerate(x.cell_ids(k)):
             if cell not in sub_ids:
-                m[q.index(k, cell), j] = 1
+                rows[q.index(k, cell)][j] = 1
             elif k == 0:
-                m[q.index(0, PT), j] = 1
+                rows[q.index(0, PT)][j] = 1
+        collapse[k] = intlin.IMat.of(q.n_cells(k), x.n_cells(k), rows)
     for k in range(1, x.top + 1):
         assert q.bmat(k) @ collapse[k] == collapse[k - 1] @ x.bmat(k), f"degree {k}"
     return q, collapse
 
 
 # ---------------------------------------------------------------------------
-# the face-dict builders of ``tdual.complexes``
+# faces by id, and the face-dict builders of ``tdual.complexes``
+
+
+def faces(x: cx.CellComplex, cell) -> dict:
+    """The faces of ``cell`` by id, with their coefficients, in face index
+    order: its coboundary row, read through the ids of the degree below."""
+    k = next(k for k, ids in x.cells.items() if cell in ids)
+    lower = x.cell_ids(k - 1)
+    return {lower[i]: c for i, c in x.coboundary(k).nz[x.index(k, cell)].items()}
+
+
+def closure(x: cx.CellComplex, cells) -> frozenset:
+    """The smallest subcomplex's cell set that holds ``cells``."""
+    out, todo = set(), list(cells)
+    while todo:
+        cell = todo.pop()
+        if cell not in out:
+            out.add(cell)
+            todo.extend(faces(x, cell))
+    return frozenset(out)
+
+
+def from_faces(name: str, cells: dict, by_cell: dict, product_of=None) -> cx.CellComplex:
+    """The complex with each cell's faces by id in ``by_cell``, indexed and
+    sorted into coboundary rows."""
+    cells = {k: list(v) for k, v in cells.items() if v}
+    at = {c: i for v in cells.values() for i, c in enumerate(v)}
+    rows = {k: [dict(sorted((at[f], x) for f, x in by_cell.get(c, {}).items() if x)) for c in v]
+            for k, v in cells.items()}
+    return cx.CellComplex(name, cells, rows, product_of)
 
 
 def face_dict_product(x: cx.CellComplex, y: cx.CellComplex, name: str | None = None):
     """X x Y from each cell's faces by id: d(a x b) = da x b + (-1)^|a| a x db."""
     cells: dict = {}
-    faces: dict = {}
+    by_cell: dict = {}
     for k in range(x.top + y.top + 1):
         cells[k] = []
         for da in range(k + 1):
@@ -261,23 +302,25 @@ def face_dict_product(x: cx.CellComplex, y: cx.CellComplex, name: str | None = N
             for a in x.cell_ids(da):
                 for b in y.cell_ids(k - da):
                     cells[k].append((a, b))
-                    own = faces[(a, b)] = {(f, b): c for f, c in x.faces[a].items()}
-                    own.update(((a, f), sign * c) for f, c in y.faces[b].items())
-    return cx.CellComplex(name or f"{x.name}x{y.name}", cells, faces, product_of=(x, y))
+                    own = by_cell[(a, b)] = {(f, b): c for f, c in faces(x, a).items()}
+                    own.update(((a, f), sign * c) for f, c in faces(y, b).items())
+    return from_faces(name or f"{x.name}x{y.name}", cells, by_cell, product_of=(x, y))
 
 
 def face_dict_subcomplex(x: cx.CellComplex, ids, name: str | None = None):
     """The subcomplex on ``ids`` from its cells' faces by id, after a scan of
-    every face of ``x`` that checks the cells are closed under faces."""
+    every face of ``x``, degree by degree, that checks the cells are closed
+    under faces."""
     ids = frozenset(ids)
-    unknown = ids.difference(x.faces)
+    unknown = ids.difference(x.all_ids())
     if unknown:
         raise NotASubcomplex(f"cells {sorted(map(str, unknown))} not in {x.name}")
-    for cell, faces in x.faces.items():
-        if cell in ids:
-            for face in faces:
-                if face not in ids:
-                    raise NotASubcomplex(f"boundary of {cell} leaves the cell set at {face}")
-    return cx.CellComplex(name or f"{x.name}|sub",
-                          {k: [c for c in v if c in ids] for k, v in x.cells.items()},
-                          {c: x.faces[c] for c in ids})
+    for k in sorted(x.cells):
+        for cell in x.cells[k]:
+            if cell in ids:
+                for face in faces(x, cell):
+                    if face not in ids:
+                        raise NotASubcomplex(f"boundary of {cell} leaves the cell set at {face}")
+    return from_faces(name or f"{x.name}|sub",
+                      {k: [c for c in v if c in ids] for k, v in x.cells.items()},
+                      {c: faces(x, c) for c in ids})

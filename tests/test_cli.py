@@ -708,6 +708,7 @@ def test_record_outside_its_subcomplex_names_the_first_face_in_face_order(tmp_pa
 @pytest.mark.parametrize("argv", [
     ["--preset", "multi2", "--b-field", "dyonic"],
     ["--preset", "multi2", "--b-field", "dyonic", "--verify", "involution"],
+    ["--preset", "multi2", "--b-field", "dyonic", "--verify", "none"],
     ["--preset", "multi3", "--verify", "dyonic"],
 ])
 def test_multi_center_dyonic_is_an_input_error(argv):

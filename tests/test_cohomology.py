@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_snf
-from complex_oracle import quotient
+from complex_oracle import closure, quotient
 from dense_snf import from_rows
 
 from tdual.cohomology import (
@@ -707,22 +707,12 @@ def test_wedge_generators_match_old_products():
 # ---------------------------------------------------------------------------
 # the kernel's left inverse against the solve against the kernel basis
 
-def _closure(x, cells) -> frozenset:
-    out, todo = set(), list(cells)
-    while todo:
-        cell = todo.pop()
-        if cell not in out:
-            out.add(cell)
-            todo.extend(x.faces[cell])
-    return frozenset(out)
-
-
 def _random_cover_models(x, size: int, seed: int) -> list:
     """The intersection models of a cover of x by closures of one or two
     random cells and x itself, as the random-cover gerbe tests draw them."""
     rng = random.Random(seed)
     cells = sorted(x.all_ids(), key=str)
-    sets = [_closure(x, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
+    sets = [closure(x, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
     cover = CoverNerve(x, sets + [frozenset(x.all_ids())])
     return [cover.model(t) for q in range(size) for t in cover.tuples(q)]
 

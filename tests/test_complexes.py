@@ -1,7 +1,7 @@
-"""The face-table builders of ``tdual.complexes`` against the entry-by-entry
+"""The row-built complexes of ``tdual.complexes`` against the entry-by-entry
 builders they replaced (``complex_oracle``): the same cells in the same
-order, the same boundary matrices entry for entry, and every cell's faces in
-the row order of its boundary column."""
+order, the same boundary matrices entry for entry, and every coboundary row
+in the row order of its boundary column."""
 
 import random
 from itertools import combinations
@@ -29,9 +29,7 @@ def assert_same_complex(new, old):
     assert new.cells == old.cells
     for k in range(1, new.top + 2):
         assert new.bmat(k) == old.bmat(k)
-        lower = new.cell_ids(k - 1)
-        assert [list(new.faces[c].items()) for c in new.cell_ids(k)] == \
-            [[(lower[i], x) for i, x in col] for col in old.bmat(k).col_items()]
+        assert [list(row.items()) for row in new.coboundary(k).nz] == old.bmat(k).col_items()
 
 
 def _cover_models():
@@ -84,10 +82,12 @@ def test_face_table_builders_match_the_entry_by_entry_oracle(case, monkeypatch):
 
 def test_faces_are_kept_in_face_index_order():
     x = _triangle()
-    assert x.faces["f"] == {"i": 1, "j": 1, "l": -1}
-    assert list(x.faces["l"].items()) == [("p", -1), ("r", 1)]
-    assert list(x.faces) == ["p", "q", "r", "i", "j", "l", "f"]
-    assert x.coboundary(2).nz == [{0: 1, 1: 1, 2: -1}]
+    assert {k: [list(row.items()) for row in rows] for k, rows in x.rows.items()} == {
+        0: [[], [], []],
+        1: [[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(0, -1), (2, 1)]],
+        2: [[(0, 1), (1, 1), (2, -1)]]}
+    assert list(oracle.faces(x, "l").items()) == [("p", -1), ("r", 1)]
+    assert x.coboundary(2).nz is x.rows[2]
 
 
 @pytest.mark.parametrize("incidences, missing", [
@@ -102,9 +102,11 @@ def test_incidences_outside_the_complex_are_rejected(incidences, missing):
     assert exc.value.args == (missing,)
 
 
-def test_cell_ids_must_be_distinct_across_degrees():
-    with pytest.raises(ValueError, match="not distinct"):
-        cx.build_complex("X", {0: ["v"], 1: ["v"]})
+@pytest.mark.parametrize("cells", [{0: ["v"], 1: ["v"]}, {0: ["v", "v"]}],
+                         ids=["across", "within"])
+def test_cell_ids_must_be_distinct_within_and_across_degrees(cells):
+    with pytest.raises(ValueError, match="cell ids of X are not distinct"):
+        cx.build_complex("X", cells)
 
 
 def test_boundary_squared_nonzero_is_refused_where_cells_enter():
@@ -166,9 +168,9 @@ def test_refusals(call, message):
 
 def assert_same_rows(new, old, same_factors: bool = True):
     assert type(new) is type(old) is cx.CellComplex
-    assert (new.name, new.cells, new._index) == (old.name, old.cells, old._index)
-    assert [(c, list(f.items())) for c, f in new.faces.items()] == \
-        [(c, list(f.items())) for c, f in old.faces.items()]
+    assert (new.name, new.cells) == (old.name, old.cells)
+    assert [(k, [list(row.items()) for row in rows]) for k, rows in new.rows.items()] == \
+        [(k, [list(row.items()) for row in rows]) for k, rows in old.rows.items()]
     for k in range(-1, new.top + 2):
         assert new.coboundary(k) == old.coboundary(k)
         assert all(list(row) == sorted(row) for row in new.coboundary(k).nz)
@@ -216,16 +218,6 @@ def test_disc_bundle_subcomplexes_match_the_face_dict_subcomplexes(k):
     assert cx.product_complex(total.subcomplex(f_ids), cx.circle()).n_cells(3) == 1
 
 
-def _closure(x, cells) -> set:
-    out, todo = set(), list(cells)
-    while todo:
-        cell = todo.pop()
-        if cell not in out:
-            out.add(cell)
-            todo.extend(x.faces[cell])
-    return out
-
-
 def _outcome(build):
     try:
         return build()
@@ -242,7 +234,7 @@ def test_random_subcomplexes_match_the_face_dict_subcomplexes(seed):
         cells = sorted(x.all_ids(), key=str)
         for _ in range(4):
             pick = rng.sample(cells, rng.randint(0, len(cells)))
-            for ids in (_closure(x, pick), set(pick), set(pick) | {("no", "cell")}):
+            for ids in (oracle.closure(x, pick), set(pick), set(pick) | {("no", "cell")}):
                 got = _outcome(lambda: x.subcomplex(ids))
                 want = _outcome(lambda: oracle.face_dict_subcomplex(x, ids))
                 if isinstance(want, str):
@@ -259,7 +251,7 @@ def test_a_cell_set_with_a_built_subcomplex_is_not_scanned_again(monkeypatch):
     reads = []
 
     class Counting(dict):
-        """The face table, noting every read of it."""
+        """The row store, noting every read of it."""
 
         def __iter__(self):
             reads.append("iter")
@@ -269,11 +261,11 @@ def test_a_cell_set_with_a_built_subcomplex_is_not_scanned_again(monkeypatch):
             reads.append("items")
             return super().items()
 
-        def __getitem__(self, cell):
-            reads.append(cell)
-            return super().__getitem__(cell)
+        def __getitem__(self, k):
+            reads.append(k)
+            return super().__getitem__(k)
 
-    monkeypatch.setattr(total, "faces", Counting(total.faces))
+    monkeypatch.setattr(total, "rows", Counting(total.rows))
     assert total.check_subcomplex(set(sphere_ids)) == sphere_ids
     assert reads == []
     # a set whose subcomplex is not built yet is scanned

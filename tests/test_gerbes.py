@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 import gerbe_oracle
+from complex_oracle import closure, faces
 from tdual.cohomology import CohClass, cochain_space, cross_with_z
 from tdual import gerbes
 from tdual.complexes import (build_complex, cone_on_s2, interval_power, product_complex,
@@ -96,7 +97,7 @@ def test_crossing_needs_the_product_with_the_circle(two_patch_cover, build):
 
 
 def test_a_twin_circle_product_crosses_and_dualizes(two_patch_cover, generator_cocycle):
-    # the circle's cells and faces, built again: a product with it is X x S^1
+    # the circle's cells and rows, built again: a product with it is X x S^1
     twin = product_complex(two_patch_cover.space, build_complex("S1", {0: ["a"], 1: ["e"]}))
     crossed = two_patch_cover.crossed(twin)
     assert crossed.space is twin and crossed.tuples(1) == two_patch_cover.tuples(1)
@@ -263,24 +264,14 @@ def test_total_coboundary_matches_the_oracle_on_six_patches(six_patch_cover):
     _assert_total_coboundary_matches_oracle(six_patch_cover, random.Random(6))
 
 
-def _closure(space, cells):
-    out, stack = set(), list(cells)
-    while stack:
-        cell = stack.pop()
-        if cell not in out:
-            out.add(cell)
-            stack.extend(space.faces[cell])
-    return frozenset(out)
-
-
 def _random_cover(space, size, rng):
     """``size`` subcomplexes, each the closure of one or two random cells
     (the last also closes whatever the others miss), with at least three
     distinct sets and at least one empty pair intersection."""
     cells = sorted(space.all_ids(), key=str)
     while True:
-        sets = [_closure(space, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
-        sets.append(_closure(space, space.all_ids().difference(*sets) or rng.sample(cells, 1)))
+        sets = [closure(space, rng.sample(cells, rng.randint(1, 2))) for _ in range(size - 1)]
+        sets.append(closure(space, space.all_ids().difference(*sets) or rng.sample(cells, 1)))
         rng.shuffle(sets)
         cover = CoverNerve(space, sets)
         if len(set(sets)) >= 3 and len(cover.tuples(1)) < comb(size, 2):
@@ -338,9 +329,9 @@ def _cube_cover(size, rng):
     cube = interval_power(3)
     squares = cube.cell_ids(2) + cube.cell_ids(3)
     while True:
-        sets = [_closure(cube, rng.sample(squares, rng.randint(1, 3))) for _ in range(size)]
+        sets = [closure(cube, rng.sample(squares, rng.randint(1, 3))) for _ in range(size)]
         rest = cube.all_ids().difference(*sets) or rng.sample(squares, 1)
-        cover = CoverNerve(cube, sets + [_closure(cube, rest)])
+        cover = CoverNerve(cube, sets + [closure(cube, rest)])
         if len(cover.tuples(1)) < comb(size + 1, 2):
             return cover
 
@@ -442,7 +433,7 @@ def test_each_patch_model_is_the_subcomplex_on_its_set(bplus, generator_cocycle)
     """U_i is the subcomplex on the cells of sets[i]: on a fresh copy of the
     space the patch models are the same objects, with the same names, whether
     two_gerbe_from_class or model builds them first."""
-    incidences = {k: {(f, c): x for c in bplus.cell_ids(k) for f, x in bplus.faces[c].items()}
+    incidences = {k: {(f, c): x for c in bplus.cell_ids(k) for f, x in faces(bplus, c).items()}
                   for k in bplus.degrees()}
     names = []
     for gerbe_first in (True, False):
@@ -895,7 +886,7 @@ def test_the_cube_cover_of_the_three_torus_dualizes_its_generator():
                             **{(f"v{(i + 1) % 4}", f"e{i}"): 1 for i in range(4)}}})
     torus = product_complex(product_complex(c4, c4), c4, name="T3")
     assert sum(map(len, torus.cells.values())) == 512
-    cover = CoverNerve(torus, [_closure(torus, [cube]) for cube in torus.cell_ids(3)])
+    cover = CoverNerve(torus, [closure(torus, [cube]) for cube in torus.cell_ids(3)])
     (gen,) = cochain_space(torus, 3).generators()
     g = two_gerbe_from_class(cover, list(gen.vector), scramble_seed=3)
     rep = check_two_gerbe(g)

@@ -355,22 +355,6 @@ def test_invariant_factors_never_read_a_cached_factorization():
     assert invariant_factors(m) == [2, 4]
 
 
-def test_a_write_drops_the_cached_factorization():
-    m = IMat(2, 2, [[2, 0], [0, 3]])
-    assert m.snf().diagonal() == [1, 6]
-    m[0, 0] = 1
-    assert m.snf().diagonal() == smith_normal_form(m).diagonal() == [1, 3]
-
-
-def test_a_write_drops_the_factor_record():
-    m = IMat(2, 2, [[2, 0], [0, 3]])
-    assert invariant_factors(m) == [1, 6] and rank_q(m) == 2
-    m[0, 0] = 1
-    assert invariant_factors(m) == [1, 3]
-    m[1, 1] = 0
-    assert invariant_factors(m) == [1] and rank_q(m) == 1
-
-
 def test_invariant_factors_are_kept_on_the_matrix(monkeypatch):
     m = from_rows([[2, 4], [6, 8]])
     factors = invariant_factors(m)

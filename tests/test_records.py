@@ -46,7 +46,7 @@ def _dyonic(multiple: int) -> DyonicReport:
 
 # type -> (its fields in order, a builder of a sample from a key; keys 0 and 1 differ)
 RECORDS = {
-    CellComplex: (("name", "cells", "faces", "product_of"), lambda k: _circle(f"C{k}")),
+    CellComplex: (("name", "cells", "rows", "product_of"), lambda k: _circle(f"C{k}")),
     AbelianGroup: (("free_rank", "torsion"), lambda k: AbelianGroup(k, (2, 4))),
     CohClass: (("space", "vector"),
                lambda k: CohClass(cochain_space(L3, 2), (1 + k,))),

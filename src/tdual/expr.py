@@ -481,14 +481,16 @@ _NODES = _ByType({
     Sum: _Node(lambda e: e.terms, lambda e, terms: _sum(terms), _column_sum,
                lambda e, d: _sum(list(map(d, e.terms)))),
     Prod: _Node(lambda e: e.factors, lambda e, factors: _prod(factors), _column_prod,
-                lambda e, d: _sum([_prod(e.factors[:i] + (d(f),) + e.factors[i + 1:])
-                                   for i, f in enumerate(e.factors)])),
+                lambda e, d: _sum([_prod(e.factors[:i] + (df,) + e.factors[i + 1:])
+                                   for i, f in enumerate(e.factors) if (df := d(f)) is not ZERO])),
     Pow: _Node(lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent), _column_pow,
-               lambda e, d: _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), d(e.base)))),
-    SinE: _Node(lambda e: (e.arg,), lambda e, c: _sin(*c),
-                _column_trig, lambda e, d: _prod((_cos(e.arg), d(e.arg)))),
+               lambda e, d: ZERO if (db := d(e.base)) is ZERO
+               else _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), db))),
+    SinE: _Node(lambda e: (e.arg,), lambda e, c: _sin(*c), _column_trig,
+                lambda e, d: ZERO if (da := d(e.arg)) is ZERO else _prod((_cos(e.arg), da))),
     CosE: _Node(lambda e: (e.arg,), lambda e, c: _cos(*c), _column_trig,
-                lambda e, d: _prod((Rat(Fraction(-1)), _sin(e.arg), d(e.arg)))),
+                lambda e, d: ZERO if (da := d(e.arg)) is ZERO
+                else _prod((Rat(Fraction(-1)), _sin(e.arg), da))),
 })
 
 
@@ -515,9 +517,12 @@ class _Walk(dict):
 
 
 def _map(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """``e`` with ``f`` applied to each child, normalising only the new top."""
+    """``e`` with ``f`` applied to each child, normalising only the new top;
+    ``e`` itself if no child changed, which is what a normal ``e`` rebuilds to."""
     node = _NODES[type(e)]
-    return node.rebuild(e, tuple(map(f, node.children(e))))
+    children = node.children(e)
+    mapped = tuple(map(f, children))
+    return e if mapped == children else node.rebuild(e, mapped)
 
 
 def _normalize(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
@@ -544,13 +549,17 @@ def differentiate(e: Expr, x: str) -> Expr:
     """Symbolic partial derivative of a normal tree in coordinate ``x``.
 
     Opaque applications differentiate by the chain rule, bumping the
-    derivative multi-index in each argument slot.
+    derivative multi-index in each argument slot. Every rule builds nothing
+    for a child whose derivative is ZERO: the product it would build is
+    ZERO, which the sum around it drops, so the result is the same node.
     """
     return _Walk(lambda e, d: _NODES[type(e)].derivative(e, d), {Sym(x): ONE})[e]
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of coordinate symbols by normal trees."""
+    """Simultaneous substitution of coordinate symbols by normal trees, in
+    a normal tree. A node none of whose children changes is returned as it
+    is: rebuilding a normal node from its own children gives the node."""
     return _Walk(_map, {Sym(k): _as_expr(v) for k, v in bindings.items()})[e]
 
 

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from numbers import Real
 from typing import Sequence
 
 from .expr import (
@@ -198,6 +199,10 @@ class Diffeo:
     chart: Chart
     targets: tuple
 
+    def __post_init__(self):
+        if len(self.targets) != self.chart.dim:
+            raise ValueError(f"{len(self.targets)} targets for {self.chart.dim} chart coordinates")
+
     def bindings(self) -> dict:
         return {n: t for n, t in zip(self.chart.names, self.targets)}
 
@@ -207,18 +212,23 @@ class Diffeo:
 
 
 def _det(mat) -> Expr:
+    """Leibniz expansion without the permutations that read a ZERO entry:
+    each of their products is ZERO, which the sum drops."""
     n = len(mat)
     terms = []
     for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        term = mul(rat((-1) ** inversions), *[mat[i][perm[i]] for i in range(n)])
-        terms.append(term)
+        entries = [mat[i][perm[i]] for i in range(n)]
+        if ZERO not in entries:
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+            terms.append(mul(rat((-1) ** inversions), *entries))
     return add(*terms)
 
 
 def pullback(m: MetricData, f: Diffeo) -> MetricData:
     """Componentwise pullback of (g, b) along ``f``: one congruence J^T M J
-    for both halves, with each stored entry substituted once."""
+    for both halves, with each stored entry substituted once. A term with a
+    ZERO Jacobian factor is left out: its product is ZERO, which the sum
+    drops, so each component is the same node."""
     if f.chart != m.chart:
         raise ValueError("diffeo and metric charts differ")
     jac = f.jacobian()
@@ -232,7 +242,8 @@ def pullback(m: MetricData, f: Diffeo) -> MetricData:
     for part, off in ((moved.g, 0), (moved.b, 1)):     # b has no diagonal
         # the nonzero entries e_kl, partners included, in row-major (k, l) order
         entries = [(k, l, e) for k in range(n) for l in range(n) if (e := part(k, l)) != ZERO]
-        halves.append({(i, j): add(*[mul(jac[k][i], jac[l][j], e) for k, l, e in entries])
+        halves.append({(i, j): add(*[mul(jac[k][i], jac[l][j], e) for k, l, e in entries
+                                     if jac[k][i] is not ZERO and jac[l][j] is not ZERO])
                        for i in range(n) for j in range(i + off, n)})
     return metric(m.chart, *halves, m.sample)
 
@@ -354,36 +365,45 @@ def _multi_center_table(centers: Sequence[Sequence[float]], preset: str) -> Func
 
     Order-zero and first partial derivatives are analytic; higher orders are
     not registered (the radial model below covers derivative-heavy checks).
+    Each closure measures every center's distance first, so a point on a
+    center is a pole at every order, and then computes only the gradient
+    slot it returns, if any, by the float operations of a full pass.
     """
     weight = 0.5 if preset == "coupling" else 1.0
 
-    def dists_and_grads(r, theta, phi):
-        n, dnt, dnp = _unit_vectors(theta, phi)
-        x = (r * n[0], r * n[1], r * n[2])
+    def separations(r, theta, phi):
+        frame = _unit_vectors(theta, phi)
+        n = frame[0]
+        x0, x1, x2 = r * n[0], r * n[1], r * n[2]
         out = []
-        for c in centers:
-            d = (x[0] - c[0], x[1] - c[1], x[2] - c[2])
+        for c0, c1, c2 in centers:
+            d = (x0 - c0, x1 - c1, x2 - c2)
             dist = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
             if dist == 0.0:
                 raise ZeroDivisionError
-            ddr = (d[0] * n[0] + d[1] * n[1] + d[2] * n[2]) / dist
-            ddt = r * (d[0] * dnt[0] + d[1] * dnt[1] + d[2] * dnt[2]) / dist
-            ddp = r * (d[0] * dnp[0] + d[1] * dnp[1] + d[2] * dnp[2]) / dist
-            out.append((dist, ddr, ddt, ddp))
-        return out
+            out.append((d, dist))
+        return frame, out
 
     def factory(deriv):
         if sum(deriv) > 1:
             return None
+        if not any(deriv):
+            def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
+                seps = separations(r, theta, phi)[1]
+                return (g[0] ** -2 if g else 1.0) + sum(weight / dist for _, dist in seps)
+        elif deriv[3:] == (1,):
+            def fn(r, theta, phi, g):
+                separations(r, theta, phi)
+                return -2.0 * g ** -3
+        else:
+            slot = deriv.index(1)       # d/dr is d.n / dist; d/dtheta and d/dphi carry r
 
-        def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
-            data = dists_and_grads(r, theta, phi)
-            if not any(deriv):
-                return (g[0] ** -2 if g else 1.0) + sum(weight / dist for dist, *_ in data)
-            if deriv[3:] == (1,):
-                return -2.0 * g[0] ** -3
-            slot = deriv.index(1)
-            return sum(-weight * grads[slot] / dist ** 2 for dist, *grads in data)
+            def fn(r, theta, phi, *g):
+                frame, seps = separations(r, theta, phi)
+                v = frame[slot]
+                dots = [(d[0] * v[0] + d[1] * v[1] + d[2] * v[2], dist) for d, dist in seps]
+                return sum(-weight * ((r * dot if slot else dot) / dist) / dist ** 2
+                           for dot, dist in dots)
 
         return fn
 
@@ -514,7 +534,9 @@ class MultiCenterFamily:
     def __init__(self, centers: Sequence[Sequence[float]], preset: str = "coupling"):
         if preset not in ("coupling", "unit"):
             raise ValueError("preset must be 'coupling' or 'unit'")
-        cs = [tuple(float(x) for x in c) for c in centers]
+        if not centers:
+            raise ValueError("a multi-center family needs at least one center")
+        cs = [_center(c) for c in centers]
         if len(set(cs)) != len(cs):
             raise DuplicateCenters(f"{centers}")
         self.centers = cs
@@ -566,6 +588,17 @@ class MultiCenterFamily:
         pulling the radial dual back along it reproduces the dual of the
         radial metric with b-field B_i."""
         return _fiber_shift(self.b_potential(i, tilde), beta)
+
+
+def _center(c) -> tuple:
+    """The center ``c`` as three floats, or ValueError naming it."""
+    try:
+        xs = tuple(float(x) for x in c if isinstance(x, Real) and type(x) is not bool)
+        if len(xs) == len(c) == 3 and all(map(math.isfinite, xs)):
+            return xs
+    except (TypeError, OverflowError):      # not a sized iterable, or an int past the float range
+        pass
+    raise ValueError(f"center {c!r} is not three finite real numbers")
 
 
 # ---------------------------------------------------------------------------

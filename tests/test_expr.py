@@ -121,6 +121,44 @@ def test_linearity_of_differentiation_randomized(spec):
         assert equal_numeric(lhs, rhs, spec, trials=10, tol=1e-9)
 
 
+def _recording(monkeypatch, *names):
+    """A list to which each call of the named normalisers appends (name, *args)."""
+    calls = []
+    for name in names:
+        real = getattr(expr, name)
+        monkeypatch.setattr(expr, name, lambda *args, name=name, real=real:
+                            calls.append((name, *args)) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("tree, products", [
+    (mul(sym("x"), sym("y"), sin_(sym("z"))), 1),
+    (mul(sin_(sym("x")), cos_(sym("y"))), 2),
+    (pow_(add(sym("y"), rat(1)), Fraction(1, 2)), 0),
+    (sin_(sym("y")), 0),
+    (cos_(mul(rat(2), sym("y"))), 0),
+    (mul(pow_(sym("x"), -1), cos_(sym("x")), sym("y")), 4),
+], ids=["prod", "prod-of-trig", "pow", "sin", "cos", "mixed"])
+def test_derivative_rules_build_nothing_for_a_zero_child(monkeypatch, tree, products):
+    """The Prod, Pow, SinE and CosE rules build no product for a child whose
+    derivative is ZERO, and the derivative is the oracle's node."""
+    calls = _recording(monkeypatch, "_prod")
+    got = differentiate(tree, "x")
+    assert got is oracle.differentiate(tree, "x")
+    assert len(calls) == products and not any(expr.ZERO in factors for _, factors in calls)
+
+
+def test_substitute_keeps_every_subtree_without_a_bound_symbol(monkeypatch):
+    tree = make_taub_nut().g(3, 3)      # a normal tree of sums, products, powers, trig and H
+    calls = _recording(monkeypatch, "_sum", "_prod")
+    assert substitute(tree, {"x": rat(2)}) is tree and calls == []
+    # a bound symbol beside its terms: only the sum over them all is built again
+    with_x = add(tree, sym("x"))
+    calls.clear()
+    assert substitute(with_x, {"x": rat(2)}) is oracle.substitute(with_x, {"x": rat(2)})
+    assert [name for name, *_ in calls] == ["_sum"]
+
+
 def _random_expr(rng, depth):
     # polynomial-plus-trig trees: total functions on the sample box
     if depth == 0:

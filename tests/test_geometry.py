@@ -11,6 +11,7 @@ import random
 import re
 import weakref
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +282,41 @@ def test_single_center_derivatives_match_central_differences(axis):
         assert h.closure(deriv)(*point) == pytest.approx(central, rel=1e-7), deriv
 
 
+def _profile_pair(centers, preset):
+    """The package's and the oracle's Hp, and the orders both register:
+    the value and each first derivative."""
+    arity = 4 if preset == "coupling" else 3
+    got = MultiCenterFamily(centers, preset).sample.functions.lookup("Hp", arity)
+    want = geometry_oracle.multi_center_table(centers, preset).lookup("Hp", arity)
+    orders = [(0,) * arity] + [tuple(int(i == s) for i in range(arity)) for s in range(arity)]
+    return got, want, orders
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("preset", ["coupling", "unit"])
+def test_multi_center_profile_is_the_full_pass_bit_for_bit(preset, p):
+    """Each closure, which computes only what it returns, gives the float of
+    the full pass over distances and all gradients, and a point on a center
+    is a pole at every order."""
+    rng = random.Random(p)
+    centers = [tuple(round(rng.uniform(-0.9, 0.9), 3) for _ in range(3)) for _ in range(p)]
+    got, want, orders = _profile_pair(centers, preset)
+    for _ in range(25):
+        point = [rng.uniform(0.05, 4.0), rng.uniform(0.0, 3.2), rng.uniform(0.0, 6.3),
+                 rng.uniform(0.6, 1.1)][:len(orders) - 1]
+        for deriv in orders:
+            a, b = got.closure(deriv)(*point), want.closure(deriv)(*point)
+            assert a.hex() == b.hex(), (deriv, point)
+    # a center placed at a polar point by the same float operations: distance exactly 0
+    r, theta, phi = 0.9, 1.2, 2.5
+    n = geometry_oracle._unit_vectors(theta, phi)[0]
+    got, want, orders = _profile_pair(centers + [(r * n[0], r * n[1], r * n[2])], preset)
+    for deriv in orders:
+        for table in (got, want):
+            with pytest.raises(ZeroDivisionError):
+                table.closure(deriv)(*[r, theta, phi, 0.8][:len(orders) - 1])
+
+
 def test_single_center_mixed_partial_vanishes():
     h = taub_nut_sample_spec().functions.lookup("H", 2)
     assert [h.closure(d)(1.3, 0.8) for d in ((1, 1), (2, 3))] == [0.0, 0.0]
@@ -531,6 +567,17 @@ def _multi_center_cases():
     return cases
 
 
+def _dense_cases():
+    # every target reads every coordinate, so no Jacobian entry is ZERO
+    coords = [sym(n) for n in MONOPOLE_CHART.names]
+    wave = sin_(add(*coords))
+    f = Diffeo(MONOPOLE_CHART, tuple(add(x, mul(rat(1, i + 3), wave)) for i, x in enumerate(coords)))
+    assert ZERO not in [e for row in f.jacobian() for e in row]
+    spec = taub_nut_sample_spec()
+    return [(h_monopole_metric(H, spec), f),
+            (with_b_field(make_taub_nut(), dyonic_b_field(sym("beta"))), f)]
+
+
 def _composition_cases():
     rng, spec, cases = random.Random(11), taub_nut_sample_spec(), []
     m = flat_product_metric(spec)
@@ -563,6 +610,7 @@ PULLBACK_CASES = {
         make_taub_nut(), with_b_field(make_taub_nut(), dyonic_b_field(sym("beta"))))],
     "dyonic": _dyonic_cases,
     "multi-center": _multi_center_cases,
+    "dense-jacobian": _dense_cases,
     "composition": _composition_cases,
     "b-field": _b_field_case,
 }
@@ -601,6 +649,21 @@ def metrics_and_diffeos(draw):
 @given(metrics_and_diffeos())
 def test_pullback_builds_the_oracles_nodes_on_random_metrics(case):
     assert_pullback_is_the_oracles(*case)
+
+
+@pytest.mark.parametrize("shift", [
+    lambda: dyonic_shift(sym("beta")),
+    lambda: MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit").dyonic_shift(1, sym("beta")),
+    lambda: _dense_cases()[0][1],
+], ids=["dyonic", "multi-center", "dense"])
+def test_det_builds_one_term_per_permutation_without_a_zero_entry(monkeypatch, shift):
+    jac = shift().jacobian()
+    n = len(jac)
+    live = [p for p in permutations(range(n)) if all(jac[i][p[i]] is not ZERO for i in range(n))]
+    terms, real_mul = [], geometry.mul
+    monkeypatch.setattr(geometry, "mul", lambda *fs: terms.append(fs) or real_mul(*fs))
+    assert geometry._det(jac) is geometry_oracle.det(jac)
+    assert len(terms) == len(live) and ZERO not in [f for fs in terms for f in fs]
 
 
 def test_pullback_substitutes_each_stored_entry_once(monkeypatch):
@@ -933,9 +996,29 @@ def _unsampled_taub_nut():
      "charts differ"),
     (lambda: conformal_factor(_unsampled_taub_nut(), _unsampled_taub_nut()),
      "no sample spec available"),
+    (lambda: Diffeo(MONOPOLE_CHART, (sym("kappa"), R, THETA)), "3 targets for 4 chart coordinates"),
+    (lambda: Diffeo(MONOPOLE_CHART, (sym("kappa"), R, THETA, sym("phi"), R)),
+     "5 targets for 4 chart coordinates"),
+    (lambda: MultiCenterFamily([]), "a multi-center family needs at least one center"),
+    (lambda: MultiCenterFamily([(0.1, 0.2, 0.3), (1, 2)]),
+     "center (1, 2) is not three finite real numbers"),
+    (lambda: MultiCenterFamily([(0.1, float("nan"), 0.2)]),
+     "center (0.1, nan, 0.2) is not three finite real numbers"),
+    (lambda: MultiCenterFamily([(0.1, 0.2, float("-inf"))], "unit"),
+     "center (0.1, 0.2, -inf) is not three finite real numbers"),
+    (lambda: MultiCenterFamily([(0.1, 0.2, 0.3, 0.4)]),
+     "center (0.1, 0.2, 0.3, 0.4) is not three finite real numbers"),
+    (lambda: MultiCenterFamily([("0.1", "0.2", "0.3")]),
+     "center ('0.1', '0.2', '0.3') is not three finite real numbers"),
+    (lambda: MultiCenterFamily([(True, 0, 0)]), "center (True, 0, 0) is not three finite real numbers"),
+    (lambda: MultiCenterFamily([0.5]), "center 0.5 is not three finite real numbers"),
+    (lambda: MultiCenterFamily([(10 ** 400, 0, 0)]),
+     f"center ({10 ** 400}, 0, 0) is not three finite real numbers"),
 ], ids=["b-diagonal", "form-degree", "form-index", "pullback-chart", "equal-unsampled",
         "zero-coupling", "shift-variant", "b-field-degree", "conformal-chart",
-        "conformal-unsampled"])
+        "conformal-unsampled", "diffeo-3-targets", "diffeo-5-targets", "no-centers",
+        "center-pair", "center-nan", "center-inf", "center-quadruple", "center-text",
+        "center-bool", "center-scalar", "center-past-float"])
 def test_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -20,10 +20,12 @@ by point, as blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
-The JSON codec reads and writes each distinct node of a document once: the
+The JSON codec reads and writes each distinct node of a document once: one
+writer per node kind serves a single tree, whose children are dicts, and a
+metric's node table, whose children are indices of earlier entries. The
 reader is one function with a branch per node kind, which checks each field
-where it reads it. It refuses nesting deeper than ``MAX_DEPTH``, which every
-later walk fits.
+where it reads it, and one for an index. It refuses nesting, or a chain of
+indices, deeper than ``MAX_DEPTH``, which every later walk fits.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -856,34 +858,38 @@ def _expected(kind: type, v) -> TypeError:
     return TypeError(f"expected {kind.__name__}, got {v!r:.40}")
 
 
-# writers by node type: (node, memo) -> its dict, each child's through _dump
+# writers by node type: (node, child -> what the child becomes) -> the node's dict; the
+# single-expression writer puts in each child's dict, a metric document its table index
 _DUMP = _ByType({
-    Rat: lambda e, m: {"k": "rat", "v": [e.value.numerator, e.value.denominator]},
-    Sym: lambda e, m: {"k": "sym", "name": e.name},
-    App: lambda e, m: {"k": "app", "name": e.name, "deriv": list(e.deriv),
-                       "args": list(map(_dump, e.args, repeat(m)))},
-    Sum: lambda e, m: {"k": "sum", "terms": list(map(_dump, e.terms, repeat(m)))},
-    Prod: lambda e, m: {"k": "prod", "factors": list(map(_dump, e.factors, repeat(m)))},
-    Pow: lambda e, m: {"k": "pow", "base": _dump(e.base, m),
+    Rat: lambda e, c: {"k": "rat", "v": [e.value.numerator, e.value.denominator]},
+    Sym: lambda e, c: {"k": "sym", "name": e.name},
+    App: lambda e, c: {"k": "app", "name": e.name, "deriv": list(e.deriv),
+                       "args": list(map(c, e.args))},
+    Sum: lambda e, c: {"k": "sum", "terms": list(map(c, e.terms))},
+    Prod: lambda e, c: {"k": "prod", "factors": list(map(c, e.factors))},
+    Pow: lambda e, c: {"k": "pow", "base": c(e.base),
                        "exp": [e.exponent.numerator, e.exponent.denominator]},
-    SinE: lambda e, m: {"k": "sin", "arg": _dump(e.arg, m)},
-    CosE: lambda e, m: {"k": "cos", "arg": _dump(e.arg, m)},
+    SinE: lambda e, c: {"k": "sin", "arg": c(e.arg)},
+    CosE: lambda e, c: {"k": "cos", "arg": c(e.arg)},
 })
 # node types by JSON kind
 _KINDS = {"rat": Rat, "sym": Sym, "app": App, "sum": Sum, "prod": Prod, "pow": Pow,
           "sin": SinE, "cos": CosE}
 
 
-def _dump(e: Expr, memo: dict) -> dict:
-    if e not in memo:
-        memo[e] = _DUMP[type(e)](e, memo)
-    return memo[e]
-
-
 def _read(obj, memo: dict, depth: int) -> Expr:
     """The node ``obj`` encodes: its fields are checked in JSON order, children
     read at the next depth, and the memo key is ``(type, *fields)``, with a
-    rational as its integer pair as written; a key met before gives its node."""
+    rational as its integer pair as written; a key met before gives its node.
+    An ``int`` is the index of a node table entry read before, which the memo
+    maps to its node and its height."""
+    if type(obj) is int:
+        if obj not in memo:
+            raise ValueError(f"node reference {obj} is to no earlier table entry")
+        node, height = memo[obj]
+        if depth + height > MAX_DEPTH:
+            raise ValueError("input nested too deeply")
+        return node
     if depth > MAX_DEPTH:
         raise ValueError("input nested too deeply")
     depth += 1
@@ -942,14 +948,43 @@ def _read(obj, memo: dict, depth: int) -> Expr:
         raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None
 
 
-def expr_to_json(e: Expr, _memo: dict | None = None) -> dict:
-    """``e`` as JSON: one dict per distinct node, shared where it recurs and by the calls
-    that pass one ``_memo`` (the entries of one document); never mutate the dicts."""
-    return _dump(e, {} if _memo is None else _memo)
+def expr_to_json(e: Expr) -> dict:
+    """``e`` as JSON: one dict per distinct node, shared where it recurs; never mutate
+    the dicts."""
+    dumped = {}
+    for n in _visit([e]):       # each distinct node once, children first
+        dumped[n] = _DUMP[type(n)](n, dumped.__getitem__)
+    return dumped[e]
 
 
 def expr_from_json(obj, _memo: dict | None = None) -> Expr:
     """The raw tree that ``obj`` encodes, each distinct node built once per call or per
-    ``_memo``; ``simplify_basic`` makes it normal. Raises ValueError on an unknown kind,
-    a missing or malformed field, or a node nested deeper than ``MAX_DEPTH``."""
+    ``_memo``, which also holds the node table entries read so far; ``simplify_basic``
+    makes it normal. Raises ValueError on an unknown kind, a missing or malformed field,
+    an index of no earlier entry, or a node nested deeper than ``MAX_DEPTH``."""
     return _read(obj, {} if _memo is None else _memo, 0)
+
+
+def table_to_json(roots: Iterable[Expr]) -> tuple[list, dict]:
+    """The node table of ``roots``: each distinct node's dict once, children first,
+    with each child written as the index of its entry; and each node's index."""
+    order = _visit(roots)
+    index = {e: k for k, e in enumerate(order)}
+    return [_DUMP[type(e)](e, index.__getitem__) for e in order], index
+
+
+def table_from_json(nodes) -> dict:
+    """A node memo for ``expr_from_json`` that holds the node table ``nodes``: index k
+    maps to entry k's node and its height, computed from its children's heights.
+    Raises ValueError on a table that is not a list of node objects, and where
+    ``expr_from_json`` does, at each entry."""
+    if type(nodes) is not list:
+        raise ValueError(f"nodes must be a list, got {nodes!r:.40}")
+    memo = {}
+    height = _Walk(lambda e, child: 1 + max(map(child, _NODES[type(e)].children(e)), default=-1))
+    for k, entry in enumerate(nodes):
+        if type(entry) is not dict:
+            raise ValueError(f"node {k} must be a node object, got {entry!r:.40}")
+        node = _read(entry, memo, 0)
+        memo[k] = node, height[node]
+    return memo

@@ -36,7 +36,7 @@ from .expr import (
     add, app, cos_, differentiate, equal_numeric, evaluate, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
     DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS,
-    expr_from_json, expr_to_json, _Blocks,
+    expr_from_json, table_from_json, table_to_json, _Blocks,
 )
 
 
@@ -96,23 +96,25 @@ class MetricData:
                 yield (i, j), self.g(i, j), self.b(i, j)
 
     def to_json(self) -> dict:
-        dumped = {}     # one dict per distinct node of all the entries
-        return {
-            "chart": {"names": list(self.chart.names),
-                      "periodic": list(self.chart.periodic)},
-            "g": [[i, j, expr_to_json(e, dumped)] for (i, j), e in sorted(self.g_upper.items())],
-            "b": [[i, j, expr_to_json(e, dumped)] for (i, j), e in sorted(self.b_upper.items())],
-        }
+        """The metric as a node table, each distinct node of all the entries
+        once (``table_to_json``); a ``g`` or ``b`` entry is ``[i, j, index]``."""
+        g, b = sorted(self.g_upper.items()), sorted(self.b_upper.items())
+        nodes, index = table_to_json([e for _, e in g + b])
+        return {"chart": {"names": list(self.chart.names), "periodic": list(self.chart.periodic)},
+                "nodes": nodes, "g": [[i, j, index[e]] for (i, j), e in g],
+                "b": [[i, j, index[e]] for (i, j), e in b]}
 
     @staticmethod
     def from_json(obj: dict, sample: SampleSpec | None = None) -> "MetricData":
+        """The metric of a node table, or of a document that writes each entry
+        as a whole tree (one without ``nodes``), normalised by upper triangle."""
         fields = obj["chart"]
         for key, kind in (("names", str), ("periodic", bool)):
             v = fields[key]
             if type(v) is not list or not all(type(x) is kind for x in v):
                 raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
         chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
-        read = {}       # one node memo for all the entries
+        read = table_from_json(obj.get("nodes", []))    # one node memo for all the entries
         g = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["g"]}
         b = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["b"]}
         m = metric(chart, g, b, sample)

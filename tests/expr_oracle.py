@@ -22,6 +22,9 @@ per use; the package walks each distinct node once.
 the package walks all the roots once and judges each root by the nodes it
 reaches first.
 
+``inline_document`` turns a metric's node table back into the document
+that wrote each entry as a whole tree, which is what the package wrote before.
+
 ``checked_expr_from_json`` is the reader that checked each field's type and
 built every occurrence of a node again, through one loop over a node's
 (JSON key, load) fields. The package's reader keeps one node memo per
@@ -439,6 +442,27 @@ def expr_from_json(obj):
     if k == "cos":
         return CosE(expr_from_json(obj["arg"]))
     raise ValueError(f"unknown expression kind {k!r}")
+
+
+# the field of each node kind that holds its children
+CHILD_FIELDS = {"app": "args", "sum": "terms", "prod": "factors", "pow": "base", "sin": "arg",
+                "cos": "arg"}
+
+
+def inline_document(doc):
+    """A metric's node table document with each reference replaced by the
+    tree of the entry it names: the document as written before node tables,
+    with each entry's whole tree at every occurrence."""
+    trees = []
+    for entry in doc["nodes"]:
+        tree = dict(entry)
+        field = CHILD_FIELDS.get(entry["k"])
+        if field is not None:
+            ref = entry[field]
+            tree[field] = [trees[i] for i in ref] if isinstance(ref, list) else trees[ref]
+        trees.append(tree)
+    return {"chart": doc["chart"],
+            **{part: [[i, j, trees[k]] for i, j, k in doc[part]] for part in ("g", "b")}}
 
 
 def nodes(e):

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -120,8 +121,8 @@ def _coupling_metric_json(terms: int = 25, seed: int = 25):
     (["--preset", "taub-nut", "--verify", "involution"], "buscher_taub_nut_involution.json"),
     (["--b-field", "dyonic", "--verify", "dyonic", "--seed", "7"], "buscher_dyonic_seed7.json"),
     (["--input", "coupling25.json"], "buscher_coupling25.json"),
-    # the profile H is written out again in every entry: the reader, the
-    # normal form and the double dual on one metric of many shared subtrees
+    # the profile H is one node table entry that every entry refers to: the
+    # reader, the normal form and the double dual on many shared subtrees
     (["--input", "coupling100.json", "--verify", "involution"],
      "buscher_coupling100_involution.json"),
 ])
@@ -134,6 +135,29 @@ def test_buscher_json_matches_golden(argv, expected, tmp_path, monkeypatch):
     code, out, _ = run_cli("buscher", *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize("name", ["buscher_taub_nut_involution.json", "buscher_dyonic_seed7.json",
+                                  "buscher_coupling25.json", "buscher_coupling100_involution.json"])
+def test_legacy_and_table_duals_read_to_the_same_nodes(name, tmp_path):
+    # golden/legacy holds the same output from before the dual was written
+    # as a node table: each entry's whole tree, at every occurrence
+    import expr_oracle
+    from tdual.geometry import MetricData, taub_nut_sample_spec
+    legacy = json.loads((GOLDEN / "legacy" / name).read_text())
+    table = json.loads((GOLDEN / name).read_text())
+    assert {**table, "dual": expr_oracle.inline_document(table["dual"])} == legacy
+    old, new = (MetricData.from_json(doc["dual"], taub_nut_sample_spec()) for doc in (legacy, table))
+    assert old.chart == new.chart
+    for part in ("g_upper", "b_upper"):
+        a, b = getattr(old, part), getattr(new, part)
+        assert a.keys() == b.keys() and all(a[key] is b[key] for key in a)
+    # each form reads back through the command line
+    for form, doc in (("legacy", legacy), ("table", table)):
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps(doc["dual"]))
+        code, out, err = run_cli("buscher", "--input", str(path), "--verify", "involution")
+        assert (code, err) == (0, "") and "[PASS] double dual returns the input" in out
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -345,6 +369,81 @@ def test_a_metric_nested_past_the_reader_bound_exits_two(tmp_path):
     code, out, err = run_cli("buscher", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: cannot read metric from {path}: input nested too deeply\n"
+
+
+def _g00(obj, *entries):
+    """``obj`` with ``entries`` appended to its node table and g00 the last of them."""
+    obj["nodes"].extend(entries)
+    return _replace_entry(obj, 0, 0, len(obj["nodes"]) - 1)
+
+
+def _sin_table(obj, past=0):
+    """``obj`` with a chain sin(sin(...(r))), ``past`` levels deeper than the
+    reader bound, appended to its node table; g00 is its top."""
+    from tdual.expr import MAX_DEPTH
+    n = len(obj["nodes"])
+    return _g00(obj, R_JSON, *[{"k": "sin", "arg": n + i} for i in range(MAX_DEPTH + past)])
+
+
+def _inline(obj):
+    import expr_oracle
+    return expr_oracle.inline_document(obj)
+
+
+MALFORMED_TABLES = [
+    # a reference to a later entry, to its own entry, out of range or negative
+    (lambda o, n: _g00(o, {"k": "sin", "arg": n + 1}, R_JSON), "reference {n1} is to no earlier"),
+    (lambda o, n: _g00(o, {"k": "cos", "arg": n}), "reference {n} is to no earlier"),
+    (lambda o, n: _replace_entry(o, 0, 0, n + 5), "reference {n5} is to no earlier"),
+    (lambda o, n: _replace_entry(o, 0, 0, -1), "reference -1 is to no earlier"),
+    (lambda o, n: _g00(o, {"k": "sum", "terms": [0, -1]}), "reference -1 is to no earlier"),
+    # a bool, a float or a string where a reference goes
+    (lambda o, n: _replace_entry(o, 0, 0, True), "malformed expression node True"),
+    (lambda o, n: _g00(o, {"k": "pow", "base": False, "exp": [1, 1]}),
+     "malformed expression node False"),
+    (lambda o, n: _g00(o, {"k": "prod", "factors": [0, 1.0]}), "malformed expression node 1.0"),
+    (lambda o, n: _g00(o, {"k": "app", "name": "H", "deriv": [0, 0], "args": ["0", 1]}),
+     "malformed expression node '0'"),
+    # a table that is not a list, or an entry that is not a node object
+    (lambda o, n: dict(o, nodes={"0": R_JSON}), "nodes must be a list, got {{'0'"),
+    (lambda o, n: _g00(o, 3), "node {n} must be a node object, got 3"),
+    (lambda o, n: _g00(o, [R_JSON]), "node {n} must be a node object, got [{{"),
+    # a reference in a document without a table
+    (lambda o, n: _replace_entry(_inline(o), 0, 0, 2), "reference 2 is to no earlier"),
+    (lambda o, n: _replace_entry(_inline(o), 0, 0, {"k": "sin", "arg": 0}),
+     "reference 0 is to no earlier"),
+    # a chain of references deeper than the reader bound, in the table or below an entry
+    (lambda o, n: _sin_table(o, 1), "input nested too deeply"),
+    (lambda o, n: _replace_entry(_sin_table(o), 0, 0, {"k": "sin", "arg": len(o["nodes"]) - 1}),
+     "input nested too deeply"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_TABLES)
+def test_a_malformed_node_table_is_refused(edit, message, tmp_path):
+    from tdual.geometry import MetricData, make_taub_nut, taub_nut_sample_spec
+    obj = make_taub_nut().to_json()
+    n = len(obj["nodes"])
+    obj = edit(obj, n)
+    message = message.format(n=n, n1=n + 1, n5=n + 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MetricData.from_json(json.loads(json.dumps(obj)), taub_nut_sample_spec())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("buscher", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read metric from {path}: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_a_reference_chain_at_the_reader_bound_dualizes(tmp_path):
+    from tdual.geometry import make_taub_nut
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_sin_table(make_taub_nut().to_json())))
+    code, out, err = run_cli("buscher", "--input", str(path), "--verify", "involution",
+                             "--format", "json")
+    assert code in (0, 1) and err == ""
+    assert [c["passed"] for c in json.loads(out)["checks"]] == [code == 0]
 
 
 @pytest.mark.parametrize("source", [("--preset", "taub-nut"), ("--preset", "multi3"),

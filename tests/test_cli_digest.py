@@ -2,6 +2,8 @@
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _DIGEST_PY = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
@@ -32,3 +34,12 @@ def test_the_input_directory_is_one_placeholder_in_the_argv_and_the_streams(tmp_
     assert (code, out, argv) == (2, "", "classify --input <inputs>/record.json")
     assert err.startswith("error: ") and "<inputs>/record.json" in err
     assert str(tmp_path) not in err
+
+
+def test_the_seed_1_digest_is_the_committed_one():
+    # stdout, stderr and exit code of every cli benchmark argv stay byte-identical;
+    # a change that means to alter them regenerates the file and says so
+    proc = subprocess.run([sys.executable, str(_DIGEST_PY), "--seed", "1"],
+                          capture_output=True, text=True, check=True)
+    golden = _DIGEST_PY.parent.parent / "tests" / "golden" / "cli_digest_seed1.txt"
+    assert proc.stdout == golden.read_text()

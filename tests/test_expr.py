@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import expr_oracle as oracle
-from tdual import expr
+from tdual import expr, geometry
 from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
@@ -27,7 +27,7 @@ from tdual.expr import (
     simplify_basic, sin_, substitute, sym,
 )
 from tdual.geometry import (
-    buscher_transform, h_monopole_metric, make_taub_nut, taub_nut_sample_spec,
+    MetricData, buscher_transform, h_monopole_metric, make_taub_nut, taub_nut_sample_spec,
 )
 
 
@@ -1120,29 +1120,35 @@ def coupling_metric(terms: int, seed: int = 1):
 
 
 def test_shared_entries_normalize_once_per_distinct_node():
-    # the five g entries of a 100-term coupling metric, as a JSON reader sees
-    # them: the profile H is written out again in each
+    # the five g entries of a 100-term coupling metric, read from its node
+    # table, which writes the profile H once for all of them
     obj = json.loads(json.dumps(coupling_metric(100).to_json()))
-    raw = [expr_from_json(e) for _, _, e in obj["g"]]
+    raw = [oracle.expr_from_json(e) for _, _, e in oracle.inline_document(obj)["g"]]
     assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160
-    assert len({n for e in raw for n in oracle.nodes(e)}) == 125
+    assert len({n for e in raw for n in oracle.nodes(e)}) == 125 == len(obj["nodes"])
     out = []
     # a walk of every occurrence asked for 1939 constructions
     assert constructions(lambda: out.extend(map(simplify_basic, raw))) <= 400
     assert out == [oracle.simplify_basic(e) for e in raw]
 
 
-def test_a_document_reader_builds_each_distinct_node_once():
+def test_a_document_reader_builds_each_distinct_node_once(monkeypatch):
     obj = json.loads(json.dumps(coupling_metric(100).to_json()))
-    entries = [e for _, _, e in obj["g"]]
+    inline = oracle.inline_document(obj)
+    entries = [e for _, _, e in inline["g"]]
     assert len(entries) == 5 and obj["b"] == []
     raw = [oracle.checked_expr_from_json(e) for e in entries]
     distinct = {n for e in raw for n in oracle.nodes(e)}
-    assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160 and len(distinct) == 125
-    memo, out = {}, []
-    assert constructions(lambda: out.extend(expr_from_json(e, memo) for e in entries)) == 125
-    assert out == raw
-    # one memo per call builds H's tree again in each entry, and the
+    assert sum(1 for e in raw for _ in oracle.nodes(e)) == 2160
+    assert len(distinct) == 125 == len(obj["nodes"])
+    # without the normal form, reading the table asks for one construction per
+    # entry, as reading the inline document through one memo does
+    monkeypatch.setattr(geometry, "simplify_basic", lambda e: e)
+    for doc in (obj, inline):
+        read = []
+        assert constructions(lambda: read.append(MetricData.from_json(doc))) == 125
+        assert [read[0].g_upper[(i, j)] for i, j, _ in doc["g"]] == raw
+    # one memo per entry builds H's tree again in each entry, and the
     # per-occurrence reader builds every occurrence
     each = sum(len(set(oracle.nodes(e))) for e in raw)
     assert constructions(lambda: [expr_from_json(e) for e in entries]) == each == 570
@@ -1191,15 +1197,15 @@ def test_a_document_writer_dumps_each_distinct_node_once():
     m = coupling_metric(100)
     entries = [*m.g_upper.values(), *m.b_upper.values()]
     dumped = []
-    table = {cls: lambda e, memo, dump=dump: dumped.append(e) or dump(e, memo)
+    table = {cls: lambda e, child, dump=dump: dumped.append(e) or dump(e, child)
              for cls, dump in expr._DUMP.items()}
     with mock.patch.dict(expr._DUMP, table):
         obj = m.to_json()
-    assert len(dumped) == len(set(dumped))
+    assert len(dumped) == len(set(dumped)) == len(obj["nodes"]) == 125
     assert set(dumped) == {n for e in entries for n in oracle.nodes(e)}
-    # H's dict is one object wherever H occurs
+    # H is one entry, which each of its occurrences refers to
     h = m.g_upper[(1, 1)]
-    found = [d for d in walk_dicts(obj) if d == expr_to_json(h)]
+    found = [d for d in walk_dicts(oracle.inline_document(obj)) if d == expr_to_json(h)]
     assert len(found) == sum(n is h for e in entries for n in oracle.nodes(e)) > 5
     assert len({id(d) for d in found}) == 1
 

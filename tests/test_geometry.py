@@ -21,7 +21,7 @@ import geometry_oracle
 from tdual import geometry
 from tdual.expr import (ZERO, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
                         PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
-                        equal_numeric, evaluate, expr_from_json, mul, pow_, rat, sin_, substitute,
+                        equal_numeric, evaluate, mul, pow_, rat, sin_, substitute,
                         sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
@@ -933,25 +933,31 @@ DOCUMENTS = {
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_metric_json_is_the_per_entry_codec_with_one_memo(name, dual):
+    # the node table is the document that writes each entry alone, with each
+    # node written once and met again by its index; both read to the same nodes
     m = DOCUMENTS[name]()
     m = buscher_transform(m) if dual else m
     obj = m.to_json()
     text = json.dumps(obj)
-    per_entry = {"chart": obj["chart"], **{part: [[i, j, oracle.expr_to_json(e)] for (i, j), e in
-                                                  sorted(getattr(m, f"{part}_upper").items())]
-                                           for part in ("g", "b")}}
-    assert text == json.dumps(per_entry)
-    # the document reader builds the nodes the per-occurrence reader builds
-    read = json.loads(text)
-    memo = {}
+    inline = {"chart": obj["chart"], **{part: [[i, j, oracle.expr_to_json(e)] for (i, j), e in
+                                                sorted(getattr(m, f"{part}_upper").items())]
+                                         for part in ("g", "b")}}
+    assert json.dumps(oracle.inline_document(obj)) == json.dumps(inline)
+    # each distinct node once, each child an earlier entry
+    roots = [*m.g_upper.values(), *m.b_upper.values()]
+    assert len(obj["nodes"]) == len({n for e in roots for n in oracle.nodes(e)})
+    for k, entry in enumerate(obj["nodes"]):
+        ref = entry.get(oracle.CHILD_FIELDS.get(entry["k"]), [])
+        assert all(type(i) is int and 0 <= i < k for i in (ref if type(ref) is list else [ref]))
+    # both documents read to the same interned nodes, the nodes of the metric
+    table = MetricData.from_json(json.loads(text), sample=m.sample)
+    legacy = MetricData.from_json(json.loads(json.dumps(inline)), sample=m.sample)
+    assert table.chart == legacy.chart == m.chart
     for part in ("g", "b"):
-        for i, j, e in read[part]:
-            node = expr_from_json(e, memo)
-            assert node is oracle.checked_expr_from_json(e) is oracle.expr_from_json(e)
-            assert node is getattr(m, f"{part}_upper")[(i, j)]
-    back = MetricData.from_json(read, sample=m.sample)
-    assert (back.chart, back.g_upper, back.b_upper) == (m.chart, m.g_upper, m.b_upper)
-    assert json.dumps(read) == text == json.dumps(obj)      # neither side mutates a dict
+        want, got, old = (getattr(x, f"{part}_upper") for x in (m, table, legacy))
+        assert got.keys() == old.keys() == want.keys()
+        assert all(got[key] is old[key] is want[key] for key in want)
+    assert json.dumps(obj) == text      # neither side mutates a dict
 
 
 @pytest.mark.parametrize("part, entry, component", [

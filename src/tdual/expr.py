@@ -22,10 +22,11 @@ tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
 The JSON codec reads and writes each distinct node of a document once: one
 writer per node kind serves a single tree, whose children are dicts, and a
-metric's node table, whose children are indices of earlier entries. The
-reader is one function with a branch per node kind, which checks each field
-where it reads it, and one for an index. It refuses nesting, or a chain of
-indices, deeper than ``MAX_DEPTH``, which every later walk fits.
+metric's node table, whose children are indices of earlier entries. One
+reader, with a branch per node kind and one for an index, checks each field
+where it reads it and refuses nesting or index chains deeper than
+``MAX_DEPTH``, which every later walk fits. A metric's entries may have
+``MAX_NODES`` nodes counted at every use, which bounds a walk over every use.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -852,6 +853,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
 
 MAX_DERIV_ORDER = 32    # largest derivative order that expr_from_json accepts
 MAX_DEPTH = 256         # deepest node, the root at depth 0, that expr_from_json accepts
+MAX_NODES = 100_000     # most nodes, each counted at every use, of a metric's entries
 
 
 def _expected(kind: type, v) -> TypeError:
@@ -949,19 +951,14 @@ def _read(obj, memo: dict, depth: int) -> Expr:
 
 
 def expr_to_json(e: Expr) -> dict:
-    """``e`` as JSON: one dict per distinct node, shared where it recurs; never mutate
-    the dicts."""
-    dumped = {}
-    for n in _visit([e]):       # each distinct node once, children first
-        dumped[n] = _DUMP[type(n)](n, dumped.__getitem__)
-    return dumped[e]
+    """``e`` as JSON: one dict per distinct node, shared where it recurs; never mutate them."""
+    return _Walk(lambda n, child: _DUMP[type(n)](n, child))[e]
 
 
 def expr_from_json(obj, _memo: dict | None = None) -> Expr:
-    """The raw tree that ``obj`` encodes, each distinct node built once per call or per
-    ``_memo``, which also holds the node table entries read so far; ``simplify_basic``
-    makes it normal. Raises ValueError on an unknown kind, a missing or malformed field,
-    an index of no earlier entry, or a node nested deeper than ``MAX_DEPTH``."""
+    """The raw, not yet normal, tree ``obj`` encodes, each distinct node built once per call
+    or ``_memo``, which holds the table entries read so far. Raises ValueError on an unknown
+    kind, a missing or malformed field, an index of no earlier entry, or a node too deep."""
     return _read(obj, {} if _memo is None else _memo, 0)
 
 
@@ -974,10 +971,9 @@ def table_to_json(roots: Iterable[Expr]) -> tuple[list, dict]:
 
 
 def table_from_json(nodes) -> dict:
-    """A node memo for ``expr_from_json`` that holds the node table ``nodes``: index k
-    maps to entry k's node and its height, computed from its children's heights.
-    Raises ValueError on a table that is not a list of node objects, and where
-    ``expr_from_json`` does, at each entry."""
+    """A node memo for ``expr_from_json`` holding the table ``nodes``: index k maps to entry
+    k's node and its height, from its children's heights. Raises ValueError on a table that
+    is not a list of node objects, and where ``expr_from_json`` does, at each entry."""
     if type(nodes) is not list:
         raise ValueError(f"nodes must be a list, got {nodes!r:.40}")
     memo = {}
@@ -988,3 +984,9 @@ def table_from_json(nodes) -> dict:
         node = _read(entry, memo, 0)
         memo[k] = node, height[node]
     return memo
+
+
+def occurrences(roots: Iterable[Expr]) -> int:
+    """The nodes of the trees ``roots`` counted at every use, as an inline document writes them."""
+    count = _Walk(lambda e, child: 1 + sum(map(child, _NODES[type(e)].children(e))))
+    return sum(map(count.__getitem__, roots))

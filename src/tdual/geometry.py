@@ -36,7 +36,7 @@ from .expr import (
     add, app, cos_, differentiate, equal_numeric, evaluate, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
     DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS,
-    expr_from_json, table_from_json, table_to_json, _Blocks,
+    expr_from_json, occurrences, table_from_json, table_to_json, MAX_NODES, _Blocks,
 )
 
 
@@ -115,9 +115,10 @@ class MetricData:
                 raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
         chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
         read = table_from_json(obj.get("nodes", []))    # one node memo for all the entries
-        g = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["g"]}
-        b = {(i, j): simplify_basic(expr_from_json(e, read)) for i, j, e in obj["b"]}
-        m = metric(chart, g, b, sample)
+        g, b = ({(i, j): expr_from_json(e, read) for i, j, e in obj[part]} for part in "gb")
+        if occurrences([*g.values(), *b.values()]) > MAX_NODES:  # as inline trees
+            raise ValueError(f"metric entries have more than {MAX_NODES} nodes counted at every use")
+        m = metric(chart, *({k: simplify_basic(e) for k, e in x.items()} for x in (g, b)), sample)
         for part in ("g", "b"):         # (i, j) and (j, i) are one component
             counts = Counter((min(i, j), max(i, j)) for i, j, _ in obj[part])
             twice = [key for key, n in counts.items() if n > 1]

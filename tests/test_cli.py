@@ -324,7 +324,8 @@ def test_sampling_failure_of_a_malformed_metric_is_the_per_root_scan(entry, mess
 
 
 def _replace_entry(obj, i, j, node):
-    obj["g"] = [e for e in obj["g"] if e[:2] != [i, j]] + ([[i, j, node]] if node else [])
+    obj["g"] = [e for e in obj["g"] if e[:2] != [i, j]]
+    obj["g"] += [[i, j, node]] if node is not None else []
     return obj
 
 
@@ -385,6 +386,28 @@ def _sin_table(obj, past=0):
     return _g00(obj, R_JSON, *[{"k": "sin", "arg": n + i} for i in range(MAX_DEPTH + past)])
 
 
+def _doubling(obj, levels):
+    """The index of a_levels, for a_0 = r and a_k = sin(a_(k-1)) + cos(a_(k-1))
+    appended to the node table of ``obj``: 3 entries a level, 2^(levels+2) - 3 uses."""
+    n = len(obj["nodes"])
+    obj["nodes"].append(R_JSON)
+    for a in range(n, n + 3 * levels, 3):
+        obj["nodes"] += [{"k": "sin", "arg": a}, {"k": "cos", "arg": a},
+                         {"k": "sum", "terms": [a + 1, a + 2]}]
+    return len(obj["nodes"]) - 1
+
+
+def _pole_g00(obj, levels):
+    """``obj`` with g00 = (sin(a)^2 + cos(a)^2 - 1)^-1 for a = a_levels of ``_doubling``:
+    a pole at every point, whose message names the base."""
+    a = _doubling(obj, levels)
+    return _g00(obj, {"k": "sin", "arg": a}, {"k": "cos", "arg": a},
+                {"k": "pow", "base": a + 1, "exp": [2, 1]},
+                {"k": "pow", "base": a + 2, "exp": [2, 1]},
+                {"k": "sum", "terms": [a + 3, a + 4, {"k": "rat", "v": [-1, 1]}]},
+                {"k": "pow", "base": a + 5, "exp": [-1, 1]})
+
+
 def _inline(obj):
     import expr_oracle
     return expr_oracle.inline_document(obj)
@@ -410,8 +433,14 @@ MALFORMED_TABLES = [
     (lambda o, n: _g00(o, [R_JSON]), "node {n} must be a node object, got [{{"),
     # a reference in a document without a table
     (lambda o, n: _replace_entry(_inline(o), 0, 0, 2), "reference 2 is to no earlier"),
+    (lambda o, n: _replace_entry(_inline(o), 0, 0, 0), "reference 0 is to no earlier"),
     (lambda o, n: _replace_entry(_inline(o), 0, 0, {"k": "sin", "arg": 0}),
      "reference 0 is to no earlier"),
+    # more nodes, each counted at every use, than the inline document may have: in
+    # one entry a few KB long, or in two entries that each have fewer
+    (lambda o, n: _pole_g00(o, 120), "more than 100000 nodes counted at every use"),
+    (lambda o, n: _replace_entry(_replace_entry(o, 1, 1, a := _doubling(o, 14)), 0, 0, a),
+     "more than 100000 nodes counted at every use"),
     # a chain of references deeper than the reader bound, in the table or below an entry
     (lambda o, n: _sin_table(o, 1), "input nested too deeply"),
     (lambda o, n: _replace_entry(_sin_table(o), 0, 0, {"k": "sin", "arg": len(o["nodes"]) - 1}),

@@ -21,8 +21,8 @@ import geometry_oracle
 from tdual import geometry
 from tdual.expr import (ZERO, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
                         PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
-                        equal_numeric, evaluate, mul, pow_, rat, sin_, substitute,
-                        sym)
+                        equal_numeric, evaluate, mul, occurrences, pow_, rat, sin_,
+                        substitute, sym)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, conformal_factor,
@@ -943,21 +943,24 @@ def test_metric_json_is_the_per_entry_codec_with_one_memo(name, dual):
                                                 sorted(getattr(m, f"{part}_upper").items())]
                                          for part in ("g", "b")}}
     assert json.dumps(oracle.inline_document(obj)) == json.dumps(inline)
-    # each distinct node once, each child an earlier entry
+    # each distinct node once, each child an earlier entry; every use of a node
+    # is one node of the inline document
     roots = [*m.g_upper.values(), *m.b_upper.values()]
     assert len(obj["nodes"]) == len({n for e in roots for n in oracle.nodes(e)})
+    assert occurrences(roots) == sum(1 for e in roots for _ in oracle.nodes(e))
     for k, entry in enumerate(obj["nodes"]):
         ref = entry.get(oracle.CHILD_FIELDS.get(entry["k"]), [])
         assert all(type(i) is int and 0 <= i < k for i in (ref if type(ref) is list else [ref]))
     # both documents read to the same interned nodes, the nodes of the metric
-    table = MetricData.from_json(json.loads(text), sample=m.sample)
+    read = json.loads(text)
+    table = MetricData.from_json(read, sample=m.sample)
     legacy = MetricData.from_json(json.loads(json.dumps(inline)), sample=m.sample)
     assert table.chart == legacy.chart == m.chart
     for part in ("g", "b"):
         want, got, old = (getattr(x, f"{part}_upper") for x in (m, table, legacy))
         assert got.keys() == old.keys() == want.keys()
         assert all(got[key] is old[key] is want[key] for key in want)
-    assert json.dumps(obj) == text      # neither side mutates a dict
+    assert json.dumps(read) == text == json.dumps(obj)      # neither side mutates a dict
 
 
 @pytest.mark.parametrize("part, entry, component", [

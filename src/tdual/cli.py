@@ -400,6 +400,9 @@ def _record_from_json(obj):
     from .complexes import builtin_space
     from .semifree import classify
     obj = _checked(obj, dict, "record")
+    if "fixed_cells" in obj and "fixed" not in obj:
+        raise InputError("this is classify output; a record also names its complement model "
+                         "(base, fixed, complement, class)")
     base = builtin_space(_checked(obj["base"], str, "base"))
     fixed, comp = (frozenset(_checked(obj[key], list, key, str))
                    for key in ("fixed", "complement"))

@@ -1,22 +1,25 @@
 """Exact symbolic expression trees over named coordinates and opaque functions.
 
-Nodes are immutable and hash-consed: every construction goes through
-``_Interned.__call__``, which looks its key, the type and the fields, up in
-one table of weak references, so structurally equal trees are one object,
-and equality and hashing are identity. A missing node is made without the
-dataclass ``__init__``, and a dead node's reference drops its own entry.
-Rational constants are stored exactly as ``fractions.Fraction``; a sum or a
-product folds its constants on integer numerators and denominators into one
-``Fraction``. Opaque function applications carry a name, an argument tuple
-and a derivative multi-index, so a function and its partial derivatives
+Nodes are immutable and hash-consed: every construction goes through one
+function, ``_node``, which looks its key, the type and the fields, up in one
+table of weak references, so structurally equal trees are one object, and
+equality and hashing are identity. A class call checks its fields and builds
+the key; the normalisers pass the key they hold. A missing node is made
+without the dataclass ``__init__``, and a dead node's reference drops its own
+entry. Rational constants are stored exactly as ``fractions.Fraction``; a sum
+or a product folds its constants on integer numerators and denominators into
+one ``Fraction``. Opaque function applications carry a name, an argument
+tuple and a derivative multi-index, so a function and its partial derivatives
 coexist in one tree without committing to a formula. Numeric evaluation
 resolves opaque applications through closures registered per (name, arity)
-in a :class:`FunctionTable`. There is one evaluator and nothing is
-compiled: a block evaluates each node of some roots once over its points,
-as one column of values. ``evaluate`` is a block of one point;
-``equal_numeric`` runs one loop over blocks of sampled points, shared with
-their column memos by the components of one metric check, and goes on point
-by point, as blocks of one point, from the first block that meets an error.
+in a :class:`FunctionTable`. There is one evaluator and nothing is compiled:
+a block evaluates each node of some roots once over its points, as one column
+of values; a product's column starts from its first factor's and takes each
+rational factor as one float. ``evaluate`` is a block of one point;
+``equal_numeric`` runs one loop over blocks of sampled points, lent with
+their column memos, and no generator, to the components of one metric check,
+compares each block's columns in one pass and goes on point by point, as
+blocks of one point, from the first block that meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
@@ -48,8 +51,8 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat, starmap
-from operator import mul as _times
+from itertools import compress, count, repeat, starmap
+from operator import gt as _gt, mul as _times, sub as _minus
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
@@ -76,11 +79,11 @@ class _Interned(type):
     that node. The key is ``(type, *fields)``, with a trailing Fraction field
     as its numerator and denominator, whose hash is cheap; children are
     compared by identity, which decides structural equality once every node
-    is interned. A missing node is made by ``__new__``, its fields are set in
-    order by ``object.__setattr__``, and ``App`` checks its multi-index; the
-    dataclass ``__init__`` runs only for a call with the wrong fields, to
-    raise its TypeError. The table holds a weak reference to each node,
-    which carries the node's key for ``_forget``."""
+    is interned. ``_node`` looks the key up, or makes the node by ``__new__``,
+    sets its fields in order by ``object.__setattr__`` and has ``App`` check
+    its multi-index; the dataclass ``__init__`` runs only for a call with the
+    wrong fields, to raise its TypeError. The table holds a weak reference to
+    each node, which carries the node's key for ``_forget``."""
 
     def __call__(cls, *fields, **named):
         names = cls.__match_args__
@@ -89,19 +92,24 @@ class _Interned(type):
         elif named or len(fields) != len(names):
             return super().__call__(*fields, **named)
         q = fields[-1] if fields else None
-        key = ((cls, *fields[:-1], q.numerator, q.denominator) if type(q) is Fraction
-               else (cls, *fields))
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = cls.__new__(cls)
-            for name, value in zip(names, fields):      # __dict__ would give each node a dict
-                object.__setattr__(node, name, value)
-            if cls is App:
-                node.__post_init__()
-            ref = _INTERNED[key] = _Ref(node, _forget)
-            ref.key = key
-        return node
+        return _node(cls, (cls, *fields[:-1], q.numerator, q.denominator) if type(q) is Fraction
+                     else (cls, *fields), fields)
+
+
+def _node(cls, key: tuple, fields: tuple) -> "Expr":
+    """The live node of ``key``, or a new one with ``fields``: every construction calls this,
+    a class call with the key of the fields it checked, a normaliser with the key it holds."""
+    ref = _INTERNED.get(key)
+    node = ref and ref()
+    if node is None:
+        node = cls.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):     # __dict__ would give each node a dict
+            object.__setattr__(node, name, value)
+        if cls is App:
+            node.__post_init__()
+        ref = _INTERNED[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
 
 
 class _Ref(weakref.ref):
@@ -295,10 +303,11 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
     if type(base) is Rat and q == 1:
         if not base.value.numerator and p < 0:
             raise DomainError("0 raised to a negative power")
-        return Rat(base.value ** p)
+        q = base.value ** p
+        return _node(Rat, (Rat, q.numerator, q.denominator), (q,))
     if type(base) is Pow:
         return _pow(base.base, base.exponent * exponent)
-    return Pow(base, exponent)
+    return _node(Pow, (Pow, base, p, q), (base, exponent))
 
 
 def _sum(terms) -> Expr:
@@ -311,14 +320,16 @@ def _sum(terms) -> Expr:
         for r in rats:
             q = r.value
             n, d = n * q.denominator + q.numerator * d, d * q.denominator
-        rats = [Rat(Fraction(n, d))]
+        q = Fraction(n, d)
+        rats = [_node(Rat, (Rat, q.numerator, q.denominator), (q,))]
     if rats and rats[0].value.numerator:
         out.append(rats[0])
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return Sum(tuple(out))
+    out = tuple(out)
+    return _node(Sum, (Sum, out), (out,))
 
 
 def _exponent(f: Expr) -> Fraction:
@@ -348,7 +359,8 @@ def _prod(factors) -> Expr:
         for r in rats:
             q = r.value
             n, d = n * q.numerator, d * q.denominator
-        rats = [Rat(Fraction(n, d))]
+        q = Fraction(n, d)
+        rats = [_node(Rat, (Rat, q.numerator, q.denominator), (q,))]
     if not summed:
         out = list(kept.values())
     else:
@@ -364,7 +376,8 @@ def _prod(factors) -> Expr:
         return ONE
     if len(out) == 1:
         return out[0]
-    return Prod(tuple(out))
+    out = tuple(out)
+    return _node(Prod, (Prod, out), (out,))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +403,8 @@ def _float(q: Fraction) -> float:
 # of a left-to-right walk, and values and errors come out as in a recursive
 # evaluation. A rule raises at a point where the operations fail, with an
 # error that names the values there.
+_FLOAT_COLUMNS = frozenset({Sym, Pow, SinE, CosE})     # node types whose columns hold floats only
+
 
 def _column_rat(e: Rat, block):
     return [_float(e.value)] * block.size
@@ -426,11 +441,20 @@ def _column_sum(e: Sum, block):
 
 
 def _column_prod(e: Prod, block):
-    factors = list(map(block.__getitem__, e.factors))
-    out = [1.0] * block.size
-    for f in factors:
-        out = list(map(_times, out, f))
-    return out
+    # 1.0 * f1 * f2 * ... left to right, each constant one float, no column before the first
+    # other factor; 1.0 * x is x for a float x, not for the int an opaque function may return
+    out = 1.0
+    for f in e.factors:
+        if type(f) is Rat:
+            c = _float(f.value)
+            out = out * c if type(out) is float else list(map(_times, out, repeat(c)))
+        elif type(out) is not float:
+            out = list(map(_times, out, block[f]))
+        elif out == 1.0 and type(f) in _FLOAT_COLUMNS:
+            out = block[f]
+        else:
+            out = list(map(_times, repeat(out), block[f]))
+    return [out] * block.size if type(out) is float else out
 
 
 def _column_pow(e: Pow, block):
@@ -803,14 +827,14 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
     ``trials`` below 1, or a ``tol`` that is not a finite number >= 0,
     raises ValueError.
 
-    Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn
-    at once from one ``Random(seed)`` stream, or lent with their columns by
-    ``_blocks``, a ``_Blocks`` source made for this spec object, trials and seed.
-    From the first block that meets any error or non-finite value on, the
-    check goes on one point at a time, starting again at that block's first
-    point; only these blocks of one point retry, count domain errors and
-    raise. Every point gets the same float operations either way, so the
-    report is that of evaluating the points one at a time.
+    Both sides are evaluated over blocks of up to ``_BLOCK`` points drawn at
+    once from one ``Random(seed)`` stream, made only then, or lent with their
+    columns by ``_blocks``, a ``_Blocks`` source made for this spec object,
+    trials and seed. From the first block that meets any error or non-finite
+    value on, the check goes on one point at a time, starting again at that
+    block's first point; only these blocks of one point retry, count domain
+    errors and raise. Every point gets the same float operations either way,
+    so the report is that of evaluating the points one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -818,7 +842,7 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     shared = (_blocks is not None and _blocks.key[0] is spec     # the same spec, boxes in order
               and _blocks.key[1:] == (trials, seed) and trials <= _SHARED)
-    rng, one_by_one = random.Random(seed), False
+    rng, one_by_one = None if shared else random.Random(seed), False
     done = attempt = domain_errors = 0
     while done < trials:
         n = 1 if one_by_one else min(_BLOCK, trials - done)
@@ -840,10 +864,12 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
             continue
         attempt = 0
         if ca is not cb:    # one column for both sides passes at every finite point
-            for t, (va, vb) in enumerate(zip(ca, cb)):
-                if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-                    point = {name: column[t] for name, column in block.drawn.items()}
-                    return EqualityReport(False, trials, Witness(point, va, vb), domain_errors)
+            # abs(va - vb) > tol * max(1.0, abs(va), abs(vb)) at each point, in C
+            failing = map(_gt, map(abs, map(_minus, ca, cb)), map(_times, repeat(tol), map(
+                max, repeat(1.0), map(abs, ca), map(abs, cb))))
+            for t in compress(count(), failing):
+                point = {name: column[t] for name, column in block.drawn.items()}
+                return EqualityReport(False, trials, Witness(point, ca[t], cb[t]), domain_errors)
         done += n
     return EqualityReport(True, trials, None, domain_errors)
 

@@ -808,6 +808,19 @@ def test_malformed_record_json_exits_two(command, record, message, tmp_path):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["classify", "tdualize"])
+def test_classify_output_read_as_a_record_is_refused_in_one_line(command, tmp_path):
+    # classify writes the fixed cells and the class, but not the complement it used
+    path = tmp_path / "r.json"
+    argv = ["classify", "--preset", "charge:2", "--format", "json", "--output", str(path)]
+    assert run_cli(*argv) == (0, "", "")
+    assert sorted(json.loads(path.read_text())) == [
+        "base", "bundle_class", "charge", "fixed_cells", "name"]
+    assert run_cli(command, "--input", str(path)) == (2, "", (
+        "error: cannot read record: this is classify output; a record also names its "
+        "complement model (base, fixed, complement, class)\n"))
+
+
 @pytest.mark.parametrize("record, charge", [
     (CHARGE_2_RECORD, 2),
     (dict(CHARGE_2_RECORD, **{"class": [-3]}), -3),

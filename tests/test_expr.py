@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import random
+import struct
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -580,6 +581,68 @@ def test_errors_equal_the_closure_compiler(e, r):
             == run(lambda: oracle.compile_expr(e, EXOTIC)({"r": r})))
 
 
+S = sym("s")
+INTS = FunctionTable([OpaqueFunction("Int", 1, {(0,): lambda x: 3}.get)])     # returns an int
+EDGES = [2.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1.7976931348623157e308, 5e-324]
+
+
+def bits(v):
+    """A float as its bytes, so a sign of zero or a NaN payload tells apart; else its repr."""
+    return struct.pack("<d", v) if type(v) is float else repr(v)
+
+
+@pytest.mark.parametrize("e", [
+    Prod((Rat(Fraction(-3, 7)), R, S)), Prod((R, Rat(Fraction(5, 3)), S)),     # constant first,
+    Prod((R, S, Rat(Fraction(-2)))), Prod((Rat(Fraction(2)), Rat(Fraction(1, 2)), R)),  # last
+    Prod((Rat(Fraction(-1)), Rat(Fraction(3)), R, Rat(Fraction(10 ** 300)), S, Rat(ONE.value))),
+    Prod((R,)), Prod((Rat(Fraction(3, 4)),)), Prod(()), Prod((Rat(Fraction(10 ** 308)), R)),
+    Prod((App("Int", (R,), (0,)),)), Prod((App("Int", (R,), (0,)), App("Int", (S,), (0,)))),
+    Prod((Sum((R, S)), R)), Prod((Prod((R, S)), Rat(Fraction(3)), Prod(()))),
+    Prod((SinE(R), CosE(S))), Prod((Pow(R, Fraction(-1)), S)), Prod((S, Pow(R, Fraction(-1)))),
+    Prod((Rat(Fraction(10 ** 400)), R)), Prod((R, Sym("phi"))), Prod((Rat(Fraction(2)), Sym("phi"))),
+])
+def test_raw_products_equal_the_per_point_oracle_bit_for_bit(e):
+    # every pair of edge values, in a block of all of them and one point at a time
+    points = [{"r": x, "s": y} for x in EDGES for y in EDGES]
+
+    def run(value):
+        try:
+            return bits(value())
+        except (DomainError, UnboundSymbol, OverflowError) as exc:
+            return type(exc), exc.args
+
+    want = [run(lambda: oracle.compile_expr(e, INTS)(p)) for p in points]
+    assert [run(lambda: evaluate(e, PointAssignment(p, INTS))) for p in points] == want
+    if all(type(w) is not tuple for w in want):
+        assert want == [run(lambda: oracle.evaluate(e, PointAssignment(p, INTS))) for p in points]
+        block = _Block(INTS, {k: [p[k] for p in points] for k in "rs"}, len(points))
+        assert list(map(bits, block[e])) == want
+
+
+def report_of(rep):
+    """Every field of a report, with each float as its bytes."""
+    w = rep.witness
+    return rep.equal, rep.trials, rep.domain_errors, w and (
+        {k: bits(v) for k, v in w.point.items()}, bits(w.lhs), bits(w.rhs))
+
+
+@pytest.mark.parametrize("a, b, tol", [
+    (R, add(R, pow_(add(R, rat(-1)), 40)), 1e-9),       # passes near r = 1, fails above 1.6
+    (mul(R, rat(-1)), R, 1e-9), (R, add(R, rat(1, 10 ** 9)), 0.0), (R, mul(R, rat(3)), 0.5),
+    (pow_(add(R, rat(-1)), Fraction(1, 2)), R, 1e-9),       # domain errors, then a witness
+    (mul(app("Int", (R,)), app("Int", (R,))), rat(10), 0.0), (app("Int", (R,)), rat(4), 0.2),
+    (mul(R, rat(2)), add(R, R), 0.0),       # a difference of 0 at tolerance 0 passes
+])
+def test_check_reports_equal_the_oracle(a, b, tol):
+    spec = SampleSpec({"r": (0.5, 2.5)}, f_table().merged(INTS))
+    for seed, trials in [(19, 10), (3, 300), (5, 1)]:
+        want = outcome(lambda: report_of(oracle.equal_numeric(a, b, spec, trials, tol, seed)))
+        assert outcome(lambda: report_of(equal_numeric(a, b, spec, trials, tol, seed))) == want
+        blocks = _Blocks(spec, trials, seed)
+        assert outcome(lambda: report_of(
+            equal_numeric(a, b, spec, trials, tol, seed, _blocks=blocks))) == want
+
+
 def _taub_nut_pair(fails: bool):
     """The dual's g22 and the H-monopole's, scaled by 1 + 10^-6 if ``fails``."""
     m = make_taub_nut()
@@ -692,6 +755,38 @@ def test_a_block_source_is_used_only_by_checks_of_its_own_sampling():
     with mock.patch.object(expr, "_SHARED", 299):       # too many trials to keep their blocks
         blocks = _Blocks(spec, 300, 3)
         assert report(_blocks=blocks) == want and not blocks
+
+
+def generators(run) -> int:
+    """The number of ``random.Random`` generators that ``run()`` builds."""
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, *a):
+            made.append(a)
+            super().__init__(*a)
+
+    with mock.patch.object(random, "Random", Counted):
+        run()
+    return len(made)
+
+
+def test_only_checks_that_draw_their_own_points_build_a_generator(spec):
+    m = make_taub_nut()
+    dual, ref = buscher_transform(m), h_monopole_metric(m.g_upper[(1, 1)], m.sample)
+    checks = sum(1 for _ in dual.components())
+    assert checks > 1
+    # the components share the blocks' one generator; above _SHARED trials each draws its own
+    assert generators(lambda: geometry.metrics_equal(dual, ref, compare_b=False)) == 1
+    assert generators(lambda: geometry.metrics_equal(dual, ref, trials=1025,
+                                                     compare_b=False)) == 1 + checks
+    # a check that meets a domain error redraws its points from a generator of its own
+    root = pow_(add(R, rat(-1)), Fraction(1, 2))
+    spec = SampleSpec({"r": (0.5, 1.5)})
+    blocks = _Blocks(spec, 10, 17)
+    assert generators(lambda: equal_numeric(root, root, spec, 10, 1e-9, 17, _blocks=blocks)) == 1
+    assert generators(lambda: equal_numeric(R, R, spec, 10, 1e-9, 17, _blocks=blocks)) == 0
+    assert generators(lambda: equal_numeric(R, R, spec, 10, 1e-9, 17)) == 1
 
 
 NASTY = ["x'); __import__('os') #", "r\nimport os", "θ ρ", "a + b", "k0]"]
@@ -1085,11 +1180,11 @@ def test_walks_free_their_memo_and_nodes_when_they_return():
 
 
 def constructions(run) -> int:
-    """The number of node constructions that ``run()`` asks for."""
+    """The number of node constructions that ``run()`` asks for: the calls of
+    ``_node``, which every node built, through a class call or a normaliser, goes through."""
     calls = []
-    real = expr._Interned.__call__
-    with mock.patch.object(expr._Interned, "__call__",
-                           lambda cls, *a, **k: calls.append(cls) or real(cls, *a, **k)):
+    real = expr._node
+    with mock.patch.object(expr, "_node", lambda cls, *a: calls.append(cls) or real(cls, *a)):
         run()
     return len(calls)
 

@@ -8,26 +8,28 @@ the key; the normalisers pass the key they hold. A missing node is made
 without the dataclass ``__init__``, and a dead node's reference drops its own
 entry. Rational constants are stored exactly as ``fractions.Fraction``; a sum
 or a product folds its constants on integer numerators and denominators into
-one ``Fraction``. Opaque function applications carry a name, an argument
-tuple and a derivative multi-index, so a function and its partial derivatives
-coexist in one tree without committing to a formula. Numeric evaluation
-resolves opaque applications through closures registered per (name, arity)
-in a :class:`FunctionTable`. There is one evaluator and nothing is compiled:
-a block evaluates each node of some roots once over its points, as one column
-of values; a product's column starts from its first factor's and takes each
-rational factor as one float. ``evaluate`` is a block of one point;
-``equal_numeric`` runs one loop over blocks of sampled points, lent with
-their column memos, and no generator, to the components of one metric check,
-compares each block's columns in one pass and goes on point by point, as
-blocks of one point, from the first block that meets an error.
+one ``Fraction``; a fold whose result, estimated from its operands' bit
+lengths, would pass ``MAX_FOLD_BITS`` raises DomainError. Opaque function
+applications carry a name, an argument tuple and a derivative multi-index, so
+a function and its partial derivatives coexist in one tree without committing
+to a formula. Numeric evaluation resolves opaque applications through closures
+registered per (name, arity) in a :class:`FunctionTable`. There is one
+evaluator and nothing is compiled: a block evaluates each node of some roots
+once over its points, as one column of values; a product's column starts from
+its first factor's and takes each rational factor as one float. ``evaluate``
+is a block of one point; ``equal_numeric`` runs one loop over blocks of
+sampled points, lent with their column memos, and no generator, to the
+components of one metric check, compares each block's columns in one pass and
+goes on point by point, as blocks of one point, from the first block that
+meets an error.
 One table, ``_NODES``, describes each node type once, and every walk over a
 tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
 it, visits each distinct node once per call and is freed when it returns.
 The JSON codec reads and writes each distinct node of a document once: one
-writer per node kind serves a single tree, whose children are dicts, and a
-metric's node table, whose children are indices of earlier entries. One
-reader, with a branch per node kind and one for an index, checks each field
-where it reads it and refuses nesting or index chains deeper than
+writer per node kind builds a node table, whose children are indices of
+earlier entries. One reader, with a branch per node kind and one for an
+index, takes a table or a single tree, whose children are dicts, checks each
+field where it reads it and refuses nesting or index chains deeper than
 ``MAX_DEPTH``, which every later walk fits. A metric's entries may have
 ``MAX_NODES`` nodes counted at every use, which bounds a walk over every use.
 
@@ -286,6 +288,17 @@ def cos_(x) -> Expr:
 # normal form: each normaliser takes normal children and normalises only the
 # node it builds
 
+MAX_FOLD_BITS = 2 ** 16     # most bits of a folded constant, as estimated before the arithmetic
+
+
+def _check_fold(bits: int, *qs: Fraction) -> None:
+    """Raise DomainError if ``bits`` and the bit lengths of ``qs`` add up past MAX_FOLD_BITS."""
+    for q in qs:        # a loop, not sum() of a generator: this runs on every collected power
+        bits += q.numerator.bit_length() + q.denominator.bit_length()
+    if bits > MAX_FOLD_BITS:
+        raise DomainError(f"folding constants to about {bits} bits passes {MAX_FOLD_BITS} bits")
+
+
 def _sin(a: Expr) -> Expr:
     return ZERO if a is ZERO else SinE(a)
 
@@ -301,11 +314,15 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
     if p == q:
         return base
     if type(base) is Rat and q == 1:
-        if not base.value.numerator and p < 0:
+        n, d = base.value.numerator, base.value.denominator
+        if not n and p < 0:
             raise DomainError("0 raised to a negative power")
+        # n^|p| and d^|p| have at least |p| (bit_length - 1) bits each: 0, 1 and -1 fold at any p
+        _check_fold(abs(p) * (abs(n).bit_length() + d.bit_length() - 2))
         q = base.value ** p
         return _node(Rat, (Rat, q.numerator, q.denominator), (q,))
     if type(base) is Pow:
+        _check_fold(0, base.exponent, exponent)
         return _pow(base.base, base.exponent * exponent)
     return _node(Pow, (Pow, base, p, q), (base, exponent))
 
@@ -316,6 +333,9 @@ def _sum(terms) -> Expr:
         for s in (t.terms if type(t) is Sum else (t,)):
             (rats if type(s) is Rat else out).append(s)
     if len(rats) > 1:       # fold on integers: the constant n/d, reduced once
+        # d is the product of the denominators, n below the largest numerator times d times k
+        _check_fold(max(r.value.numerator.bit_length() for r in rats)
+                    + 2 * sum(r.value.denominator.bit_length() for r in rats))
         n, d = 0, 1
         for r in rats:
             q = r.value
@@ -351,10 +371,13 @@ def _prod(factors) -> Expr:
             # collect identical bases: x^a * x^b -> x^(a+b)
             base = s.base if type(s) is Pow else s
             if base in kept:
-                summed[base] = summed.get(base, _exponent(kept[base])) + _exponent(s)
+                a, b = summed.get(base, _exponent(kept[base])), _exponent(s)
+                _check_fold(0, a, b)
+                summed[base] = a + b
             else:
                 kept[base] = s
     if len(rats) > 1:       # fold on integers: the constant n/d, reduced once
+        _check_fold(0, *[r.value for r in rats])
         n = d = 1
         for r in rats:
             q = r.value
@@ -886,8 +909,7 @@ def _expected(kind: type, v) -> TypeError:
     return TypeError(f"expected {kind.__name__}, got {v!r:.40}")
 
 
-# writers by node type: (node, child -> what the child becomes) -> the node's dict; the
-# single-expression writer puts in each child's dict, a metric document its table index
+# writers by node type: (node, child -> its table index) -> the node's dict
 _DUMP = _ByType({
     Rat: lambda e, c: {"k": "rat", "v": [e.value.numerator, e.value.denominator]},
     Sym: lambda e, c: {"k": "sym", "name": e.name},
@@ -974,11 +996,6 @@ def _read(obj, memo: dict, depth: int) -> Expr:
         missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS)
         why = f"missing field {exc.args[0]!r}" if missing else exc    # else an unknown kind
         raise ValueError(f"malformed expression node {obj!r:.80}: {why}") from None
-
-
-def expr_to_json(e: Expr) -> dict:
-    """``e`` as JSON: one dict per distinct node, shared where it recurs; never mutate them."""
-    return _Walk(lambda n, child: _DUMP[type(n)](n, child))[e]
 
 
 def expr_from_json(obj, _memo: dict | None = None) -> Expr:

@@ -354,59 +354,24 @@ def _single_center_table() -> FunctionTable:
     return FunctionTable([OpaqueFunction("H", 2, closure_factory=factory)])
 
 
-def _unit_vectors(theta, phi):
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    n = (st * cp, st * sp, ct)
-    dn_dtheta = (ct * cp, ct * sp, -st)
-    dn_dphi = (-st * sp, st * cp, 0.0)
-    return n, dn_dtheta, dn_dphi
-
-
 def _multi_center_table(centers: Sequence[Sequence[float]], preset: str) -> FunctionTable:
     """3D profile H at the polar point (r, theta, phi), centers in cartesians.
 
-    Order-zero and first partial derivatives are analytic; higher orders are
-    not registered (the radial model below covers derivative-heavy checks).
-    Each closure measures every center's distance first, so a point on a
-    center is a pole at every order, and then computes only the gradient
-    slot it returns, if any, by the float operations of a full pass.
+    Only the value is registered (the radial model below covers
+    derivative-heavy checks); a point on a center is a pole.
     """
     weight = 0.5 if preset == "coupling" else 1.0
 
-    def separations(r, theta, phi):
-        frame = _unit_vectors(theta, phi)
-        n = frame[0]
-        x0, x1, x2 = r * n[0], r * n[1], r * n[2]
-        out = []
-        for c0, c1, c2 in centers:
-            d = (x0 - c0, x1 - c1, x2 - c2)
-            dist = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-            if dist == 0.0:
-                raise ZeroDivisionError
-            out.append((d, dist))
-        return frame, out
-
     def factory(deriv):
-        if sum(deriv) > 1:
+        if any(deriv):
             return None
-        if not any(deriv):
-            def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
-                seps = separations(r, theta, phi)[1]
-                return (g[0] ** -2 if g else 1.0) + sum(weight / dist for _, dist in seps)
-        elif deriv[3:] == (1,):
-            def fn(r, theta, phi, g):
-                separations(r, theta, phi)
-                return -2.0 * g ** -3
-        else:
-            slot = deriv.index(1)       # d/dr is d.n / dist; d/dtheta and d/dphi carry r
 
-            def fn(r, theta, phi, *g):
-                frame, seps = separations(r, theta, phi)
-                v = frame[slot]
-                dots = [(d[0] * v[0] + d[1] * v[1] + d[2] * v[2], dist) for d, dist in seps]
-                return sum(-weight * ((r * dot if slot else dot) / dist) / dist ** 2
-                           for dot, dist in dots)
+        def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
+            st = math.sin(theta)
+            x0, x1, x2 = r * (st * math.cos(phi)), r * (st * math.sin(phi)), r * math.cos(theta)
+            return (g[0] ** -2 if g else 1.0) + sum(
+                weight / math.sqrt((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2)
+                for c0, c1, c2 in centers)
 
         return fn
 
@@ -468,12 +433,10 @@ def taub_nut_sample_spec() -> SampleSpec:
 
 
 def _multi_sample_spec(centers, preset) -> SampleSpec:
-    boxes = dict(_BASE_BOXES)
-    far = max(math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers)
-    boxes[R] = (far + 1.2, far + 4.0)  # outside every center by margin
-    table = _multi_center_table(centers, preset).merged(
-        _radial_table([math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers]))
-    return SampleSpec(boxes, table)
+    radii = [math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers]
+    far = max(radii)
+    boxes = {**_BASE_BOXES, R: (far + 1.2, far + 4.0)}  # outside every center by margin
+    return SampleSpec(boxes, _multi_center_table(centers, preset).merged(_radial_table(radii)))
 
 
 # ---------------------------------------------------------------------------

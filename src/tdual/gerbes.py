@@ -430,13 +430,6 @@ class _Gerbe:
         g.cover, g._streams = cover, streams
         return g
 
-    def tensor(self, other):
-        if self.cover is not other.cover and \
-                (self.cover.space is not other.cover.space
-                 or self.cover.sets != other.cover.sets):
-            raise ModelMismatch("tensor requires a common cover")
-        return self._trusted(self.cover, list(map(_add, self._streams, other._streams)))
-
 
 class TwoGerbe(_Gerbe):
     """Locally trivialized 2-gerbe: pair cocycles p (degree 2), triple

@@ -222,9 +222,6 @@ class SpectrumModel(NamedTuple):
         diff = Fraction(k1) - Fraction(k2)
         return diff % self.glued_line_period == 0
 
-    def separable(self, k1: Fraction, k2: Fraction) -> bool:
-        return not self.non_separable(k1, k2)
-
     def describe(self) -> dict:
         return {"regular_part": f"{self.regular_model.name} x (0,inf)",
                 "flux_class": list(self.flux.reduced()),

@@ -14,8 +14,8 @@ factor. Its components are compared with this one's by identity.
 
 ``multi_center_table`` is the multi-center profile that computed every
 center's distance and all three gradient components at each call, whatever
-the order asked for. The package's closures compute only what they return,
-and are compared with these bit for bit.
+the order asked for. The package registers only the value, which computes no
+gradient, and its value closure is compared with this one's bit for bit.
 """
 
 import math

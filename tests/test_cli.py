@@ -465,6 +465,49 @@ def test_a_malformed_node_table_is_refused(edit, message, tmp_path):
     assert message in err
 
 
+def _power_chain(obj, n):
+    """200 powers of powers of r, each exponent a ratio of 4 000-digit integers."""
+    rng = random.Random(1)
+    return _g00(obj, R_JSON, *({"k": "pow", "base": n + i, "exp": [
+        rng.randrange(10 ** 3999, 10 ** 4000), rng.randrange(10 ** 3999, 10 ** 4000)]}
+        for i in range(200)))
+
+
+OVERSIZED_FOLDS = [
+    # 2^(10^30)
+    lambda o, n: _g00(o, {"k": "rat", "v": [2, 1]}, {"k": "pow", "base": n, "exp": [10 ** 30, 1]}),
+    # one 4 000-digit constant, 1 000 times
+    lambda o, n: _g00(o, {"k": "rat", "v": [10 ** 3999 + 7, 1]},
+                      {"k": "prod", "factors": [n] * 1000}),
+    _power_chain,
+]
+
+
+def _limited_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("edit", OVERSIZED_FOLDS, ids=["power", "product", "power-chain"])
+def test_a_constant_fold_past_the_bound_exits_two_at_once(edit, tmp_path):
+    """Run in a child with 1.5 GB of address space and a timeout: without the
+    bound, the power takes memory until it fails and the others take seconds."""
+    import tdual
+    from tdual.expr import MAX_FOLD_BITS
+    from tdual.geometry import make_taub_nut
+    obj = make_taub_nut().to_json()
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps(edit(obj, len(obj["nodes"]))))
+    src = str(Path(tdual.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tdual.cli", "buscher", "--input", str(path),
+                           "--verify", "none"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=10, preexec_fn=_limited_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: cannot read metric from {path}: folding constants")
+    assert proc.stderr.endswith(f" bits passes {MAX_FOLD_BITS} bits\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_a_reference_chain_at_the_reader_bound_dualizes(tmp_path):
     from tdual.geometry import make_taub_nut
     path = tmp_path / "deep.json"

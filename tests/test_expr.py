@@ -3,6 +3,7 @@ and the seeded randomized equality engine."""
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import importlib.util
 import json
@@ -24,8 +25,8 @@ from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
     add, app, cos_, differentiate, equal_numeric, evaluate,
-    expr_from_json, expr_to_json, mul, pow_, rat,
-    simplify_basic, sin_, substitute, sym,
+    expr_from_json, mul, pow_, rat,
+    simplify_basic, sin_, substitute, sym, table_from_json, table_to_json,
 )
 from tdual.geometry import (
     MetricData, buscher_transform, h_monopole_metric, make_taub_nut, taub_nut_sample_spec,
@@ -907,22 +908,21 @@ def test_json_codec_equals_the_oracle_and_round_trips(recipe, raw):
         e = build_raw(recipe) if raw else build(recipe)
     except DomainError:
         return
-    obj = expr_to_json(e)
+    obj = table_tree(e)
     assert obj == oracle.expr_to_json(e)
-    back = expr_from_json(json.loads(json.dumps(obj)))
+    nodes, index = table_to_json([e])
+    assert expr_from_json(index[e], table_from_json(json.loads(json.dumps(nodes)))) is e
+    back = expr_from_json(obj)
     assert back is e is oracle.expr_from_json(obj)
     assert same_outcome(outcome(lambda: simplify_basic(back)), outcome(lambda: simplify_basic(e)))
 
 
-def test_json_dumps_each_distinct_node_once():
-    r = sym("r")
-    shared = sin_(add(r, rat(1)))
-    e = add(mul(shared, shared, r), pow_(shared, 3), app("H", (r, shared)))
-    obj = expr_to_json(e)
-    assert json.dumps(obj) == json.dumps(oracle.expr_to_json(e))
-    found = [node for node in walk_dicts(obj) if node == expr_to_json(shared)]
-    assert len(found) >= 3 and len({id(node) for node in found}) == 1
-    assert expr_to_json(e) is not obj       # one memo per call
+def table_tree(e):
+    """``e`` as the package's node table writes it, through JSON, with each
+    reference replaced by the tree it names."""
+    nodes, index = table_to_json([e])
+    doc = json.loads(json.dumps({"chart": {}, "nodes": nodes, "g": [[0, 0, index[e]]], "b": []}))
+    return oracle.inline_document(doc)["g"][0][2]
 
 
 def walk_dicts(obj):
@@ -946,8 +946,8 @@ def test_every_path_builds_the_same_object():
                Prod((Rat(Fraction(3, 2)), Pow(App("H", (Sym("y"),), (0,)), Fraction(-1))))))
     primitive = mul(rat(1, 2), pow_(x, 2), pow_(sin_(y), 2)) + mul(rat(3, 2), x, pow_(h, -1))
     assert raw is not e
-    for other in (simplify_basic(raw), simplify_basic(expr_from_json(expr_to_json(raw))),
-                  simplify_basic(expr_from_json(expr_to_json(e))),
+    for other in (simplify_basic(raw), simplify_basic(expr_from_json(oracle.expr_to_json(raw))),
+                  simplify_basic(expr_from_json(oracle.expr_to_json(e))),
                   substitute(e, {"x": x, "y": y}), differentiate(primitive, "x")):
         assert other is e
     assert rat(2, 2) is ONE is Rat(Fraction(1))
@@ -1194,13 +1194,13 @@ def test_simplify_of_a_normal_tree_builds_no_node():
     text = repr(raw)
     normal = simplify_basic(raw)
     assert constructions(lambda: simplify_basic(normal)) == 0
-    back = expr_from_json(json.loads(json.dumps(expr_to_json(normal))))
+    back = expr_from_json(json.loads(json.dumps(oracle.expr_to_json(normal))))
     assert back is normal
     assert constructions(lambda: simplify_basic(back)) == 0
     # the mark is no field: repr, str, JSON and == do not see it
     assert repr(raw) == text and repr(normal) == repr(oracle.simplify_basic(raw))
     assert "_normal" not in [f.name for f in dataclasses.fields(normal)]
-    assert expr_to_json(normal) == oracle.expr_to_json(normal)
+    assert table_tree(normal) == oracle.expr_to_json(normal)
     # a tree built by the operators is normal but unmarked: it is walked once
     built = add(mul(sym("memo_w"), rat(3, 29)), sin_(sym("memo_w")))
     assert constructions(lambda: simplify_basic(built)) > 0
@@ -1288,6 +1288,25 @@ def test_a_fold_of_n_constants_builds_one_fraction(n):
     assert constructions(lambda: expr._prod([rats[0], x])) == 1      # the Prod, not a Rat
 
 
+def test_a_fold_past_the_bound_raises_before_the_arithmetic():
+    big, x, bound = rat(10 ** 400), sym("x"), f"passes {expr.MAX_FOLD_BITS} bits"
+    k = expr.MAX_FOLD_BITS // (big.value.numerator.bit_length() + 1)   # 49 factors of 1 330 bits
+    assert mul(*[big] * k, x) is mul(rat(10 ** (400 * k)), x)
+    assert pow_(big, k) is rat(10 ** (400 * k))
+    assert add(*[big] * 100, x) is add(rat(100 * 10 ** 400), x)      # integers add in bound
+    for fold in (lambda: mul(*[big] * (k + 1), x), lambda: pow_(big, k + 1),
+                 lambda: pow_(rat(2), 10 ** 30), lambda: pow_(rat(1, 2), -10 ** 30),
+                 lambda: add(*[rat(1, 10 ** 400 + i) for i in range(30)]),
+                 lambda: mul(*[pow_(x, Fraction(1, 10 ** 400 + i)) for i in range(30)]),
+                 lambda: functools.reduce(pow_, [Fraction(10 ** 400 + i, 10 ** 400 - i)
+                                                 for i in range(30)], x)):
+        with pytest.raises(DomainError, match=bound):
+            fold()
+    # 0, 1 and -1 fold at any exponent
+    assert [pow_(c, e) for c, e in ((rat(0), 10 ** 30), (ONE, -10 ** 30), (rat(-1), 10 ** 30),
+                                    (rat(-1), 10 ** 30 + 1))] == [rat(0), ONE, ONE, rat(-1)]
+
+
 def test_a_document_writer_dumps_each_distinct_node_once():
     m = coupling_metric(100)
     entries = [*m.g_upper.values(), *m.b_upper.values()]
@@ -1300,7 +1319,7 @@ def test_a_document_writer_dumps_each_distinct_node_once():
     assert set(dumped) == {n for e in entries for n in oracle.nodes(e)}
     # H is one entry, which each of its occurrences refers to
     h = m.g_upper[(1, 1)]
-    found = [d for d in walk_dicts(oracle.inline_document(obj)) if d == expr_to_json(h)]
+    found = [d for d in walk_dicts(oracle.inline_document(obj)) if d == oracle.expr_to_json(h)]
     assert len(found) == sum(n is h for e in entries for n in oracle.nodes(e)) > 5
     assert len({id(d) for d in found}) == 1
 
@@ -1378,7 +1397,7 @@ def test_non_finite_samples_are_domain_errors():
 
 def test_json_round_trip():
     e = mul(rat(-3, 7), pow_(H(), -2), sin_(add(sym("theta"), rat(1, 2))))
-    assert expr_from_json(expr_to_json(e)) == e
+    assert expr_from_json(oracle.expr_to_json(e)) == e
 
 
 def children_calls(run) -> list:
@@ -1566,7 +1585,7 @@ def test_the_reader_equals_the_checked_per_occurrence_reader(recipe, raw, data):
         e = build_raw(recipe) if raw else build(recipe)
     except DomainError:
         return
-    obj = json.loads(json.dumps(expr_to_json(e)))
+    obj = json.loads(json.dumps(oracle.expr_to_json(e)))
     assert expr_from_json(obj) is oracle.checked_expr_from_json(obj) is oracle.expr_from_json(obj)
     # one malformed node anywhere below the root: the same first error, in reading order
     slots = node_slots(obj)
@@ -1615,7 +1634,7 @@ def test_the_reader_refuses_nesting_past_its_bound():
 def test_unknown_node_is_one_error():
     class Other(Sym):
         pass
-    for walk in (simplify_basic, expr_to_json,
+    for walk in (simplify_basic, lambda e: table_to_json([e]),
                  lambda e: evaluate(e, PointAssignment({"x": 1.0, "y": 1.0})),
                  lambda e: differentiate(e, "x"), lambda e: substitute(e, {"x": 1})):
         with pytest.raises(TypeError, match="unknown node Other"):

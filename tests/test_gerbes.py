@@ -653,15 +653,6 @@ def test_matching_failure_names_the_cell_of_the_slot(bplus):
                                                               "f2")
 
 
-def test_tensor_adds_classes(bplus):
-    g1, g2 = monopole_two_gerbe(1), monopole_two_gerbe(2)
-    total = g1.tensor(g2)
-    # oracle: the tensor data is literally the cochain sum
-    assert total.p[(0, 1)] == [a + b for a, b in zip(g1.p[(0, 1)], g2.p[(0, 1)])]
-    gen = cochain_space(bplus, 3).generators()[0]
-    assert characteristic_class_two_gerbe(total) == 3 * gen
-
-
 # ---------------------------------------------------------------------------
 # dualization
 
@@ -778,19 +769,18 @@ def test_no_operator_writes_into_a_gerbe(six_patch_cover, generator_cocycle):
     before, before_other = copy.deepcopy(g._streams), copy.deepcopy(other._streams)
     check_two_gerbe(g)
     supports = ({}, {"pair": (4, 1)}, {"triple": (0, 2, 5)}, {"pair": (0, 1), "triple": (0, 1, 2)})
-    made = [g.tensor(other), other.tensor(g), tdualize_two_gerbe(g)]
-    made += [gauge_perturb(g, seed, **support) for seed, support in enumerate(supports)]
+    made = [tdualize_two_gerbe(g), *(gauge_perturb(g, seed, **support)
+                                     for seed, support in enumerate(supports))]
     for view in _layers(g):         # the views are copies: writing into one changes nothing
         for vec in view.values():
             vec[:] = [v + 1 for v in vec]
     characteristic_class_two_gerbe(g)
     assert g._streams == before and other._streams == before_other
     assert [r._report for r in made] == [None] * len(made)
-    dual = made[2]
+    dual = made[0]
     before_dual = copy.deepcopy(dual._streams)
     check_three_gerbe(dual)
-    made = [dual.tensor(dual), *(gauge_perturb(dual, seed, **support)
-                                 for seed, support in enumerate(supports))]
+    made = [gauge_perturb(dual, seed, **support) for seed, support in enumerate(supports)]
     _layers(dual), check_three_gerbe(dual)
     assert dual._streams == before_dual
     assert [r._report for r in made] == [None] * len(made)
@@ -984,16 +974,11 @@ def _disc_filled_models():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: monopole_two_gerbe(1).tensor(two_gerbe_from_class(
-        CoverNerve(s3_two_disc(), [frozenset({"v", "u", "a", "f2", "c3"}),
-                                   frozenset({"u", "f2", "c3out"})] * 2),
-        list(cochain_space(s3_two_disc(), 3).generators()[0].vector))),
-     "tensor requires a common cover"),
     (lambda: semifree_class_to_two_gerbe(
         cochain_space(cone_on_s2().subcomplex({"u", "f2"}), 2).generators()[0],
         _disc_filled_models()),
      "excision preimage failed; models are inconsistent"),
-], ids=["tensor-cover", "excision-preimage"])
+], ids=["excision-preimage"])
 def test_refusals(call, message):
     with pytest.raises(ModelMismatch) as info:
         call()

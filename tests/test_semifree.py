@@ -179,11 +179,11 @@ def test_separability_is_exact_period_arithmetic():
     assert sp.non_separable(Fraction(3), Fraction(1))
     assert sp.non_separable(Fraction(7, 3), Fraction(1, 3))
     assert sp.non_separable(Fraction(0), Fraction(0))
-    assert sp.separable(Fraction(1, 2), Fraction(0))
-    assert sp.separable(Fraction(10, 3), Fraction(1, 2))
+    assert not sp.non_separable(Fraction(1, 2), Fraction(0))
+    assert not sp.non_separable(Fraction(10, 3), Fraction(1, 2))
     # huge exact multiples stay exact
     assert sp.non_separable(Fraction(10 ** 12), Fraction(2))
-    assert sp.separable(Fraction(10 ** 12, 7), Fraction(2))
+    assert not sp.non_separable(Fraction(10 ** 12, 7), Fraction(2))
 
 
 def test_regularization_gives_cone_product():

@@ -17,6 +17,7 @@ Standard library and pytest only.
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 from types import CodeType
@@ -27,19 +28,26 @@ SOURCES = sorted((ROOT / "src" / "tdual").glob("*.py"))
 
 def _executable_lines(path: Path) -> set:
     """The lines that hold an instruction of the module or of any code
-    object nested in it."""
-    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+    object nested in it, less the body of a module-level ``if __name__ ==
+    "__main__":``, which only a run of the file as a script reaches."""
+    text = path.read_text()
+    lines, stack = set(), [compile(text, str(path), "exec")]
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line)   # 0: module entry
         stack.extend(c for c in code.co_consts if isinstance(c, CodeType))
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines.difference_update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
     return lines
 
 
 def missed_lines(run) -> list:
     """Call ``run()`` under a line tracer and return the executable lines of
     ``src/tdual`` that it never ran, as sorted (path, line, source) tuples.
-    The tracer in place before the call is restored after it."""
+    The recursion limit is doubled for the call, so that a walk as deep as
+    the reader takes still fits; it and the tracer in place before the call
+    are restored after it."""
     files = {str(p): p for p in SOURCES}
     ran = {name: set() for name in files}
 
@@ -51,12 +59,14 @@ def missed_lines(run) -> list:
     def on_call(frame, event, arg):
         return local if frame.f_code.co_filename in ran else None
 
-    before = sys.gettrace()
+    before, limit = sys.gettrace(), sys.getrecursionlimit()
+    sys.setrecursionlimit(2 * limit)
     sys.settrace(on_call)
     try:
         run()
     finally:
         sys.settrace(before)
+        sys.setrecursionlimit(limit)
     missed = []
     for name, path in files.items():
         source = path.read_text().splitlines()

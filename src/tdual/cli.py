@@ -400,12 +400,13 @@ def _record_from_json(obj):
     from .complexes import builtin_space
     from .semifree import classify
     obj = _checked(obj, dict, "record")
-    if "fixed_cells" in obj and "fixed" not in obj:
+    fixed_key = "fixed" if "fixed" in obj or "fixed_cells" not in obj else "fixed_cells"
+    if fixed_key == "fixed_cells" and "complement" not in obj:
         raise InputError("this is classify output; a record also names its complement model "
                          "(base, fixed, complement, class)")
     base = builtin_space(_checked(obj["base"], str, "base"))
     fixed, comp = (frozenset(_checked(obj[key], list, key, str))
-                   for key in ("fixed", "complement"))
+                   for key in (fixed_key, "complement"))
     model = base.subcomplex(comp)
     if model.top < 2:
         raise InputError(f"the bundle class has degree 2, above the top cell degree "

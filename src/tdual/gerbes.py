@@ -28,14 +28,17 @@ delta_cell of the Cech/cell double complex, pattern by pattern: the nerve
 half is the coboundary of the full simplex on P, the cell half sends the
 cells of P to their faces (whose patterns contain P), both through index
 plans in bounded caches; the ranks of P's subsets among those of a face's
-pattern come from the combinatorial number system. Validity is D(data) = 0,
-slot by slot, one report per gerbe, kept on it; a gauge change adds D(x)
-for x one degree lower; the class (degree = number of layers) is the
-explicit staircase, added to the report when first asked for, whose row
-contraction reads each cell on the first index of its pattern. Dualization
-crosses every layer with the circle generator, (q, d) -> (q, d + 1), under
-a zero top layer; the cross product commutes with both differentials and
-the contraction, so the dual's class is the cross product of the input's.
+pattern come from the combinatorial number system. A source stream that is
+all zero adds nothing, so no gather reads one: the dual's zero top layer,
+or a crossed layer on a pattern where the input layer has no cell. Validity
+is D(data) = 0, slot by slot, one report per gerbe, kept on it; a gauge
+change adds D(x) for x one degree lower; the class (degree = number of
+layers) is the explicit staircase, added to the report when first asked
+for, whose row contraction reads each cell on the first index of its
+pattern. Dualization crosses every layer with the circle generator,
+(q, d) -> (q, d + 1), under a zero top layer; the cross product commutes
+with both differentials and the contraction, so the dual's class is the
+cross product of the input's.
 """
 
 from __future__ import annotations
@@ -284,6 +287,8 @@ def _cell_half(cover: CoverNerve, data: list, p: int, q: int, d: int) -> list | 
     out = [0] * (comb(m, q + 1) * k)
     for pf, within, entries in blocks:
         src, kf, mf = data[pf], len(cover._cells(d - 1)[0][pf]), len(cover._patterns[pf])
+        if not any(src):
+            continue
         ranks = range(comb(m, q + 1)) if mf == m else _ranks(mf, within, q)
         for i, j, x in entries:
             x *= -1 if q % 2 else 1
@@ -304,7 +309,8 @@ def total_coboundary(cover: CoverNerve, comps: dict, degree: int) -> dict:
         for p, (pattern, cells) in enumerate(zip(cover._patterns, cover._cells(d)[0])):
             m, k = len(pattern), len(cells)
             n = comb(m, q + 1) * k
-            acc = None if nerve is None or not n else _apply(_plan(m, q, k, False), nerve[p])
+            acc = (None if nerve is None or not n or not any(nerve[p])
+                   else _apply(_plan(m, q, k, False), nerve[p]))
             half = None if cell is None or not n else _cell_half(cover, cell, p, q, d)
             if half is None:
                 slot.append([0] * n if acc is None else list(acc))
@@ -320,7 +326,7 @@ def _contract(cover: CoverNerve, data: list, q: int, d: int) -> list:
     pattern. Requires delta_nerve(data) = 0."""
     out = cover._zeros(q - 1, d)
     for p, (pattern, cells, high) in enumerate(zip(cover._patterns, cover._cells(d)[0], data)):
-        if high:        # else S is the whole pattern, or no cell has it: c is in S
+        if any(high):   # else all zero, S is the whole pattern, or no cell has it
             k = len(cells)
             out[p] = list(_apply(_plan(len(pattern), q, k, True), high + [0] * k))
     return out
@@ -577,7 +583,11 @@ def two_gerbe_from_class(cover: CoverNerve, cocycle,
     U_ij. A seeded gauge scramble then produces generic-looking theta and mu
     data without changing the class.
     """
-    cocycle = dict(zip(cover.space.cell_ids(3), cocycle))
+    ids = cover.space.cell_ids(3)
+    if len(cocycle) != len(ids):
+        raise ModelMismatch(f"cocycle has {len(cocycle)} entries; {cover.space.name} "
+                            f"has {len(ids)} 3-cells")
+    cocycle = dict(zip(ids, cocycle))
     ts = []
     for i in range(cover.size):
         ui = cover.model((i,))
@@ -603,7 +613,9 @@ def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
     ``triple`` restrict the support to a single datum's gauge freedom (all
     other tuples get zero): perturbing a pair cocycle by a cell coboundary
     drags the induced rephasing through the sections, exactly as changing a
-    line bundle representative does.
+    line bundle representative does. Each must be a nerve tuple of its
+    degree, in any order; one whose model has no cells of the gauge degree
+    leaves ``g`` as it is.
     """
     # choice makes randint's one _randbelow call per entry: the same stream
     draw, entries = random.Random(seed).choice, range(-_GAUGE_BOUND, _GAUGE_BOUND + 1)
@@ -613,7 +625,10 @@ def gauge_perturb(g: _Gerbe, seed: int, pair: tuple | None = None,
         q, d, chosen = layer.q, layer.d - 1, support.get(layer.q)
         layout, x[q] = cover._layout(q, d), cover._zeros(q, d)
         key = None if chosen is None else tuple(sorted(chosen))
-        for at in layout.values() if not localized else [layout[key]] if key in layout else []:
+        if key is not None and key not in layout:
+            raise MalformedNerve(f"tuple {chosen} is not a nonempty nerve tuple of degree {q}",
+                                 witness=chosen)
+        for at in layout.values() if not localized else [layout[key]] if key else []:
             for p, i in at:
                 x[q][p][i] = draw(entries)
     dx = total_coboundary(cover, x, len(g.layers) - 1)

@@ -853,15 +853,30 @@ def test_malformed_record_json_exits_two(command, record, message, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "tdualize"])
 def test_classify_output_read_as_a_record_is_refused_in_one_line(command, tmp_path):
-    # classify writes the fixed cells and the class, but not the complement it used
+    # without the complement it used, classify output names no record
     path = tmp_path / "r.json"
     argv = ["classify", "--preset", "charge:2", "--format", "json", "--output", str(path)]
     assert run_cli(*argv) == (0, "", "")
-    assert sorted(json.loads(path.read_text())) == [
-        "base", "bundle_class", "charge", "fixed_cells", "name"]
+    written = json.loads(path.read_text())
+    assert sorted(written) == [
+        "base", "bundle_class", "charge", "class", "complement", "fixed_cells", "name"]
+    del written["complement"]
+    path.write_text(json.dumps(written))
     assert run_cli(command, "--input", str(path)) == (2, "", (
         "error: cannot read record: this is classify output; a record also names its "
         "complement model (base, fixed, complement, class)\n"))
+
+
+@pytest.mark.parametrize("preset", ["kk", "charge:2", "charge:-3", "trivial"])
+def test_classify_output_reads_back_as_the_same_record(preset, tmp_path):
+    path = tmp_path / "r.json"
+    assert run_cli("classify", "--preset", preset, "--format", "json",
+                   "--output", str(path)) == (0, "", "")
+    for argv in (["classify"], ["classify", "--format", "json"], ["tdualize"],
+                 ["tdualize", "--format", "json"]):
+        want = run_cli(*argv, "--preset", preset)
+        assert run_cli(*argv, "--input", str(path)) == want and want[0] == 0
+    assert run_cli("classify", "--input", str(path), "--format", "json")[1] == path.read_text()
 
 
 @pytest.mark.parametrize("record, charge", [

@@ -367,16 +367,21 @@ def test_pattern_major_gerbes_match_the_tuple_major_operators_on_covers_of_the_c
     for support in ({}, {"pair": rng.choice(pairs)}, {"triple": triple}):
         assert _layers(gauge_perturb(dual, 3, **support)) == \
             dual_tm.gauge_perturb(dual, 3, **support)
+    # unscrambled: p alone, theta and mu zero, and below them the dual's zero streams
+    plain = two_gerbe_from_class(cover, [size] * len(zero))
+    assert any(map(any, plain.p.values())) and not any(map(any, plain.theta.values()))
+    plain_dual = tdualize_two_gerbe(plain, xs1)
+    assert _layers(plain_dual) == tm.dualize(plain, xs1)
     passed = []
-    for gerbe, oracle in ((g, tm), (dual, dual_tm), (_corrupted(g, rng), tm),
-                          (_corrupted(dual, rng), dual_tm)):
+    for gerbe, oracle in ((g, tm), (dual, dual_tm), (plain, tm), (plain_dual, dual_tm),
+                          (_corrupted(g, rng), tm), (_corrupted(dual, rng), dual_tm)):
         rep = (check_two_gerbe if gerbe.layers is TwoGerbe.layers else check_three_gerbe)(gerbe)
         rows, cls = oracle.check(gerbe)
         assert _report_rows(rep) == rows
         assert rep.characteristic_class == cls
         passed.append(rep.passed)
     # a changed entry on a tuple that no slot reaches can leave a valid gerbe
-    assert passed[:2] == [True, True] and not all(passed[2:])
+    assert passed[:4] == [True] * 4 and not all(passed[4:])
 
 
 # proper subcomplexes of the two-disc S^3: each kills H^3, and {v} misses OUTER
@@ -598,6 +603,26 @@ def test_passing_checks_enumerate_no_nerve_tuple_above_the_gauge_degrees(bplus,
         assert rep.characteristic_class == cls
 
 
+def test_no_gather_reads_an_all_zero_stream(bplus, generator_cocycle, monkeypatch):
+    """Checking and classifying a 12-set INNER/OUTER gerbe, built as the
+    dualize rungs build it, and its dual: every stream a plan gathers from
+    has a nonzero entry, although the dual's top layer is all zero."""
+    rng = random.Random(44)
+    cover = _inner_outer_cover(bplus, 12, rng)
+    g = two_gerbe_from_class(cover, [-2 * v for v in generator_cocycle], scramble_seed=44)
+    xs1 = product_with_circle(bplus)
+    read, real = [], gerbes._apply
+    monkeypatch.setattr(gerbes, "_apply",
+                        lambda plan, stream: read.append(any(stream)) or real(plan, stream))
+    rep2 = check_two_gerbe(g)
+    dual = tdualize_two_gerbe(g, xs1)
+    rep3 = check_three_gerbe(dual)
+    assert rep2.passed and rep3.passed and rep2.characteristic_class.reduced() == (-2,)
+    assert rep3.characteristic_class == cross_with_z(rep2.characteristic_class, xs1)
+    assert not any(map(any, dual.nu.values()))
+    assert read and all(read)
+
+
 @pytest.mark.parametrize("sets, mode, seed", list(_gauge_cases()))
 def test_gauge_perturb_matches_the_hand_written_formulas(bplus, generator_cocycle,
                                                          sets, mode, seed):
@@ -612,14 +637,44 @@ def test_gauge_perturb_matches_the_hand_written_formulas(bplus, generator_cocycl
     support = {"all": {}, "pair": {"pair": pair}, "reversed pair": {"pair": pair[::-1]},
                "triple": {"triple": triple}, "both": {"pair": pair, "triple": triple},
                "non-nerve pair": {"pair": pair}}[mode]
+    if mode == "non-nerve pair":
+        with pytest.raises(MalformedNerve) as err:
+            gauge_perturb(g, seed + 1, **support)
+        assert str(err.value) == f"tuple {pair} is not a nonempty nerve tuple of degree 1"
+        return
     got = gauge_perturb(g, seed + 1, **support)
     want = gerbe_oracle.gauge_perturb(g, seed + 1, **support)
     assert (got.p, got.theta, got.mu) == (want.p, want.theta, want.mu)
     rep, rep_want = check_two_gerbe(got), check_two_gerbe(want)
     assert _report_rows(rep) == _report_rows(rep_want)
     assert rep.passed and rep.characteristic_class == rep_want.characteristic_class
-    if mode == "non-nerve pair":
-        assert (got.p, got.theta, got.mu) == (g.p, g.theta, g.mu)
+
+
+@pytest.mark.parametrize("support, bad, q", [
+    ({"pair": (0, 9)}, (0, 9), 1), ({"pair": (1, 1)}, (1, 1), 1),
+    ({"pair": (0, 1, 2)}, (0, 1, 2), 1), ({"triple": (0, 1)}, (0, 1), 2),
+    ({"pair": (1, 0), "triple": (2, 0, 4)}, (2, 0, 4), 2),
+], ids=["index-past-the-cover", "repeated-index", "pair-of-three", "triple-of-two",
+        "nerve-pair-bad-triple"])
+def test_gauge_perturb_refuses_a_support_outside_the_nerve(bplus, generator_cocycle,
+                                                           support, bad, q):
+    """A support that is not a nerve tuple of its degree is named, not ignored."""
+    cover = CoverNerve(bplus, [INNER, OUTER, INNER, OUTER])
+    g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=4)
+    with pytest.raises(MalformedNerve) as err:
+        gauge_perturb(g, 5, **support)
+    assert str(err.value) == f"tuple {bad} is not a nonempty nerve tuple of degree {q}"
+    assert err.value.witness == bad
+
+
+def test_gauge_perturb_on_a_nerve_pair_without_gauge_cells_is_the_identity(bplus,
+                                                                           generator_cocycle):
+    # INNER and OUTER share u and f2: no 1-cell carries a pair's gauge entry
+    cover = CoverNerve(bplus, [INNER, OUTER, INNER, OUTER])
+    g = two_gerbe_from_class(cover, generator_cocycle, scramble_seed=4)
+    assert cover.model((0, 1)).n_cells(1) == 0
+    got = gauge_perturb(g, 5, pair=(1, 0))
+    assert (got.p, got.theta, got.mu) == (g.p, g.theta, g.mu)
 
 
 def test_gauge_perturbed_dual_keeps_its_class(six_patch_cover, generator_cocycle):
@@ -978,7 +1033,11 @@ def _disc_filled_models():
         cochain_space(cone_on_s2().subcomplex({"u", "f2"}), 2).generators()[0],
         _disc_filled_models()),
      "excision preimage failed; models are inconsistent"),
-], ids=["excision-preimage"])
+    (lambda: two_gerbe_from_class(kk_gerbe_models().cover(), [1]),
+     "cocycle has 1 entries; S3+ has 2 3-cells"),
+    (lambda: two_gerbe_from_class(kk_gerbe_models().cover(), [1, 0, 5]),
+     "cocycle has 3 entries; S3+ has 2 3-cells"),
+], ids=["excision-preimage", "short-cocycle", "long-cocycle"])
 def test_refusals(call, message):
     with pytest.raises(ModelMismatch) as info:
         call()

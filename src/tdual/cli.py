@@ -400,13 +400,12 @@ def _record_from_json(obj):
     from .complexes import builtin_space
     from .semifree import classify
     obj = _checked(obj, dict, "record")
-    fixed_key = "fixed" if "fixed" in obj or "fixed_cells" not in obj else "fixed_cells"
-    if fixed_key == "fixed_cells" and "complement" not in obj:
+    if "fixed_cells" in obj and "fixed" not in obj:
         raise InputError("this is classify output; a record also names its complement model "
                          "(base, fixed, complement, class)")
     base = builtin_space(_checked(obj["base"], str, "base"))
     fixed, comp = (frozenset(_checked(obj[key], list, key, str))
-                   for key in (fixed_key, "complement"))
+                   for key in ("fixed", "complement"))
     model = base.subcomplex(comp)
     if model.top < 2:
         raise InputError(f"the bundle class has degree 2, above the top cell degree "
@@ -433,7 +432,7 @@ def cmd_classify(args):
     payload = _record_from_args(args).describe()
     lines = [f"record: {payload['name'] or 'unnamed'}",
              f"  base model: {payload['base']}",
-             f"  fixed locus cells: {', '.join(payload['fixed_cells']) or '(empty)'}",
+             f"  fixed locus cells: {', '.join(payload['fixed']) or '(empty)'}",
              f"  bundle class: {payload['bundle_class']}"]
     return payload, lines, []
 

@@ -26,6 +26,7 @@ spheres, the cone on the 2-sphere (compact stand-in for R^3), the two-disc
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from weakref import WeakValueDictionary
 
@@ -385,9 +386,15 @@ def trivial_disc_bundle(base: CellComplex, rank: int):
 
 # registry ------------------------------------------------------------------
 
+_FAMILY_MODEL_NAME = re.compile(r"L\(1,(?P<p>.*)\)|wedge(?P<k>.*)S2")
+
+
 def builtin_space(name: str) -> CellComplex:
     """Resolve a registry name: S2, S3, S2xS1, S3xS1, CP2, L1p:<p>, coneS2,
-    D3, S1, pt, S3plus, wedge:<k>."""
+    D3, S1, pt, S3plus, wedge:<k>. A builtin model's own name (L(1,p),
+    wedge<k>S2, S3+) resolves too, so a name written from a model reads back."""
+    if shown := _FAMILY_MODEL_NAME.fullmatch(name):
+        name = f"L1p:{shown['p']}" if shown["p"] is not None else f"wedge:{shown['k']}"
     if name.startswith("L1p:"):
         return lens(_size_suffix(name, "p", 1))
     if name.startswith("wedge:"):
@@ -403,6 +410,7 @@ def builtin_space(name: str) -> CellComplex:
         "coneS2": cone_on_s2,
         "D3": cone_on_s2,
         "S3plus": s3_two_disc,
+        "S3+": s3_two_disc,
         "D2": disc2,
     }
     if name not in table:

@@ -63,7 +63,7 @@ class SemifreeSpace(NamedTuple):
 
     def describe(self) -> dict:
         return {"base": self.base.name,
-                "fixed_cells": sorted(map(str, self.fixed_ids)),
+                "fixed": sorted(map(str, self.fixed_ids)),
                 "complement": sorted(map(str, self.complement_ids)),
                 "class": list(self.bundle_class.vector),
                 "bundle_class": list(self.bundle_class.reduced()),

@@ -853,28 +853,41 @@ def test_malformed_record_json_exits_two(command, record, message, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "tdualize"])
 def test_classify_output_read_as_a_record_is_refused_in_one_line(command, tmp_path):
-    # without the complement it used, classify output names no record
+    # classify output that names the fixed cells as fixed_cells, without the
+    # complement it used, names no record
     path = tmp_path / "r.json"
     argv = ["classify", "--preset", "charge:2", "--format", "json", "--output", str(path)]
     assert run_cli(*argv) == (0, "", "")
     written = json.loads(path.read_text())
     assert sorted(written) == [
-        "base", "bundle_class", "charge", "class", "complement", "fixed_cells", "name"]
-    del written["complement"]
-    path.write_text(json.dumps(written))
+        "base", "bundle_class", "charge", "class", "complement", "fixed", "name"]
+    path.write_text(json.dumps({"fixed_cells": written["fixed"], **{
+        key: written[key] for key in ("base", "bundle_class", "charge", "name")}}))
     assert run_cli(command, "--input", str(path)) == (2, "", (
         "error: cannot read record: this is classify output; a record also names its "
         "complement model (base, fixed, complement, class)\n"))
 
 
-@pytest.mark.parametrize("preset", ["kk", "charge:2", "charge:-3", "trivial"])
-def test_classify_output_reads_back_as_the_same_record(preset, tmp_path):
+# records on bases whose model name is not their registry name
+ROUND_TRIP_RECORDS = {
+    "L1p:3": {"base": "L1p:3", "fixed": [], "complement": ["e0", "e1", "e2", "e3"], "class": [1]},
+    "wedge:2": {"base": "wedge:2", "fixed": [], "complement": ["v", "s0", "s1"], "class": [1, -2]},
+    "S3plus": {"base": "S3plus", "fixed": ["v"], "complement": ["u", "f2"], "class": [2]},
+}
+
+
+@pytest.mark.parametrize("source", ["kk", "charge:2", "charge:-3", "trivial", *ROUND_TRIP_RECORDS])
+def test_classify_output_reads_back_as_the_same_record(source, tmp_path):
+    given = ["--preset", source]
+    if source in ROUND_TRIP_RECORDS:
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(ROUND_TRIP_RECORDS[source]))
+        given = ["--input", str(record)]
     path = tmp_path / "r.json"
-    assert run_cli("classify", "--preset", preset, "--format", "json",
-                   "--output", str(path)) == (0, "", "")
+    assert run_cli("classify", *given, "--format", "json", "--output", str(path)) == (0, "", "")
     for argv in (["classify"], ["classify", "--format", "json"], ["tdualize"],
                  ["tdualize", "--format", "json"]):
-        want = run_cli(*argv, "--preset", preset)
+        want = run_cli(*argv, *given)
         assert run_cli(*argv, "--input", str(path)) == want and want[0] == 0
     assert run_cli("classify", "--input", str(path), "--format", "json")[1] == path.read_text()
 

@@ -273,3 +273,9 @@ def test_a_cell_set_with_a_built_subcomplex_is_not_scanned_again(monkeypatch):
     assert vertex not in total.derived
     assert total.check_subcomplex(vertex) == vertex
     assert reads
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "wedge:0"])
+def test_a_builtin_model_name_resolves_to_the_same_model(name):
+    model = cx.builtin_space(name)
+    assert cx.builtin_space(model.name) is model

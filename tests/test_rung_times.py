@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "rung_times.py"
 
 
@@ -31,32 +29,3 @@ def test_a_count_below_one_is_a_usage_error():
                           "--passes", "0"], capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.endswith("error: --blocks and --passes must be >= 1\n")
-
-
-def test_the_checkout_against_itself_prints_both_sides_and_their_ratio():
-    root = _TOOL.parent.parent
-    run = subprocess.run([sys.executable, str(_TOOL), "--workload", "homology", "--seed", "1",
-                          "--blocks", "1", "--passes", "1", "--against", str(root),
-                          "--rounds", "1"], capture_output=True, text=True, timeout=120)
-    assert (run.returncode, run.stderr) == (0, "")
-    head, columns, *rows = run.stdout.splitlines()
-    assert head.startswith("# homology seed=1: 1 rounds per side, alternating")
-    assert columns.split() == ["rung", "ops", "here_ms", "against_ms", "ratio"]
-    fields = [row.split() for row in rows]
-    assert [(kind, int(ops)) for kind, ops, *_ in fields] == [
-        ("lens", 4), ("lens-x-circle", 4), ("wedge200", 6), ("codim4", 2), ("wedge600", 3),
-        ("wedge1600", 1)]
-    for _, _, here, there, ratio in fields:     # both sides ran, each printed to 1 us
-        assert float(here) > 0 and float(there) > 0
-        assert abs(float(ratio) - float(here) / float(there)) < 2e-3 * float(ratio) + 1e-3
-
-
-@pytest.mark.parametrize("extra, message", [
-    (["--against", ".", "--rounds", "0"], "--rounds must be >= 1"),
-    (["--against", "/nonexistent"], "--against: /nonexistent holds no tools/rung_times.py"),
-], ids=["rounds", "dir"])
-def test_a_bad_comparison_is_a_usage_error(extra, message):
-    run = subprocess.run([sys.executable, str(_TOOL), "--workload", "homology", "--seed", "1",
-                          *extra], capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2 and run.stdout == ""
-    assert run.stderr.endswith(f"error: {message}\n")

@@ -1,7 +1,6 @@
 """Print the time of each rung of a benchmark workload's ladder.
 
     python tools/rung_times.py --workload identity --seed 1 [--blocks B] [--passes P]
-    python tools/rung_times.py --workload dualize --seed 1 --against DIR [--rounds R]
 
 builds the workload's op list for the seed through ``bench/workloads.py``
 and runs it in this process, pinned to one CPU, ``P`` times (default: the
@@ -16,14 +15,6 @@ workload runs each argv through ``tdual.cli.main`` in this process. The
 code under test is the ``src`` beside this file, so to time another commit,
 run a copy of this file in a ``git archive`` export of it.
 
-``--against DIR`` compares this checkout with ``DIR``, such as a
-``git archive`` export of another commit, which holds its own copy of this
-tool. It runs the plain mode above ``R`` times (default 10) on each side, as
-fresh processes, alternating which side goes first, and prints per rung each
-side's minimum over the rounds of its median, and their ratio (this checkout
-over ``DIR``). Single runs on a shared machine can drift far apart between
-sides; the minimum of many alternated rounds is what settles a comparison.
-
 Standard library only.
 """
 
@@ -35,7 +26,6 @@ import importlib.util
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -67,35 +57,6 @@ def rung_times(ops: list, execute, passes: int) -> dict:
     return out
 
 
-def medians(root: Path, argv: list) -> dict:
-    """Rung -> (op count, median ms) of one plain run of the tool in ``root``,
-    as a fresh process with the options ``argv``."""
-    run = subprocess.run([sys.executable, str(root / "tools" / "rung_times.py"), *argv],
-                         capture_output=True, text=True)
-    if run.returncode:
-        raise SystemExit(f"{root}: exit {run.returncode}\n{run.stderr}")
-    rows = run.stdout.splitlines()[2:]      # under the header and the column names
-    return {kind: (int(ops), float(median)) for kind, ops, median, _ in map(str.split, rows)}
-
-
-def _print_against(args, argv: list) -> int:
-    sides, runs = (ROOT, args.against), ([], [])
-    for r in range(args.rounds):        # this checkout first in even rounds, DIR in odd ones
-        for i in (0, 1) if r % 2 == 0 else (1, 0):
-            runs[i].append(medians(sides[i], argv))
-    here, there = runs
-    counts = {kind: ops for kind, (ops, _) in here[0].items()}
-    if any({kind: ops for kind, (ops, _) in run.items()} != counts for run in here + there):
-        raise SystemExit("the two sides ran different op lists")
-    print(f"# {args.workload} seed={args.seed}: {args.rounds} rounds per side, alternating; "
-          f"per rung the minimum over rounds of its median, raw ms")
-    print(f"{'rung':<16} {'ops':>5} {'here_ms':>10} {'against_ms':>10} {'ratio':>7}")
-    for kind, ops in counts.items():
-        mine, theirs = (min(run[kind][1] for run in side) for side in (here, there))
-        print(f"{kind:<16} {ops:>5} {mine:>10.3f} {theirs:>10.3f} {mine / theirs:>7.3f}")
-    return 0
-
-
 def main(argv: list) -> int:
     workloads = _workloads()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -103,26 +64,14 @@ def main(argv: list) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--blocks", type=int)
     p.add_argument("--passes", type=int)
-    p.add_argument("--against", type=Path, metavar="DIR")
-    p.add_argument("--rounds", type=int, default=10)
     args = p.parse_args(argv)
-    if any(n is not None and n < 1 for n in (args.blocks, args.passes)):
-        p.error("--blocks and --passes must be >= 1")
-    if args.against is not None:
-        if args.rounds < 1:
-            p.error("--rounds must be >= 1")
-        if not (args.against / "tools" / "rung_times.py").is_file():
-            p.error(f"--against: {args.against} holds no tools/rung_times.py")
-        plain = ["--workload", args.workload, "--seed", str(args.seed)]
-        for name in ("blocks", "passes"):
-            if getattr(args, name) is not None:
-                plain += [f"--{name}", str(getattr(args, name))]
-        return _print_against(args, plain)
     wl = workloads.WORKLOADS[args.workload]()
     passes = wl.passes if args.passes is None else args.passes
     blocks = args.blocks if args.blocks is not None else workloads.n_blocks(
         json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"] / wl.passes,
         wl.block_seconds, wl.min_blocks)
+    if blocks < 1 or passes < 1:
+        p.error("--blocks and --passes must be >= 1")
     sys.path.insert(0, str(workloads.SRC))
     for name in wl.modules:         # imported before the first op, as bench/run.py does
         importlib.import_module(name)

@@ -1,8 +1,8 @@
 """Command-line front end: JSON in, JSON or tables out.
 
 Subcommands: buscher, dualize-gerbe, cohomology, classify, tdualize,
-spectrum, homotopy, verify. Global options --seed/--trials/--tol control
-the randomized identity checks (seed defaults to $TDUAL_SEED or 42).
+spectrum, homotopy, verify. Only the two that sample, buscher and verify,
+take --seed/--trials/--tol (seed defaults to $TDUAL_SEED or 42).
 Each handler returns (payload, table lines, verdicts), and ``_render`` writes
 them: exit 0 if every verdict passed, 1 if one failed (its witness is
 serialized), 2 on a usage or input error.
@@ -71,13 +71,16 @@ def _number(kind: type, valid, rule: str):
     return parse
 
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None,
+def _sampling(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, default=_default_seed(),
                         help="seed for randomized checks (default $TDUAL_SEED or 42)")
     parser.add_argument("--trials", default=DEFAULT_TRIALS,
                         type=_number(int, lambda n: n >= 1, "trials must be >= 1"))
     parser.add_argument("--tol", default=DEFAULT_TOL, type=_number(
         float, lambda t: 0 <= t < math.inf, "tol must be a finite number >= 0"))
+
+
+def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--output", default=None, help="write the result here instead of stdout")
 
@@ -102,6 +105,7 @@ def build_parser(argv: list | None = None) -> argparse.ArgumentParser:
     b.add_argument("--b-field", choices=("none", "dyonic"), default="none")
     b.add_argument("--verify", choices=("none", "g-h", "involution", "dyonic"),
                    default="g-h")
+    _sampling(b)
     _common(b)
 
     c = command("cohomology", "integer cohomology of a builtin space")
@@ -134,6 +138,7 @@ def build_parser(argv: list | None = None) -> argparse.ArgumentParser:
 
     v = command("verify", "run a golden identity suite")
     v.add_argument("suite", help=f"one of {', '.join(SUITES)}")
+    _sampling(v)
     _common(v)
 
     return p
@@ -607,10 +612,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.seed is None:
-        args.seed = _default_seed()
     handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
+        if vars(args).get("preset") and vars(args).get("input"):
+            raise InputError("give --preset or --input, not both")
         return _render(args, *handler(args))
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

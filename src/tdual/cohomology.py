@@ -10,7 +10,8 @@ extraction, induced maps, connecting maps, and exactness checks are all
 exact integer computations. Cross product with the circle generator and
 integration over the circle fiber act at the cochain level on product
 complexes and are strict chain-level inverses; each reads the degree off
-the class's space and refuses one that differs.
+the class's space and refuses a class whose space is not one of the
+complex's own.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .intlin import IMat, invariant_factors, kernel_basis, lattice_equal, rank_q
 
 
 class NotAProduct(ValueError):
-    pass
-
-
-class DegreeOverflow(ValueError):
     pass
 
 
@@ -474,28 +471,25 @@ def fiber_integrate_vector(x: CellComplex, xs1: CellComplex, vec, k: int) -> lis
     return [vec[xs1.index(k, (cell, e))] for cell in x.cell_ids(k - 1)]
 
 
-def cross_with_z(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> CohClass:
+def cross_with_z(cls: CohClass, xs1: CellComplex) -> CohClass:
     """H^k(X) -> H^{k+1}(X x S^1), cross product with the circle generator."""
     base = _require_circle_product(xs1)
-    if degree is not None and degree + 1 > xs1.top:
-        raise DegreeOverflow(f"degree {degree+1} exceeds the product top degree")
-    k = _degree_of_space(cls.space, base, degree)
+    k = _degree_of_space(cls.space, base)
     vec = cross_with_z_vector(base, xs1, list(cls.vector), k)
     return CohClass(cochain_space(xs1, k + 1), tuple(vec))
 
 
-def fiber_integrate(cls: CohClass, xs1: CellComplex, degree: int | None = None) -> CohClass:
+def fiber_integrate(cls: CohClass, xs1: CellComplex) -> CohClass:
     """H^k(X x S^1) -> H^{k-1}(X); strict left inverse of cross_with_z."""
     base = _require_circle_product(xs1)
-    k = _degree_of_space(cls.space, xs1, degree)
+    k = _degree_of_space(cls.space, xs1)
     vec = fiber_integrate_vector(base, xs1, list(cls.vector), k)
     return CohClass(cochain_space(base, k - 1), tuple(vec))
 
 
-def _degree_of_space(space: SubquotientSpace, x: CellComplex, degree: int | None) -> int:
+def _degree_of_space(space: SubquotientSpace, x: CellComplex) -> int:
     for k in range(x.top + 1):
-        if x.derived.get(("abs", k)) is space and degree in (None, k):
+        if x.derived.get(("abs", k)) is space:
             return k
-    at = "" if degree is None else f" in degree {degree}"
-    raise ValueError(f"class space does not belong to this complex{at}: {space.label}")
+    raise ValueError(f"class space does not belong to this complex: {space.label}")
 

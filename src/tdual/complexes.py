@@ -339,9 +339,9 @@ def lens(p: int) -> CellComplex:
         f"L(1,{p})", {0: ["e0"], 1: ["e1"], 2: ["e2"], 3: ["e3"]}, {2: {("e1", "e2"): p}}))
 
 
-def wedge_of_spheres(count: int, dim: int = 2) -> CellComplex:
-    return _family(("wedge", count, dim), lambda: build_complex(
-        f"wedge{count}S{dim}", {0: ["v"], dim: [f"s{i}" for i in range(count)]} if count
+def wedge_of_spheres(count: int) -> CellComplex:
+    return _family(("wedge", count), lambda: build_complex(
+        f"wedge{count}S2", {0: ["v"], 2: [f"s{i}" for i in range(count)]} if count
         else {0: ["v"]}))
 
 

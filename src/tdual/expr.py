@@ -30,8 +30,13 @@ writer per node kind builds a node table, whose children are indices of
 earlier entries. One reader, with a branch per node kind and one for an
 index, takes a table or a single tree, whose children are dicts, checks each
 field where it reads it and refuses nesting or index chains deeper than
-``MAX_DEPTH``, which every later walk fits. A metric's entries may have
-``MAX_NODES`` nodes counted at every use, which bounds a walk over every use.
+``MAX_DEPTH``. Each walk recurses one or two frames per level, so every
+later walk fits only while some 2 x ``MAX_DEPTH`` frames of the recursion
+limit are free: under a Python-level tracer, or below a deep caller, a
+document that the reader accepts can meet RecursionError, which the CLI
+reports as "input nested too deeply" when it is raised while a metric is
+read. A metric's entries may have ``MAX_NODES`` nodes counted at every use,
+which bounds a walk over every use.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational

@@ -354,29 +354,27 @@ def _single_center_table() -> FunctionTable:
     return FunctionTable([OpaqueFunction("H", 2, closure_factory=factory)])
 
 
-def _multi_center_table(centers: Sequence[Sequence[float]], preset: str) -> FunctionTable:
-    """3D profile H at the polar point (r, theta, phi), centers in cartesians.
+def _multi_center_table(centers: Sequence[Sequence[float]]) -> FunctionTable:
+    """3D profile H = g^-2 + sum (1/2)/|x - c| at the polar point
+    (r, theta, phi) and coupling g, centers in cartesians.
 
     Only the value is registered (the radial model below covers
     derivative-heavy checks); a point on a center is a pole.
     """
-    weight = 0.5 if preset == "coupling" else 1.0
-
     def factory(deriv):
         if any(deriv):
             return None
 
-        def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
+        def fn(r, theta, phi, g):
             st = math.sin(theta)
             x0, x1, x2 = r * (st * math.cos(phi)), r * (st * math.sin(phi)), r * math.cos(theta)
-            return (g[0] ** -2 if g else 1.0) + sum(
-                weight / math.sqrt((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2)
+            return g ** -2 + sum(
+                0.5 / math.sqrt((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2)
                 for c0, c1, c2 in centers)
 
         return fn
 
-    return FunctionTable([OpaqueFunction("Hp", 4 if preset == "coupling" else 3,
-                                         closure_factory=factory)])
+    return FunctionTable([OpaqueFunction("Hp", 4, closure_factory=factory)])
 
 
 def _radial_table(radii: Sequence[float]) -> FunctionTable:
@@ -432,11 +430,11 @@ def taub_nut_sample_spec() -> SampleSpec:
     return SampleSpec(boxes, _single_center_table())
 
 
-def _multi_sample_spec(centers, preset) -> SampleSpec:
+def _multi_sample_spec(centers) -> SampleSpec:
     radii = [math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers]
     far = max(radii)
     boxes = {**_BASE_BOXES, R: (far + 1.2, far + 4.0)}  # outside every center by margin
-    return SampleSpec(boxes, _multi_center_table(centers, preset).merged(_radial_table(radii)))
+    return SampleSpec(boxes, _multi_center_table(centers).merged(_radial_table(radii)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +481,9 @@ def h_monopole_metric(H: Expr, sample: SampleSpec) -> MetricData:
     return metric(MONOPOLE_CHART, g, {}, sample)
 
 
-def flat_product_metric(sample: SampleSpec | None = None) -> MetricData:
-    """Product metric on R^3 x S^1 in polar coordinates."""
-    return h_monopole_metric(ONE, sample or taub_nut_sample_spec())
+def flat_product_metric() -> MetricData:
+    """Product metric on R^3 x S^1 in polar coordinates, on the Taub-NUT boxes."""
+    return h_monopole_metric(ONE, taub_nut_sample_spec())
 
 
 class MultiCenterFamily:
@@ -497,21 +495,15 @@ class MultiCenterFamily:
     centers; the sample box stays in that region.
     """
 
-    def __init__(self, centers: Sequence[Sequence[float]], preset: str = "coupling"):
-        if preset not in ("coupling", "unit"):
-            raise ValueError("preset must be 'coupling' or 'unit'")
+    def __init__(self, centers: Sequence[Sequence[float]]):
         if not centers:
             raise ValueError("a multi-center family needs at least one center")
         cs = [_center(c) for c in centers]
         if len(set(cs)) != len(cs):
             raise DuplicateCenters(f"{centers}")
         self.centers = cs
-        self.preset = preset
-        self.sample = _multi_sample_spec(cs, preset)
-        if preset == "coupling":
-            self.H = app("Hp", (sym(R), sym(THETA), sym(PHI), sym("g")))
-        else:
-            self.H = app("Hp", (sym(R), sym(THETA), sym(PHI)))
+        self.sample = _multi_sample_spec(cs)
+        self.H = app("Hp", (sym(R), sym(THETA), sym(PHI), sym("g")))
         # radial profile used by the B-field formulas (unit normalization)
         self.H_radial = app("Hrad", (sym(R),))
 
@@ -530,15 +522,16 @@ class MultiCenterFamily:
             raise IndexError(f"center index {i} out of range for {self.p} centers")
         return app(f"Hcen{i}", (sym(R),))
 
-    def b_potential(self, i: int, tilde: bool = False) -> DiffForm:
-        """Radial potential whose exterior derivative gives B_i (or B~_i): the
-        share H_i/H of center i in the radial profile (or 1 - H_i/H)."""
+    def b_potential(self, i: int) -> DiffForm:
+        """Radial potential whose exterior derivative gives B_i: the share
+        H_i/H of center i in the radial profile. The basis 1 - H_i/H gives
+        -B_i, the field at -beta."""
         ratio = mul(self.center_summand(i), pow_(self.H_radial, Fraction(-1)))
-        return DiffForm(MONOPOLE_CHART, 1, {(0,): add(ONE, -ratio) if tilde else ratio})
+        return DiffForm(MONOPOLE_CHART, 1, {(0,): ratio})
 
-    def b_field(self, i: int, beta: Expr, tilde: bool = False) -> DiffForm:
+    def b_field(self, i: int, beta: Expr) -> DiffForm:
         """B_i = beta d(xi_i); the dk^dr coefficient is -beta d/dr (H_i/H)."""
-        return exterior_derivative(self.b_potential(i, tilde)).scaled(beta)
+        return exterior_derivative(self.b_potential(i)).scaled(beta)
 
     def radial_metric(self) -> MetricData:
         """Monopole-form metric with the radial collinear profile, the
@@ -549,11 +542,10 @@ class MultiCenterFamily:
     def radial_dual_reference(self) -> MetricData:
         return h_monopole_metric(self.H_radial, self.sample)
 
-    def dyonic_shift(self, i: int, beta: Expr, tilde: bool = False) -> Diffeo:
-        """Fiber shift kappa -> kappa - beta H_i/H (or the 1 - H_i/H basis);
-        pulling the radial dual back along it reproduces the dual of the
-        radial metric with b-field B_i."""
-        return _fiber_shift(self.b_potential(i, tilde), beta)
+    def dyonic_shift(self, i: int, beta: Expr) -> Diffeo:
+        """Fiber shift kappa -> kappa - beta H_i/H; pulling the radial dual back
+        along it reproduces the dual of the radial metric with b-field B_i."""
+        return _fiber_shift(self.b_potential(i), beta)
 
 
 def _center(c) -> tuple:

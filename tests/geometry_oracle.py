@@ -71,8 +71,8 @@ def _unit_vectors(theta, phi):
     return n, dn_dtheta, dn_dphi
 
 
-def multi_center_table(centers, preset):
-    weight = 0.5 if preset == "coupling" else 1.0
+def multi_center_table(centers):
+    weight = 0.5
 
     def dists_and_grads(r, theta, phi):
         n, dnt, dnp = _unit_vectors(theta, phi)
@@ -93,16 +93,15 @@ def multi_center_table(centers, preset):
         if sum(deriv) > 1:
             return None
 
-        def fn(r, theta, phi, *g):      # the coupling g is a fourth argument of its preset
+        def fn(r, theta, phi, g):
             data = dists_and_grads(r, theta, phi)
             if not any(deriv):
-                return (g[0] ** -2 if g else 1.0) + sum(weight / dist for dist, *_ in data)
+                return g ** -2 + sum(weight / dist for dist, *_ in data)
             if deriv[3:] == (1,):
-                return -2.0 * g[0] ** -3
+                return -2.0 * g ** -3
             slot = deriv.index(1)
             return sum(-weight * grads[slot] / dist ** 2 for dist, *grads in data)
 
         return fn
 
-    return FunctionTable([OpaqueFunction("Hp", 4 if preset == "coupling" else 3,
-                                         closure_factory=factory)])
+    return FunctionTable([OpaqueFunction("Hp", 4, closure_factory=factory)])

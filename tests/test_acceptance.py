@@ -74,7 +74,7 @@ def test_criterion_03_multi_center_duals():
     for p in (2, 3, 5):
         centers = [(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
                     rng.uniform(-0.8, 0.8)) for _ in range(p)]
-        fam = MultiCenterFamily(centers, "coupling")
+        fam = MultiCenterFamily(centers)
         dual = buscher_transform(fam.metric())
         ok, witness = metrics_equal(dual, fam.dual_reference(), fam.sample,
                                     trials=TRIALS, tol=TOL, seed=SEED,
@@ -117,7 +117,7 @@ def test_criterion_05_fields_closed_and_exact():
     for idx in set(field.comps) | set(derived.comps):
         assert equal_numeric(field.component(idx), derived.component(idx),
                              spec, trials=TRIALS, tol=TOL, seed=SEED)
-    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit")
+    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)])
     for i in range(fam.p):
         bi = fam.b_field(i, BETA)
         for idx, c in exterior_derivative(bi).comps.items():
@@ -175,8 +175,7 @@ def test_criterion_08_cross_and_integration_round_trip():
                 continue
             space = cochain_space(x, k)
             for gen in space.generators():
-                assert fiber_integrate(cross_with_z(gen, xs1, k), xs1, k + 1) == gen, \
-                    (name, k)
+                assert fiber_integrate(cross_with_z(gen, xs1), xs1) == gen, (name, k)
     report(8, "fiber integration inverts the cross product on H^1..H^3 "
               "of every builtin space")
 

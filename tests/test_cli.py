@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
+import argparse
 import importlib
 import json
 import os
@@ -710,6 +711,15 @@ def test_missing_or_nonpositive_input_exits_two(argv, line):
     assert run_cli(*argv) == (2, "", line)
 
 
+@pytest.mark.parametrize("command, preset", [("buscher", "multi2"), ("dualize-gerbe", "monopole:2"),
+                                             ("classify", "kk"), ("tdualize", "kk")])
+def test_preset_with_input_exits_two_before_reading_either(command, preset, tmp_path):
+    # the input file does not exist, so an open of it would be a different error
+    missing = str(tmp_path / "missing.json")
+    for argv in (["--preset", preset, "--input", missing], ["--input", missing, "--preset", preset]):
+        assert run_cli(command, *argv) == (2, "", "error: give --preset or --input, not both\n")
+
+
 @pytest.mark.parametrize("argv", [["buscher", "--preset", "taub-nut"], ["verify", "metrics"]])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tol_outside_finite_nonnegative_is_a_usage_error(argv, tol):
@@ -1223,7 +1233,60 @@ def test_only_the_invoked_command_gets_its_arguments():
     full, lazy = options(cli.build_parser()), options(cli.build_parser(["homotopy", "-h"]))
     assert list(full) == list(lazy) == list(COMMANDS)
     assert lazy == {name: full[name] if name == "homotopy" else ["help"] for name in COMMANDS}
-    assert full["homotopy"] == ["help", "centers", "seed", "trials", "tol", "format", "output"]
+    assert full["homotopy"] == ["help", "centers", "format", "output"]
+
+
+SAMPLING = ["--seed", "3", "--trials", "5", "--tol", "1e-6"]
+
+# per command, argvs that together give each of its options
+EVERY_OPTION = {
+    "buscher": [["--preset", "multi2", "--b-field", "none", "--verify", "involution", *SAMPLING],
+                ["--input", "{metric}", *SAMPLING]],
+    "cohomology": [["--space", "S2", "--degree", "2"]],
+    "dualize-gerbe": [["--preset", "monopole:2"], ["--input", "{gerbe}"]],
+    "classify": [["--preset", "kk"], ["--input", "{record}"]],
+    "tdualize": [["--preset", "kk"], ["--input", "{record}"]],
+    "spectrum": [[]],
+    "homotopy": [["--centers", "3"]],
+    "verify": [["metrics", *SAMPLING]],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_option_a_command_takes_is_read(command, tmp_path, monkeypatch):
+    # the handler and _render read each option an argv gives: no flag is accepted and ignored
+    from tdual.geometry import make_taub_nut
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+    options = {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
+    inputs = {"metric": make_taub_nut().to_json(), "gerbe": TWO_PATCH_GERBE,
+              "record": CHARGE_2_RECORD}
+    for name, obj in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    handler = getattr(cli, f"cmd_{command.replace('-', '_')}")
+
+    def recorded(args):
+        args.__class__ = Recording          # main hands the same object to _render
+        return handler(args)
+
+    monkeypatch.setattr(cli, handler.__name__, recorded)
+    given_somewhere = set()
+    for argv in EVERY_OPTION[command]:
+        argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in inputs})
+                for arg in argv] + ["--format", "json", "--output", str(tmp_path / "out")]
+        given = {dest for dest, flags in options.items()
+                 if not flags or any(flag in argv for flag in flags)}
+        read.clear()
+        assert run_cli(command, *argv) == (0, "", ""), argv
+        assert given <= read, (argv, sorted(given - read))
+        given_somewhere |= given
+    assert given_somewhere == set(options)
 
 
 # prints, without importing json, each module loaded after its own imports

@@ -119,8 +119,8 @@ def test_dual_phi_component_cancellation(spec):
     assert equal_numeric(dual.g(3, 3), want, spec)
 
 
-def test_block_preserved_when_fiber_row_vanishes(spec):
-    flat = flat_product_metric(spec)
+def test_block_preserved_when_fiber_row_vanishes():
+    flat = flat_product_metric()
     dual = buscher_transform(flat)
     for a in range(1, 4):
         for b in range(a, 4):
@@ -175,7 +175,7 @@ def test_components_outside_the_chart_rejected(g, b):
 # multi-center
 
 def test_single_center_at_origin_degenerates_to_taub_nut():
-    fam = MultiCenterFamily([(0.0, 0.0, 0.0)], "coupling")
+    fam = MultiCenterFamily([(0.0, 0.0, 0.0)])
     m1 = fam.metric()
     tn = make_taub_nut()
     spec = SampleSpec({**m1.sample.boxes, **tn.sample.boxes},
@@ -186,16 +186,16 @@ def test_single_center_at_origin_degenerates_to_taub_nut():
 
 def test_midpoint_profile_symmetric_under_center_swap():
     a, b = (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)
-    f1 = MultiCenterFamily([a, b], "unit")
-    f2 = MultiCenterFamily([b, a], "unit")
-    p = PointAssignment({"r": 2.0, "theta": 1.1, "phi": 0.7},
+    f1 = MultiCenterFamily([a, b])
+    f2 = MultiCenterFamily([b, a])
+    p = PointAssignment({"r": 2.0, "theta": 1.1, "phi": 0.7, "g": 0.8},
                         f1.sample.functions)
     q = PointAssignment(p.values, f2.sample.functions)
     assert evaluate(f1.H, p) == pytest.approx(evaluate(f2.H, q), rel=1e-14)
 
 
 def test_multi_center_fiber_component():
-    fam = MultiCenterFamily([(0.2, 0.1, 0.0), (-0.3, 0.4, 0.1)], "coupling")
+    fam = MultiCenterFamily([(0.2, 0.1, 0.0), (-0.3, 0.4, 0.1)])
     m = fam.metric()
     assert equal_numeric(m.g(0, 0), pow_(fam.H, -1), fam.sample)
 
@@ -205,7 +205,7 @@ def test_multi_center_dual_keeps_the_monopole_form():
     for p in (2, 3, 5):
         centers = [(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
                     rng.uniform(-0.8, 0.8)) for _ in range(p)]
-        fam = MultiCenterFamily(centers, "coupling")
+        fam = MultiCenterFamily(centers)
         dual = buscher_transform(fam.metric())
         ok, witness = metrics_equal(dual, fam.dual_reference(), fam.sample,
                                     compare_b=False)
@@ -220,17 +220,12 @@ def test_duplicate_centers_rejected():
 
 
 def test_make_multi_taub_nut_presets():
-    m_coupling = MultiCenterFamily([(0.2, 0.0, 0.0)], "coupling").metric()
-    assert m_coupling.g(0, 0) == pow_(app("Hp", (R, THETA, sym("phi"), sym("g"))), -1)
-    m_unit = MultiCenterFamily([(0.2, 0.0, 0.0)], "unit").metric()
-    assert m_unit.g(0, 0) == pow_(app("Hp", (R, THETA, sym("phi"))), -1)
-    with pytest.raises(ValueError):
-        MultiCenterFamily([(0.2, 0.0, 0.0)], "weird").metric()
+    m = MultiCenterFamily([(0.2, 0.0, 0.0)]).metric()
+    assert m.g(0, 0) == pow_(app("Hp", (R, THETA, sym("phi"), sym("g"))), -1)
 
 
 def test_partition_identity_of_radial_summands():
-    fam = MultiCenterFamily([(0.3, 0.1, -0.2), (-0.4, 0.2, 0.5), (0.0, 0.6, 0.0)],
-                            "unit")
+    fam = MultiCenterFamily([(0.3, 0.1, -0.2), (-0.4, 0.2, 0.5), (0.0, 0.6, 0.0)])
     terms = [mul(fam.center_summand(i), pow_(fam.H_radial, -1)) for i in range(fam.p)]
     total = add(*terms, pow_(fam.H_radial, -1))
     assert equal_numeric(total, rat(1), fam.sample)
@@ -244,20 +239,20 @@ def test_center_index_out_of_range():
 
 def test_profiles_have_poles_at_the_centers():
     # the point r = 0.5 on the axis theta = 0 is the first center, at radius 0.5
-    fam = MultiCenterFamily([(0.0, 0.0, 0.5), (0.3, 0.0, 0.0)], "unit")
-    at_center = PointAssignment({"r": 0.5, "theta": 0.0, "phi": 0.0}, fam.sample.functions)
+    fam = MultiCenterFamily([(0.0, 0.0, 0.5), (0.3, 0.0, 0.0)])
+    at_center = PointAssignment({"r": 0.5, "theta": 0.0, "phi": 0.0, "g": 0.8},
+                                fam.sample.functions)
     for e in (fam.H, fam.center_summand(0)):
         with pytest.raises(DomainError, match=f"pole in {e.name} at "):
             evaluate(e, at_center)
 
 
-@pytest.mark.parametrize("preset", ["coupling", "unit"])
-def test_multi_center_profile_registers_only_its_value(preset):
-    fam = MultiCenterFamily([(0.3, -0.2, 0.1), (-0.4, 0.5, 0.2)], preset)
-    arity = 4 if preset == "coupling" else 3
-    hp = fam.sample.functions.lookup("Hp", arity)
-    for slot in range(arity):
-        deriv = tuple(int(i == slot) for i in range(arity))
+@pytest.mark.parametrize("profile", ["coupling"])
+def test_multi_center_profile_registers_only_its_value(profile):
+    fam = MultiCenterFamily([(0.3, -0.2, 0.1), (-0.4, 0.5, 0.2)])
+    hp = fam.sample.functions.lookup("Hp", 4)
+    for slot in range(4):
+        deriv = tuple(int(i == slot) for i in range(4))
         with pytest.raises(UnboundSymbol, match=re.escape(f"no closure for Hp{deriv} ")):
             hp.closure(deriv)
 
@@ -275,34 +270,32 @@ def test_single_center_derivatives_match_central_differences(axis):
         assert h.closure(deriv)(*point) == pytest.approx(central, rel=1e-7), deriv
 
 
-def _profile_pair(centers, preset):
-    """The value closures of the package's and the oracle's Hp, and their arity."""
-    arity = 4 if preset == "coupling" else 3
-    value = (0,) * arity
-    got = MultiCenterFamily(centers, preset).sample.functions.lookup("Hp", arity).closure(value)
-    want = geometry_oracle.multi_center_table(centers, preset).lookup("Hp", arity).closure(value)
-    return got, want, arity
+def _profile_pair(centers):
+    """The value closures of the package's and the oracle's Hp."""
+    got = MultiCenterFamily(centers).sample.functions.lookup("Hp", 4).closure((0,) * 4)
+    want = geometry_oracle.multi_center_table(centers).lookup("Hp", 4).closure((0,) * 4)
+    return got, want
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
-@pytest.mark.parametrize("preset", ["coupling", "unit"])
-def test_multi_center_profile_is_the_full_pass_bit_for_bit(preset, p):
+@pytest.mark.parametrize("profile", ["coupling"])
+def test_multi_center_profile_is_the_full_pass_bit_for_bit(profile, p):
     """The value closure, which computes no gradient, gives the float of the
     full pass over distances and all gradients, and a point on a center is a
     pole."""
     rng = random.Random(p)
     centers = [tuple(round(rng.uniform(-0.9, 0.9), 3) for _ in range(3)) for _ in range(p)]
-    got, want, arity = _profile_pair(centers, preset)
+    got, want = _profile_pair(centers)
     for _ in range(25):
         point = [rng.uniform(0.05, 4.0), rng.uniform(0.0, 3.2), rng.uniform(0.0, 6.3),
-                 rng.uniform(0.6, 1.1)][:arity]
+                 rng.uniform(0.6, 1.1)]
         assert got(*point).hex() == want(*point).hex(), point
     # a center placed at a polar point by the same float operations: distance exactly 0
     r, theta, phi = 0.9, 1.2, 2.5
     n = geometry_oracle._unit_vectors(theta, phi)[0]
-    for fn in _profile_pair(centers + [(r * n[0], r * n[1], r * n[2])], preset)[:2]:
+    for fn in _profile_pair(centers + [(r * n[0], r * n[1], r * n[2])]):
         with pytest.raises(ZeroDivisionError):
-            fn(*[r, theta, phi, 0.8][:arity])
+            fn(r, theta, phi, 0.8)
 
 
 def test_single_center_mixed_partial_vanishes():
@@ -347,21 +340,19 @@ def test_dyonic_field_vanishes_at_zero_modulus():
 
 
 def test_multi_center_field_closed_and_exact():
-    fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)], "unit")
+    fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)])
     for i in range(fam.p):
-        for tilde in (False, True):
-            field = fam.b_field(i, sym("beta"), tilde)
-            db = exterior_derivative(field)
-            for idx, c in db.comps.items():
-                assert equal_numeric(c, rat(0), fam.sample), (i, tilde, idx)
-            derived = exterior_derivative(fam.b_potential(i, tilde)).scaled(sym("beta"))
-            for idx in set(field.comps) | set(derived.comps):
-                assert equal_numeric(field.component(idx), derived.component(idx),
-                                     fam.sample)
+        field = fam.b_field(i, sym("beta"))
+        db = exterior_derivative(field)
+        for idx, c in db.comps.items():
+            assert equal_numeric(c, rat(0), fam.sample), (i, idx)
+        derived = exterior_derivative(fam.b_potential(i)).scaled(sym("beta"))
+        for idx in set(field.comps) | set(derived.comps):
+            assert equal_numeric(field.component(idx), derived.component(idx), fam.sample)
 
 
 def test_multi_center_field_component_is_quotient_derivative():
-    fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)], "unit")
+    fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)])
     field = fam.b_field(1, sym("beta"))
     hc = app("Hcen1", (R,))
     hc1 = app("Hcen1", (R,), deriv=(1,))
@@ -374,7 +365,7 @@ def test_multi_center_field_component_is_quotient_derivative():
 
 
 def test_multi_center_field_zero_modulus():
-    fam = MultiCenterFamily([(0.3, 0.0, 0.0)], "unit")
+    fam = MultiCenterFamily([(0.3, 0.0, 0.0)])
     assert fam.b_field(0, rat(0)).comps == {}
 
 
@@ -430,7 +421,7 @@ def test_pullback_along_identity(spec):
 
 def test_pullback_respects_composition(spec):
     rng = random.Random(11)
-    m = flat_product_metric(spec)
+    m = flat_product_metric()
     for _ in range(5):
         c1, c2 = rat(rng.randint(1, 3)), rat(rng.randint(1, 3), 2)
         f = Diffeo(MONOPOLE_CHART, (add(sym("kappa"), mul(c1, R)), R, THETA, sym("phi")))
@@ -454,30 +445,27 @@ def test_dyonic_identity_dual_equals_shifted_pullback(spec):
 
 def test_multi_center_dyonic_identity_per_center():
     beta = sym("beta")
-    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)],
-                            "unit")
+    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)])
     base = fam.radial_metric()
     ref = fam.radial_dual_reference()
     for i in range(fam.p):
-        for tilde in (False, True):
-            dual = buscher_transform(with_b_field(base, fam.b_field(i, beta, tilde)))
-            target = pullback(ref, fam.dyonic_shift(i, beta, tilde))
-            ok, witness = metrics_equal(dual, target, fam.sample, compare_b=False)
-            assert ok, (i, tilde, witness)
+        dual = buscher_transform(with_b_field(base, fam.b_field(i, beta)))
+        target = pullback(ref, fam.dyonic_shift(i, beta))
+        ok, witness = metrics_equal(dual, target, fam.sample, compare_b=False)
+        assert ok, (i, witness)
 
 
 def test_shares_and_shifts_are_the_trees_written_out():
     kappa, centers = sym("kappa"), [(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)]
     for beta in (sym("beta"), rat(3, 2), rat(0), mul(rat(2), sym("g"))):
         for p in (2, 3):
-            fam = MultiCenterFamily(centers[:p], "unit")
+            fam = MultiCenterFamily(centers[:p])
             for i in range(fam.p):
-                ratio = mul(fam.center_summand(i), pow_(fam.H_radial, -1))
-                for tilde, share in ((False, ratio), (True, add(rat(1), -ratio))):
-                    assert fam.b_potential(i, tilde).component((0,)) is share
-                    f = fam.dyonic_shift(i, beta, tilde)
-                    assert f.targets[0] is add(kappa, mul(rat(-1), beta, share))
-                    assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
+                share = mul(fam.center_summand(i), pow_(fam.H_radial, -1))
+                assert fam.b_potential(i).component((0,)) is share
+                f = fam.dyonic_shift(i, beta)
+                assert f.targets[0] is add(kappa, mul(rat(-1), beta, share))
+                assert f.targets[1:] == (R, THETA, sym("phi")) and f.chart is MONOPOLE_CHART
         gamma = mul(beta, pow_(sym("g"), -2), pow_(H, -1))
         for variant, shift in (("gamma", gamma), ("lambda", add(gamma, -beta))):
             f = dyonic_shift(beta, variant)
@@ -546,12 +534,11 @@ def _dyonic_cases():
 def _multi_center_cases():
     beta, cases = sym("beta"), []
     for p in (2, 3):
-        fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)][:p], "unit")
+        fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)][:p])
         for i in range(p):
-            for tilde in (False, True):
-                f = fam.dyonic_shift(i, beta, tilde)
-                field = with_b_field(fam.radial_metric(), fam.b_field(i, beta, tilde))
-                cases += [(fam.radial_dual_reference(), f), (field, f)]
+            f = fam.dyonic_shift(i, beta)
+            field = with_b_field(fam.radial_metric(), fam.b_field(i, beta))
+            cases += [(fam.radial_dual_reference(), f), (field, f)]
     return cases
 
 
@@ -567,8 +554,8 @@ def _dense_cases():
 
 
 def _composition_cases():
-    rng, spec, cases = random.Random(11), taub_nut_sample_spec(), []
-    m = flat_product_metric(spec)
+    rng, cases = random.Random(11), []
+    m = flat_product_metric()
     for _ in range(5):
         c1, c2 = rat(rng.randint(1, 3)), rat(rng.randint(1, 3), 2)
         f = Diffeo(MONOPOLE_CHART, (add(sym("kappa"), mul(c1, R)), R, THETA, sym("phi")))
@@ -641,7 +628,7 @@ def test_pullback_builds_the_oracles_nodes_on_random_metrics(case):
 
 @pytest.mark.parametrize("shift", [
     lambda: dyonic_shift(sym("beta")),
-    lambda: MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)], "unit").dyonic_shift(1, sym("beta")),
+    lambda: MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1)]).dyonic_shift(1, sym("beta")),
     lambda: _dense_cases()[0][1],
 ], ids=["dyonic", "multi-center", "dense"])
 def test_det_builds_one_term_per_permutation_without_a_zero_entry(monkeypatch, shift):
@@ -687,7 +674,7 @@ def test_pullback_substitutes_each_stored_entry_once(monkeypatch):
 
 def test_dual_is_conformal_to_flat_product(spec):
     dual = buscher_transform(make_taub_nut())
-    factor = conformal_factor(dual, flat_product_metric(spec), spec)
+    factor = conformal_factor(dual, flat_product_metric(), spec)
     assert equal_numeric(factor, H, spec)
 
 
@@ -704,7 +691,7 @@ def test_zero_reference_is_not_conformal(spec):
 
 def test_taub_nut_not_conformal_to_flat(spec):
     with pytest.raises(NotConformal) as err:
-        conformal_factor(make_taub_nut(), flat_product_metric(spec), spec)
+        conformal_factor(make_taub_nut(), flat_product_metric(), spec)
     assert err.value.component is not None
 
 
@@ -1001,7 +988,7 @@ def _unsampled_taub_nut():
      "center (1, 2) is not three finite real numbers"),
     (lambda: MultiCenterFamily([(0.1, float("nan"), 0.2)]),
      "center (0.1, nan, 0.2) is not three finite real numbers"),
-    (lambda: MultiCenterFamily([(0.1, 0.2, float("-inf"))], "unit"),
+    (lambda: MultiCenterFamily([(0.1, 0.2, float("-inf"))]),
      "center (0.1, 0.2, -inf) is not three finite real numbers"),
     (lambda: MultiCenterFamily([(0.1, 0.2, 0.3, 0.4)]),
      "center (0.1, 0.2, 0.3, 0.4) is not three finite real numbers"),

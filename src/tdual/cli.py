@@ -1,8 +1,8 @@
 """Command-line front end: JSON in, JSON or tables out.
 
-Subcommands: buscher, dualize-gerbe, cohomology, classify, tdualize,
-spectrum, homotopy, verify. Only the two that sample, buscher and verify,
-take --seed/--trials/--tol (seed defaults to $TDUAL_SEED or 42).
+Subcommands: buscher, dualize-gerbe, cohomology, classify, tdualize, spectrum,
+homotopy, verify. Only buscher and verify sample, and take --seed/--trials/--tol (seed
+defaults to $TDUAL_SEED or 42); a verify suite that samples no points refuses the last two.
 Each handler returns (payload, table lines, verdicts), and ``_render`` writes
 them: exit 0 if every verdict passed, 1 if one failed (its witness is
 serialized), 2 on a usage or input error.
@@ -71,12 +71,12 @@ def _number(kind: type, valid, rule: str):
     return parse
 
 
-def _sampling(parser: argparse.ArgumentParser):
+def _sampling(parser: argparse.ArgumentParser, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     parser.add_argument("--seed", type=int, default=_default_seed(),
                         help="seed for randomized checks (default $TDUAL_SEED or 42)")
-    parser.add_argument("--trials", default=DEFAULT_TRIALS,
+    parser.add_argument("--trials", default=trials,
                         type=_number(int, lambda n: n >= 1, "trials must be >= 1"))
-    parser.add_argument("--tol", default=DEFAULT_TOL, type=_number(
+    parser.add_argument("--tol", default=tol, type=_number(
         float, lambda t: 0 <= t < math.inf, "tol must be a finite number >= 0"))
 
 
@@ -138,7 +138,7 @@ def build_parser(argv: list | None = None) -> argparse.ArgumentParser:
 
     v = command("verify", "run a golden identity suite")
     v.add_argument("suite", help=f"one of {', '.join(SUITES)}")
-    _sampling(v)
+    _sampling(v, None, None)    # cmd_verify fills in the defaults of a suite that samples
     _common(v)
 
     return p
@@ -202,7 +202,7 @@ def _read_json(path: str, what: str, parse, errors: tuple = ()):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except RecursionError:      # from the decoder or a recursive reader
+    except RecursionError:      # from the JSON decoder
         raise InputError(f"cannot read {what}: input nested too deeply") from None
     except KeyError as exc:     # a bare one is a field the reader looked up
         missing = f"missing field {exc.args[0]!r}" if type(exc) is KeyError else exc
@@ -597,6 +597,11 @@ SUITES = {"metrics": _suite_metrics, "dyonic": _suite_dyonic, "cohomology": _sui
 def cmd_verify(args):
     if args.suite not in SUITES:
         raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
+    for name, default in (("trials", DEFAULT_TRIALS), ("tol", DEFAULT_TOL)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.suite not in ("metrics", "dyonic"):       # the suites that sample points
+            raise InputError(f"suite {args.suite} samples no points, so it takes no --{name}")
     verdicts = list(SUITES[args.suite](args))
     payload = {"suite": args.suite, "checks": [v.to_json() for v in verdicts],
                "passed": all(v.passed for v in verdicts)}

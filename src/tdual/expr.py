@@ -18,25 +18,20 @@ evaluator and nothing is compiled: a block evaluates each node of some roots
 once over its points, as one column of values; a product's column starts from
 its first factor's and takes each rational factor as one float. ``evaluate``
 is a block of one point; ``equal_numeric`` runs one loop over blocks of
-sampled points, lent with their column memos, and no generator, to the
-components of one metric check, compares each block's columns in one pass and
-goes on point by point, as blocks of one point, from the first block that
-meets an error.
-One table, ``_NODES``, describes each node type once, and every walk over a
-tree, a rewrite or a scan, is one memoized ``_Walk`` that dispatches through
-it, visits each distinct node once per call and is freed when it returns.
-The JSON codec reads and writes each distinct node of a document once: one
-writer per node kind builds a node table, whose children are indices of
-earlier entries. One reader, with a branch per node kind and one for an
-index, takes a table or a single tree, whose children are dicts, checks each
-field where it reads it and refuses nesting or index chains deeper than
-``MAX_DEPTH``. Each walk recurses one or two frames per level, so every
-later walk fits only while some 2 x ``MAX_DEPTH`` frames of the recursion
-limit are free: under a Python-level tracer, or below a deep caller, a
-document that the reader accepts can meet RecursionError, which the CLI
-reports as "input nested too deeply" when it is raised while a metric is
-read. A metric's entries may have ``MAX_NODES`` nodes counted at every use,
-which bounds a walk over every use.
+sampled points, lent with their column memos to the components of one metric
+check, and goes on point by point from the first block that meets an error.
+
+One table, ``_NODES``, describes each node type once. Every walk, a rewrite, a scan
+or a block's columns, is one loop over ``_plan``, the distinct nodes of some roots
+in the post-order of a left-to-right recursive walk, built on an explicit stack: the
+loop sets ``memo[e] = rule(e, memo.__getitem__)``, and the memo is freed when the
+call returns. The JSON codec reads and writes each distinct node of a document once:
+one writer per node kind builds a node table, whose children are indices of earlier
+entries. One reader, with a branch per node kind and one for an index, takes a table
+or a single tree, checks each field where it reads it and refuses nesting or index
+chains deeper than ``MAX_DEPTH``. Only the reader recurses, a frame per level; every
+later walk takes a few frames at any depth. A metric's entries may have
+``MAX_NODES`` nodes counted at every use, which bounds a walk over every use.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -174,21 +169,18 @@ class Expr(metaclass=_Interned):
     def __pow__(self, exponent):
         return pow_(self, Fraction(exponent))
 
+    def __str__(self):
+        return _walk(lambda e, text: _NODES[type(e)].text(e, text), (self,))[self]
+
 
 @dataclass(frozen=True, eq=False)
 class Rat(Expr):
     value: Fraction
 
-    def __str__(self):
-        return str(self.value)
-
 
 @dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,25 +198,15 @@ class App(Expr):
         if len(self.deriv) != len(self.args) or min(self.deriv, default=0) < 0:
             raise ValueError("derivative multi-index must be one order >= 0 per argument")
 
-    def __str__(self):
-        primes = "" if not any(self.deriv) else "^(" + ",".join(map(str, self.deriv)) + ")"
-        return f"{self.name}{primes}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True, eq=False)
 class Sum(Expr):
     terms: tuple
 
-    def __str__(self):
-        return "(" + " + ".join(map(str, self.terms)) + ")"
-
 
 @dataclass(frozen=True, eq=False)
 class Prod(Expr):
     factors: tuple
-
-    def __str__(self):
-        return "(" + "*".join(map(str, self.factors)) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,24 +214,15 @@ class Pow(Expr):
     base: Expr
     exponent: Fraction
 
-    def __str__(self):
-        return f"{self.base}^({self.exponent})"
-
 
 @dataclass(frozen=True, eq=False)
 class SinE(Expr):
     arg: Expr
 
-    def __str__(self):
-        return f"sin({self.arg})"
-
 
 @dataclass(frozen=True, eq=False)
 class CosE(Expr):
     arg: Expr
-
-    def __str__(self):
-        return f"cos({self.arg})"
 
 
 ZERO = Rat(Fraction(0))
@@ -264,9 +237,9 @@ def sym(name: str) -> Sym:
     return Sym(name)
 
 
-def app(name: str, args: Iterable[Expr], deriv: Iterable[int] | None = None) -> App:
+def app(name: str, args: Iterable[Expr]) -> App:
     args = tuple(_as_expr(a) for a in args)
-    return App(name, args, (0,) * len(args) if deriv is None else tuple(deriv))
+    return App(name, args, (0,) * len(args))
 
 
 def add(*terms) -> Expr:
@@ -426,9 +399,9 @@ def _float(q: Fraction) -> float:
 
 
 # column rules: (node, _Block) -> column, the node's value at every point of
-# the block, by the same float operations at each point. Taking the
-# children's columns evaluates them first, so a block runs in the post-order
-# of a left-to-right walk, and values and errors come out as in a recursive
+# the block, by the same float operations at each point. A block runs them in
+# the order of an evaluation plan, where each child's column is there before
+# its parent's rule runs, so values and errors come out as in a recursive
 # evaluation. A rule raises at a point where the operations fail, with an
 # error that names the values there.
 _FLOAT_COLUMNS = frozenset({Sym, Pow, SinE, CosE})     # node types whose columns hold floats only
@@ -525,50 +498,77 @@ class _Node(NamedTuple):
     rebuild: Callable       # (node, normal children) -> normal node; normalises the top only
     column: Callable        # (node, _Block) -> the node's column of values
     derivative: Callable    # (node, child -> its derivative) -> normal tree
+    text: Callable          # (node, child -> its text) -> the node's text
 
 
 _NODES = _ByType({
-    Rat: _Node(lambda e: (), lambda e, c: e, _column_rat, lambda e, d: ZERO),
+    Rat: _Node(lambda e: (), lambda e, c: e, _column_rat, lambda e, d: ZERO,
+               lambda e, t: str(e.value)),
     # the walk knows the coordinate it differentiates in; any other symbol's derivative is 0
-    Sym: _Node(lambda e: (), lambda e, c: e, _column_sym, lambda e, d: ZERO),
+    Sym: _Node(lambda e: (), lambda e, c: e, _column_sym, lambda e, d: ZERO, lambda e, t: e.name),
     App: _Node(lambda e: e.args, lambda e, args: App(e.name, args, e.deriv), _column_app,
-               _derivative_app),
+               _derivative_app, lambda e, t: "{}{}({})".format(
+                   e.name, "^(" + ",".join(map(str, e.deriv)) + ")" if any(e.deriv) else "",
+                   ", ".join(map(t, e.args)))),
     Sum: _Node(lambda e: e.terms, lambda e, terms: _sum(terms), _column_sum,
-               lambda e, d: _sum(list(map(d, e.terms)))),
+               lambda e, d: _sum(list(map(d, e.terms))),
+               lambda e, t: "(" + " + ".join(map(t, e.terms)) + ")"),
     Prod: _Node(lambda e: e.factors, lambda e, factors: _prod(factors), _column_prod,
                 lambda e, d: _sum([_prod(e.factors[:i] + (df,) + e.factors[i + 1:])
-                                   for i, f in enumerate(e.factors) if (df := d(f)) is not ZERO])),
+                                   for i, f in enumerate(e.factors) if (df := d(f)) is not ZERO]),
+                lambda e, t: "(" + "*".join(map(t, e.factors)) + ")"),
     Pow: _Node(lambda e: (e.base,), lambda e, c: _pow(*c, e.exponent), _column_pow,
                lambda e, d: ZERO if (db := d(e.base)) is ZERO
-               else _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), db))),
+               else _prod((Rat(e.exponent), _pow(e.base, e.exponent - 1), db)),
+               lambda e, t: f"{t(e.base)}^({e.exponent})"),
     SinE: _Node(lambda e: (e.arg,), lambda e, c: _sin(*c), _column_trig,
-                lambda e, d: ZERO if (da := d(e.arg)) is ZERO else _prod((_cos(e.arg), da))),
+                lambda e, d: ZERO if (da := d(e.arg)) is ZERO else _prod((_cos(e.arg), da)),
+                lambda e, t: f"sin({t(e.arg)})"),
     CosE: _Node(lambda e: (e.arg,), lambda e, c: _cos(*c), _column_trig,
                 lambda e, d: ZERO if (da := d(e.arg)) is ZERO
-                else _prod((Rat(Fraction(-1)), _sin(e.arg), da))),
+                else _prod((Rat(Fraction(-1)), _sin(e.arg), da)), lambda e, t: f"cos({t(e.arg)})"),
 })
 
 
 # ---------------------------------------------------------------------------
 # walks
 
-class _Walk(dict):
-    """One walk over a tree: ``rule(node, child)`` runs once per distinct
-    node that has no ``known`` result, where ``child`` gives the result of a
-    child through this memo. Nodes are interned, so the memo is keyed by the
-    node itself. A walk lives for one call: it refers to its rule and never
-    to itself, and a rule refers to no walk, so reference counting frees the
-    memo and every node only it holds when the call returns."""
+def _plan(roots: Iterable[Expr], descend: Callable[[Expr], bool] | None = None,
+          seen: set | None = None) -> list:
+    """Each distinct node of ``roots`` not in ``seen``, added to it, children first in the
+    post-order of a left-to-right recursive walk. ``descend(e)``, if given, runs when the walk
+    first reaches ``e``, in pre-order, and decides whether it enters ``e``'s children. A stack
+    of child iterators stands in for the call stack, so no tree is too deep for it."""
+    seen = set() if seen is None else seen
+    out, path, stack = [], [], [iter(roots)]    # path: the node of each iterator but the first
+    while stack:
+        for e in stack[-1]:
+            if e not in seen:
+                seen.add(e)
+                if descend is None or descend(e):
+                    children = _NODES[type(e)].children(e)
+                    if children:
+                        path.append(e)
+                        stack.append(iter(children))
+                        break
+                out.append(e)       # a node whose children the walk does not enter
+        else:
+            stack.pop()
+            if path:
+                out.append(path.pop())
+    return out
 
-    __slots__ = ("rule", "__weakref__")
 
-    def __init__(self, rule: Callable[[Expr, Callable[[Expr], Expr]], Expr], known=()):
-        super().__init__(known)
-        self.rule = rule
-
-    def __missing__(self, e: Expr) -> Expr:
-        out = self[e] = self.rule(e, self.__getitem__)
-        return out
+def _walk(rule: Callable[[Expr, Callable[[Expr], object]], object], roots: Iterable[Expr],
+          known=(), descend: Callable[[Expr], bool] | None = None) -> dict:
+    """The memo of one walk: ``memo[e] = rule(e, memo.__getitem__)`` for each distinct node
+    of ``roots`` without a ``known`` result, children first. The memo refers to no rule, so
+    reference counting frees it, and the nodes only it holds, once the caller drops it."""
+    memo = dict(known)
+    child = memo.__getitem__
+    for e in _plan(roots, descend, set(memo)):
+        memo[e] = rule(e, child)
+    return memo
 
 
 def _map(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
@@ -585,7 +585,6 @@ def _normalize(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
     node marked normal is its own result."""
     if e._normal:
         return e
-    # _map, inline: one frame less per level, so every tree the reader takes fits the stack here
     node = _NODES[type(e)]
     out = node.rebuild(e, tuple(map(child, node.children(e))))
     object.__setattr__(out, "_normal", True)
@@ -596,8 +595,8 @@ def simplify_basic(e: Expr) -> Expr:
     """Constant folding, 0/1 rules, flattening, collection of identical
     rational powers. Idempotent; never expands or rewrites beyond this list.
     Each distinct node is normalised once, and a tree that this has
-    returned before is returned at once."""
-    return e if e._normal else _Walk(_normalize)[e]
+    returned before is returned at once; the walk does not enter it."""
+    return e if e._normal else _walk(_normalize, (e,), descend=lambda e: not e._normal)[e]
 
 
 def differentiate(e: Expr, x: str) -> Expr:
@@ -608,28 +607,14 @@ def differentiate(e: Expr, x: str) -> Expr:
     for a child whose derivative is ZERO: the product it would build is
     ZERO, which the sum around it drops, so the result is the same node.
     """
-    return _Walk(lambda e, d: _NODES[type(e)].derivative(e, d), {Sym(x): ONE})[e]
+    return _walk(lambda e, d: _NODES[type(e)].derivative(e, d), (e,), {Sym(x): ONE})[e]
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of coordinate symbols by normal trees, in
     a normal tree. A node none of whose children changes is returned as it
     is: rebuilding a normal node from its own children gives the node."""
-    return _Walk(_map, {Sym(k): _as_expr(v) for k, v in bindings.items()})[e]
-
-
-def _visit(roots: Iterable[Expr], enter: Callable[[Expr], bool] = lambda e: True) -> _Walk:
-    """Run ``enter`` once on each distinct node of ``roots``, going on into
-    its children where it returns true; the walk's keys are the nodes visited."""
-    def rule(e: Expr, child: Callable[[Expr], None]) -> None:
-        if enter(e):        # children in a loop here, not in a helper: one frame per level
-            for c in _NODES[type(e)].children(e):
-                child(c)
-
-    walk = _Walk(rule)
-    for root in roots:
-        walk[root]
-    return walk
+    return _walk(_map, (e,), {Sym(k): _as_expr(v) for k, v in bindings.items()})[e]
 
 
 # ---------------------------------------------------------------------------
@@ -679,34 +664,36 @@ _ABS_POLE = 1e-13
 
 
 class _Block(dict):
-    """The values of some roots at every point of a block: ``block[node]``
-    is the node's column, a list with one value per point, computed on first
-    use. Nodes are interned, so a subtree that occurs twice is one node and
-    is evaluated once. ``drawn`` maps each coordinate to its column."""
+    """The values of some nodes at every point of a block: ``block[node]`` is the node's
+    column, one value per point, computed by ``run``; a subtree that occurs twice is one
+    node, evaluated once. ``drawn`` maps each coordinate to its column."""
 
     def __init__(self, functions: FunctionTable, drawn: Mapping[str, list], size: int):
         self.functions, self.drawn, self.size = functions, drawn, size
 
-    def __missing__(self, e: Expr) -> list:
-        c = self[e] = _NODES[type(e)].column(e, self)
-        return c
-
-
-def _check_constants(roots, functions: FunctionTable) -> None:
-    """Raise DomainError if evaluating ``roots`` meets a rational constant
-    outside the float range, before any point is evaluated. The arguments
-    of an unregistered function are never evaluated, so they are skipped."""
-    def enter(e: Expr) -> bool:
-        if type(e) is Rat:
-            _float(e.value)
-        elif type(e) is App:
-            try:
-                functions.lookup(e.name, len(e.args)).closure(e.deriv)
-            except UnboundSymbol:
+    def plan(self, roots: Iterable[Expr]) -> list:
+        """The plan of the columns of ``roots``; DomainError at a constant outside the float
+        range. It enters no node this block holds, nor an unregistered function's arguments:
+        its column raises before them, where a recursive evaluation looks up the closure."""
+        def enter(e: Expr) -> bool:
+            if e in self:
                 return False
-        return True
+            if type(e) is Rat:
+                _float(e.value)
+            elif type(e) is App:
+                try:
+                    self.functions.lookup(e.name, len(e.args)).closure(e.deriv)
+                except UnboundSymbol:
+                    return False
+            return True
 
-    _visit(roots, enter)
+        return _plan(roots, enter)
+
+    def run(self, plan: list) -> None:
+        """Compute the column of each node of ``plan`` that this block does not hold, in order."""
+        for e in plan:
+            if e not in self:
+                self[e] = _NODES[type(e)].column(e, self)
 
 
 def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
@@ -714,7 +701,7 @@ def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
     rational constant outside the float range, else its first symbol without a box,
     else its first (name, arity) of an unregistered function, in sorted order. One
     walk visits all the roots: a node that an earlier root reached passed there."""
-    unboxed, unknown = set(), set()     # stay empty while every root passes
+    unboxed, unknown, seen = set(), set(), set()    # the first two stay empty while roots pass
 
     def enter(e: Expr) -> bool:
         if type(e) is Rat:
@@ -725,10 +712,9 @@ def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
             unknown.add((e.name, len(e.args)))
         return True
 
-    walk = _visit((), enter)
     for root in roots:
         try:
-            walk[root]
+            _plan((root,), enter, seen)
         except DomainError as exc:
             return str(exc)
         if unboxed or unknown:
@@ -741,8 +727,9 @@ def evaluate(e: Expr, p: PointAssignment) -> float:
     UnboundSymbol for an unassigned symbol or an unregistered function, and
     DomainError for a constant outside the float range, at a pole, a
     negative base under a fractional power or a non-finite value."""
-    _check_constants((e,), p.functions)
-    return _Block(p.functions, {name: [v] for name, v in p.values.items()}, 1)[e][0]
+    block = _Block(p.functions, {name: [v] for name, v in p.values.items()}, 1)
+    block.run(block.plan((e,)))
+    return block[e][0]
 
 
 # ---------------------------------------------------------------------------
@@ -870,20 +857,22 @@ def equal_numeric(a: Expr, b: Expr, spec: SampleSpec,
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     shared = (_blocks is not None and _blocks.key[0] is spec     # the same spec, boxes in order
               and _blocks.key[1:] == (trials, seed) and trials <= _SHARED)
-    rng, one_by_one = None if shared else random.Random(seed), False
+    rng, one_by_one, plan = None if shared else random.Random(seed), False, None
     done = attempt = domain_errors = 0
     while done < trials:
         n = 1 if one_by_one else min(_BLOCK, trials - done)
         block = (_blocks[done] if shared
                  else _Block(spec.functions, _draw_columns(spec.boxes, rng, n), n))
+        if plan is None or shared:      # one plan for the check's own blocks
+            plan = block.plan((a, b))   # a shared block's skips the columns it holds
         try:
+            block.run(plan)
             ca, cb = block[a], block[b]
             if not (all(map(math.isfinite, ca)) and all(map(math.isfinite, cb))):
                 raise DomainError(f"non-finite sample value {ca[0]} vs {cb[0]}")
         except Exception as exc:
             if not one_by_one:      # the first error: redraw this block's points one at a time
-                _check_constants((a, b), spec.functions)
-                one_by_one, shared, rng = True, False, random.Random(seed)
+                one_by_one, shared, plan, rng = True, False, None, random.Random(seed)
                 _draw_columns(spec.boxes, rng, done)        # the draws of the points checked
                 continue
             if not isinstance(exc, DomainError) or attempt == _RETRY_BOUND:
@@ -937,12 +926,12 @@ def _read(obj, memo: dict, depth: int) -> Expr:
     read at the next depth, and the memo key is ``(type, *fields)``, with a
     rational as its integer pair as written; a key met before gives its node.
     An ``int`` is the index of a node table entry read before, which the memo
-    maps to its node and its height."""
+    maps to its node; the memo maps each node it built to its height."""
     if type(obj) is int:
         if obj not in memo:
             raise ValueError(f"node reference {obj} is to no earlier table entry")
-        node, height = memo[obj]
-        if depth + height > MAX_DEPTH:
+        node = memo[obj]
+        if depth + memo[node] > MAX_DEPTH:
             raise ValueError("input nested too deeply")
         return node
     if depth > MAX_DEPTH:
@@ -996,6 +985,7 @@ def _read(obj, memo: dict, depth: int) -> Expr:
         if node is None:        # the first node of this kind, these fields and these children
             node = memo[key] = (cls(*key[1:-2], Fraction(key[-2], key[-1]))
                                 if cls is Rat or cls is Pow else cls(*key[1:]))
+            memo[node] = 1 + max(map(memo.__getitem__, _NODES[cls].children(node)), default=-1)
         return node
     except (KeyError, TypeError) as exc:
         missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS)
@@ -1013,28 +1003,27 @@ def expr_from_json(obj, _memo: dict | None = None) -> Expr:
 def table_to_json(roots: Iterable[Expr]) -> tuple[list, dict]:
     """The node table of ``roots``: each distinct node's dict once, children first,
     with each child written as the index of its entry; and each node's index."""
-    order = _visit(roots)
+    order = _plan(roots)
     index = {e: k for k, e in enumerate(order)}
     return [_DUMP[type(e)](e, index.__getitem__) for e in order], index
 
 
 def table_from_json(nodes) -> dict:
-    """A node memo for ``expr_from_json`` holding the table ``nodes``: index k maps to entry
-    k's node and its height, from its children's heights. Raises ValueError on a table that
-    is not a list of node objects, and where ``expr_from_json`` does, at each entry."""
+    """A node memo for ``expr_from_json`` holding the table ``nodes``: index k maps to
+    entry k's node. Raises ValueError on a table that is not a list of node objects, and
+    where ``expr_from_json`` does, at each entry."""
     if type(nodes) is not list:
         raise ValueError(f"nodes must be a list, got {nodes!r:.40}")
     memo = {}
-    height = _Walk(lambda e, child: 1 + max(map(child, _NODES[type(e)].children(e)), default=-1))
     for k, entry in enumerate(nodes):
         if type(entry) is not dict:
             raise ValueError(f"node {k} must be a node object, got {entry!r:.40}")
-        node = _read(entry, memo, 0)
-        memo[k] = node, height[node]
+        memo[k] = _read(entry, memo, 0)
     return memo
 
 
 def occurrences(roots: Iterable[Expr]) -> int:
     """The nodes of the trees ``roots`` counted at every use, as an inline document writes them."""
-    count = _Walk(lambda e, child: 1 + sum(map(child, _NODES[type(e)].children(e))))
+    roots = tuple(roots)
+    count = _walk(lambda e, child: 1 + sum(map(child, _NODES[type(e)].children(e))), roots)
     return sum(map(count.__getitem__, roots))

@@ -107,15 +107,16 @@ class MetricData:
     @staticmethod
     def from_json(obj: dict, sample: SampleSpec | None = None) -> "MetricData":
         """The metric of a node table, or of a document that writes each entry
-        as a whole tree (one without ``nodes``), normalised by upper triangle."""
-        fields = obj["chart"]
+        as a whole tree (one without ``nodes``), normalised by upper triangle.
+        A refusal names the field, the entry or the node it refuses."""
+        fields = _json(_json(obj, dict, "metric")["chart"], dict, "chart")
         for key, kind in (("names", str), ("periodic", bool)):
             v = fields[key]
             if type(v) is not list or not all(type(x) is kind for x in v):
                 raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
         chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
         read = table_from_json(obj.get("nodes", []))    # one node memo for all the entries
-        g, b = ({(i, j): expr_from_json(e, read) for i, j, e in obj[part]} for part in "gb")
+        g, b = ({(i, j): expr_from_json(e, read) for i, j, e in _entries(obj, p)} for p in "gb")
         if occurrences([*g.values(), *b.values()]) > MAX_NODES:  # as inline trees
             raise ValueError(f"metric entries have more than {MAX_NODES} nodes counted at every use")
         m = metric(chart, *({k: simplify_basic(e) for k, e in x.items()} for x in (g, b)), sample)
@@ -125,6 +126,20 @@ class MetricData:
             if twice:
                 raise ValueError(f"{part} component {twice[0]} is given twice")
         return m
+
+
+def _json(value, kind: type, what: str):
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _entries(obj: dict, part: str) -> list:
+    """``obj[part]``, each of whose entries is ``[i, j, node]`` with integer ``i`` and ``j``."""
+    for k, e in enumerate(entries := _json(obj[part], list, part)):
+        if type(e) is not list or len(e) != 3 or not all(type(x) is int for x in e[:2]):
+            raise ValueError(f"{part} entry {k} must be [i, j, node], got {e!r:.40}")
+    return entries
 
 
 def metric(chart: Chart, g_entries: dict, b_entries: dict | None = None,
@@ -609,15 +624,13 @@ def with_b_field(m: MetricData, b: DiffForm) -> MetricData:
 # ---------------------------------------------------------------------------
 # conformal comparison
 
-def conformal_factor(m: MetricData, reference: MetricData,
-                     spec: SampleSpec | None = None,
-                     trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL,
-                     seed: int = DEFAULT_SEED) -> Expr:
+def conformal_factor(m: MetricData, reference: MetricData, trials: int = DEFAULT_TRIALS,
+                     tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> Expr:
     """Return f with m = f * reference under randomized equality, or raise
     NotConformal with the first failing component as witness."""
     if m.chart != reference.chart:
         raise ValueError("charts differ")
-    spec = spec or m.sample or reference.sample
+    spec = m.sample or reference.sample
     if spec is None:
         raise ValueError("no sample spec available")
     pivot = None

@@ -373,14 +373,14 @@ class GerbeCondition(NamedTuple):
 
 
 class GerbeReport(_Record):
-    """The slots of D(data) on ``cover``, each (name, its nerve degree q, the
-    witness cell of each failing tuple), read as one condition per tuple of
-    ``cover.tuples(q)``, enumerated when the conditions are first read."""
+    """The slots of D(data) on ``cover``, each (name, its nerve degree q, the witness cell
+    of each failing tuple), read as one condition per tuple of ``cover.tuples(q)``, enumerated
+    when first read. The check sets ``characteristic_class`` once every slot passes."""
 
-    _fields = ("slots", "characteristic_class")
+    _fields = ("slots",)
 
-    def __init__(self, slots: list, characteristic_class: CohClass | None = None, cover=None):
-        self.slots, self.characteristic_class, self.cover = slots, characteristic_class, cover
+    def __init__(self, slots: list, cover=None):
+        self.slots, self.characteristic_class, self.cover = slots, None, cover
 
     @cached_property
     def conditions(self) -> list:

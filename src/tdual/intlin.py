@@ -26,17 +26,9 @@ class IMat:
 
     __slots__ = ("rows", "cols", "nz", "_snf", "_factors", "__weakref__")
 
-    def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, rows: int, cols: int):
+        self.rows, self.cols, self.nz = rows, cols, [{} for _ in range(rows)]
         self._snf = self._factors = None
-        if data is None:
-            self.nz = [{} for _ in range(rows)]
-        else:
-            data = [list(r) for r in data]
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data does not match shape")
-            self.nz = [{j: x for j, x in enumerate(r) if x} for r in data]
 
     @staticmethod
     def of(rows: int, cols: int, nz: list) -> "IMat":

@@ -39,9 +39,13 @@ class IMat:
         return IMat(self.rows, self.cols, self.data)
 
 
-def from_rows(data) -> intlin.IMat:
-    """The sparse matrix of a list of equal-length rows; no rows give 0 x 0."""
-    return intlin.IMat(len(data), len(data[0]) if data else 0, data)
+def from_rows(data, cols: int | None = None) -> intlin.IMat:
+    """The sparse matrix of a list of rows of ``cols`` entries each, by default
+    the first row's length; no rows and no ``cols`` give 0 x 0."""
+    data = [list(r) for r in data]
+    cols = (len(data[0]) if data else 0) if cols is None else cols
+    assert all(len(r) == cols for r in data), "rows of unequal length"
+    return intlin.IMat.of(len(data), cols, [{j: x for j, x in enumerate(r) if x} for r in data])
 
 
 @dataclass

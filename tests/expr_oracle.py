@@ -22,6 +22,12 @@ per use; the package walks each distinct node once.
 the package walks all the roots once and judges each root by the nodes it
 reaches first.
 
+``_Walk`` is the recursive walk that the package ran before its walks
+became one loop over a post-order plan: ``rule(node, child)`` runs once per
+distinct node, and ``child`` recurses into this memo, one frame or two per
+tree level. ``walked`` runs each of the package's walks over it, with the
+package's own rules, as the reference for the order of their work and errors.
+
 ``inline_document`` turns a metric's node table back into the document
 that wrote each entry as a whole tree, which is what the package wrote before.
 
@@ -36,9 +42,10 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+from tdual import expr
 from tdual.expr import (
     MAX_DERIV_ORDER, ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
-    UnboundSymbol, Witness, _float, _visit,
+    UnboundSymbol, Witness, _float,
 )
 
 
@@ -551,4 +558,113 @@ _KINDS = {
     "pow": (Pow, (("base", checked_expr_from_json), ("exp", _load_fraction))),
     "sin": (SinE, (("arg", checked_expr_from_json),)),
     "cos": (CosE, (("arg", checked_expr_from_json),)),
+}
+
+
+class _Walk(dict):
+    """One recursive walk: ``rule(node, child)`` runs once per distinct node
+    that has no ``known`` result, where ``child`` gives a child's result
+    through this memo, computing it first."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule, known=()):
+        super().__init__(known)
+        self.rule = rule
+
+    def __missing__(self, e):
+        out = self[e] = self.rule(e, self.__getitem__)
+        return out
+
+
+def _visit(roots, enter=lambda e: True):
+    """Run ``enter`` once on each distinct node of ``roots``, going on into its
+    children where it returns true; the walk's keys are the nodes visited."""
+    def rule(e, child):
+        if enter(e):
+            for c in expr._NODES[type(e)].children(e):
+                child(c)
+
+    walk = _Walk(rule)
+    for root in roots:
+        walk[root]
+    return walk
+
+
+class _RecursiveBlock(expr._Block):
+    """A block whose ``block[node]`` computes a missing column, and its
+    children's first, by the package's column rules."""
+
+    def __missing__(self, e):
+        c = self[e] = expr._NODES[type(e)].column(e, self)
+        return c
+
+
+def _walked_scan(roots, functions):
+    """The constant check that ran over a whole tree before its evaluation."""
+    def enter(e):
+        if type(e) is Rat:
+            _float(e.value)
+        elif type(e) is App:
+            try:
+                functions.lookup(e.name, len(e.args)).closure(e.deriv)
+            except UnboundSymbol:
+                return False
+        return True
+
+    _visit(roots, enter)
+
+
+def _walked_sampling_failure(roots, spec):
+    unboxed, unknown = set(), set()
+
+    def enter(e):
+        if type(e) is Rat:
+            _float(e.value)
+        elif type(e) is Sym and e.name not in spec.boxes:
+            unboxed.add(e.name)
+        elif type(e) is App and (e.name, len(e.args)) not in spec.functions._by_key:
+            unknown.add((e.name, len(e.args)))
+        return True
+
+    walk = _visit((), enter)
+    for root in roots:
+        try:
+            walk[root]
+        except DomainError as exc:
+            return str(exc)
+        if unboxed or unknown:
+            return (f"symbol {min(unboxed)!r} has no sampling box" if unboxed
+                    else "no function {}/{} is registered".format(*min(unknown)))
+
+
+def _walked_columns(roots, functions, drawn, size):
+    """The roots' columns over one block, after the constant check."""
+    _walked_scan(roots, functions)
+    block = _RecursiveBlock(functions, drawn, size)
+    return [block[root] for root in roots]
+
+
+def _walked_heights(roots):
+    height = _Walk(lambda e, child: 1 + max(map(child, expr._NODES[type(e)].children(e)),
+                                            default=-1))
+    return [height[root] for root in roots]
+
+
+def _walked_text(e):
+    return _Walk(lambda e, text: expr._NODES[type(e)].text(e, text))[e]
+
+
+walked = {
+    "simplify_basic": lambda e: e if e._normal else _Walk(expr._normalize)[e],
+    "differentiate": lambda e, x: _Walk(lambda e, d: expr._NODES[type(e)].derivative(e, d),
+                                        {Sym(x): ONE})[e],
+    "substitute": lambda e, bindings: _Walk(expr._map, {Sym(k): v for k, v in bindings.items()})[e],
+    "occurrences": lambda roots: sum(map(_Walk(
+        lambda e, child: 1 + sum(map(child, expr._NODES[type(e)].children(e)))).__getitem__, roots)),
+    "order": lambda roots: list(_visit(roots)),
+    "heights": _walked_heights,
+    "text": _walked_text,
+    "sampling_failure": _walked_sampling_failure,
+    "columns": _walked_columns,
 }

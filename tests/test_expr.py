@@ -10,6 +10,7 @@ import json
 import math
 import random
 import struct
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
     add, app, cos_, differentiate, equal_numeric, evaluate,
-    expr_from_json, mul, pow_, rat,
+    expr_from_json, mul, occurrences, pow_, rat,
     simplify_basic, sin_, substitute, sym, table_from_json, table_to_json,
 )
 from tdual.geometry import (
@@ -81,7 +82,7 @@ def test_evaluate_pole_raises():
 
 
 def test_evaluate_unregistered_derivative_order_raises(spec):
-    deep = app("Hp", (sym("r"), sym("theta"), sym("phi")), deriv=(2, 0, 0))
+    deep = App("Hp", (sym("r"), sym("theta"), sym("phi")), (2, 0, 0))
     fns = FunctionTable([OpaqueFunction("Hp", 3, closure_factory=lambda d: None)])
     with pytest.raises(UnboundSymbol):
         evaluate(deep, PointAssignment({"r": 1.0, "theta": 1.0, "phi": 1.0}, fns))
@@ -617,6 +618,7 @@ def test_raw_products_equal_the_per_point_oracle_bit_for_bit(e):
     if all(type(w) is not tuple for w in want):
         assert want == [run(lambda: oracle.evaluate(e, PointAssignment(p, INTS))) for p in points]
         block = _Block(INTS, {k: [p[k] for p in points] for k in "rs"}, len(points))
+        block.run(block.plan((e,)))
         assert list(map(bits, block[e])) == want
 
 
@@ -865,6 +867,7 @@ def test_block_has_one_column_per_distinct_subtree_and_is_freed(spec):
     try:
         block = _Block(spec.functions, {"r": [q["r"] for q in points],
                                         "g": [q["g"] for q in points]}, 3)
+        block.run(block.plan((e,)))
         assert repr(block[e]) == repr(
             [oracle.evaluate(e, PointAssignment(q, spec.functions)) for q in points])
         assert len(block) == distinct
@@ -885,7 +888,8 @@ def test_shared_subtrees_call_a_closure_once_per_point():
     evaluate(e, PointAssignment({"r": 0.5}, fns))
     assert calls == [1.5]
     calls.clear()
-    _Block(fns, {"r": [0.5, 1.0, 2.0]}, 3)[e]
+    block = _Block(fns, {"r": [0.5, 1.0, 2.0]}, 3)
+    block.run(block.plan((e,)))
     assert calls == [1.5, 2.0, 3.0]
     # a negative base fails at some points after the closure ran there: the
     # block of 10 points fails, and the check reruns from its seed point by
@@ -1042,7 +1046,7 @@ def test_every_node_type_is_a_dataclass_of_its_fields():
     layers = importlib.util.module_from_spec(importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parent.parent / "bench" / "layers.py"))
     layers.__spec__.loader.exec_module(layers)
-    h = app("H", (X, sin_(X)), (0, 1))
+    h = App("H", (X, sin_(X)), (0, 1))
     nodes = [X, rat(-3, 4), h, add(X, h), mul(X, h), pow_(h, Fraction(-1, 2)), sin_(h), cos_(h)]
     assert {type(n) for n in nodes} == set(expr._NODES)
     for node in nodes:
@@ -1143,24 +1147,27 @@ def _memo_tree():
 def test_walks_free_their_memo_and_nodes_when_they_return():
     walks, built = [], []
 
-    class Recording(expr._Walk):
-        __slots__ = ()
+    class Marker:       # one in each memo: it lives as long as the memo
+        pass
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            walks.append(weakref.ref(self))
-
-        def __missing__(self, e):
-            out = super().__missing__(e)
+    def recording(rule, *args, **named):
+        def recorded(e, child):
+            memo = child.__self__
+            if Marker not in memo:
+                memo[Marker] = Marker()
+                walks.append(weakref.ref(memo[Marker]))
+            out = rule(e, child)
             built.append(weakref.ref(out))
             return out
+        return real_walk(recorded, *args, **named)
 
     raw = _memo_tree()
     binding = add(sym("memo_v"), rat(5, 19))
+    real_walk = expr._walk
     gc.collect()
     gc.disable()
     try:
-        with mock.patch.object(expr, "_Walk", Recording):
+        with mock.patch.object(expr, "_walk", recording):
             for walk in (lambda: simplify_basic(raw), lambda: differentiate(raw, "memo_u"),
                          lambda: substitute(raw, {"memo_u": binding})):
                 walks.clear()
@@ -1177,6 +1184,145 @@ def test_walks_free_their_memo_and_nodes_when_they_return():
                 del alive
     finally:
         gc.enable()
+
+
+# the recursive walk of expr_oracle runs the package's own rules: on seeded random
+# trees, the walks over a plan give its results and its first error
+WALK_POINTS = {"r": [0.5, 1.0, 2.0, -0.0], "s": [0.0, 3.0, -1.0, 1e-14]}
+WALK_TABLE = FunctionTable([OpaqueFunction("F", 1, {(0,): lambda x: 2.0 * x + 1.0,
+                                                    (1,): lambda x: 2.0}.get),
+                            OpaqueFunction("P", 1, {(0,): lambda x: 1.0 / x}.get)])
+
+
+def random_dag(rng: random.Random, size: int) -> list:
+    """``size`` raw nodes, each built on earlier ones, so subtrees are shared: with poles
+    (P, a power of a sum that vanishes at a point), unregistered functions (G, F'')
+    and constants outside the float range or that fold to a division by zero."""
+    pool = [R, S, Rat(Fraction(2)), Rat(Fraction(-1, 3)), Rat(Fraction(0)),
+            Rat(Fraction(10 ** 400))]
+    for _ in range(size):
+        pick = functools.partial(rng.choice, pool)
+        kind = rng.randrange(8)
+        if kind == 0:
+            e = Sum(tuple(pick() for _ in range(rng.randint(0, 3))))
+        elif kind == 1:
+            e = Prod(tuple(pick() for _ in range(rng.randint(0, 3))))
+        elif kind == 2:
+            e = Pow(pick(), Fraction(rng.choice([-1, -2, 1, 2, 3]), rng.choice([1, 1, 2])))
+        elif kind == 3:
+            e = Pow(Sum((pick(), Rat(Fraction(-1)))), Fraction(-1))
+        elif kind == 4:
+            e = (SinE if rng.random() < 0.5 else CosE)(pick())
+        else:
+            name, deriv = rng.choice([("F", (0,)), ("F", (1,)), ("F", (2,)), ("P", (0,)),
+                                      ("G", (0,))])
+            e = App(name, (pick(),), deriv)
+        pool.append(e)
+    return pool[6:]
+
+
+def walk_outcome(run):
+    """What ``run()`` returns, or the type and message of its error."""
+    try:
+        return run()
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+def columns_outcome(run):
+    got = walk_outcome(run)
+    return got if type(got) is tuple else [list(map(bits, c)) for c in got]
+
+
+def plan_columns(roots, functions, drawn, size):
+    block = _Block(functions, drawn, size)
+    block.run(block.plan(roots))
+    return [block[root] for root in roots]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_walks_over_a_plan_equal_the_recursive_walk(seed):
+    rng = random.Random(seed)
+    nodes = random_dag(rng, 40)
+    spec = SampleSpec({"r": (0.5, 2.0), "s": (0.5, 2.0)}, WALK_TABLE)
+    walked = oracle.walked
+    for e in nodes[-12:]:
+        roots = [e, rng.choice(nodes), rng.choice(nodes)]
+        want = walk_outcome(lambda: walked["simplify_basic"](e))
+        got = walk_outcome(lambda: simplify_basic(e))
+        assert got is want or type(want) is tuple and got == want
+        assert walk_outcome(lambda: occurrences(roots)) == walked["occurrences"](roots)
+        assert list(table_to_json(roots)[1]) == walked["order"](roots)
+        assert str(e) == walked["text"](e)
+        nodes_json, index = table_to_json(roots)
+        memo = table_from_json(json.loads(json.dumps(nodes_json)))
+        assert [memo[memo[index[root]]] for root in roots] == walked["heights"](roots)
+        assert (walk_outcome(lambda: expr.sampling_failure(roots, spec))
+                == walk_outcome(lambda: walked["sampling_failure"](roots, spec)))
+        for size in (1, 4):
+            drawn = {k: v[:size] for k, v in WALK_POINTS.items()}
+            assert (columns_outcome(lambda: plan_columns(roots, WALK_TABLE, drawn, size))
+                    == columns_outcome(lambda: walked["columns"](roots, WALK_TABLE, drawn, size)))
+        if type(got) is tuple:
+            continue
+        binding = {"r": add(S, rat(1))}
+        for run, walk in [
+                (lambda: differentiate(got, "r"), lambda: walked["differentiate"](got, "r")),
+                (lambda: substitute(got, binding), lambda: walked["substitute"](got, binding))]:
+            want = walk_outcome(walk)
+            assert same_outcome(walk_outcome(run), want)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
+
+
+@contextlib.contextmanager
+def _line_tracer():
+    def trace(frame, event, arg):
+        return trace
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(before)
+
+
+@pytest.mark.parametrize("guard", ["limit", "tracer"])
+def test_a_metric_as_deep_as_the_reader_takes_needs_a_few_frames_after_it(guard):
+    # only the reader recurses a frame per level: the walks after it run with
+    # 100 frames to spare, or under a Python-level line tracer
+    from tdual.expr import MAX_DEPTH, occurrences
+    from tdual.geometry import metric, metrics_equal
+    obj = {"k": "sym", "name": "r"}
+    for _ in range(MAX_DEPTH):
+        obj = {"k": "sin", "arg": obj}
+    raw, m = expr_from_json(obj), make_taub_nut()
+    with _recursion_limit(_stack_depth() + 100) if guard == "limit" else _line_tracer():
+        deep = simplify_basic(raw)
+        deep_m = metric(m.chart, {**m.g_upper, (0, 0): deep}, m.b_upper, m.sample)
+        dual = buscher_transform(deep_m)
+        ok, _ = metrics_equal(buscher_transform(dual), deep_m)
+        doc = dual.to_json()
+        count = occurrences([deep, dual.g(0, 0)])
+        text = str(deep)
+    assert ok and len(doc["nodes"]) > MAX_DEPTH
+    assert count == 2 * (MAX_DEPTH + 1) + 1
+    assert text == "sin(" * MAX_DEPTH + "r" + ")" * MAX_DEPTH
 
 
 def constructions(run) -> int:
@@ -1422,7 +1568,7 @@ def test_scans_visit_each_distinct_node_once():
     fns = FunctionTable([OpaqueFunction("F", 1, {(0,): lambda x: 3 * x}.get)])
     spec = SampleSpec({"x": (1.0, 2.0)}, fns)
     for scan, want in [
-            (lambda: expr._check_constants((e,), fns), None),
+            (lambda: len(_Block(fns, {}, 1).plan((e,))), k + 4),
             (lambda: expr.sampling_failure([e], spec), None),
             # later roots inside an earlier one add nothing to the walk
             (lambda: expr.sampling_failure([e, e.terms[0], e.terms[0].terms[0]], spec), None),

@@ -60,3 +60,18 @@ def test_only_one_error_line_keeps_the_contract():
     for outcome, detail in ((2, "error: one\nerror: two\n"), (2, "usage: tdual\n"), (2, ""),
                             (3, ""), ("slow", ""), ("traceback", "Traceback ...\n")):
         assert tool.breaks_contract(outcome, detail), (outcome, detail)
+
+
+def test_a_metric_refusal_must_name_what_it_refuses():
+    tool = _load_tool()
+    head = "error: cannot read metric from /tmp/x/metric.json: "
+    for why in ("g entry 0 must be [i, j, node], got [0, 0]", "missing field 'chart'",
+                "chart must be a dict, got 5",
+                "node reference 9 is to no earlier table entry"):
+        assert not tool.unnamed_metric_refusal(2, head + why + "\n"), why
+    for why in ("'int' object is not subscriptable",
+                "not enough values to unpack (expected 3, got 1)"):
+        assert tool.unnamed_metric_refusal(2, head + why + "\n"), why
+    assert not tool.unnamed_metric_refusal(2, "error: cannot read gerbe: 'int' object\n")
+    assert not tool.unnamed_metric_refusal(1, "")
+

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import expr_oracle as oracle
 import geometry_oracle
 from tdual import geometry
-from tdual.expr import (ZERO, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
+from tdual.expr import (ZERO, App, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
                         PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
                         equal_numeric, evaluate, mul, occurrences, pow_, rat, sin_,
                         substitute, sym)
@@ -308,14 +308,14 @@ def test_single_center_mixed_partial_vanishes():
 
 def test_dyonic_fiber_component(spec):
     field = dyonic_b_field(sym("beta"))
-    hprime = app("H", (R, sym("g")), deriv=(1, 0))
+    hprime = App("H", (R, sym("g")), (1, 0))
     want = mul(rat(-1), sym("beta"), hprime, pow_(sym("g"), -2), pow_(H, -2))
     assert equal_numeric(field.component((0, 1)), want, spec)
 
 
 def test_dyonic_radial_angular_component(spec):
     field = dyonic_b_field(sym("beta"))
-    hprime = app("H", (R, sym("g")), deriv=(1, 0))
+    hprime = App("H", (R, sym("g")), (1, 0))
     want = mul(rat(-1, 2), sym("beta"), hprime, pow_(sym("g"), -2), pow_(H, -2),
                add(rat(1), -cos_(THETA)))
     assert equal_numeric(field.component((1, 3)), want, spec)
@@ -355,9 +355,9 @@ def test_multi_center_field_component_is_quotient_derivative():
     fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)])
     field = fam.b_field(1, sym("beta"))
     hc = app("Hcen1", (R,))
-    hc1 = app("Hcen1", (R,), deriv=(1,))
+    hc1 = App("Hcen1", (R,), (1,))
     hr = app("Hrad", (R,))
-    hr1 = app("Hrad", (R,), deriv=(1,))
+    hr1 = App("Hrad", (R,), (1,))
     quotient_rule = mul(rat(-1), sym("beta"),
                         add(mul(hc1, pow_(hr, -1)),
                             mul(rat(-1), hc, hr1, pow_(hr, -2))))
@@ -674,24 +674,24 @@ def test_pullback_substitutes_each_stored_entry_once(monkeypatch):
 
 def test_dual_is_conformal_to_flat_product(spec):
     dual = buscher_transform(make_taub_nut())
-    factor = conformal_factor(dual, flat_product_metric(), spec)
+    factor = conformal_factor(dual, flat_product_metric())
     assert equal_numeric(factor, H, spec)
 
 
 def test_self_conformal_factor_is_one(spec):
     tn = make_taub_nut()
-    assert equal_numeric(conformal_factor(tn, tn, spec), rat(1), spec)
+    assert equal_numeric(conformal_factor(tn, tn), rat(1), spec)
 
 
 def test_zero_reference_is_not_conformal(spec):
     with pytest.raises(NotConformal, match="at component None") as err:
-        conformal_factor(make_taub_nut(), MetricData(MONOPOLE_CHART, {}, {}), spec)
+        conformal_factor(make_taub_nut(), MetricData(MONOPOLE_CHART, {}, {}))
     assert err.value.witness == "reference metric is numerically zero"
 
 
 def test_taub_nut_not_conformal_to_flat(spec):
     with pytest.raises(NotConformal) as err:
-        conformal_factor(make_taub_nut(), flat_product_metric(), spec)
+        conformal_factor(make_taub_nut(), flat_product_metric())
     assert err.value.component is not None
 
 
@@ -950,6 +950,24 @@ def test_metric_from_json_refuses_a_component_given_twice(part, entry, component
     obj[part].append(entry)
     with pytest.raises(ValueError, match=re.escape(f"{part} component {component} is given")):
         MetricData.from_json(obj, sample=spec)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda obj: obj.update(g=[[0, 0]]), "g entry 0 must be [i, j, node], got [0, 0]"),
+    (lambda obj: obj.update(g=[5]), "g entry 0 must be [i, j, node], got 5"),
+    (lambda obj: obj["g"].append([1, True, 0]),
+     "g entry 5 must be [i, j, node], got [1, True, 0]"),
+    (lambda obj: obj["b"].append([0, "1", 0]), "b entry 0 must be [i, j, node], got [0, '1', 0]"),
+    (lambda obj: obj.update(b=7), "b must be a list, got 7"),
+    (lambda obj: obj.update(chart=[1]), "chart must be a dict, got [1]"),
+])
+def test_metric_from_json_names_the_entry_it_refuses(change, message, spec):
+    obj = make_taub_nut().to_json()
+    change(obj)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        MetricData.from_json(obj, sample=spec)
+    with pytest.raises(ValueError, match=re.escape("metric must be a dict, got [1]")):
+        MetricData.from_json([1], sample=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ RECORDS = {
                                       + [cone_on_s2().all_ids()])),
     GerbeCondition: (("name", "where", "ok", "witness"),
                      lambda k: GerbeCondition("p_cocycle", (0, 1), bool(k))),
-    GerbeReport: (("slots", "characteristic_class"),
+    GerbeReport: (("slots",),
                   lambda k: GerbeReport([("p_cocycle", [(0, 1)], {(0, 1): "f2"} if k else {})])),
     GerbeModels: (("b", "f_ids", "complement_ids", "bplus", "bplus_minus_f_ids",
                    "patch_neighborhood", "patch_complement"), lambda k: _gerbe_models(bool(k))),

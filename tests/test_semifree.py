@@ -252,7 +252,7 @@ def test_nontrivial_action_matrix_detected():
     x = cp2()
     lam = cochain_space(x, 2).generators()[0]
     mats = {k: IMat.identity(x.n_cells(k)) for k in x.degrees()}
-    mats[2] = IMat(1, 1, [[-1]])     # orientation-reversing on H^2
+    mats[2] = IMat.of(1, 1, [{0: -1}])     # orientation-reversing on H^2
     rep = dyonic_automorphism_check(x, lam, mats)
     assert not rep.action_fixes_class
 

@@ -18,8 +18,10 @@ through ``tdual.cli.main`` in this process, under a 5 s ``SIGALRM``.
 The contract: a case exits 0, exits 1 (a verification failed), or exits 2
 with exactly one ``error:`` line on stderr. The tool prints, each with its
 argv and input, every case that raises out of ``main`` (with the
-traceback), every exit 2 whose stderr is not one ``error:`` line, any other
-exit code, and every case the alarm stops. It exits 1 if it printed any,
+traceback), every exit 2 whose stderr is not one ``error:`` line, every
+refusal of a metric by its reader that does not begin by naming a field, an
+entry or a node of the document, any other exit code, and every case the
+alarm stops. It exits 1 if it printed any,
 else 0, and writes one summary line (cases and exit codes) to stderr. Case
 i of seed input S draws from ``random.Random(f"{N}:{S}:{i}")``, so a
 reported case replays alone.
@@ -48,6 +50,11 @@ DESCEND = 0.8
 REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 3, 10 ** 6, -(10 ** 30), 2 ** 63, 0.5,
                 float("nan"), float("inf"), "", "v", "x", "0,1", "S3plus", "wedge:3",
                 [], [0], [1, 2], ["v"], {}, {"k": "rat", "v": [1, 0]}, {"0": ["v"]})
+# how a refusal of the metric reader begins: with the field, the entry or the node it refuses
+METRIC_REFUSALS = ("metric ", "missing field ", "chart", "a chart ", "coordinate names ",
+                   "periodicity flags ", "the dualized (index 0) ", "nodes ", "node ",
+                   "malformed expression node ", "derivative multi-index ", "g ", "b ",
+                   "component (", "input nested too deeply")
 
 # the two-disc S^3 of ``complexes.s3_two_disc`` as a custom complex, with one unit of flux
 CUSTOM_GERBE = {
@@ -139,6 +146,13 @@ def breaks_contract(outcome, detail: str) -> bool:
                 and detail.endswith("\n"))
 
 
+def unnamed_metric_refusal(outcome, detail: str) -> bool:
+    """Whether ``detail`` is the metric reader's refusal, and names nothing it refuses."""
+    if outcome != 2 or not detail.startswith("error: cannot read metric from "):
+        return False
+    return not detail.split(": ", 2)[2].startswith(METRIC_REFUSALS)    # a path has no ": "
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -159,7 +173,7 @@ def main(argv: list) -> int:
                 case_argv = argv_of(command, path, rng)
                 outcome, detail = run_case(case_argv)
                 outcomes[outcome] += 1
-                if breaks_contract(outcome, detail):
+                if breaks_contract(outcome, detail) or unnamed_metric_refusal(outcome, detail):
                     reported += 1
                     shown = " ".join(case_argv).replace(path, "<input>")
                     print(f"== {name} case {i}: {outcome}: {shown}\n"

@@ -45,9 +45,7 @@ def _executable_lines(path: Path) -> set:
 def missed_lines(run) -> list:
     """Call ``run()`` under a line tracer and return the executable lines of
     ``src/tdual`` that it never ran, as sorted (path, line, source) tuples.
-    The recursion limit is doubled for the call, so that a walk as deep as
-    the reader takes still fits; it and the tracer in place before the call
-    are restored after it."""
+    The tracer in place before the call is restored after it."""
     files = {str(p): p for p in SOURCES}
     ran = {name: set() for name in files}
 
@@ -59,14 +57,12 @@ def missed_lines(run) -> list:
     def on_call(frame, event, arg):
         return local if frame.f_code.co_filename in ran else None
 
-    before, limit = sys.gettrace(), sys.getrecursionlimit()
-    sys.setrecursionlimit(2 * limit)
+    before = sys.gettrace()
     sys.settrace(on_call)
     try:
         run()
     finally:
         sys.settrace(before)
-        sys.setrecursionlimit(limit)
     missed = []
     for name, path in files.items():
         source = path.read_text().splitlines()

@@ -16,7 +16,8 @@ to a formula. Numeric evaluation resolves opaque applications through closures
 registered per (name, arity) in a :class:`FunctionTable`. There is one
 evaluator and nothing is compiled: a block evaluates each node of some roots
 once over its points, as one column of values; a product's column starts from
-its first factor's and takes each rational factor as one float. ``evaluate``
+its first factor's and takes each rational factor as one float, which the
+constant's node keeps from its first read. ``evaluate``
 is a block of one point; ``equal_numeric`` runs one loop over blocks of
 sampled points, lent with their column memos to the components of one metric
 check, and goes on point by point from the first block that meets an error.
@@ -31,7 +32,7 @@ entries. One reader, with a branch per node kind and one for an index, takes a t
 or a single tree, checks each field where it reads it and refuses nesting or index
 chains deeper than ``MAX_DEPTH``. Only the reader recurses, a frame per level; every
 later walk takes a few frames at any depth. A metric's entries may have
-``MAX_NODES`` nodes counted at every use, which bounds a walk over every use.
+``MAX_NODES`` nodes counted at every use, which the reader counts as it reads.
 
 Normal form: ``simplify_basic`` only performs constant folding, 0/1 rules,
 flattening of nested sums and products, and collection of identical rational
@@ -40,10 +41,13 @@ powers; simplifying its result again changes nothing. ``add``, ``mul``,
 node they build; ``differentiate`` and ``substitute`` build through them, so
 given normal trees they all return normal trees without a second walk.
 ``simplify_basic`` is the one entry for raw trees: nodes built directly, or
-read by ``expr_from_json``. It marks each node it returns as normal, on the
-interned node, and returns a marked node at once, so normalising a tree again
-costs nothing. Equality of expressions is decided by seeded
-randomized sampling (:func:`equal_numeric`), not by canonical-form rewriting.
+read by ``expr_from_json``. It returns a node marked normal at once. Constants
+and symbols are marked by their class; ``_node`` marks a sum, product or power
+that a normaliser makes from marked children, so the operators mark a tree of
+these as they make it; and ``simplify_basic`` marks each node it returns. So
+normalising such a tree, or any tree a second time, costs nothing. Equality of
+expressions is decided by seeded randomized sampling (:func:`equal_numeric`),
+not by canonical-form rewriting.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat, starmap
-from operator import gt as _gt, mul as _times, sub as _minus
+from operator import attrgetter, gt as _gt, mul as _times, sub as _minus
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS
@@ -98,9 +102,10 @@ class _Interned(type):
                      else (cls, *fields), fields)
 
 
-def _node(cls, key: tuple, fields: tuple) -> "Expr":
+def _node(cls, key: tuple, fields: tuple, given=None) -> "Expr":
     """The live node of ``key``, or a new one with ``fields``: every construction calls this,
-    a class call with the key of the fields it checked, a normaliser with the key it holds."""
+    a class call with the key of the fields it checked, a normaliser with the key it holds
+    and the children it was ``given``, which mark a new node normal if all are marked."""
     ref = _INTERNED.get(key)
     node = ref and ref()
     if node is None:
@@ -109,6 +114,8 @@ def _node(cls, key: tuple, fields: tuple) -> "Expr":
             object.__setattr__(node, name, value)
         if cls is App:
             node.__post_init__()
+        elif given is not None and all(map(_IS_NORMAL, given)):
+            object.__setattr__(node, "_normal", True)
         ref = _INTERNED[key] = _Ref(node, _forget)
         ref.key = key
     return node
@@ -122,6 +129,7 @@ class _Ref(weakref.ref):
 
 # the intern table: key -> weak reference to the live node of that key
 _INTERNED: dict = {}
+_IS_NORMAL = attrgetter("_normal")
 
 
 def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
@@ -135,11 +143,15 @@ def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
 class Expr(metaclass=_Interned):
     """Base node. Subclasses define the tree shape; operators build new trees.
 
-    ``simplify_basic`` sets ``_normal`` on each node it returns. It is not a
-    field: the node's ``repr``, ``str`` and JSON do not show it, and it is
-    freed with the node."""
+    ``_normal`` marks a node as normal: ``Rat`` and ``Sym`` by their class, other
+    nodes as the module docstring says. It is not a field: the node's ``repr``,
+    ``str`` and JSON do not show it, and it is freed with the node."""
 
     _normal = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._normal = vars(cls).get("_normal", False)    # no subclass inherits the mark
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -176,11 +188,14 @@ class Expr(metaclass=_Interned):
 @dataclass(frozen=True, eq=False)
 class Rat(Expr):
     value: Fraction
+    _normal = True
+    _as_float = None    # the value's float, set by its first read through _float
 
 
 @dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
+    _normal = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +317,7 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
     if type(base) is Pow:
         _check_fold(0, base.exponent, exponent)
         return _pow(base.base, base.exponent * exponent)
-    return _node(Pow, (Pow, base, p, q), (base, exponent))
+    return _node(Pow, (Pow, base, p, q), (base, exponent), (base,))
 
 
 def _sum(terms) -> Expr:
@@ -327,7 +342,7 @@ def _sum(terms) -> Expr:
     if len(out) == 1:
         return out[0]
     out = tuple(out)
-    return _node(Sum, (Sum, out), (out,))
+    return _node(Sum, (Sum, out), (out,), terms)
 
 
 def _exponent(f: Expr) -> Fraction:
@@ -378,7 +393,7 @@ def _prod(factors) -> Expr:
     if len(out) == 1:
         return out[0]
     out = tuple(out)
-    return _node(Prod, (Prod, out), (out,))
+    return _node(Prod, (Prod, out), (out,), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +406,14 @@ class _ByType(dict):
         raise TypeError(f"unknown node {cls.__name__}")
 
 
-def _float(q: Fraction) -> float:
-    try:
-        return float(q)
-    except OverflowError:
-        raise DomainError("rational constant outside the float range") from None
+def _float(e: Rat) -> float:
+    """The constant's float, kept on the node; DomainError at each read outside the float range."""
+    if e._as_float is None:
+        try:
+            object.__setattr__(e, "_as_float", float(e.value))
+        except OverflowError:
+            raise DomainError("rational constant outside the float range") from None
+    return e._as_float
 
 
 # column rules: (node, _Block) -> column, the node's value at every point of
@@ -408,7 +426,7 @@ _FLOAT_COLUMNS = frozenset({Sym, Pow, SinE, CosE})     # node types whose column
 
 
 def _column_rat(e: Rat, block):
-    return [_float(e.value)] * block.size
+    return [_float(e)] * block.size
 
 
 def _column_sym(e: Sym, block):
@@ -447,7 +465,7 @@ def _column_prod(e: Prod, block):
     out = 1.0
     for f in e.factors:
         if type(f) is Rat:
-            c = _float(f.value)
+            c = _float(f)
             out = out * c if type(out) is float else list(map(_times, out, repeat(c)))
         elif type(out) is not float:
             out = list(map(_times, out, block[f]))
@@ -594,8 +612,8 @@ def _normalize(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
 def simplify_basic(e: Expr) -> Expr:
     """Constant folding, 0/1 rules, flattening, collection of identical
     rational powers. Idempotent; never expands or rewrites beyond this list.
-    Each distinct node is normalised once, and a tree that this has
-    returned before is returned at once; the walk does not enter it."""
+    Each distinct node is normalised once, and a node marked normal, as
+    this marks each node it returns, is returned at once and not entered."""
     return e if e._normal else _walk(_normalize, (e,), descend=lambda e: not e._normal)[e]
 
 
@@ -679,7 +697,7 @@ class _Block(dict):
             if e in self:
                 return False
             if type(e) is Rat:
-                _float(e.value)
+                _float(e)
             elif type(e) is App:
                 try:
                     self.functions.lookup(e.name, len(e.args)).closure(e.deriv)
@@ -705,7 +723,7 @@ def sampling_failure(roots: Iterable[Expr], spec: SampleSpec) -> str | None:
 
     def enter(e: Expr) -> bool:
         if type(e) is Rat:
-            _float(e.value)
+            _float(e)
         elif type(e) is Sym and e.name not in spec.boxes:
             unboxed.add(e.name)
         elif type(e) is App and (e.name, len(e.args)) not in spec.functions._by_key:
@@ -926,12 +944,12 @@ def _read(obj, memo: dict, depth: int) -> Expr:
     read at the next depth, and the memo key is ``(type, *fields)``, with a
     rational as its integer pair as written; a key met before gives its node.
     An ``int`` is the index of a node table entry read before, which the memo
-    maps to its node; the memo maps each node it built to its height."""
+    maps to its node; the memo maps each node it built to its height and use count."""
     if type(obj) is int:
         if obj not in memo:
             raise ValueError(f"node reference {obj} is to no earlier table entry")
         node = memo[obj]
-        if depth + memo[node] > MAX_DEPTH:
+        if depth + memo[node][0] > MAX_DEPTH:
             raise ValueError("input nested too deeply")
         return node
     if depth > MAX_DEPTH:
@@ -985,7 +1003,10 @@ def _read(obj, memo: dict, depth: int) -> Expr:
         if node is None:        # the first node of this kind, these fields and these children
             node = memo[key] = (cls(*key[1:-2], Fraction(key[-2], key[-1]))
                                 if cls is Rat or cls is Pow else cls(*key[1:]))
-            memo[node] = 1 + max(map(memo.__getitem__, _NODES[cls].children(node)), default=-1)
+            height, uses = 0, 1     # a loop, not max() and sum(): this runs on every new node
+            for h, n in map(memo.__getitem__, _NODES[cls].children(node)):
+                height, uses = h + 1 if h >= height else height, uses + n
+            memo[node] = height, uses
         return node
     except (KeyError, TypeError) as exc:
         missing = type(exc) is KeyError and ("k" not in obj or obj["k"] in _KINDS)
@@ -1021,9 +1042,3 @@ def table_from_json(nodes) -> dict:
         memo[k] = _read(entry, memo, 0)
     return memo
 
-
-def occurrences(roots: Iterable[Expr]) -> int:
-    """The nodes of the trees ``roots`` counted at every use, as an inline document writes them."""
-    roots = tuple(roots)
-    count = _walk(lambda e, child: 1 + sum(map(child, _NODES[type(e)].children(e))), roots)
-    return sum(map(count.__getitem__, roots))

@@ -36,7 +36,7 @@ from .expr import (
     add, app, cos_, differentiate, equal_numeric, evaluate, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym,
     DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS,
-    expr_from_json, occurrences, table_from_json, table_to_json, MAX_NODES, _Blocks,
+    expr_from_json, table_from_json, table_to_json, MAX_NODES, _Blocks,
 )
 
 
@@ -116,10 +116,12 @@ class MetricData:
                 raise ValueError(f"chart {key!r} must be a list of {kind.__name__}, got {v!r:.60}")
         chart = Chart(tuple(fields["names"]), tuple(fields["periodic"]))
         read = table_from_json(obj.get("nodes", []))    # one node memo for all the entries
-        g, b = ({(i, j): expr_from_json(e, read) for i, j, e in _entries(obj, p)} for p in "gb")
-        if occurrences([*g.values(), *b.values()]) > MAX_NODES:  # as inline trees
+        g, b = ({(i, j): (k, expr_from_json(e, read))
+                 for k, (i, j, e) in enumerate(_entries(obj, p))} for p in "gb")
+        if sum(read[e][1] for x in (g, b) for _, e in x.values()) > MAX_NODES:  # as inline trees
             raise ValueError(f"metric entries have more than {MAX_NODES} nodes counted at every use")
-        m = metric(chart, *({k: simplify_basic(e) for k, e in x.items()} for x in (g, b)), sample)
+        m = metric(chart, *({ij: _normal_entry(p, k, e) for ij, (k, e) in x.items()}
+                            for x, p in ((g, "g"), (b, "b"))), sample)
         for part in ("g", "b"):         # (i, j) and (j, i) are one component
             counts = Counter((min(i, j), max(i, j)) for i, j, _ in obj[part])
             twice = [key for key, n in counts.items() if n > 1]
@@ -132,6 +134,14 @@ def _json(value, kind: type, what: str):
     if type(value) is not kind:
         raise ValueError(f"{what} must be a {kind.__name__}, got {value!r:.40}")
     return value
+
+
+def _normal_entry(part: str, k: int, e: Expr) -> Expr:
+    """Entry ``k`` of ``part``, normalised; a refusal of its fold names the entry."""
+    try:
+        return simplify_basic(e)
+    except DomainError as exc:
+        raise DomainError(f"{part} entry {k}: {exc}") from None
 
 
 def _entries(obj: dict, part: str) -> list:

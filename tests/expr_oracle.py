@@ -16,7 +16,10 @@ subtree once over a block of points, and these two evaluators are what its
 values and errors are compared against.
 
 ``nodes`` is the earlier occurrence walk, which lists a shared subtree once
-per use; the package walks each distinct node once.
+per use; the package walks each distinct node once. ``occurrences`` is the
+package's count of every use, one walk over a plan, from before its reader
+counted the uses of each node it reads; a metric no longer walks its entries
+again after reading them.
 
 ``sampling_failure`` is the earlier scan, which walked each root on its own;
 the package walks all the roots once and judges each root by the nodes it
@@ -27,6 +30,9 @@ became one loop over a post-order plan: ``rule(node, child)`` runs once per
 distinct node, and ``child`` recurses into this memo, one frame or two per
 tree level. ``walked`` runs each of the package's walks over it, with the
 package's own rules, as the reference for the order of their work and errors.
+``normal_form`` rebuilds every node by the package's normalisers over it and
+reads no normal mark, so a node the package marks normal can be checked to be
+its own normal form.
 
 ``inline_document`` turns a metric's node table back into the document
 that wrote each entry as a whole tree, which is what the package wrote before.
@@ -45,8 +51,17 @@ from typing import Callable
 from tdual import expr
 from tdual.expr import (
     MAX_DERIV_ORDER, ONE, ZERO, App, CosE, DomainError, EqualityReport, Pow, Prod, Rat, SinE, Sum, Sym,
-    UnboundSymbol, Witness, _float,
+    UnboundSymbol, Witness,
 )
+
+
+def _float(q):
+    """A constant's float, converted at every read as the package did before it kept the
+    float on the node."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise DomainError("rational constant outside the float range") from None
 
 
 def simplify_basic(e):
@@ -487,6 +502,14 @@ def nodes(e):
             stack.append(n.arg)
 
 
+def occurrences(roots):
+    """The nodes of the trees ``roots`` counted at every use, as an inline document writes them."""
+    roots = tuple(roots)
+    count = expr._walk(lambda e, child: 1 + sum(map(child, expr._NODES[type(e)].children(e))),
+                       roots)
+    return sum(map(count.__getitem__, roots))
+
+
 def sampling_failure(roots, spec):
     """The earlier scan: one walk per root, so a subtree that several roots
     share is visited once per root."""
@@ -653,6 +676,15 @@ def _walked_heights(roots):
 
 def _walked_text(e):
     return _Walk(lambda e, text: expr._NODES[type(e)].text(e, text))[e]
+
+
+def normal_form(e):
+    """``e`` rebuilt node by node through the package's normalisers, each node from its
+    children's results, whether or not a node is marked normal."""
+    def rule(e, child):
+        node = expr._NODES[type(e)]
+        return node.rebuild(e, tuple(map(child, node.children(e))))
+    return _Walk(rule)[e]
 
 
 walked = {

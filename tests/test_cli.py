@@ -504,9 +504,33 @@ def test_a_constant_fold_past_the_bound_exits_two_at_once(edit, tmp_path):
                            "--verify", "none"], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=10, preexec_fn=_limited_memory)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: cannot read metric from {path}: folding constants")
+    assert proc.stderr.startswith(
+        f"error: cannot read metric from {path}: g entry {len(obj['g']) - 1}: folding constants")
     assert proc.stderr.endswith(f" bits passes {MAX_FOLD_BITS} bits\n")
     assert proc.stderr.count("\n") == 1
+
+
+ZERO_TO_MINUS_ONE = {"k": "pow", "base": {"k": "rat", "v": [0, 1]}, "exp": [-1, 1]}
+THREE_TO_A_MILLION = {"k": "pow", "base": {"k": "rat", "v": [3, 1]}, "exp": [1000000, 1]}
+
+
+@pytest.mark.parametrize("part, node, why", [
+    ("g", ZERO_TO_MINUS_ONE, "0 raised to a negative power"),
+    ("g", THREE_TO_A_MILLION, "folding constants to about 1000000 bits passes 65536 bits"),
+    ("b", ZERO_TO_MINUS_ONE, "0 raised to a negative power"),
+])
+def test_a_fold_refusal_names_its_entry(part, node, why, tmp_path):
+    from tdual.geometry import make_taub_nut
+    obj = make_taub_nut().to_json()
+    if part == "g":
+        _replace_entry(obj, 1, 1, node)     # the last g entry
+    else:
+        obj["b"] += [[0, 2, R_JSON], [0, 1, node]]
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps(obj))
+    entry = f"{part} entry {len(obj[part]) - 1}"
+    assert run_cli("buscher", "--input", str(path)) == (
+        2, "", f"error: cannot read metric from {path}: {entry}: {why}\n")
 
 
 def test_a_reference_chain_at_the_reader_bound_dualizes(tmp_path):

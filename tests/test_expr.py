@@ -26,7 +26,7 @@ from tdual.expr import (
     ONE, App, Chart, CosE, DomainError, FunctionTable, OpaqueFunction, PointAssignment,
     Pow, Prod, Rat, SampleSpec, SinE, Sum, Sym, UnboundSymbol, _Block, _Blocks, _draw_columns,
     add, app, cos_, differentiate, equal_numeric, evaluate,
-    expr_from_json, mul, occurrences, pow_, rat,
+    expr_from_json, mul, pow_, rat,
     simplify_basic, sin_, substitute, sym, table_from_json, table_to_json,
 )
 from tdual.geometry import (
@@ -1251,12 +1251,13 @@ def test_walks_over_a_plan_equal_the_recursive_walk(seed):
         want = walk_outcome(lambda: walked["simplify_basic"](e))
         got = walk_outcome(lambda: simplify_basic(e))
         assert got is want or type(want) is tuple and got == want
-        assert walk_outcome(lambda: occurrences(roots)) == walked["occurrences"](roots)
         assert list(table_to_json(roots)[1]) == walked["order"](roots)
         assert str(e) == walked["text"](e)
         nodes_json, index = table_to_json(roots)
         memo = table_from_json(json.loads(json.dumps(nodes_json)))
-        assert [memo[memo[index[root]]] for root in roots] == walked["heights"](roots)
+        read = [memo[memo[index[root]]] for root in roots]     # (height, use count) of each
+        assert [height for height, _ in read] == walked["heights"](roots)
+        assert [uses for _, uses in read] == [walked["occurrences"]([root]) for root in roots]
         assert (walk_outcome(lambda: expr.sampling_failure(roots, spec))
                 == walk_outcome(lambda: walked["sampling_failure"](roots, spec)))
         for size in (1, 4):
@@ -1271,6 +1272,67 @@ def test_walks_over_a_plan_equal_the_recursive_walk(seed):
                 (lambda: substitute(got, binding), lambda: walked["substitute"](got, binding))]:
             want = walk_outcome(walk)
             assert same_outcome(walk_outcome(run), want)
+
+
+# each node type's operator; a symbol is renamed, so a rebuilt node with a symbol
+# under it is made anew, not found among the raw nodes
+OPERATORS = {Rat: lambda e, c: e, Sym: lambda e, c: Sym(e.name + "_built"),
+             App: lambda e, c: App(e.name, c, e.deriv), Sum: lambda e, c: add(*c),
+             Prod: lambda e, c: mul(*c), Pow: lambda e, c: pow_(*c, e.exponent),
+             SinE: lambda e, c: sin_(*c), CosE: lambda e, c: cos_(*c)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_node_marked_normal_is_its_own_normal_form(seed):
+    # seeded raw trees, normalised and rebuilt through the operators: each node marked
+    # normal on the way is left as it is by normalisers that read no mark
+    rng = random.Random(seed)
+    raw = random_dag(rng, 40)
+    rebuild = oracle._Walk(lambda e, child: OPERATORS[type(e)](
+        e, tuple(map(child, expr._NODES[type(e)].children(e)))))
+    made = [got for e in raw for run in (lambda: rebuild[e], lambda: simplify_basic(e))
+            if type(got := walk_outcome(run)) is not tuple]
+    marked = [e for e in expr._plan([*raw, *made]) if e._normal]
+    assert len(made) > 40 and {Sum, Prod, Pow} & set(map(type, marked))
+    # indices, not nodes: the text of a shared tree can grow with its every use
+    assert [k for k, e in enumerate(marked) if oracle.normal_form(e) is not e] == []
+    assert [k for k, e in enumerate(marked) if oracle.simplify_basic(e) is not e] == []
+
+
+def test_a_constant_is_converted_to_a_float_once():
+    # the columns of a constant and of products that read it, bit for bit those of
+    # float(Fraction); the conversion runs at the constant's first read only
+    rng = random.Random(5)
+    qs = [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20)) for _ in range(20)]
+    x, drawn = sym("x"), {"x": [0.5, -3.0, 1e10]}
+    real, calls = Fraction.__float__, []
+    with mock.patch.object(Fraction, "__float__", lambda q: calls.append(q) or real(q)):
+        for q in [*qs, Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 300, 3)]:
+            c = Rat(q)
+            roots = [c, Prod((c, x)), Prod((x, c, c))]
+            for _ in range(2):
+                block = _Block(FunctionTable(), drawn, 3)
+                block.run(block.plan(roots))
+                v = float(real(q))
+                assert [list(map(bits, block[root])) for root in roots] == [
+                    [bits(v)] * 3, [bits(v * t) for t in drawn["x"]],
+                    [bits(t * v * v) for t in drawn["x"]]]
+                assert evaluate(c, PointAssignment()) == v
+            assert calls == [q]
+            calls.clear()
+
+
+def test_a_constant_outside_the_float_range_raises_at_every_read():
+    big = Rat(Fraction(10 ** 400))
+    e, spec = add(big, sym("x")), SampleSpec({"x": (0.0, 1.0)})
+    for _ in range(2):
+        with pytest.raises(DomainError, match="rational constant outside the float range"):
+            evaluate(e, PointAssignment({"x": 1.0}))
+        with pytest.raises(DomainError, match="rational constant outside the float range"):
+            equal_numeric(e, e, spec)
+        with pytest.raises(DomainError, match="rational constant outside the float range"):
+            _Block(FunctionTable(), {"x": [1.0]}, 1).plan((e,))
+        assert expr.sampling_failure([e], spec) == "rational constant outside the float range"
 
 
 def _stack_depth() -> int:
@@ -1306,7 +1368,7 @@ def _line_tracer():
 def test_a_metric_as_deep_as_the_reader_takes_needs_a_few_frames_after_it(guard):
     # only the reader recurses a frame per level: the walks after it run with
     # 100 frames to spare, or under a Python-level line tracer
-    from tdual.expr import MAX_DEPTH, occurrences
+    from tdual.expr import MAX_DEPTH
     from tdual.geometry import metric, metrics_equal
     obj = {"k": "sym", "name": "r"}
     for _ in range(MAX_DEPTH):
@@ -1318,7 +1380,7 @@ def test_a_metric_as_deep_as_the_reader_takes_needs_a_few_frames_after_it(guard)
         dual = buscher_transform(deep_m)
         ok, _ = metrics_equal(buscher_transform(dual), deep_m)
         doc = dual.to_json()
-        count = occurrences([deep, dual.g(0, 0)])
+        count = oracle.occurrences([deep, dual.g(0, 0)])
         text = str(deep)
     assert ok and len(doc["nodes"]) > MAX_DEPTH
     assert count == 2 * (MAX_DEPTH + 1) + 1
@@ -1347,9 +1409,12 @@ def test_simplify_of_a_normal_tree_builds_no_node():
     assert repr(raw) == text and repr(normal) == repr(oracle.simplify_basic(raw))
     assert "_normal" not in [f.name for f in dataclasses.fields(normal)]
     assert table_tree(normal) == oracle.expr_to_json(normal)
-    # a tree built by the operators is normal but unmarked: it is walked once
-    built = add(mul(sym("memo_w"), rat(3, 29)), sin_(sym("memo_w")))
-    assert constructions(lambda: simplify_basic(built)) > 0
+    # the operators mark a tree of sums, products and powers as they build it;
+    # one with a sine in it is normal but unmarked above the sine: it is walked once
+    prod = mul(sym("memo_w"), pow_(sym("memo_v"), -2), rat(3, 29))
+    assert prod._normal and constructions(lambda: simplify_basic(prod)) == 0
+    built = add(prod, sin_(sym("memo_w")))
+    assert not built._normal and constructions(lambda: simplify_basic(built)) > 0
     assert simplify_basic(built) is built
     assert constructions(lambda: simplify_basic(built)) == 0
 

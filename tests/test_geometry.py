@@ -21,8 +21,8 @@ import geometry_oracle
 from tdual import geometry
 from tdual.expr import (ZERO, App, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
                         PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
-                        equal_numeric, evaluate, mul, occurrences, pow_, rat, sin_,
-                        substitute, sym)
+                        equal_numeric, evaluate, mul, pow_, rat, sin_,
+                        substitute, sym, table_from_json)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
     NotConformal, SingularG00, buscher_transform, conformal_factor,
@@ -919,10 +919,12 @@ def test_metric_json_is_the_per_entry_codec_with_one_memo(name, dual):
                                          for part in ("g", "b")}}
     assert json.dumps(oracle.inline_document(obj)) == json.dumps(inline)
     # each distinct node once, each child an earlier entry; every use of a node
-    # is one node of the inline document
+    # is one node of the inline document, as the reader counts its entries' uses
     roots = [*m.g_upper.values(), *m.b_upper.values()]
     assert len(obj["nodes"]) == len({n for e in roots for n in oracle.nodes(e)})
-    assert occurrences(roots) == sum(1 for e in roots for _ in oracle.nodes(e))
+    memo = table_from_json(obj["nodes"])
+    uses = [memo[memo[k]][1] for part in ("g", "b") for _, _, k in obj[part]]
+    assert sum(uses) == sum(1 for e in roots for _ in oracle.nodes(e))
     for k, entry in enumerate(obj["nodes"]):
         ref = entry.get(oracle.CHILD_FIELDS.get(entry["k"]), [])
         assert all(type(i) is int and 0 <= i < k for i in (ref if type(ref) is list else [ref]))

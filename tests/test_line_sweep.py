@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from tdual.expr import MAX_DEPTH, occurrences, sin_, sym
+from tdual.expr import MAX_DEPTH, sin_, sym, table_to_json
 from tdual.intlin import IMat, invariant_factors
 
 _SWEEP_PY = Path(__file__).resolve().parent.parent / "tools" / "line_sweep.py"
@@ -44,7 +44,7 @@ def test_a_walk_as_deep_as_the_reader_takes_runs_under_the_tracer():
     for _ in range(MAX_DEPTH):
         e = sin_(e)
     limit, counted = sys.getrecursionlimit(), []
-    _load_sweep().missed_lines(lambda: counted.append(occurrences([e])))
+    _load_sweep().missed_lines(lambda: counted.append(len(table_to_json([e])[0])))
     assert counted == [MAX_DEPTH + 1]
     assert sys.getrecursionlimit() == limit
 

@@ -49,7 +49,10 @@ LIMIT_S = 5
 DESCEND = 0.8
 REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 3, 10 ** 6, -(10 ** 30), 2 ** 63, 0.5,
                 float("nan"), float("inf"), "", "v", "x", "0,1", "S3plus", "wedge:3",
-                [], [0], [1, 2], ["v"], {}, {"k": "rat", "v": [1, 0]}, {"0": ["v"]})
+                [], [0], [1, 2], ["v"], {}, {"k": "rat", "v": [1, 0]}, {"0": ["v"]},
+                # constant folds that the metric reader refuses: 0^-1 and 3^1000000
+                {"k": "pow", "base": {"k": "rat", "v": [0, 1]}, "exp": [-1, 1]},
+                {"k": "pow", "base": {"k": "rat", "v": [3, 1]}, "exp": [1000000, 1]})
 # how a refusal of the metric reader begins: with the field, the entry or the node it refuses
 METRIC_REFUSALS = ("metric ", "missing field ", "chart", "a chart ", "coordinate names ",
                    "periodicity flags ", "the dualized (index 0) ", "nodes ", "node ",

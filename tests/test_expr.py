@@ -1284,13 +1284,15 @@ OPERATORS = {Rat: lambda e, c: e, Sym: lambda e, c: Sym(e.name + "_built"),
 
 @pytest.mark.parametrize("seed", range(12))
 def test_a_node_marked_normal_is_its_own_normal_form(seed):
-    # seeded raw trees, normalised and rebuilt through the operators: each node marked
-    # normal on the way is left as it is by normalisers that read no mark
+    # seeded raw trees, normalised, rebuilt through the operators and given raw to the
+    # operators: each node marked normal on the way is left as it is by normalisers
+    # that read no mark
     rng = random.Random(seed)
     raw = random_dag(rng, 40)
     rebuild = oracle._Walk(lambda e, child: OPERATORS[type(e)](
         e, tuple(map(child, expr._NODES[type(e)].children(e)))))
-    made = [got for e in raw for run in (lambda: rebuild[e], lambda: simplify_basic(e))
+    made = [got for e in raw for run in (lambda: rebuild[e], lambda: simplify_basic(e),
+                                         lambda: add(e, S), lambda: mul(R, e, e), lambda: pow_(e, 3))
             if type(got := walk_outcome(run)) is not tuple]
     marked = [e for e in expr._plan([*raw, *made]) if e._normal]
     assert len(made) > 40 and {Sum, Prod, Pow} & set(map(type, marked))
@@ -1307,7 +1309,7 @@ def test_a_constant_is_converted_to_a_float_once():
     x, drawn = sym("x"), {"x": [0.5, -3.0, 1e10]}
     real, calls = Fraction.__float__, []
     with mock.patch.object(Fraction, "__float__", lambda q: calls.append(q) or real(q)):
-        for q in [*qs, Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 300, 3)]:
+        for q in [*qs, Fraction(10 ** 300, 3), Fraction(-1, 10 ** 320)]:     # no live node has these
             c = Rat(q)
             roots = [c, Prod((c, x)), Prod((x, c, c))]
             for _ in range(2):
@@ -1320,6 +1322,10 @@ def test_a_constant_is_converted_to_a_float_once():
                 assert evaluate(c, PointAssignment()) == v
             assert calls == [q]
             calls.clear()
+    # the kept float is no field: repr, == and the JSON of a constant do not see it
+    assert [f.name for f in dataclasses.fields(c)] == ["value"]
+    assert repr(c) == f"Rat(value={q!r})" and c == Rat(Fraction(q))
+    assert table_tree(c) == oracle.expr_to_json(c)
 
 
 def test_a_constant_outside_the_float_range_raises_at_every_read():

@@ -326,7 +326,7 @@ def _complex_from_json(obj):
 
 def _gerbe_from_json(obj):
     from .complexes import builtin_space
-    from .gerbes import CoverNerve, TwoGerbe
+    from .gerbes import CoverNerve, ThreeGerbe, TwoGerbe
     space = _checked(obj, dict, "gerbe")["space"]
     x = builtin_space(space) if type(space) is str else \
         _complex_from_json(_checked(space, dict, "space"))
@@ -335,7 +335,7 @@ def _gerbe_from_json(obj):
                          f"above the top cell degree {x.top} of {x.name}")
     cover = CoverNerve(x, [frozenset(_checked(s, list, "cover set", str))
                            for s in _checked(obj["cover"], list, "cover")])
-    for q in range(1, 6):       # the layers of the gerbe and its dual, and their checks
+    for q in range(1, len(ThreeGerbe.layers) + 2):     # the layers of both gerbes and their checks
         if (n := cover.cochain_size(q)) > MAX_CELLS:
             raise InputError(f"a cover's cochains may have at most {MAX_CELLS} entries "
                              f"in one nerve degree, got {n} in degree {q}")

@@ -184,21 +184,35 @@ class Expr(metaclass=_Interned):
     def __str__(self):
         return _walk(lambda e, text: _NODES[type(e)].text(e, text), (self,))[self]
 
+    def __repr__(self):
+        """Each distinct node once, in ``_plan`` order, as its dataclass repr with a child shown
+        as ``#k``, its index: ``[#0 Sym(name='x'), #1 Sum(terms=(#0, #0))]``, or
+        ``Sym(name='x')`` for a node without children."""
+        index = {}
 
-@dataclass(frozen=True, eq=False)
+        def text(v):    # a field's repr, each node in it shown by its index
+            return (f"({', '.join(map(text, v))}{',' * (len(v) == 1)})" if type(v) is tuple
+                    else f"#{index[v]}" if isinstance(v, Expr) else repr(v))
+        rows = [f"#{index.setdefault(e, k)} {type(e).__qualname__}(" + ", ".join(
+            f"{name}={text(getattr(e, name))}" for name in e.__match_args__) + ")"
+            for k, e in enumerate(_plan((self,)))]
+        return rows[0].partition(" ")[2] if len(rows) == 1 else "[" + ", ".join(rows) + "]"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Rat(Expr):
     value: Fraction
     _normal = True
     _as_float = None    # the value's float, set by its first read through _float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sym(Expr):
     name: str
     _normal = True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Expr):
     """Opaque function application ``name(args)`` with derivative multi-index.
 
@@ -214,28 +228,28 @@ class App(Expr):
             raise ValueError("derivative multi-index must be one order >= 0 per argument")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prod(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SinE(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CosE(Expr):
     arg: Expr
 
@@ -659,9 +673,6 @@ class FunctionTable:
 
     def __init__(self, functions: Iterable[OpaqueFunction] = ()):
         self._by_key = {(f.name, f.arity): f for f in functions}
-
-    def merged(self, other: "FunctionTable") -> "FunctionTable":
-        return FunctionTable([*self._by_key.values(), *other._by_key.values()])
 
     def lookup(self, name: str, arity: int) -> OpaqueFunction:
         try:

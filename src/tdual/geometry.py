@@ -27,6 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from numbers import Real
 from typing import Sequence
@@ -380,12 +381,9 @@ def _single_center_table() -> FunctionTable:
 
 
 def _multi_center_table(centers: Sequence[Sequence[float]]) -> FunctionTable:
-    """3D profile H = g^-2 + sum (1/2)/|x - c| at the polar point
-    (r, theta, phi) and coupling g, centers in cartesians.
-
-    Only the value is registered (the radial model below covers
-    derivative-heavy checks); a point on a center is a pole.
-    """
+    """3D profile H = g^-2 + sum (1/2)/|x - c| at the polar point (r, theta, phi) and
+    coupling g, centers in cartesians. Only the value is registered, as no check
+    differentiates it; a point on a center is a pole."""
     def factory(deriv):
         if any(deriv):
             return None
@@ -400,44 +398,6 @@ def _multi_center_table(centers: Sequence[Sequence[float]]) -> FunctionTable:
         return fn
 
     return FunctionTable([OpaqueFunction("Hp", 4, closure_factory=factory)])
-
-
-def _radial_table(radii: Sequence[float]) -> FunctionTable:
-    """Radial collinear profile in the unit normalization: Hrad(r) = 1 + sum
-    1/(r - ri) and the per-center summands Hcen<i>(r) = 1/(r - ri).
-
-    Valid for r strictly above every center radius; all derivative orders
-    are closed-form: d^k/dr^k (r - ri)^-1 = (-1)^k k! (r - ri)^-(k+1).
-    """
-    def summand(ri):
-        def factory(deriv):
-            (k,) = deriv
-
-            def fn(r):
-                if r <= ri:
-                    raise ZeroDivisionError
-                if k == 0:
-                    return 1.0 / (r - ri)
-                return ((-1.0) ** k) * math.factorial(k) / (r - ri) ** (k + 1)
-
-            return fn
-        return factory
-
-    def profile(deriv):
-        terms = [summand(ri)(deriv) for ri in radii]
-
-        def fn(r):
-            tot = 1.0 if deriv == (0,) else 0.0
-            for term in terms:       # in order, as a plain float sum
-                tot += term(r)
-            return tot
-
-        return fn
-
-    fns = [OpaqueFunction(f"Hcen{i}", 1, closure_factory=summand(ri))
-           for i, ri in enumerate(radii)]
-    fns.append(OpaqueFunction("Hrad", 1, closure_factory=profile))
-    return FunctionTable(fns)
 
 
 _BASE_BOXES = {
@@ -455,11 +415,10 @@ def taub_nut_sample_spec() -> SampleSpec:
     return SampleSpec(boxes, _single_center_table())
 
 
-def _multi_sample_spec(centers) -> SampleSpec:
-    radii = [math.sqrt(sum(c ** 2 for c in ctr)) for ctr in centers]
+def _multi_sample_spec(centers, radii) -> SampleSpec:
     far = max(radii)
     boxes = {**_BASE_BOXES, R: (far + 1.2, far + 4.0)}  # outside every center by margin
-    return SampleSpec(boxes, _multi_center_table(centers).merged(_radial_table(radii)))
+    return SampleSpec(boxes, _multi_center_table(centers))
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +471,13 @@ def flat_product_metric() -> MetricData:
 
 
 class MultiCenterFamily:
-    """A p-center monopole configuration.
+    """A p-center monopole configuration; for p >= 2 not a Gibbons-Hawking metric.
 
-    The metric uses the true 3D profile H evaluated at polar points. The
-    harmonic B-field basis follows the radial (collinear) model, with the
-    per-center summands Hcen_i(r) = 1/(r - |center_i|) valid outside all
-    centers; the sample box stays in that region.
+    The metric takes the 3D profile Hp = g^-2 + sum (1/2)/|x - c_i| at polar points, but
+    its connection is the one-monopole A = (1/2)(1 - cos t) dphi for every p, which fails
+    dA = -*dH unless the one center is the origin. The B-field basis follows the radial
+    (collinear) model: the tree H_radial = 1 + sum_i (r - |c_i|)^-1, |c_i| the exact
+    Fraction of the float radius, valid outside all centers, as the sample box is.
     """
 
     def __init__(self, centers: Sequence[Sequence[float]]):
@@ -527,10 +487,9 @@ class MultiCenterFamily:
         if len(set(cs)) != len(cs):
             raise DuplicateCenters(f"{centers}")
         self.centers = cs
-        self.sample = _multi_sample_spec(cs)
+        self._radii = [math.sqrt(sum(c ** 2 for c in ctr)) for ctr in cs]
+        self.sample = _multi_sample_spec(cs, self._radii)
         self.H = app("Hp", (sym(R), sym(THETA), sym(PHI), sym("g")))
-        # radial profile used by the B-field formulas (unit normalization)
-        self.H_radial = app("Hrad", (sym(R),))
 
     @property
     def p(self) -> int:
@@ -545,7 +504,11 @@ class MultiCenterFamily:
     def center_summand(self, i: int) -> Expr:
         if not 0 <= i < self.p:
             raise IndexError(f"center index {i} out of range for {self.p} centers")
-        return app(f"Hcen{i}", (sym(R),))
+        return pow_(add(sym(R), rat(-Fraction(self._radii[i]))), Fraction(-1))
+
+    @cached_property
+    def H_radial(self) -> Expr:
+        return add(ONE, *map(self.center_summand, range(self.p)))
 
     def b_potential(self, i: int) -> DiffForm:
         """Radial potential whose exterior derivative gives B_i: the share

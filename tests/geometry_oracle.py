@@ -1,4 +1,4 @@
-"""The earlier pullback and multi-center profile, kept as the oracles for tests.
+"""The earlier pullback and multi-center profiles, kept as the oracles for tests.
 
 ``pullback`` is copied from the version that ran one term loop per half of
 the congruence J^T M J: for each output component it read every entry
@@ -16,6 +16,12 @@ factor. Its components are compared with this one's by identity.
 center's distance and all three gradient components at each call, whatever
 the order asked for. The package registers only the value, which computes no
 gradient, and its value closure is compared with this one's bit for bit.
+
+``radial_table`` is the radial collinear profile as float closures, one per
+center summand and one for their sum, each derivative order worked out by
+hand. The package builds these profiles as expression trees and
+differentiates them as it does any tree; their values and r-derivatives are
+compared with these closures to a relative tolerance.
 """
 
 import math
@@ -105,3 +111,41 @@ def multi_center_table(centers):
         return fn
 
     return FunctionTable([OpaqueFunction("Hp", 4, closure_factory=factory)])
+
+
+def radial_table(radii):
+    """Radial collinear profile in the unit normalization: Hrad(r) = 1 + sum
+    1/(r - ri) and the per-center summands Hcen<i>(r) = 1/(r - ri).
+
+    Valid for r strictly above every center radius; all derivative orders
+    are closed-form: d^k/dr^k (r - ri)^-1 = (-1)^k k! (r - ri)^-(k+1).
+    """
+    def summand(ri):
+        def factory(deriv):
+            (k,) = deriv
+
+            def fn(r):
+                if r <= ri:
+                    raise ZeroDivisionError
+                if k == 0:
+                    return 1.0 / (r - ri)
+                return ((-1.0) ** k) * math.factorial(k) / (r - ri) ** (k + 1)
+
+            return fn
+        return factory
+
+    def profile(deriv):
+        terms = [summand(ri)(deriv) for ri in radii]
+
+        def fn(r):
+            tot = 1.0 if deriv == (0,) else 0.0
+            for term in terms:       # in order, as a plain float sum
+                tot += term(r)
+            return tot
+
+        return fn
+
+    fns = [OpaqueFunction(f"Hcen{i}", 1, closure_factory=summand(ri))
+           for i, ri in enumerate(radii)]
+    fns.append(OpaqueFunction("Hrad", 1, closure_factory=profile))
+    return FunctionTable(fns)

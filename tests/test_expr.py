@@ -11,6 +11,7 @@ import math
 import random
 import struct
 import sys
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -421,10 +422,10 @@ def test_seeded_built_trees_are_the_oracles_simplification():
     assert raised > 0
 
 
-def f_table():
-    """F/2 with derivative orders up to 1 registered."""
+def f_table(*more: OpaqueFunction):
+    """F/2 with derivative orders up to 1 registered, and the functions ``more``."""
     return FunctionTable([OpaqueFunction("F", 2, closure_factory=lambda d: (
-        None if sum(d) > 1 else lambda a, b: (1 + sum(d)) * a * b + a))])
+        None if sum(d) > 1 else lambda a, b: (1 + sum(d)) * a * b + a)), *more])
 
 
 def outcome(run):
@@ -552,11 +553,12 @@ def _raises(exc):
     return fn
 
 
-EXOTIC = FunctionTable([OpaqueFunction(name, 1, {(0,): fn}.get) for name, fn in [
+EXOTIC_FUNCTIONS = [OpaqueFunction(name, 1, {(0,): fn}.get) for name, fn in [
     ("Zero", lambda x: 1.0 / (x - x)), ("Exp", lambda x: math.exp(1000.0 * x)),
     ("Inf", lambda x: x * 1e308 * 10.0), ("Nan", lambda x: math.nan),
     ("Key", _raises(KeyError("r"))), ("Big", lambda x: 10 ** 400),
-    ("Twice", lambda x: 2.0 * x), ("Dom", _raises(DomainError("inner")))]])
+    ("Twice", lambda x: 2.0 * x), ("Dom", _raises(DomainError("inner")))]]
+EXOTIC = FunctionTable(EXOTIC_FUNCTIONS)
 
 
 @pytest.mark.parametrize("e, r", [
@@ -584,7 +586,8 @@ def test_errors_equal_the_closure_compiler(e, r):
 
 
 S = sym("s")
-INTS = FunctionTable([OpaqueFunction("Int", 1, {(0,): lambda x: 3}.get)])     # returns an int
+INT = OpaqueFunction("Int", 1, {(0,): lambda x: 3}.get)     # returns an int
+INTS = FunctionTable([INT])
 EDGES = [2.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1.7976931348623157e308, 5e-324]
 
 
@@ -637,7 +640,7 @@ def report_of(rep):
     (mul(R, rat(2)), add(R, R), 0.0),       # a difference of 0 at tolerance 0 passes
 ])
 def test_check_reports_equal_the_oracle(a, b, tol):
-    spec = SampleSpec({"r": (0.5, 2.5)}, f_table().merged(INTS))
+    spec = SampleSpec({"r": (0.5, 2.5)}, f_table(INT))
     for seed, trials in [(19, 10), (3, 300), (5, 1)]:
         want = outcome(lambda: report_of(oracle.equal_numeric(a, b, spec, trials, tol, seed)))
         assert outcome(lambda: report_of(equal_numeric(a, b, spec, trials, tol, seed))) == want
@@ -700,7 +703,7 @@ NON_FINITE = "(<class 'tdual.expr.DomainError'>, ('non-finite sample value inf v
      "(<class 'tdual.expr.DomainError'>, ('rational constant outside the float range',))"),
 ])
 def test_checks_with_errors_fall_back_to_the_per_point_loop(a, b, box, want):
-    spec = SampleSpec({"r": box}, f_table().merged(EXOTIC))
+    spec = SampleSpec({"r": box}, f_table(*EXOTIC_FUNCTIONS))
     got = equality_outcome(equal_numeric, a, b, spec, 3, 10)
     sizes = block_sizes(lambda: equal_numeric(a, b, spec, trials=10, seed=3))
     # the block of all 10 points meets the error, and the check goes on point
@@ -1060,6 +1063,31 @@ def test_every_node_type_is_a_dataclass_of_its_fields():
         cls.__init__(built, *values)
         assert repr(node) == repr(built) and dataclasses.astuple(node) == dataclasses.astuple(built)
         assert layers.count_nodes(node) == sum(1 for _ in oracle.nodes(node))
+
+
+def test_a_repr_names_each_distinct_node_once():
+    # a node with children reprs as a node table in plan order, children first,
+    # each child shown by its index; a leaf keeps its dataclass repr
+    h = App("H", (X, sin_(X)), (0, 1))
+    assert repr(add(h, mul(X, h))) == (
+        "[#0 Sym(name='x'), #1 SinE(arg=#0), #2 App(name='H', args=(#0, #1), deriv=(0, 1)), "
+        "#3 Prod(factors=(#0, #2)), #4 Sum(terms=(#2, #3))]")
+    assert repr(pow_(add(X, rat(1, 3)), -2)) == (
+        "[#0 Sym(name='x'), #1 Rat(value=Fraction(1, 3)), #2 Sum(terms=(#0, #1)), "
+        "#3 Pow(base=#2, exponent=Fraction(-2, 1))]")
+    assert repr(App("K", (X,), (0,))) == "[#0 Sym(name='x'), #1 App(name='K', args=(#0,), deriv=(0,))]"
+    assert (repr(X), repr(Sum(()))) == ("Sym(name='x')", "Sum(terms=())")
+    # 2^64 uses of x below the top of a doubling DAG of raw sums: 65 rows
+    e = X
+    for _ in range(64):
+        e = Sum((e, e))
+    start = time.perf_counter()
+    text = repr(e)
+    assert time.perf_counter() - start < 1.0
+    assert text == "[#0 Sym(name='x'), " + ", ".join(
+        f"#{k + 1} Sum(terms=(#{k}, #{k}))" for k in range(64)) + "]"
+    # str still writes a shared subtree at each use
+    assert str(Sum((Sum((X, X)), Sum((X, X))))) == "((x + x) + (x + x))"
 
 
 def test_a_released_node_leaves_no_entry_and_is_built_anew():

@@ -7,11 +7,12 @@ that expands a list of weighted covector squares into components.
 
 import gc
 import json
+import math
 import random
 import re
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ import geometry_oracle
 from tdual import geometry
 from tdual.expr import (ZERO, App, Chart, DomainError, Expr, FunctionTable, OpaqueFunction,
                         PointAssignment, SampleSpec, UnboundSymbol, app, add, cos_,
-                        equal_numeric, evaluate, mul, pow_, rat, sin_,
+                        differentiate, equal_numeric, evaluate, mul, pow_, rat, sin_,
                         substitute, sym, table_from_json)
 from tdual.geometry import (
     MONOPOLE_CHART, DiffForm, Diffeo, DuplicateCenters, MetricData, MultiCenterFamily,
@@ -178,8 +179,8 @@ def test_single_center_at_origin_degenerates_to_taub_nut():
     fam = MultiCenterFamily([(0.0, 0.0, 0.0)])
     m1 = fam.metric()
     tn = make_taub_nut()
-    spec = SampleSpec({**m1.sample.boxes, **tn.sample.boxes},
-                      m1.sample.functions.merged(tn.sample.functions))
+    spec = SampleSpec({**m1.sample.boxes, **tn.sample.boxes}, FunctionTable(
+        [m1.sample.functions.lookup("Hp", 4), tn.sample.functions.lookup("H", 2)]))
     for (i, j), g, _ in tn.components():
         assert equal_numeric(g, m1.g(i, j), spec), (i, j)
 
@@ -242,9 +243,11 @@ def test_profiles_have_poles_at_the_centers():
     fam = MultiCenterFamily([(0.0, 0.0, 0.5), (0.3, 0.0, 0.0)])
     at_center = PointAssignment({"r": 0.5, "theta": 0.0, "phi": 0.0, "g": 0.8},
                                 fam.sample.functions)
-    for e in (fam.H, fam.center_summand(0)):
-        with pytest.raises(DomainError, match=f"pole in {e.name} at "):
-            evaluate(e, at_center)
+    with pytest.raises(DomainError, match="pole in Hp at "):
+        evaluate(fam.H, at_center)
+    # a center summand is the tree (r - 1/2)^-1: its power reports the pole
+    with pytest.raises(DomainError, match=re.escape("pole: (r + -1/2)^-1 at base 0.0")):
+        evaluate(fam.center_summand(0), at_center)
 
 
 @pytest.mark.parametrize("profile", ["coupling"])
@@ -354,6 +357,8 @@ def test_multi_center_field_closed_and_exact():
 def test_multi_center_field_component_is_quotient_derivative():
     fam = MultiCenterFamily([(0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)])
     field = fam.b_field(1, sym("beta"))
+    # the radial profile's closures, with each derivative worked out by hand
+    spec = SampleSpec(fam.sample.boxes, geometry_oracle.radial_table(radii(fam)))
     hc = app("Hcen1", (R,))
     hc1 = App("Hcen1", (R,), (1,))
     hr = app("Hrad", (R,))
@@ -361,7 +366,7 @@ def test_multi_center_field_component_is_quotient_derivative():
     quotient_rule = mul(rat(-1), sym("beta"),
                         add(mul(hc1, pow_(hr, -1)),
                             mul(rat(-1), hc, hr1, pow_(hr, -2))))
-    assert equal_numeric(field.component((0, 1)), quotient_rule, fam.sample)
+    assert equal_numeric(field.component((0, 1)), quotient_rule, spec)
 
 
 def test_multi_center_field_zero_modulus():
@@ -453,6 +458,44 @@ def test_multi_center_dyonic_identity_per_center():
         target = pullback(ref, fam.dyonic_shift(i, beta))
         ok, witness = metrics_equal(dual, target, fam.sample, compare_b=False)
         assert ok, (i, witness)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_center_field_paired_with_another_centers_shift_fails(p):
+    # the per-center verdict of `verify dyonic` can fail: B_i's dual is the
+    # pullback along center i's shift, and along no other center's
+    beta = sym("beta")
+    fam = MultiCenterFamily([(0.4, 0.1, 0.0), (-0.3, 0.2, 0.1), (0.0, -0.5, 0.2)][:p])
+    base, ref = fam.radial_metric(), fam.radial_dual_reference()
+    duals = [buscher_transform(with_b_field(base, fam.b_field(i, beta))) for i in range(p)]
+    targets = [pullback(ref, fam.dyonic_shift(j, beta)) for j in range(p)]
+    for i, j in product(range(p), repeat=2):
+        ok, witness = metrics_equal(duals[i], targets[j], fam.sample, compare_b=False)
+        assert ok == (i == j), (i, j, witness)
+        assert (witness is None) == ok and (ok or witness[0] == ("g", 0, 1)), (i, j, witness)
+
+
+def radii(fam) -> list:
+    """Each center's float radius, as the sum of its squared coordinates' square root."""
+    return [math.sqrt(sum(c ** 2 for c in center)) for center in fam.centers]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_radial_trees_and_their_derivatives_equal_the_closures(p):
+    # the oracle's closures write out every r-derivative of 1/(r - r_i) by hand;
+    # the package's trees go through differentiate, as any tree does
+    rng = random.Random(p)
+    fam = MultiCenterFamily([tuple(rng.uniform(-0.8, 0.8) for _ in range(3)) for _ in range(p)])
+    table = geometry_oracle.radial_table(radii(fam))
+    points = [rng.uniform(*fam.sample.boxes["r"]) for _ in range(25)]
+    pairs = [(fam.H_radial, "Hrad"), *((fam.center_summand(i), f"Hcen{i}") for i in range(p))]
+    for tree, name in pairs:
+        for k in range(4):
+            closure = table.lookup(name, 1).closure((k,))
+            for r in points:
+                got = evaluate(tree, PointAssignment({"r": r}))
+                assert got == pytest.approx(closure(r), rel=1e-12, abs=0), (name, k, r)
+            tree = differentiate(tree, "r")
 
 
 def test_shares_and_shifts_are_the_trees_written_out():
